@@ -3,7 +3,7 @@
 
 run_suites drives every property over every enumerated space up to a
 size, plus seeded random spaces above it; the report is deterministic
-byte for byte, whatever TOPOLAB_THREADS says.  The miners search the
+byte for byte from run to run.  The miners search the
 same universe for witnesses: phenomena that hold nowhere would be
 suspicious, and phenomena that hold somewhere deserve an exhibit.
 """

@@ -79,9 +79,7 @@ from .compact import (
     cover_kind_flags,
     filter_compactness_flags,
     is_compact,
-    is_countably_compact,
     is_cover,
-    is_lindelof,
     named_set_class,
     space_compactness_flags,
 )

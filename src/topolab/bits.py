@@ -143,3 +143,23 @@ def contained_union_table(pairs: Iterable[tuple[int, int]], n: int) -> list[int]
             if a & bit:
                 table[a] |= table[a ^ bit]
     return table
+
+
+def union_closure(family: Iterable[int], n: int) -> Family:
+    """Every union of members of ``family``, the empty union included.
+
+    A subset s is a union of members exactly when the members inside s
+    cover it, so one :func:`contained_union_table` pass decides all 2**n
+    subsets at once.  A family is union-closed and contains the empty set
+    exactly when it equals its union closure.
+    """
+    table = contained_union_table(((m, m) for m in family), n)
+    return tuple(s for s, covered in enumerate(table) if covered == s)
+
+
+def intersection_closure(family: Iterable[int], n: int) -> Family:
+    """Every intersection of members of ``family``, the empty intersection
+    (the whole set) included: the complements of the union closure of the
+    complements."""
+    full = (1 << n) - 1
+    return tuple(full ^ s for s in reversed(union_closure((full ^ m for m in family), n)))

@@ -34,8 +34,15 @@ from .bits import (
     union_dp,
 )
 from .filters import is_filterbase, is_t2
-from .ops import Operation, builtin, dual_table, is_monotone, leq, op_closed_family
-from .pairs import OpPair, enlargement_base, pair_closed_family, pair_closure, pair_open_family
+from .ops import Operation, builtin, dual_table, is_monotone, op_closed_family
+from .pairs import (
+    OpPair,
+    base_report,
+    enlargement_base,
+    pair_closed_family,
+    pair_closure,
+    pair_open_family,
+)
 from .space import Topology
 
 BRUTE_FORCE_CAP = 20
@@ -117,17 +124,6 @@ def _compact_no_witness(cs: CoverSystem, a: int) -> bool:
                 if a & ~covered == 0:
                     return False
     return True
-
-
-# On a finite carrier every cover is already finite and every subfamily
-# countable, so the countable-cover and plain-cover notions coincide; the
-# aliases exist for callers speaking those dialects.
-def is_countably_compact(cs: CoverSystem, a: int) -> CompactnessVerdict:
-    return is_compact(cs, a)
-
-
-def is_lindelof(cs: CoverSystem, a: int) -> CompactnessVerdict:
-    return is_compact(cs, a)
 
 
 def brute_force_compact(cs: CoverSystem, a: int) -> bool:
@@ -309,7 +305,7 @@ def _capped_members(p: OpPair, members: Family, tag: str, cap: int = 10) -> Fami
 
     Subfamily scans are 2**k, so big families (sampled spaces) are
     deterministically thinned: seeded by the family itself, independent
-    of iteration order or thread count.
+    of iteration order.
     """
     if len(members) <= cap:
         return members
@@ -437,64 +433,23 @@ class CoverKindFlags:
         return len(set(self.statements())) == 1
 
 
-def _base_hypothesis(p: OpPair) -> bool:
-    enl = p.enlarger.table
-    sel_open = set(p.selector_open())
-    dominates = leq(_identity(p), p.enlarger) or leq(p.selector, p.enlarger)
-    stable = all(
-        enl[u] in sel_open and enl[enl[u]] & ~enl[u] == 0 for u in sel_open
-    )
-    return dominates and stable
-
-
-def _fip_and_gap(members: Family, a: int, full: int) -> tuple[bool, bool]:
-    """FIP and gap statements for subfamilies of one fixed family.
-
-    fip: every subfamily whose finite parts all meet ``a`` meets it too.
-    gap: every subfamily missing ``a`` has a finite part missing it.
-    Each subfamily counts as a finite part of itself, so on a finite
-    carrier both come out true; they are scanned literally all the same.
-    """
-    dp = intersection_dp(list(members), full)
-    k = len(members)
-    fip = True
-    gap = True
-    for sel in range(1 << k):
-        if a & dp[sel]:
-            continue  # gap hypothesis idle, fip conclusion already holds
-        if not any(a & dp[sub] == 0 for sub in submasks_desc(sel)):
-            gap = False
-        if all(a & dp[sub] for sub in submasks_desc(sel)):
-            fip = False
-    return fip, gap
-
-
 def cover_kind_flags(p: OpPair, a: int) -> CoverKindFlags:
-    top = p.topology
-    full = top.full
-    enl = p.enlarger.table
-    cache = p._cache
-    fams = cache.get("kind_families")
-    if fams is None:
-        k1 = _capped_members(
-            p, canonical_family(full ^ enl[u] for u in p.selector_open()), "residues"
-        )
-        k2 = _capped_members(
-            p, canonical_family(full ^ u for u in pair_open_family(p)), "pair_closed"
-        )
-        fams = cache["kind_families"] = (k1, k2)
-    k1, k2 = fams
-    fip1, gap1 = _fip_and_gap(k1, a, full)
-    fip2, gap2 = _fip_and_gap(k2, a, full)
+    # The four complement statements quantify over the subfamilies of one
+    # fixed family K (the residues full ^ enl[u], or the pair-closed sets):
+    #   fip  every subfamily whose finite parts all meet a meets a,
+    #   gap  every subfamily missing a has a finite part missing a.
+    # On a finite carrier each subfamily is a finite part of itself, so a
+    # subfamily missing a is its own witness for gap and refutes the fip
+    # premise; both hold for every K and every a.
     return CoverKindFlags(
-        hypothesis=_base_hypothesis(p),
+        hypothesis=base_report(p).hypothesis_d,
         cover=compactness_kind(p, a, "pair"),
         base_cover=compactness_kind(p, a, "base"),
         pair_open_cover=compactness_kind(p, a, "pair_open"),
-        complement_fip=fip1,
-        complement_gap=gap1,
-        pair_complement_fip=fip2,
-        pair_complement_gap=gap2,
+        complement_fip=True,
+        complement_gap=True,
+        pair_complement_fip=True,
+        pair_complement_gap=True,
     )
 
 
@@ -540,7 +495,7 @@ def space_compactness_flags(p: OpPair) -> SpaceCompactnessFlags:
     residues = _capped_members(p, full_residues, "space_residues", cap=24)
     closed = _capped_members(p, full_closed, "space_closed", cap=24)
     return SpaceCompactnessFlags(
-        hypothesis=_base_hypothesis(p),
+        hypothesis=base_report(p).hypothesis_d,
         space_cover=compactness_kind(p, full, "pair"),
         space_base_cover=compactness_kind(p, full, "base"),
         space_pair_open_cover=compactness_kind(p, full, "pair_open"),

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .bits import Family, canonical_family, intersect_all, submasks_desc
+from .bits import Family, canonical_family, intersect_all, intersection_closure, submasks_desc
 from .ops import at_point, is_regular_wrt, op_open_family
 from .pairs import OpPair, pair_closure
 from .space import Topology
@@ -192,11 +192,10 @@ def nbhd_filterbase(p: OpPair, point: int, variant: str = "plain") -> Family:
     that contract is enforced rather than assumed.
     """
     sel = p.selector_open()
-    sel_set = set(sel)
     enl_open = set(op_open_family(p.enlarger))
     nested = all(u in enl_open for u in sel)
     if variant == "plain":
-        if not all(a & b in sel_set for a in sel for b in sel):
+        if intersection_closure(sel, p.topology.n) != sel:
             raise ValueError("selector-open family is not intersection-closed")
         if not nested:
             raise ValueError("selector-open family does not sit inside the enlarger-open family")

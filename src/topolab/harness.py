@@ -7,21 +7,18 @@ produced, with one record per violated statement, because harvested
 counterexamples are the point of the exercise.
 
 Reports are deterministic: given the same configuration (seed included)
-the emitted JSON is byte-identical, regardless of the worker count set
-through the TOPOLAB_THREADS environment variable.
+the emitted JSON is byte-identical from run to run.
 """
 
 from __future__ import annotations
 
-import os
 import platform
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .bits import canonical_family, derive_seed, submasks_desc
+from .bits import canonical_family, derive_seed, intersection_closure, submasks_desc, union_closure
 from .compact import (
     CoverSystem,
     additive_enlarger_flags,
@@ -69,7 +66,7 @@ from .pairs import (
     pair_interior,
     pair_open_family,
 )
-from .space import Topology, enumerate_topologies, is_topology, random_topology
+from .space import Topology, enumerate_topologies, random_topology
 
 CATALOG_PAIRS = tuple(f"{a},{b}" for a in BUILTIN_NAMES for b in BUILTIN_NAMES)
 
@@ -282,19 +279,16 @@ class _SpaceContext:
         return self.core_list
 
     def family_props(self, fam: tuple) -> tuple[bool, bool]:
-        """(intersection-closed, union-closed) for a family, memoized;
-        pairwise scans are quadratic, so distinct families are measured
-        once per space and the whole power set short-circuits."""
+        """(intersection-closed, union-closed) for a canonical family that
+        holds the empty set and the whole space, as every operation-open
+        family does; memoized, so each distinct family is measured once
+        per space."""
         got = self._props.get(fam)
         if got is None:
-            members = set(fam)
-            if len(members) == (1 << self.n):
-                got = (True, True)
-            else:
-                inter = all(a & b in members for a in fam for b in fam)
-                union = all(a | b in members for a in fam for b in fam)
-                got = (inter, union)
-            self._props[fam] = got
+            got = self._props[fam] = (
+                intersection_closure(fam, self.n) == fam,
+                union_closure(fam, self.n) == fam,
+            )
         return got
 
     def regularity(self, sel_name: str, enl_name: str) -> Optional[bool]:
@@ -963,31 +957,15 @@ def sweep_spaces(cfg: SuiteConfig) -> list[tuple[str, Topology]]:
 
 
 def run_suites(cfg: SuiteConfig, spaces: Optional[Sequence[tuple[str, Topology]]] = None) -> Report:
-    """Run the configured suites over the configured spaces.
-
-    The worker count comes from TOPOLAB_THREADS (default 1).  Results
-    are aggregated in task order, never completion order, so the report
-    does not depend on scheduling.
-    """
+    """Run the configured suites over the configured spaces, one space
+    after another, merging results in space order."""
     if spaces is None:
         spaces = sweep_spaces(cfg)
-    threads = max(1, int(os.environ.get("TOPOLAB_THREADS", "1") or "1"))
-
-    def work(item: tuple[str, Topology]) -> dict[str, SuiteResult]:
-        label, top = item
-        ctx = _SpaceContext(label, top, cfg)
-        return {name: _SUITES[name](ctx, cfg) for name in cfg.suites}
-
-    if threads > 1 and len(spaces) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(work, spaces))
-    else:
-        partials = [work(item) for item in spaces]
-
     suites = {name: SuiteResult() for name in cfg.suites}
-    for partial in partials:
-        for name, value in partial.items():
-            suites[name].merge(value)
+    for label, top in spaces:
+        ctx = _SpaceContext(label, top, cfg)
+        for name in cfg.suites:
+            suites[name].merge(_SUITES[name](ctx, cfg))
     return Report(
         environment={
             "seed": cfg.seed,

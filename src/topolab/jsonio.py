@@ -20,7 +20,7 @@ import json
 from typing import Any
 
 from .ops import Operation, table_violation
-from .space import GroundSet, Topology, family_violation
+from .space import GroundSet, Topology
 
 
 class SchemaError(ValueError):
@@ -52,10 +52,10 @@ def space_from_dict(data: Any) -> Topology:
             masks.append(ground.mask_of_labels(entry))
         except KeyError as exc:
             raise SchemaError(f"open set {entry!r} mentions an {exc.args[0]}") from None
-    problem = family_violation(ground, masks)
-    if problem is not None:
-        raise SchemaError(f"not a topology: {problem}")
-    return Topology(ground, masks)
+    try:
+        return Topology(ground, masks)
+    except ValueError as exc:  # the constructor names the violated axiom
+        raise SchemaError(str(exc)) from None
 
 
 def dumps_space(top: Topology) -> str:

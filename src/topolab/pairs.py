@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bits import Family, canonical_family, contained_union_table
+from .bits import Family, canonical_family, contained_union_table, intersection_closure, union_closure
 from .ops import Operation, at_point, builtin, leq, op_open_family
 from .space import Topology, build_topology
 
@@ -157,26 +157,6 @@ class StructureReport:
     is_kuratowski: bool
 
 
-def _is_supra(family: Sequence[int], full: int) -> bool:
-    members = set(family)
-    if 0 not in members or full not in members:
-        return False
-    if len(members) == full + 1:
-        return True  # the whole power set; closure checks are vacuous
-    fam = tuple(members)
-    return all(a | b in members for a in fam for b in fam)
-
-
-def _is_topo(family: Sequence[int], full: int) -> bool:
-    if not _is_supra(family, full):
-        return False
-    members = set(family)
-    if len(members) == full + 1:
-        return True
-    fam = tuple(members)
-    return all(a & b in members for a in fam for b in fam)
-
-
 def classify_structure(p: OpPair) -> StructureReport:
     """Tabulate the pair-open family and pair-closure and report their axioms.
 
@@ -191,8 +171,9 @@ def classify_structure(p: OpPair) -> StructureReport:
     famset = set(fam)
     cl = [pair_closure(p, a) for a in top.subsets()]
 
-    supra = _is_supra(fam, full)
-    topo = _is_topo(fam, full)
+    # fam is canonical, so comparing it with its closures decides both axioms
+    supra = full in famset and union_closure(fam, top.n) == fam
+    topo = supra and intersection_closure(fam, top.n) == fam
 
     subset_ok = True
     equal_ok = True
@@ -330,6 +311,10 @@ class BaseReport:
 
 
 def base_report(p: OpPair) -> BaseReport:
+    """Base hypotheses and conclusions for the pair, cached on the pair."""
+    got = p._cache.get("base_report")
+    if got is not None:
+        return got
     top = p.topology
     enl = p.enlarger.table
     sel_open = set(p.selector_open())
@@ -346,9 +331,8 @@ def base_report(p: OpPair) -> BaseReport:
     order_dominates = leq(ident, p.enlarger) or leq(p.selector, p.enlarger)
 
     base_in_both = all(b in pair_open and b in sel_open for b in base)
-    covered = contained_union_table(((b, b) for b in base), top.n)
-    is_base = all(covered[a] == a for a in pair_open)
-    return BaseReport(
+    is_base = pair_open <= set(union_closure(base, top.n))
+    got = p._cache["base_report"] = BaseReport(
         image_stable=image_stable,
         family_nested=family_nested,
         base_pair_open=base_pair_open,
@@ -356,3 +340,4 @@ def base_report(p: OpPair) -> BaseReport:
         base_in_pair_and_selector=base_in_both,
         is_base=is_base,
     )
+    return got

@@ -2,8 +2,9 @@
 
 Ground sets are capped at 16 points so that every subset is a single
 machine word and every map on subsets can be tabulated in full.  Open-set
-families are kept closed under pairwise union and intersection, which on
-a finite carrier is the same as closure under arbitrary ones.
+families are closed under arbitrary unions and intersections; both axioms
+are checked, and topologies generated, by one subset-lattice pass each
+(:func:`topolab.bits.union_closure`) rather than by scanning member pairs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import string
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .bits import canonical_family, iter_points, subsets
+from .bits import canonical_family, intersection_closure, iter_points, subsets, union_closure
 
 MAX_POINTS = 16
 
@@ -107,9 +108,7 @@ class Topology:
         return h
 
     def __repr__(self) -> str:
-        shown = " ".join(
-            "{" + ",".join(self.ground.labels_of_mask(m)) + "}" for m in self.opens
-        )
+        shown = " ".join(_braced(self.ground, m) for m in self.opens)
         return f"Topology(n={self.n}, opens={shown})"
 
     def min_nbhd(self, point: int) -> int:
@@ -152,7 +151,10 @@ class Topology:
 
 
 def family_violation(ground: GroundSet, family: Sequence[int]) -> Optional[str]:
-    """Why ``family`` fails the topology axioms, or None if it passes."""
+    """Why ``family`` fails the topology axioms, or None if it passes.
+
+    A closure failure names the smallest missing union or intersection.
+    """
     full = ground.full
     for m in family:
         if m & ~full:
@@ -162,20 +164,24 @@ def family_violation(ground: GroundSet, family: Sequence[int]) -> Optional[str]:
         return "the empty set is missing"
     if full not in members:
         return "the whole space is missing"
-    fam = sorted(members)
-    for i, a in enumerate(fam):
-        for b in fam[i + 1:]:
-            if a | b not in members:
-                return (
-                    f"not closed under union: {ground.labels_of_mask(a)} ∪ "
-                    f"{ground.labels_of_mask(b)} is missing"
-                )
-            if a & b not in members:
-                return (
-                    f"not closed under intersection: {ground.labels_of_mask(a)} ∩ "
-                    f"{ground.labels_of_mask(b)} is missing"
-                )
+    n = ground.size
+    missing = [m for m in union_closure(members, n) if m not in members]
+    if missing:
+        return (
+            f"not closed under union: {_braced(ground, missing[0])} "
+            "is a union of members but is missing"
+        )
+    missing = [m for m in intersection_closure(members, n) if m not in members]
+    if missing:
+        return (
+            f"not closed under intersection: {_braced(ground, missing[0])} "
+            "is an intersection of members but is missing"
+        )
     return None
+
+
+def _braced(ground: GroundSet, mask: int) -> str:
+    return "{" + ",".join(ground.labels_of_mask(mask)) + "}"
 
 
 def is_topology(ground: GroundSet, family: Sequence[int]) -> bool:
@@ -185,29 +191,19 @@ def is_topology(ground: GroundSet, family: Sequence[int]) -> bool:
 def build_topology(ground: GroundSet, subbasis: Iterable[int]) -> Topology:
     """Smallest topology containing ``subbasis``.
 
-    Adds the empty and full sets, then alternates pairwise-intersection
-    and pairwise-union closure until nothing new appears.  Always
-    terminates on a finite ground set.
+    Every open set of it is a union of minimal neighbourhoods, the minimal
+    neighbourhood of x being the intersection of the whole space and the
+    subbasis members containing x (Alexandroff), so one union-closure
+    pass over those n sets gives the whole family.
     """
     full = ground.full
-    acc = {0, full}
+    nbhd = [full] * ground.size
     for m in subbasis:
         if m & ~full:
             raise ValueError(f"subbasis member {m:#x} uses bits outside the ground set")
-        acc.add(m)
-    while True:
-        fam = sorted(acc)
-        new = set()
-        for i, a in enumerate(fam):
-            for b in fam[i + 1:]:
-                if a & b not in acc:
-                    new.add(a & b)
-                if a | b not in acc:
-                    new.add(a | b)
-        if not new:
-            break
-        acc |= new
-    return Topology(ground, acc)
+        for x in iter_points(m):
+            nbhd[x] &= m
+    return Topology(ground, union_closure(nbhd, ground.size))
 
 
 def enumerate_topologies(n: int, labels: Optional[tuple[str, ...]] = None) -> Iterator[Topology]:

@@ -2,16 +2,20 @@
 
 Each oracle recomputes a quantity through a different route than the
 package: preorder counting for the enumerator, direct scans for interior
-and monotonicity, the raw pointwise rule for the pair interior, and the
-quadratic directedness test for filterbases.  None of them import the
+and monotonicity, the raw pointwise rule for the pair interior, the
+quadratic directedness test for filterbases, and pairwise scans and
+fixpoints for union and intersection closure.  None of them import the
 code paths they validate.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
+
+from topolab.bits import intersection_dp, submasks_desc
 
 
 def count_preorders(n: int) -> int:
@@ -106,5 +110,56 @@ def literal_fip_and_gap(cl, families, a: int, full: int) -> tuple[bool, bool]:
         if a & meet_cl == 0 and not any(a & inter(sub) == 0 for sub in subfamilies):
             gap = False
         if all(a & inter(sub) for sub in subfamilies) and a & meet_cl == 0:
+            fip = False
+    return fip, gap
+
+
+def pairwise_union_closed(family) -> bool:
+    """Every union of two members is a member, checked pair by pair."""
+    members = set(family)
+    return all(a | b in members for a in members for b in members)
+
+
+def pairwise_intersection_closed(family) -> bool:
+    """Every intersection of two members is a member, checked pair by pair."""
+    members = set(family)
+    return all(a & b in members for a in members for b in members)
+
+
+def pairwise_fixpoint(seed, *combines) -> tuple:
+    """Close ``seed`` under the binary maps ``combines`` (``operator.or_``,
+    ``operator.and_``) by adding every pairwise image until nothing new
+    appears; the result sorted ascending."""
+    acc = set(seed)
+    while True:
+        new = {c(a, b) for a in acc for b in acc for c in combines} - acc
+        if not new:
+            return tuple(sorted(acc))
+        acc |= new
+
+
+def pairwise_fixpoint_topology(n: int, subbasis) -> tuple:
+    """Open sets of the smallest topology containing ``subbasis``: the
+    subbasis with the empty and full sets, closed under pairwise unions
+    and intersections."""
+    return pairwise_fixpoint({0, (1 << n) - 1, *subbasis}, operator.or_, operator.and_)
+
+
+def subfamily_fip_and_gap(members, a: int, full: int) -> tuple[bool, bool]:
+    """FIP and gap statements for the subfamilies of one fixed family,
+    scanned literally.
+
+    fip: every subfamily whose finite parts all meet ``a`` meets it too.
+    gap: every subfamily missing ``a`` has a finite part missing it.
+    """
+    dp = intersection_dp(list(members), full)
+    fip = True
+    gap = True
+    for sel in range(1 << len(members)):
+        if a & dp[sel]:
+            continue  # gap hypothesis idle, fip conclusion already holds
+        if not any(a & dp[sub] == 0 for sub in submasks_desc(sel)):
+            gap = False
+        if all(a & dp[sub] for sub in submasks_desc(sel)):
             fip = False
     return fip, gap

@@ -21,9 +21,10 @@ from topolab import (
     space_compactness_flags,
 )
 from topolab.compact import antichain_families, sampled_families
-from topolab.pairs import pair_closure
+from topolab.bits import canonical_family
+from topolab.pairs import pair_closed_family, pair_closure
 
-from oracles import all_families_of_nonempty, literal_fip_and_gap
+from oracles import all_families_of_nonempty, literal_fip_and_gap, subfamily_fip_and_gap
 
 
 def small_spaces():
@@ -59,16 +60,6 @@ def test_is_compact_examples(s2):
 def test_cover_system_requires_full(s2):
     with pytest.raises(ValueError):
         CoverSystem((0, 1), catalog(s2)["cl"])
-
-
-def test_countable_variants_collapse(s2):
-    from topolab import is_countably_compact, is_lindelof
-
-    cs = CoverSystem(tuple(s2.subsets()), catalog(s2)["sint"])
-    for a in s2.subsets():
-        verdict = is_compact(cs, a)
-        assert is_countably_compact(cs, a) == verdict
-        assert is_lindelof(cs, a) == verdict
 
 
 def test_witnesses_are_valid(s2):
@@ -211,6 +202,22 @@ def test_cover_kind_hypothesis_examples(s2):
         assert flags.hypothesis and flags.agree()
         flags = cover_kind_flags(pair(top, "cloint", "scl"), top.full)
         assert flags.hypothesis and flags.agree()
+
+
+def test_complement_statements_hold_literally():
+    # cover_kind_flags reports the four complement statements as True
+    # without a scan; the literal scan must agree on both families
+    for top in small_spaces():
+        full = top.full
+        for a in BUILTIN_NAMES:
+            for b in BUILTIN_NAMES:
+                p = pair(top, a, b)
+                enl = p.enlarger.table
+                residues = canonical_family(full ^ enl[u] for u in p.selector_open())
+                closed = pair_closed_family(p)
+                for s in top.subsets():
+                    assert subfamily_fip_and_gap(residues, s, full) == (True, True)
+                    assert subfamily_fip_and_gap(closed, s, full) == (True, True)
 
 
 def test_space_flags_examples(s2):

@@ -18,7 +18,7 @@ from topolab import (
 )
 from topolab.pairs import pair_closure_by_points
 
-from oracles import naive_pair_interior
+from oracles import naive_pair_interior, pairwise_intersection_closed, pairwise_union_closed
 
 
 def small_spaces():
@@ -94,6 +94,9 @@ def test_structure_flag_implications():
         for p in all_pairs(top):
             rep = classify_structure(p)
             assert rep.is_supratopology
+            fam = pair_open_family(p)
+            assert rep.is_supratopology == pairwise_union_closed(fam)
+            assert rep.is_topology == (pairwise_union_closed(fam) and pairwise_intersection_closed(fam))
             if rep.is_kuratowski:
                 assert rep.is_topology
             if rep.is_topology:

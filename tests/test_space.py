@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -11,9 +12,17 @@ from topolab import (
     is_topology,
     random_topology,
 )
+from topolab.bits import canonical_family, intersection_closure, union_closure
 from topolab.space import family_violation
 
-from oracles import count_preorders, naive_interior
+from oracles import (
+    count_preorders,
+    naive_interior,
+    pairwise_fixpoint,
+    pairwise_fixpoint_topology,
+    pairwise_intersection_closed,
+    pairwise_union_closed,
+)
 
 
 def test_ground_set_validation():
@@ -57,9 +66,43 @@ def test_family_violation_messages():
     assert "whole space" in family_violation(g, (0, 1))
     assert "outside the ground set" in family_violation(g, (0, 3, 4))
     g3 = default_ground(3)
-    assert "union" in family_violation(g3, (0, 0b001, 0b010, 0b111))
-    assert "intersection" in family_violation(g3, (0, 0b011, 0b110, 0b111))
+    assert family_violation(g3, (0, 0b001, 0b010, 0b111)) == (
+        "not closed under union: {a,b} is a union of members but is missing"
+    )
+    assert family_violation(g3, (0, 0b011, 0b110, 0b111)) == (
+        "not closed under intersection: {b} is an intersection of members but is missing"
+    )
     assert family_violation(g3, (0, 0b001, 0b011, 0b111)) is None
+
+
+def test_closure_kernel_matches_pairwise_scans_on_every_small_family():
+    for n in range(5):
+        g = default_ground(n)
+        full = g.full
+        for bits in range(1 << (1 << n)):
+            fam = tuple(m for m in range(1 << n) if bits >> m & 1)
+            unions = 0 in fam and pairwise_union_closed(fam)
+            meets = full in fam and pairwise_intersection_closed(fam)
+            assert (union_closure(fam, n) == fam) == unions
+            assert (intersection_closure(fam, n) == fam) == meets
+            assert is_topology(g, fam) == (unions and meets)
+
+
+def test_closure_kernel_matches_pairwise_fixpoint_on_seeded_families():
+    rng = random.Random(23)
+    for trial in range(200):
+        n = rng.randrange(5, 9)
+        full = (1 << n) - 1
+        fam = canonical_family(rng.randrange(1 << n) for _ in range(rng.randrange(1, 7)))
+        assert union_closure(fam, n) == pairwise_fixpoint({0, *fam}, operator.or_)
+        assert intersection_closure(fam, n) == pairwise_fixpoint({full, *fam}, operator.and_)
+        # a topology less one member other than the ends: closed or not,
+        # both routes agree
+        opens = list(random_topology(n, rng.randrange(10**6), n).opens)
+        if len(opens) > 2:
+            del opens[rng.randrange(1, len(opens) - 1)]
+        expect = pairwise_union_closed(opens) and pairwise_intersection_closed(opens)
+        assert is_topology(default_ground(n), opens) == expect
 
 
 def test_interior_closure_examples(s2, c3):
@@ -114,6 +157,27 @@ def test_random_topology_deterministic_and_valid():
     assert is_topology(a.ground, a.opens)
     assert random_topology(5, 1, 0).opens == (0, a.full)
     assert random_topology(1, 99, 4).opens == (0, 1)
+
+
+def test_build_topology_matches_pairwise_fixpoint():
+    for n in range(4):
+        g = default_ground(n)
+        for bits in range(1 << (1 << n)):
+            sub = [m for m in range(1 << n) if bits >> m & 1]
+            assert build_topology(g, sub).opens == pairwise_fixpoint_topology(n, sub)
+    rng = random.Random(29)
+    for trial in range(200):
+        n = rng.randrange(5, 9)
+        sub = [rng.randrange(1 << n) for _ in range(rng.randrange(n + 1))]
+        assert build_topology(default_ground(n), sub).opens == pairwise_fixpoint_topology(n, sub)
+
+
+def test_build_topology_sixteen_points():
+    rng = random.Random(37)
+    sub = [rng.randrange(1 << 16) for _ in range(16)]
+    top = build_topology(default_ground(16), sub)
+    assert is_topology(top.ground, top.opens)
+    assert set(sub) <= set(top.opens)
 
 
 def test_build_topology_output_always_valid():
