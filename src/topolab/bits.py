@@ -106,18 +106,6 @@ def union_dp(members: Sequence[int]) -> list[int]:
     return dp
 
 
-def intersection_dp(members: Sequence[int], full: int) -> list[int]:
-    """dp[sel] = intersection of members picked by ``sel``; dp[0] = full."""
-    k = len(members)
-    if k > SUBFAMILY_CAP:
-        raise ValueError(f"family of {k} members exceeds the subfamily scan cap ({SUBFAMILY_CAP})")
-    dp = [full] * (1 << k)
-    for sel in range(1, 1 << k):
-        low = sel & -sel
-        dp[sel] = dp[sel ^ low] & members[low.bit_length() - 1]
-    return dp
-
-
 def is_antichain(members: Sequence[int]) -> bool:
     for i, a in enumerate(members):
         for b in members[i + 1:]:

@@ -14,6 +14,11 @@ is then contained in that point's avoidance family.  Scanning the points
 of A therefore decides compactness in O(|ambient| * |A|) word steps.
 The literal quantifier evaluation is kept alongside as
 :func:`brute_force_compact` and the two must agree everywhere.
+
+The equivalence records' subfamily quantifiers are evaluated in closed
+form: meets shrink as a subfamily grows, so one extreme subfamily decides
+each statement (proofs beside the code; the literal scans are test
+oracles).
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ from .bits import (
     Family,
     canonical_family,
     derive_seed,
-    intersection_dp,
+    intersect_all,
     is_antichain,
     iter_points,
     submasks_desc,
     union_dp,
 )
-from .filters import is_filterbase, is_t2
+from .filters import is_t2
 from .ops import Operation, builtin, dual_table, is_monotone, op_closed_family
 from .pairs import (
     OpPair,
@@ -228,25 +233,11 @@ def sampled_families(n: int, seed: int, count: int) -> tuple[Family, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _default_w_families(n: int) -> tuple[Family, ...]:
     if n <= 3:
         return antichain_families(n)
     return sampled_families(n, seed=n, count=64)
-
-
-def _subfamily_filterbases(p: OpPair, members: Family) -> tuple[Family, ...]:
-    """Subfamilies of ``members`` that are filterbases, cached per pair."""
-    cache = p._cache
-    key = ("filterbases", members)
-    got = cache.get(key)
-    if got is None:
-        out = []
-        for sel in range(1, 1 << len(members)):
-            fam = tuple(members[i] for i in range(len(members)) if sel >> i & 1)
-            if is_filterbase(fam):
-                out.append(fam)
-        got = cache[key] = tuple(out)
-    return got
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +248,13 @@ def _subfamily_filterbases(p: OpPair, members: Family) -> tuple[Family, ...]:
 class FilterCompactnessFlags:
     """The ten filter-flavoured statements of cover compactness.
 
-    All ten are evaluated independently and literally; they agree for
-    every pair and every subset whenever their quantifiers ran over the
-    complete universe.  On carriers too big to sweep, the family and
-    closed-family quantifiers run over samples, which can only miss
-    refuters; the completeness fields say which statements still carry
-    the full claim and :meth:`agree` compares only those.
+    They agree for every pair and every subset whenever their quantifiers
+    ran over the complete universe.  The two gap/fip pairs (over families
+    and over selector-closed sets) each share one closed-form verdict; see
+    :func:`filter_compactness_flags`.  On carriers too big to sweep, the
+    family and closed-family quantifiers run over samples, which can only
+    miss refuters; the completeness fields say which statements still
+    carry the full claim and :meth:`agree` compares only those.
     """
 
     cover: bool
@@ -326,7 +318,8 @@ def filter_compactness_flags(
     top = p.topology
     n, full = top.n, top.full
     points_of_a = list(iter_points(a))
-    cl = [pair_closure(p, m) for m in range(1 << n)]
+    # cl[m] = full ^ int[full ^ m], and full ^ m runs down as m runs up
+    cl = [full ^ inner for inner in reversed(p.int_table())]
     families_complete = True
     if w_families is None:
         families_complete = n <= 3
@@ -345,28 +338,24 @@ def filter_compactness_flags(
         any((1 << x) & ~p.envelope(y) == 0 for y in points_of_a)
         for x in points_of_a
     )
-    # bases living inside a
-    inner_acc = all(
-        any(cl[core] >> x & 1 for x in points_of_a)
-        for core in submasks_desc(a)
-        if core
-    )
+    # bases living inside a; cl is monotone and every nonempty core
+    # inside a holds a singleton core, so the singletons decide
+    inner_acc = all(cl[1 << y] & a for y in points_of_a)
     inner_ultra = meeting_ultra  # maximal bases inside a are its singletons
 
-    gap_escape = True
-    fip_point = True
+    # For a family whose closures' meet misses a, gap needs a finite part
+    # whose meet misses a, and fip fails unless there is one.  Meets shrink
+    # as a subfamily grows and the family is one of its own finite parts,
+    # so both come down to the family's own meet missing a.
+    family_ok = True
     for fam in w_families:
-        meet_cl = full
+        meet = meet_cl = full
         for f in fam:
+            meet &= f
             meet_cl &= cl[f]
-        if a & meet_cl:
-            continue  # neither statement constrains this family
-        dp = intersection_dp(list(fam), full)
-        everything = (1 << len(fam)) - 1
-        if not any(a & dp[sub] == 0 for sub in submasks_desc(everything)):
-            gap_escape = False
-        if all(a & dp[sub] for sub in submasks_desc(everything)):
-            fip_point = False
+        if a & meet and not a & meet_cl:
+            family_ok = False
+            break
 
     # single-member bases: a closure gap must come with a disjoint member
     member_escape = all(
@@ -375,23 +364,19 @@ def filter_compactness_flags(
         if a & cl[core] == 0
     )
 
+    # The closed pair reads the same over subfamilies sel of the closed
+    # sets, judging finite parts by their dual enlargements: by the same
+    # argument sel refutes both when its meet misses a while its duals'
+    # meet holds some y in a.  Then sel lies in S_y = {f : y in dual(f)},
+    # whose meet is smaller and whose duals all hold y, so S_y refutes too:
+    # both hold iff every S_y has its meet meeting a.
     full_closed = op_closed_family(p.selector)
     members = _capped_members(p, full_closed, "closed")
-    closed_complete = members == full_closed
     dual_enl = dual_table(p.enlarger)
-    plain_dp = intersection_dp(list(members), full)
-    dual_dp = intersection_dp([dual_enl[f] for f in members], full)
-    closed_escape = True
-    closed_fip = True
-    for sel in range(1 << len(members)):
-        if a & plain_dp[sel]:
-            continue
-        if not any(a & dual_dp[sub] == 0 for sub in submasks_desc(sel)):
-            closed_escape = False
-        if all(a & dual_dp[sub] for sub in submasks_desc(sel)):
-            closed_fip = False
-        if not closed_escape and not closed_fip:
-            break
+    closed_ok = all(
+        a & intersect_all((f for f in members if dual_enl[f] >> y & 1), full)
+        for y in points_of_a
+    )
 
     return FilterCompactnessFlags(
         cover=flag_cover,
@@ -399,13 +384,13 @@ def filter_compactness_flags(
         meeting_ultra_converge=meeting_ultra,
         inner_bases_accumulate=inner_acc,
         inner_ultra_converge=inner_ultra,
-        closure_gap_has_finite_witness=gap_escape,
-        fip_implies_closure_point=fip_point,
+        closure_gap_has_finite_witness=family_ok,
+        fip_implies_closure_point=family_ok,
         base_gap_has_disjoint_member=member_escape,
-        closed_gap_has_finite_witness=closed_escape,
-        closed_fip_implies_point=closed_fip,
+        closed_gap_has_finite_witness=closed_ok,
+        closed_fip_implies_point=closed_ok,
         family_quantifier_complete=families_complete,
-        closed_quantifier_complete=closed_complete,
+        closed_quantifier_complete=members == full_closed,
     )
 
 
@@ -541,21 +526,14 @@ def additive_enlarger_flags(p: OpPair, a: int) -> AdditiveEnlargerFlags:
         hyp = cache["additive_hypothesis"] = is_monotone(p.selector) and additive
     full_residues = canonical_family(full ^ enl[u] for u in p.selector_open())
     residues = _capped_members(p, full_residues, "residues")
-    bases = _subfamily_filterbases(p, residues)
-    ok = True
-    points_of_a = list(iter_points(a))
-    for base in bases:
-        if any(m & a == 0 for m in base):
-            continue  # does not meet a
-        if not any(
-            all(pair_closure(p, m) >> x & 1 for m in base) for x in points_of_a
-        ):
-            ok = False
-            break
+    # Every filterbase B of residues meeting a must accumulate in a.  B
+    # holds its least member m0, so B meets a iff m0 does, and the pair
+    # closure is monotone, so its members' closures meet in cl(m0).  The
+    # least members are exactly the nonempty residues ({r} is a base).
     return AdditiveEnlargerFlags(
         hypothesis=hyp,
         cover=compactness_kind(p, a, "pair"),
-        restricted_bases_accumulate=ok,
+        restricted_bases_accumulate=all(pair_closure(p, r) & a for r in residues if r & a),
         quantifier_complete=residues == full_residues,
     )
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .bits import Family, canonical_family, intersect_all, intersection_closure, submasks_desc
-from .ops import at_point, is_regular_wrt, op_open_family
-from .pairs import OpPair, pair_closure
+from .bits import Family, canonical_family, intersect_all, intersection_closure, mask_of, submasks_desc
+from .ops import at_point, op_open_family
+from .pairs import OpPair, enlarger_is_regular, pair_closure
 from .space import Topology
 
 
@@ -116,6 +116,9 @@ def accumulates(f: FilterLike, p: OpPair, point: int, family: Sequence[int] | No
 
 
 def limit_set(f: FilterLike, p: OpPair) -> int:
+    if isinstance(f, Filter):
+        # converges' rule for a principal filter, at every point at once
+        return mask_of(x for x in range(p.topology.n) if f.core & ~p.envelope(x) == 0)
     out = 0
     for x in range(p.topology.n):
         if converges(f, p, x):
@@ -124,6 +127,8 @@ def limit_set(f: FilterLike, p: OpPair) -> int:
 
 
 def adherence_set(f: FilterLike, p: OpPair) -> int:
+    if isinstance(f, Filter):
+        return pair_closure(p, f.core)  # accumulates' rule for a principal filter
     out = 0
     for x in range(p.topology.n):
         if accumulates(f, p, x):
@@ -139,15 +144,14 @@ def finer_convergent(f: Filter, p: OpPair, point: int) -> Filter:
     respect to the selector-open family and the filter accumulates at
     the point; both preconditions are enforced.
     """
-    sel = p.selector_open()
-    if not is_regular_wrt(p.enlarger, sel):
+    if not enlarger_is_regular(p):
         raise ValueError("enlarger is not regular w.r.t. the selector-open family")
     if not accumulates(f, p, point):
         raise ValueError("filter does not accumulate at the point")
     enl = p.enlarger.table
     # nonempty: the full set is selector-open and contains every point
     base = canonical_family(
-        enl[u] & m for u in at_point(sel, point) for m in f.members()
+        enl[u] & m for u in p.selector_at(point) for m in f.members()
     )
     if not is_filterbase(base):
         raise RuntimeError("refinement base failed the filterbase laws")
@@ -201,7 +205,7 @@ def nbhd_filterbase(p: OpPair, point: int, variant: str = "plain") -> Family:
             raise ValueError("selector-open family does not sit inside the enlarger-open family")
         base = canonical_family(at_point(sel, point))
     elif variant == "enlarged":
-        if not is_regular_wrt(p.enlarger, sel):
+        if not enlarger_is_regular(p):
             raise ValueError("enlarger is not regular w.r.t. the selector-open family")
         if not nested:
             raise ValueError("selector-open family does not sit inside the enlarger-open family")

@@ -60,6 +60,7 @@ from .pairs import (
     base_report,
     classify_structure,
     enlargement_base,
+    enlarger_is_regular,
     named_family,
     pair_closure,
     pair_closure_by_points,
@@ -232,7 +233,6 @@ class _SpaceContext:
         self.open_as_set = {name: set(f) for name, f in self.open_sets.items()}
         self.monotone = {name: is_monotone(op) for name, op in self.ops.items()}
         self._props: dict = {}
-        self._regular: dict = {}
 
     def _quantified_subsets(self, cfg: SuiteConfig) -> list[int]:
         if self.n <= 4:
@@ -293,24 +293,21 @@ class _SpaceContext:
 
     def regularity(self, sel_name: str, enl_name: str) -> Optional[bool]:
         """Whether the enlarger is regular against the selector-open
-        family; None when the literal cubic scan is unaffordable.
+        family; None when the literal cubic scan is unaffordable.  The
+        literal verdict is cached on the pair, shared with
+        :func:`finer_convergent` and :func:`nbhd_filterbase`.
 
         Fast path: a monotone enlarger is regular against any
         intersection-closed family (the meet of two neighbourhoods is the
         squeezing witness).  The literal scan stays the authority on
         small carriers, where the operations suite also cross-checks it.
         """
-        key = (sel_name, enl_name)
-        if key not in self._regular:
-            fam = self.open_sets[sel_name]
-            if self.monotone[enl_name] and self.family_props(fam)[0]:
-                got: Optional[bool] = True
-            elif len(fam) ** 3 * max(self.n, 1) <= 2 * 10**8:
-                got = is_regular_wrt(self.ops[enl_name], fam)
-            else:
-                got = None
-            self._regular[key] = got
-        return self._regular[key]
+        fam = self.open_sets[sel_name]
+        if self.monotone[enl_name] and self.family_props(fam)[0]:
+            return True
+        if len(fam) ** 3 * max(self.n, 1) <= 2 * 10**8:
+            return enlarger_is_regular(self.pairs[(sel_name, enl_name)])
+        return None
 
     def separation_affordable(self, fam: tuple) -> bool:
         return self.n * self.n * len(fam) ** 2 <= 5 * 10**8

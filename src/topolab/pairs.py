@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bits import Family, canonical_family, contained_union_table, intersection_closure, union_closure
-from .ops import Operation, at_point, builtin, leq, op_open_family
+from .ops import Operation, at_point, builtin, is_regular_wrt, leq, op_open_family
 from .space import Topology, build_topology
 
 #: Families constructible by an independent defining rule.
@@ -130,6 +130,15 @@ def pair_closure_by_points(p: OpPair, a: int) -> int:
         if all(enl[u] & a for u in at_point(fam, x)):
             out |= 1 << x
     return out
+
+
+def enlarger_is_regular(p: OpPair) -> bool:
+    """:func:`is_regular_wrt` of the enlarger over the selector-open
+    family, cached on the pair."""
+    got = p._cache.get("regular")
+    if got is None:
+        got = p._cache["regular"] = is_regular_wrt(p.enlarger, p.selector_open())
+    return got
 
 
 def pair_open_family(p: OpPair) -> Family:

@@ -3,19 +3,31 @@
 Each oracle recomputes a quantity through a different route than the
 package: preorder counting for the enumerator, direct scans for interior
 and monotonicity, the raw pointwise rule for the pair interior, the
-quadratic directedness test for filterbases, and pairwise scans and
-fixpoints for union and intersection closure.  None of them import the
+quadratic directedness test for filterbases, pairwise scans and
+fixpoints for union and intersection closure, and subfamily tables for
+the compactness records' family statements.  None of them import the
 code paths they validate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
 import numpy as np
 
-from topolab.bits import intersection_dp, submasks_desc
+from topolab.bits import submasks_desc
+
+
+def intersection_dp(members, full: int) -> list[int]:
+    """dp[sel] = intersection of the members picked by the bits of
+    ``sel``; dp[0] = full."""
+    dp = [full] * (1 << len(members))
+    for sel in range(1, 1 << len(members)):
+        low = sel & -sel
+        dp[sel] = dp[sel ^ low] & members[low.bit_length() - 1]
+    return dp
 
 
 def count_preorders(n: int) -> int:
@@ -145,21 +157,57 @@ def pairwise_fixpoint_topology(n: int, subbasis) -> tuple:
     return pairwise_fixpoint({0, (1 << n) - 1, *subbasis}, operator.or_, operator.and_)
 
 
-def subfamily_fip_and_gap(members, a: int, full: int) -> tuple[bool, bool]:
+def subfamily_fip_and_gap(members, a: int, full: int, images=None) -> tuple[bool, bool]:
     """FIP and gap statements for the subfamilies of one fixed family,
-    scanned literally.
+    scanned literally over subfamily tables.
 
-    fip: every subfamily whose finite parts all meet ``a`` meets it too.
-    gap: every subfamily missing ``a`` has a finite part missing it.
+    fip: every subfamily whose finite parts' image meets all meet ``a``
+         meets ``a`` too.
+    gap: every subfamily missing ``a`` has a finite part whose image
+         meet misses it.
+
+    ``images`` holds one set per member and defaults to the members
+    themselves; with the dual enlargements of the selector-closed sets
+    these are the closed-family statements of the filter compactness
+    record.
     """
-    dp = intersection_dp(list(members), full)
+    plain = intersection_dp(list(members), full)
+    dp = plain if images is None else intersection_dp(list(images), full)
     fip = True
     gap = True
     for sel in range(1 << len(members)):
-        if a & dp[sel]:
+        if a & plain[sel]:
             continue  # gap hypothesis idle, fip conclusion already holds
         if not any(a & dp[sub] == 0 for sub in submasks_desc(sel)):
             gap = False
         if all(a & dp[sub] for sub in submasks_desc(sel)):
             fip = False
     return fip, gap
+
+
+def inner_bases_accumulate(cl, a: int) -> bool:
+    """Every nonempty core inside ``a`` has its ``cl`` image meeting
+    ``a``, scanned over all submasks."""
+    return all(cl[core] & a for core in submasks_desc(a) if core)
+
+
+@functools.lru_cache(maxsize=64)
+def subfamily_filterbases(members: tuple) -> tuple:
+    """Every subfamily of ``members`` that is a filterbase."""
+    subfamilies = (
+        [members[i] for i in range(len(members)) if sel >> i & 1]
+        for sel in range(1, 1 << len(members))
+    )
+    return tuple(base for base in subfamilies if literal_is_filterbase(base))
+
+
+def subfamily_bases_accumulate(members, cl, a: int) -> bool:
+    """Every subfamily of ``members`` that is a filterbase and meets
+    ``a`` (each member does) has a point of ``a`` in the ``cl`` image of
+    every member; the literal scan over all 2**k subfamilies."""
+    for base in subfamily_filterbases(tuple(members)):
+        if any(m & a == 0 for m in base):
+            continue
+        if not any(all(cl[m] >> x & 1 for m in base) for x in range(a.bit_length()) if a >> x & 1):
+            return False
+    return True

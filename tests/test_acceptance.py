@@ -5,6 +5,9 @@ it, and enforces the stated budget where one exists.  Run with ``-s`` to
 see the lines as they happen.
 """
 
+import hashlib
+import json
+import pathlib
 import time
 
 from topolab import (
@@ -146,6 +149,13 @@ def test_criterion_9_deterministic_reports():
     cfg = SuiteConfig(n_exhaustive=2, n_sampled=6, samples=2, seed=31)
     first = run_suites(cfg).to_json()
     second = run_suites(cfg).to_json()
-    ok = first == second
-    _report(9, "reports are byte-identical across runs", ok,
-            f"{len(first)} bytes")
+    # the benchmark's sampled6 workload runs this config and pins the
+    # sha256 of the report without its environment block
+    pins = pathlib.Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+    pinned = json.loads(pins.read_text())["sampled6"]["digest"]
+    data = json.loads(first)
+    del data["environment"]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    ok = first == second and digest == pinned
+    _report(9, "reports are byte-identical across runs and match the pinned digest", ok,
+            f"{len(first)} bytes, sha256 {digest[:12]}")

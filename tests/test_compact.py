@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,17 +19,37 @@ from topolab import (
     is_compact,
     is_cover,
     named_set_class,
+    random_topology,
     space_compactness_flags,
 )
-from topolab.compact import antichain_families, sampled_families
+from topolab.compact import _capped_members, _default_w_families, antichain_families, sampled_families
 from topolab.bits import canonical_family
-from topolab.pairs import pair_closed_family, pair_closure
+from topolab.ops import dual_table, op_closed_family
+from topolab.pairs import pair_closed_family, pair_closure, pair_closure_by_points
 
-from oracles import all_families_of_nonempty, literal_fip_and_gap, subfamily_fip_and_gap
+from oracles import (
+    all_families_of_nonempty,
+    inner_bases_accumulate,
+    literal_fip_and_gap,
+    subfamily_bases_accumulate,
+    subfamily_fip_and_gap,
+)
 
 
 def small_spaces():
     return [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
+
+
+def oracle_spaces():
+    """Every space of at most 3 points with all its subsets, then seeded
+    4-6-point spaces with seeded subsets."""
+    out = [(top, list(top.subsets())) for top in small_spaces()]
+    rng = random.Random(23)
+    for n in (4, 5, 6):
+        top = random_topology(n, rng.randrange(10**6), n)
+        picked = {0, top.full, *(rng.randrange(1 << n) for _ in range(4))}
+        out.append((top, sorted(picked)))
+    return out
 
 
 def pair(top, a, b):
@@ -171,18 +192,31 @@ def test_antichain_reduction_matches_full_quantification():
 
 
 def test_flags_against_literal_family_quantification():
-    # the packaged evaluation of the family statements must match a literal
-    # recomputation straight from their wording
-    for top in enumerate_topologies(2):
-        every = list(all_families_of_nonempty(2))
+    # the closed forms of inner accumulation and of both family pairs
+    # must match literal scans straight from their wording: over the
+    # default universes, and over every family of nonempty sets on two
+    # points
+    every = list(all_families_of_nonempty(2))
+    for top, subsets in oracle_spaces():
+        full = top.full
+        universe = _default_w_families(top.n)
         for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
             p = pair(top, a, b)
-            cl = [pair_closure(p, m) for m in top.subsets()]
-            for s in top.subsets():
-                flags = filter_compactness_flags(p, s, w_families=every)
-                fip, gap = literal_fip_and_gap(cl, every, s, top.full)
-                assert flags.fip_implies_closure_point == fip
-                assert flags.closure_gap_has_finite_witness == gap
+            cl = [pair_closure_by_points(p, m) for m in top.subsets()]
+            closed = _capped_members(p, op_closed_family(p.selector), "closed")
+            dual = dual_table(p.enlarger)
+            duals = [dual[f] for f in closed]
+            for s in subsets:
+                flags = filter_compactness_flags(p, s)
+                assert flags.inner_bases_accumulate == inner_bases_accumulate(cl, s)
+                assert (flags.fip_implies_closure_point, flags.closure_gap_has_finite_witness) == \
+                    literal_fip_and_gap(cl, universe, s, full)
+                assert (flags.closed_fip_implies_point, flags.closed_gap_has_finite_witness) == \
+                    subfamily_fip_and_gap(closed, s, full, duals)
+                if top.n == 2:
+                    flags = filter_compactness_flags(p, s, w_families=every)
+                    assert (flags.fip_implies_closure_point, flags.closure_gap_has_finite_witness) == \
+                        literal_fip_and_gap(cl, every, s, full)
 
 
 def test_antichain_families_cap():
@@ -206,18 +240,23 @@ def test_cover_kind_hypothesis_examples(s2):
 
 def test_complement_statements_hold_literally():
     # cover_kind_flags reports the four complement statements as True
-    # without a scan; the literal scan must agree on both families
-    for top in small_spaces():
+    # without a scan, and additive_enlarger_flags reads restricted
+    # accumulation off the least members of the bases; the literal
+    # subfamily scans must agree
+    for top, subsets in oracle_spaces():
         full = top.full
-        for a in BUILTIN_NAMES:
-            for b in BUILTIN_NAMES:
-                p = pair(top, a, b)
-                enl = p.enlarger.table
-                residues = canonical_family(full ^ enl[u] for u in p.selector_open())
-                closed = pair_closed_family(p)
-                for s in top.subsets():
-                    assert subfamily_fip_and_gap(residues, s, full) == (True, True)
-                    assert subfamily_fip_and_gap(closed, s, full) == (True, True)
+        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
+            p = pair(top, a, b)
+            enl = p.enlarger.table
+            cl = [pair_closure_by_points(p, m) for m in top.subsets()]
+            residues = canonical_family(full ^ enl[u] for u in p.selector_open())
+            residues = _capped_members(p, residues, "residues")
+            closed = _capped_members(p, pair_closed_family(p), "closed")
+            for s in subsets:
+                assert subfamily_fip_and_gap(residues, s, full) == (True, True)
+                assert subfamily_fip_and_gap(closed, s, full) == (True, True)
+                assert additive_enlarger_flags(p, s).restricted_bases_accumulate == \
+                    subfamily_bases_accumulate(residues, cl, s)
 
 
 def test_space_flags_examples(s2):

@@ -97,6 +97,19 @@ def test_limit_and_adherence_sets(s2):
     assert limit_set(Filter(2, 0b10), plain) == 0b10
     assert adherence_set(Filter(2, 0b10), plain) & 0b10
     assert adherence_set(Filter(2, s2.full), theta) == s2.full
+    # principal filters take a one-step route; it must match the
+    # per-point rules, which a single-member base still goes through
+    for top in small_spaces():
+        for a in BUILTIN_NAMES:
+            for b in BUILTIN_NAMES:
+                p = pair(top, a, b)
+                for core in range(1, 1 << top.n):
+                    f = Filter(top.n, core)
+                    points = range(top.n)
+                    assert limit_set(f, p) == sum(1 << x for x in points if converges(f, p, x))
+                    assert adherence_set(f, p) == sum(1 << x for x in points if accumulates(f, p, x))
+                    assert (limit_set(f, p), adherence_set(f, p)) == \
+                        (limit_set((core,), p), adherence_set((core,), p))
 
 
 def test_base_and_generated_filter_agree():
@@ -156,8 +169,12 @@ def test_finer_convergent_preconditions(s2):
 
     irregular = pair(_blunt3(), "introcl", "identity")
     assert not is_regular_wrt(irregular.enlarger, op_open_family(irregular.selector))
-    with pytest.raises(ValueError, match="regular"):
-        finer_convergent(Filter(3, 0b111), irregular, 0)
+    # the verdict is cached on the pair; repeated calls must still refuse
+    for _ in range(2):
+        with pytest.raises(ValueError, match="regular"):
+            finer_convergent(Filter(3, 0b111), irregular, 0)
+        with pytest.raises(ValueError, match="regular"):
+            nbhd_filterbase(irregular, 0, "enlarged")
 
 
 def test_maximal_filters(s2):
