@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .bits import canonical_family, derive_seed, intersection_closure, submasks_desc, union_closure
+from .bits import canonical_family, derive_seed, submasks_desc
 from .compact import (
     CoverSystem,
     additive_enlarger_flags,
@@ -211,7 +211,8 @@ def emit_report(report: Report, path: str) -> None:
 
 class _SpaceContext:
     """Per-space working set shared by all suites: the operation catalog,
-    the requested pairs, and the quantified subsets/filterbases."""
+    its pointwise order, the requested pairs, and the quantified
+    subsets/filterbases."""
 
     def __init__(self, label: str, top: Topology, cfg: SuiteConfig):
         self.label = label
@@ -232,7 +233,10 @@ class _SpaceContext:
         self.open_sets = {name: op_open_family(op) for name, op in self.ops.items()}
         self.open_as_set = {name: set(f) for name, f in self.open_sets.items()}
         self.monotone = {name: is_monotone(op) for name, op in self.ops.items()}
-        self._props: dict = {}
+        #: order[(a, b)] is leq(ops[a], ops[b]), measured once per space
+        self.order = {
+            (a, b): leq(self.ops[a], self.ops[b]) for a in BUILTIN_NAMES for b in BUILTIN_NAMES
+        }
 
     def _quantified_subsets(self, cfg: SuiteConfig) -> list[int]:
         if self.n <= 4:
@@ -278,19 +282,6 @@ class _SpaceContext:
     def cores(self) -> Sequence[int]:
         return self.core_list
 
-    def family_props(self, fam: tuple) -> tuple[bool, bool]:
-        """(intersection-closed, union-closed) for a canonical family that
-        holds the empty set and the whole space, as every operation-open
-        family does; memoized, so each distinct family is measured once
-        per space."""
-        got = self._props.get(fam)
-        if got is None:
-            got = self._props[fam] = (
-                intersection_closure(fam, self.n) == fam,
-                union_closure(fam, self.n) == fam,
-            )
-        return got
-
     def regularity(self, sel_name: str, enl_name: str) -> Optional[bool]:
         """Whether the enlarger is regular against the selector-open
         family; None when the literal cubic scan is unaffordable.  The
@@ -303,7 +294,7 @@ class _SpaceContext:
         small carriers, where the operations suite also cross-checks it.
         """
         fam = self.open_sets[sel_name]
-        if self.monotone[enl_name] and self.family_props(fam)[0]:
+        if self.monotone[enl_name] and self.top.family_props(fam)[0]:
             return True
         if len(fam) ** 3 * max(self.n, 1) <= 2 * 10**8:
             return enlarger_is_regular(self.pairs[(sel_name, enl_name)])
@@ -336,6 +327,7 @@ def _mask_str(ctx: _SpaceContext, mask: int) -> str:
 def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     out = SuiteResult()
     ops = ctx.ops
+    order = ctx.order
     names = BUILTIN_NAMES
 
     for nm in names:
@@ -354,19 +346,19 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     )
     for a, b in chains:
         out.instances_checked += 1
-        if not leq(ops[a], ops[b]):
+        if not order[(a, b)]:
             _fail(out, ctx, f"{a},{b}", a, "catalog order chain")
 
     # partial-order axioms over the catalog
     for a in names:
         out.instances_checked += 1
-        if not leq(ops[a], ops[a]):
+        if not order[(a, a)]:
             _fail(out, ctx, a, a, "order is reflexive")
         for b in names:
-            if leq(ops[a], ops[b]) and leq(ops[b], ops[a]) and ops[a].table != ops[b].table:
+            if order[(a, b)] and order[(b, a)] and ops[a].table != ops[b].table:
                 _fail(out, ctx, f"{a},{b}", a, "order is antisymmetric")
             for c in names:
-                if leq(ops[a], ops[b]) and leq(ops[b], ops[c]) and not leq(ops[a], ops[c]):
+                if order[(a, b)] and order[(b, c)] and not order[(a, c)]:
                     _fail(out, ctx, f"{a},{c}", b, "order is transitive")
 
     for nm in names:
@@ -380,14 +372,14 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         out.instances_checked += 1
         if not ctx.monotone[nm]:
             _fail(out, ctx, nm, nm, "catalog operations are monotone")
-        elif not ctx.family_props(fam)[1]:
+        elif not ctx.top.family_props(fam)[1]:
             _fail(out, ctx, nm, nm, "monotone operation yields a supratopology")
 
     # forward inclusion: dominated enlarger widens the open family
     for a in names:
         for b in names:
             out.instances_checked += 1
-            if leq(ops[a], ops[b]) or leq(ops["identity"], ops[b]):
+            if order[(a, b)] or order[("identity", b)]:
                 if not ctx.open_as_set[a] <= ctx.open_as_set[b]:
                     _fail(out, ctx, f"{a},{b}", a, "order forces open-family inclusion")
 
@@ -406,7 +398,7 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
     for a in names:
         selfam = ctx.open_sets[a]
-        inter, union = ctx.family_props(selfam)
+        inter, union = ctx.top.family_props(selfam)
         if inter and union:
             for b in names:
                 if not ctx.monotone[b]:
@@ -415,7 +407,9 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                     out.notes["regularity_scan_skipped"] = out.notes.get("regularity_scan_skipped", 0) + 1
                     continue
                 out.instances_checked += 1
-                if not is_regular_wrt(ops[b], selfam):
+                p = ctx.pairs.get((a, b))
+                regular = enlarger_is_regular(p) if p is not None else is_regular_wrt(ops[b], selfam)
+                if not regular:
                     _fail(out, ctx, f"{a},{b}", b, "monotone enlarger regular over a selector topology")
 
     # identity enlarger reproduces the selector family (monotone selector)
@@ -470,7 +464,7 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             out.notes["regularity_unknown"] = out.notes.get("regularity_unknown", 0) + 1
             regular = False  # skip the gated checks, nothing is asserted
         nested = ctx.open_as_set[a] <= ctx.open_as_set[b]
-        dominates = leq(ctx.ops["identity"], ctx.ops[b]) or leq(ctx.ops[a], ctx.ops[b])
+        dominates = ctx.order[("identity", b)] or ctx.order[(a, b)]
         if regular:
             out.instances_checked += 1
             if not rep.is_topology:
@@ -499,7 +493,8 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 key = "cl_reading_both" if rep.closed_iff_cl_equal else "cl_reading_subset_only"
                 out.notes[key] = out.notes.get(key, 0) + 1
 
-                binpair = all(x in set(pair_open_family(p)) for x in enlargement_base(p))
+                pair_open = set(pair_open_family(p))
+                binpair = all(x in pair_open for x in enlargement_base(p))
                 if binpair:
                     out.instances_checked += 1
                     if not rep.is_kuratowski:
@@ -589,7 +584,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             out.notes["regularity_unknown"] = out.notes.get("regularity_unknown", 0) + 1
             regular = False  # gated statements are skipped, not asserted
         nested = ctx.open_as_set[a] <= ctx.open_as_set[b]
-        inter_closed = ctx.family_props(sel_open)[0]
+        inter_closed = ctx.top.family_props(sel_open)[0]
         monotone_enl = ctx.monotone[b]
 
         # base predicates match the generated filter's
@@ -797,7 +792,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
         # convergence/accumulation transfer between pairs
         for (c, d) in ctx.pair_names:
-            if not (ctx.open_as_set[c] <= ctx.open_as_set[a] and leq(ctx.ops[b], ctx.ops[d])):
+            if not (ctx.open_as_set[c] <= ctx.open_as_set[a] and ctx.order[(b, d)]):
                 continue
             q = ctx.pairs[(c, d)]
             out.instances_checked += 1
@@ -894,7 +889,7 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
         # compactness transfers to wider pairs
         for (c, d) in ctx.pair_names:
-            if not (ctx.open_as_set[c] <= ctx.open_as_set[a] and leq(ctx.ops[b], ctx.ops[d])):
+            if not (ctx.open_as_set[c] <= ctx.open_as_set[a] and ctx.order[(b, d)]):
                 continue
             out.instances_checked += 1
             src, dst = class_masks[(a, b)], class_masks[(c, d)]

@@ -72,10 +72,11 @@ def table_violation(topology: Topology, table: Sequence[int]) -> Optional[tuple[
     if table[0] != 0:
         return ("the empty set must map to the empty set", 0)
     full = topology.full
+    inner = topology.int_table()
     for a in range(count):
         if table[a] & ~full:
             return ("image uses bits outside the ground set", a)
-        if topology.interior(a) & ~table[a]:
+        if inner[a] & ~table[a]:
             return ("image must contain the interior of the argument", a)
     return None
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bits import Family, canonical_family, contained_union_table, intersection_closure, union_closure
-from .ops import Operation, at_point, builtin, is_regular_wrt, leq, op_open_family
+from .bits import Family, canonical_family, contained_union_table, union_closure
+from .ops import Operation, at_point, is_regular_wrt, leq, op_open_family
 from .space import Topology, build_topology
 
 #: Families constructible by an independent defining rule.
@@ -121,15 +121,17 @@ def pair_closure_by_points(p: OpPair, a: int) -> int:
     """Pair-closure computed from its own pointwise rule (every enlarged
     selector-open set around the point meets ``a``).
 
-    Kept as a second route so the complement identity stays testable.
+    A point falls outside exactly when some selector-open set around it
+    has an enlargement missing ``a``, so one pass over the selector-open
+    family collects every such point.  Kept as a second route so the
+    complement identity stays testable.
     """
     enl = p.enlarger.table
-    fam = p.selector_open()
-    out = 0
-    for x in range(p.topology.n):
-        if all(enl[u] & a for u in at_point(fam, x)):
-            out |= 1 << x
-    return out
+    outside = 0
+    for u in p.selector_open():
+        if not enl[u] & a:
+            outside |= u
+    return p.topology.full ^ outside
 
 
 def enlarger_is_regular(p: OpPair) -> bool:
@@ -169,20 +171,24 @@ class StructureReport:
 def classify_structure(p: OpPair) -> StructureReport:
     """Tabulate the pair-open family and pair-closure and report their axioms.
 
-    The Kuratowski check uses the singleton decomposition of finite
+    The closure list is read off the pair-interior table, and the two
+    family axioms off the space's memo of closure verdicts.  The
+    Kuratowski check uses the singleton decomposition of finite
     additivity: a map fixing the empty set is finitely additive exactly
     when every image is the union of the images of the argument's
-    singletons.
+    singletons, which by induction on the number of points holds exactly
+    when cl(a) = cl(a minus its lowest point) | cl(its lowest point) for
+    every a.
     """
     top = p.topology
     full = top.full
     fam = pair_open_family(p)
     famset = set(fam)
-    cl = [pair_closure(p, a) for a in top.subsets()]
+    cl = [full ^ inner for inner in reversed(p.int_table())]
 
-    # fam is canonical, so comparing it with its closures decides both axioms
-    supra = full in famset and union_closure(fam, top.n) == fam
-    topo = supra and intersection_closure(fam, top.n) == fam
+    inter_closed, union_closed = top.family_props(fam)
+    supra = full in famset and union_closed
+    topo = supra and inter_closed
 
     subset_ok = True
     equal_ok = True
@@ -193,21 +199,10 @@ def classify_structure(p: OpPair) -> StructureReport:
         if closed_in_family != (cl[k] == k):
             equal_ok = False
 
-    kur = cl[0] == 0
-    if kur:
-        for a in top.subsets():
-            if a & ~cl[a] or cl[cl[a]] != cl[a]:
-                kur = False
-                break
-            singles = 0
-            rest = a
-            while rest:
-                low = rest & -rest
-                singles |= cl[low]
-                rest ^= low
-            if a and cl[a] != singles:
-                kur = False
-                break
+    kur = cl[0] == 0 and all(
+        a & ~cl[a] == 0 and cl[cl[a]] == cl[a] and cl[a] == cl[a & (a - 1)] | cl[a & -a]
+        for a in top.subsets()
+    )
 
     return StructureReport(
         is_supratopology=supra,
@@ -336,8 +331,8 @@ def base_report(p: OpPair) -> BaseReport:
     enl_open = set(op_open_family(p.enlarger))
     family_nested = all(u in enl_open for u in sel_open)
     base_pair_open = all(b in pair_open for b in base)
-    ident = builtin(top, "identity")
-    order_dominates = leq(ident, p.enlarger) or leq(p.selector, p.enlarger)
+    above_identity = all(a & ~image == 0 for a, image in enumerate(enl))
+    order_dominates = above_identity or leq(p.selector, p.enlarger)
 
     base_in_both = all(b in pair_open and b in sel_open for b in base)
     is_base = pair_open <= set(union_closure(base, top.n))

@@ -14,7 +14,15 @@ import string
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .bits import canonical_family, intersection_closure, iter_points, subsets, union_closure
+from .bits import (
+    Family,
+    canonical_family,
+    contained_union_table,
+    intersection_closure,
+    iter_points,
+    subsets,
+    union_closure,
+)
 
 MAX_POINTS = 16
 
@@ -64,10 +72,12 @@ class Topology:
 
     The constructor validates the axioms; use :func:`build_topology` to
     generate the smallest topology containing an arbitrary seed family.
-    Instances are immutable and safe to share between threads.
+    Instances are immutable and safe to share between threads; the lazily
+    built tables and the closure-verdict memo are pure functions of the
+    space, so racing writers agree.
     """
 
-    __slots__ = ("ground", "opens", "_min_nbhd", "_hash")
+    __slots__ = ("ground", "opens", "_min_nbhd", "_int_table", "_verdicts", "_hash")
 
     def __init__(self, ground: GroundSet, opens: Iterable[int]):
         fam = canonical_family(opens)
@@ -77,6 +87,8 @@ class Topology:
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "opens", fam)
         object.__setattr__(self, "_min_nbhd", None)
+        object.__setattr__(self, "_int_table", None)
+        object.__setattr__(self, "_verdicts", {})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -130,24 +142,45 @@ class Topology:
             table = self._min_nbhd
         return table[point]
 
-    def interior(self, a: int) -> int:
-        """Union of all open sets inside ``a`` (the largest open subset).
+    def int_table(self) -> tuple[int, ...]:
+        """``int_table()[a]`` is the interior of ``a``, for every subset.
 
-        Computed point by point: x lies in the interior exactly when its
-        minimal open neighbourhood fits inside ``a``.
+        x lies in the interior of a exactly when its minimal open
+        neighbourhood fits inside a, so one subset-sum fold over the n
+        pairs (min_nbhd(x), {x}) tabulates every interior at once; built
+        on first use and kept for the life of the space.
         """
-        out = 0
-        rest = a
-        while rest:
-            low = rest & -rest
-            if self.min_nbhd(low.bit_length() - 1) & ~a == 0:
-                out |= low
-            rest ^= low
-        return out
+        table = self._int_table
+        if table is None:
+            table = tuple(contained_union_table(
+                ((self.min_nbhd(x), 1 << x) for x in range(self.n)), self.n
+            ))
+            object.__setattr__(self, "_int_table", table)
+        return table
+
+    def interior(self, a: int) -> int:
+        """Union of all open sets inside ``a`` (the largest open subset)."""
+        return self.int_table()[a]
 
     def closure(self, a: int) -> int:
         """Smallest closed superset of ``a``; complement-dual of interior."""
         return self.full ^ self.interior(self.full ^ a)
+
+    def family_props(self, family: Family) -> tuple[bool, bool]:
+        """(intersection-closed, union-closed) for a canonical family of
+        subsets of this space: whether it equals its intersection closure
+        (so holds the whole space) and its union closure (so holds the
+        empty set).  Memoized per family for the life of the space, so
+        each distinct family is measured once however many operations or
+        pairs produce it.
+        """
+        got = self._verdicts.get(family)
+        if got is None:
+            got = self._verdicts[family] = (
+                intersection_closure(family, self.n) == family,
+                union_closure(family, self.n) == family,
+            )
+        return got
 
 
 def family_violation(ground: GroundSet, family: Sequence[int]) -> Optional[str]:

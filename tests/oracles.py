@@ -2,7 +2,8 @@
 
 Each oracle recomputes a quantity through a different route than the
 package: preorder counting for the enumerator, direct scans for interior
-and monotonicity, the raw pointwise rule for the pair interior, the
+and monotonicity, the raw pointwise rules for the pair interior and
+pair closure, the structure flags read literally off their wording, the
 quadratic directedness test for filterbases, pairwise scans and
 fixpoints for union and intersection closure, and subfamily tables for
 the compactness records' family statements.  None of them import the
@@ -81,6 +82,40 @@ def naive_pair_interior(p, a: int) -> int:
         if any(u >> x & 1 and enl[u] & ~a == 0 for u in fam):
             out |= 1 << x
     return out
+
+
+def pointwise_pair_closure(p, a: int) -> int:
+    """Pointwise rule, point by point: keep x when every selector-open
+    set around it has an enlargement meeting a."""
+    from topolab.ops import op_open_family
+
+    fam = op_open_family(p.selector)
+    enl = p.enlarger.table
+    out = 0
+    for x in range(p.topology.n):
+        if all(enl[u] & a for u in fam if u >> x & 1):
+            out |= 1 << x
+    return out
+
+
+def literal_structure(p) -> tuple[bool, bool, bool, bool, bool]:
+    """The five structure flags straight from their wording, in
+    StructureReport field order: pairwise closure scans for the family,
+    the pointwise closure, and additivity over every pair of subsets."""
+    top = p.topology
+    full = top.full
+    subs = range(1 << top.n)
+    fam = {a for a in subs if a & ~naive_pair_interior(p, a) == 0}
+    cl = [pointwise_pair_closure(p, a) for a in subs]
+    supra = full in fam and 0 in fam and pairwise_union_closed(fam)
+    topo = supra and pairwise_intersection_closed(fam)
+    subset_ok = all(((full ^ k) in fam) == (cl[k] & ~k == 0) for k in subs)
+    equal_ok = all(((full ^ k) in fam) == (cl[k] == k) for k in subs)
+    kur = cl[0] == 0 and all(
+        a & ~cl[a] == 0 and cl[cl[a]] == cl[a] and all(cl[a | b] == cl[a] | cl[b] for b in subs)
+        for a in subs
+    )
+    return supra, topo, subset_ok, equal_ok, kur
 
 
 def literal_is_filterbase(family) -> bool:

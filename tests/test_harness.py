@@ -1,7 +1,21 @@
+import hashlib
+import json
+import pathlib
+
 import pytest
 
-from topolab import SchemaError, SuiteConfig, mine_counterexamples, run_suites, sweep_spaces
-from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES
+from topolab import (
+    BUILTIN_NAMES,
+    SchemaError,
+    SuiteConfig,
+    enumerate_topologies,
+    leq,
+    mine_counterexamples,
+    random_topology,
+    run_suites,
+    sweep_spaces,
+)
+from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES, _SpaceContext
 
 
 def test_config_defaults_and_validation():
@@ -62,6 +76,30 @@ def test_report_deterministic():
     first = run_suites(cfg).to_json()
     second = run_suites(cfg).to_json()
     assert first == second
+
+
+def test_wide_report_matches_pinned_digest():
+    # the benchmark's wide11 workload runs this config at its default seed
+    # and pins the sha256 of the report without its environment block
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=11, samples=2, seed=0,
+                      suites=("operations", "structure", "families"))
+    pins = pathlib.Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+    pinned = json.loads(pins.read_text())["wide11"]["digest"]
+    data = run_suites(cfg).to_dict()
+    del data["environment"]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    assert digest == pinned
+
+
+def test_context_order_is_leq():
+    cfg = SuiteConfig(pairs=("int,cl",))
+    spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
+    spaces += [random_topology(6, seed, 6) for seed in range(3)]
+    for i, top in enumerate(spaces):
+        ctx = _SpaceContext(f"s{i}", top, cfg)
+        assert set(ctx.order) == {(a, b) for a in BUILTIN_NAMES for b in BUILTIN_NAMES}
+        for (a, b), verdict in ctx.order.items():
+            assert verdict == leq(ctx.ops[a], ctx.ops[b])
 
 
 def test_mine_inclusion_without_order():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from topolab import (
@@ -15,10 +17,17 @@ from topolab import (
     pair_closure,
     pair_interior,
     pair_open_family,
+    random_topology,
 )
 from topolab.pairs import pair_closure_by_points
 
-from oracles import naive_pair_interior, pairwise_intersection_closed, pairwise_union_closed
+from oracles import (
+    literal_structure,
+    naive_pair_interior,
+    pairwise_intersection_closed,
+    pairwise_union_closed,
+    pointwise_pair_closure,
+)
 
 
 def small_spaces():
@@ -62,6 +71,21 @@ def test_pair_interior_matches_pointwise_rule():
                 assert top.full ^ pair_interior(p, a) == pair_closure(p, top.full ^ a)
 
 
+def test_one_pass_closure_matches_per_point_rule():
+    for top in small_spaces():
+        for p in all_pairs(top):
+            for a in top.subsets():
+                assert pair_closure_by_points(p, a) == pointwise_pair_closure(p, a)
+    rng = random.Random(41)
+    for n in range(5, 9):
+        for _ in range(2):
+            top = random_topology(n, rng.randrange(10**6), n)
+            picks = [0, top.full] + [rng.randrange(1 << n) for _ in range(14)]
+            for p in all_pairs(top):
+                for a in picks:
+                    assert pair_closure_by_points(p, a) == pointwise_pair_closure(p, a)
+
+
 def test_pair_families_examples(s2):
     ops = catalog(s2)
     assert pair_open_family(OpPair(ops["int"], ops["cl"])) == (0, 3)
@@ -90,10 +114,13 @@ def test_classify_structure_examples(s2):
 
 
 def test_structure_flag_implications():
-    for top in small_spaces():
+    seeded = [random_topology(n, seed, n) for n in (4, 5) for seed in range(3)]
+    for top in small_spaces() + seeded:
         for p in all_pairs(top):
             rep = classify_structure(p)
             assert rep.is_supratopology
+            assert (rep.is_supratopology, rep.is_topology, rep.closed_iff_cl_subset,
+                    rep.closed_iff_cl_equal, rep.is_kuratowski) == literal_structure(p)
             fam = pair_open_family(p)
             assert rep.is_supratopology == pairwise_union_closed(fam)
             assert rep.is_topology == (pairwise_union_closed(fam) and pairwise_intersection_closed(fam))
@@ -180,10 +207,6 @@ def test_pair_topology_from_kuratowski_closure(s2):
 
 
 def test_pair_duality_on_random_spaces():
-    import random
-
-    from topolab import random_topology
-
     rng = random.Random(23)
     for trial in range(8):
         top = random_topology(5, rng.randrange(10**6), 4)

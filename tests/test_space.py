@@ -115,11 +115,39 @@ def test_interior_closure_examples(s2, c3):
 
 
 def test_interior_matches_naive_scan():
+    for n in range(5):
+        for top in enumerate_topologies(n):
+            assert top.int_table() == tuple(naive_interior(top, a) for a in top.subsets())
     rng = random.Random(5)
     for trial in range(30):
         top = random_topology(5, rng.randrange(10**6), 4)
         for a in top.subsets():
             assert top.interior(a) == naive_interior(top, a)
+    # every subset up to 8 points, seeded subsets above
+    for n in range(6, 17):
+        top = random_topology(n, rng.randrange(10**6), n)
+        table = top.int_table()
+        assert len(table) == 1 << n
+        picks = top.subsets() if n <= 8 else [0, top.full] + [rng.randrange(1 << n) for _ in range(30)]
+        for a in picks:
+            assert table[a] == top.interior(a) == naive_interior(top, a)
+
+
+def test_family_props_memo_matches_fresh_closures():
+    rng = random.Random(17)
+    for n in range(4):
+        for top in enumerate_topologies(n):
+            families = [top.opens] + [
+                canonical_family(rng.randrange(1 << n) for _ in range(rng.randrange(1, 5)))
+                for _ in range(6)
+            ]
+            for fam in families + families:  # the second round reads the memo
+                expect = (intersection_closure(fam, n) == fam, union_closure(fam, n) == fam)
+                assert top.family_props(fam) == expect
+                assert expect == (
+                    pairwise_intersection_closed(fam) and top.full in fam,
+                    pairwise_union_closed(fam) and 0 in fam,
+                )
 
 
 def test_interior_closure_laws():
