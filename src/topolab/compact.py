@@ -184,10 +184,15 @@ def compactness_kind(p: OpPair, a: int, kind: str = "pair") -> bool:
     return _compact_no_witness(cs, a)
 
 
-@lru_cache(maxsize=None)
 def _named_class_pair(top: Topology, name: str) -> OpPair:
-    sel, enl = NAMED_CLASSES[name]
-    return OpPair(builtin(top, sel), builtin(top, enl))
+    """The pair realizing a named class, memoized on the space itself so
+    it dies with the space."""
+    memo = top._memo
+    got = memo.get(("compact.class_pair", name))
+    if got is None:
+        sel, enl = NAMED_CLASSES[name]
+        got = memo[("compact.class_pair", name)] = OpPair(builtin(top, sel), builtin(top, enl))
+    return got
 
 
 def named_set_class(top: Topology, a: int, name: str) -> bool:
@@ -250,8 +255,9 @@ class FilterCompactnessFlags:
 
     They agree for every pair and every subset whenever their quantifiers
     ran over the complete universe.  The two gap/fip pairs (over families
-    and over selector-closed sets) each share one closed-form verdict; see
-    :func:`filter_compactness_flags`.  On carriers too big to sweep, the
+    and over selector-closed sets) each share one closed-form verdict, and
+    the three base-accumulation statements share the singleton-core one;
+    see :func:`filter_compactness_flags`.  On carriers too big to sweep, the
     family and closed-family quantifiers run over samples, which can only
     miss refuters; the completeness fields say which statements still
     carry the full claim and :meth:`agree` compares only those.
@@ -327,20 +333,20 @@ def filter_compactness_flags(
 
     flag_cover = compactness_kind(p, a, "pair")
 
-    # every base meeting a accumulates inside a
-    meeting_acc = all(
-        any(cl[core] >> x & 1 for x in points_of_a)
-        for core in range(1, 1 << n)
-        if core & a
-    )
+    # bases living inside a; cl is monotone and every nonempty core
+    # inside a holds a singleton core, so the singletons decide
+    inner_acc = all(cl[1 << y] & a for y in points_of_a)
+    # Every base meeting a accumulates inside a, and (contrapositive)
+    # every single-member base whose closure misses a misses a: both say
+    # cl(core) meets a for every core meeting a.  Such a core holds some
+    # y in a, and cl({y}) sits inside cl(core) as cl is monotone, so the
+    # singleton cores {y}, y in a, decide both, which is inner_acc.
+    meeting_acc = member_escape = inner_acc
     # every maximal base meeting a converges inside a
     meeting_ultra = all(
         any((1 << x) & ~p.envelope(y) == 0 for y in points_of_a)
         for x in points_of_a
     )
-    # bases living inside a; cl is monotone and every nonempty core
-    # inside a holds a singleton core, so the singletons decide
-    inner_acc = all(cl[1 << y] & a for y in points_of_a)
     inner_ultra = meeting_ultra  # maximal bases inside a are its singletons
 
     # For a family whose closures' meet misses a, gap needs a finite part
@@ -356,13 +362,6 @@ def filter_compactness_flags(
         if a & meet and not a & meet_cl:
             family_ok = False
             break
-
-    # single-member bases: a closure gap must come with a disjoint member
-    member_escape = all(
-        core & a == 0
-        for core in range(1, 1 << n)
-        if a & cl[core] == 0
-    )
 
     # The closed pair reads the same over subfamilies sel of the closed
     # sets, judging finite parts by their dual enlargements: by the same

@@ -11,6 +11,16 @@ A filter converges to a point (for a selector/enlarger pair) when its
 core sits inside every enlarged selector-open neighbourhood of the
 point; it accumulates there when the point is in the pair-closure of
 every member.
+
+The limit and adherence sets are computed for all points at once.  The
+limits of a principal filter are the AND, over the points of its core,
+of per-point masks (the points whose envelope holds that point); its
+adherence set is one pair-closure lookup.  A base misses exactly the
+points of the selector-open sets whose enlargement traps none of its
+members, so its limit set is one pass over the selector-open family, and
+its adherence set is the AND of its members' pair-closures.  The
+per-point predicates :func:`converges` and :func:`accumulates` keep the
+literal rules.
 """
 
 from __future__ import annotations
@@ -18,7 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .bits import Family, canonical_family, intersect_all, intersection_closure, mask_of, submasks_desc
+from .bits import (
+    Family,
+    canonical_family,
+    intersect_all,
+    intersection_closure,
+    iter_points,
+    mask_of,
+    submasks_desc,
+)
 from .ops import at_point, op_open_family
 from .pairs import OpPair, enlarger_is_regular, pair_closure
 from .space import Topology
@@ -115,25 +133,47 @@ def accumulates(f: FilterLike, p: OpPair, point: int, family: Sequence[int] | No
     )
 
 
+def _point_limits(p: OpPair) -> tuple[int, ...]:
+    """``_point_limits(p)[i]`` holds the points whose envelope holds i:
+    the limit set of the principal filter at {i}.  Cached on the pair."""
+    got = p._cache.get("point_limits")
+    if got is None:
+        n = p.topology.n
+        env = [p.envelope(x) for x in range(n)]
+        got = p._cache["point_limits"] = tuple(
+            mask_of(x for x in range(n) if env[x] >> i & 1) for i in range(n)
+        )
+    return got
+
+
 def limit_set(f: FilterLike, p: OpPair) -> int:
+    """The points ``f`` converges to."""
+    full = p.topology.full
     if isinstance(f, Filter):
-        # converges' rule for a principal filter, at every point at once
-        return mask_of(x for x in range(p.topology.n) if f.core & ~p.envelope(x) == 0)
-    out = 0
-    for x in range(p.topology.n):
-        if converges(f, p, x):
-            out |= 1 << x
-    return out
+        # the core sits in the envelope of x iff each of its points does
+        limits = _point_limits(p)
+        out = full
+        for i in iter_points(f.core):
+            out &= limits[i]
+        return out
+    # converges fails at x iff some selector-open set around x has an
+    # enlargement trapping no member; such sets make up the outside
+    enl = p.enlarger.table
+    members = tuple(f)
+    outside = 0
+    for u in p.selector_open():
+        target = enl[u]
+        if not any(m & ~target == 0 for m in members):
+            outside |= u
+    return full ^ outside
 
 
 def adherence_set(f: FilterLike, p: OpPair) -> int:
+    """The points ``f`` accumulates at: the meet of its members'
+    pair-closures (one lookup for a principal filter)."""
     if isinstance(f, Filter):
-        return pair_closure(p, f.core)  # accumulates' rule for a principal filter
-    out = 0
-    for x in range(p.topology.n):
-        if accumulates(f, p, x):
-            out |= 1 << x
-    return out
+        return pair_closure(p, f.core)
+    return intersect_all((pair_closure(p, m) for m in f), p.topology.full)
 
 
 def finer_convergent(f: Filter, p: OpPair, point: int) -> Filter:

@@ -209,10 +209,28 @@ def emit_report(report: Report, path: str) -> None:
         fh.write(report.to_json())
 
 
+class _PrincipalRow(dict):
+    """Core -> limit (or adherence) set of the principal filter at that
+    core, for one pair.  Filled over the quantified cores when built; any
+    other core (a refinement step, a closure subset or a base's core above
+    four points) is computed on first read and kept."""
+
+    __slots__ = ("_of",)
+
+    def __init__(self, of: Callable[[int], int], cores: Sequence[int]):
+        super().__init__((c, of(c)) for c in cores)
+        self._of = of
+
+    def __missing__(self, core: int) -> int:
+        got = self[core] = self._of(core)
+        return got
+
+
 class _SpaceContext:
     """Per-space working set shared by all suites: the operation catalog,
-    its pointwise order, the requested pairs, and the quantified
-    subsets/filterbases."""
+    its pointwise order, the requested pairs, the quantified
+    subsets/filterbases/cores, and each pair's limit and adherence rows
+    over those cores."""
 
     def __init__(self, label: str, top: Topology, cfg: SuiteConfig):
         self.label = label
@@ -237,6 +255,7 @@ class _SpaceContext:
         self.order = {
             (a, b): leq(self.ops[a], self.ops[b]) for a in BUILTIN_NAMES for b in BUILTIN_NAMES
         }
+        self._filter_rows: dict[tuple[str, str], tuple[_PrincipalRow, _PrincipalRow]] = {}
 
     def _quantified_subsets(self, cfg: SuiteConfig) -> list[int]:
         if self.n <= 4:
@@ -281,6 +300,19 @@ class _SpaceContext:
 
     def cores(self) -> Sequence[int]:
         return self.core_list
+
+    def filter_rows(self, key: tuple[str, str]) -> tuple[_PrincipalRow, _PrincipalRow]:
+        """(limits, adherences) of the principal filters at the quantified
+        cores for one requested pair, built on first use and kept for the
+        life of the space."""
+        rows = self._filter_rows.get(key)
+        if rows is None:
+            p, n = self.pairs[key], self.n
+            rows = self._filter_rows[key] = (
+                _PrincipalRow(lambda c: limit_set(Filter(n, c), p), self.core_list),
+                _PrincipalRow(lambda c: adherence_set(Filter(n, c), p), self.core_list),
+            )
+        return rows
 
     def regularity(self, sel_name: str, enl_name: str) -> Optional[bool]:
         """Whether the enlarger is regular against the selector-open
@@ -574,6 +606,7 @@ def _suite_families(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     out = SuiteResult()
     n, full = ctx.n, ctx.full
+    base_cores = [generated_filter(n, base).core for base in ctx.bases]
 
     for (a, b) in ctx.pair_names:
         p = ctx.pairs[(a, b)]
@@ -586,16 +619,17 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         nested = ctx.open_as_set[a] <= ctx.open_as_set[b]
         inter_closed = ctx.top.family_props(sel_open)[0]
         monotone_enl = ctx.monotone[b]
+        lim, adh = ctx.filter_rows((a, b))
+        env = [p.envelope(x) for x in range(n)]
 
-        # base predicates match the generated filter's
-        for base in ctx.bases:
-            F = generated_filter(n, base)
+        # base predicates match the generated filter's; the witness is the
+        # lowest point where either set differs
+        for base, core in zip(ctx.bases, base_cores):
             out.instances_checked += 1
-            for x in range(n):
-                if converges(base, p, x) != converges(F, p, x) or \
-                   accumulates(base, p, x) != accumulates(F, p, x):
-                    _fail(out, ctx, pair, str(list(base)), "base and generated filter agree", str(x))
-                    break
+            diff = (limit_set(base, p) ^ lim[core]) | (adherence_set(base, p) ^ adh[core])
+            if diff:
+                _fail(out, ctx, pair, str(list(base)), "base and generated filter agree",
+                      str((diff & -diff).bit_length() - 1))
 
         # superset-closed neighbourhood variant changes nothing (monotone
         # enlarger); building that family scans all subsets, so it is
@@ -606,8 +640,8 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 F = Filter(n, core)
                 out.instances_checked += 1
                 for x in range(n):
-                    if converges(F, p, x) != converges(F, p, x, family=nbhd[x]) or \
-                       accumulates(F, p, x) != accumulates(F, p, x, family=nbhd[x]):
+                    if bool(lim[core] >> x & 1) != converges(F, p, x, family=nbhd[x]) or \
+                       bool(adh[core] >> x & 1) != accumulates(F, p, x, family=nbhd[x]):
                         _fail(out, ctx, pair, _mask_str(ctx, core), "neighbourhood variant agrees", str(x))
                         break
         elif monotone_enl:
@@ -616,16 +650,14 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         enl_table = ctx.ops[b].table
         local_at = [p.selector_at(x) for x in range(n)]
         for core in ctx.cores():
-            F = Filter(n, core)
             out.instances_checked += 1
-            lim = limit_set(F, p)
-            adh = adherence_set(F, p)
-            if lim & ~adh:
+            lim_c = lim[core]
+            if lim_c & ~adh[core]:
                 _fail(out, ctx, pair, _mask_str(ctx, core), "limits are adherent")
             # membership characterization of convergence
             for x in range(n):
                 lit = all(core & ~enl_table[u] == 0 for u in local_at[x])
-                if bool(lim >> x & 1) != lit:
+                if bool(lim_c >> x & 1) != lit:
                     _fail(out, ctx, pair, _mask_str(ctx, core), "convergence is enlarged-members containment", str(x))
                     break
 
@@ -634,16 +666,14 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         for c1 in ctx.cores():
             if c1.bit_count() == 1:
                 continue
-            F = Filter(n, c1)
-            lim1, adh1 = limit_set(F, p), adherence_set(F, p)
+            lim1, adh1 = lim[c1], adh[c1]
             out.instances_checked += 1
             broken = False
             for i in range(n):
-                c2 = c1 ^ (1 << i)
+                c2 = c1 ^ (1 << i)  # finer
                 if not c1 >> i & 1 or c2 == 0:
                     continue
-                G = Filter(n, c2)  # finer
-                if adherence_set(G, p) & ~adh1 or lim1 & ~limit_set(G, p):
+                if adh[c2] & ~adh1 or lim1 & ~lim[c2]:
                     _fail(out, ctx, pair, _mask_str(ctx, c1), "refinement moves limits up, adherence down", _mask_str(ctx, c2))
                     broken = True
                     break
@@ -654,43 +684,36 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         # literal refinement construction is exercised on every core up to
         # 3 points and on singleton cores above (its members blow up)
         construct_all = n <= 3
-
-        def finer_convergent_exists(core: int, x: int) -> bool:
-            # exact: convergence survives refinement, so some finer filter
-            # converges iff some singleton core inside does; the literal
-            # submask scan is kept on small carriers to check exactly that
-            singles = any(
-                (1 << i) & ~p.envelope(x) == 0
-                for i in range(n) if core >> i & 1
-            )
+        for core in ctx.cores():
+            out.instances_checked += 1
             if n <= 4:
-                literal = any(
-                    converges(Filter(n, c2), p, x)
-                    for c2 in submasks_desc(core) if c2
-                )
-                if literal != singles:
+                # the literal submask scan, read off the limit row
+                literal = 0
+                for c2 in submasks_desc(core):
+                    if c2:
+                        literal |= lim[c2]
+            # the literal construction revalidates regularity and walks
+            # every filter member, so it gets a cost gate
+            construct = (construct_all or core.bit_count() == 1) and (
+                len(sel_open) ** 3 * n <= 2 * 10**8
+                and (1 << (n - core.bit_count())) * len(sel_open) <= 2 * 10**6
+            )
+            for x in range(n):
+                acc = bool(adh[core] >> x & 1)
+                # exact: convergence survives refinement, so some finer
+                # filter converges iff some singleton core inside does; the
+                # literal scan is kept on small carriers to check exactly that
+                finer = bool(core & env[x])
+                if n <= 4 and bool(literal >> x & 1) != finer:
                     _fail(out, ctx, pair, _mask_str(ctx, core),
                           "singleton cores decide finer convergence", str(x))
-            return singles
-
-        for core in ctx.cores():
-            F = Filter(n, core)
-            out.instances_checked += 1
-            for x in range(n):
-                acc = accumulates(F, p, x)
-                finer = finer_convergent_exists(core, x)
                 if finer and not acc:
                     _fail(out, ctx, pair, _mask_str(ctx, core), "convergent refinements accumulate", str(x))
                 if regular:
                     if acc != finer:
                         _fail(out, ctx, pair, _mask_str(ctx, core), "regular: accumulation iff finer convergence", str(x))
-                    # the literal construction revalidates regularity and
-                    # walks every filter member, so it gets a cost gate
-                    affordable = (
-                        len(sel_open) ** 3 * n <= 2 * 10**8
-                        and (1 << (n - core.bit_count())) * len(sel_open) <= 2 * 10**6
-                    )
-                    if acc and (construct_all or core.bit_count() == 1) and affordable:
+                    if acc and construct:
+                        F = Filter(n, core)
                         try:
                             G = finer_convergent(F, p, x)
                             good = G.is_finer_than(F) and converges(G, p, x)
@@ -702,7 +725,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         # maximal filters: accumulation already is convergence
         for F in maximal_filters(ctx.top):
             out.instances_checked += 1
-            if adherence_set(F, p) & ~limit_set(F, p):
+            if adh[F.core] & ~lim[F.core]:
                 _fail(out, ctx, pair, _mask_str(ctx, F.core), "maximal accumulation is convergence")
 
         # separation kills multiple limits
@@ -710,10 +733,9 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             out.notes["separation_scan_skipped"] = out.notes.get("separation_scan_skipped", 0) + 1
         elif is_t2(p):
             for core in ctx.cores():
-                F = Filter(n, core)
-                lim, adh = limit_set(F, p), adherence_set(F, p)
+                lim_c = lim[core]
                 out.instances_checked += 1
-                if lim and (adh != lim or lim.bit_count() > 1):
+                if lim_c and (adh[core] != lim_c or lim_c.bit_count() > 1):
                     _fail(out, ctx, pair, _mask_str(ctx, core), "separated pairs give unique limits")
 
         # neighbourhood filterbases converge by construction; both variants
@@ -747,21 +769,19 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         for s in ctx.subsets:
             pc = pair_closure(p, s)
             out.instances_checked += 1
-            inner_cores = cores_within(s)
+            # points where some filter containing s accumulates / converges
+            acc_exists = conv_exists = 0
+            for c in cores_within(s):
+                acc_exists |= adh[c]
+                conv_exists |= lim[c]
             for x in range(n):
-                acc_exists = any(accumulates(Filter(n, c), p, x) for c in inner_cores)
-                if acc_exists and not pc >> x & 1:
+                if acc_exists >> x & 1 and not pc >> x & 1:
                     _fail(out, ctx, pair, _mask_str(ctx, s), "accumulating filters land in the closure", str(x))
-                if regular:
-                    conv_exists = any(converges(Filter(n, c), p, x) for c in inner_cores)
-                    if bool(pc >> x & 1) != conv_exists:
-                        _fail(out, ctx, pair, _mask_str(ctx, s), "regular: closure points are filter limits", str(x))
+                if regular and (pc ^ conv_exists) >> x & 1:
+                    _fail(out, ctx, pair, _mask_str(ctx, s), "regular: closure points are filter limits", str(x))
             if regular:
                 closed = pc & ~s == 0
-                absorbed = all(
-                    not converges(Filter(n, c), p, x) or s >> x & 1
-                    for c in inner_cores for x in range(n)
-                )
+                absorbed = conv_exists & ~s == 0
                 if closed != absorbed:
                     _fail(out, ctx, pair, _mask_str(ctx, s), "regular: closed iff limits stay inside")
 
@@ -775,30 +795,31 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             if any(ccl[s] != pair_closure(p, s) for s in ctx.subsets):
                 _fail(out, ctx, pair, "cl*", "regular: convergence closure is the pair closure")
             if n <= 4:
+                # every subset is quantified here, so ccl holds every complement
                 fam = pair_open_family(p)
                 tau_sub = tuple(
                     u for u in ctx.top.subsets()
-                    if convergence_closure(p, full ^ u) & ~(full ^ u) == 0
+                    if ccl[full ^ u] & ~(full ^ u) == 0
                 )
                 if tau_sub != fam:
                     _fail(out, ctx, pair, "cl*", "shrinking-complement family matches the pair family")
                 if nested:
                     tau_eq = tuple(
                         u for u in ctx.top.subsets()
-                        if convergence_closure(p, full ^ u) == full ^ u
+                        if ccl[full ^ u] == full ^ u
                     )
                     if tau_eq != fam:
                         _fail(out, ctx, pair, "cl*", "fixed-complement family matches the pair family")
 
-        # convergence/accumulation transfer between pairs
+        # convergence/accumulation transfer between pairs, read off the
+        # wider pair's rows
         for (c, d) in ctx.pair_names:
             if not (ctx.open_as_set[c] <= ctx.open_as_set[a] and ctx.order[(b, d)]):
                 continue
-            q = ctx.pairs[(c, d)]
+            wide_lim, wide_adh = ctx.filter_rows((c, d))
             out.instances_checked += 1
             for core in ctx.cores():
-                F = Filter(n, core)
-                if limit_set(F, p) & ~limit_set(F, q) or adherence_set(F, p) & ~adherence_set(F, q):
+                if lim[core] & ~wide_lim[core] or adh[core] & ~wide_adh[core]:
                     _fail(out, ctx, pair, f"{c},{d}", "transfer to a wider pair", _mask_str(ctx, core))
                     break
     return out

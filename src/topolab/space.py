@@ -73,11 +73,15 @@ class Topology:
     The constructor validates the axioms; use :func:`build_topology` to
     generate the smallest topology containing an arbitrary seed family.
     Instances are immutable and safe to share between threads; the lazily
-    built tables and the closure-verdict memo are pure functions of the
-    space, so racing writers agree.
+    built tables, the closure-verdict memo and ``_memo`` (where other
+    modules keep objects derived from the space, keyed by a tuple naming
+    module and object, so they die with the space) are pure functions of
+    the space, so racing writers agree.
     """
 
-    __slots__ = ("ground", "opens", "_min_nbhd", "_int_table", "_verdicts", "_hash")
+    __slots__ = (
+        "ground", "opens", "_min_nbhd", "_int_table", "_verdicts", "_memo", "_hash", "__weakref__",
+    )
 
     def __init__(self, ground: GroundSet, opens: Iterable[int]):
         fam = canonical_family(opens)
@@ -89,6 +93,7 @@ class Topology:
         object.__setattr__(self, "_min_nbhd", None)
         object.__setattr__(self, "_int_table", None)
         object.__setattr__(self, "_verdicts", {})
+        object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard

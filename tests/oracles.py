@@ -5,8 +5,9 @@ package: preorder counting for the enumerator, direct scans for interior
 and monotonicity, the raw pointwise rules for the pair interior and
 pair closure, the structure flags read literally off their wording, the
 quadratic directedness test for filterbases, pairwise scans and
-fixpoints for union and intersection closure, and subfamily tables for
-the compactness records' family statements.  None of them import the
+fixpoints for union and intersection closure, full core scans and
+subfamily tables for the compactness records' base and family
+statements.  None of them import the
 code paths they validate.
 """
 
@@ -218,6 +219,26 @@ def subfamily_fip_and_gap(members, a: int, full: int, images=None) -> tuple[bool
         if all(a & dp[sub] for sub in submasks_desc(sel)):
             fip = False
     return fip, gap
+
+
+def meeting_bases_accumulate(cl, a: int, n: int) -> bool:
+    """Every nonempty core meeting ``a`` has a point of ``a`` in its
+    ``cl`` image, scanned over all 2**n cores."""
+    return all(
+        any(cl[core] >> x & 1 for x in range(n) if a >> x & 1)
+        for core in range(1, 1 << n)
+        if core & a
+    )
+
+
+def base_gap_has_disjoint_member(cl, a: int, n: int) -> bool:
+    """Every nonempty core whose ``cl`` image misses ``a`` misses ``a``
+    itself, scanned over all 2**n cores."""
+    return all(
+        core & a == 0
+        for core in range(1, 1 << n)
+        if a & cl[core] == 0
+    )
 
 
 def inner_bases_accumulate(cl, a: int) -> bool:

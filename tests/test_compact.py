@@ -29,8 +29,10 @@ from topolab.pairs import pair_closed_family, pair_closure, pair_closure_by_poin
 
 from oracles import (
     all_families_of_nonempty,
+    base_gap_has_disjoint_member,
     inner_bases_accumulate,
     literal_fip_and_gap,
+    meeting_bases_accumulate,
     subfamily_bases_accumulate,
     subfamily_fip_and_gap,
 )
@@ -192,10 +194,10 @@ def test_antichain_reduction_matches_full_quantification():
 
 
 def test_flags_against_literal_family_quantification():
-    # the closed forms of inner accumulation and of both family pairs
-    # must match literal scans straight from their wording: over the
-    # default universes, and over every family of nonempty sets on two
-    # points
+    # the closed forms of the three base statements and of both family
+    # pairs must match literal scans straight from their wording: over
+    # the default universes, and over every family of nonempty sets on
+    # two points
     every = list(all_families_of_nonempty(2))
     for top, subsets in oracle_spaces():
         full = top.full
@@ -209,6 +211,8 @@ def test_flags_against_literal_family_quantification():
             for s in subsets:
                 flags = filter_compactness_flags(p, s)
                 assert flags.inner_bases_accumulate == inner_bases_accumulate(cl, s)
+                assert flags.meeting_bases_accumulate == meeting_bases_accumulate(cl, s, top.n)
+                assert flags.base_gap_has_disjoint_member == base_gap_has_disjoint_member(cl, s, top.n)
                 assert (flags.fip_implies_closure_point, flags.closure_gap_has_finite_witness) == \
                     literal_fip_and_gap(cl, universe, s, full)
                 assert (flags.closed_fip_implies_point, flags.closed_gap_has_finite_witness) == \

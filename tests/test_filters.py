@@ -18,6 +18,7 @@ from topolab import (
     maximal_filters,
     nbhd_filterbase,
     pair_closure,
+    random_topology,
 )
 
 from oracles import literal_is_filterbase
@@ -128,6 +129,40 @@ def test_base_and_generated_filter_agree():
                 for x in range(n):
                     assert converges(base, p, x) == converges(f, p, x)
                     assert accumulates(base, p, x) == accumulates(f, p, x)
+
+
+def test_base_sets_match_per_point_rules():
+    # the one-pass limit set and the meet of closures against the per-point
+    # predicates: every filterbase on at most 3 points and, on seeded
+    # 4-6-point spaces, seeded bases and arbitrary families (the empty one
+    # included), all 49 pairs
+    import random
+
+    cases = []
+    for top in small_spaces():
+        nonempty = list(range(1, 1 << top.n))
+        fams = (
+            tuple(nonempty[i] for i in range(len(nonempty)) if sel >> i & 1)
+            for sel in range(1, 1 << len(nonempty))
+        )
+        cases.append((top, [f for f in fams if is_filterbase(f)]))
+    rng = random.Random(29)
+    for n in (4, 5, 6):
+        top = random_topology(n, rng.randrange(10**6), n)
+        fams = [()]
+        for _ in range(12):
+            core = rng.randrange(1, 1 << n)
+            fams.append(tuple(sorted({core, *(core | rng.randrange(1 << n) for _ in range(2))})))
+            fams.append(tuple(rng.randrange(1, 1 << n) for _ in range(rng.randrange(1, 4))))
+        cases.append((top, fams))
+    for top, fams in cases:
+        points = range(top.n)
+        for a in BUILTIN_NAMES:
+            for b in BUILTIN_NAMES:
+                p = pair(top, a, b)
+                for fam in fams:
+                    assert limit_set(fam, p) == sum(1 << x for x in points if converges(fam, p, x)), (top, a, b, fam)
+                    assert adherence_set(fam, p) == sum(1 << x for x in points if accumulates(fam, p, x)), (top, a, b, fam)
 
 
 def test_redundant_bases_change_nothing(s2):

@@ -1,21 +1,38 @@
+import gc
 import hashlib
 import json
 import pathlib
+import weakref
 
 import pytest
 
 from topolab import (
     BUILTIN_NAMES,
+    Filter,
     SchemaError,
     SuiteConfig,
+    adherence_set,
     enumerate_topologies,
     leq,
+    limit_set,
     mine_counterexamples,
     random_topology,
     run_suites,
     sweep_spaces,
 )
 from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES, _SpaceContext
+
+from oracles import pointwise_pair_closure
+
+PINS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+
+
+def _report_digest(cfg: SuiteConfig) -> str:
+    """sha256 of the report without its environment block, as pinned in
+    the benchmark's expected.json."""
+    data = run_suites(cfg).to_dict()
+    del data["environment"]
+    return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def test_config_defaults_and_validation():
@@ -83,12 +100,49 @@ def test_wide_report_matches_pinned_digest():
     # and pins the sha256 of the report without its environment block
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=11, samples=2, seed=0,
                       suites=("operations", "structure", "families"))
-    pins = pathlib.Path(__file__).resolve().parent.parent / "bench" / "expected.json"
-    pinned = json.loads(pins.read_text())["wide11"]["digest"]
-    data = run_suites(cfg).to_dict()
-    del data["environment"]
-    digest = hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-    assert digest == pinned
+    assert _report_digest(cfg) == json.loads(PINS.read_text())["wide11"]["digest"]
+
+
+def test_exhaustive_report_matches_pinned_digest():
+    # the benchmark's exhaustive3 workload: every space of at most three
+    # points, all suites and pairs; the only sweep that reaches the n <= 3
+    # branches of the filters suite
+    cfg = SuiteConfig(n_exhaustive=3, seed=0)
+    assert _report_digest(cfg) == json.loads(PINS.read_text())["exhaustive3"]["digest"]
+
+
+def test_filter_rows_match_literal_rules():
+    # every core of every space of at most 3 points and of seeded 4-6-point
+    # spaces, all 49 pairs; above four points most cores sit off the
+    # quantified rows and are filled on first read
+    spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
+    spaces += [random_topology(n, seed, n) for n, seed in ((4, 41), (5, 42), (6, 43))]
+    for i, top in enumerate(spaces):
+        n = top.n
+        ctx = _SpaceContext(f"s{i}", top, SuiteConfig())
+        for key, p in ctx.pairs.items():
+            enl = p.enlarger.table
+            lim_row, adh_row = ctx.filter_rows(key)
+            assert set(ctx.cores()) <= set(lim_row) and set(ctx.cores()) <= set(adh_row)
+            for core in range(1, 1 << n):
+                literal = sum(
+                    1 << x for x in range(n)
+                    if all(core & ~enl[u] == 0 for u in p.selector_at(x))
+                )
+                f = Filter(n, core)
+                assert lim_row[core] == limit_set(f, p) == literal, (i, key, core)
+                assert adh_row[core] == adherence_set(f, p) == pointwise_pair_closure(p, core), (i, key, core)
+
+
+def test_swept_space_is_collectable():
+    # nothing process-wide may keep a swept space alive: the named-class
+    # pairs, the filter rows and every other table die with the space
+    top = random_topology(3, 7, 3)
+    ref = weakref.ref(top)
+    run_suites(SuiteConfig(n_exhaustive=0, pairs=("int,cl", "cloint,scl")), spaces=[("s", top)])
+    del top
+    gc.collect()
+    assert ref() is None
 
 
 def test_context_order_is_leq():
