@@ -106,14 +106,6 @@ def union_dp(members: Sequence[int]) -> list[int]:
     return dp
 
 
-def is_antichain(members: Sequence[int]) -> bool:
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if a & ~b == 0 or b & ~a == 0:
-                return False
-    return True
-
-
 def contained_union_table(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
     """table[a] = union of the payloads whose key mask sits inside ``a``.
 

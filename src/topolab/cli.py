@@ -44,7 +44,10 @@ def _pair(top: Topology, spec: str) -> OpPair:
 def _point_set(top: Topology, spec: str) -> int:
     if spec == "":
         return 0
-    return top.ground.mask_of_labels(spec.split(","))
+    try:
+        return top.ground.mask_of_labels(spec.split(","))
+    except KeyError as exc:
+        raise SchemaError(exc.args[0]) from None
 
 
 def _fmt(top: Topology, mask: int) -> str:
@@ -56,6 +59,8 @@ def _fmt_family(top: Topology, family) -> str:
 
 
 def _cmd_enumerate(args) -> int:
+    if not 0 <= args.n <= 4:
+        raise SchemaError("exhaustive enumeration is capped at n = 4; use random_topology")
     lines = [dumps_space(top) for top in enumerate_topologies(args.n)]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -203,13 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as exc:
+    except (SchemaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

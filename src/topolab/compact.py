@@ -11,33 +11,26 @@ exactly when some point a of A has its avoidance family
 ambient cover no enlarged subfamily of which can reach a.  Conversely a
 failing cover must keep some a of A out of all its enlargements, and it
 is then contained in that point's avoidance family.  Scanning the points
-of A therefore decides compactness in O(|ambient| * |A|) word steps.
-The literal quantifier evaluation is kept alongside as
-:func:`brute_force_compact` and the two must agree everywhere.
+of A therefore decides compactness in O(|ambient| * |A|) word steps, and
+with the union of each point's avoidance family tabulated once per pair
+and cover kind, in O(|A|).  The literal quantifier evaluation is kept
+alongside as :func:`brute_force_compact` and the two must agree
+everywhere.
 
-The equivalence records' subfamily quantifiers are evaluated in closed
-form: meets shrink as a subfamily grows, so one extreme subfamily decides
-each statement (proofs beside the code; the literal scans are test
-oracles).
+The equivalence records quantify over their complete universes at every
+carrier size: every family, every selector-closed set, every residue
+and every pair-closed set.  Their subfamily quantifiers are evaluated
+in closed form: meets shrink as a subfamily grows, so one extreme
+subfamily decides each statement (proofs beside the code; the literal
+scans are test oracles).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
-from .bits import (
-    Family,
-    canonical_family,
-    derive_seed,
-    intersect_all,
-    is_antichain,
-    iter_points,
-    submasks_desc,
-    union_dp,
-)
+from .bits import Family, canonical_family, iter_points, submasks_desc, union_dp
 from .filters import is_t2
 from .ops import Operation, builtin, dual_table, is_monotone, op_closed_family
 from .pairs import (
@@ -118,19 +111,6 @@ def is_compact(cs: CoverSystem, a: int) -> CompactnessVerdict:
     return CompactnessVerdict(True)
 
 
-def _compact_no_witness(cs: CoverSystem, a: int) -> bool:
-    """Verdict only; sweeps that never read witnesses skip the pruning."""
-    enl = cs.enlarger.table
-    for point in iter_points(a):
-        covered = 0
-        for u in cs.ambient:
-            if not enl[u] >> point & 1:
-                covered |= u
-                if a & ~covered == 0:
-                    return False
-    return True
-
-
 def brute_force_compact(cs: CoverSystem, a: int) -> bool:
     """Literal evaluation of the compactness quantifiers.
 
@@ -153,12 +133,28 @@ def brute_force_compact(cs: CoverSystem, a: int) -> bool:
     return True
 
 
-def _identity(p: OpPair) -> Operation:
+def _outside_row(p: OpPair, kind: str) -> tuple[int, ...]:
+    """outside[x] = union of the kind's ambient members whose enlargement
+    misses x, one row per pair and kind kept on the pair."""
     cache = p._cache
-    op = cache.get("identity")
-    if op is None:
-        op = cache["identity"] = builtin(p.topology, "identity")
-    return op
+    row = cache.get(("outside", kind))
+    if row is None:
+        full = p.topology.full
+        if kind == "pair":
+            enl = p.enlarger.table
+            members = [(u, enl[u]) for u in p.selector_open()]
+        elif kind == "pair_open":
+            members = [(u, u) for u in pair_open_family(p)]
+        elif kind == "base":
+            members = [(u, u) for u in enlargement_base(p) + (full,)]
+        else:
+            raise ValueError(f"unknown kind {kind!r}; use 'pair', 'pair_open' or 'base'")
+        out = [0] * p.topology.n
+        for u, image in members:
+            for x in iter_points(full & ~image):
+                out[x] |= u
+        row = cache[("outside", kind)] = tuple(out)
+    return row
 
 
 def compactness_kind(p: OpPair, a: int, kind: str = "pair") -> bool:
@@ -167,21 +163,13 @@ def compactness_kind(p: OpPair, a: int, kind: str = "pair") -> bool:
     pair       covers from the selector-open family, enlarged subcovers
     pair_open  plain covers from the pair-open family
     base       plain covers from the enlargement base
+
+    By the avoidance-family criterion ``a`` fails exactly when some x in
+    ``a`` has ``a`` inside the union of the members whose enlargement
+    misses x.
     """
-    cache = p._cache
-    cs = cache.get(("kind", kind))
-    if cs is None:
-        if kind == "pair":
-            cs = CoverSystem(p.selector_open(), p.enlarger)
-        elif kind == "pair_open":
-            cs = CoverSystem(pair_open_family(p), _identity(p))
-        elif kind == "base":
-            fam = canonical_family(enlargement_base(p) + (p.topology.full,))
-            cs = CoverSystem(fam, _identity(p))
-        else:
-            raise ValueError(f"unknown kind {kind!r}; use 'pair', 'pair_open' or 'base'")
-        cache[("kind", kind)] = cs
-    return _compact_no_witness(cs, a)
+    outside = _outside_row(p, kind)
+    return not any(a & ~outside[x] == 0 for x in iter_points(a))
 
 
 def _named_class_pair(top: Topology, name: str) -> OpPair:
@@ -203,49 +191,6 @@ def named_set_class(top: Topology, a: int, name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# quantification material for the equivalence records
-
-
-@lru_cache(maxsize=None)
-def antichain_families(n: int) -> tuple[Family, ...]:
-    """All antichains of nonempty subsets, the empty family included.
-
-    Any family of nonempty sets is interchangeable with the antichain of
-    its minimal members in the statements below (closures and meets are
-    monotone), so these are the canonical quantification universe.
-    Practical up to n = 4.
-    """
-    if n > 4:
-        raise ValueError("exhaustive antichain enumeration is capped at n = 4")
-    nonempty = list(range(1, 1 << n))
-    out = []
-    for sel in range(1 << len(nonempty)):
-        fam = tuple(nonempty[i] for i in range(len(nonempty)) if sel >> i & 1)
-        if is_antichain(fam):
-            out.append(fam)
-    return tuple(out)
-
-
-def sampled_families(n: int, seed: int, count: int) -> tuple[Family, ...]:
-    """Seeded random families of nonempty subsets, for carriers too big
-    to sweep; deterministic in (n, seed, count)."""
-    rng = random.Random(seed)
-    out = [()]
-    for _ in range(count):
-        size = rng.randrange(1, 5)
-        fam = canonical_family(rng.randrange(1, 1 << n) for _ in range(size))
-        out.append(fam)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _default_w_families(n: int) -> tuple[Family, ...]:
-    if n <= 3:
-        return antichain_families(n)
-    return sampled_families(n, seed=n, count=64)
-
-
-# ---------------------------------------------------------------------------
 # equivalence records
 
 
@@ -253,14 +198,12 @@ def _default_w_families(n: int) -> tuple[Family, ...]:
 class FilterCompactnessFlags:
     """The ten filter-flavoured statements of cover compactness.
 
-    They agree for every pair and every subset whenever their quantifiers
-    ran over the complete universe.  The two gap/fip pairs (over families
-    and over selector-closed sets) each share one closed-form verdict, and
-    the three base-accumulation statements share the singleton-core one;
-    see :func:`filter_compactness_flags`.  On carriers too big to sweep, the
-    family and closed-family quantifiers run over samples, which can only
-    miss refuters; the completeness fields say which statements still
-    carry the full claim and :meth:`agree` compares only those.
+    They agree for every pair and every subset.  Every quantifier runs
+    over its complete universe (all families, all selector-closed sets,
+    all cores), decided in closed form: the two gap/fip pairs (over
+    families and over selector-closed sets) each share one verdict, and
+    the family pair and the three base-accumulation statements share the
+    singleton-core one; see :func:`filter_compactness_flags`.
     """
 
     cover: bool
@@ -273,63 +216,47 @@ class FilterCompactnessFlags:
     base_gap_has_disjoint_member: bool
     closed_gap_has_finite_witness: bool
     closed_fip_implies_point: bool
-    family_quantifier_complete: bool = True
-    closed_quantifier_complete: bool = True
 
     def as_dict(self) -> dict[str, bool]:
         return dict(self.__dict__)
 
     def statements(self) -> tuple[bool, ...]:
-        out = [
-            self.cover,
-            self.meeting_bases_accumulate,
-            self.meeting_ultra_converge,
-            self.inner_bases_accumulate,
-            self.inner_ultra_converge,
-            self.base_gap_has_disjoint_member,
-        ]
-        if self.family_quantifier_complete:
-            out += [self.closure_gap_has_finite_witness, self.fip_implies_closure_point]
-        if self.closed_quantifier_complete:
-            out += [self.closed_gap_has_finite_witness, self.closed_fip_implies_point]
-        return tuple(out)
+        return tuple(self.__dict__.values())
 
     def agree(self) -> bool:
         return len(set(self.statements())) == 1
 
 
-def _capped_members(p: OpPair, members: Family, tag: str, cap: int = 10) -> Family:
-    """Trim a quantification family to at most ``cap`` members.
+def _closed_meets(p: OpPair) -> tuple[int, ...]:
+    """meets[y] = meet of S_y = {f selector-closed : y in dual(f)}, one row
+    per pair kept on the pair."""
+    cache = p._cache
+    row = cache.get("closed_meets")
+    if row is None:
+        full = p.topology.full
+        dual_enl = dual_table(p.enlarger)
+        meets = [full] * p.topology.n
+        for f in op_closed_family(p.selector):
+            for y in iter_points(dual_enl[f]):
+                meets[y] &= f
+        row = cache["closed_meets"] = tuple(meets)
+    return row
 
-    Subfamily scans are 2**k, so big families (sampled spaces) are
-    deterministically thinned: seeded by the family itself, independent
-    of iteration order.
-    """
-    if len(members) <= cap:
-        return members
-    rng = random.Random(derive_seed(tag, *members))
-    return canonical_family(rng.sample(list(members), cap))
 
-
-def filter_compactness_flags(
-    p: OpPair, a: int, w_families: Sequence[Family] | None = None
-) -> FilterCompactnessFlags:
+def filter_compactness_flags(p: OpPair, a: int) -> FilterCompactnessFlags:
     """Evaluate the ten statements for one pair and one subset.
 
     On a finite carrier every filterbase reduces to the principal base
-    at its core, so base quantifiers scan all nonempty cores; the family
-    quantifiers scan ``w_families`` (canonical antichains by default,
-    seeded samples beyond n = 3).
+    at its core, so base quantifiers range over all nonempty cores; the
+    family quantifiers range over every family of subsets and the closed
+    ones over every subfamily of the selector-closed sets.  Each is
+    decided by the extreme members named beside the code.
     """
     top = p.topology
-    n, full = top.n, top.full
+    full = top.full
     points_of_a = list(iter_points(a))
     # cl[m] = full ^ int[full ^ m], and full ^ m runs down as m runs up
     cl = [full ^ inner for inner in reversed(p.int_table())]
-    families_complete = True
-    if w_families is None:
-        families_complete = n <= 3
-        w_families = _default_w_families(n)
 
     flag_cover = compactness_kind(p, a, "pair")
 
@@ -352,16 +279,12 @@ def filter_compactness_flags(
     # For a family whose closures' meet misses a, gap needs a finite part
     # whose meet misses a, and fip fails unless there is one.  Meets shrink
     # as a subfamily grows and the family is one of its own finite parts,
-    # so both come down to the family's own meet missing a.
-    family_ok = True
-    for fam in w_families:
-        meet = meet_cl = full
-        for f in fam:
-            meet &= f
-            meet_cl &= cl[f]
-        if a & meet and not a & meet_cl:
-            family_ok = False
-            break
+    # so both fail exactly when some family has its own meet meeting a
+    # while its closures' meet misses a.  Such a family has some y in a
+    # inside every member; cl is monotone, so cl({y}) sits inside every
+    # member's closure and misses a, and the family {{y}} refutes too.
+    # The singleton families therefore decide both, which is inner_acc.
+    family_ok = inner_acc
 
     # The closed pair reads the same over subfamilies sel of the closed
     # sets, judging finite parts by their dual enlargements: by the same
@@ -369,13 +292,8 @@ def filter_compactness_flags(
     # meet holds some y in a.  Then sel lies in S_y = {f : y in dual(f)},
     # whose meet is smaller and whose duals all hold y, so S_y refutes too:
     # both hold iff every S_y has its meet meeting a.
-    full_closed = op_closed_family(p.selector)
-    members = _capped_members(p, full_closed, "closed")
-    dual_enl = dual_table(p.enlarger)
-    closed_ok = all(
-        a & intersect_all((f for f in members if dual_enl[f] >> y & 1), full)
-        for y in points_of_a
-    )
+    meets = _closed_meets(p)
+    closed_ok = all(a & meets[y] for y in points_of_a)
 
     return FilterCompactnessFlags(
         cover=flag_cover,
@@ -388,8 +306,6 @@ def filter_compactness_flags(
         base_gap_has_disjoint_member=member_escape,
         closed_gap_has_finite_witness=closed_ok,
         closed_fip_implies_point=closed_ok,
-        family_quantifier_complete=families_complete,
-        closed_quantifier_complete=members == full_closed,
     )
 
 
@@ -439,12 +355,10 @@ def cover_kind_flags(p: OpPair, a: int) -> CoverKindFlags:
 
 @dataclass(frozen=True)
 class SpaceCompactnessFlags:
-    """Space-level equivalents: the whole space, the residues of enlarged
-    selector-open sets, and the pair-closed sets, in all three kinds.
-
-    On big carriers the residue and closed-set lists are sampled; the
-    completeness flag says so.  Equality is still meaningful under the
-    hypothesis, which forces every subset compact regardless.
+    """Space-level equivalents: the whole space, every residue of an
+    enlarged selector-open set, and every pair-closed set, in all three
+    kinds.  They agree under the base hypothesis, which forces every
+    subset compact.
     """
 
     hypothesis: bool
@@ -457,7 +371,6 @@ class SpaceCompactnessFlags:
     closed_cover: bool
     closed_pair_open_cover: bool
     closed_base_cover: bool
-    quantifier_complete: bool = True
 
     def statements(self) -> tuple[bool, ...]:
         return (
@@ -470,14 +383,15 @@ class SpaceCompactnessFlags:
         return len(set(self.statements())) == 1
 
 
+def _residues(p: OpPair) -> Family:
+    full, enl = p.topology.full, p.enlarger.table
+    return canonical_family(full ^ enl[u] for u in p.selector_open())
+
+
 def space_compactness_flags(p: OpPair) -> SpaceCompactnessFlags:
-    top = p.topology
-    full = top.full
-    enl = p.enlarger.table
-    full_residues = canonical_family(full ^ enl[u] for u in p.selector_open())
-    full_closed = pair_closed_family(p)
-    residues = _capped_members(p, full_residues, "space_residues", cap=24)
-    closed = _capped_members(p, full_closed, "space_closed", cap=24)
+    full = p.topology.full
+    residues = _residues(p)
+    closed = pair_closed_family(p)
     return SpaceCompactnessFlags(
         hypothesis=base_report(p).hypothesis_d,
         space_cover=compactness_kind(p, full, "pair"),
@@ -489,7 +403,6 @@ def space_compactness_flags(p: OpPair) -> SpaceCompactnessFlags:
         closed_cover=all(compactness_kind(p, c, "pair") for c in closed),
         closed_pair_open_cover=all(compactness_kind(p, c, "pair_open") for c in closed),
         closed_base_cover=all(compactness_kind(p, c, "base") for c in closed),
-        quantifier_complete=residues == full_residues and closed == full_closed,
     )
 
 
@@ -501,19 +414,12 @@ class AdditiveEnlargerFlags:
     hypothesis: bool
     cover: bool
     restricted_bases_accumulate: bool
-    quantifier_complete: bool = True
 
     def agree(self) -> bool:
-        if not self.quantifier_complete:
-            # a sampled base universe can only miss refuters, so only the
-            # forward direction still carries the claim
-            return not self.cover or self.restricted_bases_accumulate
         return self.cover == self.restricted_bases_accumulate
 
 
 def additive_enlarger_flags(p: OpPair, a: int) -> AdditiveEnlargerFlags:
-    top = p.topology
-    full = top.full
     enl = p.enlarger.table
     cache = p._cache
     hyp = cache.get("additive_hypothesis")
@@ -523,8 +429,6 @@ def additive_enlarger_flags(p: OpPair, a: int) -> AdditiveEnlargerFlags:
             enl[u | v] == enl[u] | enl[v] for u in sel_open for v in sel_open
         )
         hyp = cache["additive_hypothesis"] = is_monotone(p.selector) and additive
-    full_residues = canonical_family(full ^ enl[u] for u in p.selector_open())
-    residues = _capped_members(p, full_residues, "residues")
     # Every filterbase B of residues meeting a must accumulate in a.  B
     # holds its least member m0, so B meets a iff m0 does, and the pair
     # closure is monotone, so its members' closures meet in cl(m0).  The
@@ -532,8 +436,7 @@ def additive_enlarger_flags(p: OpPair, a: int) -> AdditiveEnlargerFlags:
     return AdditiveEnlargerFlags(
         hypothesis=hyp,
         cover=compactness_kind(p, a, "pair"),
-        restricted_bases_accumulate=all(pair_closure(p, r) & a for r in residues if r & a),
-        quantifier_complete=residues == full_residues,
+        restricted_bases_accumulate=all(pair_closure(p, r) & a for r in _residues(p) if r & a),
     )
 
 

@@ -7,8 +7,8 @@ pair closure, the structure flags read literally off their wording, the
 quadratic directedness test for filterbases, pairwise scans and
 fixpoints for union and intersection closure, full core scans and
 subfamily tables for the compactness records' base and family
-statements.  None of them import the
-code paths they validate.
+statements, and the family universes those statements are quantified
+over.  None of them import the code paths they validate.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import random
 
 import numpy as np
 
@@ -136,6 +137,48 @@ def all_families_of_nonempty(n: int):
     nonempty = list(range(1, 1 << n))
     for sel in range(1 << len(nonempty)):
         yield tuple(nonempty[i] for i in range(len(nonempty)) if sel >> i & 1)
+
+
+def is_antichain(members) -> bool:
+    """No member sits inside another, checked pair by pair."""
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            if a & ~b == 0 or b & ~a == 0:
+                return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def antichain_families(n: int) -> tuple:
+    """All antichains of nonempty subsets, the empty family included.
+
+    Any family of nonempty sets is interchangeable with the antichain of
+    its minimal members in the closure/meet statements (closures and
+    meets are monotone), so these are the complete family universe.
+    Practical up to n = 4.
+    """
+    if n > 4:
+        raise ValueError("exhaustive antichain enumeration is capped at n = 4")
+    return tuple(fam for fam in all_families_of_nonempty(n) if is_antichain(fam))
+
+
+def sampled_families(n: int, seed: int, count: int) -> tuple:
+    """Seeded random families of nonempty subsets, for carriers too big
+    to sweep; deterministic in (n, seed, count)."""
+    rng = random.Random(seed)
+    out = [()]
+    for _ in range(count):
+        size = rng.randrange(1, 5)
+        out.append(tuple(sorted({rng.randrange(1, 1 << n) for _ in range(size)})))
+    return tuple(out)
+
+
+def seeded_subfamily(members, seed, cap: int = 10) -> tuple:
+    """At most ``cap`` members of ``members``, drawn with a fixed seed."""
+    members = sorted(members)
+    if len(members) <= cap:
+        return tuple(members)
+    return tuple(sorted(random.Random(seed).sample(members, cap)))
 
 
 def literal_fip_and_gap(cl, families, a: int, full: int) -> tuple[bool, bool]:

@@ -115,3 +115,20 @@ def test_mine_command(capsys):
 def test_missing_file_is_usage_error(capsys):
     assert main(["families", "--space", "no-such.json", "--pair", "int,cl"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_unknown_point_label_is_usage_error(s2_file, capsys):
+    assert main(["compact", "--space", s2_file, "--pair", "int,cl", "--set", "a,z"]) == 2
+    assert "unknown point label 'z'" in capsys.readouterr().err
+    assert main(["filter", "--space", s2_file, "--pair", "int,cl", "--core", "q"]) == 2
+
+
+def test_library_value_error_propagates(monkeypatch, s2_file):
+    # only usage and schema errors map to exit 2; a ValueError raised
+    # inside a library call is a defect and must surface
+    def broken(p):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("topolab.cli.classify_structure", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["families", "--space", s2_file, "--pair", "int,cl"])

@@ -22,20 +22,30 @@ from topolab import (
     random_topology,
     space_compactness_flags,
 )
-from topolab.compact import _capped_members, _default_w_families, antichain_families, sampled_families
 from topolab.bits import canonical_family
 from topolab.ops import dual_table, op_closed_family
-from topolab.pairs import pair_closed_family, pair_closure, pair_closure_by_points
+from topolab.pairs import (
+    enlargement_base,
+    pair_closed_family,
+    pair_closure,
+    pair_closure_by_points,
+    pair_open_family,
+)
 
 from oracles import (
     all_families_of_nonempty,
+    antichain_families,
     base_gap_has_disjoint_member,
     inner_bases_accumulate,
     literal_fip_and_gap,
     meeting_bases_accumulate,
+    sampled_families,
+    seeded_subfamily,
     subfamily_bases_accumulate,
     subfamily_fip_and_gap,
 )
+
+KINDS = ("pair", "pair_open", "base")
 
 
 def small_spaces():
@@ -163,7 +173,7 @@ def test_filter_flags_agree_on_fixtures(s2, c3, d2, i2):
             for s in top.subsets():
                 flags = filter_compactness_flags(p, s)
                 assert flags.agree(), (top, a, b, s, flags.as_dict())
-                assert flags.family_quantifier_complete and flags.closed_quantifier_complete
+                assert len(flags.statements()) == 10
 
 
 def test_filter_flags_empty_set_trivially_true(s2):
@@ -193,34 +203,68 @@ def test_antichain_reduction_matches_full_quantification():
                 assert (fip_all, gap_all) == (fip_anti, gap_anti)
 
 
+def family_universe(n):
+    """Every antichain of nonempty sets up to 4 points; above that every
+    singleton family plus seeded samples."""
+    if n <= 4:
+        return antichain_families(n)
+    return tuple((1 << y,) for y in range(n)) + sampled_families(n, seed=n, count=64)
+
+
+def meet(sets, full):
+    out = full
+    for m in sets:
+        out &= m
+    return out
+
+
+def closed_refuter(closed, dual, s, full):
+    """Some y in s whose S_y = {f : y in dual(f)} refutes the closed pair:
+    its meet misses s while every finite part's dual meet holds y."""
+    for y in range(full.bit_length()):
+        sy = [f for f in closed if dual[f] >> y & 1]
+        if s >> y & 1 and s & meet(sy, full) == 0 and meet((dual[f] for f in sy), full) >> y & 1:
+            return y
+    return None
+
+
 def test_flags_against_literal_family_quantification():
-    # the closed forms of the three base statements and of both family
-    # pairs must match literal scans straight from their wording: over
-    # the default universes, and over every family of nonempty sets on
-    # two points
+    # the closed forms of the base statements and of both family pairs
+    # must match literal scans straight from their wording, over the
+    # complete universes: every antichain up to 4 points (singleton
+    # families and seeded samples above), every family on two points,
+    # and every subfamily of a selector-closed family of at most 10
+    # members.  On bigger closed families the record must be False
+    # exactly when some S_y refutes by definition, and any refuting
+    # subfamily of a seeded 10-member draw must force False.
     every = list(all_families_of_nonempty(2))
     for top, subsets in oracle_spaces():
         full = top.full
-        universe = _default_w_families(top.n)
+        universe = family_universe(top.n)
         for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
             p = pair(top, a, b)
             cl = [pair_closure_by_points(p, m) for m in top.subsets()]
-            closed = _capped_members(p, op_closed_family(p.selector), "closed")
+            closed = op_closed_family(p.selector)
             dual = dual_table(p.enlarger)
-            duals = [dual[f] for f in closed]
+            drawn = seeded_subfamily(closed, f"{top.n},{a},{b}")
             for s in subsets:
                 flags = filter_compactness_flags(p, s)
                 assert flags.inner_bases_accumulate == inner_bases_accumulate(cl, s)
                 assert flags.meeting_bases_accumulate == meeting_bases_accumulate(cl, s, top.n)
                 assert flags.base_gap_has_disjoint_member == base_gap_has_disjoint_member(cl, s, top.n)
-                assert (flags.fip_implies_closure_point, flags.closure_gap_has_finite_witness) == \
-                    literal_fip_and_gap(cl, universe, s, full)
-                assert (flags.closed_fip_implies_point, flags.closed_gap_has_finite_witness) == \
-                    subfamily_fip_and_gap(closed, s, full, duals)
+                family = (flags.fip_implies_closure_point, flags.closure_gap_has_finite_witness)
+                assert family == literal_fip_and_gap(cl, universe, s, full)
                 if top.n == 2:
-                    flags = filter_compactness_flags(p, s, w_families=every)
-                    assert (flags.fip_implies_closure_point, flags.closure_gap_has_finite_witness) == \
-                        literal_fip_and_gap(cl, every, s, full)
+                    assert family == literal_fip_and_gap(cl, every, s, full)
+                closed_pair = (flags.closed_fip_implies_point, flags.closed_gap_has_finite_witness)
+                literal = subfamily_fip_and_gap(drawn, s, full, [dual[f] for f in drawn])
+                if drawn == closed:
+                    assert closed_pair == literal
+                    continue
+                if literal != (True, True):
+                    assert closed_pair == (False, False)
+                refuter = closed_refuter(closed, dual, s, full)
+                assert closed_pair == ((True, True) if refuter is None else (False, False))
 
 
 def test_antichain_families_cap():
@@ -234,6 +278,80 @@ def test_antichain_families_cap():
     assert all(all(m for m in fam) for fam in fams)
 
 
+def test_singleton_families_refute_closure_gap():
+    # a 64-draw family sample read True here; the singleton families of
+    # the complete universe refute
+    top = random_topology(5, 723985, 5)
+    p = pair(top, "introcl", "int")
+    cl = [pair_closure_by_points(p, m) for m in top.subsets()]
+    singletons = [(1 << y,) for y in range(top.n)]
+    flags = filter_compactness_flags(p, 26)
+    literal = literal_fip_and_gap(cl, singletons, 26, top.full)
+    assert literal == (False, False)
+    assert (flags.fip_implies_closure_point, flags.closure_gap_has_finite_witness) == literal
+    assert flags.agree()
+
+
+def test_full_closed_family_refutes_closed_gap():
+    # a 10-member draw of the selector-closed family read True here
+    top = random_topology(6, 967127, 6)
+    p = pair(top, "identity", "int")
+    closed = op_closed_family(p.selector)
+    assert len(closed) > 10
+    flags = filter_compactness_flags(p, 3)
+    assert not flags.closed_gap_has_finite_witness
+    assert closed_refuter(closed, dual_table(p.enlarger), 3, top.full) is not None
+    assert flags.agree()
+
+
+def test_every_residue_decides_restricted_accumulation():
+    # a 10-member draw of the 18 residues read True here
+    top = random_topology(5, 833820, 5)
+    p = pair(top, "identity", "sint")
+    enl = p.enlarger.table
+    residues = canonical_family(top.full ^ enl[u] for u in p.selector_open())
+    assert len(residues) == 18
+    rule = all(pair_closure_by_points(p, r) & 22 for r in residues if r & 22)
+    flags = additive_enlarger_flags(p, 22)
+    assert flags.restricted_bases_accumulate == rule
+    assert not rule
+    assert flags.agree()
+
+
+def kind_system(p, kind, identity):
+    """The cover system a compactness kind quantifies over."""
+    if kind == "pair":
+        return CoverSystem(p.selector_open(), p.enlarger)
+    if kind == "pair_open":
+        return CoverSystem(pair_open_family(p), identity)
+    return CoverSystem(canonical_family(enlargement_base(p) + (p.topology.full,)), identity)
+
+
+def test_compactness_kind_matches_avoidance_criterion():
+    # every kind's row against is_compact on the kind's cover system, and
+    # against the literal oracle wherever the ambient family is small
+    spaces = [(top, list(top.subsets())) for top in small_spaces()]
+    rng = random.Random(41)
+    for n in (4, 5, 6, 7, 8):
+        top = random_topology(n, rng.randrange(10**6), n)
+        spaces.append((top, sorted({0, top.full, *(rng.randrange(1 << n) for _ in range(6))})))
+    for top, subsets in spaces:
+        ops = catalog(top)
+        literal = {}  # many pairs share one cover system; scan each once
+        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
+            p = OpPair(ops[a], ops[b])
+            for kind in KINDS:
+                cs = kind_system(p, kind, ops["identity"])
+                key = (cs.ambient, cs.enlarger.table)
+                for s in subsets:
+                    got = compactness_kind(p, s, kind)
+                    assert got == is_compact(cs, s).compact, (top, a, b, kind, s)
+                    if len(cs.ambient) <= 12:
+                        if (key, s) not in literal:
+                            literal[key, s] = brute_force_compact(cs, s)
+                        assert got == literal[key, s], (top, a, b, kind, s)
+
+
 def test_cover_kind_hypothesis_examples(s2):
     for top in small_spaces():
         flags = cover_kind_flags(pair(top, "int", "introcl"), top.full)
@@ -245,8 +363,12 @@ def test_cover_kind_hypothesis_examples(s2):
 def test_complement_statements_hold_literally():
     # cover_kind_flags reports the four complement statements as True
     # without a scan, and additive_enlarger_flags reads restricted
-    # accumulation off the least members of the bases; the literal
-    # subfamily scans must agree
+    # accumulation off every nonempty residue; the literal subfamily
+    # scans must agree over residue and closed families of at most 10
+    # members.  Bigger ones are scanned over a seeded 10-member draw (any
+    # refuting base among them must force False), and the record must be
+    # False exactly when some residue r has its base {r} refuting by
+    # definition.
     for top, subsets in oracle_spaces():
         full = top.full
         for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
@@ -254,13 +376,19 @@ def test_complement_statements_hold_literally():
             enl = p.enlarger.table
             cl = [pair_closure_by_points(p, m) for m in top.subsets()]
             residues = canonical_family(full ^ enl[u] for u in p.selector_open())
-            residues = _capped_members(p, residues, "residues")
-            closed = _capped_members(p, pair_closed_family(p), "closed")
+            drawn = seeded_subfamily(residues, f"residues,{top.n},{a},{b}")
+            closed = seeded_subfamily(pair_closed_family(p), f"closed,{top.n},{a},{b}")
             for s in subsets:
-                assert subfamily_fip_and_gap(residues, s, full) == (True, True)
+                assert subfamily_fip_and_gap(drawn, s, full) == (True, True)
                 assert subfamily_fip_and_gap(closed, s, full) == (True, True)
-                assert additive_enlarger_flags(p, s).restricted_bases_accumulate == \
-                    subfamily_bases_accumulate(residues, cl, s)
+                restricted = additive_enlarger_flags(p, s).restricted_bases_accumulate
+                literal = subfamily_bases_accumulate(drawn, cl, s)
+                if drawn == residues:
+                    assert restricted == literal
+                    continue
+                if not literal:
+                    assert not restricted
+                assert restricted == all(subfamily_bases_accumulate((r,), cl, s) for r in residues)
 
 
 def test_space_flags_examples(s2):
