@@ -74,6 +74,7 @@ from .compact import (
     SpaceCompactnessFlags,
     additive_enlarger_flags,
     brute_force_compact,
+    brute_force_compact_all,
     closed_space_predicates,
     compactness_kind,
     cover_kind_flags,

@@ -41,10 +41,6 @@ def iter_points(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def is_subset(a: int, b: int) -> bool:
-    return a & ~b == 0
-
-
 def complement(mask: int, n: int) -> int:
     return ((1 << n) - 1) ^ mask
 

@@ -14,8 +14,12 @@ is then contained in that point's avoidance family.  Scanning the points
 of A therefore decides compactness in O(|ambient| * |A|) word steps, and
 with the union of each point's avoidance family tabulated once per pair
 and cover kind, in O(|A|).  The literal quantifier evaluation is kept
-alongside as :func:`brute_force_compact` and the two must agree
-everywhere.
+alongside as :func:`brute_force_compact_all` and the two must agree
+everywhere.  It is batched but still literal: one walk over the
+subfamilies of the ambient family decides every target set, reading
+"some finite subfamily" as a union over every submask, never as the
+family itself.  The harness oracle suite still thins ambient families
+above ten members to a seeded draw without a note.
 
 The equivalence records quantify over their complete universes at every
 carrier size: every family, every selector-closed set, every residue
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bits import Family, canonical_family, iter_points, submasks_desc, union_dp
+from .bits import Family, canonical_family, contained_union_table, iter_points, union_dp
 from .filters import is_t2
 from .ops import Operation, builtin, dual_table, is_monotone, op_closed_family
 from .pairs import (
@@ -42,8 +46,6 @@ from .pairs import (
     pair_open_family,
 )
 from .space import Topology
-
-BRUTE_FORCE_CAP = 20
 
 #: Set classes named in the covering literature, with the pair realizing each.
 NAMED_CLASSES = {
@@ -111,26 +113,47 @@ def is_compact(cs: CoverSystem, a: int) -> CompactnessVerdict:
     return CompactnessVerdict(True)
 
 
-def brute_force_compact(cs: CoverSystem, a: int) -> bool:
-    """Literal evaluation of the compactness quantifiers.
+def brute_force_compact_all(cs: CoverSystem, targets: Sequence[int]) -> tuple[bool, ...]:
+    """Literal evaluation of the compactness quantifiers for every target.
 
-    Every subfamily of the ambient family is inspected; for each one
-    covering ``a`` the finite subfamilies are scanned until one has
-    enlargements covering ``a``.  Kept as the independent oracle for
-    :func:`is_compact`; capped at 2**20 subfamilies.
+    One walk over the 2**k subfamilies of the ambient family decides
+    every target.  ``fc[sel]`` flags the targets covered by the
+    enlargements of some finite subfamily of ``sel``: each submask's
+    flags, folded in by the subset-union transform.  A target fails
+    exactly when some subfamily ``sel`` covers it and ``fc[sel]`` does
+    not flag it.  Bit j of a flag word stands for ``targets[j]``, so
+    memory is 2**k words of ``len(targets)`` bits at every carrier size.
+    Kept as the independent oracle for :func:`is_compact`;
+    :func:`~topolab.bits.union_dp` caps it at 2**20 subfamilies.
     """
     members = list(cs.ambient)
-    if len(members) > BRUTE_FORCE_CAP:
-        raise ValueError(f"ambient family exceeds the oracle cap of {BRUTE_FORCE_CAP} members")
     plain = union_dp(members)
     enl = cs.enlarger.table
     enlarged = union_dp([enl[u] for u in members])
-    for cover_sel in range(1 << len(members)):
-        if a & ~plain[cover_sel]:
-            continue
-        if not any(a & ~enlarged[sub] == 0 for sub in submasks_desc(cover_sel)):
-            return False
-    return True
+    targets = list(targets)
+    under: dict[int, int] = {}
+
+    def down(m: int) -> int:
+        """Flags of the targets inside ``m``, memoized per mask."""
+        got = under.get(m)
+        if got is None:
+            got = 0
+            for j, t in enumerate(targets):
+                if t & ~m == 0:
+                    got |= 1 << j
+            under[m] = got
+        return got
+
+    fc = contained_union_table(enumerate(map(down, enlarged)), len(members))
+    failing = 0
+    for sel, covered in enumerate(plain):
+        failing |= down(covered) & ~fc[sel]
+    return tuple(not failing >> j & 1 for j in range(len(targets)))
+
+
+def brute_force_compact(cs: CoverSystem, a: int) -> bool:
+    """Literal verdict for one set: :func:`brute_force_compact_all` on ``(a,)``."""
+    return brute_force_compact_all(cs, (a,))[0]
 
 
 def _outside_row(p: OpPair, kind: str) -> tuple[int, ...]:
@@ -383,14 +406,23 @@ class SpaceCompactnessFlags:
         return len(set(self.statements())) == 1
 
 
-def _residues(p: OpPair) -> Family:
-    full, enl = p.topology.full, p.enlarger.table
-    return canonical_family(full ^ enl[u] for u in p.selector_open())
+def _residue_row(p: OpPair) -> tuple[tuple[int, int], ...]:
+    """(r, pair closure of r) for every nonempty residue r = full ^ enl[u]
+    of a selector-open u, ascending; one row per pair kept on the pair.
+    The empty residue is left out: it is compact in every kind and
+    meets no set."""
+    cache = p._cache
+    row = cache.get("residues")
+    if row is None:
+        full, enl = p.topology.full, p.enlarger.table
+        residues = canonical_family(full ^ enl[u] for u in p.selector_open())
+        row = cache["residues"] = tuple((r, pair_closure(p, r)) for r in residues if r)
+    return row
 
 
 def space_compactness_flags(p: OpPair) -> SpaceCompactnessFlags:
     full = p.topology.full
-    residues = _residues(p)
+    residues = [r for r, _ in _residue_row(p)]
     closed = pair_closed_family(p)
     return SpaceCompactnessFlags(
         hypothesis=base_report(p).hypothesis_d,
@@ -436,7 +468,7 @@ def additive_enlarger_flags(p: OpPair, a: int) -> AdditiveEnlargerFlags:
     return AdditiveEnlargerFlags(
         hypothesis=hyp,
         cover=compactness_kind(p, a, "pair"),
-        restricted_bases_accumulate=all(pair_closure(p, r) & a for r in _residues(p) if r & a),
+        restricted_bases_accumulate=all(closure & a for r, closure in _residue_row(p) if r & a),
     )
 
 

@@ -22,7 +22,7 @@ from .bits import canonical_family, derive_seed, submasks_desc
 from .compact import (
     CoverSystem,
     additive_enlarger_flags,
-    brute_force_compact,
+    brute_force_compact_all,
     compactness_kind,
     cover_kind_flags,
     filter_compactness_flags,
@@ -229,8 +229,8 @@ class _PrincipalRow(dict):
 class _SpaceContext:
     """Per-space working set shared by all suites: the operation catalog,
     its pointwise order, the requested pairs, the quantified
-    subsets/filterbases/cores, and each pair's limit and adherence rows
-    over those cores."""
+    subsets/filterbases/cores, each pair's limit and adherence rows
+    over those cores, and each selector's neighbourhood up-sets."""
 
     def __init__(self, label: str, top: Topology, cfg: SuiteConfig):
         self.label = label
@@ -256,6 +256,7 @@ class _SpaceContext:
             (a, b): leq(self.ops[a], self.ops[b]) for a in BUILTIN_NAMES for b in BUILTIN_NAMES
         }
         self._filter_rows: dict[tuple[str, str], tuple[_PrincipalRow, _PrincipalRow]] = {}
+        self._neighborhoods: dict[tuple[str, int], tuple] = {}
 
     def _quantified_subsets(self, cfg: SuiteConfig) -> list[int]:
         if self.n <= 4:
@@ -313,6 +314,15 @@ class _SpaceContext:
                 _PrincipalRow(lambda c: adherence_set(Filter(n, c), p), self.core_list),
             )
         return rows
+
+    def neighborhoods(self, sel_name: str, x: int) -> tuple:
+        """Supersets of the selector-open sets around ``x``: they depend
+        on the selector alone, so each is built once per space."""
+        key = (sel_name, x)
+        got = self._neighborhoods.get(key)
+        if got is None:
+            got = self._neighborhoods[key] = neighborhoods(self.n, self.open_sets[sel_name], x)
+        return got
 
     def regularity(self, sel_name: str, enl_name: str) -> Optional[bool]:
         """Whether the enlarger is regular against the selector-open
@@ -632,10 +642,10 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                       str((diff & -diff).bit_length() - 1))
 
         # superset-closed neighbourhood variant changes nothing (monotone
-        # enlarger); building that family scans all subsets, so it is
-        # gated on bigger carriers
+        # enlarger); each up-set is one pass over all subsets, built once
+        # per selector and point, and the variant is gated on bigger carriers
         if monotone_enl and (1 << n) * max(len(sel_open), 1) <= 10**7:
-            nbhd = [neighborhoods(n, sel_open, x) for x in range(n)]
+            nbhd = [ctx.neighborhoods(a, x) for x in range(n)]
             for core in ctx.cores():
                 F = Filter(n, core)
                 out.instances_checked += 1
@@ -854,10 +864,11 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
             fam = canonical_family(trimmed + [ctx.full])
         for enl_name in BUILTIN_NAMES:
             cs = CoverSystem(fam, ctx.ops[enl_name])
-            for s in ctx.subsets:
+            literal = brute_force_compact_all(cs, ctx.subsets)
+            for s, literal_compact in zip(ctx.subsets, literal):
                 out.instances_checked += 1
                 verdict = is_compact(cs, s)
-                if verdict.compact != brute_force_compact(cs, s):
+                if verdict.compact != literal_compact:
                     _fail(out, ctx, enl_name, _mask_str(ctx, s),
                           "fast criterion agrees with the literal oracle", str(list(fam)))
                 if not verdict.compact:

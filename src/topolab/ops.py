@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .bits import Family, canonical_family, is_subset, subsets
+from .bits import Family, canonical_family, contained_union_table
 from .space import Topology
 
 #: Builtin operation names, in catalog order.
@@ -203,10 +203,13 @@ def is_regular_wrt(op: Operation, family: Sequence[int]) -> bool:
 
 
 def neighborhoods(n: int, family: Sequence[int], point: int) -> Family:
-    """All supersets of some family member containing ``point``."""
+    """All supersets of some family member containing ``point``.
+
+    A set holds such a member exactly when the contained-union table
+    keyed on those members reads nonzero there: one O(2**n * n) pass.
+    """
     local = at_point(family, point)
     if not local:
         return ()
-    return tuple(
-        m for m in subsets(n) if any(is_subset(u, m) for u in local)
-    )
+    table = contained_union_table(((u, 1) for u in local), n)
+    return tuple(m for m, holds in enumerate(table) if holds)

@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the library.
 
 Each oracle recomputes a quantity through a different route than the
-package: preorder counting for the enumerator, direct scans for interior
-and monotonicity, the raw pointwise rules for the pair interior and
+package: preorder counting for the enumerator, direct scans for interior,
+monotonicity and neighbourhood up-sets, the per-subset subfamily scan
+for cover compactness, the raw pointwise rules for the pair interior and
 pair closure, the structure flags read literally off their wording, the
 quadratic directedness test for filterbases, pairwise scans and
 fixpoints for union and intersection closure, full core scans and
@@ -31,6 +32,41 @@ def intersection_dp(members, full: int) -> list[int]:
         low = sel & -sel
         dp[sel] = dp[sel ^ low] & members[low.bit_length() - 1]
     return dp
+
+
+def union_table(members) -> list[int]:
+    """dp[sel] = union of the members picked by the bits of ``sel``."""
+    dp = [0] * (1 << len(members))
+    for sel in range(1, 1 << len(members)):
+        low = sel & -sel
+        dp[sel] = dp[sel ^ low] | members[low.bit_length() - 1]
+    return dp
+
+
+def per_subset_compact(cs, a: int) -> bool:
+    """The compactness quantifiers read literally for one set: every
+    subfamily of the ambient family covering ``a`` is scanned, and for
+    each the finite subfamilies until one has enlargements covering
+    ``a``."""
+    members = list(cs.ambient)
+    plain = union_table(members)
+    enl = cs.enlarger.table
+    enlarged = union_table([enl[u] for u in members])
+    for cover_sel in range(1 << len(members)):
+        if a & ~plain[cover_sel]:
+            continue
+        if not any(a & ~enlarged[sub] == 0 for sub in submasks_desc(cover_sel)):
+            return False
+    return True
+
+
+def literal_neighborhoods(n: int, family, point: int) -> tuple:
+    """Every subset of an n-point carrier holding some member of
+    ``family`` that contains ``point``, scanned subset by subset."""
+    local = [u for u in family if u >> point & 1]
+    if not local:
+        return ()
+    return tuple(m for m in range(1 << n) if any(u & ~m == 0 for u in local))
 
 
 def count_preorders(n: int) -> int:

@@ -10,6 +10,7 @@ from topolab import (
     OpPair,
     additive_enlarger_flags,
     brute_force_compact,
+    brute_force_compact_all,
     catalog,
     closed_space_predicates,
     compactness_kind,
@@ -23,7 +24,7 @@ from topolab import (
     space_compactness_flags,
 )
 from topolab.bits import canonical_family
-from topolab.ops import dual_table, op_closed_family
+from topolab.ops import dual_table, op_closed_family, op_open_family
 from topolab.pairs import (
     enlargement_base,
     pair_closed_family,
@@ -39,6 +40,7 @@ from oracles import (
     inner_bases_accumulate,
     literal_fip_and_gap,
     meeting_bases_accumulate,
+    per_subset_compact,
     sampled_families,
     seeded_subfamily,
     subfamily_bases_accumulate,
@@ -131,7 +133,71 @@ def test_brute_force_cap(s2):
     object.__setattr__(big, "enlarger", catalog(s2)["cl"])
     with pytest.raises(ValueError, match="cap"):
         brute_force_compact(big, 0)
+    with pytest.raises(ValueError, match="cap"):
+        brute_force_compact_all(big, ())
     assert brute_force_compact(cs, s2.full)
+
+
+def families_with_full(top):
+    """Every family of subsets holding the whole space."""
+    others = [m for m in top.subsets() if m != top.full]
+    for sel in range(1 << len(others)):
+        yield tuple(sorted([others[i] for i in range(len(others)) if sel >> i & 1] + [top.full]))
+
+
+def derived_ambients(top):
+    """The operation-open, pair-open and enlargement-base families: the
+    ambient families the oracle suite sweeps above two points."""
+    ops = catalog(top)
+    out = {op_open_family(op) for op in ops.values()}
+    for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
+        p = OpPair(ops[a], ops[b])
+        out.add(pair_open_family(p))
+        out.add(canonical_family(enlargement_base(p) + (top.full,)))
+    return sorted(out)
+
+
+def test_batched_oracle_matches_per_subset_scan():
+    # every ambient family up to 2 points and the suite's derived ambient
+    # families up to 3, with every enlarger and every subset; then seeded
+    # 4-6-point spaces with their derived families, seeded draws from the
+    # power set and seeded subsets
+    cases = []
+    for top in [t for n in (0, 1, 2, 3) for t in enumerate_topologies(n)]:
+        ambients = list(families_with_full(top)) if top.n <= 2 else derived_ambients(top)
+        cases.append((top, ambients, list(top.subsets())))
+    rng = random.Random(53)
+    for n in (4, 5, 6):
+        top = random_topology(n, rng.randrange(10**6), n)
+        ambients = [fam for fam in derived_ambients(top) if len(fam) <= 10]
+        for _ in range(3):
+            drawn = rng.sample(range(top.full), rng.randrange(2, 10))
+            ambients.append(canonical_family(drawn + [top.full]))
+        targets = list(top.subsets()) if n == 4 else sorted(
+            {0, top.full, *(rng.randrange(1 << n) for _ in range(10))})
+        cases.append((top, ambients, targets))
+    checked = refuted = 0
+    for top, ambients, targets in cases:
+        ops = catalog(top)
+        for fam in ambients:
+            for enl in BUILTIN_NAMES:
+                cs = CoverSystem(fam, ops[enl])
+                got = brute_force_compact_all(cs, targets)
+                expected = tuple(per_subset_compact(cs, s) for s in targets)
+                assert got == expected, (top, fam, enl)
+                checked += len(targets)
+                refuted += expected.count(False)
+    assert refuted and refuted < checked
+
+
+def test_batched_oracle_target_order(s2):
+    # verdicts follow the targets as given: unsorted, repeated or none
+    cs = CoverSystem(tuple(s2.subsets()), catalog(s2)["sint"])
+    single = {a: per_subset_compact(cs, a) for a in s2.subsets()}
+    assert single[0b10] is False and single[0b01] is True
+    for targets in ((3, 0, 2, 1), (2, 2, 1, 2), (2,), ()):
+        assert brute_force_compact_all(cs, targets) == tuple(single[a] for a in targets)
+    assert brute_force_compact(cs, 0b10) is False
 
 
 def test_compactness_kind_examples(s2):
@@ -343,13 +409,13 @@ def test_compactness_kind_matches_avoidance_criterion():
             for kind in KINDS:
                 cs = kind_system(p, kind, ops["identity"])
                 key = (cs.ambient, cs.enlarger.table)
+                if len(cs.ambient) <= 12 and key not in literal:
+                    literal[key] = dict(zip(subsets, brute_force_compact_all(cs, subsets)))
                 for s in subsets:
                     got = compactness_kind(p, s, kind)
                     assert got == is_compact(cs, s).compact, (top, a, b, kind, s)
-                    if len(cs.ambient) <= 12:
-                        if (key, s) not in literal:
-                            literal[key, s] = brute_force_compact(cs, s)
-                        assert got == literal[key, s], (top, a, b, kind, s)
+                    if key in literal:
+                        assert got == literal[key][s], (top, a, b, kind, s)
 
 
 def test_cover_kind_hypothesis_examples(s2):
@@ -442,8 +508,9 @@ def test_oracle_agreement_on_random_spaces():
         top = random_topology(4, rng.randrange(10**6), 3)
         ops = catalog(top)
         cs = CoverSystem(tuple(top.subsets()), ops[enlargers[trial]])
+        literal = brute_force_compact_all(cs, top.subsets())
         for a in top.subsets():
-            assert is_compact(cs, a).compact == brute_force_compact(cs, a)
+            assert is_compact(cs, a).compact == literal[a]
 
 
 def test_closed_space_predicates(s2, d2, i2):

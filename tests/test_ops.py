@@ -22,7 +22,7 @@ from topolab import (
 )
 from topolab.ops import at_point, table_violation, tabulate
 
-from oracles import naive_is_monotone
+from oracles import literal_neighborhoods, naive_is_monotone
 
 
 def small_spaces():
@@ -156,6 +156,24 @@ def test_neighborhoods(s2):
     assert neighborhoods(2, (), 0) == ()
     assert neighborhoods(2, s2.opens, 1) == (3,)
     assert at_point(s2.opens, 1) == (3,)
+
+
+def test_neighborhoods_match_literal_scan():
+    # every operation-open family of every space up to 3 points, then
+    # seeded families (the empty family and ones without the full set
+    # included) on 4-8 points
+    cases = [
+        (top.n, op_open_family(op))
+        for top in small_spaces() for op in catalog(top).values()
+    ]
+    rng = random.Random(29)
+    for n in range(4, 9):
+        cases.append((n, ()))
+        for _ in range(4):
+            cases.append((n, tuple(sorted({rng.randrange(1 << n) for _ in range(rng.randrange(1, 9))}))))
+    for n, fam in cases:
+        for x in range(n):
+            assert neighborhoods(n, fam, x) == literal_neighborhoods(n, fam, x), (n, fam, x)
 
 
 def test_inclusion_lemma_forward_and_converse(s2):
