@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .bits import canonical_family, derive_seed, submasks_desc
+from .bits import Family, canonical_family, derive_seed, submasks_desc
 from .compact import (
     CoverSystem,
     additive_enlarger_flags,
@@ -324,6 +324,16 @@ class _SpaceContext:
             got = self._neighborhoods[key] = neighborhoods(self.n, self.open_sets[sel_name], x)
         return got
 
+    def family_topology(self, family: Family) -> Topology:
+        """The topology whose opens are ``family``: pairs often share an
+        open family, so each is validated and tabulated once, in the
+        space's memo."""
+        key = ("harness.family_topology", family)
+        got = self.top._memo.get(key)
+        if got is None:
+            got = self.top._memo[key] = Topology(self.top.ground, family)
+        return got
+
     def regularity(self, sel_name: str, enl_name: str) -> Optional[bool]:
         """Whether the enlarger is regular against the selector-open
         family; None when the literal cubic scan is unaffordable.  The
@@ -523,7 +533,7 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 # already reported above; the readings below presuppose it
                 _fail(out, ctx, pair, "X", "closure operator induces the pair topology")
             else:
-                ptop = Topology(ctx.top.ground, pair_open_family(p))
+                ptop = ctx.family_topology(pair_open_family(p))
                 chain_ok = True
                 for s in ctx.subsets:
                     pc = pair_closure(p, s)

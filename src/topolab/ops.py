@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .bits import Family, canonical_family, contained_union_table
+from .bits import Family, canonical_family, upward_closure
 from .space import Topology
 
 #: Builtin operation names, in catalog order.
@@ -205,11 +205,7 @@ def is_regular_wrt(op: Operation, family: Sequence[int]) -> bool:
 def neighborhoods(n: int, family: Sequence[int], point: int) -> Family:
     """All supersets of some family member containing ``point``.
 
-    A set holds such a member exactly when the contained-union table
-    keyed on those members reads nonzero there: one O(2**n * n) pass.
+    One zeta transform of the plane of the members around ``point``
+    (:func:`~topolab.bits.upward_closure`).
     """
-    local = at_point(family, point)
-    if not local:
-        return ()
-    table = contained_union_table(((u, 1) for u in local), n)
-    return tuple(m for m, holds in enumerate(table) if holds)
+    return upward_closure(at_point(family, point), n)

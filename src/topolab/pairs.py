@@ -78,7 +78,7 @@ class OpPair:
         if table is None:
             enl = self.enlarger.table
             # pair-interior of a = union of the selector-open sets whose
-            # enlargement sits inside a; a subset-sum fold gives the whole
+            # enlargement sits inside a; a subset-sum transform gives the whole
             # table at once instead of |selector-open| work per entry
             table = tuple(contained_union_table(
                 ((enl[u], u) for u in self.selector_open()), self.topology.n
@@ -226,9 +226,25 @@ def named_family(top: Topology, name: str) -> Family:
                  neighbourhood of each point fits inside; and complements
     thetaSO/C    theta-semi-open: a closure-sized semi-open neighbourhood
                  of each point fits inside; and complements
+
+    Memoized per name on the space, so each family is built once and
+    dies with the space.
     """
-    it, cl, full = top.interior, top.closure, top.full
+    key = ("pairs.named_family", name)
+    got = top._memo.get(key)
+    if got is None:
+        got = top._memo[key] = _named_family_rule(top, name)
+    return got
+
+
+def _named_family_rule(top: Topology, name: str) -> Family:
+    """The defining rule of one :func:`named_family`, read off the
+    space's interior table."""
+    it, full = top.int_table().__getitem__, top.full
     subs = top.subsets()
+
+    def cl(a: int) -> int:
+        return full ^ it(full ^ a)
 
     def compl(fam: Sequence[int]) -> Family:
         return canonical_family(full ^ a for a in fam)
@@ -250,7 +266,7 @@ def named_family(top: Topology, name: str) -> Family:
         return tuple(a for a in named_family(top, "SO") if a in sc)
     if name == "tau_theta":
         # a is in the family when each of its points has an open set
-        # whose closure fits inside a; the fold collects those witnesses
+        # whose closure fits inside a; the transform collects those witnesses
         witness = contained_union_table(((cl(u), u) for u in top.opens), top.n)
         return tuple(a for a in subs if a & ~witness[a] == 0)
     if name == "tau_s":

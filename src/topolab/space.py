@@ -151,8 +151,8 @@ class Topology:
         """``int_table()[a]`` is the interior of ``a``, for every subset.
 
         x lies in the interior of a exactly when its minimal open
-        neighbourhood fits inside a, so one subset-sum fold over the n
-        pairs (min_nbhd(x), {x}) tabulates every interior at once; built
+        neighbourhood fits inside a, so one subset-sum transform over the
+        n pairs (min_nbhd(x), {x}) tabulates every interior at once; built
         on first use and kept for the life of the space.
         """
         table = self._int_table

@@ -2,14 +2,15 @@
 
 Each oracle recomputes a quantity through a different route than the
 package: preorder counting for the enumerator, direct scans for interior,
-monotonicity and neighbourhood up-sets, the per-subset subfamily scan
-for cover compactness, the raw pointwise rules for the pair interior and
-pair closure, the structure flags read literally off their wording, the
-quadratic directedness test for filterbases, pairwise scans and
-fixpoints for union and intersection closure, full core scans and
-subfamily tables for the compactness records' base and family
-statements, and the family universes those statements are quantified
-over.  None of them import the code paths they validate.
+monotonicity, contained-union tables and neighbourhood up-sets, the
+per-subset subfamily scan for cover compactness, the raw pointwise rules
+for the pair interior and pair closure, the structure flags read
+literally off their wording, the quadratic directedness test for
+filterbases, pairwise scans and fixpoints for union and intersection
+closure, full core scans and subfamily tables for the compactness
+records' base and family statements, and the family universes those
+statements are quantified over.  None of them import the code paths
+they validate.
 """
 
 from __future__ import annotations
@@ -58,6 +59,20 @@ def per_subset_compact(cs, a: int) -> bool:
         if not any(a & ~enlarged[sub] == 0 for sub in submasks_desc(cover_sel)):
             return False
     return True
+
+
+def literal_contained_union_table(pairs, n: int) -> list[int]:
+    """table[a] = OR of the payloads whose key lies inside ``a``,
+    scanned subset by subset over every pair."""
+    pairs = list(pairs)
+    table = []
+    for a in range(1 << n):
+        acc = 0
+        for key, payload in pairs:
+            if key & ~a == 0:
+                acc |= payload
+        table.append(acc)
+    return table
 
 
 def literal_neighborhoods(n: int, family, point: int) -> tuple:
