@@ -29,9 +29,6 @@ Family = tuple  # tuple[int, ...], canonical: sorted ascending, no duplicates
 
 SUBFAMILY_CAP = 20  # 2**20 subfamily masks is the largest scan we allow
 
-#: from this many points on, the subset-sum table runs as one lane integer
-LANE_MIN_POINTS = 5
-
 _LANE_CODE = {array(code).itemsize: code for code in "BHILQ"}
 _DIGIT_FLAG = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -72,13 +69,6 @@ def subsets(n: int) -> range:
 
 def canonical_family(masks: Iterable[int]) -> Family:
     return tuple(sorted(set(masks)))
-
-
-def union_all(masks: Iterable[int]) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
 
 
 def intersect_all(masks: Iterable[int], full: int) -> int:
@@ -163,21 +153,13 @@ def contained_union_table(pairs: Iterable[tuple[int, int]], n: int) -> list[int]
 
     Subset-sum (zeta) transform over the subset lattice: seed each key
     with the union of its payloads, then close upwards one point at a
-    time.  From LANE_MIN_POINTS points on, the table is one integer of
-    2**n byte-aligned lanes, so each point is one shift-and-OR over all
-    of them; below it a list fold is cheaper than the conversion.
+    time.  The table is one integer of 2**n byte-aligned lanes, so each
+    point is one shift-and-OR over all of them.
     """
     size = 1 << n
     table = [0] * size
     for key, payload in pairs:
         table[key] |= payload
-    if n < LANE_MIN_POINTS:
-        for i in range(n):
-            bit = 1 << i
-            for a in range(size):
-                if a & bit:
-                    table[a] |= table[a ^ bit]
-        return table
     need = (max(table).bit_length() + 7) // 8
     lane = next((s for s in (1, 2, 4, 8) if s >= need), need)
     code = _LANE_CODE.get(lane)

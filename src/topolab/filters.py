@@ -32,13 +32,12 @@ from .bits import (
     Family,
     canonical_family,
     intersect_all,
-    intersection_closure,
     iter_points,
     mask_of,
     submasks_desc,
 )
-from .ops import at_point, op_open_family
-from .pairs import OpPair, enlarger_is_regular, pair_closure
+from .ops import at_point
+from .pairs import OpPair, base_report, enlarger_is_regular, pair_closure
 from .space import Topology
 
 
@@ -179,23 +178,29 @@ def adherence_set(f: FilterLike, p: OpPair) -> int:
 def finer_convergent(f: Filter, p: OpPair, point: int) -> Filter:
     """Refine an accumulating filter into one converging to ``point``.
 
-    Builds the base of enlarged neighbourhoods of the point cut with the
-    filter members.  Only guaranteed when the enlarger is regular with
-    respect to the selector-open family and the filter accumulates at
-    the point; both preconditions are enforced.
+    The refinement is generated by the base of enlarged neighbourhoods
+    of the point cut with the filter members.  Only guaranteed when the
+    enlarger is regular with respect to the selector-open family and the
+    filter accumulates at the point; both preconditions are enforced.
+
+    Closed form: every member ``enl[u] & m`` of the base (u selector-open
+    around the point, m a superset of the core) holds ``meet = core &
+    envelope(point)``, the meet of them all.  If ``enl[u] & m == meet``
+    then ``meet <= enl[u] & core <= enl[u] & m``, so the meet is a member
+    exactly when some u has ``enl[u] & core == meet`` (take m = core).
+    A finite family is a filterbase exactly when it holds its own
+    nonempty meet, so the base is one iff the meet is nonempty and such
+    a u exists, and it generates the principal filter at the meet.
     """
     if not enlarger_is_regular(p):
         raise ValueError("enlarger is not regular w.r.t. the selector-open family")
     if not accumulates(f, p, point):
         raise ValueError("filter does not accumulate at the point")
     enl = p.enlarger.table
-    # nonempty: the full set is selector-open and contains every point
-    base = canonical_family(
-        enl[u] & m for u in p.selector_at(point) for m in f.members()
-    )
-    if not is_filterbase(base):
+    meet = f.core & p.envelope(point)
+    if not meet or all(enl[u] & f.core != meet for u in p.selector_at(point)):
         raise RuntimeError("refinement base failed the filterbase laws")
-    out = generated_filter(f.n, base)
+    out = Filter(f.n, meet)
     if not out.is_finer_than(f) or not converges(out, p, point):
         raise RuntimeError("refined filter failed its contract")
     return out
@@ -208,18 +213,23 @@ def maximal_filters(top: Topology) -> list[Filter]:
 
 def is_t2(p: OpPair) -> bool:
     """Every two distinct points sit in selector-open sets with disjoint
-    enlargements."""
+    enlargements.
+
+    A selector-open v around y has an enlargement missing ``enl[u]``
+    exactly when y lies in the pair interior of ``X \\ enl[u]``, so the
+    points separated from x are the union of those interiors over the
+    selector-open u around x.  The union may hold x itself, so only the
+    other points are asked for.
+    """
     enl = p.enlarger.table
-    fam = p.selector_open()
-    n = p.topology.n
-    for x in range(n):
-        for y in range(x + 1, n):
-            if not any(
-                enl[u] & enl[v] == 0
-                for u in at_point(fam, x)
-                for v in at_point(fam, y)
-            ):
-                return False
+    inner = p.int_table()
+    full = p.topology.full
+    for x in range(p.topology.n):
+        separated = 0
+        for u in p.selector_at(x):
+            separated |= inner[full ^ enl[u]]
+        if (full ^ (1 << x)) & ~separated:
+            return False
     return True
 
 
@@ -235,27 +245,25 @@ def nbhd_filterbase(p: OpPair, point: int, variant: str = "plain") -> Family:
     The returned base always generates a filter converging to ``point``;
     that contract is enforced rather than assumed.
     """
-    sel = p.selector_open()
-    enl_open = set(op_open_family(p.enlarger))
-    nested = all(u in enl_open for u in sel)
+    nested = base_report(p).family_nested
     if variant == "plain":
-        if intersection_closure(sel, p.topology.n) != sel:
+        if not p.topology.family_props(p.selector_open())[0]:
             raise ValueError("selector-open family is not intersection-closed")
         if not nested:
             raise ValueError("selector-open family does not sit inside the enlarger-open family")
-        base = canonical_family(at_point(sel, point))
+        base = p.selector_at(point)
     elif variant == "enlarged":
         if not enlarger_is_regular(p):
             raise ValueError("enlarger is not regular w.r.t. the selector-open family")
         if not nested:
             raise ValueError("selector-open family does not sit inside the enlarger-open family")
         enl = p.enlarger.table
-        base = canonical_family(enl[u] for u in at_point(sel, point))
+        base = canonical_family(enl[u] for u in p.selector_at(point))
     else:
         raise ValueError(f"unknown variant {variant!r}; use 'plain' or 'enlarged'")
     if not is_filterbase(base):
         raise RuntimeError("neighbourhood base failed the filterbase laws")
-    if not converges(generated_filter(p.topology.n, base), p, point):
+    if not converges(Filter(p.topology.n, intersect_all(base, p.topology.full)), p, point):
         raise RuntimeError("neighbourhood base failed to converge at its point")
     return base
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .bits import Family, canonical_family, upward_closure
+from .bits import Family, canonical_family, intersect_all, upward_closure
 from .space import Topology
 
 #: Builtin operation names, in catalog order.
@@ -190,15 +190,20 @@ def at_point(family: Sequence[int], point: int) -> Family:
 
 def is_regular_wrt(op: Operation, family: Sequence[int]) -> bool:
     """Whether any two family neighbourhoods of a point admit a third one
-    whose image squeezes under the intersection of their images."""
+    whose image squeezes under the intersection of their images.
+
+    The condition says the images of the neighbourhoods of x are
+    downward directed.  Folding directedness over a finite family gives
+    a member inside all of them, which is then their meet; conversely a
+    member equal to the meet squeezes under any two.  So x passes exactly
+    when the meet of its images is one of them, or vacuously when no
+    member holds x: one pass over the family per point.
+    """
     table = op.table
     for x in range(op.topology.n):
-        local = at_point(family, x)
-        for u in local:
-            for v in local:
-                target = table[u] & table[v]
-                if not any(table[w] & ~target == 0 for w in local):
-                    return False
+        images = {table[u] for u in family if u >> x & 1}
+        if images and intersect_all(images, op.topology.full) not in images:
+            return False
     return True
 
 

@@ -182,6 +182,58 @@ def literal_is_filterbase(family) -> bool:
     return True
 
 
+def literal_is_regular_wrt(op, family) -> bool:
+    """Regularity read literally: any two family members around a point
+    admit a third around it whose image squeezes under the meet of
+    theirs."""
+    table = op.table
+    for x in range(op.topology.n):
+        local = [u for u in family if u >> x & 1]
+        for u in local:
+            for v in local:
+                target = table[u] & table[v]
+                if not any(table[w] & ~target == 0 for w in local):
+                    return False
+    return True
+
+
+def literal_is_t2(p) -> bool:
+    """Separation read literally: every two distinct points sit in
+    selector-open sets with disjoint enlargements."""
+    from topolab.ops import op_open_family
+
+    fam = op_open_family(p.selector)
+    enl = p.enlarger.table
+    n = p.topology.n
+    for x in range(n):
+        for y in range(x + 1, n):
+            if not any(
+                enl[u] & enl[v] == 0
+                for u in fam if u >> x & 1
+                for v in fam if v >> y & 1
+            ):
+                return False
+    return True
+
+
+def literal_finer_convergent(f, p, point: int):
+    """The refinement construction read literally: cut every enlarged
+    selector-open set around ``point`` with every member of ``f`` and
+    return the core of the filter the cuts generate, or None when they
+    fail the quadratic directedness test.  The preconditions are left to
+    the caller."""
+    from topolab.ops import op_open_family
+
+    enl = p.enlarger.table
+    free = p.topology.full ^ f.core
+    members = [f.core | extra for extra in submasks_desc(free)]
+    base = {enl[u] & m for u in op_open_family(p.selector) if u >> point & 1 for m in members}
+    # smallest members first, so a directed base answers each pair at once
+    if not literal_is_filterbase(sorted(base, key=int.bit_count)):
+        return None
+    return functools.reduce(operator.and_, base)
+
+
 def all_families_of_nonempty(n: int):
     """Every family of nonempty subsets of an n-point carrier, the empty
     family included; only feasible for tiny n."""

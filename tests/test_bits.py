@@ -3,8 +3,6 @@
 import operator
 import random
 
-import pytest
-
 from topolab import bits
 from topolab.bits import (
     canonical_family,
@@ -29,11 +27,8 @@ def _pair_lists(rng, n, width):
     return [[], repeated, seeded]
 
 
-@pytest.mark.parametrize("lane_min_points", [0, bits.LANE_MIN_POINTS, 99])
-def test_contained_union_table_matches_literal_scan(monkeypatch, lane_min_points):
-    # 0 runs every size on lanes, 99 every size on the list fold
-    monkeypatch.setattr(bits, "LANE_MIN_POINTS", lane_min_points)
-    rng = random.Random(41 + lane_min_points)
+def test_contained_union_table_matches_literal_scan():
+    rng = random.Random(41)
     for n in range(13):
         for width in WIDTHS:
             for pairs in _pair_lists(rng, n, width):

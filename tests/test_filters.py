@@ -13,6 +13,7 @@ from topolab import (
     finer_convergent,
     generated_filter,
     is_filterbase,
+    is_regular_wrt,
     is_t2,
     limit_set,
     maximal_filters,
@@ -21,7 +22,13 @@ from topolab import (
     random_topology,
 )
 
-from oracles import literal_is_filterbase
+from oracles import (
+    literal_finer_convergent,
+    literal_is_filterbase,
+    literal_is_regular_wrt,
+    literal_is_t2,
+    pointwise_pair_closure,
+)
 
 
 def small_spaces():
@@ -200,7 +207,7 @@ def test_finer_convergent_preconditions(s2):
     assert not accumulates(f, plain, 0)
     with pytest.raises(ValueError, match="accumulate"):
         finer_convergent(f, plain, 0)
-    from topolab import is_regular_wrt, op_open_family
+    from topolab import op_open_family
 
     irregular = pair(_blunt3(), "introcl", "identity")
     assert not is_regular_wrt(irregular.enlarger, op_open_family(irregular.selector))
@@ -241,6 +248,59 @@ def test_t2_forces_unique_limits():
                     if lim:
                         assert lim.bit_count() == 1
                         assert adherence_set(f, p) == lim
+
+
+def _closed_form_spaces():
+    """Every space up to 3 points, then seeded 4-7-point spaces."""
+    import random
+
+    rng = random.Random(53)
+    seeded = [random_topology(n, rng.randrange(10**6), n) for n in (4, 5, 6, 7) for _ in range(2)]
+    return small_spaces() + seeded
+
+
+def test_t2_matches_literal_scan():
+    verdicts = set()
+    for top in _closed_form_spaces() + [_blunt3()]:
+        for a in BUILTIN_NAMES:
+            for b in BUILTIN_NAMES:
+                p = pair(top, a, b)
+                verdicts.add(is_t2(p))
+                assert is_t2(p) == literal_is_t2(p), (top, a, b)
+    assert verdicts == {True, False}
+
+
+def test_finer_convergent_matches_literal_construction():
+    # every core of every space up to 3 points; on the seeded spaces the
+    # whole set and four seeded cores.  Where the literal preconditions
+    # fail the closed form must refuse.
+    import random
+
+    rng = random.Random(59)
+    built = 0
+    for top in _closed_form_spaces() + [_blunt3()]:
+        n = top.n
+        if n <= 3:
+            cores = range(1, 1 << n)
+        else:
+            cores = sorted({top.full, *(rng.randrange(1, 1 << n) for _ in range(4))})
+        for a in BUILTIN_NAMES:
+            for b in BUILTIN_NAMES:
+                p = pair(top, a, b)
+                regular = literal_is_regular_wrt(p.enlarger, p.selector_open())
+                assert is_regular_wrt(p.enlarger, p.selector_open()) == regular, (top, a, b)
+                for core in cores:
+                    f = Filter(n, core)
+                    closure = pointwise_pair_closure(p, core)
+                    for x in range(n):
+                        if regular and closure >> x & 1:
+                            built += 1
+                            got = finer_convergent(f, p, x).core
+                            assert got == literal_finer_convergent(f, p, x), (top, a, b, core, x)
+                        else:
+                            with pytest.raises(ValueError):
+                                finer_convergent(f, p, x)
+    assert built > 10_000
 
 
 def test_nbhd_filterbase(s2):

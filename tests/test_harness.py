@@ -20,6 +20,7 @@ from topolab import (
     run_suites,
     sweep_spaces,
 )
+from topolab import harness
 from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES, _SpaceContext
 
 from oracles import pointwise_pair_closure
@@ -132,6 +133,38 @@ def test_filter_rows_match_literal_rules():
                 f = Filter(n, core)
                 assert lim_row[core] == limit_set(f, p) == literal, (i, key, core)
                 assert adh_row[core] == adherence_set(f, p) == pointwise_pair_closure(p, core), (i, key, core)
+
+
+def test_refinement_construction_runs_on_multipoint_cores(monkeypatch):
+    # a broken construction must be reported on cores of several points
+    # above three points, not only on singletons
+    def broken(f, p, point):
+        raise RuntimeError("refined filter failed its contract")
+
+    monkeypatch.setattr(harness, "finer_convergent", broken)
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=5, samples=1,
+                      pairs=("int,cl", "int,identity"), suites=("filters",))
+    failures = run_suites(cfg).suites["filters"].failures
+    cores = {f["subject"] for f in failures if f["statement"] == "refinement construction converges"}
+    assert any("," in core for core in cores), cores
+
+
+def test_separation_and_neighbourhood_bases_run_on_twelve_points(monkeypatch):
+    # 4096 selector-open sets: separation and both neighbourhood bases are
+    # checked at every point, with no cost gate in the way
+    variants = []
+    real = harness.nbhd_filterbase
+
+    def counted(p, point, variant):
+        variants.append(variant)
+        return real(p, point, variant)
+
+    monkeypatch.setattr(harness, "nbhd_filterbase", counted)
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=12, pairs=("identity,identity",), suites=("filters",))
+    result = run_suites(cfg, spaces=[("n=12", random_topology(12, 0, 12))]).suites["filters"]
+    assert not result.failures
+    assert "separation_scan_skipped" not in result.notes
+    assert sorted(variants) == ["enlarged"] * 12 + ["plain"] * 12
 
 
 def test_swept_space_is_collectable():

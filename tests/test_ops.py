@@ -22,7 +22,7 @@ from topolab import (
 )
 from topolab.ops import at_point, table_violation, tabulate
 
-from oracles import literal_neighborhoods, naive_is_monotone
+from oracles import literal_is_regular_wrt, literal_neighborhoods, naive_is_monotone
 
 
 def small_spaces():
@@ -149,6 +149,40 @@ def test_regularity_examples(s2):
     assert is_regular_wrt(ops["sint"], (s2.full,))
     bad_family = (0b011, 0b110, 0b111)
     assert not is_regular_wrt(catalog(discrete(3))["identity"], bad_family)
+
+
+def _regularity_cases():
+    """(space, families): on every space up to 3 points every family
+    holding the whole set; on seeded 4-7-point spaces the catalog's open
+    families up to 48 members and seeded families, the empty one and
+    ones without the whole set included."""
+    for top in small_spaces():
+        others = list(range(top.full))
+        yield top, [
+            tuple(sorted([others[i] for i in range(len(others)) if sel >> i & 1] + [top.full]))
+            for sel in range(1 << len(others))
+        ]
+    rng = random.Random(47)
+    for n in range(4, 8):
+        for _ in range(2):
+            top = random_topology(n, rng.randrange(10**6), n)
+            fams = [f for f in map(op_open_family, catalog(top).values()) if len(f) <= 48]
+            fams.append(())
+            for size in (2, 3, 5, 8, 13, 21):
+                picked = {rng.randrange(1 << n) for _ in range(size)}
+                fams.append(tuple(sorted(picked | {top.full})))
+                fams.append(tuple(sorted(picked - {top.full})))
+            yield top, fams
+
+
+def test_regularity_matches_literal_scan():
+    checked = 0
+    for top, fams in _regularity_cases():
+        for op in catalog(top).values():
+            for fam in fams:
+                assert is_regular_wrt(op, fam) == literal_is_regular_wrt(op, fam), (top, op, fam)
+                checked += 1
+    assert checked > 10_000
 
 
 def test_neighborhoods(s2):
