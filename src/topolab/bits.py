@@ -148,32 +148,39 @@ def _bits_of(plane: int) -> Family:
     return tuple(compress(range(len(flags)), flags))
 
 
-def contained_union_table(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
-    """table[a] = union of the payloads whose key mask sits inside ``a``.
-
-    Subset-sum (zeta) transform over the subset lattice: seed each key
-    with the union of its payloads, then close upwards one point at a
-    time.  The table is one integer of 2**n byte-aligned lanes, so each
-    point is one shift-and-OR over all of them.
-    """
-    size = 1 << n
-    table = [0] * size
-    for key, payload in pairs:
-        table[key] |= payload
+def _pack(table: Sequence[int]) -> tuple[int, int, str | None]:
+    """``table`` as one integer of equal byte-aligned lanes, lane a
+    holding ``table[a]``: (lanes, lane bytes, array code).  Lanes are 1,
+    2, 4 or 8 bytes through ``array``, byte-swapped on big-endian hosts;
+    wider entries go through one ``int.to_bytes`` each (code None)."""
     need = (max(table).bit_length() + 7) // 8
     lane = next((s for s in (1, 2, 4, 8) if s >= need), need)
     code = _LANE_CODE.get(lane)
-    if code is None:  # wider than a machine word: one int per lane
+    if code is None:
         raw = b"".join(v.to_bytes(lane, "little") for v in table)
     else:
         words = array(code, table)
         if sys.byteorder == "big":
             words.byteswap()
         raw = words.tobytes()
+    return int.from_bytes(raw, "little"), lane, code
+
+
+def contained_union_table(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
+    """table[a] = union of the payloads whose key mask sits inside ``a``.
+
+    Subset-sum (zeta) transform over the subset lattice: seed each key
+    with the union of its payloads, then close upwards one point at a
+    time.  The table is one integer of 2**n byte-aligned lanes
+    (:func:`_pack`), so each point is one shift-and-OR over all of them.
+    """
+    size = 1 << n
+    table = [0] * size
+    for key, payload in pairs:
+        table[key] |= payload
+    lanes, lane, code = _pack(table)
     width = 8 * lane
-    raw = _zeta(int.from_bytes(raw, "little"), _clear_masks(n, width), width).to_bytes(
-        size * lane, "little"
-    )
+    raw = _zeta(lanes, _clear_masks(n, width), width).to_bytes(size * lane, "little")
     if code is None:
         return [int.from_bytes(raw[i:i + lane], "little") for i in range(0, len(raw), lane)]
     words = array(code)
@@ -181,6 +188,21 @@ def contained_union_table(pairs: Iterable[tuple[int, int]], n: int) -> list[int]
     if sys.byteorder == "big":
         words.byteswap()
     return words.tolist()
+
+
+def is_monotone_table(table: Sequence[int], n: int) -> bool:
+    """Whether a inside b forces ``table[a]`` inside ``table[b]``.
+
+    Single-point extensions suffice, as any inclusion chains them.  With
+    the table packed as one lane integer (:func:`_pack`), point i is one
+    shift of the lanes without i onto those with it, failing when a
+    shifted lane has a bit its target lane lacks.
+    """
+    lanes, lane, _ = _pack(table)
+    width = 8 * lane
+    return not any(
+        (lanes & clear) << (width << i) & ~lanes for i, clear in _clear_masks(n, width)
+    )
 
 
 def upward_closure(family: Iterable[int], n: int) -> Family:

@@ -47,6 +47,7 @@ from .filters import (
 from .jsonio import SchemaError, canonical_json
 from .ops import (
     BUILTIN_NAMES,
+    Operation,
     catalog,
     dual,
     is_monotone,
@@ -210,6 +211,30 @@ def emit_report(report: Report, path: str) -> None:
         fh.write(report.to_json())
 
 
+def _shared_runs(out: SuiteResult, items: Sequence[tuple], key: Callable,
+                 body: Callable, tail: Optional[Callable] = None) -> None:
+    """Run ``body(*item, run)`` once per distinct ``key(*item)`` and merge
+    the run into ``out`` once per item, in item order.
+
+    A clean run records nothing that names its item, so items of one key
+    share it.  A run with a failure is never shared: each other item of
+    that key runs its own body, so its records carry its own name.
+    ``tail(*item, out)`` runs for every item, for checks that read the
+    item's names rather than its key.
+    """
+    runs: dict = {}
+    for item in items:
+        k = key(*item)
+        run = runs.get(k)
+        if run is None or run.failures:
+            run = SuiteResult()
+            body(*item, run)
+            runs.setdefault(k, run)
+        out.merge(run)
+        if tail is not None:
+            tail(*item, out)
+
+
 class _PrincipalRow(dict):
     """Core -> limit (or adherence) set of the principal filter at that
     core, for one pair.  Filled over the quantified cores when built; any
@@ -231,7 +256,12 @@ class _SpaceContext:
     """Per-space working set shared by all suites: the operation catalog,
     its pointwise order, the requested pairs, the quantified
     subsets/filterbases/cores, each pair's limit and adherence rows
-    over those cores, and each selector's neighbourhood up-sets."""
+    over those cores, and each selector's neighbourhood up-sets.
+
+    Named pairs keep one :class:`OpPair` each, since witnesses print
+    the names; the memos are keyed by operation (:meth:`pair_key`), as
+    the statements depend on the maps alone: the filter rows by
+    operation pair, the neighbourhood up-sets by selector operation."""
 
     def __init__(self, label: str, top: Topology, cfg: SuiteConfig):
         self.label = label
@@ -256,8 +286,8 @@ class _SpaceContext:
         self.order = {
             (a, b): leq(self.ops[a], self.ops[b]) for a in BUILTIN_NAMES for b in BUILTIN_NAMES
         }
-        self._filter_rows: dict[tuple[str, str], tuple[_PrincipalRow, _PrincipalRow]] = {}
-        self._neighborhoods: dict[tuple[str, int], tuple] = {}
+        self._filter_rows: dict[tuple[Operation, Operation], tuple[_PrincipalRow, _PrincipalRow]] = {}
+        self._neighborhoods: dict[tuple[Operation, int], tuple] = {}
 
     def _quantified_subsets(self, cfg: SuiteConfig) -> list[int]:
         if self.n <= 4:
@@ -303,14 +333,25 @@ class _SpaceContext:
     def cores(self) -> Sequence[int]:
         return self.core_list
 
+    def pair_key(self, a: str, b: str) -> tuple[Operation, Operation]:
+        """The operations a named pair stands for; names whose tables
+        coincide give one key (``Operation`` equality is by table)."""
+        return self.ops[a], self.ops[b]
+
+    def each_pair(self, out: SuiteResult, body: Callable, tail: Optional[Callable] = None) -> None:
+        """``body(a, b, run)`` once per distinct operation pair among the
+        requested names, counted once per name (:func:`_shared_runs`)."""
+        _shared_runs(out, self.pair_names, self.pair_key, body, tail)
+
     def filter_rows(self, key: tuple[str, str]) -> tuple[_PrincipalRow, _PrincipalRow]:
         """(limits, adherences) of the principal filters at the quantified
-        cores for one requested pair, built on first use and kept for the
-        life of the space."""
-        rows = self._filter_rows.get(key)
+        cores for one requested pair, built on first use per operation
+        pair and kept for the life of the space."""
+        ops = self.pair_key(*key)
+        rows = self._filter_rows.get(ops)
         if rows is None:
             p, n = self.pairs[key], self.n
-            rows = self._filter_rows[key] = (
+            rows = self._filter_rows[ops] = (
                 _PrincipalRow(lambda c: limit_set(Filter(n, c), p), self.core_list),
                 _PrincipalRow(lambda c: adherence_set(Filter(n, c), p), self.core_list),
             )
@@ -318,8 +359,8 @@ class _SpaceContext:
 
     def neighborhoods(self, sel_name: str, x: int) -> tuple:
         """Supersets of the selector-open sets around ``x``: they depend
-        on the selector alone, so each is built once per space."""
-        key = (sel_name, x)
+        on the selector operation alone, so each is built once per space."""
+        key = (self.ops[sel_name], x)
         got = self._neighborhoods.get(key)
         if got is None:
             got = self._neighborhoods[key] = neighborhoods(self.n, self.open_sets[sel_name], x)
@@ -482,7 +523,8 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
 def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     out = SuiteResult()
-    for (a, b) in ctx.pair_names:
+
+    def check(a: str, b: str, out: SuiteResult) -> None:
         p = ctx.pairs[(a, b)]
         pair = p.name
         rep = classify_structure(p)
@@ -559,6 +601,8 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             _fail(out, ctx, pair, "base", "stable images land in both open families")
         if (rep2.hypothesis_b or rep2.hypothesis_c or rep2.hypothesis_d) and not rep2.is_base:
             _fail(out, ctx, pair, "base", "enlargement base generates the pair-open family")
+
+    ctx.each_pair(out, check)
     return out
 
 
@@ -627,7 +671,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     n, full = ctx.n, ctx.full
     base_cores = [generated_filter(n, base).core for base in ctx.bases]
 
-    for (a, b) in ctx.pair_names:
+    def check(a: str, b: str, out: SuiteResult) -> None:
         p = ctx.pairs[(a, b)]
         pair = p.name
         sel_open = ctx.open_sets[a]
@@ -830,6 +874,8 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 if lim[core] & ~wide_lim[core] or adh[core] & ~wide_adh[core]:
                     _fail(out, ctx, pair, f"{c},{d}", "transfer to a wider pair", _mask_str(ctx, core))
                     break
+
+    ctx.each_pair(out, check)
     return out
 
 
@@ -852,6 +898,28 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
             derived.add(canonical_family(enlargement_base(p) + (ctx.full,)))
         ambients = sorted(derived)
 
+    def check(fam: Family, enl_name: str, out: SuiteResult) -> None:
+        cs = CoverSystem(fam, ctx.ops[enl_name])
+        literal = brute_force_compact_all(cs, ctx.subsets)
+        for s, literal_compact in zip(ctx.subsets, literal):
+            out.instances_checked += 1
+            verdict = is_compact(cs, s)
+            if verdict.compact != literal_compact:
+                _fail(out, ctx, enl_name, _mask_str(ctx, s),
+                      "fast criterion agrees with the literal oracle", str(list(fam)))
+            if not verdict.compact:
+                cover = verdict.witness_cover
+                point = verdict.witness_point
+                enl = ctx.ops[enl_name].table
+                union = 0
+                for u in cover:
+                    union |= u
+                if s & ~union or not s >> point & 1 or any(
+                    enl[u] >> point & 1 for u in cover
+                ):
+                    _fail(out, ctx, enl_name, _mask_str(ctx, s),
+                          "failing verdicts carry valid witnesses", str(list(cover)))
+
     # subfamily scans are 2**|ambient|; thin the big sampled-space
     # families well below the hard oracle cap to keep the sweep quick
     sweep_cap = 10
@@ -860,27 +928,9 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
         if len(fam) > sweep_cap:
             trimmed = rng.sample([m for m in fam if m != ctx.full], sweep_cap - 1)
             fam = canonical_family(trimmed + [ctx.full])
-        for enl_name in BUILTIN_NAMES:
-            cs = CoverSystem(fam, ctx.ops[enl_name])
-            literal = brute_force_compact_all(cs, ctx.subsets)
-            for s, literal_compact in zip(ctx.subsets, literal):
-                out.instances_checked += 1
-                verdict = is_compact(cs, s)
-                if verdict.compact != literal_compact:
-                    _fail(out, ctx, enl_name, _mask_str(ctx, s),
-                          "fast criterion agrees with the literal oracle", str(list(fam)))
-                if not verdict.compact:
-                    cover = verdict.witness_cover
-                    point = verdict.witness_point
-                    enl = ctx.ops[enl_name].table
-                    union = 0
-                    for u in cover:
-                        union |= u
-                    if s & ~union or not s >> point & 1 or any(
-                        enl[u] >> point & 1 for u in cover
-                    ):
-                        _fail(out, ctx, enl_name, _mask_str(ctx, s),
-                              "failing verdicts carry valid witnesses", str(list(cover)))
+        # one oracle run per distinct enlarger table
+        _shared_runs(out, [(fam, nm) for nm in BUILTIN_NAMES],
+                     lambda fam, nm: ctx.ops[nm], check)
     return out
 
 
@@ -888,14 +938,19 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     out = SuiteResult()
     top = ctx.top
 
-    class_masks = {}
-    for key, p in ctx.pairs.items():
-        mask = {}
-        for s in ctx.subsets:
-            mask[s] = compactness_kind(p, s, "pair")
-        class_masks[key] = mask
+    # verdicts[(operation pair, kind)][s]: compactness of every quantified
+    # subset in one cover system, built once per distinct pair
+    verdicts = {}
 
-    for (a, b) in ctx.pair_names:
+    def kinds(a: str, b: str, kind: str = "pair") -> dict[int, bool]:
+        key = (ctx.pair_key(a, b), kind)
+        got = verdicts.get(key)
+        if got is None:
+            p = ctx.pairs[(a, b)]
+            got = verdicts[key] = {s: compactness_kind(p, s, kind) for s in ctx.subsets}
+        return got
+
+    def check(a: str, b: str, out: SuiteResult) -> None:
         p = ctx.pairs[(a, b)]
         pair = p.name
         for s in ctx.subsets:
@@ -922,25 +977,29 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             if not (ctx.open_as_set[c] <= ctx.open_as_set[a] and ctx.order[(b, d)]):
                 continue
             out.instances_checked += 1
-            src, dst = class_masks[(a, b)], class_masks[(c, d)]
+            src, dst = kinds(a, b), kinds(c, d)
             strict = [s for s in ctx.subsets if src[s] and not dst[s]]
             if strict:
                 _fail(out, ctx, pair, f"{c},{d}", "compact sets transfer to wider pairs",
                       _mask_str(ctx, strict[0]))
 
-        # enlargers agreeing on the selector-open family give one verdict
+    def agreeing(a: str, b: str, out: SuiteResult) -> None:
+        # enlargers agreeing on the selector-open family give one verdict;
+        # the partners share the selector's name, so this runs per name
         sel = ctx.open_sets[a]
         for (c, d) in ctx.pair_names:
             if c != a or d == b:
                 continue
             if all(ctx.ops[b].table[u] == ctx.ops[d].table[u] for u in sel):
-                q = ctx.pairs[(c, d)]
                 out.instances_checked += 1
                 for s in ctx.subsets:
-                    if class_masks[(a, b)][s] != class_masks[(c, d)][s] or \
-                       compactness_kind(p, s, "pair_open") != compactness_kind(q, s, "pair_open"):
-                        _fail(out, ctx, pair, f"{c},{d}", "agreeing enlargers give one verdict", _mask_str(ctx, s))
+                    if kinds(a, b)[s] != kinds(c, d)[s] or \
+                       kinds(a, b, "pair_open")[s] != kinds(c, d, "pair_open")[s]:
+                        _fail(out, ctx, ctx.pairs[(a, b)].name, f"{c},{d}",
+                              "agreeing enlargers give one verdict", _mask_str(ctx, s))
                         break
+
+    ctx.each_pair(out, check, agreeing)
 
     # named class implications
     for s in ctx.subsets:

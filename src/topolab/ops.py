@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .bits import Family, canonical_family, intersect_all, upward_closure
+from .bits import Family, canonical_family, intersect_all, is_monotone_table, upward_closure
 from .space import Topology
 
 #: Builtin operation names, in catalog order.
@@ -150,22 +150,10 @@ def leq(a: Operation, b: Operation) -> bool:
 
 
 def is_monotone(op: Operation) -> bool:
-    """Whether S inside T forces op(S) inside op(T).
-
-    Checked along single-point extensions only; any inclusion is a chain
-    of those, so this is equivalent to the all-pairs definition.
-    """
-    table = op.table
-    n = op.topology.n
-    for a in op.topology.subsets():
-        img = table[a]
-        for i in range(n):
-            bit = 1 << i
-            if a & bit:
-                continue
-            if img & ~table[a | bit]:
-                return False
-    return True
+    """Whether S inside T forces op(S) inside op(T): n shift-and-AND
+    steps on the table packed as one lane integer
+    (:func:`~topolab.bits.is_monotone_table`)."""
+    return is_monotone_table(op.table, op.topology.n)
 
 
 def op_open_family(op: Operation) -> Family:

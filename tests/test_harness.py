@@ -178,6 +178,99 @@ def test_swept_space_is_collectable():
     assert ref() is None
 
 
+def test_each_distinct_operation_pair_runs_once(monkeypatch):
+    # the benchmark's sampled6 space n=6~0 has four distinct catalog
+    # operations: the per-pair statements run once per distinct
+    # (selector, enlarger) pair, the oracle once per distinct enlarger
+    # of each ambient family
+    cfg = SuiteConfig(n_exhaustive=2, n_sampled=6, samples=2, seed=31)
+    top = dict(sweep_spaces(cfg))["n=6~0"]
+    seen = {"classify_structure": [], "space_compactness_flags": [], "brute_force_compact_all": []}
+    for name, calls in seen.items():
+        def counted(first, *rest, real=getattr(harness, name), calls=calls):
+            calls.append(first)
+            return real(first, *rest)
+        monkeypatch.setattr(harness, name, counted)
+    report = run_suites(cfg, spaces=[("n=6~0", top)])
+    assert report.ok
+
+    ctx = _SpaceContext("n=6~0", top, cfg)
+    distinct_ops = set(ctx.ops.values())
+    distinct_pairs = {ctx.pair_key(a, b) for a, b in ctx.pair_names}
+    assert len(distinct_ops) == 4 and len(distinct_pairs) == 16
+    for name in ("classify_structure", "space_compactness_flags"):
+        assert len(seen[name]) == len(distinct_pairs), name
+        assert {(p.selector, p.enlarger) for p in seen[name]} == distinct_pairs, name
+    # one block of calls per ambient family, one call per distinct enlarger
+    oracle, k = seen["brute_force_compact_all"], len(distinct_ops)
+    ambients = len(oracle) // k
+    assert report.suites["compactness_oracle"].instances_checked == ambients * 7 * len(ctx.subsets)
+    for i in range(0, len(oracle), k):
+        block = oracle[i:i + k]
+        assert len({cs.ambient for cs in block}) == 1
+        assert {cs.enlarger for cs in block} == distinct_ops
+
+
+def test_failing_runs_are_not_shared(monkeypatch):
+    # a failing run names its pair, so every table twin of a failing pair
+    # runs its own body and fails with the same records under its own name
+    def broken(f, p, point):
+        raise RuntimeError("refined filter failed its contract")
+
+    monkeypatch.setattr(harness, "finer_convergent", broken)
+    cfg = SuiteConfig(n_exhaustive=3, suites=("filters",))
+    records = {}
+    for f in run_suites(cfg).suites["filters"].failures:
+        rest = {k: v for k, v in f.items() if k != "pair"}
+        records.setdefault((f["space"], f["pair"]), []).append(rest)
+    twins = 0
+    for label, top in sweep_spaces(cfg):
+        ctx = _SpaceContext(label, top, cfg)
+        for a, b in ctx.pair_names:
+            mine = records.get((label, f"{a},{b}"))
+            if mine is None:
+                continue
+            for c, d in ctx.pair_names:
+                if (c, d) != (a, b) and ctx.pair_key(c, d) == ctx.pair_key(a, b):
+                    assert records.get((label, f"{c},{d}")) == mine, (label, a, b, c, d)
+                    twins += 1
+    assert twins
+
+
+def test_report_does_not_depend_on_pair_order(monkeypatch):
+    # a name leaking into a shared run would make the counts depend on
+    # which name of a group runs first; the broken refinement construction
+    # gives the filters suite failures to compare as well
+    def broken(f, p, point):
+        raise RuntimeError("refined filter failed its contract")
+
+    monkeypatch.setattr(harness, "finer_convergent", broken)
+    forward = run_suites(SuiteConfig(n_exhaustive=3)).suites
+    backward = run_suites(SuiteConfig(n_exhaustive=3, pairs=CATALOG_PAIRS[::-1])).suites
+    assert forward["filters"].failures
+    for name in SUITE_NAMES:
+        assert forward[name].instances_checked == backward[name].instances_checked, name
+        assert forward[name].notes == backward[name].notes, name
+        key = lambda f: json.dumps(f, sort_keys=True)
+        assert sorted(forward[name].failures, key=key) == sorted(backward[name].failures, key=key), name
+
+
+def test_sharing_changes_no_report(monkeypatch):
+    # against a run that shares nothing; on the discrete spaces these names
+    # coincide but pick different partners for the agreeing-enlargers
+    # check of the compactness suite
+    pairs = ("int,cl", "identity,cl", "int,scl", "cl,cl", "int,identity", "sint,int")
+    cfg = SuiteConfig(n_exhaustive=2, n_sampled=4, samples=1, seed=3, pairs=pairs)
+    shared = run_suites(cfg).to_json()
+    real = harness._shared_runs
+
+    def unshared(out, items, key, body, tail=None):
+        real(out, items, lambda *item: item, body, tail)
+
+    monkeypatch.setattr(harness, "_shared_runs", unshared)
+    assert run_suites(cfg).to_json() == shared
+
+
 def test_context_order_is_leq():
     cfg = SuiteConfig(pairs=("int,cl",))
     spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]

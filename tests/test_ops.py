@@ -107,6 +107,21 @@ def test_is_monotone_matches_naive():
         for name in BUILTIN_NAMES:
             op = builtin(top, name)
             assert is_monotone(op) == naive_is_monotone(op)
+    # builtins with one image widened, monotone or not; nine points make
+    # the packed lanes two bytes wide
+    verdicts = set()
+    for n, trials in ((3, 40), (4, 40), (9, 3)):
+        top = random_topology(n, rng.randrange(10**6), n)
+        assert all(is_monotone(op) for op in catalog(top).values())
+        for trial in range(trials):
+            table = list(builtin(top, rng.choice(BUILTIN_NAMES)).table)
+            a = rng.randrange(1, 1 << n)
+            table[a] |= rng.randrange(1 << n)
+            op = Operation(top, table, "widened")
+            verdict = is_monotone(op)
+            assert verdict == naive_is_monotone(op), (n, trial)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_every_builtin_is_monotone():
