@@ -6,10 +6,12 @@ Exit codes: 0 clean, 1 property failure, 2 usage or schema error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
 
+from .bits import SUBFAMILY_CAP
 from .compact import CompactnessVerdict, brute_force_compact, is_compact, CoverSystem
 from .filters import Filter, adherence_set, limit_set
 from .harness import (
@@ -50,12 +52,14 @@ def _point_set(top: Topology, spec: str) -> int:
         raise SchemaError(exc.args[0]) from None
 
 
-def _fmt(top: Topology, mask: int) -> str:
-    return "{" + ",".join(top.ground.labels_of_mask(mask)) + "}"
-
-
 def _fmt_family(top: Topology, family) -> str:
-    return " ".join(_fmt(top, m) for m in family)
+    """Braced label lists, one loop over the ground set's labels per mask."""
+    points = [(1 << i, lab) for i, lab in enumerate(top.ground.labels)]
+    return " ".join(["{" + ",".join([lab for bit, lab in points if m & bit]) + "}" for m in family])
+
+
+def _fmt(top: Topology, mask: int) -> str:
+    return _fmt_family(top, (mask,))
 
 
 def _cmd_enumerate(args) -> int:
@@ -139,6 +143,11 @@ def _cmd_compact(args) -> int:
     p = _pair(top, args.pair)
     subset = _point_set(top, args.set)
     cs = CoverSystem(op_open_family(p.selector), p.enlarger)
+    if args.oracle and len(cs.ambient) > SUBFAMILY_CAP:
+        raise SchemaError(
+            f"--oracle is capped at {SUBFAMILY_CAP}-member selector-open families;"
+            f" this one has {len(cs.ambient)}"
+        )
     verdict: CompactnessVerdict = is_compact(cs, subset)
     print("set:", _fmt(top, subset))
     print("compact:", str(verdict.compact).lower())
@@ -194,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--pair", required=True)
     p.add_argument("--set", required=True, help="comma-separated point labels ('' for the empty set)")
-    p.add_argument("--oracle", action="store_true", help="cross-check the literal oracle")
+    p.add_argument("--oracle", action="store_true",
+                   help=f"cross-check the literal oracle (at most {SUBFAMILY_CAP} selector-open sets)")
     p.set_defaults(func=_cmd_compact)
 
     p = sub.add_parser("mine", help="search small spaces for counterexample witnesses")
@@ -204,8 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Parsing leaves
+    it unchanged and builds a fresh Namespace per call, so no query sees
+    another's arguments."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, FileNotFoundError) as exc:

@@ -992,9 +992,10 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 continue
             if all(ctx.ops[b].table[u] == ctx.ops[d].table[u] for u in sel):
                 out.instances_checked += 1
+                ab, cd = kinds(a, b), kinds(c, d)
+                ab_open, cd_open = kinds(a, b, "pair_open"), kinds(c, d, "pair_open")
                 for s in ctx.subsets:
-                    if kinds(a, b)[s] != kinds(c, d)[s] or \
-                       kinds(a, b, "pair_open")[s] != kinds(c, d, "pair_open")[s]:
+                    if ab[s] != cd[s] or ab_open[s] != cd_open[s]:
                         _fail(out, ctx, ctx.pairs[(a, b)].name, f"{c},{d}",
                               "agreeing enlargers give one verdict", _mask_str(ctx, s))
                         break

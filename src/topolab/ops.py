@@ -99,20 +99,31 @@ def builtin(topology: Topology, name: str) -> Operation:
     introcl   A -> interior(closure(A))
     scl       A -> A | interior(closure(A))   (semi-closure)
     sint      A -> A & closure(interior(A))   (semi-interior)
+
+    Every table is read off the space's interior table; the closure
+    table is its complement dual, cl[a] = full ^ inner[full ^ a], and
+    full ^ a runs down as a runs up.
     """
-    it, cl = topology.interior, topology.closure
-    rules: dict[str, Callable[[int], int]] = {
-        "identity": lambda a: a,
-        "int": it,
-        "cl": cl,
-        "cloint": lambda a: cl(it(a)),
-        "introcl": lambda a: it(cl(a)),
-        "scl": lambda a: a | it(cl(a)),
-        "sint": lambda a: a & cl(it(a)),
-    }
-    if name not in rules:
+    if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown operation name {name!r}; choose from {BUILTIN_NAMES}")
-    return tabulate(topology, rules[name], name)
+    if name == "identity":
+        return Operation(topology, topology.subsets(), name)
+    inner = topology.int_table()
+    if name == "int":
+        return Operation(topology, inner, name)
+    full = topology.full
+    cl = [full ^ i for i in reversed(inner)]
+    if name == "cl":
+        table = cl
+    elif name == "cloint":
+        table = [cl[i] for i in inner]
+    elif name == "introcl":
+        table = [inner[c] for c in cl]
+    elif name == "scl":
+        table = [a | inner[c] for a, c in enumerate(cl)]
+    else:  # sint
+        table = [a & cl[i] for a, i in enumerate(inner)]
+    return Operation(topology, table, name)
 
 
 def catalog(topology: Topology) -> dict[str, Operation]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .bits import (
@@ -47,13 +48,20 @@ class GroundSet:
     def full(self) -> int:
         return (1 << len(self.labels)) - 1
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """label -> point, built on first use and kept in the instance
+        dict; not a field, so equality and hashing see ``labels`` only."""
+        return {lab: i for i, lab in enumerate(self.labels)}
+
     def mask_of_labels(self, names: Iterable[str]) -> int:
-        index = {lab: i for i, lab in enumerate(self.labels)}
+        index = self._index
         m = 0
         for name in names:
-            if name not in index:
+            i = index.get(name)
+            if i is None:
                 raise KeyError(f"unknown point label {name!r}")
-            m |= 1 << index[name]
+            m |= 1 << i
         return m
 
     def labels_of_mask(self, mask: int) -> list[str]:

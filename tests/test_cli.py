@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from topolab import builtin, sierpinski
+from topolab import builtin, discrete, sierpinski
 from topolab.cli import main
 from topolab.harness import Report, SuiteResult
 from topolab.jsonio import operation_to_dict, write_space
@@ -103,6 +103,43 @@ def test_compact_output(s2_file, capsys):
     assert "witness_cover: {b}" in out
     assert "oracle: false" in out
     assert main(["compact", "--space", s2_file, "--pair", "int,cl", "--set", ""]) == 0
+
+
+def test_compact_oracle_above_the_scan_cap_is_usage_error(tmp_path, capsys):
+    # 32 selector-open sets on a 5-point discrete space: over the cap, so
+    # the query stops before printing any verdict
+    path = tmp_path / "d5.json"
+    write_space(discrete(5), str(path))
+    argv = ["compact", "--space", str(path), "--pair", "identity,identity", "--set", "a,b"]
+    assert main(argv + ["--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --oracle is capped at 20-member")
+    assert main(argv) == 0
+    assert "compact: true" in capsys.readouterr().out
+
+
+def test_reused_parser_leaks_no_state(s2_file, capsys):
+    pair = ["--space", s2_file, "--pair", "int,cl"]
+    assert main(["filter", *pair, "--core", "a", "--report"]) == 0
+    assert "a: converges=" in capsys.readouterr().out
+    assert main(["filter", *pair, "--core", "a"]) == 0
+    assert "converges=" not in capsys.readouterr().out
+
+    compact = ["compact", "--space", s2_file, "--pair", "identity,sint", "--set", "b"]
+    assert main(compact + ["--oracle"]) == 0
+    assert "oracle: false" in capsys.readouterr().out
+    assert main(compact) == 0
+    out = capsys.readouterr().out
+    assert "compact: false" in out and "oracle:" not in out
+
+    with pytest.raises(SystemExit) as exc:
+        main(["compact", "--space", s2_file, "--pair", "int,cl"])  # --set missing
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["families", *pair]) == 0
+    out = capsys.readouterr().out
+    assert "pair-open: {} {a,b}" in out and "oracle:" not in out
 
 
 def test_mine_command(capsys):

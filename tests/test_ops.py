@@ -22,7 +22,7 @@ from topolab import (
 )
 from topolab.ops import at_point, table_violation, tabulate
 
-from oracles import literal_is_regular_wrt, literal_neighborhoods, naive_is_monotone
+from oracles import literal_is_regular_wrt, literal_neighborhoods, naive_interior, naive_is_monotone
 
 
 def small_spaces():
@@ -35,6 +35,35 @@ def test_builtin_examples(s2, c3):
     assert ops["introcl"].table[0] == 0
     assert catalog(c3)["cloint"].table[0b101] == c3.full
     assert ops["identity"].table == (0, 1, 2, 3)
+
+
+def test_builtin_tables_match_their_definitions():
+    # the rules read literally: interior by scanning the opens, closure
+    # as its complement dual
+    spaces = small_spaces() + [
+        random_topology(n, seed, n) for n in range(4, 11) for seed in range(3)
+    ]
+    for top in spaces:
+        full = top.full
+
+        def it(a):
+            return naive_interior(top, a)
+
+        def cl(a):
+            return full ^ it(full ^ a)
+
+        rules = {
+            "identity": lambda a: a,
+            "int": it,
+            "cl": cl,
+            "cloint": lambda a: cl(it(a)),
+            "introcl": lambda a: it(cl(a)),
+            "scl": lambda a: a | it(cl(a)),
+            "sint": lambda a: a & cl(it(a)),
+        }
+        assert set(rules) == set(BUILTIN_NAMES)
+        for name, rule in rules.items():
+            assert builtin(top, name).table == tuple(rule(a) for a in top.subsets()), (top, name)
 
 
 def test_builtin_rejects_unknown(s2):

@@ -34,6 +34,21 @@ def test_ground_set_validation():
     assert default_ground(0).full == 0
 
 
+def test_label_index_keeps_errors_equality_and_hash():
+    g = GroundSet(("x", "y", "z"))
+    assert g.mask_of_labels(["z", "x"]) == 0b101
+    for _ in range(2):  # index built by the call above, then kept
+        with pytest.raises(KeyError, match="unknown point label 'w'"):
+            g.mask_of_labels(["x", "w"])
+    assert g.mask_of_labels([]) == 0
+    fresh = GroundSet(("x", "y", "z"))
+    assert g == fresh and hash(g) == hash(fresh)
+    assert fresh.mask_of_labels(["y"]) == 0b010
+    assert g == fresh and hash(g) == hash(fresh)
+    assert g != GroundSet(("x", "z", "y"))
+    assert repr(g) == "GroundSet(labels=('x', 'y', 'z'))"
+
+
 def test_build_topology_indiscrete_and_discrete():
     g = default_ground(2)
     assert build_topology(g, ()).opens == (0, 3)
