@@ -53,6 +53,7 @@ from .filters import (
     Filter,
     accumulates,
     adherence_set,
+    base_limit_sets,
     converges,
     convergence_closure,
     finer_convergent,
@@ -61,6 +62,7 @@ from .filters import (
     is_t2,
     limit_set,
     maximal_filters,
+    member_table,
     nbhd_filterbase,
 )
 from .compact import (
@@ -78,6 +80,7 @@ from .compact import (
     closed_space_predicates,
     compactness_kind,
     cover_kind_flags,
+    failing_plane,
     filter_compactness_flags,
     is_compact,
     is_cover,

@@ -133,7 +133,7 @@ def _zeta(lanes: int, masks: Iterable[tuple[int, int]], width: int) -> int:
     return lanes
 
 
-def _plane(family: Iterable[int], n: int) -> int:
+def family_plane(family: Iterable[int], n: int) -> int:
     """The 2**n-bit plane flagging the members of ``family``, read from
     base-2 digits."""
     digits = bytearray(b"0") * (1 << n)
@@ -205,9 +205,25 @@ def is_monotone_table(table: Sequence[int], n: int) -> bool:
     )
 
 
+def submask_planes(masks: Iterable[int], n: int) -> list[int]:
+    """For each mask, the 2**n-bit plane flagging its submasks: the AND,
+    over the points outside the mask, of the planes of the subsets
+    without that point (the ``clear`` masks of :func:`_clear_masks`)."""
+    clears = list(_clear_masks(n, 1))
+    everything = (1 << (1 << n)) - 1
+    out = []
+    for m in masks:
+        plane = everything
+        for i, clear in clears:
+            if not m >> i & 1:
+                plane &= clear
+        out.append(plane)
+    return out
+
+
 def upward_closure(family: Iterable[int], n: int) -> Family:
     """Every subset holding some member of ``family``."""
-    return _bits_of(_zeta(_plane(family, n), _clear_masks(n, 1), 1))
+    return _bits_of(_zeta(family_plane(family, n), _clear_masks(n, 1), 1))
 
 
 def union_closure(family: Iterable[int], n: int) -> Family:
@@ -221,7 +237,7 @@ def union_closure(family: Iterable[int], n: int) -> Family:
     equals its union closure.
     """
     masks = list(_clear_masks(n, 1))
-    members = _plane(family, n)
+    members = family_plane(family, n)
     ok = (1 << (1 << n)) - 1
     for _, clear in masks:
         ok &= _zeta(members & ~clear, masks, 1) | clear

@@ -13,7 +13,12 @@ failing cover must keep some a of A out of all its enlargements, and it
 is then contained in that point's avoidance family.  Scanning the points
 of A therefore decides compactness in O(|ambient| * |A|) word steps, and
 with the union of each point's avoidance family tabulated once per pair
-and cover kind, in O(|A|).  The literal quantifier evaluation is kept
+and cover kind, in O(|A|) (:func:`compactness_kind`).  The same
+criterion decides every set at once: A fails exactly when it holds some
+x and sits inside outside[x], so the failing sets of one pair and kind
+form one 2**n-bit plane, the OR over x of two submask planes
+(:func:`failing_plane`).  The records read that plane; the per-set scan
+stays as its check.  The literal quantifier evaluation is kept
 alongside as :func:`brute_force_compact_all` and the two must agree
 everywhere.  It is batched but still literal: one walk over the
 subfamilies of the ambient family decides every target set, reading
@@ -26,7 +31,9 @@ carrier size: every family, every selector-closed set, every residue
 and every pair-closed set.  Their subfamily quantifiers are evaluated
 in closed form: meets shrink as a subfamily grows, so one extreme
 subfamily decides each statement (proofs beside the code; the literal
-scans are test oracles).
+scans are test oracles).  The additivity hypothesis is checked over the
+union-irreducible members only; the proof is at
+:func:`additive_enlarger_flags`.
 """
 
 from __future__ import annotations
@@ -34,7 +41,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bits import Family, canonical_family, contained_union_table, iter_points, union_dp
+from .bits import (
+    Family,
+    canonical_family,
+    contained_union_table,
+    family_plane,
+    iter_points,
+    submask_planes,
+    union_dp,
+)
 from .filters import is_t2
 from .ops import Operation, builtin, dual_table, is_monotone, op_closed_family
 from .pairs import (
@@ -158,25 +173,25 @@ def brute_force_compact(cs: CoverSystem, a: int) -> bool:
 
 def _outside_row(p: OpPair, kind: str) -> tuple[int, ...]:
     """outside[x] = union of the kind's ambient members whose enlargement
-    misses x, one row per pair and kind kept on the pair."""
+    misses x, one row per pair and kind kept on the pair.
+
+    Those are the members whose enlargement fits inside full minus x, so
+    the row is read off a contained-union table at those n sets: the
+    pair-interior table for the pair kind, the union of the members
+    inside each set for the two plain kinds.
+    """
     cache = p._cache
     row = cache.get(("outside", kind))
     if row is None:
-        full = p.topology.full
+        n, full = p.topology.n, p.topology.full
         if kind == "pair":
-            enl = p.enlarger.table
-            members = [(u, enl[u]) for u in p.selector_open()]
-        elif kind == "pair_open":
-            members = [(u, u) for u in pair_open_family(p)]
-        elif kind == "base":
-            members = [(u, u) for u in enlargement_base(p) + (full,)]
+            inner = p.int_table()
+        elif kind in ("pair_open", "base"):
+            members = pair_open_family(p) if kind == "pair_open" else enlargement_base(p) + (full,)
+            inner = contained_union_table(((u, u) for u in members), n)
         else:
             raise ValueError(f"unknown kind {kind!r}; use 'pair', 'pair_open' or 'base'")
-        out = [0] * p.topology.n
-        for u, image in members:
-            for x in iter_points(full & ~image):
-                out[x] |= u
-        row = cache[("outside", kind)] = tuple(out)
+        row = cache[("outside", kind)] = tuple(inner[full ^ (1 << x)] for x in range(n))
     return row
 
 
@@ -189,10 +204,37 @@ def compactness_kind(p: OpPair, a: int, kind: str = "pair") -> bool:
 
     By the avoidance-family criterion ``a`` fails exactly when some x in
     ``a`` has ``a`` inside the union of the members whose enlargement
-    misses x.
+    misses x.  One set at a time: the records read every set off
+    :func:`failing_plane`, and this scan stays as its check.
     """
     outside = _outside_row(p, kind)
     return not any(a & ~outside[x] == 0 for x in iter_points(a))
+
+
+def failing_plane(p: OpPair, kind: str = "pair") -> int:
+    """The 2**n-bit plane of the sets that are not compact in one of the
+    pair's cover systems (:func:`compactness_kind`), kept on the pair.
+
+    A fails iff some x in A has A inside outside[x]; the sets holding x
+    are those outside the submask plane of ``full ^ {x}``, so the plane
+    is the OR, over x, of the submask plane of outside[x] minus that one.
+    """
+    cache = p._cache
+    got = cache.get(("failing", kind))
+    if got is None:
+        n, full = p.topology.n, p.topology.full
+        outside = _outside_row(p, kind)
+        planes = submask_planes([*outside, *(full ^ (1 << x) for x in range(n))], n)
+        got = 0
+        for x in range(n):
+            got |= planes[x] & ~planes[n + x]
+        cache[("failing", kind)] = got
+    return got
+
+
+def _compact(p: OpPair, a: int, kind: str) -> bool:
+    """Compactness of ``a`` read off the kind's :func:`failing_plane`."""
+    return not failing_plane(p, kind) >> a & 1
 
 
 def _named_class_pair(top: Topology, name: str) -> OpPair:
@@ -266,6 +308,16 @@ def _closed_meets(p: OpPair) -> tuple[int, ...]:
     return row
 
 
+def _singleton_closures(p: OpPair) -> tuple[int, ...]:
+    """The pair closure of each singleton, one row per pair kept on the pair."""
+    row = p._cache.get("singleton_closures")
+    if row is None:
+        row = p._cache["singleton_closures"] = tuple(
+            pair_closure(p, 1 << y) for y in range(p.topology.n)
+        )
+    return row
+
+
 def filter_compactness_flags(p: OpPair, a: int) -> FilterCompactnessFlags:
     """Evaluate the ten statements for one pair and one subset.
 
@@ -275,17 +327,14 @@ def filter_compactness_flags(p: OpPair, a: int) -> FilterCompactnessFlags:
     ones over every subfamily of the selector-closed sets.  Each is
     decided by the extreme members named beside the code.
     """
-    top = p.topology
-    full = top.full
     points_of_a = list(iter_points(a))
-    # cl[m] = full ^ int[full ^ m], and full ^ m runs down as m runs up
-    cl = [full ^ inner for inner in reversed(p.int_table())]
+    cl_single = _singleton_closures(p)
 
-    flag_cover = compactness_kind(p, a, "pair")
+    flag_cover = _compact(p, a, "pair")
 
     # bases living inside a; cl is monotone and every nonempty core
     # inside a holds a singleton core, so the singletons decide
-    inner_acc = all(cl[1 << y] & a for y in points_of_a)
+    inner_acc = all(cl_single[y] & a for y in points_of_a)
     # Every base meeting a accumulates inside a, and (contrapositive)
     # every single-member base whose closure misses a misses a: both say
     # cl(core) meets a for every core meeting a.  Such a core holds some
@@ -366,9 +415,9 @@ def cover_kind_flags(p: OpPair, a: int) -> CoverKindFlags:
     # premise; both hold for every K and every a.
     return CoverKindFlags(
         hypothesis=base_report(p).hypothesis_d,
-        cover=compactness_kind(p, a, "pair"),
-        base_cover=compactness_kind(p, a, "base"),
-        pair_open_cover=compactness_kind(p, a, "pair_open"),
+        cover=_compact(p, a, "pair"),
+        base_cover=_compact(p, a, "base"),
+        pair_open_cover=_compact(p, a, "pair_open"),
         complement_fip=True,
         complement_gap=True,
         pair_complement_fip=True,
@@ -421,20 +470,25 @@ def _residue_row(p: OpPair) -> tuple[tuple[int, int], ...]:
 
 
 def space_compactness_flags(p: OpPair) -> SpaceCompactnessFlags:
-    full = p.topology.full
-    residues = [r for r, _ in _residue_row(p)]
-    closed = pair_closed_family(p)
+    """Each statement is one test against a kind's :func:`failing_plane`:
+    the whole space is one bit of it, and "every residue (every
+    pair-closed set) is compact" says the plane misses the plane of the
+    residues (of the pair-closed sets)."""
+    n, full = p.topology.n, p.topology.full
+    residues = family_plane((r for r, _ in _residue_row(p)), n)
+    closed = family_plane(pair_closed_family(p), n)
+    pair, pair_open, base = (failing_plane(p, k) for k in ("pair", "pair_open", "base"))
     return SpaceCompactnessFlags(
         hypothesis=base_report(p).hypothesis_d,
-        space_cover=compactness_kind(p, full, "pair"),
-        space_base_cover=compactness_kind(p, full, "base"),
-        space_pair_open_cover=compactness_kind(p, full, "pair_open"),
-        residual_cover=all(compactness_kind(p, r, "pair") for r in residues),
-        residual_pair_open_cover=all(compactness_kind(p, r, "pair_open") for r in residues),
-        residual_base_cover=all(compactness_kind(p, r, "base") for r in residues),
-        closed_cover=all(compactness_kind(p, c, "pair") for c in closed),
-        closed_pair_open_cover=all(compactness_kind(p, c, "pair_open") for c in closed),
-        closed_base_cover=all(compactness_kind(p, c, "base") for c in closed),
+        space_cover=not pair >> full & 1,
+        space_base_cover=not base >> full & 1,
+        space_pair_open_cover=not pair_open >> full & 1,
+        residual_cover=not residues & pair,
+        residual_pair_open_cover=not residues & pair_open,
+        residual_base_cover=not residues & base,
+        closed_cover=not closed & pair,
+        closed_pair_open_cover=not closed & pair_open,
+        closed_base_cover=not closed & base,
     )
 
 
@@ -451,23 +505,64 @@ class AdditiveEnlargerFlags:
         return self.cover == self.restricted_bases_accumulate
 
 
+def _union_irreducibles(top: Topology, fam: Family) -> tuple[int, ...]:
+    """The union-irreducible members of ``fam``: the nonempty members the
+    members strictly inside do not union to.  Those lie inside j minus
+    one of its points, so their union is the OR, over x in j, of
+    ``below[j ^ {x}]`` with ``below`` the contained-union table of
+    ``fam``.  Memoized per family on the space."""
+    key = ("compact.union_irreducibles", fam)
+    got = top._memo.get(key)
+    if got is None:
+        below = contained_union_table(((u, u) for u in fam), top.n)
+        out = []
+        for j in fam:
+            under = 0
+            for x in iter_points(j):
+                under |= below[j ^ (1 << x)]
+            if under != j:
+                out.append(j)
+        got = top._memo[key] = tuple(out)
+    return got
+
+
 def additive_enlarger_flags(p: OpPair, a: int) -> AdditiveEnlargerFlags:
+    """The additivity hypothesis asks for a monotone selector and for
+    ``enl[u | v] == enl[u] | enl[v]`` over all u, v in the
+    selector-open family F.
+
+    A monotone selector makes F union-closed (a inside op(a) and b
+    inside op(b) put a | b inside op(a) | op(b), inside op(a | b)), and
+    on a union-closed F the pairs (u, j) with j union-irreducible
+    suffice.  Every nonempty v in F is a union j1 | ... | jk of
+    irreducible members (a reducible member is the union of smaller
+    ones).  Each partial union u | j1 | ... | ji is in F, so induction
+    on i gives ``enl[u | v] == enl[u] | enl[j1] | ... | enl[jk]``, and
+    the same with u = j1 gives ``enl[v]`` as that OR without
+    ``enl[u]``.  v = 0 needs no pair, since every operation maps the
+    empty set to itself.  The converse is immediate.  So monotonicity
+    is checked first, then |F| * |J| pairs instead of |F|**2.
+    """
     enl = p.enlarger.table
     cache = p._cache
     hyp = cache.get("additive_hypothesis")
     if hyp is None:
-        sel_open = p.selector_open()
-        additive = all(
-            enl[u | v] == enl[u] | enl[v] for u in sel_open for v in sel_open
-        )
-        hyp = cache["additive_hypothesis"] = is_monotone(p.selector) and additive
+        hyp = is_monotone(p.selector)
+        if hyp:
+            sel_open = p.selector_open()
+            for j in _union_irreducibles(p.topology, sel_open):
+                image = enl[j]
+                if not all(enl[u | j] == enl[u] | image for u in sel_open):
+                    hyp = False
+                    break
+        cache["additive_hypothesis"] = hyp
     # Every filterbase B of residues meeting a must accumulate in a.  B
     # holds its least member m0, so B meets a iff m0 does, and the pair
     # closure is monotone, so its members' closures meet in cl(m0).  The
     # least members are exactly the nonempty residues ({r} is a base).
     return AdditiveEnlargerFlags(
         hypothesis=hyp,
-        cover=compactness_kind(p, a, "pair"),
+        cover=_compact(p, a, "pair"),
         restricted_bases_accumulate=all(closure & a for r, closure in _residue_row(p) if r & a),
     )
 

@@ -17,10 +17,16 @@ limits of a principal filter are the AND, over the points of its core,
 of per-point masks (the points whose envelope holds that point); its
 adherence set is one pair-closure lookup.  A base misses exactly the
 points of the selector-open sets whose enlargement traps none of its
-members, so its limit set is one pass over the selector-open family, and
-its adherence set is the AND of its members' pair-closures.  The
-per-point predicates :func:`converges` and :func:`accumulates` keep the
-literal rules.
+members.  Whether an enlargement t traps a member of base j is bit j of
+one member table ``has[t]``, the subset-sum transform of the pairs
+(member, 1 << j) (:func:`member_table`): the literal up-set of the
+members, never their meet.  Grouping the selector-open sets by their
+enlargement, every base's limit set is then one pass over the distinct
+enlargements (:func:`base_limit_sets`), and its adherence set is the AND
+of its members' pair-closures.  The exhaustive convergence closure asks
+for a nonempty core inside both the set and a point's envelope: one AND
+of two submask planes per point.  The per-point predicates
+:func:`converges` and :func:`accumulates` keep the literal rules.
 """
 
 from __future__ import annotations
@@ -31,13 +37,14 @@ from typing import Sequence, Union
 from .bits import (
     Family,
     canonical_family,
+    contained_union_table,
     intersect_all,
     iter_points,
     mask_of,
+    submask_planes,
     submasks_desc,
 )
-from .ops import at_point
-from .pairs import OpPair, base_report, enlarger_is_regular, pair_closure
+from .pairs import OpPair, base_report, enlarger_is_regular, image_groups, pair_closure
 from .space import Topology
 
 
@@ -99,37 +106,23 @@ def _members_of(f: FilterLike) -> Sequence[int]:
     return tuple(f)
 
 
-def converges(f: FilterLike, p: OpPair, point: int, family: Sequence[int] | None = None) -> bool:
-    """Whether every enlarged neighbourhood of ``point`` traps a member.
-
-    ``family`` overrides the selector-open family used for
-    neighbourhoods (for the superset-closed variant); by default the
-    selector-open sets of the pair are used.
-    """
-    if family is None:
-        if isinstance(f, Filter):
-            return f.core & ~p.envelope(point) == 0
-        local = p.selector_at(point)
-    else:
-        local = at_point(family, point)
+def converges(f: FilterLike, p: OpPair, point: int) -> bool:
+    """Whether every enlarged selector-open neighbourhood of ``point``
+    traps a member."""
+    if isinstance(f, Filter):
+        return f.core & ~p.envelope(point) == 0
     enl = p.enlarger.table
     members = _members_of(f)
-    for u in local:
+    for u in p.selector_at(point):
         target = enl[u]
         if not any(m & ~target == 0 for m in members):
             return False
     return True
 
 
-def accumulates(f: FilterLike, p: OpPair, point: int, family: Sequence[int] | None = None) -> bool:
+def accumulates(f: FilterLike, p: OpPair, point: int) -> bool:
     """Whether ``point`` is in the pair-closure of every member."""
-    if family is None:
-        return all(pair_closure(p, m) >> point & 1 for m in _members_of(f))
-    enl = p.enlarger.table
-    local = at_point(family, point)
-    return all(
-        all(enl[u] & m for u in local) for m in _members_of(f)
-    )
+    return all(pair_closure(p, m) >> point & 1 for m in _members_of(f))
 
 
 def _point_limits(p: OpPair) -> tuple[int, ...]:
@@ -145,26 +138,52 @@ def _point_limits(p: OpPair) -> tuple[int, ...]:
     return got
 
 
+def member_table(bases: Sequence[Sequence[int]], n: int) -> list[int]:
+    """``has[t]`` flags, by bit j, the bases ``bases[j]`` with a member
+    inside t: one subset-sum transform of the pairs (member, 1 << j)."""
+    return contained_union_table(
+        ((m, 1 << j) for j, base in enumerate(bases) for m in base), n
+    )
+
+
+def base_limit_sets(p: OpPair, bases: Sequence[Sequence[int]],
+                    has: Sequence[int] | None = None) -> list[int]:
+    """The limit set of each base in ``bases``.
+
+    Convergence fails at x iff some selector-open set around x has an
+    enlargement t trapping no member; such sets make up the outside of
+    the limit set.  Base j traps a member in t iff bit j of ``has[t]``
+    (:func:`member_table` of ``bases``, built here unless given), so
+    its outside is the union of the groups of
+    :func:`~topolab.pairs.image_groups` whose t lacks bit j.  Groups are
+    first merged by the set of bases they miss.
+    """
+    if has is None:
+        has = member_table(bases, p.topology.n)
+    everyone = (1 << len(bases)) - 1
+    by_missing: dict[int, int] = {}  # bases trapping nothing -> their groups
+    for t, group in image_groups(p):
+        missing = everyone & ~has[t]
+        if missing:
+            by_missing[missing] = by_missing.get(missing, 0) | group
+    outside = [0] * len(bases)
+    for missing, union in by_missing.items():
+        for j in iter_points(missing):
+            outside[j] |= union
+    full = p.topology.full
+    return [full ^ o for o in outside]
+
+
 def limit_set(f: FilterLike, p: OpPair) -> int:
     """The points ``f`` converges to."""
-    full = p.topology.full
     if isinstance(f, Filter):
         # the core sits in the envelope of x iff each of its points does
         limits = _point_limits(p)
-        out = full
+        out = p.topology.full
         for i in iter_points(f.core):
             out &= limits[i]
         return out
-    # converges fails at x iff some selector-open set around x has an
-    # enlargement trapping no member; such sets make up the outside
-    enl = p.enlarger.table
-    members = tuple(f)
-    outside = 0
-    for u in p.selector_open():
-        target = enl[u]
-        if not any(m & ~target == 0 for m in members):
-            outside |= u
-    return full ^ outside
+    return base_limit_sets(p, (tuple(f),))[0]
 
 
 def adherence_set(f: FilterLike, p: OpPair) -> int:
@@ -268,22 +287,36 @@ def nbhd_filterbase(p: OpPair, point: int, variant: str = "plain") -> Family:
     return base
 
 
+def _envelope_planes(p: OpPair) -> list[int]:
+    """The submask plane of each point's envelope, kept on the pair."""
+    got = p._cache.get("envelope_planes")
+    if got is None:
+        n = p.topology.n
+        got = p._cache["envelope_planes"] = submask_planes((p.envelope(x) for x in range(n)), n)
+    return got
+
+
 def convergence_closure(p: OpPair, a: int, exhaustive: bool = False) -> int:
     """Points reachable as limits of filters containing ``a``.
 
     A filter contains ``a`` when its core sits inside ``a``.  Shrinking
     the core only helps convergence, so scanning the singleton cores of
-    ``a`` suffices; ``exhaustive`` forces the full scan over all nonempty
-    cores inside ``a`` for cross-validation.
+    ``a`` suffices; ``exhaustive`` asks over all nonempty cores inside
+    ``a`` instead, for cross-validation: x is reached iff the submask
+    plane of ``a`` and that of x's envelope share a bit other than the
+    empty core's (bit 0).
     """
     if a == 0:
         return 0  # no filter can contain the empty set
     n = p.topology.n
-    if exhaustive:
-        cores = [c for c in submasks_desc(a) if c]
-    else:
-        cores = [1 << x for x in range(n) if a >> x & 1]
     out = 0
+    if exhaustive:
+        plane = submask_planes((a,), n)[0] & ~1
+        for x, env in enumerate(_envelope_planes(p)):
+            if plane & env:
+                out |= 1 << x
+        return out
+    cores = [1 << x for x in range(n) if a >> x & 1]
     for x in range(n):
         env = p.envelope(x)
         if any(c & ~env == 0 for c in cores):

@@ -12,19 +12,21 @@ the emitted JSON is byte-identical from run to run.
 
 from __future__ import annotations
 
+import operator
 import platform
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .bits import Family, canonical_family, derive_seed, submasks_desc
+from .bits import Family, canonical_family, derive_seed, family_plane, submasks_desc
 from .compact import (
     CoverSystem,
     additive_enlarger_flags,
     brute_force_compact_all,
     compactness_kind,
     cover_kind_flags,
+    failing_plane,
     filter_compactness_flags,
     is_compact,
     named_set_class,
@@ -32,8 +34,8 @@ from .compact import (
 )
 from .filters import (
     Filter,
-    accumulates,
     adherence_set,
+    base_limit_sets,
     converges,
     convergence_closure,
     finer_convergent,
@@ -42,6 +44,7 @@ from .filters import (
     is_t2,
     limit_set,
     maximal_filters,
+    member_table,
     nbhd_filterbase,
 )
 from .jsonio import SchemaError, canonical_json
@@ -62,6 +65,7 @@ from .pairs import (
     classify_structure,
     enlargement_base,
     enlarger_is_regular,
+    image_groups,
     named_family,
     pair_closure,
     pair_closure_by_points,
@@ -256,12 +260,14 @@ class _SpaceContext:
     """Per-space working set shared by all suites: the operation catalog,
     its pointwise order, the requested pairs, the quantified
     subsets/filterbases/cores, each pair's limit and adherence rows
-    over those cores, and each selector's neighbourhood up-sets.
+    over those cores, each selector's neighbourhood up-sets, and which
+    enlargers agree on each selector-open family.
 
     Named pairs keep one :class:`OpPair` each, since witnesses print
     the names; the memos are keyed by operation (:meth:`pair_key`), as
     the statements depend on the maps alone: the filter rows by
-    operation pair, the neighbourhood up-sets by selector operation."""
+    operation pair, the neighbourhood up-sets and the agreement classes
+    by selector operation."""
 
     def __init__(self, label: str, top: Topology, cfg: SuiteConfig):
         self.label = label
@@ -270,6 +276,10 @@ class _SpaceContext:
         self.full = top.full
         self.seed = cfg.seed
         self.ops = catalog(top)
+        # one representative per distinct table, so memo keys compare by
+        # identity rather than table by table
+        distinct: dict[Operation, Operation] = {}
+        self.op_key = {name: distinct.setdefault(op, op) for name, op in self.ops.items()}
         self.pair_names = []
         self.pairs = {}
         for spec in cfg.pairs:
@@ -288,6 +298,7 @@ class _SpaceContext:
         }
         self._filter_rows: dict[tuple[Operation, Operation], tuple[_PrincipalRow, _PrincipalRow]] = {}
         self._neighborhoods: dict[tuple[Operation, int], tuple] = {}
+        self._agreement: dict[Operation, dict[Operation, int]] = {}
 
     def _quantified_subsets(self, cfg: SuiteConfig) -> list[int]:
         if self.n <= 4:
@@ -336,7 +347,7 @@ class _SpaceContext:
     def pair_key(self, a: str, b: str) -> tuple[Operation, Operation]:
         """The operations a named pair stands for; names whose tables
         coincide give one key (``Operation`` equality is by table)."""
-        return self.ops[a], self.ops[b]
+        return self.op_key[a], self.op_key[b]
 
     def each_pair(self, out: SuiteResult, body: Callable, tail: Optional[Callable] = None) -> None:
         """``body(a, b, run)`` once per distinct operation pair among the
@@ -360,11 +371,25 @@ class _SpaceContext:
     def neighborhoods(self, sel_name: str, x: int) -> tuple:
         """Supersets of the selector-open sets around ``x``: they depend
         on the selector operation alone, so each is built once per space."""
-        key = (self.ops[sel_name], x)
+        key = (self.op_key[sel_name], x)
         got = self._neighborhoods.get(key)
         if got is None:
             got = self._neighborhoods[key] = neighborhoods(self.n, self.open_sets[sel_name], x)
         return got
+
+    def enlargers_agree(self, a: str, b: str, c: str) -> bool:
+        """Whether enlargers b and c agree on the a-open family.  Per
+        selector operation, the distinct operations are numbered once by
+        their images of that family; agreement compares two numbers."""
+        sel = self.op_key[a]
+        classes = self._agreement.get(sel)
+        if classes is None:
+            images = operator.itemgetter(*self.open_sets[a])
+            seen: dict = {}
+            classes = self._agreement[sel] = {
+                op: seen.setdefault(images(op.table), len(seen)) for op in set(self.op_key.values())
+            }
+        return classes[self.op_key[b]] == classes[self.op_key[c]]
 
     def family_topology(self, family: Family) -> Topology:
         """The topology whose opens are ``family``: pairs often share an
@@ -654,12 +679,11 @@ def _suite_families(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
     # enlargers agreeing on the selector-open family induce the same family
     for a in BUILTIN_NAMES:
-        sel = ctx.open_sets[a]
         for b in BUILTIN_NAMES:
             for c in BUILTIN_NAMES:
                 if (a, b) not in requested or (a, c) not in requested:
                     continue
-                if all(ctx.ops[b].table[u] == ctx.ops[c].table[u] for u in sel):
+                if ctx.enlargers_agree(a, b, c):
                     out.instances_checked += 1
                     if pair_open_family(ctx.pairs[(a, b)]) != pair_open_family(ctx.pairs[(a, c)]):
                         _fail(out, ctx, f"{a},{b}", f"{a},{c}", "agreeing enlargers induce one family")
@@ -670,6 +694,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     out = SuiteResult()
     n, full = ctx.n, ctx.full
     base_cores = [generated_filter(n, base).core for base in ctx.bases]
+    has = member_table(ctx.bases, n)
 
     def check(a: str, b: str, out: SuiteResult) -> None:
         p = ctx.pairs[(a, b)]
@@ -684,34 +709,39 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         monotone_enl = ctx.monotone[b]
         lim, adh = ctx.filter_rows((a, b))
         env = [p.envelope(x) for x in range(n)]
+        enl = p.enlarger.table
 
         # base predicates match the generated filter's; the witness is the
         # lowest point where either set differs
-        for base, core in zip(ctx.bases, base_cores):
+        base_lims = base_limit_sets(p, ctx.bases, has)
+        for base, core, base_lim in zip(ctx.bases, base_cores, base_lims):
             out.instances_checked += 1
-            diff = (limit_set(base, p) ^ lim[core]) | (adherence_set(base, p) ^ adh[core])
+            diff = (base_lim ^ lim[core]) | (adherence_set(base, p) ^ adh[core])
             if diff:
                 _fail(out, ctx, pair, str(list(base)), "base and generated filter agree",
                       str((diff & -diff).bit_length() - 1))
 
         # superset-closed neighbourhood variant changes nothing (monotone
         # enlarger); each up-set is one pass over all subsets, built once
-        # per selector and point, and the variant is gated on bigger carriers
+        # per selector and point, and the variant is gated on bigger carriers.
+        # Every core is tested literally against the distinct enlargements
+        # of the up-set around each point, collected once per point
         if monotone_enl and (1 << n) * max(len(sel_open), 1) <= 10**7:
-            nbhd = [ctx.neighborhoods(a, x) for x in range(n)]
+            images = [{enl[u] for u in ctx.neighborhoods(a, x)} for x in range(n)]
             for core in ctx.cores():
-                F = Filter(n, core)
                 out.instances_checked += 1
-                for x in range(n):
-                    if bool(lim[core] >> x & 1) != converges(F, p, x, family=nbhd[x]) or \
-                       bool(adh[core] >> x & 1) != accumulates(F, p, x, family=nbhd[x]):
+                lim_c, adh_c = lim[core], adh[core]
+                for x, around in enumerate(images):
+                    if bool(lim_c >> x & 1) != all(core & ~t == 0 for t in around) or \
+                       bool(adh_c >> x & 1) != all(t & core for t in around):
                         _fail(out, ctx, pair, _mask_str(ctx, core), "neighbourhood variant agrees", str(x))
                         break
         elif monotone_enl:
             out.notes["neighbourhood_variant_skipped"] = out.notes.get("neighbourhood_variant_skipped", 0) + 1
 
-        enl_table = ctx.ops[b].table
-        local_at = [p.selector_at(x) for x in range(n)]
+        # the distinct enlargements of the selector-open sets around each point
+        groups = image_groups(p)
+        images_at = [[t for t, union in groups if union >> x & 1] for x in range(n)]
         for core in ctx.cores():
             out.instances_checked += 1
             lim_c = lim[core]
@@ -719,7 +749,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 _fail(out, ctx, pair, _mask_str(ctx, core), "limits are adherent")
             # membership characterization of convergence
             for x in range(n):
-                lit = all(core & ~enl_table[u] == 0 for u in local_at[x])
+                lit = all(core & ~t == 0 for t in images_at[x])
                 if bool(lim_c >> x & 1) != lit:
                     _fail(out, ctx, pair, _mask_str(ctx, core), "convergence is enlarged-members containment", str(x))
                     break
@@ -864,16 +894,22 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                         _fail(out, ctx, pair, "cl*", "fixed-complement family matches the pair family")
 
         # convergence/accumulation transfer between pairs, read off the
-        # wider pair's rows
+        # wider pair's rows: one comparison per wider operation pair, one
+        # count and record per name
+        first_break: dict = {}
         for (c, d) in ctx.pair_names:
             if not (ctx.open_as_set[c] <= ctx.open_as_set[a] and ctx.order[(b, d)]):
                 continue
-            wide_lim, wide_adh = ctx.filter_rows((c, d))
+            key = ctx.pair_key(c, d)
+            if key not in first_break:
+                wide_lim, wide_adh = ctx.filter_rows((c, d))
+                first_break[key] = next((
+                    core for core in ctx.cores()
+                    if lim[core] & ~wide_lim[core] or adh[core] & ~wide_adh[core]
+                ), None)
             out.instances_checked += 1
-            for core in ctx.cores():
-                if lim[core] & ~wide_lim[core] or adh[core] & ~wide_adh[core]:
-                    _fail(out, ctx, pair, f"{c},{d}", "transfer to a wider pair", _mask_str(ctx, core))
-                    break
+            if first_break[key] is not None:
+                _fail(out, ctx, pair, f"{c},{d}", "transfer to a wider pair", _mask_str(ctx, first_break[key]))
 
     ctx.each_pair(out, check)
     return out
@@ -937,18 +973,22 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
 def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     out = SuiteResult()
     top = ctx.top
+    quantified = family_plane(ctx.subsets, ctx.n)
 
-    # verdicts[(operation pair, kind)][s]: compactness of every quantified
-    # subset in one cover system, built once per distinct pair
-    verdicts = {}
+    # planes[(operation pair, kind)]: the failing-set plane of one cover
+    # system, built once per distinct pair
+    planes = {}
 
-    def kinds(a: str, b: str, kind: str = "pair") -> dict[int, bool]:
+    def failing(a: str, b: str, kind: str = "pair") -> int:
         key = (ctx.pair_key(a, b), kind)
-        got = verdicts.get(key)
+        got = planes.get(key)
         if got is None:
-            p = ctx.pairs[(a, b)]
-            got = verdicts[key] = {s: compactness_kind(p, s, kind) for s in ctx.subsets}
+            got = planes[key] = failing_plane(ctx.pairs[(a, b)], kind)
         return got
+
+    def first(plane: int) -> str:
+        """The lowest quantified subset flagged in ``plane``."""
+        return _mask_str(ctx, (plane & -plane).bit_length() - 1)
 
     def check(a: str, b: str, out: SuiteResult) -> None:
         p = ctx.pairs[(a, b)]
@@ -972,33 +1012,35 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         if sflags.hypothesis and not sflags.agree():
             _fail(out, ctx, pair, "X", "space-level statements agree", str(sflags.statements()))
 
-        # compactness transfers to wider pairs
+        # compactness transfers to wider pairs: sets compact here and
+        # failing there, one plane per wider operation pair
+        strict_of: dict = {}
         for (c, d) in ctx.pair_names:
             if not (ctx.open_as_set[c] <= ctx.open_as_set[a] and ctx.order[(b, d)]):
                 continue
+            key = ctx.pair_key(c, d)
+            if key not in strict_of:
+                strict_of[key] = failing(c, d) & ~failing(a, b) & quantified
             out.instances_checked += 1
-            src, dst = kinds(a, b), kinds(c, d)
-            strict = [s for s in ctx.subsets if src[s] and not dst[s]]
-            if strict:
+            if strict_of[key]:
                 _fail(out, ctx, pair, f"{c},{d}", "compact sets transfer to wider pairs",
-                      _mask_str(ctx, strict[0]))
+                      first(strict_of[key]))
 
     def agreeing(a: str, b: str, out: SuiteResult) -> None:
         # enlargers agreeing on the selector-open family give one verdict;
         # the partners share the selector's name, so this runs per name
-        sel = ctx.open_sets[a]
         for (c, d) in ctx.pair_names:
             if c != a or d == b:
                 continue
-            if all(ctx.ops[b].table[u] == ctx.ops[d].table[u] for u in sel):
+            if ctx.enlargers_agree(a, b, d):
                 out.instances_checked += 1
-                ab, cd = kinds(a, b), kinds(c, d)
-                ab_open, cd_open = kinds(a, b, "pair_open"), kinds(c, d, "pair_open")
-                for s in ctx.subsets:
-                    if ab[s] != cd[s] or ab_open[s] != cd_open[s]:
-                        _fail(out, ctx, ctx.pairs[(a, b)].name, f"{c},{d}",
-                              "agreeing enlargers give one verdict", _mask_str(ctx, s))
-                        break
+                diff = quantified & (
+                    (failing(a, b) ^ failing(c, d))
+                    | (failing(a, b, "pair_open") ^ failing(c, d, "pair_open"))
+                )
+                if diff:
+                    _fail(out, ctx, ctx.pairs[(a, b)].name, f"{c},{d}",
+                          "agreeing enlargers give one verdict", first(diff))
 
     ctx.each_pair(out, check, agreeing)
 

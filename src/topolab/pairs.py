@@ -289,6 +289,21 @@ def enlargement_base(p: OpPair) -> Family:
     return canonical_family(enl[u] for u in p.selector_open())
 
 
+def image_groups(p: OpPair) -> tuple[tuple[int, int], ...]:
+    """(t, union of the selector-open sets enlarged to t) for each
+    distinct enlargement t; one row per pair kept on the pair.  Some
+    selector-open set around x is enlarged to t iff t's union holds x."""
+    got = p._cache.get("image_groups")
+    if got is None:
+        enl = p.enlarger.table
+        groups: dict[int, int] = {}
+        for u in p.selector_open():
+            t = enl[u]
+            groups[t] = groups.get(t, 0) | u
+        got = p._cache["image_groups"] = tuple(groups.items())
+    return got
+
+
 @dataclass(frozen=True)
 class BaseReport:
     """Hypothesis and conclusion flags for the enlargement base.
@@ -341,13 +356,17 @@ def base_report(p: OpPair) -> BaseReport:
     base = enlargement_base(p)
     pair_open = set(pair_open_family(p))
 
-    image_stable = all(
-        enl[u] in sel_open and enl[enl[u]] & ~enl[u] == 0 for u in sel_open
-    )
-    enl_open = set(op_open_family(p.enlarger))
+    # "every enlarged selector-open set is selector-open and its own
+    # enlargement does not grow it" reads the images alone, so the base
+    # (the distinct images) decides it
+    image_stable = all(b in sel_open and enl[b] & ~b == 0 for b in base)
+    enl_family = op_open_family(p.enlarger)
+    enl_open = set(enl_family)
     family_nested = all(u in enl_open for u in sel_open)
     base_pair_open = all(b in pair_open for b in base)
-    above_identity = all(a & ~image == 0 for a, image in enumerate(enl))
+    # a is enlarger-open iff a sits inside enl[a], so the enlarger sits
+    # above the identity iff all 2**n subsets are enlarger-open
+    above_identity = len(enl_family) == 1 << top.n
     order_dominates = above_identity or leq(p.selector, p.enlarger)
 
     base_in_both = all(b in pair_open and b in sel_open for b in base)

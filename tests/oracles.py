@@ -9,8 +9,13 @@ literally off their wording, the quadratic directedness test for
 filterbases, pairwise scans and fixpoints for union and intersection
 closure, full core scans and subfamily tables for the compactness
 records' base and family statements, and the family universes those
-statements are quantified over.  None of them import the code paths
-they validate.
+statements are quantified over.  The scans that the library's rows and
+planes replaced stay here too: the any-scan limit set of a base, the
+per-core convergence and accumulation over a given neighbourhood
+family, the submask loop of the exhaustive convergence closure, the
+pairwise additivity scan, and the base-report scans for image stability
+and for the enlarger sitting above the identity.  None of them import
+the code paths they validate.
 """
 
 from __future__ import annotations
@@ -413,3 +418,77 @@ def subfamily_bases_accumulate(members, cl, a: int) -> bool:
         if not any(all(cl[m] >> x & 1 for m in base) for x in range(a.bit_length()) if a >> x & 1):
             return False
     return True
+
+
+def scan_limit_set(base, p) -> int:
+    """Limit set of a family of members, one pass over the selector-open
+    family: a selector-open set whose enlargement holds no member puts
+    its points outside."""
+    from topolab.ops import op_open_family
+
+    enl = p.enlarger.table
+    outside = 0
+    for u in op_open_family(p.selector):
+        if not any(m & ~enl[u] == 0 for m in base):
+            outside |= u
+    return p.topology.full ^ outside
+
+
+def family_converges(core: int, p, point: int, family) -> bool:
+    """The principal filter at ``core`` converges to ``point`` with the
+    neighbourhoods drawn from ``family``: every member around the point
+    has an enlargement holding the core."""
+    enl = p.enlarger.table
+    return all(core & ~enl[u] == 0 for u in family if u >> point & 1)
+
+
+def family_accumulates(core: int, p, point: int, family) -> bool:
+    """The principal filter at ``core`` accumulates at ``point`` with
+    the neighbourhoods drawn from ``family``: every member around the
+    point has an enlargement meeting the core."""
+    enl = p.enlarger.table
+    return all(enl[u] & core for u in family if u >> point & 1)
+
+
+def submask_convergence_closure(p, a: int) -> int:
+    """Points some filter containing ``a`` converges to: every nonempty
+    core inside ``a``, submask by submask, against every point's
+    enlarged selector-open neighbourhoods."""
+    from topolab.ops import op_open_family
+
+    fam = op_open_family(p.selector)
+    enl = p.enlarger.table
+    cores = [c for c in submasks_desc(a) if c]
+    out = 0
+    for x in range(p.topology.n):
+        images = [enl[u] for u in fam if u >> x & 1]
+        if any(all(c & ~t == 0 for t in images) for c in cores):
+            out |= 1 << x
+    return out
+
+
+def pairwise_additive_hypothesis(p) -> bool:
+    """A monotone selector, and enl[u | v] == enl[u] | enl[v] over every
+    pair of selector-open sets."""
+    from topolab.ops import op_open_family
+
+    fam = op_open_family(p.selector)
+    enl = p.enlarger.table
+    return naive_is_monotone(p.selector) and all(
+        enl[u | v] == enl[u] | enl[v] for u in fam for v in fam
+    )
+
+
+def scan_image_stable(p) -> bool:
+    """Every enlarged selector-open set is selector-open and its own
+    enlargement does not grow it, over every selector-open set."""
+    from topolab.ops import op_open_family
+
+    fam = set(op_open_family(p.selector))
+    enl = p.enlarger.table
+    return all(enl[u] in fam and enl[enl[u]] & ~enl[u] == 0 for u in fam)
+
+
+def scan_above_identity(p) -> bool:
+    """Every subset sits inside its enlargement, over all 2**n subsets."""
+    return all(a & ~image == 0 for a, image in enumerate(p.enlarger.table))

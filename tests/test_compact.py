@@ -16,6 +16,7 @@ from topolab import (
     compactness_kind,
     cover_kind_flags,
     enumerate_topologies,
+    failing_plane,
     filter_compactness_flags,
     is_compact,
     is_cover,
@@ -40,6 +41,7 @@ from oracles import (
     inner_bases_accumulate,
     literal_fip_and_gap,
     meeting_bases_accumulate,
+    pairwise_additive_hypothesis,
     per_subset_compact,
     sampled_families,
     seeded_subfamily,
@@ -521,3 +523,62 @@ def test_closed_space_predicates(s2, d2, i2):
     assert not rep.hausdorff and not rep.s_closed and not rep.h_closed
     rep = closed_space_predicates(i2, pair(i2, "int", "cl"))
     assert not rep.hausdorff
+
+
+def _plane_spaces(seed: int):
+    """Every space of at most 3 points, then seeded 4-8-point spaces."""
+    rng = random.Random(seed)
+    return small_spaces() + [random_topology(n, rng.randrange(10**6), n) for n in (4, 5, 6, 7, 8)]
+
+
+def test_failing_planes_match_the_per_set_scan():
+    # every subset, every kind and all 49 pairs: bit a of a kind's plane is
+    # set exactly when the avoidance scan finds a not compact
+    for top in _plane_spaces(83):
+        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
+            p = pair(top, a, b)
+            for kind in KINDS:
+                plane = failing_plane(p, kind)
+                assert plane >> (1 << top.n) == 0
+                for s in top.subsets():
+                    assert bool(plane >> s & 1) != compactness_kind(p, s, kind), (top, a, b, kind, s)
+    with pytest.raises(ValueError):
+        failing_plane(pair(small_spaces()[0], "int", "cl"), "nope")
+
+
+def test_space_flags_match_the_per_set_scan():
+    # the space-level record read off planes against compactness_kind over
+    # the whole space, every nonempty residue and every pair-closed set
+    for top in _plane_spaces(89):
+        full = top.full
+        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
+            p = pair(top, a, b)
+            enl = p.enlarger.table
+            residues = [r for r in canonical_family(full ^ enl[u] for u in p.selector_open()) if r]
+            closed = pair_closed_family(p)
+
+            def compact_all(sets, kind):
+                return all(compactness_kind(p, s, kind) for s in sets)
+
+            expected = tuple(
+                compact_all(sets, kind)
+                for sets, kinds in (((full,), ("pair", "base", "pair_open")),
+                                    (residues, ("pair", "pair_open", "base")),
+                                    (closed, ("pair", "pair_open", "base")))
+                for kind in kinds
+            )
+            flags = space_compactness_flags(p)
+            assert flags.statements() == expected, (top, a, b)
+
+
+def test_additive_hypothesis_matches_the_pairwise_scan():
+    # monotone selector first, then (u, j) with j empty or union-irreducible,
+    # against the pairwise scan over every pair of selector-open sets
+    seen = set()
+    for top in _plane_spaces(97):
+        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
+            p = pair(top, a, b)
+            got = additive_enlarger_flags(p, top.full).hypothesis
+            assert got == pairwise_additive_hypothesis(p), (top, a, b)
+            seen.add(got)
+    assert seen == {True, False}

@@ -6,6 +6,7 @@ from topolab import (
     OpPair,
     accumulates,
     adherence_set,
+    base_limit_sets,
     catalog,
     convergence_closure,
     converges,
@@ -17,6 +18,7 @@ from topolab import (
     is_t2,
     limit_set,
     maximal_filters,
+    member_table,
     nbhd_filterbase,
     pair_closure,
     random_topology,
@@ -28,6 +30,8 @@ from oracles import (
     literal_is_regular_wrt,
     literal_is_t2,
     pointwise_pair_closure,
+    scan_limit_set,
+    submask_convergence_closure,
 )
 
 
@@ -334,3 +338,64 @@ def test_convergence_closure_requires_regularity_for_equality():
     p = pair(_blunt3(), "introcl", "identity")
     assert pair_closure(p, 0b011) >> 2 & 1
     assert not convergence_closure(p, 0b011) >> 2 & 1
+
+
+def _seeded_spaces(seed: int):
+    """Seeded 4-8-point spaces, one per size."""
+    import random
+
+    rng = random.Random(seed)
+    return [random_topology(n, rng.randrange(10**6), n) for n in (4, 5, 6, 7, 8)]
+
+
+def test_base_limit_sets_match_the_scan():
+    # every filterbase on at most 3 points, and on seeded 4-8-point spaces
+    # seeded bases, arbitrary families and the empty family; all 49 pairs,
+    # with the member table built inside and passed in
+    import random
+
+    rng = random.Random(67)
+    cases = []
+    for top in small_spaces():
+        nonempty = list(range(1, 1 << top.n))
+        fams = (
+            tuple(nonempty[i] for i in range(len(nonempty)) if sel >> i & 1)
+            for sel in range(1, 1 << len(nonempty))
+        )
+        cases.append((top, [f for f in fams if is_filterbase(f)]))
+    for top in _seeded_spaces(71):
+        n = top.n
+        fams = [()]
+        for _ in range(10):
+            core = rng.randrange(1, 1 << n)
+            fams.append(tuple(sorted({core, *(core | rng.randrange(1 << n) for _ in range(2))})))
+            fams.append(tuple(rng.randrange(1 << n) for _ in range(rng.randrange(1, 4))))
+        cases.append((top, fams))
+    for top, fams in cases:
+        has = member_table(fams, top.n)
+        for a in BUILTIN_NAMES:
+            for b in BUILTIN_NAMES:
+                p = pair(top, a, b)
+                scans = [scan_limit_set(f, p) for f in fams]
+                assert base_limit_sets(p, fams) == scans, (top, a, b)
+                assert base_limit_sets(p, fams, has) == scans, (top, a, b)
+                assert [limit_set(f, p) for f in fams[:4]] == scans[:4], (top, a, b)
+
+
+def test_exhaustive_convergence_closure_matches_the_submask_scan():
+    # every subset of every space of at most 3 points and seeded subsets of
+    # seeded 4-8-point spaces, all 49 pairs
+    import random
+
+    rng = random.Random(73)
+    cases = [(top, list(top.subsets())) for top in small_spaces()]
+    for top in _seeded_spaces(79):
+        cases.append((top, sorted({0, top.full, *(rng.randrange(1 << top.n) for _ in range(6))})))
+    for top, subsets in cases:
+        for a in BUILTIN_NAMES:
+            for b in BUILTIN_NAMES:
+                p = pair(top, a, b)
+                for s in subsets:
+                    literal = submask_convergence_closure(p, s)
+                    assert convergence_closure(p, s, exhaustive=True) == literal, (top, a, b, s)
+                    assert convergence_closure(p, s) == literal, (top, a, b, s)

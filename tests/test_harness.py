@@ -1,7 +1,10 @@
+import collections
 import gc
 import hashlib
+import itertools
 import json
 import pathlib
+import random
 import weakref
 
 import pytest
@@ -12,6 +15,7 @@ from topolab import (
     SchemaError,
     SuiteConfig,
     adherence_set,
+    compactness_kind,
     enumerate_topologies,
     leq,
     limit_set,
@@ -20,18 +24,19 @@ from topolab import (
     run_suites,
     sweep_spaces,
 )
-from topolab import harness
-from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES, _SpaceContext
+from topolab import compact, harness
+from topolab.bits import intersect_all
+from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES, _SpaceContext, _mask_str
 
-from oracles import pointwise_pair_closure
+from oracles import family_accumulates, family_converges, pointwise_pair_closure, scan_limit_set
 
 PINS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "expected.json"
 
 
-def _report_digest(cfg: SuiteConfig) -> str:
+def _report_digest(cfg: SuiteConfig, spaces=None) -> str:
     """sha256 of the report without its environment block, as pinned in
     the benchmark's expected.json."""
-    data = run_suites(cfg).to_dict()
+    data = run_suites(cfg, spaces).to_dict()
     del data["environment"]
     return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
@@ -110,6 +115,181 @@ def test_exhaustive_report_matches_pinned_digest():
     # branches of the filters suite
     cfg = SuiteConfig(n_exhaustive=3, seed=0)
     assert _report_digest(cfg) == json.loads(PINS.read_text())["exhaustive3"]["digest"]
+
+
+def test_ten_point_report_matches_pinned_digest():
+    # every suite on one 10-point space (512 opens): the only pinned report
+    # that runs the filters and compactness suites above six points
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=10)
+    digest = _report_digest(cfg, [("n=10", random_topology(10, 0, 10))])
+    assert digest == "268cd35a5a9af39b00cd4f081915e71dfbebd80639b50812090fa0beefc3551f"
+
+
+def _records(result) -> list[tuple]:
+    return [(f["pair"], f["statement"], f["subject"], f["witness"]) for f in result.failures]
+
+
+def test_flipped_base_limit_bit_fails_like_the_per_base_scan(monkeypatch):
+    # one wrong bit in the batched base limits is reported with the
+    # subject and witness the per-base scan gives with the same bit flipped
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=5, samples=1, seed=3, suites=("filters",))
+    flip_base, flip_point = 2, 1
+    real = harness.base_limit_sets
+
+    def flipped(p, bases, has=None):
+        got = real(p, bases, has)
+        got[flip_base] ^= 1 << flip_point
+        return got
+
+    monkeypatch.setattr(harness, "base_limit_sets", flipped)
+    got = _records(run_suites(cfg).suites["filters"])
+    expected = []
+    for label, top in sweep_spaces(cfg):
+        ctx = _SpaceContext(label, top, cfg)
+        for a, b in ctx.pair_names:
+            p = ctx.pairs[(a, b)]
+            for j, base in enumerate(ctx.bases):
+                f = Filter(top.n, intersect_all(base, top.full))
+                scan = scan_limit_set(base, p) ^ (j == flip_base) << flip_point
+                diff = (scan ^ limit_set(f, p)) | (adherence_set(base, p) ^ adherence_set(f, p))
+                if diff:
+                    expected.append((f"{a},{b}", "base and generated filter agree", str(list(base)),
+                                     str((diff & -diff).bit_length() - 1)))
+    assert len(expected) == 49
+    assert got == expected
+
+
+def test_emptied_limit_row_fails_transfer_per_name(monkeypatch):
+    # one operation pair's limit row reads empty: every named pair that
+    # transfers to it fails at its first core with a limit, rebuilt here
+    # name by name and core by core from the same rows
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=5, samples=1, seed=3, suites=("filters",))
+    [(label, top)] = sweep_spaces(cfg)
+    real = _SpaceContext.filter_rows
+
+    def emptied(self, key):
+        lim, adh = real(self, key)
+        if self.pair_key(*key) == self.pair_key("int", "cl"):
+            return collections.defaultdict(int), adh
+        return lim, adh
+
+    monkeypatch.setattr(_SpaceContext, "filter_rows", emptied)
+    statement = "transfer to a wider pair"
+    got = [r for r in _records(run_suites(cfg, [(label, top)]).suites["filters"]) if r[1] == statement]
+    ctx = _SpaceContext(label, top, cfg)
+    expected = []
+    for a, b in ctx.pair_names:
+        lim, adh = ctx.filter_rows((a, b))
+        for c, d in ctx.pair_names:
+            if not (set(ctx.open_sets[c]) <= set(ctx.open_sets[a]) and leq(ctx.ops[b], ctx.ops[d])):
+                continue
+            wide_lim, wide_adh = ctx.filter_rows((c, d))
+            for core in ctx.cores():
+                if lim[core] & ~wide_lim[core] or adh[core] & ~wide_adh[core]:
+                    expected.append((f"{a},{b}", statement, f"{c},{d}", _mask_str(ctx, core)))
+                    break
+    assert len({r[0] for r in expected}) > 1
+    assert got == expected
+
+
+def test_padded_neighbourhoods_fail_like_the_per_core_predicates(monkeypatch):
+    # an extra singleton in every neighbourhood up-set: the variant's
+    # distinct-image test reports what the per-core predicates over the
+    # padded family report, core by core and point by point
+    cfg = SuiteConfig(n_exhaustive=2, n_sampled=5, samples=1, seed=7, suites=("filters",))
+    real = _SpaceContext.neighborhoods
+
+    def padded(self, sel_name, x):
+        return real(self, sel_name, x) + (1 << x,)
+
+    monkeypatch.setattr(_SpaceContext, "neighborhoods", padded)
+    got = _records(run_suites(cfg).suites["filters"])
+    expected = []
+    for label, top in sweep_spaces(cfg):
+        ctx = _SpaceContext(label, top, cfg)
+        for a, b in ctx.pair_names:
+            if not ctx.monotone[b]:
+                continue
+            p = ctx.pairs[(a, b)]
+            lim, adh = ctx.filter_rows((a, b))
+            for core in ctx.cores():
+                for x in range(top.n):
+                    fam = ctx.neighborhoods(a, x)
+                    if bool(lim[core] >> x & 1) != family_converges(core, p, x, fam) or \
+                       bool(adh[core] >> x & 1) != family_accumulates(core, p, x, fam):
+                        expected.append((f"{a},{b}", "neighbourhood variant agrees",
+                                         _mask_str(ctx, core), str(x)))
+                        break
+    assert expected
+    assert got == expected
+
+
+def test_flipped_failing_plane_bit_fails_like_the_per_set_scan(monkeypatch):
+    # one wrong bit in one failing plane: the compactness suite reports
+    # the same records as with the plane assembled set by set from the
+    # avoidance scan, with the same bit flipped; the transfer and
+    # agreeing-enlarger records are also rebuilt name by name and set by
+    # set from the flipped verdicts
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=4, samples=1, seed=5, suites=("compactness",))
+    [(label, top)] = sweep_spaces(cfg)
+    ctx = _SpaceContext(label, top, cfg)
+    target, flip_set = ctx.pair_key("int", "cl"), 0b0001
+    real = compact.failing_plane
+
+    def hit(p, kind):
+        return kind == "pair" and (p.selector, p.enlarger) == target
+
+    def batched(p, kind="pair"):
+        return real(p, kind) ^ hit(p, kind) << flip_set
+
+    def per_set(p, kind="pair"):
+        plane = sum(1 << s for s in p.topology.subsets() if not compactness_kind(p, s, kind))
+        return plane ^ hit(p, kind) << flip_set
+
+    records = {}
+    for name, fn in (("batched", batched), ("per_set", per_set)):
+        monkeypatch.setattr(compact, "failing_plane", fn)
+        monkeypatch.setattr(harness, "failing_plane", fn)
+        records[name] = _records(run_suites(cfg, [(label, top)]).suites["compactness"])
+    assert records["batched"] == records["per_set"]
+    subject = _mask_str(ctx, flip_set)
+    assert ("int,cl", "filter statements agree", subject) in {r[:3] for r in records["batched"]}
+
+    def compact_at(a, b, s, kind="pair"):
+        p = ctx.pairs[(a, b)]
+        return compactness_kind(p, s, kind) != (hit(p, kind) and s == flip_set)
+
+    blocks = ("compact sets transfer to wider pairs", "agreeing enlargers give one verdict")
+    expected = []
+    for a, b in ctx.pair_names:
+        for c, d in ctx.pair_names:
+            if set(ctx.open_sets[c]) <= set(ctx.open_sets[a]) and leq(ctx.ops[b], ctx.ops[d]):
+                strict = [s for s in ctx.subsets if compact_at(a, b, s) and not compact_at(c, d, s)]
+                if strict:
+                    expected.append((f"{a},{b}", blocks[0], f"{c},{d}", _mask_str(ctx, strict[0])))
+        for c, d in ctx.pair_names:
+            if c != a or d == b:
+                continue
+            if all(ctx.ops[b].table[u] == ctx.ops[d].table[u] for u in ctx.open_sets[a]):
+                for s in ctx.subsets:
+                    if any(compact_at(a, b, s, k) != compact_at(c, d, s, k) for k in ("pair", "pair_open")):
+                        expected.append((f"{a},{b}", blocks[1], f"{c},{d}", _mask_str(ctx, s)))
+                        break
+    assert {r[1] for r in expected} == set(blocks)
+    assert [r for r in records["batched"] if r[1] in blocks] == expected
+
+
+def test_enlargers_agree_matches_the_image_scan():
+    # the per-selector agreement classes against the scan over the
+    # selector-open family, every triple of names
+    rng = random.Random(103)
+    spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
+    spaces += [random_topology(n, rng.randrange(10**6), n) for n in (4, 6, 8)]
+    for top in spaces:
+        ctx = _SpaceContext("s", top, SuiteConfig())
+        for a, b, c in itertools.product(BUILTIN_NAMES, repeat=3):
+            literal = all(ctx.ops[b].table[u] == ctx.ops[c].table[u] for u in ctx.open_sets[a])
+            assert ctx.enlargers_agree(a, b, c) == literal, (top, a, b, c)
 
 
 def test_filter_rows_match_literal_rules():

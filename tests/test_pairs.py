@@ -12,7 +12,9 @@ from topolab import (
     classify_structure,
     enlargement_base,
     enumerate_topologies,
+    leq,
     named_family,
+    op_open_family,
     pair_closed_family,
     pair_closure,
     pair_interior,
@@ -27,6 +29,8 @@ from oracles import (
     pairwise_intersection_closed,
     pairwise_union_closed,
     pointwise_pair_closure,
+    scan_above_identity,
+    scan_image_stable,
 )
 
 
@@ -216,3 +220,22 @@ def test_pair_duality_on_random_spaces():
             for s in top.subsets():
                 assert top.full ^ pair_interior(p, s) == pair_closure(p, top.full ^ s)
                 assert pair_closure(p, s) == pair_closure_by_points(p, s)
+
+
+def test_base_report_matches_the_scans():
+    # image stability over the base against the scan over every
+    # selector-open set, and "above the identity" as a count of the
+    # enlarger-open sets against the scan over all subsets: every space of
+    # at most 3 points and seeded 4-9-point spaces, all 49 pairs
+    rng = random.Random(101)
+    spaces = small_spaces() + [random_topology(n, rng.randrange(10**6), n) for n in range(4, 10)]
+    seen = set()
+    for top in spaces:
+        for p in all_pairs(top):
+            rep = base_report(p)
+            above = scan_above_identity(p)
+            assert (len(op_open_family(p.enlarger)) == 1 << top.n) == above, (top, p)
+            assert rep.image_stable == scan_image_stable(p), (top, p)
+            assert rep.order_dominates == (above or leq(p.selector, p.enlarger)), (top, p)
+            seen.add((rep.image_stable, above))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
