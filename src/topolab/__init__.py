@@ -67,21 +67,16 @@ from .filters import (
 )
 from .compact import (
     NAMED_CLASSES,
-    AdditiveEnlargerFlags,
     ClosedSpacePredicates,
     CompactnessVerdict,
-    CoverKindFlags,
     CoverSystem,
-    FilterCompactnessFlags,
     SpaceCompactnessFlags,
-    additive_enlarger_flags,
+    additive_hypothesis,
     brute_force_compact,
     brute_force_compact_all,
     closed_space_predicates,
     compactness_kind,
-    cover_kind_flags,
     failing_plane,
-    filter_compactness_flags,
     is_compact,
     is_cover,
     named_set_class,

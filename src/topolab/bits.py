@@ -58,10 +58,6 @@ def iter_points(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def complement(mask: int, n: int) -> int:
-    return ((1 << n) - 1) ^ mask
-
-
 def subsets(n: int) -> range:
     """All subset masks of an n-point ground set, ascending."""
     return range(1 << n)
@@ -88,12 +84,6 @@ def submasks_desc(mask: int) -> Iterator[int]:
         if s == 0:
             return
         s = (s - 1) & mask
-
-
-def supersets(mask: int, n: int) -> Iterator[int]:
-    free = complement(mask, n)
-    for extra in submasks_desc(free):
-        yield mask | extra
 
 
 def union_dp(members: Sequence[int]) -> list[int]:
@@ -134,10 +124,13 @@ def _zeta(lanes: int, masks: Iterable[tuple[int, int]], width: int) -> int:
 
 
 def family_plane(family: Iterable[int], n: int) -> int:
-    """The 2**n-bit plane flagging the members of ``family``, read from
-    base-2 digits."""
+    """The 2**n-bit plane flagging the members of ``family``: a few
+    members by one shift each, more from base-2 digits."""
+    members = set(family)
+    if len(members) < 32:
+        return sum(1 << m for m in members)
     digits = bytearray(b"0") * (1 << n)
-    for m in family:
+    for m in members:
         digits[~m] = 49  # ord("1"); the digit ~m from the left is bit m
     return int(digits, 2)
 
@@ -205,19 +198,25 @@ def is_monotone_table(table: Sequence[int], n: int) -> bool:
     )
 
 
-def submask_planes(masks: Iterable[int], n: int) -> list[int]:
-    """For each mask, the 2**n-bit plane flagging its submasks: the AND,
-    over the points outside the mask, of the planes of the subsets
-    without that point (the ``clear`` masks of :func:`_clear_masks`)."""
-    clears = list(_clear_masks(n, 1))
-    everything = (1 << (1 << n)) - 1
-    out = []
-    for m in masks:
-        plane = everything
-        for i, clear in clears:
-            if not m >> i & 1:
-                plane &= clear
-        out.append(plane)
+def down_plane(family: Iterable[int], n: int) -> int:
+    """The 2**n-bit plane flagging every subset of some member of
+    ``family``: the members' plane closed downwards, each point one
+    shift of the lanes with it onto those without it (the ``clear``
+    masks of :func:`_clear_masks`)."""
+    plane = family_plane(family, n)
+    for i, clear in _clear_masks(n, 1):
+        plane |= plane >> (1 << i) & clear
+    return plane
+
+
+def pointed_down_plane(rows: Sequence[Iterable[int]], n: int) -> int:
+    """The 2**n-bit plane flagging the sets A that hold some point x and
+    lie inside a member of ``rows[x]``: the OR, over x, of the
+    :func:`down_plane` of ``rows[x]`` and the sets off the ``clear``
+    mask of x."""
+    out = 0
+    for x, clear in _clear_masks(n, 1):
+        out |= down_plane(rows[x], n) & ~clear
     return out
 
 

@@ -13,27 +13,25 @@ failing cover must keep some a of A out of all its enlargements, and it
 is then contained in that point's avoidance family.  Scanning the points
 of A therefore decides compactness in O(|ambient| * |A|) word steps, and
 with the union of each point's avoidance family tabulated once per pair
-and cover kind, in O(|A|) (:func:`compactness_kind`).  The same
-criterion decides every set at once: A fails exactly when it holds some
-x and sits inside outside[x], so the failing sets of one pair and kind
-form one 2**n-bit plane, the OR over x of two submask planes
-(:func:`failing_plane`).  The records read that plane; the per-set scan
-stays as its check.  The literal quantifier evaluation is kept
-alongside as :func:`brute_force_compact_all` and the two must agree
-everywhere.  It is batched but still literal: one walk over the
-subfamilies of the ambient family decides every target set, reading
-"some finite subfamily" as a union over every submask, never as the
-family itself.  The harness oracle suite still thins ambient families
-above ten members to a seeded draw without a note.
+and cover kind, in O(|A|) (:func:`compactness_kind`).  The literal
+quantifier evaluation is kept alongside as :func:`brute_force_compact_all`
+and the two must agree everywhere.  It is batched but still literal: one
+walk over the subfamilies of the ambient family decides every target
+set, reading "some finite subfamily" as a union over every submask,
+never as the family itself.  The harness oracle suite still thins
+ambient families above ten members to a seeded draw without a note.
 
-The equivalence records quantify over their complete universes at every
-carrier size: every family, every selector-closed set, every residue
-and every pair-closed set.  Their subfamily quantifiers are evaluated
-in closed form: meets shrink as a subfamily grows, so one extreme
-subfamily decides each statement (proofs beside the code; the literal
-scans are test oracles).  The additivity hypothesis is checked over the
-union-irreducible members only; the proof is at
-:func:`additive_enlarger_flags`.
+Every per-set statement about a pair has the same shape: A fails
+exactly when it holds some x and sits inside a member of row[x].  The
+statements are the three cover kinds, the filter faces of compactness
+and the restricted accumulation of residue bases under additivity
+(:func:`_row`), and each quantifies over its complete universe at every
+carrier size, decided in closed form with the proof beside the code
+(the literal scans are test oracles).  So the failing sets of one
+statement form one 2**n-bit plane (:func:`failing_plane`), the sweeps
+compare statements by XORs of planes, and the per-set scan stays as its
+check.  The additivity hypothesis is checked over the union-irreducible
+members only; the proof is at :func:`additive_hypothesis`.
 """
 
 from __future__ import annotations
@@ -47,10 +45,10 @@ from .bits import (
     contained_union_table,
     family_plane,
     iter_points,
-    submask_planes,
+    pointed_down_plane,
     union_dp,
 )
-from .filters import is_t2
+from .filters import _point_limits, is_t2
 from .ops import Operation, builtin, dual_table, is_monotone, op_closed_family
 from .pairs import (
     OpPair,
@@ -195,8 +193,66 @@ def _outside_row(p: OpPair, kind: str) -> tuple[int, ...]:
     return row
 
 
+def _row(p: OpPair, kind: str) -> tuple[tuple[int, ...], ...]:
+    """row[x]: the sets whose subsets holding x fail the kind's
+    statement, one row per pair and kind kept on the pair.
+
+    pair, pair_open, base  compactness in the three cover systems
+                           (:func:`compactness_kind`): the avoidance row
+    ultra                  every maximal base meeting A converges in A
+    closed                 the closed-family fip and gap statements
+    restricted             every base of residues meeting A accumulates
+                           in A
+
+    The proofs that each row decides its statement sit beside the code.
+    """
+    cache = p._cache
+    row = cache.get(("row", kind))
+    if row is None:
+        n, full = p.topology.n, p.topology.full
+        if kind == "ultra":
+            # The maximal bases are the singleton cores {x}; one meets A
+            # iff x is in A, and converges at y iff x is in env(y).  So
+            # the statement fails iff some x in A has A inside
+            # full ^ limits[x] = {y : x not in env(y)}.  Since env(y) is
+            # the meet of enl[u] over the selector-open u around y, that
+            # row is the union of the u with x not in enl[u]: outside[x]
+            # of the pair kind, reached through the envelopes.
+            row = tuple((full ^ m,) for m in _point_limits(p))
+        elif kind == "closed":
+            # The closed pair holds iff every S_y, y in A, has its meet
+            # meeting A (see :func:`_closed_meets`); it fails iff some y
+            # in A has A inside full ^ meets[y].  The selector-closed
+            # sets are the full ^ u, u selector-open, with dual image
+            # full ^ enl[u], so that row is again the union of the u
+            # with y not in enl[u], reached through the dual table.
+            row = tuple((full ^ m,) for m in _closed_meets(p))
+        elif kind == "restricted":
+            # Every filterbase B of residues meeting A must accumulate in
+            # A.  B holds its least member m0, so B meets A iff m0 does,
+            # and the pair closure is monotone, so its members' closures
+            # meet in cl(m0).  The least members are exactly the nonempty
+            # residues ({r} is a base), so the statement fails iff some
+            # y in A lies in a residue r with A inside full ^ cl(r).  Such
+            # an A misses cl(r), so y lies in r minus cl(r): in the union
+            # reach[c] of r minus c over the residues r whose closure is c.
+            reach: dict[int, int] = {}
+            for r, closure in _residue_row(p):
+                if r & ~closure:
+                    reach[closure] = reach.get(closure, 0) | r & ~closure
+            row = tuple(
+                tuple(full ^ c for c, union in reach.items() if union >> x & 1) for x in range(n)
+            )
+        else:
+            row = tuple((m,) for m in _outside_row(p, kind))
+        cache[("row", kind)] = row
+    return row
+
+
 def compactness_kind(p: OpPair, a: int, kind: str = "pair") -> bool:
-    """Compactness of ``a`` in one of the pair's three cover systems.
+    """Whether ``a`` passes one of the pair's statements (:func:`_row`),
+    one set at a time; with the default and the two other cover kinds,
+    its compactness in one of the pair's three cover systems:
 
     pair       covers from the selector-open family, enlarged subcovers
     pair_open  plain covers from the pair-open family
@@ -204,37 +260,23 @@ def compactness_kind(p: OpPair, a: int, kind: str = "pair") -> bool:
 
     By the avoidance-family criterion ``a`` fails exactly when some x in
     ``a`` has ``a`` inside the union of the members whose enlargement
-    misses x.  One set at a time: the records read every set off
-    :func:`failing_plane`, and this scan stays as its check.
+    misses x.  The sweeps read every set off :func:`failing_plane`, and
+    this scan stays as its check.
     """
-    outside = _outside_row(p, kind)
-    return not any(a & ~outside[x] == 0 for x in iter_points(a))
+    row = _row(p, kind)
+    return not any(a & ~m == 0 for x in iter_points(a) for m in row[x])
 
 
 def failing_plane(p: OpPair, kind: str = "pair") -> int:
-    """The 2**n-bit plane of the sets that are not compact in one of the
-    pair's cover systems (:func:`compactness_kind`), kept on the pair.
-
-    A fails iff some x in A has A inside outside[x]; the sets holding x
-    are those outside the submask plane of ``full ^ {x}``, so the plane
-    is the OR, over x, of the submask plane of outside[x] minus that one.
-    """
+    """The 2**n-bit plane of the sets failing one of the pair's
+    statements (:func:`compactness_kind`), kept on the pair: the sets
+    holding some x and lying inside a member of row[x]
+    (:func:`~topolab.bits.pointed_down_plane`)."""
     cache = p._cache
     got = cache.get(("failing", kind))
     if got is None:
-        n, full = p.topology.n, p.topology.full
-        outside = _outside_row(p, kind)
-        planes = submask_planes([*outside, *(full ^ (1 << x) for x in range(n))], n)
-        got = 0
-        for x in range(n):
-            got |= planes[x] & ~planes[n + x]
-        cache[("failing", kind)] = got
+        got = cache[("failing", kind)] = pointed_down_plane(_row(p, kind), p.topology.n)
     return got
-
-
-def _compact(p: OpPair, a: int, kind: str) -> bool:
-    """Compactness of ``a`` read off the kind's :func:`failing_plane`."""
-    return not failing_plane(p, kind) >> a & 1
 
 
 def _named_class_pair(top: Topology, name: str) -> OpPair:
@@ -259,42 +301,63 @@ def named_set_class(top: Topology, a: int, name: str) -> bool:
 # equivalence records
 
 
-@dataclass(frozen=True)
-class FilterCompactnessFlags:
-    """The ten filter-flavoured statements of cover compactness.
-
-    They agree for every pair and every subset.  Every quantifier runs
-    over its complete universe (all families, all selector-closed sets,
-    all cores), decided in closed form: the two gap/fip pairs (over
-    families and over selector-closed sets) each share one verdict, and
-    the family pair and the three base-accumulation statements share the
-    singleton-core one; see :func:`filter_compactness_flags`.
-    """
-
-    cover: bool
-    meeting_bases_accumulate: bool
-    meeting_ultra_converge: bool
-    inner_bases_accumulate: bool
-    inner_ultra_converge: bool
-    closure_gap_has_finite_witness: bool
-    fip_implies_closure_point: bool
-    base_gap_has_disjoint_member: bool
-    closed_gap_has_finite_witness: bool
-    closed_fip_implies_point: bool
-
-    def as_dict(self) -> dict[str, bool]:
-        return dict(self.__dict__)
-
-    def statements(self) -> tuple[bool, ...]:
-        return tuple(self.__dict__.values())
-
-    def agree(self) -> bool:
-        return len(set(self.statements())) == 1
+# The ten filter-flavoured statements of cover compactness agree for
+# every pair and every subset A.  On a finite carrier every filterbase
+# reduces to the principal base at its core, so base quantifiers range
+# over all nonempty cores; the family quantifiers range over every family
+# of subsets and the closed ones over every subfamily of the
+# selector-closed sets.  Each is decided in closed form by one kind's
+# failing plane:
+#
+# - cover compactness: the pair kind.
+# - Bases inside A accumulate in A.  cl is monotone and every nonempty
+#   core inside A holds a singleton core, so the singletons decide: the
+#   statement fails iff some y in A has A inside full ^ cl({y}), which is
+#   int[full ^ {y}], the pair kind's avoidance entry outside[y] itself.
+# - Every base meeting A accumulates in A, and (contrapositive) every
+#   single-member base whose closure misses A misses A: both say cl(core)
+#   meets A for every core meeting A.  Such a core holds some y in A, and
+#   cl({y}) sits inside cl(core), so the singleton cores decide both: the
+#   pair kind again.
+# - Closure gap and fip over families: for a family whose closures' meet
+#   misses A, gap needs a finite part whose meet misses A, and fip fails
+#   unless there is one.  Meets shrink as a subfamily grows and the family
+#   is one of its own finite parts, so both fail exactly when some family
+#   has its own meet meeting A while its closures' meet misses A.  Such a
+#   family has some y in A inside every member; cl({y}) sits inside every
+#   member's closure and misses A, so the family {{y}} refutes too, and
+#   the singleton families decide both: the pair kind again.
+# - Every maximal base meeting A, or inside A (its singletons), converges
+#   in A: the ultra kind.
+# - Closed gap and fip: the closed kind.
+#
+# So the pair kind's plane is six of the ten outright, and the sweep
+# compares it with the ultra and closed planes, whose rows equal the
+# avoidance row but are reached through the envelopes and through the
+# dual table (proofs at :func:`_row`).
+#
+# The four complement statements of the cover kinds quantify over
+# the subfamilies of one fixed family K (the residues full ^ enl[u], or
+# the pair-closed sets):
+#   fip  every subfamily whose finite parts all meet A meets A,
+#   gap  every subfamily missing A has a finite part missing A.
+# On a finite carrier each subfamily is a finite part of itself, so a
+# subfamily missing A is its own witness for gap and refutes the fip
+# premise; both hold for every K and every A.  Under the base hypothesis
+# the cover kinds therefore agree exactly when A is compact in all three.
 
 
 def _closed_meets(p: OpPair) -> tuple[int, ...]:
     """meets[y] = meet of S_y = {f selector-closed : y in dual(f)}, one row
-    per pair kept on the pair."""
+    per pair kept on the pair.
+
+    The closed pair reads the statements over subfamilies sel of the
+    closed sets, judging finite parts by their dual enlargements: by the
+    family argument above sel refutes both when its meet misses A while
+    its duals' meet holds some y in A.  Then sel lies in S_y, whose meet
+    is smaller and whose duals all hold y, so S_y refutes too: both hold
+    iff every S_y, y in A, has its meet meeting A.
+    """
     cache = p._cache
     row = cache.get("closed_meets")
     if row is None:
@@ -306,123 +369,6 @@ def _closed_meets(p: OpPair) -> tuple[int, ...]:
                 meets[y] &= f
         row = cache["closed_meets"] = tuple(meets)
     return row
-
-
-def _singleton_closures(p: OpPair) -> tuple[int, ...]:
-    """The pair closure of each singleton, one row per pair kept on the pair."""
-    row = p._cache.get("singleton_closures")
-    if row is None:
-        row = p._cache["singleton_closures"] = tuple(
-            pair_closure(p, 1 << y) for y in range(p.topology.n)
-        )
-    return row
-
-
-def filter_compactness_flags(p: OpPair, a: int) -> FilterCompactnessFlags:
-    """Evaluate the ten statements for one pair and one subset.
-
-    On a finite carrier every filterbase reduces to the principal base
-    at its core, so base quantifiers range over all nonempty cores; the
-    family quantifiers range over every family of subsets and the closed
-    ones over every subfamily of the selector-closed sets.  Each is
-    decided by the extreme members named beside the code.
-    """
-    points_of_a = list(iter_points(a))
-    cl_single = _singleton_closures(p)
-
-    flag_cover = _compact(p, a, "pair")
-
-    # bases living inside a; cl is monotone and every nonempty core
-    # inside a holds a singleton core, so the singletons decide
-    inner_acc = all(cl_single[y] & a for y in points_of_a)
-    # Every base meeting a accumulates inside a, and (contrapositive)
-    # every single-member base whose closure misses a misses a: both say
-    # cl(core) meets a for every core meeting a.  Such a core holds some
-    # y in a, and cl({y}) sits inside cl(core) as cl is monotone, so the
-    # singleton cores {y}, y in a, decide both, which is inner_acc.
-    meeting_acc = member_escape = inner_acc
-    # every maximal base meeting a converges inside a
-    meeting_ultra = all(
-        any((1 << x) & ~p.envelope(y) == 0 for y in points_of_a)
-        for x in points_of_a
-    )
-    inner_ultra = meeting_ultra  # maximal bases inside a are its singletons
-
-    # For a family whose closures' meet misses a, gap needs a finite part
-    # whose meet misses a, and fip fails unless there is one.  Meets shrink
-    # as a subfamily grows and the family is one of its own finite parts,
-    # so both fail exactly when some family has its own meet meeting a
-    # while its closures' meet misses a.  Such a family has some y in a
-    # inside every member; cl is monotone, so cl({y}) sits inside every
-    # member's closure and misses a, and the family {{y}} refutes too.
-    # The singleton families therefore decide both, which is inner_acc.
-    family_ok = inner_acc
-
-    # The closed pair reads the same over subfamilies sel of the closed
-    # sets, judging finite parts by their dual enlargements: by the same
-    # argument sel refutes both when its meet misses a while its duals'
-    # meet holds some y in a.  Then sel lies in S_y = {f : y in dual(f)},
-    # whose meet is smaller and whose duals all hold y, so S_y refutes too:
-    # both hold iff every S_y has its meet meeting a.
-    meets = _closed_meets(p)
-    closed_ok = all(a & meets[y] for y in points_of_a)
-
-    return FilterCompactnessFlags(
-        cover=flag_cover,
-        meeting_bases_accumulate=meeting_acc,
-        meeting_ultra_converge=meeting_ultra,
-        inner_bases_accumulate=inner_acc,
-        inner_ultra_converge=inner_ultra,
-        closure_gap_has_finite_witness=family_ok,
-        fip_implies_closure_point=family_ok,
-        base_gap_has_disjoint_member=member_escape,
-        closed_gap_has_finite_witness=closed_ok,
-        closed_fip_implies_point=closed_ok,
-    )
-
-
-@dataclass(frozen=True)
-class CoverKindFlags:
-    """The seven cover-family statements, gated by the base hypothesis."""
-
-    hypothesis: bool
-    cover: bool
-    base_cover: bool
-    pair_open_cover: bool
-    complement_fip: bool
-    complement_gap: bool
-    pair_complement_fip: bool
-    pair_complement_gap: bool
-
-    def statements(self) -> tuple[bool, ...]:
-        return (
-            self.cover, self.base_cover, self.pair_open_cover,
-            self.complement_fip, self.complement_gap,
-            self.pair_complement_fip, self.pair_complement_gap,
-        )
-
-    def agree(self) -> bool:
-        return len(set(self.statements())) == 1
-
-
-def cover_kind_flags(p: OpPair, a: int) -> CoverKindFlags:
-    # The four complement statements quantify over the subfamilies of one
-    # fixed family K (the residues full ^ enl[u], or the pair-closed sets):
-    #   fip  every subfamily whose finite parts all meet a meets a,
-    #   gap  every subfamily missing a has a finite part missing a.
-    # On a finite carrier each subfamily is a finite part of itself, so a
-    # subfamily missing a is its own witness for gap and refutes the fip
-    # premise; both hold for every K and every a.
-    return CoverKindFlags(
-        hypothesis=base_report(p).hypothesis_d,
-        cover=_compact(p, a, "pair"),
-        base_cover=_compact(p, a, "base"),
-        pair_open_cover=_compact(p, a, "pair_open"),
-        complement_fip=True,
-        complement_gap=True,
-        pair_complement_fip=True,
-        pair_complement_gap=True,
-    )
 
 
 @dataclass(frozen=True)
@@ -492,19 +438,6 @@ def space_compactness_flags(p: OpPair) -> SpaceCompactnessFlags:
     )
 
 
-@dataclass(frozen=True)
-class AdditiveEnlargerFlags:
-    """Compactness against accumulation of bases drawn from the enlarged
-    complements, under a union-additive enlarger."""
-
-    hypothesis: bool
-    cover: bool
-    restricted_bases_accumulate: bool
-
-    def agree(self) -> bool:
-        return self.cover == self.restricted_bases_accumulate
-
-
 def _union_irreducibles(top: Topology, fam: Family) -> tuple[int, ...]:
     """The union-irreducible members of ``fam``: the nonempty members the
     members strictly inside do not union to.  Those lie inside j minus
@@ -526,10 +459,12 @@ def _union_irreducibles(top: Topology, fam: Family) -> tuple[int, ...]:
     return got
 
 
-def additive_enlarger_flags(p: OpPair, a: int) -> AdditiveEnlargerFlags:
-    """The additivity hypothesis asks for a monotone selector and for
+def additive_hypothesis(p: OpPair) -> bool:
+    """The additivity hypothesis, under which compactness matches the
+    restricted accumulation of residue bases (the restricted kind of
+    :func:`failing_plane`): a monotone selector, and
     ``enl[u | v] == enl[u] | enl[v]`` over all u, v in the
-    selector-open family F.
+    selector-open family F.  Kept on the pair.
 
     A monotone selector makes F union-closed (a inside op(a) and b
     inside op(b) put a | b inside op(a) | op(b), inside op(a | b)), and
@@ -543,10 +478,10 @@ def additive_enlarger_flags(p: OpPair, a: int) -> AdditiveEnlargerFlags:
     empty set to itself.  The converse is immediate.  So monotonicity
     is checked first, then |F| * |J| pairs instead of |F|**2.
     """
-    enl = p.enlarger.table
     cache = p._cache
     hyp = cache.get("additive_hypothesis")
     if hyp is None:
+        enl = p.enlarger.table
         hyp = is_monotone(p.selector)
         if hyp:
             sel_open = p.selector_open()
@@ -556,15 +491,7 @@ def additive_enlarger_flags(p: OpPair, a: int) -> AdditiveEnlargerFlags:
                     hyp = False
                     break
         cache["additive_hypothesis"] = hyp
-    # Every filterbase B of residues meeting a must accumulate in a.  B
-    # holds its least member m0, so B meets a iff m0 does, and the pair
-    # closure is monotone, so its members' closures meet in cl(m0).  The
-    # least members are exactly the nonempty residues ({r} is a base).
-    return AdditiveEnlargerFlags(
-        hypothesis=hyp,
-        cover=_compact(p, a, "pair"),
-        restricted_bases_accumulate=all(closure & a for r, closure in _residue_row(p) if r & a),
-    )
+    return hyp
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,10 @@ from .bits import (
     Family,
     canonical_family,
     contained_union_table,
+    down_plane,
     intersect_all,
     iter_points,
     mask_of,
-    submask_planes,
     submasks_desc,
 )
 from .pairs import OpPair, base_report, enlarger_is_regular, image_groups, pair_closure
@@ -292,7 +292,7 @@ def _envelope_planes(p: OpPair) -> list[int]:
     got = p._cache.get("envelope_planes")
     if got is None:
         n = p.topology.n
-        got = p._cache["envelope_planes"] = submask_planes((p.envelope(x) for x in range(n)), n)
+        got = p._cache["envelope_planes"] = [down_plane((p.envelope(x),), n) for x in range(n)]
     return got
 
 
@@ -311,7 +311,7 @@ def convergence_closure(p: OpPair, a: int, exhaustive: bool = False) -> int:
     n = p.topology.n
     out = 0
     if exhaustive:
-        plane = submask_planes((a,), n)[0] & ~1
+        plane = down_plane((a,), n) & ~1
         for x, env in enumerate(_envelope_planes(p)):
             if plane & env:
                 out |= 1 << x

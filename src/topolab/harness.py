@@ -22,12 +22,10 @@ from . import __version__
 from .bits import Family, canonical_family, derive_seed, family_plane, submasks_desc
 from .compact import (
     CoverSystem,
-    additive_enlarger_flags,
+    additive_hypothesis,
     brute_force_compact_all,
     compactness_kind,
-    cover_kind_flags,
     failing_plane,
-    filter_compactness_flags,
     is_compact,
     named_set_class,
     space_compactness_flags,
@@ -975,8 +973,8 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     top = ctx.top
     quantified = family_plane(ctx.subsets, ctx.n)
 
-    # planes[(operation pair, kind)]: the failing-set plane of one cover
-    # system, built once per distinct pair
+    # planes[(operation pair, kind)]: the failing-set plane of one
+    # statement, built once per distinct pair
     planes = {}
 
     def failing(a: str, b: str, kind: str = "pair") -> int:
@@ -990,21 +988,29 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         """The lowest quantified subset flagged in ``plane``."""
         return _mask_str(ctx, (plane & -plane).bit_length() - 1)
 
+    def verdicts(a: str, b: str, s: int, kinds: tuple[str, ...]) -> str:
+        return str({k: not failing(a, b, k) >> s & 1 for k in kinds})
+
     def check(a: str, b: str, out: SuiteResult) -> None:
         p = ctx.pairs[(a, b)]
         pair = p.name
+        out.instances_checked += len(ctx.subsets)
+        # the quantified subsets each check flags, one plane per check
+        cover = failing(a, b)
+        faces = quantified & ((cover ^ failing(a, b, "ultra")) | (cover ^ failing(a, b, "closed")))
+        kinds = additive = 0
+        if base_report(p).hypothesis_d:
+            kinds = quantified & (cover | failing(a, b, "base") | failing(a, b, "pair_open"))
+        if additive_hypothesis(p):
+            additive = quantified & (cover ^ failing(a, b, "restricted"))
         for s in ctx.subsets:
-            out.instances_checked += 1
-            flags = filter_compactness_flags(p, s)
-            if not flags.agree():
-                _fail(out, ctx, pair, _mask_str(ctx, s),
-                      "filter statements agree", str(flags.as_dict()))
-            kflags = cover_kind_flags(p, s)
-            if kflags.hypothesis and not kflags.agree():
-                _fail(out, ctx, pair, _mask_str(ctx, s),
-                      "cover kinds agree under the base hypothesis", str(kflags.statements()))
-            aflags = additive_enlarger_flags(p, s)
-            if aflags.hypothesis and not aflags.agree():
+            if faces >> s & 1:
+                _fail(out, ctx, pair, _mask_str(ctx, s), "filter statements agree",
+                      verdicts(a, b, s, ("pair", "ultra", "closed")))
+            if kinds >> s & 1:
+                _fail(out, ctx, pair, _mask_str(ctx, s), "cover kinds agree under the base hypothesis",
+                      verdicts(a, b, s, ("pair", "base", "pair_open")))
+            if additive >> s & 1:
                 _fail(out, ctx, pair, _mask_str(ctx, s),
                       "additive enlarger matches restricted accumulation")
         sflags = space_compactness_flags(p)

@@ -8,8 +8,9 @@ for the pair interior and pair closure, the structure flags read
 literally off their wording, the quadratic directedness test for
 filterbases, pairwise scans and fixpoints for union and intersection
 closure, full core scans and subfamily tables for the compactness
-records' base and family statements, and the family universes those
-statements are quantified over.  The scans that the library's rows and
+statements about bases and families, the maximal filters' convergence
+read off its definition, and the family universes those statements are
+quantified over.  The scans that the library's rows and
 planes replaced stay here too: the any-scan limit set of a base, the
 per-core convergence and accumulation over a given neighbourhood
 family, the submask loop of the exhaustive convergence closure, the
@@ -418,6 +419,20 @@ def subfamily_bases_accumulate(members, cl, a: int) -> bool:
         if not any(all(cl[m] >> x & 1 for m in base) for x in range(a.bit_length()) if a >> x & 1):
             return False
     return True
+
+
+def maximal_bases_converge(p, a: int) -> bool:
+    """Every maximal filter inside ``a`` converges to some point of
+    ``a``, read literally off the library's maximal filters (the
+    singleton filters) and its convergence test."""
+    from topolab.filters import converges, maximal_filters
+
+    points = [y for y in range(p.topology.n) if a >> y & 1]
+    return all(
+        any(converges(f, p, y) for y in points)
+        for f in maximal_filters(p.topology)
+        if f.core & ~a == 0
+    )
 
 
 def scan_limit_set(base, p) -> int:

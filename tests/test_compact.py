@@ -8,16 +8,14 @@ from topolab import (
     NAMED_CLASSES,
     CoverSystem,
     OpPair,
-    additive_enlarger_flags,
+    additive_hypothesis,
     brute_force_compact,
     brute_force_compact_all,
     catalog,
     closed_space_predicates,
     compactness_kind,
-    cover_kind_flags,
     enumerate_topologies,
     failing_plane,
-    filter_compactness_flags,
     is_compact,
     is_cover,
     named_set_class,
@@ -25,8 +23,11 @@ from topolab import (
     space_compactness_flags,
 )
 from topolab.bits import canonical_family
+from topolab.compact import _closed_meets, _outside_row
+from topolab.filters import _point_limits
 from topolab.ops import dual_table, op_closed_family, op_open_family
 from topolab.pairs import (
+    base_report,
     enlargement_base,
     pair_closed_family,
     pair_closure,
@@ -40,6 +41,7 @@ from oracles import (
     base_gap_has_disjoint_member,
     inner_bases_accumulate,
     literal_fip_and_gap,
+    maximal_bases_converge,
     meeting_bases_accumulate,
     pairwise_additive_hypothesis,
     per_subset_compact,
@@ -50,6 +52,9 @@ from oracles import (
 )
 
 KINDS = ("pair", "pair_open", "base")
+#: the filter faces of compactness: the cover kind and its two other routes
+FACES = ("pair", "ultra", "closed")
+STATEMENTS = KINDS + ("ultra", "closed", "restricted")
 
 
 def small_spaces():
@@ -234,26 +239,28 @@ def test_implication_chain():
             assert not big_s or h_cls
 
 
+def verdicts(p, s, kinds=FACES):
+    """Whether ``s`` passes each statement, read off its failing plane."""
+    return tuple(not failing_plane(p, k) >> s & 1 for k in kinds)
+
+
 def test_filter_flags_agree_on_fixtures(s2, c3, d2, i2):
     for top in (s2, c3, d2, i2):
         for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
             p = pair(top, a, b)
             for s in top.subsets():
-                flags = filter_compactness_flags(p, s)
-                assert flags.agree(), (top, a, b, s, flags.as_dict())
-                assert len(flags.statements()) == 10
+                got = verdicts(p, s)
+                assert len(set(got)) == 1, (top, a, b, s, got)
+                assert got == tuple(compactness_kind(p, s, k) for k in FACES)
 
 
 def test_filter_flags_empty_set_trivially_true(s2):
-    flags = filter_compactness_flags(pair(s2, "identity", "sint"), 0)
-    assert flags.agree() and flags.cover
+    assert verdicts(pair(s2, "identity", "sint"), 0) == (True, True, True)
 
 
 def test_non_compact_flags_all_false(s2):
     p = pair(s2, "identity", "sint")
-    flags = filter_compactness_flags(p, 0b10)
-    assert not flags.cover
-    assert flags.agree()
+    assert verdicts(p, 0b10) == (False, False, False)
 
 
 def test_antichain_reduction_matches_full_quantification():
@@ -316,15 +323,17 @@ def test_flags_against_literal_family_quantification():
             dual = dual_table(p.enlarger)
             drawn = seeded_subfamily(closed, f"{top.n},{a},{b}")
             for s in subsets:
-                flags = filter_compactness_flags(p, s)
-                assert flags.inner_bases_accumulate == inner_bases_accumulate(cl, s)
-                assert flags.meeting_bases_accumulate == meeting_bases_accumulate(cl, s, top.n)
-                assert flags.base_gap_has_disjoint_member == base_gap_has_disjoint_member(cl, s, top.n)
-                family = (flags.fip_implies_closure_point, flags.closure_gap_has_finite_witness)
+                # six of the ten statements are the pair plane's verdict,
+                # the two closed ones the closed plane's
+                cover, _, closed_ok = verdicts(p, s)
+                assert cover == inner_bases_accumulate(cl, s)
+                assert cover == meeting_bases_accumulate(cl, s, top.n)
+                assert cover == base_gap_has_disjoint_member(cl, s, top.n)
+                family = (cover, cover)
                 assert family == literal_fip_and_gap(cl, universe, s, full)
                 if top.n == 2:
                     assert family == literal_fip_and_gap(cl, every, s, full)
-                closed_pair = (flags.closed_fip_implies_point, flags.closed_gap_has_finite_witness)
+                closed_pair = (closed_ok, closed_ok)
                 literal = subfamily_fip_and_gap(drawn, s, full, [dual[f] for f in drawn])
                 if drawn == closed:
                     assert closed_pair == literal
@@ -353,11 +362,9 @@ def test_singleton_families_refute_closure_gap():
     p = pair(top, "introcl", "int")
     cl = [pair_closure_by_points(p, m) for m in top.subsets()]
     singletons = [(1 << y,) for y in range(top.n)]
-    flags = filter_compactness_flags(p, 26)
     literal = literal_fip_and_gap(cl, singletons, 26, top.full)
     assert literal == (False, False)
-    assert (flags.fip_implies_closure_point, flags.closure_gap_has_finite_witness) == literal
-    assert flags.agree()
+    assert verdicts(p, 26) == (False, False, False)
 
 
 def test_full_closed_family_refutes_closed_gap():
@@ -366,10 +373,9 @@ def test_full_closed_family_refutes_closed_gap():
     p = pair(top, "identity", "int")
     closed = op_closed_family(p.selector)
     assert len(closed) > 10
-    flags = filter_compactness_flags(p, 3)
-    assert not flags.closed_gap_has_finite_witness
+    assert not compactness_kind(p, 3, "closed")
     assert closed_refuter(closed, dual_table(p.enlarger), 3, top.full) is not None
-    assert flags.agree()
+    assert verdicts(p, 3) == (False, False, False)
 
 
 def test_every_residue_decides_restricted_accumulation():
@@ -380,10 +386,9 @@ def test_every_residue_decides_restricted_accumulation():
     residues = canonical_family(top.full ^ enl[u] for u in p.selector_open())
     assert len(residues) == 18
     rule = all(pair_closure_by_points(p, r) & 22 for r in residues if r & 22)
-    flags = additive_enlarger_flags(p, 22)
-    assert flags.restricted_bases_accumulate == rule
+    assert verdicts(p, 22, ("restricted",)) == (rule,)
     assert not rule
-    assert flags.agree()
+    assert compactness_kind(p, 22, "restricted") == compactness_kind(p, 22) == rule
 
 
 def kind_system(p, kind, identity):
@@ -421,16 +426,17 @@ def test_compactness_kind_matches_avoidance_criterion():
 
 
 def test_cover_kind_hypothesis_examples(s2):
+    # the four complement statements hold for every set, so the kinds
+    # agree when the set is compact in all three
     for top in small_spaces():
-        flags = cover_kind_flags(pair(top, "int", "introcl"), top.full)
-        assert flags.hypothesis and flags.agree()
-        flags = cover_kind_flags(pair(top, "cloint", "scl"), top.full)
-        assert flags.hypothesis and flags.agree()
+        for p in (pair(top, "int", "introcl"), pair(top, "cloint", "scl")):
+            assert base_report(p).hypothesis_d
+            assert verdicts(p, top.full, KINDS) == (True, True, True)
 
 
 def test_complement_statements_hold_literally():
-    # cover_kind_flags reports the four complement statements as True
-    # without a scan, and additive_enlarger_flags reads restricted
+    # the cover-kind check takes the four complement statements as True
+    # without a scan, and the restricted plane reads restricted
     # accumulation off every nonempty residue; the literal subfamily
     # scans must agree over residue and closed families of at most 10
     # members.  Bigger ones are scanned over a seeded 10-member draw (any
@@ -449,7 +455,7 @@ def test_complement_statements_hold_literally():
             for s in subsets:
                 assert subfamily_fip_and_gap(drawn, s, full) == (True, True)
                 assert subfamily_fip_and_gap(closed, s, full) == (True, True)
-                restricted = additive_enlarger_flags(p, s).restricted_bases_accumulate
+                (restricted,) = verdicts(p, s, ("restricted",))
                 literal = subfamily_bases_accumulate(drawn, cl, s)
                 if drawn == residues:
                     assert restricted == literal
@@ -470,22 +476,23 @@ def test_space_flags_examples(s2):
 
 def test_additive_hypothesis_examples(s2):
     for top in small_spaces():
-        assert additive_enlarger_flags(pair(top, "cloint", "cl"), top.full).hypothesis
-        assert additive_enlarger_flags(pair(top, "int", "cl"), top.full).hypothesis
+        assert additive_hypothesis(pair(top, "cloint", "cl"))
+        assert additive_hypothesis(pair(top, "int", "cl"))
     # the interior of the closure is not union-additive in general
     broken = [
         top for top in small_spaces()
-        if not additive_enlarger_flags(pair(top, "identity", "introcl"), 0).hypothesis
+        if not additive_hypothesis(pair(top, "identity", "introcl"))
     ]
     assert broken
 
 
 def test_additive_flags_agree_under_hypothesis():
+    # compactness matches restricted accumulation on every set
     for top in small_spaces():
         for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
-            flags = additive_enlarger_flags(pair(top, a, b), top.full)
-            if flags.hypothesis:
-                assert flags.agree()
+            p = pair(top, a, b)
+            if additive_hypothesis(p):
+                assert failing_plane(p, "restricted") == failing_plane(p), (top, a, b)
 
 
 def test_empty_ground_set_is_compact():
@@ -493,7 +500,7 @@ def test_empty_ground_set_is_compact():
     ops = catalog(empty)
     p = OpPair(ops["int"], ops["cl"])
     assert compactness_kind(p, 0, "pair")
-    assert filter_compactness_flags(p, 0).agree()
+    assert verdicts(p, 0) == (True, True, True)
     assert all(named_set_class(empty, 0, k) for k in NAMED_CLASSES)
 
 
@@ -532,12 +539,12 @@ def _plane_spaces(seed: int):
 
 
 def test_failing_planes_match_the_per_set_scan():
-    # every subset, every kind and all 49 pairs: bit a of a kind's plane is
-    # set exactly when the avoidance scan finds a not compact
+    # every subset, every statement and all 49 pairs: bit a of a plane is
+    # set exactly when the per-set scan of the statement's row fails a
     for top in _plane_spaces(83):
         for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
             p = pair(top, a, b)
-            for kind in KINDS:
+            for kind in STATEMENTS:
                 plane = failing_plane(p, kind)
                 assert plane >> (1 << top.n) == 0
                 for s in top.subsets():
@@ -578,7 +585,43 @@ def test_additive_hypothesis_matches_the_pairwise_scan():
     for top in _plane_spaces(97):
         for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
             p = pair(top, a, b)
-            got = additive_enlarger_flags(p, top.full).hypothesis
+            got = additive_hypothesis(p)
             assert got == pairwise_additive_hypothesis(p), (top, a, b)
             seen.add(got)
     assert seen == {True, False}
+
+
+def test_ultra_plane_matches_maximal_filters():
+    # the two maximal-base statements, read literally: every singleton
+    # filter inside a set converges to some point of it
+    seen = set()
+    for top, subsets in oracle_spaces():
+        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
+            p = pair(top, a, b)
+            plane = failing_plane(p, "ultra")
+            for s in subsets:
+                literal = maximal_bases_converge(p, s)
+                assert (not plane >> s & 1) == literal, (top, a, b, s)
+                seen.add(literal)
+    assert seen == {True, False}
+
+
+def test_avoidance_row_equals_the_filter_routes():
+    # outside[x] of the pair kind is full ^ cl({x}) (the same table entry,
+    # and the pointwise closure rule), full ^ the point's limits through
+    # the envelopes, and full ^ the closed meets through the dual table:
+    # every space of at most 4 points and seeded 5-10-point spaces
+    rng = random.Random(107)
+    spaces = [t for n in range(5) for t in enumerate_topologies(n)]
+    spaces += [random_topology(n, rng.randrange(10**6), n) for n in range(5, 11) for _ in range(4)]
+    for top in spaces:
+        full = top.full
+        ops = catalog(top)
+        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
+            p = OpPair(ops[a], ops[b])
+            outside = _outside_row(p, "pair")
+            for x in range(top.n):
+                assert outside[x] == full ^ pair_closure(p, 1 << x), (top, a, b, x)
+                assert outside[x] == full ^ pair_closure_by_points(p, 1 << x), (top, a, b, x)
+            assert outside == tuple(full ^ m for m in _point_limits(p)), (top, a, b)
+            assert outside == tuple(full ^ m for m in _closed_meets(p)), (top, a, b)

@@ -14,7 +14,9 @@ from topolab import (
     Filter,
     SchemaError,
     SuiteConfig,
+    additive_hypothesis,
     adherence_set,
+    base_report,
     compactness_kind,
     enumerate_topologies,
     leq,
@@ -28,7 +30,13 @@ from topolab import compact, harness
 from topolab.bits import intersect_all
 from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES, _SpaceContext, _mask_str
 
-from oracles import family_accumulates, family_converges, pointwise_pair_closure, scan_limit_set
+from oracles import (
+    family_accumulates,
+    family_converges,
+    maximal_bases_converge,
+    pointwise_pair_closure,
+    scan_limit_set,
+)
 
 PINS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "expected.json"
 
@@ -277,6 +285,54 @@ def test_flipped_failing_plane_bit_fails_like_the_per_set_scan(monkeypatch):
                         break
     assert {r[1] for r in expected} == set(blocks)
     assert [r for r in records["batched"] if r[1] in blocks] == expected
+
+
+def test_flipped_filter_and_restricted_bits_fail_like_the_per_set_statements(monkeypatch):
+    # wrong bits in the ultra, closed and restricted planes of one
+    # operation pair (restricted both ways: once where the set is compact,
+    # once where it is not): the compactness suite reports the records
+    # that the statements read set by set give with the same bits flipped,
+    # in the same order and with the same witnesses
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=4, samples=1, seed=5, suites=("compactness",))
+    [(label, top)] = sweep_spaces(cfg)
+    ctx = _SpaceContext(label, top, cfg)
+    target = ctx.pair_key("identity", "introcl")
+    flips = {("ultra", 0b0011), ("closed", 0b1001), ("restricted", 0b0010), ("restricted", 0b0110)}
+    real = compact.failing_plane
+
+    def flip(p, kind, s):
+        return (kind, s) in flips and (p.selector, p.enlarger) == target
+
+    def flipped(p, kind="pair"):
+        return real(p, kind) ^ sum(flip(p, kind, s) << s for _, s in flips)
+
+    monkeypatch.setattr(compact, "failing_plane", flipped)
+    monkeypatch.setattr(harness, "failing_plane", flipped)
+    got = _records(run_suites(cfg, [(label, top)]).suites["compactness"])
+
+    expected = []
+    for a, b in ctx.pair_names:
+        p = ctx.pairs[(a, b)]
+        enl = p.enlarger.table
+        residues = {top.full ^ enl[u] for u in p.selector_open()} - {0}
+        for s in ctx.subsets:
+            v = {k: compactness_kind(p, s, k) for k in ("pair", "base", "pair_open", "closed")}
+            v["ultra"] = maximal_bases_converge(p, s)
+            v["restricted"] = all(pointwise_pair_closure(p, r) & s for r in residues if r & s)
+            for k in ("ultra", "closed", "restricted"):
+                v[k] ^= flip(p, k, s)
+            subject = _mask_str(ctx, s)
+            faces = {k: v[k] for k in ("pair", "ultra", "closed")}
+            if len(set(faces.values())) > 1:
+                expected.append((f"{a},{b}", "filter statements agree", subject, str(faces)))
+            kinds = {k: v[k] for k in ("pair", "base", "pair_open")}
+            if base_report(p).hypothesis_d and not all(kinds.values()):
+                expected.append((f"{a},{b}", "cover kinds agree under the base hypothesis", subject, str(kinds)))
+            if additive_hypothesis(p) and v["pair"] != v["restricted"]:
+                expected.append((f"{a},{b}", "additive enlarger matches restricted accumulation", subject, ""))
+    assert {r[1] for r in expected} == {"filter statements agree",
+                                        "additive enlarger matches restricted accumulation"}
+    assert got == expected
 
 
 def test_enlargers_agree_matches_the_image_scan():
