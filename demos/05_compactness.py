@@ -15,8 +15,8 @@ from topolab import (
     brute_force_compact,
     catalog,
     closed_space_predicates,
+    compactness_kind,
     discrete,
-    failing_plane,
     is_compact,
     named_set_class,
     sierpinski,
@@ -50,20 +50,16 @@ print("\nnamed classes of {b}:",
       {k: named_set_class(s2, 0b10, k) for k in ("H", "N", "s", "S", "compact")})
 
 # --- ten equivalent faces of one notion ----------------------------------------
-# each statement's failing sets form one plane, bit A standing for the set A;
-# the ten filter statements are decided by three of them
-def holds(pair, kind, a):
-    return not failing_plane(pair, kind) >> a & 1
-
-
+# the ten filter statements are decided by three of the pair's statements
 faces = ("pair", "ultra", "closed")
 theta = OpPair(ops["int"], ops["cl"])
-print("\nten filter-flavoured statements agree:", len({holds(theta, k, 0b10) for k in faces}) == 1)
+print("\nten filter-flavoured statements agree:",
+      len({compactness_kind(theta, 0b10, k) for k in faces}) == 1)
 
 lean = OpPair(ops["identity"], ops["sint"])
-verdicts = {holds(lean, k, 0b10) for k in faces}
+verdicts = {compactness_kind(lean, 0b10, k) for k in faces}
 print("they also agree when everything is false:", len(verdicts) == 1,
-      "(cover flag:", str(holds(lean, "pair", 0b10)) + ")")
+      "(cover flag:", str(compactness_kind(lean, 0b10, "pair")) + ")")
 
 # --- kind equivalences under the base hypothesis --------------------------------
 # the four complement statements hold for every set, so the seven agree
@@ -71,7 +67,7 @@ print("they also agree when everything is false:", len(verdicts) == 1,
 semi_reg = OpPair(ops["int"], ops["introcl"])
 print("\n(int,introcl) base hypothesis:", base_report(semi_reg).hypothesis_d,
       "and all seven statements agree:",
-      all(holds(semi_reg, k, s2.full) for k in ("pair", "base", "pair_open")))
+      all(compactness_kind(semi_reg, s2.full, k) for k in ("pair", "base", "pair_open")))
 space_flags = space_compactness_flags(semi_reg)
 print("space-level record agrees too:", space_flags.agree())
 

@@ -124,13 +124,10 @@ def _zeta(lanes: int, masks: Iterable[tuple[int, int]], width: int) -> int:
 
 
 def family_plane(family: Iterable[int], n: int) -> int:
-    """The 2**n-bit plane flagging the members of ``family``: a few
-    members by one shift each, more from base-2 digits."""
-    members = set(family)
-    if len(members) < 32:
-        return sum(1 << m for m in members)
+    """The 2**n-bit plane flagging the members of ``family``, read from
+    base-2 digits."""
     digits = bytearray(b"0") * (1 << n)
-    for m in members:
+    for m in family:
         digits[~m] = 49  # ord("1"); the digit ~m from the left is bit m
     return int(digits, 2)
 
@@ -200,10 +197,14 @@ def is_monotone_table(table: Sequence[int], n: int) -> bool:
 
 def down_plane(family: Iterable[int], n: int) -> int:
     """The 2**n-bit plane flagging every subset of some member of
-    ``family``: the members' plane closed downwards, each point one
+    ``family``: one bit per member, closed downwards, each point one
     shift of the lanes with it onto those without it (the ``clear``
-    masks of :func:`_clear_masks`)."""
-    plane = family_plane(family, n)
+    masks of :func:`_clear_masks`).  Its callers pass one point's row of
+    a few members, so the seed bits are ORed in, not read from the
+    2**n digits of :func:`family_plane`."""
+    plane = 0
+    for m in family:
+        plane |= 1 << m
     for i, clear in _clear_masks(n, 1):
         plane |= plane >> (1 << i) & clear
     return plane

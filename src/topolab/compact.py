@@ -243,8 +243,13 @@ def _row(p: OpPair, kind: str) -> tuple[tuple[int, ...], ...]:
             row = tuple(
                 tuple(full ^ c for c, union in reach.items() if union >> x & 1) for x in range(n)
             )
-        else:
+        elif kind in ("pair", "pair_open", "base"):
             row = tuple((m,) for m in _outside_row(p, kind))
+        else:
+            raise ValueError(
+                f"unknown kind {kind!r}; use 'pair', 'pair_open', 'base', 'ultra', 'closed'"
+                " or 'restricted'"
+            )
         cache[("row", kind)] = row
     return row
 
