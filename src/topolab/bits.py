@@ -86,22 +86,6 @@ def submasks_desc(mask: int) -> Iterator[int]:
         s = (s - 1) & mask
 
 
-def union_dp(members: Sequence[int]) -> list[int]:
-    """dp[sel] = union of members picked by the bits of ``sel``.
-
-    ``sel`` indexes subfamilies of ``members``; capped at SUBFAMILY_CAP
-    members so the table fits in memory.
-    """
-    k = len(members)
-    if k > SUBFAMILY_CAP:
-        raise ValueError(f"family of {k} members exceeds the subfamily scan cap ({SUBFAMILY_CAP})")
-    dp = [0] * (1 << k)
-    for sel in range(1, 1 << k):
-        low = sel & -sel
-        dp[sel] = dp[sel ^ low] | members[low.bit_length() - 1]
-    return dp
-
-
 def _clear_masks(n: int, width: int) -> Iterator[tuple[int, int]]:
     """``(i, clear)`` for each point i, from the top point down, where
     ``clear`` sets every bit of the ``width``-bit lanes of the subsets
@@ -221,9 +205,18 @@ def pointed_down_plane(rows: Sequence[Iterable[int]], n: int) -> int:
     return out
 
 
+def up_planes(planes: Iterable[int], n: int) -> Iterator[int]:
+    """The up-closure (zeta transform) of each 2**n-bit plane in turn,
+    one shift per point, with the shift masks built once for all."""
+    masks = list(_clear_masks(n, 1))
+    for plane in planes:
+        yield _zeta(plane, masks, 1)
+
+
 def upward_closure(family: Iterable[int], n: int) -> Family:
     """Every subset holding some member of ``family``."""
-    return _bits_of(_zeta(family_plane(family, n), _clear_masks(n, 1), 1))
+    (plane,) = up_planes((family_plane(family, n),), n)
+    return _bits_of(plane)
 
 
 def union_closure(family: Iterable[int], n: int) -> Family:

@@ -17,9 +17,9 @@ and cover kind, in O(|A|) (:func:`compactness_kind`).  The literal
 quantifier evaluation is kept alongside as :func:`brute_force_compact_all`
 and the two must agree everywhere.  It is batched but still literal: one
 walk over the subfamilies of the ambient family decides every target
-set, reading "some finite subfamily" as a union over every submask,
-never as the family itself.  The harness oracle suite still thins
-ambient families above ten members to a seeded draw without a note.
+set, reading "some finite subfamily" as the up-closure over every
+submask, never as the family itself.  Above 4 points only, the oracle
+suite thins ambient families above ten members without a note.
 
 Every per-set statement about a pair has the same shape: A fails
 exactly when it holds some x and sits inside a member of row[x].  The
@@ -37,16 +37,18 @@ members only; the proof is at :func:`additive_hypothesis`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .bits import (
+    SUBFAMILY_CAP,
     Family,
     canonical_family,
     contained_union_table,
+    down_plane,
     family_plane,
     iter_points,
     pointed_down_plane,
-    union_dp,
+    up_planes,
 )
 from .filters import _point_limits, is_t2
 from .ops import Operation, builtin, dual_table, is_monotone, op_closed_family
@@ -130,38 +132,37 @@ def brute_force_compact_all(cs: CoverSystem, targets: Sequence[int]) -> tuple[bo
     """Literal evaluation of the compactness quantifiers for every target.
 
     One walk over the 2**k subfamilies of the ambient family decides
-    every target.  ``fc[sel]`` flags the targets covered by the
-    enlargements of some finite subfamily of ``sel``: each submask's
-    flags, folded in by the subset-union transform.  A target fails
-    exactly when some subfamily ``sel`` covers it and ``fc[sel]`` does
-    not flag it.  Bit j of a flag word stands for ``targets[j]``, so
-    memory is 2**k words of ``len(targets)`` bits at every carrier size.
-    Kept as the independent oracle for :func:`is_compact`;
-    :func:`~topolab.bits.union_dp` caps it at 2**20 subfamilies.
+    every target, on 2**k-bit planes, bit ``sel`` for the subfamily
+    picked by the bits of ``sel``.  A target is covered on the AND of
+    its points' plain planes and reached on the AND of their enlarged
+    planes.  "Some finite subfamily of ``sel`` reaches it" is the
+    up-closure of the reached plane over every submask
+    (:func:`~topolab.bits.up_planes`), never ``sel`` itself, and the
+    target fails exactly when a covering subfamily lies off it.  Kept as
+    the independent oracle for :func:`is_compact`; capped at
+    2**SUBFAMILY_CAP subfamilies.
     """
-    members = list(cs.ambient)
-    plain = union_dp(members)
+    k = len(cs.ambient)
+    if k > SUBFAMILY_CAP:
+        raise ValueError(f"family of {k} members exceeds the subfamily scan cap ({SUBFAMILY_CAP})")
+    everything = (1 << (1 << k)) - 1
+
+    def meets(images: Sequence[int]) -> Iterator[int]:
+        """Per target, the AND over its points x of the subfamilies whose
+        images' union holds x: all but the submasks of those missing x."""
+        at = {}
+        for t in targets:
+            out = everything
+            for x in iter_points(t):
+                if x not in at:
+                    missing = sum(1 << i for i, m in enumerate(images) if not m >> x & 1)
+                    at[x] = everything ^ down_plane((missing,), k)
+                out &= at[x]
+            yield out
+
     enl = cs.enlarger.table
-    enlarged = union_dp([enl[u] for u in members])
-    targets = list(targets)
-    under: dict[int, int] = {}
-
-    def down(m: int) -> int:
-        """Flags of the targets inside ``m``, memoized per mask."""
-        got = under.get(m)
-        if got is None:
-            got = 0
-            for j, t in enumerate(targets):
-                if t & ~m == 0:
-                    got |= 1 << j
-            under[m] = got
-        return got
-
-    fc = contained_union_table(enumerate(map(down, enlarged)), len(members))
-    failing = 0
-    for sel, covered in enumerate(plain):
-        failing |= down(covered) & ~fc[sel]
-    return tuple(not failing >> j & 1 for j in range(len(targets)))
+    reached = up_planes(meets([enl[u] for u in cs.ambient]), k)
+    return tuple(not covered & ~finite for covered, finite in zip(meets(cs.ambient), reached))
 
 
 def brute_force_compact(cs: CoverSystem, a: int) -> bool:

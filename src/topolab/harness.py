@@ -109,7 +109,9 @@ class SuiteConfig:
     the seed.  Subsets and filter cores are quantified exhaustively up to
     4 points and sampled above (16 subsets; the singletons, the whole set
     and seeded cores); filterbases are enumerated in full up to 3 points
-    and drawn from the seed above.
+    and drawn from the seed above.  The compactness oracle walks every
+    ambient family whole up to 4 points; above, it cuts any family of
+    more than 10 members to a seeded draw.
     """
 
     n_exhaustive: int = 3
@@ -152,7 +154,7 @@ class SuiteConfig:
                     raise SchemaError(f"config field {key!r} must be a list of strings")
                 kwargs[key] = tuple(value)
         for key in ("n_exhaustive", "n_sampled", "samples", "seed"):
-            if key in kwargs and not isinstance(kwargs[key], int):
+            if key in kwargs and type(kwargs[key]) is not int:  # JSON true is an int subclass
                 raise SchemaError(f"config field {key!r} must be an integer")
         return cls(**kwargs)
 
@@ -954,12 +956,12 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
                     _fail(out, ctx, enl_name, _mask_str(ctx, s),
                           "failing verdicts carry valid witnesses", str(list(cover)))
 
-    # subfamily scans are 2**|ambient|; thin the big sampled-space
-    # families well below the hard oracle cap to keep the sweep quick
+    # every family is walked whole up to 4 points (16 members at most);
+    # above that big ones are cut to a seeded draw, so far without a note
     sweep_cap = 10
     rng = random.Random(derive_seed(cfg.seed, "oracle", ctx.label))
     for fam in ambients:
-        if len(fam) > sweep_cap:
+        if ctx.n > 4 and len(fam) > sweep_cap:
             trimmed = rng.sample([m for m in fam if m != ctx.full], sweep_cap - 1)
             fam = canonical_family(trimmed + [ctx.full])
         # one oracle run per distinct enlarger table

@@ -56,6 +56,9 @@ def test_check_bad_config(tmp_path, capsys):
     assert main(["check", "--config", str(cfg)]) == 2
     cfg.write_text("{oops", encoding="utf-8")
     assert main(["check", "--config", str(cfg)]) == 2
+    cfg.write_text("{\"seed\": true}", encoding="utf-8")
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert "'seed' must be an integer" in capsys.readouterr().err
 
 
 def test_check_reports_failures_with_exit_one(monkeypatch, tmp_path):

@@ -25,7 +25,7 @@ from topolab import (
 from topolab.bits import canonical_family
 from topolab.compact import _closed_meets, _outside_row
 from topolab.filters import _point_limits
-from topolab.ops import dual_table, op_closed_family, op_open_family
+from topolab.ops import Operation, dual_table, is_monotone, op_closed_family, op_open_family
 from topolab.pairs import (
     base_report,
     enlargement_base,
@@ -34,6 +34,7 @@ from topolab.pairs import (
     pair_closure_by_points,
     pair_open_family,
 )
+from topolab.space import discrete
 
 from oracles import (
     all_families_of_nonempty,
@@ -168,11 +169,13 @@ def test_batched_oracle_matches_per_subset_scan():
     # every ambient family up to 2 points and the suite's derived ambient
     # families up to 3, with every enlarger and every subset; then seeded
     # 4-6-point spaces with their derived families, seeded draws from the
-    # power set and seeded subsets
+    # power set and seeded subsets; then a few targets on the big families
+    # the sweep walks whole at 4 points (the power set, and derived
+    # families of 12 and 15 members), and on a 17-member draw at 5 points
     cases = []
     for top in [t for n in (0, 1, 2, 3) for t in enumerate_topologies(n)]:
         ambients = list(families_with_full(top)) if top.n <= 2 else derived_ambients(top)
-        cases.append((top, ambients, list(top.subsets())))
+        cases.append((top, ambients, list(top.subsets()), BUILTIN_NAMES))
     rng = random.Random(53)
     for n in (4, 5, 6):
         top = random_topology(n, rng.randrange(10**6), n)
@@ -182,12 +185,23 @@ def test_batched_oracle_matches_per_subset_scan():
             ambients.append(canonical_family(drawn + [top.full]))
         targets = list(top.subsets()) if n == 4 else sorted(
             {0, top.full, *(rng.randrange(1 << n) for _ in range(10))})
-        cases.append((top, ambients, targets))
+        cases.append((top, ambients, targets, BUILTIN_NAMES))
+    for seed in (0, 6):
+        top = random_topology(4, seed, 4)
+        derived = derived_ambients(top)
+        ambients = [max((fam for fam in derived if len(fam) < 16), key=len)]
+        if seed == 0:
+            ambients.append(tuple(top.subsets()))
+        cases.append((top, ambients, [top.full, *rng.sample(range(1, top.full), 2)], BUILTIN_NAMES))
+    top = random_topology(5, rng.randrange(10**6), 5)
+    drawn = canonical_family(rng.sample(range(top.full), 16) + [top.full])
+    cases.append((top, [drawn], [top.full, *rng.sample(range(1, top.full), 2)], ("int", "cl")))
+    assert sorted(len(fam) for case in cases[-3:] for fam in case[1]) == [12, 15, 16, 17]
     checked = refuted = 0
-    for top, ambients, targets in cases:
+    for top, ambients, targets, enlargers in cases:
         ops = catalog(top)
         for fam in ambients:
-            for enl in BUILTIN_NAMES:
+            for enl in enlargers:
                 cs = CoverSystem(fam, ops[enl])
                 got = brute_force_compact_all(cs, targets)
                 expected = tuple(per_subset_compact(cs, s) for s in targets)
@@ -591,6 +605,14 @@ def test_additive_hypothesis_matches_the_pairwise_scan():
             assert got == pairwise_additive_hypothesis(p), (top, a, b)
             seen.add(got)
     assert seen == {True, False}
+    # a selector that is not monotone but whose enlarger is additive over
+    # its open sets: only the monotone test refutes the hypothesis
+    top = discrete(3)
+    table = list(top.subsets())
+    table[0b001] = 0b011
+    p = OpPair(Operation(top, table), catalog(top)["identity"])
+    assert not is_monotone(p.selector)
+    assert additive_hypothesis(p) is False and pairwise_additive_hypothesis(p) is False
 
 
 def test_ultra_plane_matches_maximal_filters():

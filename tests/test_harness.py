@@ -70,6 +70,10 @@ def test_config_from_dict():
         SuiteConfig.from_dict({"bogus": 1})
     with pytest.raises(SchemaError, match="integer"):
         SuiteConfig.from_dict({"seed": "x"})
+    # a JSON boolean is not an integer, though bool subclasses int
+    for key in ("n_exhaustive", "n_sampled", "samples", "seed"):
+        with pytest.raises(SchemaError, match=f"'{key}' must be an integer"):
+            SuiteConfig.from_dict({key: True})
     with pytest.raises(SchemaError, match="list of strings"):
         SuiteConfig.from_dict({"pairs": "int,cl"})
     with pytest.raises(SchemaError, match="object"):
@@ -439,12 +443,28 @@ def test_each_distinct_operation_pair_runs_once(monkeypatch):
         assert {(p.selector, p.enlarger) for p in seen[name]} == distinct_pairs, name
     # one block of calls per ambient family, one call per distinct enlarger
     oracle, k = seen["brute_force_compact_all"], len(distinct_ops)
+    # above 4 points the bigger ambient families are cut to seeded draws of 10
+    assert max(len(cs.ambient) for cs in oracle) == 10
     ambients = len(oracle) // k
     assert report.suites["compactness_oracle"].instances_checked == ambients * 7 * len(ctx.subsets)
     for i in range(0, len(oracle), k):
         block = oracle[i:i + k]
         assert len({cs.ambient for cs in block}) == 1
         assert {cs.enlarger for cs in block} == distinct_ops
+
+
+def test_oracle_walks_every_ambient_family_whole_up_to_four_points(monkeypatch):
+    # the largest is the power set, the identity-open family of 16 members
+    sizes = []
+
+    def spied(cs, targets, real=compact.brute_force_compact_all):
+        sizes.append(len(cs.ambient))
+        return real(cs, targets)
+
+    monkeypatch.setattr(harness, "brute_force_compact_all", spied)
+    cfg = SuiteConfig(n_exhaustive=0, suites=("compactness_oracle",))
+    assert run_suites(cfg, spaces=[("n=4", random_topology(4, 0, 4))]).ok
+    assert max(sizes) == 16
 
 
 def test_failing_runs_are_not_shared(monkeypatch):
