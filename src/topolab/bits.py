@@ -164,16 +164,19 @@ def contained_union_table(pairs: Iterable[tuple[int, int]], n: int) -> list[int]
     return words.tolist()
 
 
-def is_monotone_table(table: Sequence[int], n: int) -> bool:
-    """Whether a inside b forces ``table[a]`` inside ``table[b]``.
+def within_image(table: Sequence[int]) -> Family:
+    """Every mask a that sits inside ``table[a]``, ascending."""
+    return tuple(a for a, image in enumerate(table) if a & ~image == 0)
 
-    Single-point extensions suffice, as any inclusion chains them.  With
-    the table packed as one lane integer (:func:`_pack`), point i is one
-    shift of the lanes without i onto those with it, failing when a
-    shifted lane has a bit its target lane lacks.
+
+def is_monotone_lanes(lanes: int, width: int, n: int) -> bool:
+    """Whether a inside b forces entry a inside entry b, for a table of
+    2**n entries packed as ``width``-bit lanes (:func:`_pack`).
+
+    Single-point extensions suffice, as any inclusion chains them: point
+    i is one shift of the lanes without i onto those with it, failing
+    when a shifted lane has a bit its target lane lacks.
     """
-    lanes, lane, _ = _pack(table)
-    width = 8 * lane
     return not any(
         (lanes & clear) << (width << i) & ~lanes for i, clear in _clear_masks(n, width)
     )
@@ -219,22 +222,28 @@ def upward_closure(family: Iterable[int], n: int) -> Family:
     return _bits_of(plane)
 
 
-def union_closure(family: Iterable[int], n: int) -> Family:
-    """Every union of members of ``family``, the empty union included.
+def union_closure_plane(family: Iterable[int], n: int) -> int:
+    """The 2**n-bit plane flagging every union of members of ``family``,
+    the empty union included.
 
     A subset s is a union of members exactly when each point b of s lies
     in some member inside s.  For each b, the zeta transform of the
     plane of the members holding b flags the sets holding such a member;
-    the sets flagged for every point they hold are the union closure.  A
-    family is union-closed and contains the empty set exactly when it
-    equals its union closure.
+    the sets flagged for every point they hold are the union closure.
     """
     masks = list(_clear_masks(n, 1))
     members = family_plane(family, n)
     ok = (1 << (1 << n)) - 1
     for _, clear in masks:
         ok &= _zeta(members & ~clear, masks, 1) | clear
-    return _bits_of(ok)
+    return ok
+
+
+def union_closure(family: Iterable[int], n: int) -> Family:
+    """Every union of members of ``family``, the empty union included
+    (:func:`union_closure_plane`).  A family is union-closed and contains
+    the empty set exactly when it equals its union closure."""
+    return _bits_of(union_closure_plane(family, n))
 
 
 def intersection_closure(family: Iterable[int], n: int) -> Family:

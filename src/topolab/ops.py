@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .bits import Family, canonical_family, intersect_all, is_monotone_table, upward_closure
+from .bits import (
+    Family, _pack, canonical_family, intersect_all, is_monotone_lanes, upward_closure, within_image,
+)
 from .space import Topology
 
 #: Builtin operation names, in catalog order.
@@ -25,7 +27,7 @@ class Operation:
     immutable; calling one applies the table.
     """
 
-    __slots__ = ("topology", "table", "name", "_open_family", "_hash")
+    __slots__ = ("topology", "table", "name", "_open_family", "_lanes", "_hash")
 
     def __init__(self, topology: Topology, table: Sequence[int], name: str = "custom"):
         table = tuple(table)
@@ -36,6 +38,7 @@ class Operation:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_open_family", None)
+        object.__setattr__(self, "_lanes", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -154,17 +157,31 @@ def dual(op: Operation) -> Operation:
 
 
 def leq(a: Operation, b: Operation) -> bool:
-    """Pointwise order: a(S) inside b(S) for every subset S."""
+    """Pointwise order: a(S) inside b(S) for every subset S: one AND-NOT
+    of the two tables' lanes (:func:`op_lanes`)."""
     if a.topology != b.topology:
         raise ValueError("operations live over different topologies")
-    return all(x & ~y == 0 for x, y in zip(a.table, b.table))
+    return op_lanes(a)[0] & ~op_lanes(b)[0] == 0
+
+
+def op_lanes(op: Operation) -> tuple[int, int]:
+    """(lanes, lane width in bits): the table packed as one integer
+    (:func:`~topolab.bits._pack`), cached on the operation.  Every table
+    over one space packs to the same width, since every operation maps
+    the whole space to itself (its image holds the interior of the whole
+    space), so the largest entry is the whole space."""
+    got = op._lanes
+    if got is None:
+        lanes, lane, _ = _pack(op.table)
+        got = (lanes, 8 * lane)
+        object.__setattr__(op, "_lanes", got)
+    return got
 
 
 def is_monotone(op: Operation) -> bool:
     """Whether S inside T forces op(S) inside op(T): n shift-and-AND
-    steps on the table packed as one lane integer
-    (:func:`~topolab.bits.is_monotone_table`)."""
-    return is_monotone_table(op.table, op.topology.n)
+    steps on the table's lanes (:func:`~topolab.bits.is_monotone_lanes`)."""
+    return is_monotone_lanes(*op_lanes(op), op.topology.n)
 
 
 def op_open_family(op: Operation) -> Family:
@@ -172,7 +189,7 @@ def op_open_family(op: Operation) -> Family:
     and every open set."""
     fam = op._open_family
     if fam is None:
-        fam = tuple(a for a in op.topology.subsets() if a & ~op.table[a] == 0)
+        fam = within_image(op.table)
         object.__setattr__(op, "_open_family", fam)
     return fam
 

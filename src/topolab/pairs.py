@@ -6,7 +6,13 @@ when some selector-open set around it has its enlargement inside A.
 Complementation gives the pair-closure.  The fixed sets of this interior
 form a supratopology, which under extra hypotheses on the pair upgrades
 to a topology with a Kuratowski closure; :func:`classify_structure`
-measures exactly which rungs of that ladder a pair reaches.
+measures exactly which rungs of that ladder a pair reaches, each in
+closed form off the pair-interior table.
+
+The pair's distinct enlargements (:func:`image_groups`: each t with the
+union of the selector-open sets enlarged to t) give the pointwise
+closure rule and the per-point envelopes in one pass each.  They are
+built on demand and not kept on the pair.
 
 Classical generalized-open families (semi-open, pre-open, regular-open,
 the theta and semi-regularization variants) are provided by
@@ -17,10 +23,13 @@ pair machinery, so equalities between the two routes are genuine checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .bits import Family, canonical_family, contained_union_table, union_closure
-from .ops import Operation, at_point, is_regular_wrt, leq, op_open_family
+from .bits import (
+    Family, canonical_family, contained_union_table, family_plane, iter_points,
+    union_closure_plane, within_image,
+)
+from .ops import Operation, at_point, is_monotone, is_regular_wrt, leq, op_open_family
 from .space import Topology, build_topology
 
 #: Families constructible by an independent defining rule.
@@ -80,27 +89,28 @@ class OpPair:
             # pair-interior of a = union of the selector-open sets whose
             # enlargement sits inside a; a subset-sum transform gives the whole
             # table at once instead of |selector-open| work per entry
-            table = tuple(contained_union_table(
-                ((enl[u], u) for u in self.selector_open()), self.topology.n
-            ))
+            fam = self.selector_open()
+            pairs = zip(map(enl.__getitem__, fam), fam)
+            table = tuple(contained_union_table(pairs, self.topology.n))
             object.__setattr__(self, "_int_table", table)
         return table
 
     def envelope(self, point: int) -> int:
         """Intersection of the enlargements of all selector-open sets
         around ``point``; a principal filter converges there exactly when
-        its core sits inside this set."""
+        its core sits inside this set.
+
+        The envelope of x is the meet of the distinct enlargements t
+        whose group (:func:`image_groups`) holds x, so all n envelopes
+        come from one pass over the groups, each t ANDed into the
+        envelopes of its group's points.
+        """
         env = self._envelopes
         if env is None:
-            full = self.topology.full
-            enl = self.enlarger.table
-            fam = self.selector_open()
-            env = []
-            for x in range(self.topology.n):
-                m = full
-                for u in at_point(fam, x):
-                    m &= enl[u]
-                env.append(m)
+            env = [self.topology.full] * self.topology.n
+            for t, union in image_groups(self):
+                for x in iter_points(union):
+                    env[x] &= t
             env = tuple(env)
             object.__setattr__(self, "_envelopes", env)
         return env[point]
@@ -117,39 +127,63 @@ def pair_closure(p: OpPair, a: int) -> int:
     return full ^ p.int_table()[full ^ a]
 
 
-def pair_closure_by_points(p: OpPair, a: int) -> int:
-    """Pair-closure computed from its own pointwise rule (every enlarged
-    selector-open set around the point meets ``a``).
+def pair_closure_by_points(p: OpPair, sets: Iterable[int]) -> list[int]:
+    """The pair-closure of each of ``sets``, computed from its own
+    pointwise rule (every enlarged selector-open set around the point
+    meets the set).
 
     A point falls outside exactly when some selector-open set around it
-    has an enlargement missing ``a``, so one pass over the selector-open
-    family collects every such point.  Kept as a second route so the
-    complement identity stays testable.
+    has an enlargement missing the set.  With the selector-open sets
+    grouped by enlargement t (:func:`image_groups`, built once for all
+    of ``sets``), the outside is the union of the groups whose t misses
+    the set.  Kept as a second route so the complement identity stays
+    testable.
     """
-    enl = p.enlarger.table
-    outside = 0
-    for u in p.selector_open():
-        if not enl[u] & a:
-            outside |= u
-    return p.topology.full ^ outside
+    groups = image_groups(p)
+    full = p.topology.full
+    out = []
+    for a in sets:
+        outside = 0
+        for t, union in groups:
+            if not t & a:
+                outside |= union
+        out.append(full ^ outside)
+    return out
 
 
 def enlarger_is_regular(p: OpPair) -> bool:
     """:func:`is_regular_wrt` of the enlarger over the selector-open
-    family, cached on the pair."""
+    family, cached on the pair.
+
+    Fast path: a monotone enlarger is regular over an
+    intersection-closed family, as the meet of two neighbourhoods of a
+    point is a third whose image squeezes under both images.
+    """
     got = p._cache.get("regular")
     if got is None:
-        got = p._cache["regular"] = is_regular_wrt(p.enlarger, p.selector_open())
+        fam = p.selector_open()
+        got = p._cache["regular"] = (
+            is_monotone(p.enlarger) and p.topology.family_props(fam)[0]
+        ) or is_regular_wrt(p.enlarger, fam)
     return got
 
 
 def pair_open_family(p: OpPair) -> Family:
+    """The sets a inside their pair-interior (:func:`~topolab.bits.within_image`
+    of the pair-interior table)."""
     fam = p._open_family
     if fam is None:
-        table = p.int_table()
-        fam = tuple(a for a in p.topology.subsets() if a & ~table[a] == 0)
+        fam = within_image(p.int_table())
         object.__setattr__(p, "_open_family", fam)
     return fam
+
+
+def selector_open_enlarged(p: OpPair) -> bool:
+    """Whether every selector-open set u sits inside its enlargement
+    enl[u], that is, the selector-open family is inside the
+    enlarger-open family."""
+    enl = p.enlarger.table
+    return all(u & ~enl[u] == 0 for u in p.selector_open())
 
 
 def pair_closed_family(p: OpPair) -> Family:
@@ -169,45 +203,62 @@ class StructureReport:
 
 
 def classify_structure(p: OpPair) -> StructureReport:
-    """Tabulate the pair-open family and pair-closure and report their axioms.
+    """The axioms the pair-open family and the pair-closure satisfy, each
+    in closed form off the pair-interior table ``int``; the closure is
+    its complement dual, cl(k) = X minus int(X minus k).
 
-    The closure list is read off the pair-interior table, and the two
-    family axioms off the space's memo of closure verdicts.  The
-    Kuratowski check uses the singleton decomposition of finite
-    additivity: a map fixing the empty set is finitely additive exactly
-    when every image is the union of the images of the argument's
-    singletons, which by induction on the number of points holds exactly
-    when cl(a) = cl(a minus its lowest point) | cl(its lowest point) for
-    every a.
+    The two family axioms are read off the space's memo of closure
+    verdicts.  For the others, write c for the complement of k:
+
+    closed_iff_cl_subset  holds by construction.  c is pair-open iff
+        c sits inside int(c) (how :func:`pair_open_family` reads the
+        table), iff X minus int(c) misses c, iff cl(k) sits inside k.
+    closed_iff_cl_equal   holds iff int(a) = a for every pair-open a.
+        cl(k) = k iff int(c) = c, which makes c pair-open; so the flag
+        fails exactly at a pair-open c with int(c) != c.
+    is_kuratowski         holds iff cl(empty) = empty, every
+        selector-open u sits inside enl[u], every pair-interior image
+        is a fixed point of int, and the enlarger is regular over the
+        selector-open family (:func:`enlarger_is_regular`).  Dually the
+        closure axioms read int(X) = X, int(c) inside c,
+        int(int(c)) = int(c) and int(c & d) = int(c) & int(d), taken in
+        turn:
+        - extensive: if every u sits inside enl[u], a u whose
+          enlargement fits inside c fits inside c; conversely take
+          c = enl[u], whose interior holds u and sits inside enl[u];
+        - idempotent: int(i) = i for every image i = int(c), read over
+          the distinct images; given the previous axiom, int(i) sits
+          inside i, so this says every pair-interior image is pair-open;
+        - multiplicative: int(c & d) inside int(c) & int(d) holds as
+          int is monotone.  The converse at x needs, for u and v around
+          x enlarged inside c and d, a w around x enlarged inside
+          c & d, which is regularity; conversely take c = enl[u] and
+          d = enl[v].  Finite additivity of cl is this identity
+          through the complements, given cl(empty) = empty.
+    ``tests/oracles.literal_structure`` reads all five flags off their
+    wording.
     """
     top = p.topology
     full = top.full
+    table = p.int_table()
     fam = pair_open_family(p)
-    famset = set(fam)
-    cl = [full ^ inner for inner in reversed(p.int_table())]
 
     inter_closed, union_closed = top.family_props(fam)
-    supra = full in famset and union_closed
+    supra = fam[-1] == full and union_closed  # fam is sorted ascending
     topo = supra and inter_closed
 
-    subset_ok = True
-    equal_ok = True
-    for k in top.subsets():
-        closed_in_family = (full ^ k) in famset
-        if closed_in_family != (cl[k] & ~k == 0):
-            subset_ok = False
-        if closed_in_family != (cl[k] == k):
-            equal_ok = False
-
-    kur = cl[0] == 0 and all(
-        a & ~cl[a] == 0 and cl[cl[a]] == cl[a] and cl[a] == cl[a & (a - 1)] | cl[a & -a]
-        for a in top.subsets()
+    equal_ok = all(table[a] == a for a in fam)
+    kur = (
+        table[full] == full
+        and selector_open_enlarged(p)
+        and all(table[i] == i for i in set(table))
+        and enlarger_is_regular(p)
     )
 
     return StructureReport(
         is_supratopology=supra,
         is_topology=topo,
-        closed_iff_cl_subset=subset_ok,
+        closed_iff_cl_subset=True,
         closed_iff_cl_equal=equal_ok,
         is_kuratowski=kur,
     )
@@ -285,23 +336,23 @@ def _named_family_rule(top: Topology, name: str) -> Family:
 
 def enlargement_base(p: OpPair) -> Family:
     """Deduplicated images of the selector-open sets under the enlarger."""
-    enl = p.enlarger.table
-    return canonical_family(enl[u] for u in p.selector_open())
+    return canonical_family(map(p.enlarger.table.__getitem__, p.selector_open()))
 
 
 def image_groups(p: OpPair) -> tuple[tuple[int, int], ...]:
     """(t, union of the selector-open sets enlarged to t) for each
-    distinct enlargement t; one row per pair kept on the pair.  Some
-    selector-open set around x is enlarged to t iff t's union holds x."""
-    got = p._cache.get("image_groups")
-    if got is None:
-        enl = p.enlarger.table
-        groups: dict[int, int] = {}
-        for u in p.selector_open():
-            t = enl[u]
-            groups[t] = groups.get(t, 0) | u
-        got = p._cache["image_groups"] = tuple(groups.items())
-    return got
+    distinct enlargement t, in order of first appearance.  Some
+    selector-open set around x is enlarged to t iff t's union holds x.
+
+    Built afresh on each call and not kept on the pair: callers hold
+    the row for as long as they read it.
+    """
+    enl = p.enlarger.table
+    groups: dict[int, int] = {}
+    for u in p.selector_open():
+        t = enl[u]
+        groups[t] = groups.get(t, 0) | u
+    return tuple(groups.items())
 
 
 @dataclass(frozen=True)
@@ -346,37 +397,42 @@ class BaseReport:
 
 
 def base_report(p: OpPair) -> BaseReport:
-    """Base hypotheses and conclusions for the pair, cached on the pair."""
+    """Base hypotheses and conclusions for the pair, cached on the pair.
+
+    The base is :func:`enlargement_base`, unsorted.  A set b is
+    selector-open iff b sits inside sel[b], and pair-open iff b sits
+    inside int[b], so membership is one table lookup, with no set of
+    members built.  ``family_nested`` is :func:`selector_open_enlarged`,
+    and ``is_base`` compares two 2**n-bit planes: the pair-open
+    family's against the base's union closure.
+    """
     got = p._cache.get("base_report")
     if got is not None:
         return got
-    top = p.topology
+    n = p.topology.n
+    sel = p.selector.table
     enl = p.enlarger.table
-    sel_open = set(p.selector_open())
-    base = enlargement_base(p)
-    pair_open = set(pair_open_family(p))
+    inner = p.int_table()
+    base = set(map(enl.__getitem__, p.selector_open()))  # the enlargement base
 
     # "every enlarged selector-open set is selector-open and its own
     # enlargement does not grow it" reads the images alone, so the base
     # (the distinct images) decides it
-    image_stable = all(b in sel_open and enl[b] & ~b == 0 for b in base)
-    enl_family = op_open_family(p.enlarger)
-    enl_open = set(enl_family)
-    family_nested = all(u in enl_open for u in sel_open)
-    base_pair_open = all(b in pair_open for b in base)
+    base_selector_open = all(b & ~sel[b] == 0 for b in base)
+    image_stable = base_selector_open and all(enl[b] & ~b == 0 for b in base)
+    base_pair_open = all(b & ~inner[b] == 0 for b in base)
     # a is enlarger-open iff a sits inside enl[a], so the enlarger sits
     # above the identity iff all 2**n subsets are enlarger-open
-    above_identity = len(enl_family) == 1 << top.n
+    above_identity = len(op_open_family(p.enlarger)) == 1 << n
     order_dominates = above_identity or leq(p.selector, p.enlarger)
 
-    base_in_both = all(b in pair_open and b in sel_open for b in base)
-    is_base = pair_open <= set(union_closure(base, top.n))
+    is_base = family_plane(pair_open_family(p), n) & ~union_closure_plane(base, n) == 0
     got = p._cache["base_report"] = BaseReport(
         image_stable=image_stable,
-        family_nested=family_nested,
+        family_nested=selector_open_enlarged(p),
         base_pair_open=base_pair_open,
         order_dominates=order_dominates,
-        base_in_pair_and_selector=base_in_both,
+        base_in_pair_and_selector=base_pair_open and base_selector_open,
         is_base=is_base,
     )
     return got

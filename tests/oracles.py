@@ -14,9 +14,11 @@ quantified over.  The scans that the library's rows and
 planes replaced stay here too: the any-scan limit set of a base, the
 per-core convergence and accumulation over a given neighbourhood
 family, the submask loop of the exhaustive convergence closure, the
-pairwise additivity scan, and the base-report scans for image stability
-and for the enlarger sitting above the identity.  None of them import
-the code paths they validate.
+pairwise additivity scan, the base-report scans for image stability,
+for the enlarger sitting above the identity and for the four base flags
+(over the pairwise union closure), the one-set-at-a-time open family,
+and the per-point envelope scan.  None of them import the code paths
+they validate.
 """
 
 from __future__ import annotations
@@ -507,3 +509,37 @@ def scan_image_stable(p) -> bool:
 def scan_above_identity(p) -> bool:
     """Every subset sits inside its enlargement, over all 2**n subsets."""
     return all(a & ~image == 0 for a, image in enumerate(p.enlarger.table))
+
+
+def scan_open_family(op) -> tuple:
+    """Every subset inside its own image, one subset at a time."""
+    return tuple(a for a in range(1 << op.topology.n) if a & ~op.table[a] == 0)
+
+
+def scan_envelope(p, point: int) -> int:
+    """The meet of the enlargements of the selector-open sets around
+    ``point``, one selector-open set at a time."""
+    enl = p.enlarger.table
+    out = p.topology.full
+    for u in scan_open_family(p.selector):
+        if u >> point & 1:
+            out &= enl[u]
+    return out
+
+
+def scan_base_flags(p) -> tuple[bool, bool, bool, bool]:
+    """(family_nested, base_pair_open, base_in_pair_and_selector, is_base)
+    read off their wording: the selector-open family inside the
+    enlarger-open one, the enlargement base against the pair-open family
+    of the pointwise interior rule, and every pair-open set in the
+    pairwise union closure of the base."""
+    n = p.topology.n
+    sel_open = set(scan_open_family(p.selector))
+    enl = p.enlarger.table
+    base = {enl[u] for u in sel_open}
+    pair_open = {a for a in range(1 << n) if a & ~naive_pair_interior(p, a) == 0}
+    nested = sel_open <= set(scan_open_family(p.enlarger))
+    base_pair_open = base <= pair_open
+    in_both = base_pair_open and base <= sel_open
+    is_base = pair_open <= set(pairwise_fixpoint({0, *base}, operator.or_))
+    return nested, base_pair_open, in_both, is_base

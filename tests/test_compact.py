@@ -332,7 +332,7 @@ def test_flags_against_literal_family_quantification():
         universe = family_universe(top.n)
         for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
             p = pair(top, a, b)
-            cl = [pair_closure_by_points(p, m) for m in top.subsets()]
+            cl = pair_closure_by_points(p, top.subsets())
             closed = op_closed_family(p.selector)
             dual = dual_table(p.enlarger)
             drawn = seeded_subfamily(closed, f"{top.n},{a},{b}")
@@ -374,7 +374,7 @@ def test_singleton_families_refute_closure_gap():
     # the complete universe refute
     top = random_topology(5, 723985, 5)
     p = pair(top, "introcl", "int")
-    cl = [pair_closure_by_points(p, m) for m in top.subsets()]
+    cl = pair_closure_by_points(p, top.subsets())
     singletons = [(1 << y,) for y in range(top.n)]
     literal = literal_fip_and_gap(cl, singletons, 26, top.full)
     assert literal == (False, False)
@@ -399,7 +399,7 @@ def test_every_residue_decides_restricted_accumulation():
     enl = p.enlarger.table
     residues = canonical_family(top.full ^ enl[u] for u in p.selector_open())
     assert len(residues) == 18
-    rule = all(pair_closure_by_points(p, r) & 22 for r in residues if r & 22)
+    rule = all(c & 22 for c in pair_closure_by_points(p, (r for r in residues if r & 22)))
     assert verdicts(p, 22, ("restricted",)) == (rule,)
     assert not rule
     assert compactness_kind(p, 22, "restricted") == compactness_kind(p, 22) == rule
@@ -462,7 +462,7 @@ def test_complement_statements_hold_literally():
         for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
             p = pair(top, a, b)
             enl = p.enlarger.table
-            cl = [pair_closure_by_points(p, m) for m in top.subsets()]
+            cl = pair_closure_by_points(p, top.subsets())
             residues = canonical_family(full ^ enl[u] for u in p.selector_open())
             drawn = seeded_subfamily(residues, f"residues,{top.n},{a},{b}")
             closed = seeded_subfamily(pair_closed_family(p), f"closed,{top.n},{a},{b}")
@@ -644,8 +644,9 @@ def test_avoidance_row_equals_the_filter_routes():
         for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
             p = OpPair(ops[a], ops[b])
             outside = _outside_row(p, "pair")
+            by_points = pair_closure_by_points(p, (1 << x for x in range(top.n)))
             for x in range(top.n):
                 assert outside[x] == full ^ pair_closure(p, 1 << x), (top, a, b, x)
-                assert outside[x] == full ^ pair_closure_by_points(p, 1 << x), (top, a, b, x)
+                assert outside[x] == full ^ by_points[x], (top, a, b, x)
             assert outside == tuple(full ^ m for m in _point_limits(p)), (top, a, b)
             assert outside == tuple(full ^ m for m in _closed_meets(p)), (top, a, b)

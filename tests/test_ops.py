@@ -129,6 +129,25 @@ def test_leq_chains_and_errors(s2, d2):
         leq(ops["int"], catalog(d2)["int"])
 
 
+def test_leq_matches_the_entrywise_scan():
+    # every catalog pair on every space of at most 3 points, and seeded
+    # custom tables int(a) | random bits on 1-6 points
+    for top in small_spaces():
+        ops = list(catalog(top).values())
+        for a in ops:
+            for b in ops:
+                assert leq(a, b) == all(x & ~y == 0 for x, y in zip(a.table, b.table))
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        top = random_topology(n, rng.randrange(10**6), n)
+        inner = top.int_table()
+        a, b = (Operation(top, [i | (rng.getrandbits(n) & rng.getrandbits(n) if m else 0)
+                                for m, i in enumerate(inner)]) for _ in range(2))
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert leq(x, y) == all(s & ~t == 0 for s, t in zip(x.table, y.table))
+
+
 def test_is_monotone_matches_naive():
     rng = random.Random(3)
     for trial in range(20):

@@ -5,6 +5,7 @@ import pytest
 from topolab import (
     BUILTIN_NAMES,
     NAMED_FAMILIES,
+    Operation,
     OpPair,
     Topology,
     base_report,
@@ -12,6 +13,7 @@ from topolab import (
     classify_structure,
     enlargement_base,
     enumerate_topologies,
+    is_monotone,
     leq,
     named_family,
     op_open_family,
@@ -30,6 +32,8 @@ from oracles import (
     pairwise_union_closed,
     pointwise_pair_closure,
     scan_above_identity,
+    scan_base_flags,
+    scan_envelope,
     scan_image_stable,
 )
 
@@ -69,25 +73,26 @@ def test_pair_closure_examples(s2, c3):
 def test_pair_interior_matches_pointwise_rule():
     for top in small_spaces():
         for p in all_pairs(top):
+            by_points = pair_closure_by_points(p, top.subsets())
             for a in top.subsets():
                 assert pair_interior(p, a) == naive_pair_interior(p, a)
-                assert pair_closure(p, a) == pair_closure_by_points(p, a)
+                assert pair_closure(p, a) == by_points[a]
                 assert top.full ^ pair_interior(p, a) == pair_closure(p, top.full ^ a)
 
 
 def test_one_pass_closure_matches_per_point_rule():
     for top in small_spaces():
         for p in all_pairs(top):
-            for a in top.subsets():
-                assert pair_closure_by_points(p, a) == pointwise_pair_closure(p, a)
+            expect = [pointwise_pair_closure(p, a) for a in top.subsets()]
+            assert pair_closure_by_points(p, top.subsets()) == expect
     rng = random.Random(41)
     for n in range(5, 9):
         for _ in range(2):
             top = random_topology(n, rng.randrange(10**6), n)
             picks = [0, top.full] + [rng.randrange(1 << n) for _ in range(14)]
             for p in all_pairs(top):
-                for a in picks:
-                    assert pair_closure_by_points(p, a) == pointwise_pair_closure(p, a)
+                expect = [pointwise_pair_closure(p, a) for a in picks]
+                assert pair_closure_by_points(p, picks) == expect
 
 
 def test_pair_families_examples(s2):
@@ -117,21 +122,55 @@ def test_classify_structure_examples(s2):
         assert classify_structure(p).is_supratopology
 
 
+def custom_pairs(seed: int, count: int) -> list:
+    """Seeded pairs on 1-5 points whose members are custom tables
+    int(a) | random bits (most of them not monotone) or catalog
+    operations, as the CLI's ``custom:`` operations allow."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randrange(1, 6)
+        top = random_topology(n, rng.randrange(10**6), n)
+        inner = top.int_table()
+        ops = catalog(top)
+
+        def member():
+            if rng.random() < 0.25:
+                return ops[rng.choice(BUILTIN_NAMES)]
+            bits = [rng.getrandbits(n) & rng.getrandbits(n) if a else 0 for a in top.subsets()]
+            return Operation(top, [i | b for i, b in zip(inner, bits)])
+
+        out.append(OpPair(member(), member()))
+    return out
+
+
 def test_structure_flag_implications():
-    seeded = [random_topology(n, seed, n) for n in (4, 5) for seed in range(3)]
-    for top in small_spaces() + seeded:
-        for p in all_pairs(top):
-            rep = classify_structure(p)
+    # the closed forms of classify_structure against the five flags read
+    # off their wording: every space of at most 3 points, 40 seeded
+    # 4-point spaces, seeded 5-7-point spaces (all 49 catalog pairs each)
+    # and seeded custom pairs
+    rng = random.Random(97)
+    seeded = [random_topology(4, rng.randrange(10**6), 4) for _ in range(40)]
+    seeded += [random_topology(n, rng.randrange(10**6), n) for n in (5, 6, 7)]
+    custom = custom_pairs(17, 60)
+    assert {is_monotone(op) for p in custom for op in (p.selector, p.enlarger)} == {True, False}
+    pairs = [p for top in small_spaces() + seeded for p in all_pairs(top)] + custom
+    seen = set()
+    for p in pairs:
+        rep = classify_structure(p)
+        assert rep.is_supratopology
+        flags = (rep.is_supratopology, rep.is_topology, rep.closed_iff_cl_subset,
+                 rep.closed_iff_cl_equal, rep.is_kuratowski)
+        assert flags == literal_structure(p), p
+        fam = pair_open_family(p)
+        assert rep.is_supratopology == pairwise_union_closed(fam)
+        assert rep.is_topology == (pairwise_union_closed(fam) and pairwise_intersection_closed(fam))
+        if rep.is_kuratowski:
+            assert rep.is_topology
+        if rep.is_topology:
             assert rep.is_supratopology
-            assert (rep.is_supratopology, rep.is_topology, rep.closed_iff_cl_subset,
-                    rep.closed_iff_cl_equal, rep.is_kuratowski) == literal_structure(p)
-            fam = pair_open_family(p)
-            assert rep.is_supratopology == pairwise_union_closed(fam)
-            assert rep.is_topology == (pairwise_union_closed(fam) and pairwise_intersection_closed(fam))
-            if rep.is_kuratowski:
-                assert rep.is_topology
-            if rep.is_topology:
-                assert rep.is_supratopology
+        seen |= {("equal", rep.closed_iff_cl_equal), ("kuratowski", rep.is_kuratowski)}
+    assert seen == {(flag, value) for flag in ("equal", "kuratowski") for value in (True, False)}
 
 
 def test_named_family_examples(s2, c3, d2):
@@ -217,25 +256,48 @@ def test_pair_duality_on_random_spaces():
         ops = catalog(top)
         for a, b in (("int", "cl"), ("cloint", "scl"), ("scl", "introcl")):
             p = OpPair(ops[a], ops[b])
+            by_points = pair_closure_by_points(p, top.subsets())
             for s in top.subsets():
                 assert top.full ^ pair_interior(p, s) == pair_closure(p, top.full ^ s)
-                assert pair_closure(p, s) == pair_closure_by_points(p, s)
+                assert pair_closure(p, s) == by_points[s]
 
 
 def test_base_report_matches_the_scans():
     # image stability over the base against the scan over every
     # selector-open set, and "above the identity" as a count of the
     # enlarger-open sets against the scan over all subsets: every space of
-    # at most 3 points and seeded 4-9-point spaces, all 49 pairs
+    # at most 3 points and seeded 4-9-point spaces (all 49 pairs), and
+    # seeded custom pairs.  The table lookups and planes of the other four
+    # flags are checked against sets built by scans and the pairwise union
+    # closure up to 6 points (the pointwise interior scan is cubic)
     rng = random.Random(101)
     spaces = small_spaces() + [random_topology(n, rng.randrange(10**6), n) for n in range(4, 10)]
-    seen = set()
-    for top in spaces:
-        for p in all_pairs(top):
-            rep = base_report(p)
-            above = scan_above_identity(p)
-            assert (len(op_open_family(p.enlarger)) == 1 << top.n) == above, (top, p)
-            assert rep.image_stable == scan_image_stable(p), (top, p)
-            assert rep.order_dominates == (above or leq(p.selector, p.enlarger)), (top, p)
-            seen.add((rep.image_stable, above))
+    pairs = [p for top in spaces for p in all_pairs(top)] + custom_pairs(29, 60)
+    seen, seen_flags = set(), set()
+    for p in pairs:
+        top = p.topology
+        rep = base_report(p)
+        above = scan_above_identity(p)
+        assert (len(op_open_family(p.enlarger)) == 1 << top.n) == above, (top, p)
+        assert rep.image_stable == scan_image_stable(p), (top, p)
+        assert rep.order_dominates == (above or leq(p.selector, p.enlarger)), (top, p)
+        seen.add((rep.image_stable, above))
+        if top.n <= 6:
+            flags = (rep.family_nested, rep.base_pair_open, rep.base_in_pair_and_selector, rep.is_base)
+            assert flags == scan_base_flags(p), (top, p)
+            seen_flags |= set(enumerate(flags))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert seen_flags == {(i, value) for i in range(4) for value in (True, False)}
+
+
+def test_envelopes_match_the_per_point_scan():
+    # all n envelopes from one pass over the distinct enlargements against
+    # the meet over each point's selector-open sets: every space of at
+    # most 3 points and seeded 4-9-point spaces (all 49 pairs), and
+    # seeded custom pairs
+    rng = random.Random(103)
+    spaces = small_spaces() + [random_topology(n, rng.randrange(10**6), n) for n in range(4, 10)]
+    pairs = [p for top in spaces for p in all_pairs(top)] + custom_pairs(31, 60)
+    for p in pairs:
+        for x in range(p.topology.n):
+            assert p.envelope(x) == scan_envelope(p, x), (p, x)
