@@ -122,11 +122,11 @@ def _bits_of(plane: int) -> Family:
     return tuple(compress(range(len(flags)), flags))
 
 
-def _pack(table: Sequence[int]) -> tuple[int, int, str | None]:
+def pack_lanes(table: Sequence[int]) -> tuple[int, int]:
     """``table`` as one integer of equal byte-aligned lanes, lane a
-    holding ``table[a]``: (lanes, lane bytes, array code).  Lanes are 1,
-    2, 4 or 8 bytes through ``array``, byte-swapped on big-endian hosts;
-    wider entries go through one ``int.to_bytes`` each (code None)."""
+    holding ``table[a]``: (lanes, lane width in bits).  Lanes are 1, 2,
+    4 or 8 bytes through ``array``, byte-swapped on big-endian hosts;
+    wider entries go through one ``int.to_bytes`` each."""
     need = (max(table).bit_length() + 7) // 8
     lane = next((s for s in (1, 2, 4, 8) if s >= need), need)
     code = _LANE_CODE.get(lane)
@@ -137,7 +137,7 @@ def _pack(table: Sequence[int]) -> tuple[int, int, str | None]:
         if sys.byteorder == "big":
             words.byteswap()
         raw = words.tobytes()
-    return int.from_bytes(raw, "little"), lane, code
+    return int.from_bytes(raw, "little"), 8 * lane
 
 
 def contained_union_table(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
@@ -146,14 +146,15 @@ def contained_union_table(pairs: Iterable[tuple[int, int]], n: int) -> list[int]
     Subset-sum (zeta) transform over the subset lattice: seed each key
     with the union of its payloads, then close upwards one point at a
     time.  The table is one integer of 2**n byte-aligned lanes
-    (:func:`_pack`), so each point is one shift-and-OR over all of them.
+    (:func:`pack_lanes`), so each point is one shift-and-OR over all of them.
     """
     size = 1 << n
     table = [0] * size
     for key, payload in pairs:
         table[key] |= payload
-    lanes, lane, code = _pack(table)
-    width = 8 * lane
+    lanes, width = pack_lanes(table)
+    lane = width // 8
+    code = _LANE_CODE.get(lane)
     raw = _zeta(lanes, _clear_masks(n, width), width).to_bytes(size * lane, "little")
     if code is None:
         return [int.from_bytes(raw[i:i + lane], "little") for i in range(0, len(raw), lane)]
@@ -171,7 +172,7 @@ def within_image(table: Sequence[int]) -> Family:
 
 def is_monotone_lanes(lanes: int, width: int, n: int) -> bool:
     """Whether a inside b forces entry a inside entry b, for a table of
-    2**n entries packed as ``width``-bit lanes (:func:`_pack`).
+    2**n entries packed as ``width``-bit lanes (:func:`pack_lanes`).
 
     Single-point extensions suffice, as any inclusion chains them: point
     i is one shift of the lanes without i onto those with it, failing

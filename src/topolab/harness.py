@@ -524,9 +524,7 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                     out.notes["regularity_scan_skipped"] = out.notes.get("regularity_scan_skipped", 0) + 1
                     continue
                 out.instances_checked += 1
-                p = ctx.pairs.get((a, b))
-                regular = enlarger_is_regular(p) if p is not None else is_regular_wrt(ops[b], selfam)
-                if not regular:
+                if not is_regular_wrt(ops[b], selfam):
                     _fail(out, ctx, f"{a},{b}", b, "monotone enlarger regular over a selector topology")
 
     # identity enlarger reproduces the selector family (monotone selector)
@@ -553,11 +551,10 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         p = ctx.pairs[(a, b)]
         pair = p.name
         rep = classify_structure(p)
+        base = base_report(p)
         out.instances_checked += 1
         if not rep.is_supratopology:
             _fail(out, ctx, pair, "X", "pair-open family is a supratopology")
-        if not rep.closed_iff_cl_subset:
-            _fail(out, ctx, pair, "X", "closed in the family iff closure shrinks")
 
         # complement duality and monotonicity of the pair operators
         for s, by_points in zip(ctx.subsets, pair_closure_by_points(p, ctx.subsets)):
@@ -581,7 +578,6 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         if regular is None:
             out.notes["regularity_unknown"] = out.notes.get("regularity_unknown", 0) + 1
             regular = False  # skip the gated checks, nothing is asserted
-        nested = ctx.open_as_set[a] <= ctx.open_as_set[b]
         dominates = ctx.order[("identity", b)] or ctx.order[(a, b)]
         if regular:
             out.instances_checked += 1
@@ -591,7 +587,7 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             out.instances_checked += 1
             if not rep.closed_iff_cl_equal:
                 _fail(out, ctx, pair, "X", "dominating enlarger upgrades closed sets to fixed points")
-        if regular and nested:
+        if regular and base.family_nested:
             out.instances_checked += 1
             # closure-operator readings: the weaker one must hold, the
             # stronger one is recorded either way
@@ -606,23 +602,22 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                     if s & ~pc or pc & ~ptop.closure(s):
                         chain_ok = False
                         break
-                if not (rep.closed_iff_cl_subset and chain_ok):
+                if not chain_ok:
                     _fail(out, ctx, pair, "X", "closure operator induces the pair topology")
                 key = "cl_reading_both" if rep.closed_iff_cl_equal else "cl_reading_subset_only"
                 out.notes[key] = out.notes.get(key, 0) + 1
 
-                if base_report(p).base_pair_open:
+                if base.base_pair_open:
                     out.instances_checked += 1
                     if not rep.is_kuratowski:
                         _fail(out, ctx, pair, "X", "pair closure is a Kuratowski operator")
                     if any(pair_closure(p, s) != ptop.closure(s) for s in ctx.subsets):
                         _fail(out, ctx, pair, "X", "pair closure equals closure in the pair topology")
 
-        rep2 = base_report(p)
         out.instances_checked += 1
-        if rep2.hypothesis_a and not rep2.base_in_pair_and_selector:
+        if base.hypothesis_a and not base.base_in_pair_and_selector:
             _fail(out, ctx, pair, "base", "stable images land in both open families")
-        if (rep2.hypothesis_b or rep2.hypothesis_c or rep2.hypothesis_d) and not rep2.is_base:
+        if (base.hypothesis_b or base.hypothesis_c or base.hypothesis_d) and not base.is_base:
             _fail(out, ctx, pair, "base", "enlargement base generates the pair-open family")
 
     ctx.each_pair(out, check)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .bits import (
-    Family, _pack, canonical_family, intersect_all, is_monotone_lanes, upward_closure, within_image,
+    Family, canonical_family, intersect_all, is_monotone_lanes, pack_lanes, upward_closure,
+    within_image,
 )
 from .space import Topology
 
@@ -166,14 +167,13 @@ def leq(a: Operation, b: Operation) -> bool:
 
 def op_lanes(op: Operation) -> tuple[int, int]:
     """(lanes, lane width in bits): the table packed as one integer
-    (:func:`~topolab.bits._pack`), cached on the operation.  Every table
+    (:func:`~topolab.bits.pack_lanes`), cached on the operation.  Every table
     over one space packs to the same width, since every operation maps
     the whole space to itself (its image holds the interior of the whole
     space), so the largest entry is the whole space."""
     got = op._lanes
     if got is None:
-        lanes, lane, _ = _pack(op.table)
-        got = (lanes, 8 * lane)
+        got = pack_lanes(op.table)
         object.__setattr__(op, "_lanes", got)
     return got
 

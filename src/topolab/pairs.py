@@ -178,14 +178,6 @@ def pair_open_family(p: OpPair) -> Family:
     return fam
 
 
-def selector_open_enlarged(p: OpPair) -> bool:
-    """Whether every selector-open set u sits inside its enlargement
-    enl[u], that is, the selector-open family is inside the
-    enlarger-open family."""
-    enl = p.enlarger.table
-    return all(u & ~enl[u] == 0 for u in p.selector_open())
-
-
 def pair_closed_family(p: OpPair) -> Family:
     full = p.topology.full
     return canonical_family(full ^ a for a in pair_open_family(p))
@@ -223,7 +215,8 @@ def classify_structure(p: OpPair) -> StructureReport:
         closure axioms read int(X) = X, int(c) inside c,
         int(int(c)) = int(c) and int(c & d) = int(c) & int(d), taken in
         turn:
-        - extensive: if every u sits inside enl[u], a u whose
+        - extensive: if every u sits inside enl[u] (the
+          ``family_nested`` flag of :func:`base_report`), a u whose
           enlargement fits inside c fits inside c; conversely take
           c = enl[u], whose interior holds u and sits inside enl[u];
         - idempotent: int(i) = i for every image i = int(c), read over
@@ -250,7 +243,7 @@ def classify_structure(p: OpPair) -> StructureReport:
     equal_ok = all(table[a] == a for a in fam)
     kur = (
         table[full] == full
-        and selector_open_enlarged(p)
+        and base_report(p).family_nested
         and all(table[i] == i for i in set(table))
         and enlarger_is_regular(p)
     )
@@ -402,9 +395,11 @@ def base_report(p: OpPair) -> BaseReport:
     The base is :func:`enlargement_base`, unsorted.  A set b is
     selector-open iff b sits inside sel[b], and pair-open iff b sits
     inside int[b], so membership is one table lookup, with no set of
-    members built.  ``family_nested`` is :func:`selector_open_enlarged`,
-    and ``is_base`` compares two 2**n-bit planes: the pair-open
-    family's against the base's union closure.
+    members built.  ``family_nested`` reads u inside enl[u] off the
+    enlarger's table for every selector-open u, as a set is
+    enlarger-open iff it sits inside its enlargement.  ``is_base``
+    compares two 2**n-bit planes: the pair-open family's against the
+    base's union closure.
     """
     got = p._cache.get("base_report")
     if got is not None:
@@ -429,7 +424,7 @@ def base_report(p: OpPair) -> BaseReport:
     is_base = family_plane(pair_open_family(p), n) & ~union_closure_plane(base, n) == 0
     got = p._cache["base_report"] = BaseReport(
         image_stable=image_stable,
-        family_nested=selector_open_enlarged(p),
+        family_nested=all(u & ~enl[u] == 0 for u in p.selector_open()),
         base_pair_open=base_pair_open,
         order_dominates=order_dominates,
         base_in_pair_and_selector=base_pair_open and base_selector_open,

@@ -18,6 +18,7 @@ from topolab import (
     adherence_set,
     base_report,
     compactness_kind,
+    indiscrete,
     enumerate_topologies,
     leq,
     limit_set,
@@ -27,7 +28,9 @@ from topolab import (
     sweep_spaces,
 )
 from topolab import compact, harness
+from topolab import ops as ops_module
 from topolab.bits import intersect_all
+from topolab.ops import Operation
 from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES, _SpaceContext, _mask_str
 
 from oracles import (
@@ -173,6 +176,33 @@ def test_flipped_base_limit_bit_fails_like_the_per_base_scan(monkeypatch):
                                      str((diff & -diff).bit_length() - 1)))
     assert len(expected) == 49
     assert got == expected
+
+
+def test_wrong_monotone_verdict_fails_the_regularity_statement(monkeypatch):
+    # scl is swapped for a non-monotone operation on the indiscrete space
+    # that maps the singleton {0} to the whole space, so no neighbourhood
+    # of point 0 squeezes under {0,1} and {0,2}; with every monotone
+    # verdict forced true the catalog monotonicity check passes, and only
+    # the literal regularity scan over the selector topologies is left to
+    # catch it
+    top = indiscrete(3)
+    real_catalog = harness.catalog
+
+    def broken(t):
+        ops = real_catalog(t)
+        ops["scl"] = Operation(t, [t.full if a == 1 else a for a in t.subsets()], "scl")
+        return ops
+
+    monkeypatch.setattr(harness, "catalog", broken)
+    monkeypatch.setattr(ops_module, "is_monotone_lanes", lambda lanes, width, n: True)
+    cfg = SuiteConfig(n_exhaustive=0, suites=("operations",))
+    failures = run_suites(cfg, [("indiscrete3", top)]).suites["operations"].failures
+    assert not any(f["statement"] == "catalog operations are monotone" for f in failures)
+    flagged = {f["pair"] for f in failures
+               if f["statement"] == "monotone enlarger regular over a selector topology"}
+    # the selectors whose open family is all of P(X); the other three
+    # select only the ends, where regularity holds trivially
+    assert flagged == {"identity,scl", "cl,scl", "scl,scl", "introcl,scl"}
 
 
 def test_emptied_limit_row_fails_transfer_per_name(monkeypatch):
