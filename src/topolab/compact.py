@@ -13,7 +13,7 @@ failing cover must keep some a of A out of all its enlargements, and it
 is then contained in that point's avoidance family.  Scanning the points
 of A therefore decides compactness in O(|ambient| * |A|) word steps, and
 with the union of each point's avoidance family tabulated once per pair
-and cover kind, in O(|A|) (:func:`compactness_kind`).  The literal
+kernel and cover kind, in O(|A|) (:func:`compactness_kind`).  The literal
 quantifier evaluation is kept alongside as :func:`brute_force_compact_all`
 and the two must agree everywhere.  It is batched but still literal: one
 walk over the subfamilies of the ambient family decides every target
@@ -51,13 +51,16 @@ from .bits import (
     up_planes,
 )
 from .filters import _point_limits, is_t2
-from .ops import Operation, builtin, dual_table, is_monotone, op_closed_family
+from .ops import Operation, builtin, dual_table, is_monotone
 from .pairs import (
     OpPair,
+    PairKernel,
     base_report,
     enlargement_base,
+    image_groups,
+    int_table,
+    memoized,
     pair_closed_family,
-    pair_closure,
     pair_open_family,
 )
 from .space import Topology
@@ -170,33 +173,31 @@ def brute_force_compact(cs: CoverSystem, a: int) -> bool:
     return brute_force_compact_all(cs, (a,))[0]
 
 
-def _outside_row(p: OpPair, kind: str) -> tuple[int, ...]:
+@memoized
+def _outside_row(k: PairKernel, kind: str) -> tuple[int, ...]:
     """outside[x] = union of the kind's ambient members whose enlargement
-    misses x, one row per pair and kind kept on the pair.
+    misses x, one row per kernel and kind.
 
     Those are the members whose enlargement fits inside full minus x, so
     the row is read off a contained-union table at those n sets: the
     pair-interior table for the pair kind, the union of the members
     inside each set for the two plain kinds.
     """
-    cache = p._cache
-    row = cache.get(("outside", kind))
-    if row is None:
-        n, full = p.topology.n, p.topology.full
-        if kind == "pair":
-            inner = p.int_table()
-        elif kind in ("pair_open", "base"):
-            members = pair_open_family(p) if kind == "pair_open" else enlargement_base(p) + (full,)
-            inner = contained_union_table(((u, u) for u in members), n)
-        else:
-            raise ValueError(f"unknown kind {kind!r}; use 'pair', 'pair_open' or 'base'")
-        row = cache[("outside", kind)] = tuple(inner[full ^ (1 << x)] for x in range(n))
-    return row
+    n, full = k.topology.n, k.topology.full
+    if kind == "pair":
+        inner = int_table(k)
+    elif kind in ("pair_open", "base"):
+        members = pair_open_family(k) if kind == "pair_open" else enlargement_base(k) + (full,)
+        inner = contained_union_table(((u, u) for u in members), n)
+    else:
+        raise ValueError(f"unknown kind {kind!r}; use 'pair', 'pair_open' or 'base'")
+    return tuple(inner[full ^ (1 << x)] for x in range(n))
 
 
-def _row(p: OpPair, kind: str) -> tuple[tuple[int, ...], ...]:
+@memoized
+def _row(k: PairKernel, kind: str) -> tuple[tuple[int, ...], ...]:
     """row[x]: the sets whose subsets holding x fail the kind's
-    statement, one row per pair and kind kept on the pair.
+    statement, one row per kernel and kind.
 
     pair, pair_open, base  compactness in the three cover systems
                            (:func:`compactness_kind`): the avoidance row
@@ -207,52 +208,46 @@ def _row(p: OpPair, kind: str) -> tuple[tuple[int, ...], ...]:
 
     The proofs that each row decides its statement sit beside the code.
     """
-    cache = p._cache
-    row = cache.get(("row", kind))
-    if row is None:
-        n, full = p.topology.n, p.topology.full
-        if kind == "ultra":
-            # The maximal bases are the singleton cores {x}; one meets A
-            # iff x is in A, and converges at y iff x is in env(y).  So
-            # the statement fails iff some x in A has A inside
-            # full ^ limits[x] = {y : x not in env(y)}.  Since env(y) is
-            # the meet of enl[u] over the selector-open u around y, that
-            # row is the union of the u with x not in enl[u]: outside[x]
-            # of the pair kind, reached through the envelopes.
-            row = tuple((full ^ m,) for m in _point_limits(p))
-        elif kind == "closed":
-            # The closed pair holds iff every S_y, y in A, has its meet
-            # meeting A (see :func:`_closed_meets`); it fails iff some y
-            # in A has A inside full ^ meets[y].  The selector-closed
-            # sets are the full ^ u, u selector-open, with dual image
-            # full ^ enl[u], so that row is again the union of the u
-            # with y not in enl[u], reached through the dual table.
-            row = tuple((full ^ m,) for m in _closed_meets(p))
-        elif kind == "restricted":
-            # Every filterbase B of residues meeting A must accumulate in
-            # A.  B holds its least member m0, so B meets A iff m0 does,
-            # and the pair closure is monotone, so its members' closures
-            # meet in cl(m0).  The least members are exactly the nonempty
-            # residues ({r} is a base), so the statement fails iff some
-            # y in A lies in a residue r with A inside full ^ cl(r).  Such
-            # an A misses cl(r), so y lies in r minus cl(r): in the union
-            # reach[c] of r minus c over the residues r whose closure is c.
-            reach: dict[int, int] = {}
-            for r, closure in _residue_row(p):
-                if r & ~closure:
-                    reach[closure] = reach.get(closure, 0) | r & ~closure
-            row = tuple(
-                tuple(full ^ c for c, union in reach.items() if union >> x & 1) for x in range(n)
-            )
-        elif kind in ("pair", "pair_open", "base"):
-            row = tuple((m,) for m in _outside_row(p, kind))
-        else:
-            raise ValueError(
-                f"unknown kind {kind!r}; use 'pair', 'pair_open', 'base', 'ultra', 'closed'"
-                " or 'restricted'"
-            )
-        cache[("row", kind)] = row
-    return row
+    n, full = k.topology.n, k.topology.full
+    if kind == "ultra":
+        # The maximal bases are the singleton cores {x}; one meets A
+        # iff x is in A, and converges at y iff x is in env(y).  So
+        # the statement fails iff some x in A has A inside
+        # full ^ limits[x] = {y : x not in env(y)}.  Since env(y) is
+        # the meet of enl[u] over the selector-open u around y, that
+        # row is the union of the u with x not in enl[u]: outside[x]
+        # of the pair kind, reached through the envelopes.
+        return tuple((full ^ m,) for m in _point_limits(k))
+    if kind == "closed":
+        # The closed pair holds iff every S_y, y in A, has its meet
+        # meeting A (see :func:`_closed_meets`); it fails iff some y
+        # in A has A inside full ^ meets[y].  The selector-closed
+        # sets are the full ^ u, u selector-open, with dual image
+        # full ^ enl[u], so that row is again the union of the u
+        # with y not in enl[u], reached through the dual table.
+        return tuple((full ^ m,) for m in _closed_meets(k))
+    if kind == "restricted":
+        # Every filterbase B of residues meeting A must accumulate in
+        # A.  B holds its least member m0, so B meets A iff m0 does,
+        # and the pair closure is monotone, so its members' closures
+        # meet in cl(m0).  The least members are exactly the nonempty
+        # residues ({r} is a base), so the statement fails iff some
+        # y in A lies in a residue r with A inside full ^ cl(r).  Such
+        # an A misses cl(r), so y lies in r minus cl(r): in the union
+        # reach[c] of r minus c over the residues r whose closure is c.
+        reach: dict[int, int] = {}
+        for r, closure in _residue_row(k):
+            if r & ~closure:
+                reach[closure] = reach.get(closure, 0) | r & ~closure
+        return tuple(
+            tuple(full ^ c for c, union in reach.items() if union >> x & 1) for x in range(n)
+        )
+    if kind in ("pair", "pair_open", "base"):
+        return tuple((m,) for m in _outside_row(k, kind))
+    raise ValueError(
+        f"unknown kind {kind!r}; use 'pair', 'pair_open', 'base', 'ultra', 'closed'"
+        " or 'restricted'"
+    )
 
 
 def compactness_kind(p: OpPair, a: int, kind: str = "pair") -> bool:
@@ -275,25 +270,23 @@ def compactness_kind(p: OpPair, a: int, kind: str = "pair") -> bool:
 
 def failing_plane(p: OpPair, kind: str = "pair") -> int:
     """The 2**n-bit plane of the sets failing one of the pair's
-    statements (:func:`compactness_kind`), kept on the pair: the sets
-    holding some x and lying inside a member of row[x]
+    statements (:func:`compactness_kind`), kept on the pair's kernel:
+    the sets holding some x and lying inside a member of row[x]
     (:func:`~topolab.bits.pointed_down_plane`)."""
-    cache = p._cache
-    got = cache.get(("failing", kind))
-    if got is None:
-        got = cache[("failing", kind)] = pointed_down_plane(_row(p, kind), p.topology.n)
-    return got
+    return _failing_plane(p, kind)
 
 
+@memoized
+def _failing_plane(k: PairKernel, kind: str) -> int:
+    return pointed_down_plane(_row(k, kind), k.topology.n)
+
+
+@memoized
 def _named_class_pair(top: Topology, name: str) -> OpPair:
     """The pair realizing a named class, memoized on the space itself so
     it dies with the space."""
-    memo = top._memo
-    got = memo.get(("compact.class_pair", name))
-    if got is None:
-        sel, enl = NAMED_CLASSES[name]
-        got = memo[("compact.class_pair", name)] = OpPair(builtin(top, sel), builtin(top, enl))
-    return got
+    sel, enl = NAMED_CLASSES[name]
+    return OpPair(builtin(top, sel), builtin(top, enl))
 
 
 def named_set_class(top: Topology, a: int, name: str) -> bool:
@@ -353,9 +346,10 @@ def named_set_class(top: Topology, a: int, name: str) -> bool:
 # the cover kinds therefore agree exactly when A is compact in all three.
 
 
-def _closed_meets(p: OpPair) -> tuple[int, ...]:
+@memoized
+def _closed_meets(k: PairKernel) -> tuple[int, ...]:
     """meets[y] = meet of S_y = {f selector-closed : y in dual(f)}, one row
-    per pair kept on the pair.
+    per kernel.
 
     The closed pair reads the statements over subfamilies sel of the
     closed sets, judging finite parts by their dual enlargements: by the
@@ -364,17 +358,13 @@ def _closed_meets(p: OpPair) -> tuple[int, ...]:
     is smaller and whose duals all hold y, so S_y refutes too: both hold
     iff every S_y, y in A, has its meet meeting A.
     """
-    cache = p._cache
-    row = cache.get("closed_meets")
-    if row is None:
-        full = p.topology.full
-        dual_enl = dual_table(p.enlarger)
-        meets = [full] * p.topology.n
-        for f in op_closed_family(p.selector):
-            for y in iter_points(dual_enl[f]):
-                meets[y] &= f
-        row = cache["closed_meets"] = tuple(meets)
-    return row
+    full = k.topology.full
+    dual_enl = dual_table(k.enlarger)
+    meets = [full] * k.topology.n
+    for f in (full ^ u for u in k.family):  # the selector-closed sets
+        for y in iter_points(dual_enl[f]):
+            meets[y] &= f
+    return tuple(meets)
 
 
 @dataclass(frozen=True)
@@ -407,18 +397,14 @@ class SpaceCompactnessFlags:
         return len(set(self.statements())) == 1
 
 
-def _residue_row(p: OpPair) -> tuple[tuple[int, int], ...]:
+@memoized
+def _residue_row(k: PairKernel) -> tuple[tuple[int, int], ...]:
     """(r, pair closure of r) for every nonempty residue r = full ^ enl[u]
-    of a selector-open u, ascending; one row per pair kept on the pair.
-    The empty residue is left out: it is compact in every kind and
-    meets no set."""
-    cache = p._cache
-    row = cache.get("residues")
-    if row is None:
-        full, enl = p.topology.full, p.enlarger.table
-        residues = canonical_family(full ^ enl[u] for u in p.selector_open())
-        row = cache["residues"] = tuple((r, pair_closure(p, r)) for r in residues if r)
-    return row
+    of a selector-open u, ascending; one row per kernel.  The empty
+    residue is left out: it is compact in every kind and meets no set."""
+    full, inner = k.topology.full, int_table(k)
+    residues = canonical_family(full ^ t for t, _ in image_groups(k))
+    return tuple((r, full ^ inner[full ^ r]) for r in residues if r)  # r's pair closure
 
 
 def space_compactness_flags(p: OpPair) -> SpaceCompactnessFlags:
@@ -444,25 +430,22 @@ def space_compactness_flags(p: OpPair) -> SpaceCompactnessFlags:
     )
 
 
+@memoized
 def _union_irreducibles(top: Topology, fam: Family) -> tuple[int, ...]:
     """The union-irreducible members of ``fam``: the nonempty members the
     members strictly inside do not union to.  Those lie inside j minus
     one of its points, so their union is the OR, over x in j, of
     ``below[j ^ {x}]`` with ``below`` the contained-union table of
     ``fam``.  Memoized per family on the space."""
-    key = ("compact.union_irreducibles", fam)
-    got = top._memo.get(key)
-    if got is None:
-        below = contained_union_table(((u, u) for u in fam), top.n)
-        out = []
-        for j in fam:
-            under = 0
-            for x in iter_points(j):
-                under |= below[j ^ (1 << x)]
-            if under != j:
-                out.append(j)
-        got = top._memo[key] = tuple(out)
-    return got
+    below = contained_union_table(((u, u) for u in fam), top.n)
+    out = []
+    for j in fam:
+        under = 0
+        for x in iter_points(j):
+            under |= below[j ^ (1 << x)]
+        if under != j:
+            out.append(j)
+    return tuple(out)
 
 
 def additive_hypothesis(p: OpPair) -> bool:
@@ -470,7 +453,9 @@ def additive_hypothesis(p: OpPair) -> bool:
     restricted accumulation of residue bases (the restricted kind of
     :func:`failing_plane`): a monotone selector, and
     ``enl[u | v] == enl[u] | enl[v]`` over all u, v in the
-    selector-open family F.  Kept on the pair.
+    selector-open family F.  Monotonicity reads the selector's table, so
+    it is checked on the pair; the scan over F is kept on the kernel
+    (:func:`_additive_scan`).
 
     A monotone selector makes F union-closed (a inside op(a) and b
     inside op(b) put a | b inside op(a) | op(b), inside op(a | b)), and
@@ -484,20 +469,20 @@ def additive_hypothesis(p: OpPair) -> bool:
     empty set to itself.  The converse is immediate.  So monotonicity
     is checked first, then |F| * |J| pairs instead of |F|**2.
     """
-    cache = p._cache
-    hyp = cache.get("additive_hypothesis")
-    if hyp is None:
-        enl = p.enlarger.table
-        hyp = is_monotone(p.selector)
-        if hyp:
-            sel_open = p.selector_open()
-            for j in _union_irreducibles(p.topology, sel_open):
-                image = enl[j]
-                if not all(enl[u | j] == enl[u] | image for u in sel_open):
-                    hyp = False
-                    break
-        cache["additive_hypothesis"] = hyp
-    return hyp
+    return is_monotone(p.selector) and _additive_scan(p)
+
+
+@memoized
+def _additive_scan(k: PairKernel) -> bool:
+    """``enl[u | j] == enl[u] | enl[j]`` for every u in F and every
+    union-irreducible j in F: the additivity hypothesis once F is known
+    to be union-closed."""
+    enl, fam = k.enlarger.table, k.family
+    for j in _union_irreducibles(k.topology, fam):
+        image = enl[j]
+        if not all(enl[u | j] == enl[u] | image for u in fam):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,17 @@ from .bits import (
     mask_of,
     submasks_desc,
 )
-from .pairs import OpPair, base_report, enlarger_is_regular, image_groups, pair_closure
+from .pairs import (
+    OpPair,
+    PairKernel,
+    base_report,
+    enlarger_is_regular,
+    envelopes,
+    image_groups,
+    int_table,
+    memoized,
+    pair_closure,
+)
 from .space import Topology
 
 
@@ -125,17 +135,12 @@ def accumulates(f: FilterLike, p: OpPair, point: int) -> bool:
     return all(pair_closure(p, m) >> point & 1 for m in _members_of(f))
 
 
-def _point_limits(p: OpPair) -> tuple[int, ...]:
+@memoized
+def _point_limits(k: PairKernel) -> tuple[int, ...]:
     """``_point_limits(p)[i]`` holds the points whose envelope holds i:
-    the limit set of the principal filter at {i}.  Cached on the pair."""
-    got = p._cache.get("point_limits")
-    if got is None:
-        n = p.topology.n
-        env = [p.envelope(x) for x in range(n)]
-        got = p._cache["point_limits"] = tuple(
-            mask_of(x for x in range(n) if env[x] >> i & 1) for i in range(n)
-        )
-    return got
+    the limit set of the principal filter at {i}.  One row per kernel."""
+    n, env = k.topology.n, envelopes(k)
+    return tuple(mask_of(x for x in range(n) if env[x] >> i & 1) for i in range(n))
 
 
 def member_table(bases: Sequence[Sequence[int]], n: int) -> list[int]:
@@ -241,7 +246,7 @@ def is_t2(p: OpPair) -> bool:
     other points are asked for.
     """
     enl = p.enlarger.table
-    inner = p.int_table()
+    inner = int_table(p)
     full = p.topology.full
     for x in range(p.topology.n):
         separated = 0
@@ -287,13 +292,10 @@ def nbhd_filterbase(p: OpPair, point: int, variant: str = "plain") -> Family:
     return base
 
 
-def _envelope_planes(p: OpPair) -> list[int]:
-    """The submask plane of each point's envelope, kept on the pair."""
-    got = p._cache.get("envelope_planes")
-    if got is None:
-        n = p.topology.n
-        got = p._cache["envelope_planes"] = [down_plane((p.envelope(x),), n) for x in range(n)]
-    return got
+@memoized
+def _envelope_planes(k: PairKernel) -> tuple[int, ...]:
+    """The submask plane of each point's envelope, one row per kernel."""
+    return tuple(down_plane((env,), k.topology.n) for env in envelopes(k))
 
 
 def convergence_closure(p: OpPair, a: int, exhaustive: bool = False) -> int:

@@ -59,11 +59,14 @@ from .ops import (
 )
 from .pairs import (
     OpPair,
+    PairKernel,
     base_report,
     classify_structure,
     enlargement_base,
     enlarger_is_regular,
+    envelopes,
     image_groups,
+    memoized,
     named_family,
     pair_closure,
     pair_closure_by_points,
@@ -264,10 +267,10 @@ class _SpaceContext:
     enlargers agree on each selector-open family.
 
     Named pairs keep one :class:`OpPair` each, since witnesses print
-    the names; the memos are keyed by operation (:meth:`pair_key`), as
-    the statements depend on the maps alone: the filter rows by
-    operation pair, the neighbourhood up-sets and the agreement classes
-    by selector operation."""
+    the names.  The memos are keyed by what they depend on: the filter
+    rows by the pair's kernel (:class:`~topolab.pairs.PairKernel`), the
+    neighbourhood up-sets and the agreement classes by selector
+    operation (:meth:`pair_key`)."""
 
     def __init__(self, label: str, top: Topology, cfg: SuiteConfig):
         self.label = label
@@ -296,7 +299,7 @@ class _SpaceContext:
         self.order = {
             (a, b): leq(self.ops[a], self.ops[b]) for a in BUILTIN_NAMES for b in BUILTIN_NAMES
         }
-        self._filter_rows: dict[tuple[Operation, Operation], tuple[_PrincipalRow, _PrincipalRow]] = {}
+        self._filter_rows: dict[PairKernel, tuple[_PrincipalRow, _PrincipalRow]] = {}
         self._neighborhoods: dict[tuple[Operation, int], tuple] = {}
         self._agreement: dict[Operation, dict[Operation, int]] = {}
 
@@ -356,13 +359,12 @@ class _SpaceContext:
 
     def filter_rows(self, key: tuple[str, str]) -> tuple[_PrincipalRow, _PrincipalRow]:
         """(limits, adherences) of the principal filters at the quantified
-        cores for one requested pair, built on first use per operation
-        pair and kept for the life of the space."""
-        ops = self.pair_key(*key)
-        rows = self._filter_rows.get(ops)
+        cores for one requested pair, built on first use per pair kernel
+        and kept for the life of the context."""
+        p, n = self.pairs[key], self.n
+        rows = self._filter_rows.get(p.kernel)
         if rows is None:
-            p, n = self.pairs[key], self.n
-            rows = self._filter_rows[ops] = (
+            rows = self._filter_rows[p.kernel] = (
                 _PrincipalRow(lambda c: limit_set(Filter(n, c), p), self.core_list),
                 _PrincipalRow(lambda c: adherence_set(Filter(n, c), p), self.core_list),
             )
@@ -391,30 +393,15 @@ class _SpaceContext:
             }
         return classes[self.op_key[b]] == classes[self.op_key[c]]
 
-    def family_topology(self, family: Family) -> Topology:
-        """The topology whose opens are ``family``: pairs often share an
-        open family, so each is validated and tabulated once, in the
-        space's memo."""
-        key = ("harness.family_topology", family)
-        got = self.top._memo.get(key)
-        if got is None:
-            got = self.top._memo[key] = Topology(self.top.ground, family)
-        return got
-
     def regularity(self, sel_name: str, enl_name: str) -> Optional[bool]:
         """Whether the enlarger is regular against the selector-open
-        family; None past :meth:`regularity_gated`.  The verdict is
-        cached on the pair, shared with :func:`finer_convergent` and
-        :func:`nbhd_filterbase`.
-
-        Fast path: a monotone enlarger is regular against any
-        intersection-closed family (the meet of two neighbourhoods is the
-        squeezing witness).
+        family (:func:`enlarger_is_regular`, kept on the pair's kernel);
+        None past :meth:`regularity_gated`, unless its fast path, a
+        monotone enlarger over an intersection-closed family, applies.
         """
         fam = self.open_sets[sel_name]
-        if self.monotone[enl_name] and self.top.family_props(fam)[0]:
-            return True
-        if self.regularity_gated(fam):
+        fast = self.monotone[enl_name] and self.top.family_props(fam)[0]
+        if self.regularity_gated(fam) and not fast:
             return None
         return enlarger_is_regular(self.pairs[(sel_name, enl_name)])
 
@@ -424,6 +411,14 @@ class _SpaceContext:
         ``regularity_scan_skipped`` and ``regularity_unknown`` notes
         pinned in ``bench/expected.json``."""
         return len(fam) ** 3 * max(self.n, 1) > 2 * 10**8
+
+
+@memoized
+def _family_topology(top: Topology, family: Family) -> Topology:
+    """The topology on ``top``'s ground whose opens are ``family``: pairs
+    often share an open family, so each is validated and tabulated once,
+    in the space's memo."""
+    return Topology(top.ground, family)
 
 
 def _fail(out: SuiteResult, ctx: _SpaceContext, pair: str, subject: str,
@@ -531,8 +526,7 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     for a in names:
         if ctx.monotone[a]:
             out.instances_checked += 1
-            p = ctx.pairs.get((a, "identity")) or OpPair(ops[a], ops["identity"])
-            if pair_open_family(p) != ctx.open_sets[a]:
+            if pair_open_family(OpPair(ops[a], ops["identity"])) != ctx.open_sets[a]:
                 _fail(out, ctx, f"{a},identity", a, "identity enlarger keeps the selector family")
 
     # semi-closure is idempotent on semi-open sets
@@ -595,7 +589,7 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 # already reported above; the readings below presuppose it
                 _fail(out, ctx, pair, "X", "closure operator induces the pair topology")
             else:
-                ptop = ctx.family_topology(pair_open_family(p))
+                ptop = _family_topology(ctx.top, pair_open_family(p))
                 chain_ok = True
                 for s in ctx.subsets:
                     pc = pair_closure(p, s)
@@ -701,7 +695,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         inter_closed = ctx.top.family_props(sel_open)[0]
         monotone_enl = ctx.monotone[b]
         lim, adh = ctx.filter_rows((a, b))
-        env = [p.envelope(x) for x in range(n)]
+        env = envelopes(p)
         enl = p.enlarger.table
 
         # base predicates match the generated filter's; the witness is the
@@ -968,43 +962,32 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     top = ctx.top
     quantified = family_plane(ctx.subsets, ctx.n)
 
-    # planes[(operation pair, kind)]: the failing-set plane of one
-    # statement, built once per distinct pair
-    planes = {}
-
-    def failing(a: str, b: str, kind: str = "pair") -> int:
-        key = (ctx.pair_key(a, b), kind)
-        got = planes.get(key)
-        if got is None:
-            got = planes[key] = failing_plane(ctx.pairs[(a, b)], kind)
-        return got
-
     def first(plane: int) -> str:
         """The lowest quantified subset flagged in ``plane``."""
         return _mask_str(ctx, (plane & -plane).bit_length() - 1)
 
-    def verdicts(a: str, b: str, s: int, kinds: tuple[str, ...]) -> str:
-        return str({k: not failing(a, b, k) >> s & 1 for k in kinds})
+    def verdicts(p: OpPair, s: int, kinds: tuple[str, ...]) -> str:
+        return str({k: not failing_plane(p, k) >> s & 1 for k in kinds})
 
     def check(a: str, b: str, out: SuiteResult) -> None:
         p = ctx.pairs[(a, b)]
         pair = p.name
         out.instances_checked += len(ctx.subsets)
         # the quantified subsets each check flags, one plane per check
-        cover = failing(a, b)
-        faces = quantified & ((cover ^ failing(a, b, "ultra")) | (cover ^ failing(a, b, "closed")))
+        cover = failing_plane(p)
+        faces = quantified & ((cover ^ failing_plane(p, "ultra")) | (cover ^ failing_plane(p, "closed")))
         kinds = additive = 0
         if base_report(p).hypothesis_d:
-            kinds = quantified & (cover | failing(a, b, "base") | failing(a, b, "pair_open"))
+            kinds = quantified & (cover | failing_plane(p, "base") | failing_plane(p, "pair_open"))
         if additive_hypothesis(p):
-            additive = quantified & (cover ^ failing(a, b, "restricted"))
+            additive = quantified & (cover ^ failing_plane(p, "restricted"))
         for s in ctx.subsets:
             if faces >> s & 1:
                 _fail(out, ctx, pair, _mask_str(ctx, s), "filter statements agree",
-                      verdicts(a, b, s, ("pair", "ultra", "closed")))
+                      verdicts(p, s, ("pair", "ultra", "closed")))
             if kinds >> s & 1:
                 _fail(out, ctx, pair, _mask_str(ctx, s), "cover kinds agree under the base hypothesis",
-                      verdicts(a, b, s, ("pair", "base", "pair_open")))
+                      verdicts(p, s, ("pair", "base", "pair_open")))
             if additive >> s & 1:
                 _fail(out, ctx, pair, _mask_str(ctx, s),
                       "additive enlarger matches restricted accumulation")
@@ -1014,18 +997,14 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             _fail(out, ctx, pair, "X", "space-level statements agree", str(sflags.statements()))
 
         # compactness transfers to wider pairs: sets compact here and
-        # failing there, one plane per wider operation pair
-        strict_of: dict = {}
+        # failing there
         for (c, d) in ctx.pair_names:
             if not (ctx.open_as_set[c] <= ctx.open_as_set[a] and ctx.order[(b, d)]):
                 continue
-            key = ctx.pair_key(c, d)
-            if key not in strict_of:
-                strict_of[key] = failing(c, d) & ~failing(a, b) & quantified
             out.instances_checked += 1
-            if strict_of[key]:
-                _fail(out, ctx, pair, f"{c},{d}", "compact sets transfer to wider pairs",
-                      first(strict_of[key]))
+            strict = failing_plane(ctx.pairs[(c, d)]) & ~cover & quantified
+            if strict:
+                _fail(out, ctx, pair, f"{c},{d}", "compact sets transfer to wider pairs", first(strict))
 
     def agreeing(a: str, b: str, out: SuiteResult) -> None:
         # enlargers agreeing on the selector-open family give one verdict;
@@ -1035,13 +1014,13 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 continue
             if ctx.enlargers_agree(a, b, d):
                 out.instances_checked += 1
+                p, q = ctx.pairs[(a, b)], ctx.pairs[(c, d)]
                 diff = quantified & (
-                    (failing(a, b) ^ failing(c, d))
-                    | (failing(a, b, "pair_open") ^ failing(c, d, "pair_open"))
+                    (failing_plane(p) ^ failing_plane(q))
+                    | (failing_plane(p, "pair_open") ^ failing_plane(q, "pair_open"))
                 )
                 if diff:
-                    _fail(out, ctx, ctx.pairs[(a, b)].name, f"{c},{d}",
-                          "agreeing enlargers give one verdict", first(diff))
+                    _fail(out, ctx, p.name, f"{c},{d}", "agreeing enlargers give one verdict", first(diff))
 
     ctx.each_pair(out, check, agreeing)
 

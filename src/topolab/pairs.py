@@ -9,10 +9,12 @@ to a topology with a Kuratowski closure; :func:`classify_structure`
 measures exactly which rungs of that ladder a pair reaches, each in
 closed form off the pair-interior table.
 
-The pair's distinct enlargements (:func:`image_groups`: each t with the
-union of the selector-open sets enlarged to t) give the pointwise
-closure rule and the per-point envelopes in one pass each.  They are
-built on demand and not kept on the pair.
+Every row derived from a pair, bar two readings of the selector's
+table, depends on the selector-open family and the enlarger alone, so
+it is built once per :class:`PairKernel`, shared by the pairs with that
+family and enlarger table (identity, cl and scl all select P(X)).  One
+such row, the distinct enlargements (:func:`image_groups`), gives the
+pointwise closure rule, the envelopes and the filters' limit sets.
 
 Classical generalized-open families (semi-open, pre-open, regular-open,
 the theta and semi-regularization variants) are provided by
@@ -22,8 +24,10 @@ pair machinery, so equalities between the two routes are genuine checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from functools import wraps
+from typing import Callable, Iterable, Sequence
+from weakref import WeakValueDictionary
 
 from .bits import (
     Family, canonical_family, contained_union_table, family_plane, iter_points,
@@ -39,13 +43,60 @@ NAMED_FAMILIES = (
 )
 
 
-class OpPair:
-    """An ordered pair (selector, enlarger) of operations over one space."""
+def memoized(build: Callable) -> Callable:
+    """Keep ``build(owner, *args)`` in the memo of its owner, a space or
+    a :class:`PairKernel`, so it is built once and dies with the owner.
+    A pair passed in stands for its kernel, so ``build`` never sees the
+    selector.  Values are pure functions of the owner, so racing writers
+    agree."""
 
-    __slots__ = (
-        "topology", "selector", "enlarger",
-        "_int_table", "_open_family", "_envelopes", "_cache",
-    )
+    @wraps(build)
+    def read(owner, *args):
+        owner = getattr(owner, "kernel", owner)
+        memo = owner._memo
+        key = (build, *args)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = build(owner, *args)
+        return got
+
+    return read
+
+
+class PairKernel:
+    """A selector-open family and an enlarger, with the rows built from
+    them alone in ``_memo`` (:func:`memoized`).  It serves every pair of
+    its space with that family and enlarger table, and lives as long as
+    the last of them."""
+
+    __slots__ = ("topology", "family", "enlarger", "_memo", "__weakref__")
+
+    def __init__(self, topology: Topology, family: Family, enlarger: Operation):
+        self.topology = topology
+        self.family = family
+        self.enlarger = enlarger
+        self._memo = {}
+
+
+@memoized
+def _kernels(top: Topology) -> WeakValueDictionary:
+    """(selector-open family, enlarger) -> kernel, held weakly."""
+    return WeakValueDictionary()
+
+
+class OpPair:
+    """An ordered pair (selector, enlarger) of operations over one space.
+
+    Its rows live on its :class:`PairKernel`, keyed by the enlarger's
+    whole table: ``image_stable`` reads it outside the selector-open
+    family, and enlargers that only agree on the family stay apart for
+    the statements that compare them.  Only two readings use the
+    selector's table, and both are computed on the pair on each call:
+    ``order_dominates`` of :func:`base_report` and the monotone-selector
+    half of :func:`~topolab.compact.additive_hypothesis`.
+    """
+
+    __slots__ = ("topology", "selector", "enlarger", "kernel")
 
     def __init__(self, selector: Operation, enlarger: Operation):
         if selector.topology != enlarger.topology:
@@ -53,12 +104,12 @@ class OpPair:
         object.__setattr__(self, "topology", selector.topology)
         object.__setattr__(self, "selector", selector)
         object.__setattr__(self, "enlarger", enlarger)
-        object.__setattr__(self, "_int_table", None)
-        object.__setattr__(self, "_open_family", None)
-        object.__setattr__(self, "_envelopes", None)
-        # memo space for derived structures; values are pure functions of
-        # the pair, so racing writers agree and the dict stays consistent
-        object.__setattr__(self, "_cache", {})
+        kernels = _kernels(selector.topology)
+        key = (op_open_family(selector), enlarger)
+        kernel = kernels.get(key)
+        if kernel is None:
+            kernel = kernels[key] = PairKernel(selector.topology, *key)
+        object.__setattr__(self, "kernel", kernel)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("OpPair is immutable")
@@ -71,60 +122,55 @@ class OpPair:
         return f"{self.selector.name},{self.enlarger.name}"
 
     def selector_open(self) -> Family:
-        return op_open_family(self.selector)
+        return self.kernel.family
 
     def selector_at(self, point: int) -> Family:
-        """Selector-open sets containing ``point``, cached per point."""
-        cache = self._cache
-        key = ("at", point)
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = at_point(self.selector_open(), point)
-        return got
-
-    def int_table(self) -> tuple[int, ...]:
-        table = self._int_table
-        if table is None:
-            enl = self.enlarger.table
-            # pair-interior of a = union of the selector-open sets whose
-            # enlargement sits inside a; a subset-sum transform gives the whole
-            # table at once instead of |selector-open| work per entry
-            fam = self.selector_open()
-            pairs = zip(map(enl.__getitem__, fam), fam)
-            table = tuple(contained_union_table(pairs, self.topology.n))
-            object.__setattr__(self, "_int_table", table)
-        return table
+        """Selector-open sets containing ``point``."""
+        return _selector_at(self.kernel, point)
 
     def envelope(self, point: int) -> int:
         """Intersection of the enlargements of all selector-open sets
         around ``point``; a principal filter converges there exactly when
-        its core sits inside this set.
+        its core sits inside this set (:func:`envelopes`)."""
+        return envelopes(self.kernel)[point]
 
-        The envelope of x is the meet of the distinct enlargements t
-        whose group (:func:`image_groups`) holds x, so all n envelopes
-        come from one pass over the groups, each t ANDed into the
-        envelopes of its group's points.
-        """
-        env = self._envelopes
-        if env is None:
-            env = [self.topology.full] * self.topology.n
-            for t, union in image_groups(self):
-                for x in iter_points(union):
-                    env[x] &= t
-            env = tuple(env)
-            object.__setattr__(self, "_envelopes", env)
-        return env[point]
+
+@memoized
+def _selector_at(k: PairKernel, point: int) -> Family:
+    return at_point(k.family, point)
+
+
+@memoized
+def int_table(k: PairKernel) -> tuple[int, ...]:
+    """``int_table(p)[a]`` is the pair-interior of ``a``, for every subset."""
+    # pair-interior of a = union of the selector-open sets whose
+    # enlargement sits inside a; a subset-sum transform gives the whole
+    # table at once instead of |selector-open| work per entry
+    enl, fam = k.enlarger.table, k.family
+    return tuple(contained_union_table(zip(map(enl.__getitem__, fam), fam), k.topology.n))
+
+
+@memoized
+def envelopes(k: PairKernel) -> tuple[int, ...]:
+    """The envelope of each point (:meth:`OpPair.envelope`): the meet of
+    the distinct enlargements t whose group (:func:`image_groups`) holds
+    it, so all n come from one pass over the groups."""
+    env = [k.topology.full] * k.topology.n
+    for t, union in image_groups(k):
+        for x in iter_points(union):
+            env[x] &= t
+    return tuple(env)
 
 
 def pair_interior(p: OpPair, a: int) -> int:
     """Union of the selector-open sets whose enlargement fits inside ``a``."""
-    return p.int_table()[a]
+    return int_table(p)[a]
 
 
 def pair_closure(p: OpPair, a: int) -> int:
     """Complement-dual of :func:`pair_interior`."""
     full = p.topology.full
-    return full ^ p.int_table()[full ^ a]
+    return full ^ int_table(p)[full ^ a]
 
 
 def pair_closure_by_points(p: OpPair, sets: Iterable[int]) -> list[int]:
@@ -134,10 +180,9 @@ def pair_closure_by_points(p: OpPair, sets: Iterable[int]) -> list[int]:
 
     A point falls outside exactly when some selector-open set around it
     has an enlargement missing the set.  With the selector-open sets
-    grouped by enlargement t (:func:`image_groups`, built once for all
-    of ``sets``), the outside is the union of the groups whose t misses
-    the set.  Kept as a second route so the complement identity stays
-    testable.
+    grouped by enlargement t (:func:`image_groups`), the outside is the
+    union of the groups whose t misses the set.  Kept as a second route
+    so the complement identity stays testable.
     """
     groups = image_groups(p)
     full = p.topology.full
@@ -151,31 +196,25 @@ def pair_closure_by_points(p: OpPair, sets: Iterable[int]) -> list[int]:
     return out
 
 
-def enlarger_is_regular(p: OpPair) -> bool:
+@memoized
+def enlarger_is_regular(k: PairKernel) -> bool:
     """:func:`is_regular_wrt` of the enlarger over the selector-open
-    family, cached on the pair.
+    family.
 
     Fast path: a monotone enlarger is regular over an
     intersection-closed family, as the meet of two neighbourhoods of a
     point is a third whose image squeezes under both images.
     """
-    got = p._cache.get("regular")
-    if got is None:
-        fam = p.selector_open()
-        got = p._cache["regular"] = (
-            is_monotone(p.enlarger) and p.topology.family_props(fam)[0]
-        ) or is_regular_wrt(p.enlarger, fam)
-    return got
+    return (
+        is_monotone(k.enlarger) and k.topology.family_props(k.family)[0]
+    ) or is_regular_wrt(k.enlarger, k.family)
 
 
-def pair_open_family(p: OpPair) -> Family:
+@memoized
+def pair_open_family(k: PairKernel) -> Family:
     """The sets a inside their pair-interior (:func:`~topolab.bits.within_image`
     of the pair-interior table)."""
-    fam = p._open_family
-    if fam is None:
-        fam = within_image(p.int_table())
-        object.__setattr__(p, "_open_family", fam)
-    return fam
+    return within_image(int_table(k))
 
 
 def pair_closed_family(p: OpPair) -> Family:
@@ -233,7 +272,7 @@ def classify_structure(p: OpPair) -> StructureReport:
     """
     top = p.topology
     full = top.full
-    table = p.int_table()
+    table = int_table(p)
     fam = pair_open_family(p)
 
     inter_closed, union_closed = top.family_props(fam)
@@ -243,7 +282,7 @@ def classify_structure(p: OpPair) -> StructureReport:
     equal_ok = all(table[a] == a for a in fam)
     kur = (
         table[full] == full
-        and base_report(p).family_nested
+        and _kernel_report(p).family_nested
         and all(table[i] == i for i in set(table))
         and enlarger_is_regular(p)
     )
@@ -257,6 +296,7 @@ def classify_structure(p: OpPair) -> StructureReport:
     )
 
 
+@memoized
 def named_family(top: Topology, name: str) -> Family:
     """A classical generalized-open family by its direct defining rule.
 
@@ -271,19 +311,10 @@ def named_family(top: Topology, name: str) -> Family:
     thetaSO/C    theta-semi-open: a closure-sized semi-open neighbourhood
                  of each point fits inside; and complements
 
-    Memoized per name on the space, so each family is built once and
-    dies with the space.
+    Read off the space's interior table, and memoized per name on the
+    space (:func:`memoized`), so each family is built once and dies with
+    the space.
     """
-    key = ("pairs.named_family", name)
-    got = top._memo.get(key)
-    if got is None:
-        got = top._memo[key] = _named_family_rule(top, name)
-    return got
-
-
-def _named_family_rule(top: Topology, name: str) -> Family:
-    """The defining rule of one :func:`named_family`, read off the
-    space's interior table."""
     it, full = top.int_table().__getitem__, top.full
     subs = top.subsets()
 
@@ -328,21 +359,22 @@ def _named_family_rule(top: Topology, name: str) -> Family:
 
 
 def enlargement_base(p: OpPair) -> Family:
-    """Deduplicated images of the selector-open sets under the enlarger."""
-    return canonical_family(map(p.enlarger.table.__getitem__, p.selector_open()))
+    """Deduplicated images of the selector-open sets under the enlarger:
+    the enlargements of :func:`image_groups`, sorted."""
+    return canonical_family(t for t, _ in image_groups(p))
 
 
-def image_groups(p: OpPair) -> tuple[tuple[int, int], ...]:
+@memoized
+def image_groups(k: PairKernel) -> tuple[tuple[int, int], ...]:
     """(t, union of the selector-open sets enlarged to t) for each
     distinct enlargement t, in order of first appearance.  Some
     selector-open set around x is enlarged to t iff t's union holds x.
-
-    Built afresh on each call and not kept on the pair: callers hold
-    the row for as long as they read it.
+    One grouping per kernel, read by the envelopes, the pointwise
+    closure rule and the filters' limit sets.
     """
-    enl = p.enlarger.table
+    enl = k.enlarger.table
     groups: dict[int, int] = {}
-    for u in p.selector_open():
+    for u in k.family:
         t = enl[u]
         groups[t] = groups.get(t, 0) | u
     return tuple(groups.items())
@@ -389,45 +421,44 @@ class BaseReport:
         return self.order_dominates and self.image_stable
 
 
-def base_report(p: OpPair) -> BaseReport:
-    """Base hypotheses and conclusions for the pair, cached on the pair.
+@memoized
+def _kernel_report(k: PairKernel) -> BaseReport:
+    """The base report as far as the kernel decides it: every flag but
+    ``order_dominates``, which here says only whether the enlarger sits
+    above the identity (a set is enlarger-open iff it sits inside its
+    enlargement, so iff all 2**n subsets are enlarger-open).
 
     The base is :func:`enlargement_base`, unsorted.  A set b is
-    selector-open iff b sits inside sel[b], and pair-open iff b sits
-    inside int[b], so membership is one table lookup, with no set of
-    members built.  ``family_nested`` reads u inside enl[u] off the
-    enlarger's table for every selector-open u, as a set is
-    enlarger-open iff it sits inside its enlargement.  ``is_base``
-    compares two 2**n-bit planes: the pair-open family's against the
-    base's union closure.
+    pair-open iff b sits inside int[b], so that membership is one table
+    lookup.  ``family_nested`` reads u inside enl[u] off the enlarger's
+    table for every selector-open u.  ``is_base`` compares two 2**n-bit
+    planes: the pair-open family's against the base's union closure.
     """
-    got = p._cache.get("base_report")
-    if got is not None:
-        return got
-    n = p.topology.n
-    sel = p.selector.table
-    enl = p.enlarger.table
-    inner = p.int_table()
-    base = set(map(enl.__getitem__, p.selector_open()))  # the enlargement base
-
+    n, enl, fam = k.topology.n, k.enlarger.table, k.family
+    inner = int_table(k)
+    base = {t for t, _ in image_groups(k)}  # the enlargement base
     # "every enlarged selector-open set is selector-open and its own
     # enlargement does not grow it" reads the images alone, so the base
     # (the distinct images) decides it
-    base_selector_open = all(b & ~sel[b] == 0 for b in base)
-    image_stable = base_selector_open and all(enl[b] & ~b == 0 for b in base)
+    base_selector_open = base.issubset(fam)
     base_pair_open = all(b & ~inner[b] == 0 for b in base)
-    # a is enlarger-open iff a sits inside enl[a], so the enlarger sits
-    # above the identity iff all 2**n subsets are enlarger-open
-    above_identity = len(op_open_family(p.enlarger)) == 1 << n
-    order_dominates = above_identity or leq(p.selector, p.enlarger)
-
-    is_base = family_plane(pair_open_family(p), n) & ~union_closure_plane(base, n) == 0
-    got = p._cache["base_report"] = BaseReport(
-        image_stable=image_stable,
-        family_nested=all(u & ~enl[u] == 0 for u in p.selector_open()),
+    return BaseReport(
+        image_stable=base_selector_open and all(enl[b] & ~b == 0 for b in base),
+        family_nested=all(u & ~enl[u] == 0 for u in fam),
         base_pair_open=base_pair_open,
-        order_dominates=order_dominates,
+        order_dominates=len(op_open_family(k.enlarger)) == 1 << n,
         base_in_pair_and_selector=base_pair_open and base_selector_open,
-        is_base=is_base,
+        is_base=family_plane(pair_open_family(k), n) & ~union_closure_plane(base, n) == 0,
     )
-    return got
+
+
+def base_report(p: OpPair) -> BaseReport:
+    """Base hypotheses and conclusions for the pair: the kernel's report
+    (:func:`_kernel_report`), with ``order_dominates`` completed by the
+    one reading of the selector's table, ``leq`` (one AND-NOT of the two
+    tables' cached lanes) when the enlarger is not above the identity.
+    """
+    got = _kernel_report(p)
+    if got.order_dominates or not leq(p.selector, p.enlarger):
+        return got
+    return replace(got, order_dominates=True)

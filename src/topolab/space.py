@@ -82,8 +82,9 @@ class Topology:
     generate the smallest topology containing an arbitrary seed family.
     Instances are immutable and safe to share between threads; the lazily
     built tables, the closure-verdict memo and ``_memo`` (where other
-    modules keep objects derived from the space, keyed by a tuple naming
-    module and object, so they die with the space) are pure functions of
+    modules keep objects derived from the space through
+    :func:`topolab.pairs.memoized`, so they die with the space, and where
+    the pair kernels are registered, held weakly) are pure functions of
     the space, so racing writers agree.
     """
 

@@ -137,11 +137,19 @@ def test_exhaustive_report_matches_pinned_digest():
 
 
 def test_ten_point_report_matches_pinned_digest():
-    # every suite on one 10-point space (512 opens): the only pinned report
-    # that runs the filters and compactness suites above six points
+    # every suite on one 10-point space (512 opens), one of two pinned
+    # reports that run the filters and compactness suites above six points
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=10)
     digest = _report_digest(cfg, [("n=10", random_topology(10, 0, 10))])
     assert digest == "268cd35a5a9af39b00cd4f081915e71dfbebd80639b50812090fa0beefc3551f"
+
+
+def test_twelve_point_report_matches_pinned_digest():
+    # every suite and all 49 pairs on one 12-point space: the largest
+    # pinned report, where the pairs share the fewest kernels per name
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=12)
+    digest = _report_digest(cfg, [("n=12", random_topology(12, 0, 12))])
+    assert digest == "69606403c29b8ad174adab2591feb32a0613dafda0bfa6bb1309e06204b6ce8a"
 
 
 def _records(result) -> list[tuple]:
@@ -441,13 +449,29 @@ def test_separation_and_neighbourhood_bases_run_on_twelve_points(monkeypatch):
     assert sorted(variants) == ["enlarged"] * 12 + ["plain"] * 12
 
 
-def test_swept_space_is_collectable():
+def test_swept_space_is_collectable(monkeypatch):
     # nothing process-wide may keep a swept space alive: the named-class
-    # pairs, the filter rows and every other table die with the space
-    top = random_topology(3, 7, 3)
+    # pairs, the filter rows and every other table die with the space.
+    # A pair kernel dies with the sweep's pairs, while its space lives
+    # on: only the named-class pairs, memoized on the space, keep theirs
+    kernels = []
+    real = _SpaceContext.__init__
+
+    def spied(self, label, top, cfg):
+        real(self, label, top, cfg)
+        kernels.extend((label, weakref.ref(p.kernel)) for p in self.pairs.values())
+
+    monkeypatch.setattr(_SpaceContext, "__init__", spied)
+    spaces = [("s", random_topology(3, 7, 3)), ("t", random_topology(4, 8, 4))]
+    run_suites(SuiteConfig(n_exhaustive=0, pairs=("int,cl", "cloint,scl", "identity,cl")), spaces=spaces)
+    gc.collect()
+    top = spaces[0][1]
+    kept = {id(compact._named_class_pair(top, name).kernel) for name in compact.NAMED_CLASSES}
+    first = [ref() for label, ref in kernels if label == "s"]
+    assert None in first
+    assert all(k is None or id(k) in kept for k in first)
     ref = weakref.ref(top)
-    run_suites(SuiteConfig(n_exhaustive=0, pairs=("int,cl", "cloint,scl")), spaces=[("s", top)])
-    del top
+    del top, first, spaces
     gc.collect()
     assert ref() is None
 
@@ -525,6 +549,29 @@ def test_failing_runs_are_not_shared(monkeypatch):
                     assert records.get((label, f"{c},{d}")) == mine, (label, a, b, c, d)
                     twins += 1
     assert twins
+
+
+def test_fault_in_one_pair_of_a_shared_kernel_names_only_that_pair(monkeypatch):
+    # identity,cl and cl,cl are different operation pairs sharing one
+    # kernel (both selectors select P(X)); a wrong ultra plane for the
+    # first is reported under its name, never under the other's
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=4, samples=1, seed=5,
+                      pairs=("identity,cl", "cl,cl"), suites=("compactness",))
+    [(label, top)] = sweep_spaces(cfg)
+    ctx = _SpaceContext(label, top, cfg)
+    faulty, clean = ctx.pairs[("identity", "cl")], ctx.pairs[("cl", "cl")]
+    assert faulty.kernel is clean.kernel and ctx.pair_key("identity", "cl") != ctx.pair_key("cl", "cl")
+    real = compact.failing_plane
+
+    def flipped(p, kind="pair"):
+        hit = kind == "ultra" and (p.selector, p.enlarger) == (faulty.selector, faulty.enlarger)
+        return real(p, kind) ^ hit << 0b0011
+
+    monkeypatch.setattr(compact, "failing_plane", flipped)
+    monkeypatch.setattr(harness, "failing_plane", flipped)
+    got = _records(run_suites(cfg, [(label, top)]).suites["compactness"])
+    assert got == [("identity,cl", "filter statements agree", _mask_str(ctx, 0b0011),
+                    str({"pair": True, "ultra": False, "closed": True}))]
 
 
 def test_report_does_not_depend_on_pair_order(monkeypatch):

@@ -23,7 +23,9 @@ from topolab import (
     pair_open_family,
     random_topology,
 )
-from topolab.pairs import pair_closure_by_points
+from topolab.compact import _additive_scan, additive_hypothesis, failing_plane
+from topolab.pairs import enlarger_is_regular, image_groups, int_table, pair_closure_by_points
+from topolab.space import indiscrete
 
 from oracles import (
     literal_structure,
@@ -301,3 +303,79 @@ def test_envelopes_match_the_per_point_scan():
     for p in pairs:
         for x in range(p.topology.n):
             assert p.envelope(x) == scan_envelope(p, x), (p, x)
+
+
+KINDS = ("pair", "pair_open", "base", "ultra", "closed", "restricted")
+
+
+def kernel_rows(p) -> dict:
+    """Every row a pair reads off its kernel."""
+    return {
+        "int": int_table(p),
+        "open": pair_open_family(p),
+        "groups": image_groups(p),
+        "envelopes": tuple(p.envelope(x) for x in range(p.topology.n)),
+        "regular": enlarger_is_regular(p),
+        "base": base_report(p),
+        "additive": (additive_hypothesis(p), _additive_scan(p)),
+        "planes": tuple(failing_plane(p, k) for k in KINDS),
+    }
+
+
+def unshared_pair(top, a, b) -> OpPair:
+    """The pair (a, b) over a fresh copy of ``top``, sharing no kernel or
+    memo with any other pair."""
+    ops = catalog(Topology(top.ground, top.opens))
+    return OpPair(ops[a], ops[b])
+
+
+def assert_kernel_rows_unshared(top):
+    pairs = {p.name: p for p in all_pairs(top)}
+    assert pairs["identity,cl"].kernel is pairs["cl,cl"].kernel
+    for name, p in pairs.items():
+        assert kernel_rows(p) == kernel_rows(unshared_pair(top, *name.split(","))), (top, name)
+
+
+def test_kernel_rows_match_unshared_pairs():
+    # the 49 catalog pairs of a space share kernels (identity,cl and cl,cl
+    # always do): each reads the rows a pair sharing nothing builds, over
+    # every space of at most 3 points and seeded 4-10-point spaces
+    rng = random.Random(211)
+    spaces = small_spaces() + [random_topology(n, rng.randrange(10**6), n) for n in range(4, 11)]
+    for top in spaces:
+        assert_kernel_rows_unshared(top)
+
+
+def test_selector_readings_stay_off_the_kernel():
+    # custom non-monotone selectors with a catalog selector's open family
+    # share that catalog pair's kernel, built before or after it: the two
+    # readings of the selector's table stay the pair's own
+    def custom(top, name):
+        if name == "identity":  # expansive, so P(X) is its open family
+            return Operation(top, [top.full if a == 1 else a for a in top.subsets()], "custom")
+        # {0} mapped to {1}: not open, so the family stays the opens
+        return Operation(top, [0b010 if a == 1 else i for a, i in enumerate(top.int_table())], "custom")
+
+    def readings(p):
+        rep = base_report(p)
+        return additive_hypothesis(p), rep.order_dominates, rep.hypothesis_c, rep.hypothesis_d
+
+    for sel, enl in (("identity", "cl"), ("int", "int")):
+        expected = {}
+        for first in ("custom", "catalog"):
+            top = indiscrete(3)
+            ops = catalog(top)
+            made = {"custom": custom(top, sel), "catalog": ops[sel]}
+            assert not is_monotone(made["custom"])
+            assert op_open_family(made["custom"]) == op_open_family(ops[sel])
+            order = (first, "catalog" if first == "custom" else "custom")
+            pairs = {name: OpPair(made[name], ops[enl]) for name in order}
+            assert pairs["custom"].kernel is pairs["catalog"].kernel
+            got = {name: readings(pairs[name]) for name in order}
+            fresh = Topology(top.ground, top.opens)
+            expected = {
+                "custom": readings(OpPair(custom(fresh, sel), catalog(fresh)[enl])),
+                "catalog": readings(unshared_pair(top, sel, enl)),
+            }
+            assert got == expected, (sel, enl, first)
+        assert expected["custom"] != expected["catalog"], (sel, enl)
