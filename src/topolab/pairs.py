@@ -358,10 +358,10 @@ def named_family(top: Topology, name: str) -> Family:
     raise ValueError(f"unknown family name {name!r}; choose from {NAMED_FAMILIES}")
 
 
-def enlargement_base(p: OpPair) -> Family:
-    """Deduplicated images of the selector-open sets under the enlarger:
-    the enlargements of :func:`image_groups`, sorted."""
-    return canonical_family(t for t, _ in image_groups(p))
+@memoized
+def enlargement_base(k: PairKernel) -> Family:
+    """Deduplicated images of the selector-open sets under the enlarger."""
+    return canonical_family(map(k.enlarger.table.__getitem__, k.family))
 
 
 @memoized
@@ -428,19 +428,18 @@ def _kernel_report(k: PairKernel) -> BaseReport:
     above the identity (a set is enlarger-open iff it sits inside its
     enlargement, so iff all 2**n subsets are enlarger-open).
 
-    The base is :func:`enlargement_base`, unsorted.  A set b is
-    pair-open iff b sits inside int[b], so that membership is one table
-    lookup.  ``family_nested`` reads u inside enl[u] off the enlarger's
+    The base is :func:`enlargement_base`.  A set b is pair-open iff b
+    sits inside int[b], so that membership is one table lookup.  ``family_nested`` reads u inside enl[u] off the enlarger's
     table for every selector-open u.  ``is_base`` compares two 2**n-bit
     planes: the pair-open family's against the base's union closure.
     """
     n, enl, fam = k.topology.n, k.enlarger.table, k.family
     inner = int_table(k)
-    base = {t for t, _ in image_groups(k)}  # the enlargement base
+    base = enlargement_base(k)
     # "every enlarged selector-open set is selector-open and its own
     # enlargement does not grow it" reads the images alone, so the base
     # (the distinct images) decides it
-    base_selector_open = base.issubset(fam)
+    base_selector_open = set(fam).issuperset(base)
     base_pair_open = all(b & ~inner[b] == 0 for b in base)
     return BaseReport(
         image_stable=base_selector_open and all(enl[b] & ~b == 0 for b in base),
