@@ -17,13 +17,14 @@ from .filters import Filter, adherence_set, limit_set
 from .harness import (
     MINE_TARGETS,
     SuiteConfig,
+    emit_report,
     mine_counterexamples,
     run_suites,
 )
 from .jsonio import SchemaError, dumps_space, parse_operation, parse_space
 from .ops import BUILTIN_NAMES, Operation, builtin, op_open_family
 from .pairs import OpPair, classify_structure, enlargement_base, pair_closed_family, pair_open_family
-from .space import Topology, enumerate_topologies
+from .space import EXHAUSTIVE_POINTS, Topology, enumerate_topologies
 
 
 def _operation(top: Topology, spec: str) -> Operation:
@@ -63,8 +64,8 @@ def _fmt(top: Topology, mask: int) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    if not 0 <= args.n <= 4:
-        raise SchemaError("exhaustive enumeration is capped at n = 4; use random_topology")
+    if not 0 <= args.n <= EXHAUSTIVE_POINTS:
+        raise SchemaError(f"exhaustive enumeration is capped at n = {EXHAUSTIVE_POINTS}; use random_topology")
     lines = [dumps_space(top) for top in enumerate_topologies(args.n)]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -86,12 +87,10 @@ def _cmd_check(args) -> int:
     if args.space:
         spaces = [(f"file:{args.space}", parse_space(args.space))]
     report = run_suites(cfg, spaces=spaces)
-    text = report.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        emit_report(report, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report.to_json())
     return 0 if report.ok else 1
 
 
@@ -177,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="write every topology of a given size as JSONL")
-    p.add_argument("--n", type=int, required=True, help="points (0..4)")
+    p.add_argument("--n", type=int, required=True, help=f"points (0..{EXHAUSTIVE_POINTS})")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -32,7 +32,7 @@ of two submask planes per point.  The per-point predicates
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .bits import (
     Family,
@@ -44,10 +44,12 @@ from .bits import (
     mask_of,
     submasks_desc,
 )
+from .ops import neighborhoods
 from .pairs import (
     OpPair,
     PairKernel,
-    base_report,
+    _kernel_report,
+    _selector_at,
     enlarger_is_regular,
     envelopes,
     image_groups,
@@ -143,6 +145,42 @@ def _point_limits(k: PairKernel) -> tuple[int, ...]:
     return tuple(mask_of(x for x in range(n) if env[x] >> i & 1) for i in range(n))
 
 
+class _CoreRow(dict):
+    """Core -> limit (or adherence) set of the principal filter at that
+    core, computed on first read and kept.  A sweep reads the rows of one
+    kernel hundreds of thousands of times, so a hit is a plain dict
+    lookup."""
+
+    __slots__ = ("_of",)
+
+    def __init__(self, of: Callable[[int], int]):
+        super().__init__()
+        self._of = of
+
+    def __missing__(self, core: int) -> int:
+        got = self[core] = self._of(core)
+        return got
+
+
+@memoized
+def principal_rows(k: PairKernel) -> tuple[_CoreRow, _CoreRow]:
+    """(limits, adherences) of the principal filters, by core: one pair
+    of rows per kernel, filled as cores are read.  A core's limit set is
+    the AND of :func:`_point_limits` over its points, since the core sits
+    in the envelope of x iff each of its points does; its adherence set
+    is its pair-closure.  :func:`limit_set` reads a :class:`Filter`
+    off the limit row."""
+    full, limits, inner = k.topology.full, _point_limits(k), int_table(k)
+
+    def limit(core: int) -> int:
+        out = full
+        for i in iter_points(core):
+            out &= limits[i]
+        return out
+
+    return _CoreRow(limit), _CoreRow(lambda core: full ^ inner[full ^ core])
+
+
 def member_table(bases: Sequence[Sequence[int]], n: int) -> list[int]:
     """``has[t]`` flags, by bit j, the bases ``bases[j]`` with a member
     inside t: one subset-sum transform of the pairs (member, 1 << j)."""
@@ -182,12 +220,7 @@ def base_limit_sets(p: OpPair, bases: Sequence[Sequence[int]],
 def limit_set(f: FilterLike, p: OpPair) -> int:
     """The points ``f`` converges to."""
     if isinstance(f, Filter):
-        # the core sits in the envelope of x iff each of its points does
-        limits = _point_limits(p)
-        out = p.topology.full
-        for i in iter_points(f.core):
-            out &= limits[i]
-        return out
+        return principal_rows(p)[0][f.core]
     return base_limit_sets(p, (tuple(f),))[0]
 
 
@@ -267,29 +300,46 @@ def nbhd_filterbase(p: OpPair, point: int, variant: str = "plain") -> Family:
               w.r.t. the selector-open family, same nesting
 
     The returned base always generates a filter converging to ``point``;
-    that contract is enforced rather than assumed.
+    that contract is enforced rather than assumed.  The base depends on
+    the pair's kernel alone and is kept there; a base that fails raises
+    on every call.
     """
-    nested = base_report(p).family_nested
+    return _nbhd_filterbase(p, point, variant)
+
+
+@memoized
+def _nbhd_filterbase(k: PairKernel, point: int, variant: str) -> Family:
+    nested = _kernel_report(k).family_nested
     if variant == "plain":
-        if not p.topology.family_props(p.selector_open())[0]:
+        if not k.topology.family_props(k.family)[0]:
             raise ValueError("selector-open family is not intersection-closed")
         if not nested:
             raise ValueError("selector-open family does not sit inside the enlarger-open family")
-        base = p.selector_at(point)
+        base = _selector_at(k, point)
     elif variant == "enlarged":
-        if not enlarger_is_regular(p):
+        if not enlarger_is_regular(k):
             raise ValueError("enlarger is not regular w.r.t. the selector-open family")
         if not nested:
             raise ValueError("selector-open family does not sit inside the enlarger-open family")
-        enl = p.enlarger.table
-        base = canonical_family(enl[u] for u in p.selector_at(point))
+        base = canonical_family(map(k.enlarger.table.__getitem__, _selector_at(k, point)))
     else:
         raise ValueError(f"unknown variant {variant!r}; use 'plain' or 'enlarged'")
     if not is_filterbase(base):
         raise RuntimeError("neighbourhood base failed the filterbase laws")
-    if not converges(Filter(p.topology.n, intersect_all(base, p.topology.full)), p, point):
+    # the generated filter converges iff its core sits in the envelope
+    if intersect_all(base, k.topology.full) & ~envelopes(k)[point]:
         raise RuntimeError("neighbourhood base failed to converge at its point")
     return base
+
+
+@memoized
+def neighbourhood_images(k: PairKernel) -> tuple[frozenset[int], ...]:
+    """The distinct enlargements of the up-set around each point: every
+    superset of a selector-open set around it
+    (:func:`~topolab.ops.neighborhoods`), enlarged.  The literal rule of
+    the superset-closed neighbourhood variant, one row per kernel."""
+    enl, n = k.enlarger.table, k.topology.n
+    return tuple(frozenset(map(enl.__getitem__, neighborhoods(n, k.family, x))) for x in range(n))
 
 
 @memoized

@@ -24,7 +24,6 @@ from .compact import (
     CoverSystem,
     additive_hypothesis,
     brute_force_compact_all,
-    compactness_kind,
     failing_plane,
     is_compact,
     named_set_class,
@@ -40,10 +39,11 @@ from .filters import (
     generated_filter,
     is_filterbase,
     is_t2,
-    limit_set,
     maximal_filters,
     member_table,
     nbhd_filterbase,
+    neighbourhood_images,
+    principal_rows,
 )
 from .jsonio import SchemaError, canonical_json
 from .ops import (
@@ -54,12 +54,10 @@ from .ops import (
     is_monotone,
     is_regular_wrt,
     leq,
-    neighborhoods,
     op_open_family,
 )
 from .pairs import (
     OpPair,
-    PairKernel,
     base_report,
     classify_structure,
     enlargement_base,
@@ -73,7 +71,7 @@ from .pairs import (
     pair_interior,
     pair_open_family,
 )
-from .space import Topology, enumerate_topologies, random_topology
+from .space import EXHAUSTIVE_POINTS, Topology, enumerate_topologies, random_topology
 
 CATALOG_PAIRS = tuple(f"{a},{b}" for a in BUILTIN_NAMES for b in BUILTIN_NAMES)
 
@@ -110,11 +108,12 @@ class SuiteConfig:
     Spaces of every size up to ``n_exhaustive`` are enumerated in full;
     ``samples`` further spaces of size ``n_sampled`` are generated from
     the seed.  Subsets and filter cores are quantified exhaustively up to
-    4 points and sampled above (16 subsets; the singletons, the whole set
-    and seeded cores); filterbases are enumerated in full up to 3 points
-    and drawn from the seed above.  The compactness oracle walks every
-    ambient family whole up to 4 points; above, it cuts any family of
-    more than 10 members to a seeded draw.
+    :data:`~topolab.space.EXHAUSTIVE_POINTS` (4) points and sampled above
+    (16 subsets; the singletons, the whole set and seeded cores);
+    filterbases are enumerated in full up to 3 points and drawn from the
+    seed above.  The compactness oracle walks every ambient family whole
+    up to 4 points; above, it cuts any family of more than 10 members to
+    a seeded draw.
     """
 
     n_exhaustive: int = 3
@@ -125,8 +124,8 @@ class SuiteConfig:
     suites: tuple[str, ...] = SUITE_NAMES
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n_exhaustive <= 4:
-            raise SchemaError("n_exhaustive must be between 0 and 4")
+        if not 0 <= self.n_exhaustive <= EXHAUSTIVE_POINTS:
+            raise SchemaError(f"n_exhaustive must be between 0 and {EXHAUSTIVE_POINTS}")
         if not 0 <= self.n_sampled <= 16:
             raise SchemaError("n_sampled must be between 0 and 16")
         if self.samples < 0:
@@ -242,35 +241,19 @@ def _shared_runs(out: SuiteResult, items: Sequence[tuple], key: Callable,
             tail(*item, out)
 
 
-class _PrincipalRow(dict):
-    """Core -> limit (or adherence) set of the principal filter at that
-    core, for one pair.  Filled over the quantified cores when built; any
-    other core (a refinement step, a closure subset or a base's core above
-    four points) is computed on first read and kept."""
-
-    __slots__ = ("_of",)
-
-    def __init__(self, of: Callable[[int], int], cores: Sequence[int]):
-        super().__init__((c, of(c)) for c in cores)
-        self._of = of
-
-    def __missing__(self, core: int) -> int:
-        got = self[core] = self._of(core)
-        return got
-
-
 class _SpaceContext:
-    """Per-space working set shared by all suites: the operation catalog,
-    its pointwise order, the requested pairs, the quantified
-    subsets/filterbases/cores, each pair's limit and adherence rows
-    over those cores, each selector's neighbourhood up-sets, and which
-    enlargers agree on each selector-open family.
+    """Per-space inputs shared by all suites and the miner: the operation
+    catalog, the requested pairs, the quantified subsets, filterbases and
+    cores, and the catalog's readings made once per space (open families,
+    monotonicity, the pointwise order, which open families sit inside
+    which, and which enlargers agree on each open family).
 
-    Named pairs keep one :class:`OpPair` each, since witnesses print
-    the names.  The memos are keyed by what they depend on: the filter
-    rows by the pair's kernel (:class:`~topolab.pairs.PairKernel`), the
-    neighbourhood up-sets and the agreement classes by selector
-    operation (:meth:`pair_key`)."""
+    It keeps no rows: every row built from a pair (pair tables, filter
+    rows, neighbourhood images, compactness planes) lives on the pair's
+    kernel (:class:`~topolab.pairs.PairKernel`) through
+    :func:`~topolab.pairs.memoized`, and dies with the context's pairs.
+    Named pairs keep one :class:`OpPair` each, since witnesses print the
+    names."""
 
     def __init__(self, label: str, top: Topology, cfg: SuiteConfig):
         self.label = label
@@ -299,12 +282,22 @@ class _SpaceContext:
         self.order = {
             (a, b): leq(self.ops[a], self.ops[b]) for a in BUILTIN_NAMES for b in BUILTIN_NAMES
         }
-        self._filter_rows: dict[PairKernel, tuple[_PrincipalRow, _PrincipalRow]] = {}
-        self._neighborhoods: dict[tuple[Operation, int], tuple] = {}
-        self._agreement: dict[Operation, dict[Operation, int]] = {}
+        #: inside[(a, b)]: the a-open family sits inside the b-open family
+        self.inside = {
+            (a, b): self.open_as_set[a] <= self.open_as_set[b]
+            for a in BUILTIN_NAMES for b in BUILTIN_NAMES
+        }
+        #: agreement[(a, b)] numbers enlarger b by its images of the a-open
+        #: family, so two enlargers agree there iff their numbers are equal
+        self.agreement = {}
+        for a in BUILTIN_NAMES:
+            images = operator.itemgetter(*self.open_sets[a])
+            seen: dict = {}
+            for b in BUILTIN_NAMES:
+                self.agreement[(a, b)] = seen.setdefault(images(self.ops[b].table), len(seen))
 
     def _quantified_subsets(self, cfg: SuiteConfig) -> list[int]:
-        if self.n <= 4:
+        if self.n <= EXHAUSTIVE_POINTS:
             return list(self.top.subsets())
         rng = random.Random(derive_seed(cfg.seed, "subsets", self.label))
         picked = {0, self.full}
@@ -333,9 +326,10 @@ class _SpaceContext:
         return out
 
     def _quantified_cores(self) -> Sequence[int]:
-        """Filter cores to quantify over: every nonempty mask up to four
-        points, singletons plus seeded draws plus the full set above."""
-        if self.n <= 4:
+        """Filter cores to quantify over: every nonempty mask up to
+        :data:`~topolab.space.EXHAUSTIVE_POINTS` points, singletons plus
+        seeded draws plus the full set above."""
+        if self.n <= EXHAUSTIVE_POINTS:
             return range(1, 1 << self.n)
         rng = random.Random(derive_seed(self.seed, "cores", self.label))
         picked = {1 << x for x in range(self.n)}
@@ -343,9 +337,6 @@ class _SpaceContext:
         while len(picked) < self.n + 17:
             picked.add(rng.randrange(1, 1 << self.n))
         return sorted(picked)
-
-    def cores(self) -> Sequence[int]:
-        return self.core_list
 
     def pair_key(self, a: str, b: str) -> tuple[Operation, Operation]:
         """The operations a named pair stands for; names whose tables
@@ -357,41 +348,14 @@ class _SpaceContext:
         requested names, counted once per name (:func:`_shared_runs`)."""
         _shared_runs(out, self.pair_names, self.pair_key, body, tail)
 
-    def filter_rows(self, key: tuple[str, str]) -> tuple[_PrincipalRow, _PrincipalRow]:
-        """(limits, adherences) of the principal filters at the quantified
-        cores for one requested pair, built on first use per pair kernel
-        and kept for the life of the context."""
-        p, n = self.pairs[key], self.n
-        rows = self._filter_rows.get(p.kernel)
-        if rows is None:
-            rows = self._filter_rows[p.kernel] = (
-                _PrincipalRow(lambda c: limit_set(Filter(n, c), p), self.core_list),
-                _PrincipalRow(lambda c: adherence_set(Filter(n, c), p), self.core_list),
-            )
-        return rows
-
-    def neighborhoods(self, sel_name: str, x: int) -> tuple:
-        """Supersets of the selector-open sets around ``x``: they depend
-        on the selector operation alone, so each is built once per space."""
-        key = (self.op_key[sel_name], x)
-        got = self._neighborhoods.get(key)
-        if got is None:
-            got = self._neighborhoods[key] = neighborhoods(self.n, self.open_sets[sel_name], x)
-        return got
+    def wider(self, a: str, b: str) -> list[tuple[str, str]]:
+        """The requested pairs (c, d) that (a, b) transfers to, in request
+        order: the c-open family inside the a-open family, and b below d."""
+        return [(c, d) for c, d in self.pair_names if self.inside[(c, a)] and self.order[(b, d)]]
 
     def enlargers_agree(self, a: str, b: str, c: str) -> bool:
-        """Whether enlargers b and c agree on the a-open family.  Per
-        selector operation, the distinct operations are numbered once by
-        their images of that family; agreement compares two numbers."""
-        sel = self.op_key[a]
-        classes = self._agreement.get(sel)
-        if classes is None:
-            images = operator.itemgetter(*self.open_sets[a])
-            seen: dict = {}
-            classes = self._agreement[sel] = {
-                op: seen.setdefault(images(op.table), len(seen)) for op in set(self.op_key.values())
-            }
-        return classes[self.op_key[b]] == classes[self.op_key[c]]
+        """Whether enlargers b and c agree on the a-open family."""
+        return self.agreement[(a, b)] == self.agreement[(a, c)]
 
     def regularity(self, sel_name: str, enl_name: str) -> Optional[bool]:
         """Whether the enlarger is regular against the selector-open
@@ -497,7 +461,7 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         for b in names:
             out.instances_checked += 1
             if order[(a, b)] or order[("identity", b)]:
-                if not ctx.open_as_set[a] <= ctx.open_as_set[b]:
+                if not ctx.inside[(a, b)]:
                     _fail(out, ctx, f"{a},{b}", a, "order forces open-family inclusion")
 
     for nm in ("cloint", "cl", "scl", "identity", "introcl"):
@@ -691,12 +655,11 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         if regular is None:
             out.notes["regularity_unknown"] = out.notes.get("regularity_unknown", 0) + 1
             regular = False  # gated statements are skipped, not asserted
-        nested = ctx.open_as_set[a] <= ctx.open_as_set[b]
+        nested = ctx.inside[(a, b)]
         inter_closed = ctx.top.family_props(sel_open)[0]
         monotone_enl = ctx.monotone[b]
-        lim, adh = ctx.filter_rows((a, b))
+        lim, adh = principal_rows(p)
         env = envelopes(p)
-        enl = p.enlarger.table
 
         # base predicates match the generated filter's; the witness is the
         # lowest point where either set differs
@@ -709,13 +672,13 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                       str((diff & -diff).bit_length() - 1))
 
         # superset-closed neighbourhood variant changes nothing (monotone
-        # enlarger); each up-set is one pass over all subsets, built once
-        # per selector and point, and the variant is gated on bigger carriers.
-        # Every core is tested literally against the distinct enlargements
-        # of the up-set around each point, collected once per point
+        # enlarger); each up-set is one pass over all subsets, and the
+        # variant is gated on bigger carriers.  Every core is tested
+        # literally against the distinct enlargements of the up-set around
+        # each point, kept on the kernel
         if monotone_enl and (1 << n) * max(len(sel_open), 1) <= 10**7:
-            images = [{enl[u] for u in ctx.neighborhoods(a, x)} for x in range(n)]
-            for core in ctx.cores():
+            images = neighbourhood_images(p)
+            for core in ctx.core_list:
                 out.instances_checked += 1
                 lim_c, adh_c = lim[core], adh[core]
                 for x, around in enumerate(images):
@@ -729,7 +692,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         # the distinct enlargements of the selector-open sets around each point
         groups = image_groups(p)
         images_at = [[t for t, union in groups if union >> x & 1] for x in range(n)]
-        for core in ctx.cores():
+        for core in ctx.core_list:
             out.instances_checked += 1
             lim_c = lim[core]
             if lim_c & ~adh[core]:
@@ -743,7 +706,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
         # refinement monotonicity; single-point core drops suffice, any
         # refinement is a chain of them and the two set maps compose
-        for c1 in ctx.cores():
+        for c1 in ctx.core_list:
             if c1.bit_count() == 1:
                 continue
             lim1, adh1 = lim[c1], adh[c1]
@@ -762,9 +725,9 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
         # accumulation equals existence of a finer convergent filter, and
         # the refinement construction is exercised on every core
-        for core in ctx.cores():
+        for core in ctx.core_list:
             out.instances_checked += 1
-            if n <= 4:
+            if n <= EXHAUSTIVE_POINTS:
                 # the literal submask scan, read off the limit row
                 literal = 0
                 for c2 in submasks_desc(core):
@@ -776,7 +739,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 # filter converges iff some singleton core inside does; the
                 # literal scan is kept on small carriers to check exactly that
                 finer = bool(core & env[x])
-                if n <= 4 and bool(literal >> x & 1) != finer:
+                if n <= EXHAUSTIVE_POINTS and bool(literal >> x & 1) != finer:
                     _fail(out, ctx, pair, _mask_str(ctx, core),
                           "singleton cores decide finer convergence", str(x))
                 if finer and not acc:
@@ -802,7 +765,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
         # separation kills multiple limits
         if is_t2(p):
-            for core in ctx.cores():
+            for core in ctx.core_list:
                 lim_c = lim[core]
                 out.instances_checked += 1
                 if lim_c and (adh[core] != lim_c or lim_c.bit_count() > 1):
@@ -830,7 +793,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         # refinement (singletons decide it) and accumulation survives
         # coarsening (the core s decides it)
         def cores_within(s: int):
-            if n <= 4:
+            if n <= EXHAUSTIVE_POINTS:
                 return [c for c in submasks_desc(s) if c]
             singles = [1 << i for i in range(n) if s >> i & 1]
             return sorted({s, *singles} - {0})
@@ -863,7 +826,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             out.instances_checked += 1
             if any(ccl[s] != pair_closure(p, s) for s in ctx.subsets):
                 _fail(out, ctx, pair, "cl*", "regular: convergence closure is the pair closure")
-            if n <= 4:
+            if n <= EXHAUSTIVE_POINTS:
                 # every subset is quantified here, so ccl holds every complement
                 fam = pair_open_family(p)
                 tau_sub = tuple(
@@ -881,17 +844,16 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                         _fail(out, ctx, pair, "cl*", "fixed-complement family matches the pair family")
 
         # convergence/accumulation transfer between pairs, read off the
-        # wider pair's rows: one comparison per wider operation pair, one
-        # count and record per name
+        # wider pair's rows: one comparison per wider kernel, one count and
+        # record per name
         first_break: dict = {}
-        for (c, d) in ctx.pair_names:
-            if not (ctx.open_as_set[c] <= ctx.open_as_set[a] and ctx.order[(b, d)]):
-                continue
-            key = ctx.pair_key(c, d)
+        for (c, d) in ctx.wider(a, b):
+            wide = ctx.pairs[(c, d)]
+            key = wide.kernel
             if key not in first_break:
-                wide_lim, wide_adh = ctx.filter_rows((c, d))
+                wide_lim, wide_adh = principal_rows(wide)
                 first_break[key] = next((
-                    core for core in ctx.cores()
+                    core for core in ctx.core_list
                     if lim[core] & ~wide_lim[core] or adh[core] & ~wide_adh[core]
                 ), None)
             out.instances_checked += 1
@@ -948,7 +910,7 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
     sweep_cap = 10
     rng = random.Random(derive_seed(cfg.seed, "oracle", ctx.label))
     for fam in ambients:
-        if ctx.n > 4 and len(fam) > sweep_cap:
+        if ctx.n > EXHAUSTIVE_POINTS and len(fam) > sweep_cap:
             trimmed = rng.sample([m for m in fam if m != ctx.full], sweep_cap - 1)
             fam = canonical_family(trimmed + [ctx.full])
         # one oracle run per distinct enlarger table
@@ -998,9 +960,7 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
         # compactness transfers to wider pairs: sets compact here and
         # failing there
-        for (c, d) in ctx.pair_names:
-            if not (ctx.open_as_set[c] <= ctx.open_as_set[a] and ctx.order[(b, d)]):
-                continue
+        for (c, d) in ctx.wider(a, b):
             out.instances_checked += 1
             strict = failing_plane(ctx.pairs[(c, d)]) & ~cover & quantified
             if strict:
@@ -1084,14 +1044,6 @@ def run_suites(cfg: SuiteConfig, spaces: Optional[Sequence[tuple[str, Topology]]
 # counterexample mining
 
 
-def _mined_spaces(n_max: int) -> list[tuple[str, Topology]]:
-    return [
-        (f"n={n}#{idx}", top)
-        for n in range(1, min(n_max, 4) + 1)
-        for idx, top in enumerate(enumerate_topologies(n))
-    ]
-
-
 def mine_counterexamples(target: str, n_max: int = 2) -> list[dict]:
     """Search the enumerated spaces for witnesses of a named phenomenon.
 
@@ -1105,23 +1057,27 @@ def mine_counterexamples(target: str, n_max: int = 2) -> list[dict]:
     nonadditive_enlarger      an enlarger that is not union-additive on
                               its selector-open family
 
+    Scans the spaces a sweep of every space up to ``n_max`` points
+    enumerates (:func:`sweep_spaces`, at most
+    :data:`~topolab.space.EXHAUSTIVE_POINTS`) and reads each through the
+    sweep's context: its catalog, open families, order, wider pairs and
+    the compactness planes kept on the pair kernels.
+
     Deterministic: spaces, operations and families are scanned in
     canonical order, and the full witness list is returned.
     """
     if target not in MINE_TARGETS:
         raise SchemaError(f"unknown mine target {target!r}; choose from {MINE_TARGETS}")
+    cfg = SuiteConfig(n_exhaustive=max(0, min(n_max, EXHAUSTIVE_POINTS)))
     witnesses: list[dict] = []
-    for label, top in _mined_spaces(n_max):
-        ops = catalog(top)
+    for label, top in sweep_spaces(cfg):
+        ctx = _SpaceContext(label, top, cfg)
         opens_labels = [top.ground.labels_of_mask(m) for m in top.opens]
         if target == "inclusion_without_order":
-            fams = {nm: set(op_open_family(ops[nm])) for nm in BUILTIN_NAMES}
             for a in BUILTIN_NAMES:
                 for b in BUILTIN_NAMES:
-                    if a == b:
-                        continue
-                    if fams[a] <= fams[b] and not leq(ops[a], ops[b]) \
-                            and not leq(ops["identity"], ops[b]):
+                    if a != b and ctx.inside[(a, b)] and not ctx.order[(a, b)] \
+                            and not ctx.order[("identity", b)]:
                         witnesses.append({
                             "space": label, "opens": opens_labels,
                             "first": a, "second": b,
@@ -1135,39 +1091,29 @@ def mine_counterexamples(target: str, n_max: int = 2) -> list[dict]:
                         continue
                     fam = canonical_family((u, v, full))
                     for nm in BUILTIN_NAMES:
-                        if not is_regular_wrt(ops[nm], fam):
+                        if not is_regular_wrt(ctx.ops[nm], fam):
                             witnesses.append({
                                 "space": label, "opens": opens_labels,
                                 "operation": nm,
                                 "family": [top.ground.labels_of_mask(m) for m in fam],
                             })
         elif target == "transfer_strictness":
-            pairs = {
-                (a, b): OpPair(ops[a], ops[b])
-                for a in BUILTIN_NAMES for b in BUILTIN_NAMES
-            }
-            classes = {
-                key: tuple(compactness_kind(p, s, "pair") for s in top.subsets())
-                for key, p in pairs.items()
-            }
-            fams = {nm: set(op_open_family(ops[nm])) for nm in BUILTIN_NAMES}
-            for (a, b) in pairs:
-                for (c, d) in pairs:
-                    if not (fams[c] <= fams[a] and leq(ops[b], ops[d])):
-                        continue
-                    src, dst = classes[(a, b)], classes[(c, d)]
-                    gained = [s for s in top.subsets() if dst[s] and not src[s]]
+            for a, b in ctx.pair_names:
+                failing = failing_plane(ctx.pairs[(a, b)])
+                for c, d in ctx.wider(a, b):
+                    # sets compact in the wider pair and not in this one
+                    gained = failing & ~failing_plane(ctx.pairs[(c, d)])
                     if gained:
                         witnesses.append({
                             "space": label, "opens": opens_labels,
                             "from_pair": f"{a},{b}", "to_pair": f"{c},{d}",
-                            "subset": top.ground.labels_of_mask(gained[0]),
+                            "subset": top.ground.labels_of_mask((gained & -gained).bit_length() - 1),
                         })
         elif target == "nonadditive_enlarger":
             for a in BUILTIN_NAMES:
-                sel = op_open_family(ops[a])
+                sel = ctx.open_sets[a]
                 for b in BUILTIN_NAMES:
-                    enl = ops[b].table
+                    enl = ctx.ops[b].table
                     found = next(
                         ((u, v) for u in sel for v in sel
                          if enl[u | v] != enl[u] | enl[v]),

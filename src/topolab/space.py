@@ -26,6 +26,8 @@ from .bits import (
 )
 
 MAX_POINTS = 16
+#: the largest ground set that is enumerated, and quantified over, in full
+EXHAUSTIVE_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -259,10 +261,10 @@ def enumerate_topologies(n: int, labels: Optional[tuple[str, ...]] = None) -> It
     Candidates are all 2**(2**n) subset families, filtered through the
     axioms; families are ordered by their characteristic bitmask over
     P(X), which makes the stream canonical and reproducible.  Capped at
-    n = 4; beyond that use :func:`random_topology`.
+    n = :data:`EXHAUSTIVE_POINTS`; beyond that use :func:`random_topology`.
     """
-    if n < 0 or n > 4:
-        raise ValueError("exhaustive enumeration is capped at n = 4; use random_topology")
+    if n < 0 or n > EXHAUSTIVE_POINTS:
+        raise ValueError(f"exhaustive enumeration is capped at n = {EXHAUSTIVE_POINTS}; use random_topology")
     ground = GroundSet(labels) if labels is not None else default_ground(n)
     count = 1 << n
     full = count - 1

@@ -152,6 +152,15 @@ def test_mine_command(capsys):
     assert main(["mine", "--target", "bogus"]) == 2
 
 
+def test_mine_n_max_is_clamped_to_the_enumerated_sizes(capsys):
+    assert main(["mine", "--target", "inclusion_without_order", "--n-max", "-1"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["mine", "--target", "inclusion_without_order", "--n-max", "4"]) == 0
+    four = capsys.readouterr().out
+    assert main(["mine", "--target", "inclusion_without_order", "--n-max", "9"]) == 0
+    assert capsys.readouterr().out == four and four
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["families", "--space", "no-such.json", "--pair", "int,cl"]) == 2
     assert "error" in capsys.readouterr().err

@@ -27,9 +27,10 @@ from topolab import (
     run_suites,
     sweep_spaces,
 )
-from topolab import compact, harness
+from topolab import compact, filters, harness
 from topolab import ops as ops_module
 from topolab.bits import intersect_all
+from topolab.filters import principal_rows
 from topolab.ops import Operation
 from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES, _SpaceContext, _mask_str
 
@@ -214,31 +215,33 @@ def test_wrong_monotone_verdict_fails_the_regularity_statement(monkeypatch):
 
 
 def test_emptied_limit_row_fails_transfer_per_name(monkeypatch):
-    # one operation pair's limit row reads empty: every named pair that
-    # transfers to it fails at its first core with a limit, rebuilt here
-    # name by name and core by core from the same rows
+    # one kernel's limit row reads empty: every named pair that transfers
+    # to a pair of that kernel fails at its first core with a limit,
+    # rebuilt here name by name and core by core from the same rows.  The
+    # context below holds the kernels, so the sweep's pairs share them
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=5, samples=1, seed=3, suites=("filters",))
     [(label, top)] = sweep_spaces(cfg)
-    real = _SpaceContext.filter_rows
+    ctx = _SpaceContext(label, top, cfg)
+    target = ctx.pairs[("int", "cl")].kernel
+    real = harness.principal_rows
 
-    def emptied(self, key):
-        lim, adh = real(self, key)
-        if self.pair_key(*key) == self.pair_key("int", "cl"):
+    def emptied(p):
+        lim, adh = real(p)
+        if p.kernel is target:
             return collections.defaultdict(int), adh
         return lim, adh
 
-    monkeypatch.setattr(_SpaceContext, "filter_rows", emptied)
+    monkeypatch.setattr(harness, "principal_rows", emptied)
     statement = "transfer to a wider pair"
     got = [r for r in _records(run_suites(cfg, [(label, top)]).suites["filters"]) if r[1] == statement]
-    ctx = _SpaceContext(label, top, cfg)
     expected = []
     for a, b in ctx.pair_names:
-        lim, adh = ctx.filter_rows((a, b))
+        lim, adh = emptied(ctx.pairs[(a, b)])
         for c, d in ctx.pair_names:
             if not (set(ctx.open_sets[c]) <= set(ctx.open_sets[a]) and leq(ctx.ops[b], ctx.ops[d])):
                 continue
-            wide_lim, wide_adh = ctx.filter_rows((c, d))
-            for core in ctx.cores():
+            wide_lim, wide_adh = emptied(ctx.pairs[(c, d)])
+            for core in ctx.core_list:
                 if lim[core] & ~wide_lim[core] or adh[core] & ~wide_adh[core]:
                     expected.append((f"{a},{b}", statement, f"{c},{d}", _mask_str(ctx, core)))
                     break
@@ -251,12 +254,12 @@ def test_padded_neighbourhoods_fail_like_the_per_core_predicates(monkeypatch):
     # distinct-image test reports what the per-core predicates over the
     # padded family report, core by core and point by point
     cfg = SuiteConfig(n_exhaustive=2, n_sampled=5, samples=1, seed=7, suites=("filters",))
-    real = _SpaceContext.neighborhoods
+    real = ops_module.neighborhoods
 
-    def padded(self, sel_name, x):
-        return real(self, sel_name, x) + (1 << x,)
+    def padded(n, family, x):
+        return real(n, family, x) + (1 << x,)
 
-    monkeypatch.setattr(_SpaceContext, "neighborhoods", padded)
+    monkeypatch.setattr(filters, "neighborhoods", padded)
     got = _records(run_suites(cfg).suites["filters"])
     expected = []
     for label, top in sweep_spaces(cfg):
@@ -265,10 +268,10 @@ def test_padded_neighbourhoods_fail_like_the_per_core_predicates(monkeypatch):
             if not ctx.monotone[b]:
                 continue
             p = ctx.pairs[(a, b)]
-            lim, adh = ctx.filter_rows((a, b))
-            for core in ctx.cores():
+            lim, adh = principal_rows(p)
+            for core in ctx.core_list:
                 for x in range(top.n):
-                    fam = ctx.neighborhoods(a, x)
+                    fam = padded(top.n, ctx.open_sets[a], x)
                     if bool(lim[core] >> x & 1) != family_converges(core, p, x, fam) or \
                        bool(adh[core] >> x & 1) != family_accumulates(core, p, x, fam):
                         expected.append((f"{a},{b}", "neighbourhood variant agrees",
@@ -396,8 +399,8 @@ def test_enlargers_agree_matches_the_image_scan():
 
 def test_filter_rows_match_literal_rules():
     # every core of every space of at most 3 points and of seeded 4-6-point
-    # spaces, all 49 pairs; above four points most cores sit off the
-    # quantified rows and are filled on first read
+    # spaces, all 49 pairs; the kernel's rows are filled on first read and
+    # keep every core read
     spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
     spaces += [random_topology(n, seed, n) for n, seed in ((4, 41), (5, 42), (6, 43))]
     for i, top in enumerate(spaces):
@@ -405,8 +408,7 @@ def test_filter_rows_match_literal_rules():
         ctx = _SpaceContext(f"s{i}", top, SuiteConfig())
         for key, p in ctx.pairs.items():
             enl = p.enlarger.table
-            lim_row, adh_row = ctx.filter_rows(key)
-            assert set(ctx.cores()) <= set(lim_row) and set(ctx.cores()) <= set(adh_row)
+            lim_row, adh_row = principal_rows(p)
             for core in range(1, 1 << n):
                 literal = sum(
                     1 << x for x in range(n)
@@ -415,6 +417,7 @@ def test_filter_rows_match_literal_rules():
                 f = Filter(n, core)
                 assert lim_row[core] == limit_set(f, p) == literal, (i, key, core)
                 assert adh_row[core] == adherence_set(f, p) == pointwise_pair_closure(p, core), (i, key, core)
+            assert set(ctx.core_list) <= set(lim_row) and set(ctx.core_list) <= set(adh_row)
 
 
 def test_refinement_construction_runs_on_multipoint_cores(monkeypatch):
@@ -656,6 +659,22 @@ def test_mine_nonadditive_enlarger():
         "space": "n=3#6", "opens": [[], ["a"], ["b"], ["a", "b"], ["a", "b", "c"]],
         "pair": "identity,introcl", "u": ["a"], "v": ["b"],
     } in bigger
+
+
+MINED_DIGESTS = {
+    "inclusion_without_order": "f460f3a35afd6334ac38df30530d7ad24ace51ca595473faee7bd39b1fee9a8d",
+    "nonregular_pair": "f0e6b4ae900b3235479f3529fa7fa22b1a2ffea1125caf0464e0673b0d8a348b",
+    "transfer_strictness": "b3b353ade83ba0bbd815bbd0b42bfd942e50d3c1a2ff077e63c9a367de014493",
+    "nonadditive_enlarger": "208204256598ea966ef8d3e0bf6be23ee9fdff1924bea260e2abe3e386ea9042",
+}
+
+
+@pytest.mark.parametrize("target", MINE_TARGETS)
+def test_mined_witness_lists_match_pinned_digests(target):
+    # sha256 of the JSONL witness list `topolab mine --n-max 3` prints,
+    # over every space of at most three points
+    text = "".join(json.dumps(w) + "\n" for w in mine_counterexamples(target, n_max=3))
+    assert hashlib.sha256(text.encode()).hexdigest() == MINED_DIGESTS[target]
 
 
 def test_mine_unknown_target():
