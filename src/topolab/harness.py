@@ -21,12 +21,13 @@ from typing import Callable, Optional, Sequence
 from . import __version__
 from .bits import Family, canonical_family, derive_seed, family_plane, submasks_desc
 from .compact import (
+    NAMED_CLASSES,
     CoverSystem,
     additive_hypothesis,
     brute_force_compact_all,
+    compactness_kind,
     failing_plane,
     is_compact,
-    named_set_class,
     space_compactness_flags,
 )
 from .filters import (
@@ -48,7 +49,6 @@ from .filters import (
 from .jsonio import SchemaError, canonical_json
 from .ops import (
     BUILTIN_NAMES,
-    Operation,
     catalog,
     dual,
     is_monotone,
@@ -222,11 +222,12 @@ def _shared_runs(out: SuiteResult, items: Sequence[tuple], key: Callable,
     """Run ``body(*item, run)`` once per distinct ``key(*item)`` and merge
     the run into ``out`` once per item, in item order.
 
-    A clean run records nothing that names its item, so items of one key
-    share it.  A run with a failure is never shared: each other item of
-    that key runs its own body, so its records carry its own name.
-    ``tail(*item, out)`` runs for every item, for checks that read the
-    item's names rather than its key.
+    The key must hold everything the body reads of its item but the
+    names it puts in failure records.  A clean run records nothing that
+    names its item, so items of one key share it.  A run with a failure
+    is never shared: each other item of that key runs its own body, so
+    its records carry its own name.  ``tail(*item, out)`` runs for every
+    item, for checks that read the item's names rather than its key.
     """
     runs: dict = {}
     for item in items:
@@ -253,7 +254,8 @@ class _SpaceContext:
     kernel (:class:`~topolab.pairs.PairKernel`) through
     :func:`~topolab.pairs.memoized`, and dies with the context's pairs.
     Named pairs keep one :class:`OpPair` each, since witnesses print the
-    names."""
+    names; the per-pair suites run once per kernel and selector reading
+    (:meth:`each_pair`)."""
 
     def __init__(self, label: str, top: Topology, cfg: SuiteConfig):
         self.label = label
@@ -262,10 +264,6 @@ class _SpaceContext:
         self.full = top.full
         self.seed = cfg.seed
         self.ops = catalog(top)
-        # one representative per distinct table, so memo keys compare by
-        # identity rather than table by table
-        distinct: dict[Operation, Operation] = {}
-        self.op_key = {name: distinct.setdefault(op, op) for name, op in self.ops.items()}
         self.pair_names = []
         self.pairs = {}
         for spec in cfg.pairs:
@@ -338,15 +336,18 @@ class _SpaceContext:
             picked.add(rng.randrange(1, 1 << self.n))
         return sorted(picked)
 
-    def pair_key(self, a: str, b: str) -> tuple[Operation, Operation]:
-        """The operations a named pair stands for; names whose tables
-        coincide give one key (``Operation`` equality is by table)."""
-        return self.op_key[a], self.op_key[b]
+    def each_pair(self, out: SuiteResult, key: Callable, body: Callable,
+                  tail: Optional[Callable] = None) -> None:
+        """``body(a, b, run)`` once per distinct ``key(a, b)`` among the
+        requested names, counted once per name (:func:`_shared_runs`).
+        Each suite keys by what its body reads: the pair's kernel, plus
+        the readings of the selector's table the body makes."""
+        _shared_runs(out, self.pair_names, key, body, tail)
 
-    def each_pair(self, out: SuiteResult, body: Callable, tail: Optional[Callable] = None) -> None:
-        """``body(a, b, run)`` once per distinct operation pair among the
-        requested names, counted once per name (:func:`_shared_runs`)."""
-        _shared_runs(out, self.pair_names, self.pair_key, body, tail)
+    def dominates(self, a: str, b: str) -> bool:
+        """Whether enlarger b sits above the identity or above selector a
+        (``order_dominates`` of :func:`~topolab.pairs.base_report`)."""
+        return self.order[("identity", b)] or self.order[(a, b)]
 
     def wider(self, a: str, b: str) -> list[tuple[str, str]]:
         """The requested pairs (c, d) that (a, b) transfers to, in request
@@ -460,9 +461,8 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     for a in names:
         for b in names:
             out.instances_checked += 1
-            if order[(a, b)] or order[("identity", b)]:
-                if not ctx.inside[(a, b)]:
-                    _fail(out, ctx, f"{a},{b}", a, "order forces open-family inclusion")
+            if ctx.dominates(a, b) and not ctx.inside[(a, b)]:
+                _fail(out, ctx, f"{a},{b}", a, "order forces open-family inclusion")
 
     for nm in ("cloint", "cl", "scl", "identity", "introcl"):
         if ctx.regularity_gated(ctx.top.opens):
@@ -536,12 +536,11 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         if regular is None:
             out.notes["regularity_unknown"] = out.notes.get("regularity_unknown", 0) + 1
             regular = False  # skip the gated checks, nothing is asserted
-        dominates = ctx.order[("identity", b)] or ctx.order[(a, b)]
         if regular:
             out.instances_checked += 1
             if not rep.is_topology:
                 _fail(out, ctx, pair, "X", "regular enlarger makes the family a topology")
-        if regular and dominates:
+        if regular and ctx.dominates(a, b):
             out.instances_checked += 1
             if not rep.closed_iff_cl_equal:
                 _fail(out, ctx, pair, "X", "dominating enlarger upgrades closed sets to fixed points")
@@ -578,7 +577,7 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         if (base.hypothesis_b or base.hypothesis_c or base.hypothesis_d) and not base.is_base:
             _fail(out, ctx, pair, "base", "enlargement base generates the pair-open family")
 
-    ctx.each_pair(out, check)
+    ctx.each_pair(out, lambda a, b: (ctx.pairs[(a, b)].kernel, ctx.dominates(a, b)), check)
     return out
 
 
@@ -860,7 +859,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             if first_break[key] is not None:
                 _fail(out, ctx, pair, f"{c},{d}", "transfer to a wider pair", _mask_str(ctx, first_break[key]))
 
-    ctx.each_pair(out, check)
+    ctx.each_pair(out, lambda a, b: ctx.pairs[(a, b)].kernel, check)
     return out
 
 
@@ -921,7 +920,6 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
 
 def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     out = SuiteResult()
-    top = ctx.top
     quantified = family_plane(ctx.subsets, ctx.n)
 
     def first(plane: int) -> str:
@@ -982,15 +980,18 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 if diff:
                     _fail(out, ctx, p.name, f"{c},{d}", "agreeing enlargers give one verdict", first(diff))
 
-    ctx.each_pair(out, check, agreeing)
+    # the body reads the selector's table twice: through hypothesis_d of
+    # the base report and through the additive hypothesis
+    ctx.each_pair(
+        out, lambda a, b: (ctx.pairs[(a, b)].kernel, ctx.dominates(a, b), ctx.monotone[a]),
+        check, agreeing,
+    )
 
-    # named class implications
+    # named class implications, on pairs that die with this suite
+    named = [OpPair(ctx.ops[sel], ctx.ops[enl]) for sel, enl in map(NAMED_CLASSES.get, "NHsS")]
     for s in ctx.subsets:
         out.instances_checked += 1
-        n_cls = named_set_class(top, s, "N")
-        h_cls = named_set_class(top, s, "H")
-        s_cls = named_set_class(top, s, "s")
-        big_s = named_set_class(top, s, "S")
+        n_cls, h_cls, s_cls, big_s = (compactness_kind(p, s) for p in named)
         if (n_cls and not h_cls) or (s_cls and not big_s) or (big_s and not h_cls):
             _fail(out, ctx, "", _mask_str(ctx, s), "named class implications hold")
     return out
@@ -1076,8 +1077,7 @@ def mine_counterexamples(target: str, n_max: int = 2) -> list[dict]:
         if target == "inclusion_without_order":
             for a in BUILTIN_NAMES:
                 for b in BUILTIN_NAMES:
-                    if a != b and ctx.inside[(a, b)] and not ctx.order[(a, b)] \
-                            and not ctx.order[("identity", b)]:
+                    if a != b and ctx.inside[(a, b)] and not ctx.dominates(a, b):
                         witnesses.append({
                             "space": label, "opens": opens_labels,
                             "first": a, "second": b,

@@ -6,6 +6,7 @@ import json
 import pathlib
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from topolab import (
     compactness_kind,
     indiscrete,
     enumerate_topologies,
+    is_monotone,
     leq,
     limit_set,
     mine_counterexamples,
@@ -290,7 +292,7 @@ def test_flipped_failing_plane_bit_fails_like_the_per_set_scan(monkeypatch):
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=4, samples=1, seed=5, suites=("compactness",))
     [(label, top)] = sweep_spaces(cfg)
     ctx = _SpaceContext(label, top, cfg)
-    target, flip_set = ctx.pair_key("int", "cl"), 0b0001
+    target, flip_set = (ctx.ops["int"], ctx.ops["cl"]), 0b0001
     real = compact.failing_plane
 
     def hit(p, kind):
@@ -345,7 +347,7 @@ def test_flipped_filter_and_restricted_bits_fail_like_the_per_set_statements(mon
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=4, samples=1, seed=5, suites=("compactness",))
     [(label, top)] = sweep_spaces(cfg)
     ctx = _SpaceContext(label, top, cfg)
-    target = ctx.pair_key("identity", "introcl")
+    target = (ctx.ops["identity"], ctx.ops["introcl"])
     flips = {("ultra", 0b0011), ("closed", 0b1001), ("restricted", 0b0010), ("restricted", 0b0110)}
     real = compact.failing_plane
 
@@ -455,8 +457,8 @@ def test_separation_and_neighbourhood_bases_run_on_twelve_points(monkeypatch):
 def test_swept_space_is_collectable(monkeypatch):
     # nothing process-wide may keep a swept space alive: the named-class
     # pairs, the filter rows and every other table die with the space.
-    # A pair kernel dies with the sweep's pairs, while its space lives
-    # on: only the named-class pairs, memoized on the space, keep theirs
+    # Every pair kernel of the sweep dies with the sweep's pairs, while
+    # its space lives on: the sweep keeps no pair on the space
     kernels = []
     real = _SpaceContext.__init__
 
@@ -469,21 +471,20 @@ def test_swept_space_is_collectable(monkeypatch):
     run_suites(SuiteConfig(n_exhaustive=0, pairs=("int,cl", "cloint,scl", "identity,cl")), spaces=spaces)
     gc.collect()
     top = spaces[0][1]
-    kept = {id(compact._named_class_pair(top, name).kernel) for name in compact.NAMED_CLASSES}
     first = [ref() for label, ref in kernels if label == "s"]
-    assert None in first
-    assert all(k is None or id(k) in kept for k in first)
+    assert first and all(k is None for k in first)
     ref = weakref.ref(top)
-    del top, first, spaces
+    del top, spaces
     gc.collect()
     assert ref() is None
 
 
-def test_each_distinct_operation_pair_runs_once(monkeypatch):
+def test_each_run_key_runs_once(monkeypatch):
     # the benchmark's sampled6 space n=6~0 has four distinct catalog
-    # operations: the per-pair statements run once per distinct
-    # (selector, enlarger) pair, the oracle once per distinct enlarger
-    # of each ambient family
+    # operations and 16 distinct (selector, enlarger) pairs: the structure
+    # statements run once per pair kernel and order dominance, the
+    # compactness statements once per kernel, dominance and monotone
+    # selector, the oracle once per distinct enlarger of each ambient family
     cfg = SuiteConfig(n_exhaustive=2, n_sampled=6, samples=2, seed=31)
     top = dict(sweep_spaces(cfg))["n=6~0"]
     seen = {"classify_structure": [], "space_compactness_flags": [], "brute_force_compact_all": []}
@@ -497,11 +498,18 @@ def test_each_distinct_operation_pair_runs_once(monkeypatch):
 
     ctx = _SpaceContext("n=6~0", top, cfg)
     distinct_ops = set(ctx.ops.values())
-    distinct_pairs = {ctx.pair_key(a, b) for a, b in ctx.pair_names}
+    distinct_pairs = {(p.selector, p.enlarger) for p in ctx.pairs.values()}
     assert len(distinct_ops) == 4 and len(distinct_pairs) == 16
-    for name in ("classify_structure", "space_compactness_flags"):
-        assert len(seen[name]) == len(distinct_pairs), name
-        assert {(p.selector, p.enlarger) for p in seen[name]} == distinct_pairs, name
+    run_keys = {
+        "classify_structure": lambda p: (p.kernel, base_report(p).order_dominates),
+        "space_compactness_flags": lambda p: (
+            p.kernel, base_report(p).order_dominates, is_monotone(p.selector)),
+    }
+    for name, key in run_keys.items():
+        keys = {key(p) for p in ctx.pairs.values()}
+        assert len(seen[name]) == len(keys), name
+        assert {key(p) for p in seen[name]} == keys, name
+    assert len({run_keys["classify_structure"](p) for p in ctx.pairs.values()}) == 9
     # one block of calls per ambient family, one call per distinct enlarger
     oracle, k = seen["brute_force_compact_all"], len(distinct_ops)
     # above 4 points the bigger ambient families are cut to seeded draws of 10
@@ -529,8 +537,9 @@ def test_oracle_walks_every_ambient_family_whole_up_to_four_points(monkeypatch):
 
 
 def test_failing_runs_are_not_shared(monkeypatch):
-    # a failing run names its pair, so every table twin of a failing pair
-    # runs its own body and fails with the same records under its own name
+    # a failing run names its pair, so every kernel twin of a failing pair
+    # (the filters suite's run key) runs its own body and fails with the
+    # same records under its own name
     def broken(f, p, point):
         raise RuntimeError("refined filter failed its contract")
 
@@ -548,7 +557,7 @@ def test_failing_runs_are_not_shared(monkeypatch):
             if mine is None:
                 continue
             for c, d in ctx.pair_names:
-                if (c, d) != (a, b) and ctx.pair_key(c, d) == ctx.pair_key(a, b):
+                if (c, d) != (a, b) and ctx.pairs[(c, d)].kernel is ctx.pairs[(a, b)].kernel:
                     assert records.get((label, f"{c},{d}")) == mine, (label, a, b, c, d)
                     twins += 1
     assert twins
@@ -556,14 +565,17 @@ def test_failing_runs_are_not_shared(monkeypatch):
 
 def test_fault_in_one_pair_of_a_shared_kernel_names_only_that_pair(monkeypatch):
     # identity,cl and cl,cl are different operation pairs sharing one
-    # kernel (both selectors select P(X)); a wrong ultra plane for the
-    # first is reported under its name, never under the other's
+    # kernel (both selectors select P(X)) and one compactness run key;
+    # a wrong ultra plane for the first, which runs first, is reported
+    # under its name, never under the other's
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=4, samples=1, seed=5,
                       pairs=("identity,cl", "cl,cl"), suites=("compactness",))
     [(label, top)] = sweep_spaces(cfg)
     ctx = _SpaceContext(label, top, cfg)
     faulty, clean = ctx.pairs[("identity", "cl")], ctx.pairs[("cl", "cl")]
-    assert faulty.kernel is clean.kernel and ctx.pair_key("identity", "cl") != ctx.pair_key("cl", "cl")
+    assert faulty.kernel is clean.kernel and faulty.selector != clean.selector
+    assert base_report(faulty).order_dominates and base_report(clean).order_dominates
+    assert is_monotone(faulty.selector) and is_monotone(clean.selector)
     real = compact.failing_plane
 
     def flipped(p, kind="pair"):
@@ -595,20 +607,52 @@ def test_report_does_not_depend_on_pair_order(monkeypatch):
         assert sorted(forward[name].failures, key=key) == sorted(backward[name].failures, key=key), name
 
 
+def kernels_split_by_dominance(cfg):
+    """Whether some pair kernel of the swept spaces serves two pairs of
+    which one has a dominating enlarger and the other not."""
+    for label, top in sweep_spaces(cfg):
+        dominance = collections.defaultdict(set)
+        for p in _SpaceContext(label, top, cfg).pairs.values():
+            dominance[p.kernel].add(base_report(p).order_dominates)
+        if any(len(v) > 1 for v in dominance.values()):
+            return True
+    return False
+
+
 def test_sharing_changes_no_report(monkeypatch):
     # against a run that shares nothing; on the discrete spaces these names
     # coincide but pick different partners for the agreeing-enlargers
-    # check of the compactness suite
+    # check of the compactness suite.  The spaces up to 3 points have
+    # kernels whose pairs differ in order dominance, which the structure
+    # statements read for their counts; the compactness statements read it
+    # only to gate failures, so a fault in every base plane, seen only
+    # under the base hypothesis, must also be reported alike
     pairs = ("int,cl", "identity,cl", "int,scl", "cl,cl", "int,identity", "sint,int")
-    cfg = SuiteConfig(n_exhaustive=2, n_sampled=4, samples=1, seed=3, pairs=pairs)
-    shared = run_suites(cfg).to_json()
+    configs = (SuiteConfig(n_exhaustive=2, n_sampled=4, samples=1, seed=3, pairs=pairs),
+               SuiteConfig(n_exhaustive=3))
+    assert kernels_split_by_dominance(configs[1])
+    real_plane = compact.failing_plane
+
+    def faulty_base(p, kind="pair"):
+        return real_plane(p, kind) | (kind == "base") << p.topology.full
+
+    def reports():
+        got = [run_suites(cfg).to_json() for cfg in configs]
+        with monkeypatch.context() as m:
+            m.setattr(compact, "failing_plane", faulty_base)
+            m.setattr(harness, "failing_plane", faulty_base)
+            faulted = run_suites(replace(configs[1], suites=("compactness",)))
+        assert faulted.suites["compactness"].failures
+        return got + [faulted.to_json()]
+
+    shared = reports()
     real = harness._shared_runs
 
     def unshared(out, items, key, body, tail=None):
         real(out, items, lambda *item: item, body, tail)
 
     monkeypatch.setattr(harness, "_shared_runs", unshared)
-    assert run_suites(cfg).to_json() == shared
+    assert reports() == shared
 
 
 def test_context_order_is_leq():
