@@ -22,12 +22,15 @@ from __future__ import annotations
 import hashlib
 import sys
 from array import array
+from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 Family = tuple  # tuple[int, ...], canonical: sorted ascending, no duplicates
 
 SUBFAMILY_CAP = 20  # 2**20 subfamily masks is the largest scan we allow
+#: ground sets are capped at this many points (:mod:`topolab.space`)
+MAX_POINTS = 16
 
 _LANE_CODE = {array(code).itemsize: code for code in "BHILQ"}
 _DIGIT_FLAG = bytes.maketrans(b"01", b"\x00\x01")
@@ -86,11 +89,29 @@ def submasks_desc(mask: int) -> Iterator[int]:
         s = (s - 1) & mask
 
 
-def _clear_masks(n: int, width: int) -> Iterator[tuple[int, int]]:
+def _clear_masks(n: int, width: int) -> Iterable[tuple[int, int]]:
     """``(i, clear)`` for each point i, from the top point down, where
     ``clear`` sets every bit of the ``width``-bit lanes of the subsets
     without point i: the low half of all 2**n lanes for the top point,
-    then one shift and XOR per point below it."""
+    then one shift and XOR per point below it.  The plane masks (width
+    1) of a ground set are read on every plane transform, so they come
+    from a cache of one tuple per n (:func:`_plane_masks`); wider lane
+    masks, and the planes of the oracle's subfamilies past
+    :data:`MAX_POINTS`, are built on each call, as keeping them would
+    hold megabytes."""
+    if width == 1 and n <= MAX_POINTS:
+        return _plane_masks(n)
+    return _lane_masks(n, width)
+
+
+@lru_cache(maxsize=MAX_POINTS + 1)
+def _plane_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """The width-1 :func:`_clear_masks` of n points: n masks of 2**n
+    bits, 128 KiB at 16 points and 243 KiB for every n up to it."""
+    return tuple(_lane_masks(n, 1))
+
+
+def _lane_masks(n: int, width: int) -> Iterator[tuple[int, int]]:
     clear = (1 << (width << n >> 1)) - 1
     for i in reversed(range(n)):
         if i < n - 1:
@@ -211,8 +232,8 @@ def pointed_down_plane(rows: Sequence[Iterable[int]], n: int) -> int:
 
 def up_planes(planes: Iterable[int], n: int) -> Iterator[int]:
     """The up-closure (zeta transform) of each 2**n-bit plane in turn,
-    one shift per point, with the shift masks built once for all."""
-    masks = list(_clear_masks(n, 1))
+    one shift per point."""
+    masks = _clear_masks(n, 1)
     for plane in planes:
         yield _zeta(plane, masks, 1)
 
@@ -232,7 +253,7 @@ def union_closure_plane(family: Iterable[int], n: int) -> int:
     plane of the members holding b flags the sets holding such a member;
     the sets flagged for every point they hold are the union closure.
     """
-    masks = list(_clear_masks(n, 1))
+    masks = _clear_masks(n, 1)
     members = family_plane(family, n)
     ok = (1 << (1 << n)) - 1
     for _, clear in masks:

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 clean, 1 property failure, 2 usage or schema error.
+Exit codes: 0 clean, 1 property failure, 2 usage or schema error,
+including a file that cannot be read or is not UTF-8 text.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, FileNotFoundError) as exc:
+    except (SchemaError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -226,10 +226,15 @@ def limit_set(f: FilterLike, p: OpPair) -> int:
 
 def adherence_set(f: FilterLike, p: OpPair) -> int:
     """The points ``f`` accumulates at: the meet of its members'
-    pair-closures (one lookup for a principal filter)."""
+    pair-closures, read off one pair-interior table (one lookup for a
+    principal filter)."""
     if isinstance(f, Filter):
         return pair_closure(p, f.core)
-    return intersect_all((pair_closure(p, m) for m in f), p.topology.full)
+    inner, full = int_table(p), p.topology.full
+    out = full
+    for m in f:
+        out &= full ^ inner[full ^ m]
+    return out
 
 
 def finer_convergent(f: Filter, p: OpPair, point: int) -> Filter:
@@ -369,8 +374,7 @@ def convergence_closure(p: OpPair, a: int, exhaustive: bool = False) -> int:
                 out |= 1 << x
         return out
     cores = [1 << x for x in range(n) if a >> x & 1]
-    for x in range(n):
-        env = p.envelope(x)
+    for x, env in enumerate(envelopes(p)):
         if any(c & ~env == 0 for c in cores):
             out |= 1 << x
     return out

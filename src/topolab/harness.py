@@ -16,6 +16,7 @@ import operator
 import platform
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import __version__
@@ -247,7 +248,10 @@ class _SpaceContext:
     catalog, the requested pairs, the quantified subsets, filterbases and
     cores, and the catalog's readings made once per space (open families,
     monotonicity, the pointwise order, which open families sit inside
-    which, and which enlargers agree on each open family).
+    which, and which enlargers agree on each open family).  The pairs and
+    the quantified subsets, filterbases and cores are built on first
+    read, so a miner that reads only the catalog's readings never builds
+    them.
 
     It keeps no rows: every row built from a pair (pair tables, filter
     rows, neighbourhood images, compactness planes) lives on the pair's
@@ -264,15 +268,7 @@ class _SpaceContext:
         self.full = top.full
         self.seed = cfg.seed
         self.ops = catalog(top)
-        self.pair_names = []
-        self.pairs = {}
-        for spec in cfg.pairs:
-            a, _, b = spec.partition(",")
-            self.pair_names.append((a, b))
-            self.pairs[(a, b)] = OpPair(self.ops[a], self.ops[b])
-        self.subsets = self._quantified_subsets(cfg)
-        self.bases = self._quantified_bases(cfg)
-        self.core_list = self._quantified_cores()
+        self.pair_names = [(a, b) for a, _, b in (spec.partition(",") for spec in cfg.pairs)]
         self.open_sets = {name: op_open_family(op) for name, op in self.ops.items()}
         self.open_as_set = {name: set(f) for name, f in self.open_sets.items()}
         self.monotone = {name: is_monotone(op) for name, op in self.ops.items()}
@@ -294,16 +290,28 @@ class _SpaceContext:
             for b in BUILTIN_NAMES:
                 self.agreement[(a, b)] = seen.setdefault(images(self.ops[b].table), len(seen))
 
-    def _quantified_subsets(self, cfg: SuiteConfig) -> list[int]:
+    @cached_property
+    def pairs(self) -> dict[tuple[str, str], OpPair]:
+        """One :class:`OpPair` per requested name, in request order."""
+        return {(a, b): OpPair(self.ops[a], self.ops[b]) for a, b in self.pair_names}
+
+    @cached_property
+    def subsets(self) -> list[int]:
+        """Subsets to quantify over: all of them up to
+        :data:`~topolab.space.EXHAUSTIVE_POINTS` points, the ends plus
+        seeded draws above."""
         if self.n <= EXHAUSTIVE_POINTS:
             return list(self.top.subsets())
-        rng = random.Random(derive_seed(cfg.seed, "subsets", self.label))
+        rng = random.Random(derive_seed(self.seed, "subsets", self.label))
         picked = {0, self.full}
         while len(picked) < 16:
             picked.add(rng.randrange(1 << self.n))
         return sorted(picked)
 
-    def _quantified_bases(self, cfg: SuiteConfig) -> list[tuple[int, ...]]:
+    @cached_property
+    def bases(self) -> list[tuple[int, ...]]:
+        """Filterbases to quantify over: every one up to 3 points, seeded
+        supersets of a random core above."""
         if self.n <= 3:
             nonempty = list(range(1, 1 << self.n))
             out = []
@@ -313,7 +321,7 @@ class _SpaceContext:
                     out.append(fam)
             return out
         # bigger carriers: seeded bases built as supersets of a random core
-        rng = random.Random(derive_seed(cfg.seed, "bases", self.label))
+        rng = random.Random(derive_seed(self.seed, "bases", self.label))
         out = []
         for _ in range(24 if self.n <= 9 else 8):
             core = rng.randrange(1, 1 << self.n)
@@ -323,7 +331,8 @@ class _SpaceContext:
             out.append(canonical_family(members))
         return out
 
-    def _quantified_cores(self) -> Sequence[int]:
+    @cached_property
+    def core_list(self) -> Sequence[int]:
         """Filter cores to quantify over: every nonempty mask up to
         :data:`~topolab.space.EXHAUSTIVE_POINTS` points, singletons plus
         seeded draws plus the full set above."""
@@ -486,11 +495,14 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 if not is_regular_wrt(ops[b], selfam):
                     _fail(out, ctx, f"{a},{b}", b, "monotone enlarger regular over a selector topology")
 
-    # identity enlarger reproduces the selector family (monotone selector)
+    # identity enlarger reproduces the selector family (monotone selector),
+    # on the requested pair where there is one, so its rows stay on the
+    # kernel the later suites read
     for a in names:
         if ctx.monotone[a]:
             out.instances_checked += 1
-            if pair_open_family(OpPair(ops[a], ops["identity"])) != ctx.open_sets[a]:
+            p = ctx.pairs.get((a, "identity")) or OpPair(ops[a], ops["identity"])
+            if pair_open_family(p) != ctx.open_sets[a]:
                 _fail(out, ctx, f"{a},identity", a, "identity enlarger keeps the selector family")
 
     # semi-closure is idempotent on semi-open sets

@@ -46,18 +46,22 @@ NAMED_FAMILIES = (
 def memoized(build: Callable) -> Callable:
     """Keep ``build(owner, *args)`` in the memo of its owner, a space or
     a :class:`PairKernel`, so it is built once and dies with the owner.
-    A pair passed in stands for its kernel, so ``build`` never sees the
-    selector.  Values are pure functions of the owner, so racing writers
-    agree."""
+
+    A hit is one attribute read and one dict lookup: a pair's ``_memo``
+    is its kernel's, so a pair passed in reads the kernel's rows
+    directly, and a row with no arguments is keyed by ``build`` itself,
+    the others by the tuple ``(build, *args)``, so the two never meet.
+    On a miss ``build`` receives the kernel in place of the pair, so it
+    never sees the selector.  Values are pure functions of the owner, so
+    racing writers agree."""
 
     @wraps(build)
     def read(owner, *args):
-        owner = getattr(owner, "kernel", owner)
         memo = owner._memo
-        key = (build, *args)
+        key = (build, *args) if args else build
         got = memo.get(key)
         if got is None:
-            got = memo[key] = build(owner, *args)
+            got = memo[key] = build(getattr(owner, "kernel", owner), *args)
         return got
 
     return read
@@ -90,13 +94,14 @@ class OpPair:
     Its rows live on its :class:`PairKernel`, keyed by the enlarger's
     whole table: ``image_stable`` reads it outside the selector-open
     family, and enlargers that only agree on the family stay apart for
-    the statements that compare them.  Only two readings use the
-    selector's table, and both are computed on the pair on each call:
-    ``order_dominates`` of :func:`base_report` and the monotone-selector
-    half of :func:`~topolab.compact.additive_hypothesis`.
+    the statements that compare them.  The pair's ``_memo`` is the
+    kernel's, so a row read through the pair is the kernel's row.  Only
+    two readings use the selector's table, and both are computed on the
+    pair on each call: ``order_dominates`` of :func:`base_report` and the
+    monotone-selector half of :func:`~topolab.compact.additive_hypothesis`.
     """
 
-    __slots__ = ("topology", "selector", "enlarger", "kernel")
+    __slots__ = ("topology", "selector", "enlarger", "kernel", "_memo")
 
     def __init__(self, selector: Operation, enlarger: Operation):
         if selector.topology != enlarger.topology:
@@ -110,6 +115,7 @@ class OpPair:
         if kernel is None:
             kernel = kernels[key] = PairKernel(selector.topology, *key)
         object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "_memo", kernel._memo)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("OpPair is immutable")

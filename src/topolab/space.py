@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .bits import (
+    MAX_POINTS,
     Family,
     canonical_family,
     contained_union_table,
@@ -25,7 +26,6 @@ from .bits import (
     union_closure,
 )
 
-MAX_POINTS = 16
 #: the largest ground set that is enumerated, and quantified over, in full
 EXHAUSTIVE_POINTS = 4
 
@@ -82,16 +82,18 @@ class Topology:
 
     The constructor validates the axioms; use :func:`build_topology` to
     generate the smallest topology containing an arbitrary seed family.
-    Instances are immutable and safe to share between threads; the lazily
-    built tables, the closure-verdict memo and ``_memo`` (where other
-    modules keep objects derived from the space through
-    :func:`topolab.pairs.memoized`, so they die with the space, and where
-    the pair kernels are registered, held weakly) are pure functions of
-    the space, so racing writers agree.
+    ``n`` and ``full`` are fixed at construction from the ground set, so
+    reading either is one slot read.  Instances are immutable and safe to
+    share between threads; the lazily built tables, the closure-verdict
+    memo and ``_memo`` (where other modules keep objects derived from the
+    space through :func:`topolab.pairs.memoized`, so they die with the
+    space, and where the pair kernels are registered, held weakly) are
+    pure functions of the space, so racing writers agree.
     """
 
     __slots__ = (
-        "ground", "opens", "_min_nbhd", "_int_table", "_verdicts", "_memo", "_hash", "__weakref__",
+        "ground", "opens", "n", "full",
+        "_min_nbhd", "_int_table", "_verdicts", "_memo", "_hash", "__weakref__",
     )
 
     def __init__(self, ground: GroundSet, opens: Iterable[int]):
@@ -101,6 +103,8 @@ class Topology:
             raise ValueError(f"not a topology: {problem}")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "opens", fam)
+        object.__setattr__(self, "n", ground.size)
+        object.__setattr__(self, "full", ground.full)
         object.__setattr__(self, "_min_nbhd", None)
         object.__setattr__(self, "_int_table", None)
         object.__setattr__(self, "_verdicts", {})
@@ -109,14 +113,6 @@ class Topology:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Topology is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.ground.size
-
-    @property
-    def full(self) -> int:
-        return self.ground.full
 
     def subsets(self) -> range:
         return subsets(self.n)

@@ -11,6 +11,7 @@ from topolab.bits import (
     union_closure,
     upward_closure,
 )
+from topolab.space import MAX_POINTS
 
 from oracles import literal_contained_union_table, pairwise_fixpoint
 
@@ -37,17 +38,23 @@ def test_contained_union_table_matches_literal_scan():
 
 
 def test_clear_masks_flag_the_lanes_of_subsets_without_each_point():
-    for n in range(9):
-        for width in (1, 8, 24):
-            lane = (1 << width) - 1
+    # every lane width up to 8 points; the cached plane masks (width 1)
+    # at every ground-set size, read twice, and the cache stays bounded
+    for n in range(MAX_POINTS + 1):
+        for width in (1, 8, 24) if n <= 8 else (1,):
             got = dict(bits._clear_masks(n, width))
             assert sorted(got) == list(range(n))
             for i, clear in got.items():
-                expect = 0
-                for a in range(1 << n):
-                    if not a >> i & 1:
-                        expect |= lane << (a * width)
-                assert clear == expect, (n, width, i)
+                # lane a, the a-th from the right, is all ones iff a lacks i
+                digits = "".join(("0" if a >> i & 1 else "1") * width for a in reversed(range(1 << n)))
+                assert clear == int(digits, 2), (n, width, i)
+        assert bits._clear_masks(n, 1) is bits._clear_masks(n, 1)
+    info = bits._plane_masks.cache_info()
+    assert info.maxsize <= MAX_POINTS + 1 and info.currsize <= info.maxsize
+    # the oracle's wider subfamily planes are built per call, not kept
+    (i, clear), *_ = bits._clear_masks(MAX_POINTS + 1, 1)
+    assert (i, clear) == (MAX_POINTS, (1 << (1 << MAX_POINTS)) - 1)
+    assert bits._plane_masks.cache_info().currsize == info.currsize
 
 
 def test_closures_match_pairwise_fixpoint_on_seeded_families():

@@ -166,6 +166,22 @@ def test_missing_file_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["space", "config", "custom"])
+def test_unreadable_input_file_is_usage_error(kind, tmp_path, s2_file, capsys):
+    # a directory and a file that is not UTF-8, in each input file's place
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b'{"points": ["\xe9"]}')
+    for bad in (str(tmp_path), str(latin)):
+        argv = {
+            "space": ["families", "--space", bad, "--pair", "int,cl"],
+            "config": ["check", "--config", bad],
+            "custom": ["families", "--space", s2_file, "--pair", f"int,custom:{bad}"],
+        }[kind]
+        assert main(argv) == 2, (kind, bad)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (kind, bad)
+
+
 def test_unknown_point_label_is_usage_error(s2_file, capsys):
     assert main(["compact", "--space", s2_file, "--pair", "int,cl", "--set", "a,z"]) == 2
     assert "unknown point label 'z'" in capsys.readouterr().err

@@ -23,8 +23,15 @@ from topolab import (
     pair_open_family,
     random_topology,
 )
-from topolab.compact import _additive_scan, additive_hypothesis, failing_plane
-from topolab.pairs import enlarger_is_regular, image_groups, int_table, pair_closure_by_points
+from topolab.compact import (
+    _additive_scan, _closed_meets, _failing_plane, _outside_row, _residue_row, _row,
+    additive_hypothesis, failing_plane,
+)
+from topolab.filters import _envelope_planes, _point_limits, neighbourhood_images, principal_rows
+from topolab.pairs import (
+    _kernel_report, _selector_at, enlarger_is_regular, envelopes, image_groups, int_table,
+    pair_closure_by_points,
+)
 from topolab.space import indiscrete
 
 from oracles import (
@@ -344,6 +351,55 @@ def test_kernel_rows_match_unshared_pairs():
     spaces = small_spaces() + [random_topology(n, rng.randrange(10**6), n) for n in range(4, 11)]
     for top in spaces:
         assert_kernel_rows_unshared(top)
+
+
+def memoized_rows(owner) -> dict:
+    """Every memoized kernel row, read through ``owner``: a pair or its
+    kernel."""
+    rows = {
+        "int": int_table(owner), "open": pair_open_family(owner), "groups": image_groups(owner),
+        "envelopes": envelopes(owner), "regular": enlarger_is_regular(owner),
+        "base": enlargement_base(owner), "report": _kernel_report(owner),
+        "additive": _additive_scan(owner), "limits": _point_limits(owner),
+        "principal": principal_rows(owner), "images": neighbourhood_images(owner),
+        "env_planes": _envelope_planes(owner), "meets": _closed_meets(owner),
+        "residues": _residue_row(owner),
+    }
+    for x in range(owner.topology.n):
+        rows["at", x] = _selector_at(owner, x)
+    for kind in KINDS:
+        rows["row", kind] = _row(owner, kind)
+        rows["plane", kind] = failing_plane(owner, kind)
+    for kind in KINDS[:3]:
+        rows["outside", kind] = _outside_row(owner, kind)
+    return rows
+
+
+def test_rows_read_through_a_pair_are_its_kernels():
+    # a pair shares its kernel's memo, so each row read through it is the
+    # kernel's object; a row with no arguments is keyed by its builder and
+    # the others by a tuple, so the two never collide; and the space's
+    # n and full are fixed slots
+    for top in small_spaces():
+        assert (top.n, top.full) == (top.ground.size, top.ground.full)
+        for name in ("n", "full"):
+            with pytest.raises(AttributeError):
+                setattr(top, name, 0)
+        for p in all_pairs(top):
+            assert p._memo is p.kernel._memo
+            through_pair = memoized_rows(p)
+            through_kernel = memoized_rows(p.kernel)
+            for key, row in through_pair.items():
+                assert through_kernel[key] is row, (p, key)
+            assert p._memo[int_table.__wrapped__] is through_pair["int"]
+            fresh = unshared_pair(top, p.selector.name, p.enlarger.name)
+            planes = {kind: failing_plane(fresh, kind) for kind in KINDS}  # arguments first
+            for kind in KINDS:
+                assert p._memo[_failing_plane.__wrapped__, kind] is through_pair["plane", kind]
+                assert through_pair["plane", kind] == planes[kind], (p, kind)
+            assert int_table(fresh) == through_pair["int"] == tuple(
+                naive_pair_interior(p, a) for a in top.subsets()
+            ), p
 
 
 def test_selector_readings_stay_off_the_kernel():
