@@ -38,11 +38,15 @@ def _operation(top: Topology, spec: str) -> Operation:
     )
 
 
-def _pair(top: Topology, spec: str) -> OpPair:
+def _operations(top: Topology, spec: str) -> tuple[Operation, Operation]:
     first, sep, second = spec.partition(",")
     if not sep:
         raise SchemaError("pair must be written as <first>,<second>")
-    return OpPair(_operation(top, first), _operation(top, second))
+    return _operation(top, first), _operation(top, second)
+
+
+def _pair(top: Topology, spec: str) -> OpPair:
+    return OpPair(*_operations(top, spec))
 
 
 def _point_set(top: Topology, spec: str) -> int:
@@ -140,9 +144,9 @@ def _cmd_filter(args) -> int:
 
 def _cmd_compact(args) -> int:
     top = parse_space(args.space)
-    p = _pair(top, args.pair)
+    selector, enlarger = _operations(top, args.pair)
     subset = _point_set(top, args.set)
-    cs = CoverSystem(op_open_family(p.selector), p.enlarger)
+    cs = CoverSystem(op_open_family(selector), enlarger)
     if args.oracle and len(cs.ambient) > SUBFAMILY_CAP:
         raise SchemaError(
             f"--oracle is capped at {SUBFAMILY_CAP}-member selector-open families;"

@@ -59,11 +59,10 @@ from .pairs import (
     enlargement_base,
     image_groups,
     int_table,
-    memoized,
     pair_closed_family,
     pair_open_family,
 )
-from .space import Topology
+from .space import Topology, memoized
 
 #: Set classes named in the covering literature, with the pair realizing each.
 NAMED_CLASSES = {

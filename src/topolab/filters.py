@@ -54,10 +54,9 @@ from .pairs import (
     envelopes,
     image_groups,
     int_table,
-    memoized,
     pair_closure,
 )
-from .space import Topology
+from .space import Topology, memoized
 
 
 @dataclass(frozen=True)

@@ -65,14 +65,13 @@ from .pairs import (
     enlarger_is_regular,
     envelopes,
     image_groups,
-    memoized,
     named_family,
     pair_closure,
     pair_closure_by_points,
     pair_interior,
     pair_open_family,
 )
-from .space import EXHAUSTIVE_POINTS, Topology, enumerate_topologies, random_topology
+from .space import EXHAUSTIVE_POINTS, Topology, enumerate_topologies, memoized, random_topology
 
 CATALOG_PAIRS = tuple(f"{a},{b}" for a in BUILTIN_NAMES for b in BUILTIN_NAMES)
 
@@ -256,7 +255,7 @@ class _SpaceContext:
     It keeps no rows: every row built from a pair (pair tables, filter
     rows, neighbourhood images, compactness planes) lives on the pair's
     kernel (:class:`~topolab.pairs.PairKernel`) through
-    :func:`~topolab.pairs.memoized`, and dies with the context's pairs.
+    :func:`~topolab.space.memoized`, and dies with the context's pairs.
     Named pairs keep one :class:`OpPair` each, since witnesses print the
     names; the per-pair suites run once per kernel and selector reading
     (:meth:`each_pair`)."""

@@ -15,7 +15,7 @@ from .bits import (
     Family, canonical_family, intersect_all, is_monotone_lanes, pack_lanes, upward_closure,
     within_image,
 )
-from .space import Topology
+from .space import Topology, memoized
 
 #: Builtin operation names, in catalog order.
 BUILTIN_NAMES = ("identity", "int", "cl", "cloint", "introcl", "scl", "sint")
@@ -25,21 +25,24 @@ class Operation:
     """A tabulated map on subsets of one topology.
 
     ``table[mask]`` is the image of the subset ``mask``.  Instances are
-    immutable; calling one applies the table.
+    immutable; calling one applies the table.  The tables derived from
+    one (its open family and its packed lanes) are kept in ``_memo``
+    through :func:`~topolab.space.memoized`, so they die with it.
     """
 
-    __slots__ = ("topology", "table", "name", "_open_family", "_lanes", "_hash")
+    __slots__ = ("topology", "table", "name", "_memo", "_hash")
 
     def __init__(self, topology: Topology, table: Sequence[int], name: str = "custom"):
         table = tuple(table)
         problem = table_violation(topology, table)
         if problem is not None:
-            raise ValueError(f"not an operation: {problem[0]}")
+            raise ValueError(
+                f"{name!r} is not an operation: {problem[0]} (witness mask {problem[1]:#x})"
+            )
         object.__setattr__(self, "topology", topology)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_open_family", None)
-        object.__setattr__(self, "_lanes", None)
+        object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -144,17 +147,12 @@ def dual(op: Operation) -> Operation:
     """The complement-conjugate operation.
 
     The conjugate of an arbitrary operation can fail the operation laws;
-    it is validated here and rejected loudly rather than assumed.  Every
+    the constructor validates it and rejects it loudly, naming
+    ``dual(<name>)`` and the witness mask, rather than assuming it.  Every
     builtin has a builtin dual (int <-> cl, cloint <-> introcl,
     scl <-> sint, identity self-dual).
     """
-    table = dual_table(op)
-    problem = table_violation(op.topology, table)
-    if problem is not None:
-        raise ValueError(
-            f"dual of {op.name!r} is not an operation: {problem[0]} (witness mask {problem[1]:#x})"
-        )
-    return Operation(op.topology, table, f"dual({op.name})")
+    return Operation(op.topology, dual_table(op), f"dual({op.name})")
 
 
 def leq(a: Operation, b: Operation) -> bool:
@@ -165,17 +163,14 @@ def leq(a: Operation, b: Operation) -> bool:
     return op_lanes(a)[0] & ~op_lanes(b)[0] == 0
 
 
+@memoized
 def op_lanes(op: Operation) -> tuple[int, int]:
     """(lanes, lane width in bits): the table packed as one integer
-    (:func:`~topolab.bits.pack_lanes`), cached on the operation.  Every table
+    (:func:`~topolab.bits.pack_lanes`), kept on the operation.  Every table
     over one space packs to the same width, since every operation maps
     the whole space to itself (its image holds the interior of the whole
     space), so the largest entry is the whole space."""
-    got = op._lanes
-    if got is None:
-        got = pack_lanes(op.table)
-        object.__setattr__(op, "_lanes", got)
-    return got
+    return pack_lanes(op.table)
 
 
 def is_monotone(op: Operation) -> bool:
@@ -184,14 +179,11 @@ def is_monotone(op: Operation) -> bool:
     return is_monotone_lanes(*op_lanes(op), op.topology.n)
 
 
+@memoized
 def op_open_family(op: Operation) -> Family:
     """All subsets S with S inside op(S); contains the empty and full sets
-    and every open set."""
-    fam = op._open_family
-    if fam is None:
-        fam = within_image(op.table)
-        object.__setattr__(op, "_open_family", fam)
-    return fam
+    and every open set.  Kept on the operation."""
+    return within_image(op.table)
 
 
 def op_closed_family(op: Operation) -> Family:

@@ -25,8 +25,7 @@ pair machinery, so equalities between the two routes are genuine checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import wraps
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 from weakref import WeakValueDictionary
 
 from .bits import (
@@ -34,37 +33,13 @@ from .bits import (
     union_closure_plane, within_image,
 )
 from .ops import Operation, at_point, is_monotone, is_regular_wrt, leq, op_open_family
-from .space import Topology, build_topology
+from .space import Topology, build_topology, memoized
 
 #: Families constructible by an independent defining rule.
 NAMED_FAMILIES = (
     "SO", "SC", "PO", "PC", "RO", "RC", "SR",
     "tau_theta", "tau_s", "SthetaO", "SthetaC", "thetaSO", "thetaSC",
 )
-
-
-def memoized(build: Callable) -> Callable:
-    """Keep ``build(owner, *args)`` in the memo of its owner, a space or
-    a :class:`PairKernel`, so it is built once and dies with the owner.
-
-    A hit is one attribute read and one dict lookup: a pair's ``_memo``
-    is its kernel's, so a pair passed in reads the kernel's rows
-    directly, and a row with no arguments is keyed by ``build`` itself,
-    the others by the tuple ``(build, *args)``, so the two never meet.
-    On a miss ``build`` receives the kernel in place of the pair, so it
-    never sees the selector.  Values are pure functions of the owner, so
-    racing writers agree."""
-
-    @wraps(build)
-    def read(owner, *args):
-        memo = owner._memo
-        key = (build, *args) if args else build
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = build(getattr(owner, "kernel", owner), *args)
-        return got
-
-    return read
 
 
 class PairKernel:

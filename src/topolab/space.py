@@ -12,14 +12,16 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property, wraps
+from itertools import product
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bits import (
     MAX_POINTS,
     Family,
     canonical_family,
     contained_union_table,
+    family_plane,
     intersection_closure,
     iter_points,
     subsets,
@@ -28,6 +30,32 @@ from .bits import (
 
 #: the largest ground set that is enumerated, and quantified over, in full
 EXHAUSTIVE_POINTS = 4
+
+
+def memoized(build: Callable) -> Callable:
+    """Keep ``build(owner, *args)`` in the ``_memo`` dict of its owner, a
+    space, an operation or a :class:`~topolab.pairs.PairKernel`, so it is
+    built once and dies with the owner.  Every derived table of those
+    objects is kept this way.
+
+    A hit is one attribute read and one dict lookup: a pair's ``_memo``
+    is its kernel's, so a pair passed in reads the kernel's rows
+    directly, and a table with no arguments is keyed by ``build`` itself,
+    the others by the tuple ``(build, *args)``, so the two never meet.
+    On a miss ``build`` receives the owner's ``kernel`` in place of a
+    pair, so it never sees the selector, and the owner itself otherwise.
+    Values are pure functions of the owner, so racing writers agree."""
+
+    @wraps(build)
+    def read(owner, *args):
+        memo = owner._memo
+        key = (build, *args) if args else build
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = build(getattr(owner, "kernel", owner), *args)
+        return got
+
+    return read
 
 
 @dataclass(frozen=True)
@@ -84,17 +112,14 @@ class Topology:
     generate the smallest topology containing an arbitrary seed family.
     ``n`` and ``full`` are fixed at construction from the ground set, so
     reading either is one slot read.  Instances are immutable and safe to
-    share between threads; the lazily built tables, the closure-verdict
-    memo and ``_memo`` (where other modules keep objects derived from the
-    space through :func:`topolab.pairs.memoized`, so they die with the
-    space, and where the pair kernels are registered, held weakly) are
-    pure functions of the space, so racing writers agree.
+    share between threads.  Every table derived from the space (the
+    minimal neighbourhoods, the interior table, the closure verdicts of
+    :meth:`family_props`, and what other modules derive from it) is kept
+    in ``_memo`` through :func:`memoized`, so it dies with the space;
+    the pair kernels are registered there too, held weakly.
     """
 
-    __slots__ = (
-        "ground", "opens", "n", "full",
-        "_min_nbhd", "_int_table", "_verdicts", "_memo", "_hash", "__weakref__",
-    )
+    __slots__ = ("ground", "opens", "n", "full", "_memo", "_hash", "__weakref__")
 
     def __init__(self, ground: GroundSet, opens: Iterable[int]):
         fam = canonical_family(opens)
@@ -105,9 +130,6 @@ class Topology:
         object.__setattr__(self, "opens", fam)
         object.__setattr__(self, "n", ground.size)
         object.__setattr__(self, "full", ground.full)
-        object.__setattr__(self, "_min_nbhd", None)
-        object.__setattr__(self, "_int_table", None)
-        object.__setattr__(self, "_verdicts", {})
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_hash", None)
 
@@ -135,40 +157,30 @@ class Topology:
         shown = " ".join(_braced(self.ground, m) for m in self.opens)
         return f"Topology(n={self.n}, opens={shown})"
 
+    @memoized
     def min_nbhd(self, point: int) -> int:
         """Smallest open set containing ``point``.
 
         Exists because the open family is intersection-closed and finite;
         it is the workhorse behind interior and closure.
         """
-        table = self._min_nbhd
-        if table is None:
-            table = []
-            for x in range(self.n):
-                m = self.full
-                for u in self.opens:
-                    if u >> x & 1:
-                        m &= u
-                table.append(m)
-            object.__setattr__(self, "_min_nbhd", tuple(table))
-            table = self._min_nbhd
-        return table[point]
+        m = self.full
+        for u in self.opens:
+            if u >> point & 1:
+                m &= u
+        return m
 
+    @memoized
     def int_table(self) -> tuple[int, ...]:
         """``int_table()[a]`` is the interior of ``a``, for every subset.
 
         x lies in the interior of a exactly when its minimal open
         neighbourhood fits inside a, so one subset-sum transform over the
-        n pairs (min_nbhd(x), {x}) tabulates every interior at once; built
-        on first use and kept for the life of the space.
+        n pairs (min_nbhd(x), {x}) tabulates every interior at once.
         """
-        table = self._int_table
-        if table is None:
-            table = tuple(contained_union_table(
-                ((self.min_nbhd(x), 1 << x) for x in range(self.n)), self.n
-            ))
-            object.__setattr__(self, "_int_table", table)
-        return table
+        return tuple(contained_union_table(
+            ((self.min_nbhd(x), 1 << x) for x in range(self.n)), self.n
+        ))
 
     def interior(self, a: int) -> int:
         """Union of all open sets inside ``a`` (the largest open subset)."""
@@ -178,21 +190,18 @@ class Topology:
         """Smallest closed superset of ``a``; complement-dual of interior."""
         return self.full ^ self.interior(self.full ^ a)
 
+    @memoized
     def family_props(self, family: Family) -> tuple[bool, bool]:
         """(intersection-closed, union-closed) for a canonical family of
         subsets of this space: whether it equals its intersection closure
         (so holds the whole space) and its union closure (so holds the
-        empty set).  Memoized per family for the life of the space, so
-        each distinct family is measured once however many operations or
-        pairs produce it.
+        empty set).  Kept per family, so each distinct family is measured
+        once however many operations or pairs produce it.
         """
-        got = self._verdicts.get(family)
-        if got is None:
-            got = self._verdicts[family] = (
-                intersection_closure(family, self.n) == family,
-                union_closure(family, self.n) == family,
-            )
-        return got
+        return (
+            intersection_closure(family, self.n) == family,
+            union_closure(family, self.n) == family,
+        )
 
 
 def family_violation(ground: GroundSet, family: Sequence[int]) -> Optional[str]:
@@ -254,31 +263,26 @@ def build_topology(ground: GroundSet, subbasis: Iterable[int]) -> Topology:
 def enumerate_topologies(n: int, labels: Optional[tuple[str, ...]] = None) -> Iterator[Topology]:
     """Every topology on an n-point ground set, exactly once.
 
-    Candidates are all 2**(2**n) subset families, filtered through the
-    axioms; families are ordered by their characteristic bitmask over
-    P(X), which makes the stream canonical and reproducible.  Capped at
-    n = :data:`EXHAUSTIVE_POINTS`; beyond that use :func:`random_topology`.
+    A finite topology is fixed by its minimal neighbourhoods (Stong
+    1966): each point x picks a set N(x) holding x, such that N(y) sits
+    inside N(x) for every y in N(x), and the opens are the unions of
+    those sets.  Spaces are ordered by the characteristic bitmask of
+    their open family over P(X), which makes the stream canonical and
+    reproducible.  Capped at n = :data:`EXHAUSTIVE_POINTS`; beyond that
+    use :func:`random_topology`.
     """
     if n < 0 or n > EXHAUSTIVE_POINTS:
         raise ValueError(f"exhaustive enumeration is capped at n = {EXHAUSTIVE_POINTS}; use random_topology")
     ground = GroundSet(labels) if labels is not None else default_ground(n)
-    count = 1 << n
-    full = count - 1
-    top_bit = 1 << full
-    for fam_bits in range(1 << count):
-        if not fam_bits & 1 or not fam_bits & top_bit:
-            continue
-        members = [m for m in range(count) if fam_bits >> m & 1]
-        ok = True
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if not fam_bits >> (a | b) & 1 or not fam_bits >> (a & b) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield Topology(ground, members)
+    choices = [[m for m in subsets(n) if m >> x & 1] for x in range(n)]
+    families = [
+        union_closure(nbhd, n)
+        for nbhd in product(*choices)
+        if all(nbhd[y] & ~m == 0 for m in nbhd for y in iter_points(m))
+    ]
+    families.sort(key=lambda opens: family_plane(opens, n))
+    for opens in families:
+        yield Topology(ground, opens)
 
 
 def random_topology(

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the library.
 
 Each oracle recomputes a quantity through a different route than the
-package: preorder counting for the enumerator, direct scans for interior,
+package: preorder counting and the literal filter over every subset
+family for the enumerator, direct scans for interior,
 monotonicity, contained-union tables and neighbourhood up-sets, the
 per-subset subfamily scan for cover compactness, the raw pointwise rules
 for the pair interior and pair closure, the structure flags read
@@ -112,6 +113,26 @@ def count_preorders(n: int) -> int:
         if not (closure & ~rel).any():
             count += 1
     return count
+
+
+def literal_topologies(n: int) -> list[tuple]:
+    """The open families of every topology on n points, in the order of
+    their characteristic bitmask over P(X): each of the 2**(2**n)
+    families holding the empty and the whole set, kept when every two
+    members have their union and intersection in it."""
+    count = 1 << n
+    top_bit = 1 << (count - 1)
+    found = []
+    for fam_bits in range(1 << count):
+        if not fam_bits & 1 or not fam_bits & top_bit:
+            continue
+        members = [m for m in range(count) if fam_bits >> m & 1]
+        if all(
+            fam_bits >> (a | b) & 1 and fam_bits >> (a & b) & 1
+            for i, a in enumerate(members) for b in members[i + 1:]
+        ):
+            found.append(tuple(members))
+    return found
 
 
 def naive_interior(top, a: int) -> int:

@@ -23,7 +23,7 @@ from topolab import (
     run_suites,
 )
 
-from oracles import count_preorders
+from oracles import count_preorders, literal_topologies
 
 EXPECTED_COUNTS = (1, 1, 4, 29, 355)
 
@@ -37,13 +37,18 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_enumeration_counts():
+    # the enumerator builds each space from a preorder, so the preorder
+    # count alone is no independent check: the literal filter over every
+    # subset family must also give the same spaces in the same order
     t0 = time.time()
-    counts = tuple(sum(1 for _ in enumerate_topologies(n)) for n in range(5))
+    spaces = [[t.opens for t in enumerate_topologies(n)] for n in range(5)]
+    counts = tuple(len(opens) for opens in spaces)
     oracle = tuple(count_preorders(n) for n in range(5))
+    literal = spaces == [literal_topologies(n) for n in range(5)]
     elapsed = time.time() - t0
-    ok = counts == EXPECTED_COUNTS == oracle and elapsed < 10.0
-    _report(1, "topology enumeration matches the preorder oracle", ok,
-            f"counts={counts}, oracle={oracle}, {elapsed:.1f}s")
+    ok = counts == EXPECTED_COUNTS == oracle and literal and elapsed < 10.0
+    _report(1, "topology enumeration matches the preorder and family-filter oracles", ok,
+            f"counts={counts}, oracle={oracle}, same sequence={literal}, {elapsed:.1f}s")
 
 
 def test_criterion_2_structure_theorems():

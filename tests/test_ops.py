@@ -20,9 +20,18 @@ from topolab import (
     op_open_family,
     random_topology,
 )
-from topolab.ops import at_point, table_violation, tabulate
+from topolab import ops as ops_module
+from topolab.bits import intersection_closure, union_closure
+from topolab.ops import at_point, op_lanes, table_violation, tabulate
+from topolab.space import Topology
 
-from oracles import literal_is_regular_wrt, literal_neighborhoods, naive_interior, naive_is_monotone
+from oracles import (
+    literal_is_regular_wrt,
+    literal_neighborhoods,
+    naive_interior,
+    naive_is_monotone,
+    scan_open_family,
+)
 
 
 def small_spaces():
@@ -113,6 +122,68 @@ def test_dual_can_fail_the_laws(d2):
     assert dual_table(constant) == (0, 0, 0, 3)
     with pytest.raises(ValueError, match="dual"):
         dual(constant)
+
+
+def test_dual_validates_once(d2, monkeypatch):
+    # the constructor's check is the only one, and its error names the
+    # dual and the witness mask
+    calls = []
+
+    def counted(topology, table):
+        calls.append(table)
+        return table_violation(topology, table)
+
+    monkeypatch.setattr(ops_module, "table_violation", counted)
+    ops = catalog(d2)
+    calls.clear()
+    assert dual(ops["int"]).table == ops["cl"].table
+    assert len(calls) == 1
+    blob = tabulate(d2, lambda a: d2.full if a else 0, "blob")
+    with pytest.raises(ValueError, match=r"'dual\(blob\)' is not an operation: .* \(witness mask 0x1\)"):
+        dual(blob)
+
+
+def test_derived_tables_live_in_their_owners_memo():
+    # the three space tables and the two operation tables are built once,
+    # kept in their owner's _memo and equal to a naive recomputation; the
+    # owners keep no other slot for them and still refuse assignment
+    rng = random.Random(23)
+    spaces = small_spaces() + [random_topology(10, rng.randrange(10**6), 10)]
+    for top in spaces:
+        n, memo = top.n, top._memo
+        for x in range(n):
+            got = top.min_nbhd(x)
+            assert top.min_nbhd(x) is got is memo[Topology.min_nbhd.__wrapped__, x]
+            around = [u for u in top.opens if u >> x & 1]
+            assert got in around and all(got & ~u == 0 for u in around)
+        table = top.int_table()
+        assert top.int_table() is table is memo[Topology.int_table.__wrapped__]
+        assert table == tuple(naive_interior(top, a) for a in top.subsets())
+        families = [top.opens] + [
+            tuple(sorted({rng.randrange(1 << n) for _ in range(rng.randrange(1, 5))}))
+            for _ in range(4)
+        ]
+        for fam in families:
+            props = top.family_props(fam)
+            assert top.family_props(fam) is props is memo[Topology.family_props.__wrapped__, fam]
+            assert props == (intersection_closure(fam, n) == fam, union_closure(fam, n) == fam)
+        for op in catalog(top).values():
+            fam = op_open_family(op)
+            assert op_open_family(op) is fam is op._memo[op_open_family.__wrapped__]
+            assert fam == scan_open_family(op)
+            lanes = op_lanes(op)
+            assert op_lanes(op) is lanes is op._memo[op_lanes.__wrapped__]
+            width = lanes[1]
+            assert width % 8 == 0 and max(op.table) < 1 << width
+            assert lanes[0] == sum(t << (a * width) for a, t in enumerate(op.table))
+            for name in ("_memo", "_open_family", "_lanes", "table"):
+                with pytest.raises(AttributeError):
+                    setattr(op, name, None)
+            assert not hasattr(op, "_open_family") and not hasattr(op, "_lanes")
+        for name in ("_memo", "_min_nbhd", "_int_table", "_verdicts", "opens"):
+            with pytest.raises(AttributeError):
+                setattr(top, name, None)
+        assert not any(hasattr(top, name) for name in ("_min_nbhd", "_int_table", "_verdicts"))
 
 
 def test_leq_chains_and_errors(s2, d2):
