@@ -33,6 +33,7 @@ SUBFAMILY_CAP = 20  # 2**20 subfamily masks is the largest scan we allow
 MAX_POINTS = 16
 
 _LANE_CODE = {array(code).itemsize: code for code in "BHILQ"}
+_LANE_BYTES = (1, 1, 2, 4, 4, 8, 8, 8, 8)  # lane bytes for entries of 0-8 bytes
 _DIGIT_FLAG = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -148,8 +149,8 @@ def pack_lanes(table: Sequence[int]) -> tuple[int, int]:
     holding ``table[a]``: (lanes, lane width in bits).  Lanes are 1, 2,
     4 or 8 bytes through ``array``, byte-swapped on big-endian hosts;
     wider entries go through one ``int.to_bytes`` each."""
-    need = (max(table).bit_length() + 7) // 8
-    lane = next((s for s in (1, 2, 4, 8) if s >= need), need)
+    need = (max(table).bit_length() + 7) >> 3
+    lane = _LANE_BYTES[need] if need <= 8 else need
     code = _LANE_CODE.get(lane)
     if code is None:
         raw = b"".join(v.to_bytes(lane, "little") for v in table)
@@ -159,6 +160,35 @@ def pack_lanes(table: Sequence[int]) -> tuple[int, int]:
             words.byteswap()
         raw = words.tobytes()
     return int.from_bytes(raw, "little"), 8 * lane
+
+
+def point_meets(rows: Iterable[tuple[int, int]], n: int) -> tuple[int, ...]:
+    """``out[x]`` is the meet of the t over the rows (t, u) whose u
+    (inside the n points) holds x, or the whole set where no row does.
+
+    Each row is one lane ``t << n | u`` (:func:`pack_lanes`), and ``ones``
+    is the low bit of every lane.  The row (whole set, whole set) changes
+    no meet; it is added so that every lane is 2n bits wide and so that no
+    rows packs too.  Shifts transpose the rows into bit-planes (Warren,
+    "Hacker's Delight", 2nd ed., ch. 7): ``lanes >> x & ones`` flags the
+    rows whose u holds x, ``~lanes >> (n + y) & ones`` those whose t
+    misses y, and y is in out[x] iff the two share no row: n**2 ANDs of
+    whole planes.
+    """
+    table = [t << n | u for t, u in rows]
+    table.append((1 << 2 * n) - 1)
+    lanes, width = pack_lanes(table)
+    ones = int.from_bytes(b"\1".ljust(width >> 3, b"\0") * len(table), "little")
+    inv = ~lanes >> n
+    missing = [(1 << y, inv >> y & ones) for y in range(n)]
+    out = []
+    for x in range(n):
+        held, meet = lanes >> x & ones, 0
+        for bit, miss in missing:
+            if not held & miss:
+                meet |= bit
+        out.append(meet)
+    return tuple(out)
 
 
 def contained_union_table(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:

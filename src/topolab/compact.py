@@ -47,6 +47,7 @@ from .bits import (
     down_plane,
     family_plane,
     iter_points,
+    point_meets,
     pointed_down_plane,
     up_planes,
 )
@@ -355,15 +356,14 @@ def _closed_meets(k: PairKernel) -> tuple[int, ...]:
     family argument above sel refutes both when its meet misses A while
     its duals' meet holds some y in A.  Then sel lies in S_y, whose meet
     is smaller and whose duals all hold y, so S_y refutes too: both hold
-    iff every S_y, y in A, has its meet meeting A.
+    iff every S_y, y in A, has its meet meeting A.  All n are one
+    :func:`~topolab.bits.point_meets` of the rows (f, dual(f)) with the
+    duals read off the dual table, a second route to the avoidance row.
     """
     full = k.topology.full
     dual_enl = dual_table(k.enlarger)
-    meets = [full] * k.topology.n
-    for f in (full ^ u for u in k.family):  # the selector-closed sets
-        for y in iter_points(dual_enl[f]):
-            meets[y] &= f
-    return tuple(meets)
+    closed = [full ^ u for u in k.family]
+    return point_meets(zip(closed, map(dual_enl.__getitem__, closed)), k.topology.n)
 
 
 @dataclass(frozen=True)

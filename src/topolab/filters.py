@@ -42,6 +42,7 @@ from .bits import (
     intersect_all,
     iter_points,
     mask_of,
+    point_meets,
     submasks_desc,
 )
 from .ops import neighborhoods
@@ -279,19 +280,13 @@ def is_t2(p: OpPair) -> bool:
     A selector-open v around y has an enlargement missing ``enl[u]``
     exactly when y lies in the pair interior of ``X \\ enl[u]``, so the
     points separated from x are the union of those interiors over the
-    selector-open u around x.  The union may hold x itself, so only the
-    other points are asked for.
+    selector-open u around x; the points not separated, its complement,
+    are one :func:`~topolab.bits.point_meets` of the complements.  That
+    meet may hold x itself, so only the other points are asked for.
     """
-    enl = p.enlarger.table
-    inner = int_table(p)
-    full = p.topology.full
-    for x in range(p.topology.n):
-        separated = 0
-        for u in p.selector_at(x):
-            separated |= inner[full ^ enl[u]]
-        if (full ^ (1 << x)) & ~separated:
-            return False
-    return True
+    enl, inner, full = p.enlarger.table, int_table(p), p.topology.full
+    rows = ((full ^ inner[full ^ enl[u]], u) for u in p.kernel.family)
+    return not any((full ^ 1 << x) & m for x, m in enumerate(point_meets(rows, p.topology.n)))
 
 
 def nbhd_filterbase(p: OpPair, point: int, variant: str = "plain") -> Family:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .ops import Operation, table_violation
+from .ops import Operation, OperationError
 from .space import GroundSet, Topology
 
 
@@ -131,15 +131,13 @@ def operation_from_dict(data: Any, top: Topology) -> Operation:
             f"table is missing subset {ground.labels_of_mask(missing[0])}"
             + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
         )
-    entries = [table[a] for a in top.subsets()]
-    problem = table_violation(top, entries)
-    if problem is not None:
-        condition, witness = problem
+    try:
+        return Operation(top, [table[a] for a in top.subsets()], name)
+    except OperationError as exc:  # the constructor's one check names the witness
         raise SchemaError(
-            f"table violates the operation laws: {condition} "
-            f"(witness subset {ground.labels_of_mask(witness)})"
-        )
-    return Operation(top, entries, name)
+            f"table violates the operation laws: {exc.condition} "
+            f"(witness subset {ground.labels_of_mask(exc.witness)})"
+        ) from None
 
 
 def parse_operation(path: str, top: Topology) -> Operation:

@@ -9,16 +9,25 @@ loaded from JSON via :mod:`topolab.jsonio`.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .bits import (
-    Family, canonical_family, intersect_all, is_monotone_lanes, pack_lanes, upward_closure,
+    Family, canonical_family, is_monotone_lanes, pack_lanes, point_meets, upward_closure,
     within_image,
 )
 from .space import Topology, memoized
 
 #: Builtin operation names, in catalog order.
 BUILTIN_NAMES = ("identity", "int", "cl", "cloint", "introcl", "scl", "sint")
+
+
+class OperationError(ValueError):
+    """A table failing the operation laws: :func:`table_violation`'s
+    ``condition`` and ``witness`` mask."""
+
+    def __init__(self, name: str, condition: str, witness: int):
+        super().__init__(f"{name!r} is not an operation: {condition} (witness mask {witness:#x})")
+        self.condition, self.witness = condition, witness
 
 
 class Operation:
@@ -28,6 +37,7 @@ class Operation:
     immutable; calling one applies the table.  The tables derived from
     one (its open family and its packed lanes) are kept in ``_memo``
     through :func:`~topolab.space.memoized`, so they die with it.
+    Pickling rebuilds through the constructor, with an empty ``_memo``.
     """
 
     __slots__ = ("topology", "table", "name", "_memo", "_hash")
@@ -36,9 +46,7 @@ class Operation:
         table = tuple(table)
         problem = table_violation(topology, table)
         if problem is not None:
-            raise ValueError(
-                f"{name!r} is not an operation: {problem[0]} (witness mask {problem[1]:#x})"
-            )
+            raise OperationError(name, *problem)
         object.__setattr__(self, "topology", topology)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "name", name)
@@ -47,6 +55,9 @@ class Operation:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Operation is immutable")
+
+    def __reduce__(self):
+        return Operation, (self.topology, self.table, self.name)
 
     def __call__(self, mask: int) -> int:
         return self.table[mask]
@@ -205,14 +216,25 @@ def is_regular_wrt(op: Operation, family: Sequence[int]) -> bool:
     a member inside all of them, which is then their meet; conversely a
     member equal to the meet squeezes under any two.  So x passes exactly
     when the meet of its images is one of them, or vacuously when no
-    member holds x: one pass over the family per point.
+    member holds x.  With the members grouped by image
+    (:func:`group_by_image`), the meets are one
+    :func:`~topolab.bits.point_meets` of the groups, and the meet at x is
+    an image around x iff its group holds x.  A meet that is the whole
+    set passes either way: it is an image around x, or no member holds x.
     """
-    table = op.table
-    for x in range(op.topology.n):
-        images = {table[u] for u in family if u >> x & 1}
-        if images and intersect_all(images, op.topology.full) not in images:
-            return False
-    return True
+    groups, full = group_by_image(op.table, family), op.topology.full
+    meets = point_meets(groups.items(), op.topology.n)
+    return all(m == full or groups.get(m, 0) >> x & 1 for x, m in enumerate(meets))
+
+
+def group_by_image(table: Sequence[int], family: Iterable[int]) -> dict[int, int]:
+    """image t -> union of the members u of ``family`` with table[u] = t,
+    in order of first appearance."""
+    groups: dict[int, int] = {}
+    for u in family:
+        t = table[u]
+        groups[t] = groups.get(t, 0) | u
+    return groups
 
 
 def neighborhoods(n: int, family: Sequence[int], point: int) -> Family:

@@ -29,10 +29,10 @@ from typing import Iterable, Sequence
 from weakref import WeakValueDictionary
 
 from .bits import (
-    Family, canonical_family, contained_union_table, family_plane, iter_points,
+    Family, canonical_family, contained_union_table, family_plane, point_meets,
     union_closure_plane, within_image,
 )
-from .ops import Operation, at_point, is_monotone, is_regular_wrt, leq, op_open_family
+from .ops import Operation, at_point, group_by_image, is_monotone, is_regular_wrt, leq, op_open_family
 from .space import Topology, build_topology, memoized
 
 #: Families constructible by an independent defining rule.
@@ -102,9 +102,6 @@ class OpPair:
     def name(self) -> str:
         return f"{self.selector.name},{self.enlarger.name}"
 
-    def selector_open(self) -> Family:
-        return self.kernel.family
-
     def selector_at(self, point: int) -> Family:
         """Selector-open sets containing ``point``."""
         return _selector_at(self.kernel, point)
@@ -135,12 +132,9 @@ def int_table(k: PairKernel) -> tuple[int, ...]:
 def envelopes(k: PairKernel) -> tuple[int, ...]:
     """The envelope of each point (:meth:`OpPair.envelope`): the meet of
     the distinct enlargements t whose group (:func:`image_groups`) holds
-    it, so all n come from one pass over the groups."""
-    env = [k.topology.full] * k.topology.n
-    for t, union in image_groups(k):
-        for x in iter_points(union):
-            env[x] &= t
-    return tuple(env)
+    it, so all n are one :func:`~topolab.bits.point_meets` of the
+    groups."""
+    return point_meets(image_groups(k), k.topology.n)
 
 
 def pair_interior(p: OpPair, a: int) -> int:
@@ -353,12 +347,7 @@ def image_groups(k: PairKernel) -> tuple[tuple[int, int], ...]:
     One grouping per kernel, read by the envelopes, the pointwise
     closure rule and the filters' limit sets.
     """
-    enl = k.enlarger.table
-    groups: dict[int, int] = {}
-    for u in k.family:
-        t = enl[u]
-        groups[t] = groups.get(t, 0) | u
-    return tuple(groups.items())
+    return tuple(group_by_image(k.enlarger.table, k.family).items())
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .bits import (
     family_plane,
     intersection_closure,
     iter_points,
+    point_meets,
     subsets,
     union_closure,
 )
@@ -116,7 +117,8 @@ class Topology:
     minimal neighbourhoods, the interior table, the closure verdicts of
     :meth:`family_props`, and what other modules derive from it) is kept
     in ``_memo`` through :func:`memoized`, so it dies with the space;
-    the pair kernels are registered there too, held weakly.
+    the pair kernels are registered there too, held weakly.  Pickling
+    rebuilds through the constructor: validated, with an empty ``_memo``.
     """
 
     __slots__ = ("ground", "opens", "n", "full", "_memo", "_hash", "__weakref__")
@@ -135,6 +137,9 @@ class Topology:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Topology is immutable")
+
+    def __reduce__(self):
+        return Topology, (self.ground, self.opens)
 
     def subsets(self) -> range:
         return subsets(self.n)
@@ -158,17 +163,12 @@ class Topology:
         return f"Topology(n={self.n}, opens={shown})"
 
     @memoized
-    def min_nbhd(self, point: int) -> int:
-        """Smallest open set containing ``point``.
-
-        Exists because the open family is intersection-closed and finite;
-        it is the workhorse behind interior and closure.
+    def min_nbhds(self) -> tuple[int, ...]:
+        """``min_nbhds()[x]`` is the smallest open set containing x, the
+        meet of the opens around it (one :func:`~topolab.bits.point_meets`
+        of the rows (u, u)); the workhorse behind interior and closure.
         """
-        m = self.full
-        for u in self.opens:
-            if u >> point & 1:
-                m &= u
-        return m
+        return point_meets(zip(self.opens, self.opens), self.n)
 
     @memoized
     def int_table(self) -> tuple[int, ...]:
@@ -176,10 +176,10 @@ class Topology:
 
         x lies in the interior of a exactly when its minimal open
         neighbourhood fits inside a, so one subset-sum transform over the
-        n pairs (min_nbhd(x), {x}) tabulates every interior at once.
+        n pairs (min_nbhds()[x], {x}) tabulates every interior at once.
         """
         return tuple(contained_union_table(
-            ((self.min_nbhd(x), 1 << x) for x in range(self.n)), self.n
+            ((m, 1 << x) for x, m in enumerate(self.min_nbhds())), self.n
         ))
 
     def interior(self, a: int) -> int:
@@ -247,16 +247,15 @@ def build_topology(ground: GroundSet, subbasis: Iterable[int]) -> Topology:
 
     Every open set of it is a union of minimal neighbourhoods, the minimal
     neighbourhood of x being the intersection of the whole space and the
-    subbasis members containing x (Alexandroff), so one union-closure
-    pass over those n sets gives the whole family.
+    subbasis members containing x (Alexandroff), all n one
+    :func:`~topolab.bits.point_meets` of the rows (m, m), so one
+    union-closure pass over those n sets gives the whole family.
     """
-    full = ground.full
-    nbhd = [full] * ground.size
+    subbasis = tuple(subbasis)
     for m in subbasis:
-        if m & ~full:
+        if m & ~ground.full:
             raise ValueError(f"subbasis member {m:#x} uses bits outside the ground set")
-        for x in iter_points(m):
-            nbhd[x] &= m
+    nbhd = point_meets(zip(subbasis, subbasis), ground.size)
     return Topology(ground, union_closure(nbhd, ground.size))
 
 

@@ -18,8 +18,10 @@ family, the submask loop of the exhaustive convergence closure, the
 pairwise additivity scan, the base-report scans for image stability,
 for the enlarger sitting above the identity and for the four base flags
 (over the pairwise union closure), the one-set-at-a-time open family,
-and the per-point envelope scan.  None of them import the code paths
-they validate.
+the per-point envelope scan, and the row-by-row meet loop that the
+minimal neighbourhoods, the subbasis neighbourhoods, the envelopes, the
+closed-family meets, pair-separation and regularity each ran before they
+became one lane kernel.  None of them import the code paths they validate.
 """
 
 from __future__ import annotations
@@ -82,6 +84,17 @@ def literal_contained_union_table(pairs, n: int) -> list[int]:
                 acc |= payload
         table.append(acc)
     return table
+
+
+def literal_point_meets(rows, n: int) -> tuple:
+    """out[x] = meet of the t over the rows (t, u) whose u holds x, the
+    whole set where no row does: one walk over the points of each u."""
+    out = [(1 << n) - 1] * n
+    for t, u in rows:
+        for x in range(n):
+            if u >> x & 1:
+                out[x] &= t
+    return tuple(out)
 
 
 def literal_neighborhoods(n: int, family, point: int) -> tuple:

@@ -1,4 +1,5 @@
-"""The subset-lattice kernel against literal scans and fixpoints."""
+"""The subset-lattice and per-point meet kernels against literal scans
+and fixpoints."""
 
 import operator
 import random
@@ -11,9 +12,11 @@ from topolab.bits import (
     union_closure,
     upward_closure,
 )
-from topolab.space import MAX_POINTS
+from topolab.ops import catalog, dual_table
+from topolab.pairs import OpPair, image_groups, int_table
+from topolab.space import EXHAUSTIVE_POINTS, MAX_POINTS, enumerate_topologies, random_topology
 
-from oracles import literal_contained_union_table, pairwise_fixpoint
+from oracles import literal_contained_union_table, literal_point_meets, pairwise_fixpoint
 
 WIDTHS = (1, 7, 8, 9, 16, 17, 64, 65)
 
@@ -67,3 +70,81 @@ def test_closures_match_pairwise_fixpoint_on_seeded_families():
             assert intersection_closure(fam, n) == pairwise_fixpoint({full, *fam}, operator.and_)
             literal = tuple(a for a in range(1 << n) if any(m & ~a == 0 for m in fam))
             assert upward_closure(fam, n) == literal
+
+
+def _meet_rows(top):
+    """(label, rows) for each row set the library meets on ``top``: the
+    opens, and per pair kernel of the catalog the envelope groups, the
+    selector-closed sets with their dual images and the separation rows."""
+    full = top.full
+    yield "opens", [(u, u) for u in top.opens]
+    ops = catalog(top)
+    kernels = {}
+    for sel in ops.values():
+        for enl in ops.values():
+            k = OpPair(sel, enl).kernel
+            kernels[id(k)] = k
+    for k in kernels.values():
+        enl, dual, inner = k.enlarger.table, dual_table(k.enlarger), int_table(k)
+        yield "envelopes", list(image_groups(k))
+        yield "closed", [(full ^ u, dual[full ^ u]) for u in k.family]
+        yield "separation", [(full ^ inner[full ^ enl[u]], u) for u in k.family]
+
+
+def test_point_meets_match_the_row_loop_on_every_kernel():
+    # every space of at most 4 points, then seeded 5-16-point spaces
+    rng = random.Random(47)
+    spaces = [top for n in range(EXHAUSTIVE_POINTS + 1) for top in enumerate_topologies(n)]
+    spaces += [random_topology(n, rng.randrange(10**6), n) for n in range(5, MAX_POINTS + 1)]
+    for top in spaces:
+        for label, rows in _meet_rows(top):
+            assert bits.point_meets(rows, top.n) == literal_point_meets(rows, top.n), (top, label)
+
+
+def test_point_meets_match_the_row_loop_on_wide_spaces():
+    # the opens of seeded 13-16-point spaces, whose rows pack to 32-bit lanes
+    rng = random.Random(53)
+    for n in range(13, MAX_POINTS + 1):
+        top = random_topology(n, rng.randrange(10**6), n)
+        rows = [(u, u) for u in top.opens]
+        assert bits.pack_lanes([t << n | u for t, u in rows])[1] == 32
+        assert bits.point_meets(rows, n) == literal_point_meets(rows, n), n
+    # seeded rows of every size up to 16 points, their t's drawn below a
+    # seeded top point, so that the packed entries often stay narrower
+    # than 2n bits
+    for n in range(MAX_POINTS + 1):
+        for _ in range(8):
+            low = 1 << rng.randrange(n + 1)
+            rows = [(rng.randrange(low), rng.randrange(1 << n)) for _ in range(rng.randrange(40))]
+            assert bits.point_meets(iter(rows), n) == literal_point_meets(rows, n), (n, rows)
+
+
+def test_point_meets_edge_cases():
+    # no rows, or rows whose u holds nothing, leave every entry whole
+    for n in range(MAX_POINTS + 1):
+        full = (1 << n) - 1
+        assert bits.point_meets([], n) == (full,) * n
+        assert bits.point_meets([(0, 0), (1, 0)], n) == (full,) * n
+    assert bits.point_meets([], 0) == () == bits.point_meets([(0, 0)], 0)
+    # t's that leave the top points out pack narrower than 2n bits, yet no
+    # test reads a neighbouring row: c's only image is empty
+    assert bits.point_meets([(0, 0b00100), (0b011, 0b01011)], 5) == (0b011, 0b011, 0, 0b011, 0b11111)
+    # a 16-point table whose lanes are 32 bits wide: t and u both use the
+    # top point, so the packed entries fill the whole lane
+    n, full = MAX_POINTS, (1 << MAX_POINTS) - 1
+    top_bit = 1 << (n - 1)
+    rows = [(full, full), (top_bit | 1, top_bit), (full ^ 1, 1), (top_bit | 2, 2 | top_bit)]
+    assert bits.pack_lanes([t << n | u for t, u in rows])[1] == 32
+    got = bits.point_meets(rows, n)
+    assert got == literal_point_meets(rows, n)
+    assert got[0] == full ^ 1 and got[1] == top_bit | 2 and got[n - 1] == top_bit
+    assert got[2:n - 1] == (full,) * (n - 3)
+
+
+def test_pack_lanes_picks_the_narrowest_fitting_lane():
+    # 1, 2, 4 and 8-byte lanes through array, wider ones byte by byte
+    for need, lane in ((0, 1), (1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (8, 8), (9, 9), (12, 12)):
+        top = (1 << (8 * need)) - 1
+        lanes, width = bits.pack_lanes([0, top, 1])
+        assert width == 8 * lane, need
+        assert lanes == top << width | 1 << (2 * width), need

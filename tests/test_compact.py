@@ -397,7 +397,7 @@ def test_every_residue_decides_restricted_accumulation():
     top = random_topology(5, 833820, 5)
     p = pair(top, "identity", "sint")
     enl = p.enlarger.table
-    residues = canonical_family(top.full ^ enl[u] for u in p.selector_open())
+    residues = canonical_family(top.full ^ enl[u] for u in p.kernel.family)
     assert len(residues) == 18
     rule = all(c & 22 for c in pair_closure_by_points(p, (r for r in residues if r & 22)))
     assert verdicts(p, 22, ("restricted",)) == (rule,)
@@ -408,7 +408,7 @@ def test_every_residue_decides_restricted_accumulation():
 def kind_system(p, kind, identity):
     """The cover system a compactness kind quantifies over."""
     if kind == "pair":
-        return CoverSystem(p.selector_open(), p.enlarger)
+        return CoverSystem(p.kernel.family, p.enlarger)
     if kind == "pair_open":
         return CoverSystem(pair_open_family(p), identity)
     return CoverSystem(canonical_family(enlargement_base(p) + (p.topology.full,)), identity)
@@ -463,7 +463,7 @@ def test_complement_statements_hold_literally():
             p = pair(top, a, b)
             enl = p.enlarger.table
             cl = pair_closure_by_points(p, top.subsets())
-            residues = canonical_family(full ^ enl[u] for u in p.selector_open())
+            residues = canonical_family(full ^ enl[u] for u in p.kernel.family)
             drawn = seeded_subfamily(residues, f"residues,{top.n},{a},{b}")
             closed = seeded_subfamily(pair_closed_family(p), f"closed,{top.n},{a},{b}")
             for s in subsets:
@@ -577,7 +577,7 @@ def test_space_flags_match_the_per_set_scan():
         for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
             p = pair(top, a, b)
             enl = p.enlarger.table
-            residues = [r for r in canonical_family(full ^ enl[u] for u in p.selector_open()) if r]
+            residues = [r for r in canonical_family(full ^ enl[u] for u in p.kernel.family) if r]
             closed = pair_closed_family(p)
 
             def compact_all(sets, kind):

@@ -291,8 +291,8 @@ def test_finer_convergent_matches_literal_construction():
         for a in BUILTIN_NAMES:
             for b in BUILTIN_NAMES:
                 p = pair(top, a, b)
-                regular = literal_is_regular_wrt(p.enlarger, p.selector_open())
-                assert is_regular_wrt(p.enlarger, p.selector_open()) == regular, (top, a, b)
+                regular = literal_is_regular_wrt(p.enlarger, p.kernel.family)
+                assert is_regular_wrt(p.enlarger, p.kernel.family) == regular, (top, a, b)
                 for core in cores:
                     f = Filter(n, core)
                     closure = pointwise_pair_closure(p, core)

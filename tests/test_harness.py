@@ -140,7 +140,7 @@ def test_exhaustive_report_matches_pinned_digest():
 
 
 def test_ten_point_report_matches_pinned_digest():
-    # every suite on one 10-point space (512 opens), one of two pinned
+    # every suite on one 10-point space (512 opens), one of three pinned
     # reports that run the filters and compactness suites above six points
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=10)
     digest = _report_digest(cfg, [("n=10", random_topology(10, 0, 10))])
@@ -153,6 +153,15 @@ def test_twelve_point_report_matches_pinned_digest():
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=12)
     digest = _report_digest(cfg, [("n=12", random_topology(12, 0, 12))])
     assert digest == "69606403c29b8ad174adab2591feb32a0613dafda0bfa6bb1309e06204b6ce8a"
+
+
+def test_sixteen_point_report_matches_pinned_digest():
+    # every suite and all 49 pairs on one 16-point space (21504 opens):
+    # the largest ground set, and the only pinned report whose per-point
+    # meets pack their rows into 32-bit lanes
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=16)
+    digest = _report_digest(cfg, [("n=16", random_topology(16, 0, 16))])
+    assert digest == "ef45ecbee902d32237374a28a4fa84f9bf1d1625aad76923c104a81c3dcde098"
 
 
 def _records(result) -> list[tuple]:
@@ -365,7 +374,7 @@ def test_flipped_filter_and_restricted_bits_fail_like_the_per_set_statements(mon
     for a, b in ctx.pair_names:
         p = ctx.pairs[(a, b)]
         enl = p.enlarger.table
-        residues = {top.full ^ enl[u] for u in p.selector_open()} - {0}
+        residues = {top.full ^ enl[u] for u in p.kernel.family} - {0}
         for s in ctx.subsets:
             v = {k: compactness_kind(p, s, k) for k in ("pair", "base", "pair_open", "closed")}
             v["ultra"] = maximal_bases_converge(p, s)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from topolab import builtin, catalog, chain3
+from topolab import ops as ops_module
 from topolab.jsonio import (
     SchemaError,
     dumps_space,
@@ -16,6 +17,7 @@ from topolab.jsonio import (
     space_to_dict,
     write_space,
 )
+from topolab.ops import table_violation
 
 DATA = Path(__file__).parent / "data"
 
@@ -108,6 +110,28 @@ def test_operation_loader_names_violation_and_witness(s2):
     doc["table"]["[]"] = ["a"]
     with pytest.raises(SchemaError, match="empty set"):
         operation_from_dict(doc, s2)
+
+
+def test_operation_loader_validates_once(s2, monkeypatch):
+    # the constructor's check is the only one; its error still names the
+    # witness subset by its labels
+    calls = []
+
+    def counted(topology, table):
+        calls.append(table)
+        return table_violation(topology, table)
+
+    monkeypatch.setattr(ops_module, "table_violation", counted)
+    scl = catalog(s2)["scl"]
+    doc = operation_to_dict(scl)
+    calls.clear()
+    assert operation_from_dict(doc, s2) == scl
+    assert len(calls) == 1
+    doc["table"]['["a"]'] = []  # drops the interior of {a}
+    calls.clear()
+    with pytest.raises(SchemaError, match=r"interior of the argument \(witness subset \['a'\]\)"):
+        operation_from_dict(doc, s2)
+    assert len(calls) == 1
 
 
 def test_parse_operation_file(tmp_path, s2):

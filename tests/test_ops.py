@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -144,16 +145,18 @@ def test_dual_validates_once(d2, monkeypatch):
 
 
 def test_derived_tables_live_in_their_owners_memo():
-    # the three space tables and the two operation tables are built once,
-    # kept in their owner's _memo and equal to a naive recomputation; the
-    # owners keep no other slot for them and still refuse assignment
+    # the three space tables (the minimal-neighbourhood row among them) and
+    # the two operation tables are built once, kept in their owner's _memo
+    # and equal to a naive recomputation; the owners keep no other slot for
+    # them, keep no per-point wrapper, and still refuse assignment
     rng = random.Random(23)
     spaces = small_spaces() + [random_topology(10, rng.randrange(10**6), 10)]
     for top in spaces:
         n, memo = top.n, top._memo
-        for x in range(n):
-            got = top.min_nbhd(x)
-            assert top.min_nbhd(x) is got is memo[Topology.min_nbhd.__wrapped__, x]
+        nbhds = top.min_nbhds()
+        assert top.min_nbhds() is nbhds is memo[Topology.min_nbhds.__wrapped__]
+        assert len(nbhds) == n
+        for x, got in enumerate(nbhds):
             around = [u for u in top.opens if u >> x & 1]
             assert got in around and all(got & ~u == 0 for u in around)
         table = top.int_table()
@@ -184,6 +187,22 @@ def test_derived_tables_live_in_their_owners_memo():
             with pytest.raises(AttributeError):
                 setattr(top, name, None)
         assert not any(hasattr(top, name) for name in ("_min_nbhd", "_int_table", "_verdicts"))
+        assert not hasattr(top, "min_nbhd")
+
+
+def test_operation_pickle_round_trip(s2):
+    # a catalog operation whose memo holds its lanes and open family, and
+    # a custom one: equal, equal hashes, the name kept, an empty memo
+    ops = catalog(s2)
+    cl = ops["cl"]
+    op_lanes(cl)
+    op_open_family(cl)
+    assert cl._memo
+    custom = Operation(s2, ops["scl"].table, "blob")
+    for op in (cl, custom):
+        copy = pickle.loads(pickle.dumps(op))
+        assert copy == op and hash(copy) == hash(op) and copy.name == op.name
+        assert copy._memo == {} and copy.topology == s2
 
 
 def test_leq_chains_and_errors(s2, d2):

@@ -1,4 +1,5 @@
 import operator
+import pickle
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from topolab import (
     enumerate_topologies,
     is_topology,
     random_topology,
+    sierpinski,
 )
+from topolab import space as space_module
 from topolab.bits import canonical_family, intersection_closure, union_closure
 from topolab.space import family_violation
 
@@ -240,6 +243,38 @@ def test_topology_rejects_bad_family():
         Topology(g, (0, 1))
     with pytest.raises(ValueError):
         Topology(g, (0, 3, 4))
+
+
+def test_build_topology_reads_the_subbasis_once_and_validates_it_first():
+    g = default_ground(2)
+    assert build_topology(g, iter((1,))) == build_topology(g, (1,))
+    # the first member outside the ground set is named, before any work
+    with pytest.raises(ValueError, match=r"subbasis member 0x4 uses bits outside the ground set"):
+        build_topology(g, iter((1, 4, 8)))
+
+
+def test_pickle_round_trip_rebuilds_through_the_constructor(monkeypatch):
+    # a fresh space and one whose memo holds tables keyed by their
+    # builders; the copy is equal, hashes equal, is validated again and
+    # starts with an empty memo
+    fresh = random_topology(3, 0, 3)
+    filled = sierpinski()
+    filled.int_table()
+    filled.family_props(filled.opens)
+    assert filled._memo
+    checked = []
+
+    def counted(ground, family):
+        checked.append(family)
+        return family_violation(ground, family)
+
+    monkeypatch.setattr(space_module, "family_violation", counted)
+    for top in (fresh, filled):
+        copy = pickle.loads(pickle.dumps(top))
+        assert copy == top and hash(copy) == hash(top) and copy is not top
+        assert copy._memo == {}
+        assert copy.int_table() == top.int_table()
+    assert checked == [fresh.opens, filled.opens]
 
 
 def test_topology_equality_and_immutability(s2):
