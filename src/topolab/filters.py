@@ -27,12 +27,23 @@ of its members' pair-closures.  The exhaustive convergence closure asks
 for a nonempty core inside both the set and a point's envelope: one AND
 of two submask planes per point.  The per-point predicates
 :func:`converges` and :func:`accumulates` keep the literal rules.
+
+A sweep quantifies over a list of cores and checks those rules on rows
+indexed by position: :func:`point_rows` transposes a kernel's limit or
+adherence sets of the cores into one row per point, bit i standing for
+the i-th core, and the core table ``inside[t]`` (:func:`member_table` of
+the cores, one member each) flags the cores inside t.  A literal rule is
+then one table row per member: :func:`rows_within` ANDs ``inside[t]``
+over the sets t around each point, :func:`rows_meeting` the complements
+of ``inside[full ^ t]``, and :func:`points_reached` reads which points a
+set of positions (say the cores inside a set, ``inside[s]``) reaches.
+The refinement construction is :func:`refined_core`, on the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .bits import (
     Family,
@@ -243,28 +254,89 @@ def finer_convergent(f: Filter, p: OpPair, point: int) -> Filter:
     The refinement is generated by the base of enlarged neighbourhoods
     of the point cut with the filter members.  Only guaranteed when the
     enlarger is regular with respect to the selector-open family and the
-    filter accumulates at the point; both preconditions are enforced.
-
-    Closed form: every member ``enl[u] & m`` of the base (u selector-open
-    around the point, m a superset of the core) holds ``meet = core &
-    envelope(point)``, the meet of them all.  If ``enl[u] & m == meet``
-    then ``meet <= enl[u] & core <= enl[u] & m``, so the meet is a member
-    exactly when some u has ``enl[u] & core == meet`` (take m = core).
-    A finite family is a filterbase exactly when it holds its own
-    nonempty meet, so the base is one iff the meet is nonempty and such
-    a u exists, and it generates the principal filter at the meet.
+    filter accumulates at the point; both preconditions are enforced,
+    and the construction itself is :func:`refined_core`.
     """
     if not enlarger_is_regular(p):
         raise ValueError("enlarger is not regular w.r.t. the selector-open family")
     if not accumulates(f, p, point):
         raise ValueError("filter does not accumulate at the point")
-    enl = p.enlarger.table
-    meet = f.core & p.envelope(point)
-    if not meet or all(enl[u] & f.core != meet for u in p.selector_at(point)):
-        raise RuntimeError("refinement base failed the filterbase laws")
-    out = Filter(f.n, meet)
+    out = Filter(f.n, refined_core(p, f.core, point))
     if not out.is_finer_than(f) or not converges(out, p, point):
         raise RuntimeError("refined filter failed its contract")
+    return out
+
+
+def refined_core(k: PairKernel, core: int, point: int) -> int:
+    """The core of the filter that the enlarged neighbourhoods of
+    ``point`` cut with the members of the principal filter at ``core``
+    generate, for a pair or its kernel; the preconditions of
+    :func:`finer_convergent` are left to the caller.  Raises
+    RuntimeError when the cuts are no filterbase.
+
+    Closed form: every cut ``enl[u] & m`` (u selector-open around the
+    point, m a superset of the core) holds ``meet = core &
+    envelope(point)``, the meet of them all.  If ``enl[u] & m == meet``
+    then ``meet <= enl[u] & core <= enl[u] & m``, so the meet is a cut
+    exactly when some u has ``enl[u] & core == meet`` (take m = core),
+    that is, when ``enl[u]`` misses ``core & ~envelope(point)``: when the
+    point lies in the pair interior of the complement of that set.  A
+    finite family is a filterbase exactly when it holds its own nonempty
+    meet, so the cuts are one iff the meet is nonempty and the point is
+    in that interior, and they generate the principal filter at the meet.
+    """
+    meet = core & envelopes(k)[point]
+    if not meet or not int_table(k)[k.topology.full ^ core ^ meet] >> point & 1:
+        raise RuntimeError("refinement base failed the filterbase laws")
+    return meet
+
+
+def point_rows(values: Sequence[int], n: int) -> list[int]:
+    """``out[x]`` flags, by bit i, the entries ``values[i]`` that hold
+    point x: the transpose of a row of n-bit sets into n rows indexed by
+    position, one step per set bit."""
+    out = [0] * n
+    for i, v in enumerate(values):
+        bit = 1 << i
+        while v:
+            low = v & -v
+            out[low.bit_length() - 1] |= bit
+            v ^= low
+    return out
+
+
+def rows_within(inside: Sequence[int], images: Sequence[Iterable[int]], everyone: int) -> list[int]:
+    """``out[x]`` flags the positions whose core sits inside every t of
+    ``images[x]``: the AND of the rows ``inside[t]`` of a core table
+    (:func:`member_table` of the cores, one member each)."""
+    out = []
+    for around in images:
+        row = everyone
+        for t in around:
+            row &= inside[t]
+        out.append(row)
+    return out
+
+
+def rows_meeting(inside: Sequence[int], images: Sequence[Iterable[int]], everyone: int,
+                 full: int) -> list[int]:
+    """``out[x]`` flags the positions whose core meets every t of
+    ``images[x]``: a core misses t iff it sits inside ``full ^ t``."""
+    out = []
+    for around in images:
+        missed = 0
+        for t in around:
+            missed |= inside[full ^ t]
+        out.append(everyone & ~missed)
+    return out
+
+
+def points_reached(positions: int, rows: Sequence[int]) -> int:
+    """The points x whose row ``rows[x]`` flags one of ``positions``."""
+    out = 0
+    for x, row in enumerate(rows):
+        if row & positions:
+            out |= 1 << x
     return out
 
 

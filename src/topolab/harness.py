@@ -16,11 +16,11 @@ import operator
 import platform
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .bits import Family, canonical_family, derive_seed, family_plane, submasks_desc
+from .bits import Family, canonical_family, derive_seed, family_plane, iter_points, mask_of
 from .compact import (
     NAMED_CLASSES,
     CoverSystem,
@@ -32,12 +32,9 @@ from .compact import (
     space_compactness_flags,
 )
 from .filters import (
-    Filter,
     adherence_set,
     base_limit_sets,
-    converges,
     convergence_closure,
-    finer_convergent,
     generated_filter,
     is_filterbase,
     is_t2,
@@ -45,7 +42,12 @@ from .filters import (
     member_table,
     nbhd_filterbase,
     neighbourhood_images,
+    point_rows,
+    points_reached,
     principal_rows,
+    refined_core,
+    rows_meeting,
+    rows_within,
 )
 from .jsonio import SchemaError, canonical_json
 from .ops import (
@@ -247,10 +249,11 @@ class _SpaceContext:
     catalog, the requested pairs, the quantified subsets, filterbases and
     cores, and the catalog's readings made once per space (open families,
     monotonicity, the pointwise order, which open families sit inside
-    which, and which enlargers agree on each open family).  The pairs and
-    the quantified subsets, filterbases and cores are built on first
-    read, so a miner that reads only the catalog's readings never builds
-    them.
+    which, and which enlargers agree on each open family).  The pairs,
+    the quantified subsets, filterbases and cores, the lists of wider
+    pairs and the enlargers requested with each selector are built on
+    first read, so a miner that reads only the catalog's readings never
+    builds them.
 
     It keeps no rows: every row built from a pair (pair tables, filter
     rows, neighbourhood images, compactness planes) lives on the pair's
@@ -288,6 +291,8 @@ class _SpaceContext:
             seen: dict = {}
             for b in BUILTIN_NAMES:
                 self.agreement[(a, b)] = seen.setdefault(images(self.ops[b].table), len(seen))
+        #: (a, b) -> :meth:`wider`, filled as pairs are read
+        self._wider: dict[tuple[str, str], list[tuple[str, str]]] = {}
 
     @cached_property
     def pairs(self) -> dict[tuple[str, str], OpPair]:
@@ -308,17 +313,11 @@ class _SpaceContext:
         return sorted(picked)
 
     @cached_property
-    def bases(self) -> list[tuple[int, ...]]:
-        """Filterbases to quantify over: every one up to 3 points, seeded
-        supersets of a random core above."""
+    def bases(self) -> Sequence[tuple[int, ...]]:
+        """Filterbases to quantify over: every one up to 3 points
+        (:func:`_all_bases`), seeded supersets of a random core above."""
         if self.n <= 3:
-            nonempty = list(range(1, 1 << self.n))
-            out = []
-            for sel in range(1, 1 << len(nonempty)):
-                fam = tuple(nonempty[i] for i in range(len(nonempty)) if sel >> i & 1)
-                if is_filterbase(fam):
-                    out.append(fam)
-            return out
+            return _all_bases(self.n)
         # bigger carriers: seeded bases built as supersets of a random core
         rng = random.Random(derive_seed(self.seed, "bases", self.label))
         out = []
@@ -359,8 +358,22 @@ class _SpaceContext:
 
     def wider(self, a: str, b: str) -> list[tuple[str, str]]:
         """The requested pairs (c, d) that (a, b) transfers to, in request
-        order: the c-open family inside the a-open family, and b below d."""
-        return [(c, d) for c, d in self.pair_names if self.inside[(c, a)] and self.order[(b, d)]]
+        order: the c-open family inside the a-open family, and b below d.
+        Each list is built on its first read and kept."""
+        got = self._wider.get((a, b))
+        if got is None:
+            got = self._wider[(a, b)] = [
+                (c, d) for c, d in self.pair_names if self.inside[(c, a)] and self.order[(b, d)]
+            ]
+        return got
+
+    @cached_property
+    def enlargers_of(self) -> dict[str, list[str]]:
+        """The enlargers requested with each selector, in request order."""
+        out: dict[str, list[str]] = {}
+        for a, b in self.pair_names:
+            out.setdefault(a, []).append(b)
+        return out
 
     def enlargers_agree(self, a: str, b: str, c: str) -> bool:
         """Whether enlargers b and c agree on the a-open family."""
@@ -384,6 +397,20 @@ class _SpaceContext:
         ``regularity_scan_skipped`` and ``regularity_unknown`` notes
         pinned in ``bench/expected.json``."""
         return len(fam) ** 3 * max(self.n, 1) > 2 * 10**8
+
+
+@lru_cache(maxsize=4)
+def _all_bases(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every filterbase of nonempty subsets of an n-point set, n at most
+    3: the same for every space of n points, so enumerated once per n
+    (127 subfamilies at 3 points)."""
+    nonempty = range(1, 1 << n)
+    out = []
+    for sel in range(1, 1 << len(nonempty)):
+        fam = tuple(m for i, m in enumerate(nonempty) if sel >> i & 1)
+        if is_filterbase(fam):
+            out.append(fam)
+    return tuple(out)
 
 
 @memoized
@@ -651,11 +678,41 @@ def _suite_families(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     return out
 
 
+def _first_points(rows: Sequence[int]):
+    """(i, x) for each position i flagged in some ``rows[x]``, ascending,
+    with x the lowest such point."""
+    flagged = 0
+    for row in rows:
+        flagged |= row
+    for i in iter_points(flagged):
+        yield i, next(x for x, row in enumerate(rows) if row >> i & 1)
+
+
 def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     out = SuiteResult()
     n, full = ctx.n, ctx.full
+    exhaustive = n <= EXHAUSTIVE_POINTS
     base_cores = [generated_filter(n, base).core for base in ctx.bases]
     has = member_table(ctx.bases, n)
+    # per-point rows flag the quantified cores by their position i in the
+    # core list; inside[t] flags the cores inside t
+    cores = ctx.core_list
+    everyone = (1 << len(cores)) - 1
+    inside = member_table([(c,) for c in cores], n)
+    singletons = mask_of(i for i, c in enumerate(cores) if c.bit_count() == 1)
+    values: dict = {}
+
+    def core_values(q: OpPair) -> tuple[list[int], list[int]]:
+        """The limit and adherence sets of the quantified cores, by
+        position: one read of each kernel's rows per suite."""
+        got = values.get(q.kernel)
+        if got is None:
+            lim, adh = principal_rows(q)
+            got = values[q.kernel] = [lim[c] for c in cores], [adh[c] for c in cores]
+        return got
+
+    def subject(i: int) -> str:
+        return _mask_str(ctx, cores[i])
 
     def check(a: str, b: str, out: SuiteResult) -> None:
         p = ctx.pairs[(a, b)]
@@ -669,6 +726,8 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         inter_closed = ctx.top.family_props(sel_open)[0]
         monotone_enl = ctx.monotone[b]
         lim, adh = principal_rows(p)
+        lims, adhs = core_values(p)
+        lim_at, adh_at = point_rows(lims, n), point_rows(adhs, n)
         env = envelopes(p)
 
         # base predicates match the generated filter's; the witness is the
@@ -683,43 +742,42 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
         # superset-closed neighbourhood variant changes nothing (monotone
         # enlarger); each up-set is one pass over all subsets, and the
-        # variant is gated on bigger carriers.  Every core is tested
+        # variant is gated on bigger carriers.  The cores are tested
         # literally against the distinct enlargements of the up-set around
-        # each point, kept on the kernel
+        # each point, kept on the kernel: one core-table row per member
         if monotone_enl and (1 << n) * max(len(sel_open), 1) <= 10**7:
             images = neighbourhood_images(p)
-            for core in ctx.core_list:
-                out.instances_checked += 1
-                lim_c, adh_c = lim[core], adh[core]
-                for x, around in enumerate(images):
-                    if bool(lim_c >> x & 1) != all(core & ~t == 0 for t in around) or \
-                       bool(adh_c >> x & 1) != all(t & core for t in around):
-                        _fail(out, ctx, pair, _mask_str(ctx, core), "neighbourhood variant agrees", str(x))
-                        break
+            out.instances_checked += len(cores)
+            within = rows_within(inside, images, everyone)
+            meeting = rows_meeting(inside, images, everyone, full)
+            bad = [(lim_at[x] ^ within[x]) | (adh_at[x] ^ meeting[x]) for x in range(n)]
+            for i, x in _first_points(bad):
+                _fail(out, ctx, pair, subject(i), "neighbourhood variant agrees", str(x))
         elif monotone_enl:
             out.notes["neighbourhood_variant_skipped"] = out.notes.get("neighbourhood_variant_skipped", 0) + 1
 
-        # the distinct enlargements of the selector-open sets around each point
+        # membership characterization of convergence, against the
+        # distinct enlargements of the selector-open sets around each point
         groups = image_groups(p)
         images_at = [[t for t, union in groups if union >> x & 1] for x in range(n)]
-        for core in ctx.core_list:
-            out.instances_checked += 1
-            lim_c = lim[core]
-            if lim_c & ~adh[core]:
-                _fail(out, ctx, pair, _mask_str(ctx, core), "limits are adherent")
-            # membership characterization of convergence
-            for x in range(n):
-                lit = all(core & ~t == 0 for t in images_at[x])
-                if bool(lim_c >> x & 1) != lit:
-                    _fail(out, ctx, pair, _mask_str(ctx, core), "convergence is enlarged-members containment", str(x))
-                    break
+        within = rows_within(inside, images_at, everyone)
+        out.instances_checked += len(cores)
+        unadherent = 0
+        for x in range(n):
+            unadherent |= lim_at[x] & ~adh_at[x]
+        uncontained = [lim_at[x] ^ within[x] for x in range(n)]
+        first = dict(_first_points(uncontained))
+        for i in iter_points(unadherent | mask_of(first)):
+            if unadherent >> i & 1:
+                _fail(out, ctx, pair, subject(i), "limits are adherent")
+            if i in first:
+                _fail(out, ctx, pair, subject(i), "convergence is enlarged-members containment", str(first[i]))
 
         # refinement monotonicity; single-point core drops suffice, any
         # refinement is a chain of them and the two set maps compose
-        for c1 in ctx.core_list:
+        for c1, lim1, adh1 in zip(cores, lims, adhs):
             if c1.bit_count() == 1:
                 continue
-            lim1, adh1 = lim[c1], adh[c1]
             out.instances_checked += 1
             broken = False
             for i in range(n):
@@ -734,38 +792,43 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 break
 
         # accumulation equals existence of a finer convergent filter, and
-        # the refinement construction is exercised on every core
-        for core in ctx.core_list:
-            out.instances_checked += 1
-            if n <= EXHAUSTIVE_POINTS:
-                # the literal submask scan, read off the limit row
-                literal = 0
-                for c2 in submasks_desc(core):
-                    if c2:
-                        literal |= lim[c2]
+        # the refinement construction is exercised on every accumulating
+        # core and point.  Exact: convergence survives refinement, so some
+        # finer filter converges iff some singleton core inside does, i.e.
+        # iff the core meets the envelope; the literal submask scan, read
+        # off the limit rows, is kept on small carriers to check exactly that
+        out.instances_checked += len(cores)
+        finer_at = [everyone & ~inside[full ^ e] for e in env]
+        statements = []
+        if exhaustive:
+            # up to 4 points inside[core] flags every nonempty submask
+            literal_at = point_rows([points_reached(inside[c], lim_at) for c in cores], n)
+            statements.append(("singleton cores decide finer convergence",
+                               [literal_at[x] ^ finer_at[x] for x in range(n)]))
+        statements.append(("convergent refinements accumulate",
+                           [finer_at[x] & ~adh_at[x] for x in range(n)]))
+        if regular:
+            statements.append(("regular: accumulation iff finer convergence",
+                               [adh_at[x] ^ finer_at[x] for x in range(n)]))
+            unrefined = [0] * n
             for x in range(n):
-                acc = bool(adh[core] >> x & 1)
-                # exact: convergence survives refinement, so some finer
-                # filter converges iff some singleton core inside does; the
-                # literal scan is kept on small carriers to check exactly that
-                finer = bool(core & env[x])
-                if n <= EXHAUSTIVE_POINTS and bool(literal >> x & 1) != finer:
-                    _fail(out, ctx, pair, _mask_str(ctx, core),
-                          "singleton cores decide finer convergence", str(x))
-                if finer and not acc:
-                    _fail(out, ctx, pair, _mask_str(ctx, core), "convergent refinements accumulate", str(x))
-                if regular:
-                    if acc != finer:
-                        _fail(out, ctx, pair, _mask_str(ctx, core), "regular: accumulation iff finer convergence", str(x))
-                    if acc:
-                        F = Filter(n, core)
-                        try:
-                            G = finer_convergent(F, p, x)
-                            good = G.is_finer_than(F) and converges(G, p, x)
-                        except RuntimeError:
-                            good = False
-                        if not good:
-                            _fail(out, ctx, pair, _mask_str(ctx, core), "refinement construction converges", str(x))
+                for i in iter_points(adh_at[x]):
+                    try:
+                        meet = refined_core(p, cores[i], x)
+                    except RuntimeError:
+                        meet = 0
+                    if not meet or meet & ~cores[i] or meet & ~env[x]:
+                        unrefined[x] |= 1 << i
+            statements.append(("refinement construction converges", unrefined))
+        flagged = 0
+        for _, rows in statements:
+            for row in rows:
+                flagged |= row
+        for i in iter_points(flagged):
+            for x in range(n):
+                for statement, rows in statements:
+                    if rows[x] >> i & 1:
+                        _fail(out, ctx, pair, subject(i), statement, str(x))
 
         # maximal filters: accumulation already is convergence
         for F in maximal_filters(ctx.top):
@@ -775,11 +838,10 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
         # separation kills multiple limits
         if is_t2(p):
-            for core in ctx.core_list:
-                lim_c = lim[core]
-                out.instances_checked += 1
-                if lim_c and (adh[core] != lim_c or lim_c.bit_count() > 1):
-                    _fail(out, ctx, pair, _mask_str(ctx, core), "separated pairs give unique limits")
+            out.instances_checked += len(cores)
+            for i, (lim_c, adh_c) in enumerate(zip(lims, adhs)):
+                if lim_c and (adh_c != lim_c or lim_c.bit_count() > 1):
+                    _fail(out, ctx, pair, subject(i), "separated pairs give unique limits")
 
         # neighbourhood filterbases converge by construction
         if inter_closed and nested:
@@ -798,28 +860,28 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                     _fail(out, ctx, pair, str(x), "enlarged neighbourhood base converges")
 
         # filters versus the pair closure; cores inside s are scanned in
-        # full on small carriers, while above that the scan shrinks to the
-        # singletons and s itself, which is exact: convergence survives
-        # refinement (singletons decide it) and accumulation survives
-        # coarsening (the core s decides it)
-        def cores_within(s: int):
-            if n <= EXHAUSTIVE_POINTS:
-                return [c for c in submasks_desc(s) if c]
-            singles = [1 << i for i in range(n) if s >> i & 1]
-            return sorted({s, *singles} - {0})
-
+        # full on small carriers (every core inside[s] flags), while above
+        # that the scan shrinks to the singletons and s itself, which is
+        # exact: convergence survives refinement (singletons decide it)
+        # and accumulation survives coarsening (the core s decides it).
+        # Above 4 points s need not be a quantified core, so its rows are
+        # read directly
         for s in ctx.subsets:
             pc = pair_closure(p, s)
             out.instances_checked += 1
             # points where some filter containing s accumulates / converges
-            acc_exists = conv_exists = 0
-            for c in cores_within(s):
-                acc_exists |= adh[c]
-                conv_exists |= lim[c]
-            for x in range(n):
-                if acc_exists >> x & 1 and not pc >> x & 1:
+            within = inside[s] if exhaustive else inside[s] & singletons
+            acc_exists = points_reached(within, adh_at)
+            conv_exists = points_reached(within, lim_at)
+            if s and not exhaustive:
+                acc_exists |= adh[s]
+                conv_exists |= lim[s]
+            unclosed = acc_exists & ~pc
+            unreached = pc ^ conv_exists if regular else 0
+            for x in iter_points(unclosed | unreached):
+                if unclosed >> x & 1:
                     _fail(out, ctx, pair, _mask_str(ctx, s), "accumulating filters land in the closure", str(x))
-                if regular and (pc ^ conv_exists) >> x & 1:
+                if unreached >> x & 1:
                     _fail(out, ctx, pair, _mask_str(ctx, s), "regular: closure points are filter limits", str(x))
             if regular:
                 closed = pc & ~s == 0
@@ -836,7 +898,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             out.instances_checked += 1
             if any(ccl[s] != pair_closure(p, s) for s in ctx.subsets):
                 _fail(out, ctx, pair, "cl*", "regular: convergence closure is the pair closure")
-            if n <= EXHAUSTIVE_POINTS:
+            if exhaustive:
                 # every subset is quantified here, so ccl holds every complement
                 fam = pair_open_family(p)
                 tau_sub = tuple(
@@ -861,14 +923,14 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             wide = ctx.pairs[(c, d)]
             key = wide.kernel
             if key not in first_break:
-                wide_lim, wide_adh = principal_rows(wide)
+                wide_lims, wide_adhs = core_values(wide)
                 first_break[key] = next((
-                    core for core in ctx.core_list
-                    if lim[core] & ~wide_lim[core] or adh[core] & ~wide_adh[core]
+                    i for i in range(len(cores))
+                    if lims[i] & ~wide_lims[i] or adhs[i] & ~wide_adhs[i]
                 ), None)
             out.instances_checked += 1
             if first_break[key] is not None:
-                _fail(out, ctx, pair, f"{c},{d}", "transfer to a wider pair", _mask_str(ctx, first_break[key]))
+                _fail(out, ctx, pair, f"{c},{d}", "transfer to a wider pair", subject(first_break[key]))
 
     ctx.each_pair(out, lambda a, b: ctx.pairs[(a, b)].kernel, check)
     return out
@@ -978,18 +1040,16 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     def agreeing(a: str, b: str, out: SuiteResult) -> None:
         # enlargers agreeing on the selector-open family give one verdict;
         # the partners share the selector's name, so this runs per name
-        for (c, d) in ctx.pair_names:
-            if c != a or d == b:
-                continue
-            if ctx.enlargers_agree(a, b, d):
+        for d in ctx.enlargers_of[a]:
+            if d != b and ctx.enlargers_agree(a, b, d):
                 out.instances_checked += 1
-                p, q = ctx.pairs[(a, b)], ctx.pairs[(c, d)]
+                p, q = ctx.pairs[(a, b)], ctx.pairs[(a, d)]
                 diff = quantified & (
                     (failing_plane(p) ^ failing_plane(q))
                     | (failing_plane(p, "pair_open") ^ failing_plane(q, "pair_open"))
                 )
                 if diff:
-                    _fail(out, ctx, p.name, f"{c},{d}", "agreeing enlargers give one verdict", first(diff))
+                    _fail(out, ctx, p.name, f"{a},{d}", "agreeing enlargers give one verdict", first(diff))
 
     # the body reads the selector's table twice: through hypothesis_d of
     # the base report and through the additive hypothesis

@@ -21,7 +21,9 @@ for the enlarger sitting above the identity and for the four base flags
 the per-point envelope scan, and the row-by-row meet loop that the
 minimal neighbourhoods, the subbasis neighbourhoods, the envelopes, the
 closed-family meets, pair-separation and regularity each ran before they
-became one lane kernel.  None of them import the code paths they validate.
+became one lane kernel, and the filters suite's per-core statements as
+they ran, one core and point at a time, before its rows were indexed by
+core position.  None of them import the code paths they validate.
 """
 
 from __future__ import annotations
@@ -577,3 +579,99 @@ def scan_base_flags(p) -> tuple[bool, bool, bool, bool]:
     in_both = base_pair_open and base <= sel_open
     is_base = pair_open <= set(pairwise_fixpoint({0, *base}, operator.or_))
     return nested, base_pair_open, in_both, is_base
+
+
+def per_core_filter_records(ctx, a: str, b: str, rows, mask_str) -> list[tuple]:
+    """The filters suite's per-core statements for the named pair (a, b),
+    one core and one point at a time: the loops the suite ran before its
+    rows were indexed by core position.  Records are (pair, statement,
+    subject, witness) in the suite's order.  The limit and adherence rows
+    come from ``rows(pair)`` (core -> set); the neighbourhoods, the
+    enlarged neighbourhoods, the envelopes, separation, the pair closure
+    and the refinement construction are read literally."""
+    from topolab import Filter
+    from topolab.ops import leq
+
+    p = ctx.pairs[(a, b)]
+    n, full = ctx.n, ctx.full
+    fam = scan_open_family(p.selector)
+    enl = p.enlarger.table
+    regular = bool(ctx.regularity(a, b))
+    lim, adh = rows(p)
+    env = [scan_envelope(p, x) for x in range(n)]
+    cores = ctx.core_list
+    out = []
+
+    def fail(subject: str, statement: str, witness: str = "") -> None:
+        out.append((f"{a},{b}", statement, subject, witness))
+
+    if ctx.monotone[b] and (1 << n) * max(len(fam), 1) <= 10**7:
+        around = [{enl[m] for m in literal_neighborhoods(n, fam, x)} for x in range(n)]
+        for core in cores:
+            for x in range(n):
+                if bool(lim[core] >> x & 1) != all(core & ~t == 0 for t in around[x]) or \
+                   bool(adh[core] >> x & 1) != all(t & core for t in around[x]):
+                    fail(mask_str(core), "neighbourhood variant agrees", str(x))
+                    break
+
+    for core in cores:
+        if lim[core] & ~adh[core]:
+            fail(mask_str(core), "limits are adherent")
+        for x in range(n):
+            if bool(lim[core] >> x & 1) != family_converges(core, p, x, fam):
+                fail(mask_str(core), "convergence is enlarged-members containment", str(x))
+                break
+
+    for core in cores:
+        literal = 0
+        if n <= 4:
+            for c2 in submasks_desc(core):
+                if c2:
+                    literal |= lim[c2]
+        for x in range(n):
+            acc = bool(adh[core] >> x & 1)
+            finer = bool(core & env[x])
+            if n <= 4 and bool(literal >> x & 1) != finer:
+                fail(mask_str(core), "singleton cores decide finer convergence", str(x))
+            if finer and not acc:
+                fail(mask_str(core), "convergent refinements accumulate", str(x))
+            if regular:
+                if acc != finer:
+                    fail(mask_str(core), "regular: accumulation iff finer convergence", str(x))
+                if acc:
+                    g = literal_finer_convergent(Filter(n, core), p, x)
+                    if g is None or g & ~core or not family_converges(g, p, x, fam):
+                        fail(mask_str(core), "refinement construction converges", str(x))
+
+    if literal_is_t2(p):
+        for core in cores:
+            if lim[core] and (adh[core] != lim[core] or lim[core].bit_count() > 1):
+                fail(mask_str(core), "separated pairs give unique limits")
+
+    for s in ctx.subsets:
+        pc = pointwise_pair_closure(p, s)
+        if n <= 4:
+            within = [c for c in submasks_desc(s) if c]
+        else:
+            within = sorted({s, *(1 << i for i in range(n) if s >> i & 1)} - {0})
+        acc_exists = conv_exists = 0
+        for c in within:
+            acc_exists |= adh[c]
+            conv_exists |= lim[c]
+        for x in range(n):
+            if acc_exists >> x & 1 and not pc >> x & 1:
+                fail(mask_str(s), "accumulating filters land in the closure", str(x))
+            if regular and (pc ^ conv_exists) >> x & 1:
+                fail(mask_str(s), "regular: closure points are filter limits", str(x))
+        if regular and (pc & ~s == 0) != (conv_exists & ~s == 0):
+            fail(mask_str(s), "regular: closed iff limits stay inside")
+
+    for c, d in ctx.pair_names:
+        if not (set(ctx.open_sets[c]) <= set(ctx.open_sets[a]) and leq(ctx.ops[b], ctx.ops[d])):
+            continue
+        wide_lim, wide_adh = rows(ctx.pairs[(c, d)])
+        for core in cores:
+            if lim[core] & ~wide_lim[core] or adh[core] & ~wide_adh[core]:
+                fail(f"{c},{d}", "transfer to a wider pair", mask_str(core))
+                break
+    return out

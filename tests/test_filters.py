@@ -23,6 +23,7 @@ from topolab import (
     pair_closure,
     random_topology,
 )
+from topolab.filters import refined_core
 
 from oracles import (
     literal_finer_convergent,
@@ -305,6 +306,29 @@ def test_finer_convergent_matches_literal_construction():
                             with pytest.raises(ValueError):
                                 finer_convergent(f, p, x)
     assert built > 10_000
+
+
+def test_refined_core_matches_literal_construction_without_preconditions():
+    # the closed form needs neither regularity nor accumulation: on every
+    # core and point of every space up to 3 points, for every pair, it
+    # refuses exactly where the literal cuts are no filterbase and
+    # otherwise returns their meet
+    refused = 0
+    for top in small_spaces():
+        n = top.n
+        for a in BUILTIN_NAMES:
+            for b in BUILTIN_NAMES:
+                p = pair(top, a, b)
+                for core in range(1, 1 << n):
+                    for x in range(n):
+                        literal = literal_finer_convergent(Filter(n, core), p, x)
+                        if literal is None:
+                            refused += 1
+                            with pytest.raises(RuntimeError):
+                                refined_core(p, core, x)
+                        else:
+                            assert refined_core(p, core, x) == literal, (top, a, b, core, x)
+    assert refused > 10_000
 
 
 def test_nbhd_filterbase(s2):

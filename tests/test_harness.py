@@ -31,11 +31,21 @@ from topolab import (
 )
 from topolab import compact, filters, harness
 from topolab import ops as ops_module
-from topolab.bits import intersect_all
-from topolab.filters import principal_rows
+from topolab.bits import intersect_all, mask_of, submasks_desc
+from topolab.filters import (
+    member_table,
+    neighbourhood_images,
+    point_rows,
+    points_reached,
+    principal_rows,
+    rows_meeting,
+    rows_within,
+)
+from topolab.pairs import envelopes, image_groups
 from topolab.ops import Operation
 from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES, _SpaceContext, _mask_str
 
+import oracles
 from oracles import (
     family_accumulates,
     family_converges,
@@ -260,6 +270,111 @@ def test_emptied_limit_row_fails_transfer_per_name(monkeypatch):
     assert got == expected
 
 
+def test_position_rows_match_the_per_core_predicates():
+    # the filters suite's rows flag the quantified cores by position: the
+    # transposed limit and adherence rows, the core table and the literal
+    # rows read off it (containment, the neighbourhood variant, the submask
+    # scan, the cores inside a set) and the finer-convergence rows, each
+    # against its per-core predicate, on every kernel of every space of at
+    # most 3 points and of seeded 5-, 6- and 10-point spaces
+    def under(s, row):
+        """The OR of ``row`` over the nonempty submasks of s."""
+        out = 0
+        for c in submasks_desc(s):
+            if c:
+                out |= row[c]
+        return out
+
+    spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
+    spaces += [random_topology(n, seed, n) for n, seed in ((5, 51), (6, 52), (10, 53))]
+    for i, top in enumerate(spaces):
+        n, full = top.n, top.full
+        ctx = _SpaceContext(f"s{i}", top, SuiteConfig())
+        cores = list(ctx.core_list)
+        everyone = (1 << len(cores)) - 1
+        inside = member_table([(c,) for c in cores], n)
+        assert all(inside[t] == mask_of(j for j, c in enumerate(cores) if c & ~t == 0)
+                   for t in range(1 << n)), i
+
+        def flags(test):
+            return [mask_of(j for j, c in enumerate(cores) if test(c, x)) for x in range(n)]
+
+        for p in {p.kernel: p for p in ctx.pairs.values()}.values():
+            lim, adh = principal_rows(p)
+            lim_at = point_rows([lim[c] for c in cores], n)
+            adh_at = point_rows([adh[c] for c in cores], n)
+            assert lim_at == flags(lambda c, x: lim[c] >> x & 1), (i, p.name)
+            assert adh_at == flags(lambda c, x: adh[c] >> x & 1), (i, p.name)
+            fam = p.kernel.family
+            images_at = [[t for t, union in image_groups(p) if union >> x & 1] for x in range(n)]
+            assert rows_within(inside, images_at, everyone) == flags(
+                lambda c, x: family_converges(c, p, x, fam)), (i, p.name)
+            images = neighbourhood_images(p)
+            assert rows_within(inside, images, everyone) == flags(
+                lambda c, x: all(c & ~t == 0 for t in images[x])), (i, p.name)
+            assert rows_meeting(inside, images, everyone, full) == flags(
+                lambda c, x: all(t & c for t in images[x])), (i, p.name)
+            env = envelopes(p)
+            assert [everyone & ~inside[full ^ e] for e in env] == flags(
+                lambda c, x: c & env[x]), (i, p.name)
+            if n > 3:
+                continue
+            literal_at = point_rows([points_reached(inside[c], lim_at) for c in cores], n)
+            assert literal_at == flags(lambda c, x: under(c, lim) >> x & 1), (i, p.name)
+            for s in range(1 << n):
+                assert points_reached(inside[s], adh_at) == under(s, adh), (i, p.name, s)
+                assert points_reached(inside[s], lim_at) == under(s, lim), (i, p.name, s)
+
+
+@pytest.mark.parametrize("row, pair, core, points", [
+    (0, "int,cl", "point", "top"), (1, "int,cl", "point", "all"),
+    (1, "identity,identity", "whole", "top"),
+])
+def test_flipped_row_bit_fails_like_the_per_core_loop(monkeypatch, row, pair, core, points):
+    # wrong bits in one kernel's limit (row 0) or adherence (row 1) row,
+    # at the core {0} or the whole set, flipped at the top point or at
+    # every point: the per-core statements report what the per-core loop
+    # over the same rows reports, pair by pair, with every other input
+    # read literally.  The three cases between them fail all twelve
+    # statements, and the second fails several at more than one point of
+    # a core
+    cfg = SuiteConfig(n_exhaustive=2, n_sampled=5, samples=1, seed=7, suites=("filters",))
+    spaces = sweep_spaces(cfg)
+    # the contexts hold the kernels, so the sweep's pairs share them
+    contexts = [_SpaceContext(label, top, cfg) for label, top in spaces]
+    targets = {ctx.top: ctx.pairs[tuple(pair.split(","))].kernel for ctx in contexts}
+    real = harness.principal_rows
+
+    def flipped(p):
+        got = real(p)
+        if p.kernel is not targets[p.topology]:
+            return got
+        top = p.topology
+        rows = [{c: r[c] for c in range(1, 1 << top.n)} for r in got]
+        rows[row][1 if core == "point" else top.full] ^= top.full if points == "all" else 1 << (top.n - 1)
+        return tuple(rows)
+
+    monkeypatch.setattr(harness, "principal_rows", flipped)
+    expected = []
+    for ctx in contexts:
+        for a, b in ctx.pair_names:
+            expected += oracles.per_core_filter_records(
+                ctx, a, b, flipped, lambda m, ctx=ctx: _mask_str(ctx, m))
+    statements = {r[1] for r in expected}
+    assert len(statements) >= 3, statements
+    got = _records(run_suites(cfg, spaces).suites["filters"])
+    checked = {
+        "neighbourhood variant agrees", "limits are adherent",
+        "convergence is enlarged-members containment",
+        "singleton cores decide finer convergence", "convergent refinements accumulate",
+        "regular: accumulation iff finer convergence", "refinement construction converges",
+        "separated pairs give unique limits", "accumulating filters land in the closure",
+        "regular: closure points are filter limits", "regular: closed iff limits stay inside",
+        "transfer to a wider pair",
+    }
+    assert [r for r in got if r[1] in checked] == expected
+
+
 def test_padded_neighbourhoods_fail_like_the_per_core_predicates(monkeypatch):
     # an extra singleton in every neighbourhood up-set: the variant's
     # distinct-image test reports what the per-core predicates over the
@@ -434,10 +549,10 @@ def test_filter_rows_match_literal_rules():
 def test_refinement_construction_runs_on_multipoint_cores(monkeypatch):
     # a broken construction must be reported on cores of several points
     # above three points, not only on singletons
-    def broken(f, p, point):
-        raise RuntimeError("refined filter failed its contract")
+    def broken(p, core, point):
+        raise RuntimeError("refinement base failed the filterbase laws")
 
-    monkeypatch.setattr(harness, "finer_convergent", broken)
+    monkeypatch.setattr(harness, "refined_core", broken)
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=5, samples=1,
                       pairs=("int,cl", "int,identity"), suites=("filters",))
     failures = run_suites(cfg).suites["filters"].failures
@@ -549,10 +664,10 @@ def test_failing_runs_are_not_shared(monkeypatch):
     # a failing run names its pair, so every kernel twin of a failing pair
     # (the filters suite's run key) runs its own body and fails with the
     # same records under its own name
-    def broken(f, p, point):
-        raise RuntimeError("refined filter failed its contract")
+    def broken(p, core, point):
+        raise RuntimeError("refinement base failed the filterbase laws")
 
-    monkeypatch.setattr(harness, "finer_convergent", broken)
+    monkeypatch.setattr(harness, "refined_core", broken)
     cfg = SuiteConfig(n_exhaustive=3, suites=("filters",))
     records = {}
     for f in run_suites(cfg).suites["filters"].failures:
@@ -602,10 +717,10 @@ def test_report_does_not_depend_on_pair_order(monkeypatch):
     # a name leaking into a shared run would make the counts depend on
     # which name of a group runs first; the broken refinement construction
     # gives the filters suite failures to compare as well
-    def broken(f, p, point):
-        raise RuntimeError("refined filter failed its contract")
+    def broken(p, core, point):
+        raise RuntimeError("refinement base failed the filterbase laws")
 
-    monkeypatch.setattr(harness, "finer_convergent", broken)
+    monkeypatch.setattr(harness, "refined_core", broken)
     forward = run_suites(SuiteConfig(n_exhaustive=3)).suites
     backward = run_suites(SuiteConfig(n_exhaustive=3, pairs=CATALOG_PAIRS[::-1])).suites
     assert forward["filters"].failures
