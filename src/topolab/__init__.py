@@ -53,6 +53,7 @@ from .filters import (
     Filter,
     accumulates,
     adherence_set,
+    base_adherence_sets,
     base_limit_sets,
     converges,
     convergence_closure,

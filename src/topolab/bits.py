@@ -13,15 +13,14 @@ holding the entry for subset a.  Closing a table upwards along point i
 is one shift-and-OR of the lanes of the subsets without i onto those
 with it, so a transform is n big-integer steps rather than n * 2**n
 interpreted ones.  Tables cross between lists and integers only through
-base-2 digits and ``int.to_bytes``/``int.from_bytes``, never decimal, so
-the interpreter's int-to-str digit limit never applies.
+base-2 digits, ``struct`` and ``int.to_bytes``/``int.from_bytes``, never
+decimal, so the interpreter's int-to-str digit limit never applies.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
-from array import array
+import struct
 from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
@@ -32,9 +31,10 @@ SUBFAMILY_CAP = 20  # 2**20 subfamily masks is the largest scan we allow
 #: ground sets are capped at this many points (:mod:`topolab.space`)
 MAX_POINTS = 16
 
-_LANE_CODE = {array(code).itemsize: code for code in "BHILQ"}
+_PACK_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct's standard sizes
 _LANE_BYTES = (1, 1, 2, 4, 4, 8, 8, 8, 8)  # lane bytes for entries of 0-8 bytes
 _DIGIT_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+_ZERO_FLAG = b"\1" + bytes(255)  # byte -> 1 if it is zero, else 0
 
 
 def derive_seed(*parts) -> int:
@@ -147,78 +147,89 @@ def _bits_of(plane: int) -> Family:
 def pack_lanes(table: Sequence[int]) -> tuple[int, int]:
     """``table`` as one integer of equal byte-aligned lanes, lane a
     holding ``table[a]``: (lanes, lane width in bits).  Lanes are 1, 2,
-    4 or 8 bytes through ``array``, byte-swapped on big-endian hosts;
-    wider entries go through one ``int.to_bytes`` each."""
+    4 or 8 bytes through one little-endian ``struct.pack``; wider
+    entries go through one ``int.to_bytes`` each."""
     need = (max(table).bit_length() + 7) >> 3
     lane = _LANE_BYTES[need] if need <= 8 else need
-    code = _LANE_CODE.get(lane)
+    code = _PACK_CODE.get(lane)
     if code is None:
         raw = b"".join(v.to_bytes(lane, "little") for v in table)
     else:
-        words = array(code, table)
-        if sys.byteorder == "big":
-            words.byteswap()
-        raw = words.tobytes()
+        raw = struct.pack(f"<{len(table)}{code}", *table)
     return int.from_bytes(raw, "little"), 8 * lane
+
+
+def row_planes(rows: Iterable[tuple[int, int]], n: int) -> tuple[list[int], list[int], int]:
+    """The rows (t, u) of n-point sets transposed into bit-planes (Warren,
+    "Hacker's Delight", 2nd ed., ch. 7): ``(held, hit, ones)``, where
+    ``held[x]`` flags the rows whose u holds x, ``hit[y]`` those whose t
+    holds y, and ``ones`` flags every row.
+
+    Each row is one lane ``t << n | u`` (:func:`pack_lanes`), a flag is
+    the low bit of its row's lane, and ``ones`` is the low bit of every
+    lane.  A closing row (whole set, empty set) is added: its u holds no
+    point and its t every point, so it sits in every ``hit`` plane and
+    in no ``held`` plane.  It makes every lane 2n bits wide, so that no
+    shift reads a neighbouring row, and lets no rows pack too.
+    """
+    table = [t << n | u for t, u in rows]
+    table.append(((1 << n) - 1) << n)
+    lanes, width = pack_lanes(table)
+    ones = int.from_bytes(b"\1".ljust(width >> 3, b"\0") * len(table), "little")
+    return [lanes >> x & ones for x in range(n)], [lanes >> (n + y) & ones for y in range(n)], ones
 
 
 def point_meets(rows: Iterable[tuple[int, int]], n: int) -> tuple[int, ...]:
     """``out[x]`` is the meet of the t over the rows (t, u) whose u
     (inside the n points) holds x, or the whole set where no row does.
 
-    Each row is one lane ``t << n | u`` (:func:`pack_lanes`), and ``ones``
-    is the low bit of every lane.  The row (whole set, whole set) changes
-    no meet; it is added so that every lane is 2n bits wide and so that no
-    rows packs too.  Shifts transpose the rows into bit-planes (Warren,
-    "Hacker's Delight", 2nd ed., ch. 7): ``lanes >> x & ones`` flags the
-    rows whose u holds x, ``~lanes >> (n + y) & ones`` those whose t
-    misses y, and y is in out[x] iff the two share no row: n**2 ANDs of
-    whole planes.
+    On the planes of :func:`row_planes`, y is in out[x] iff no row whose
+    u holds x has a t missing y: n**2 ANDs of whole planes.  The closing
+    row's t misses no point, so it changes no meet.
     """
-    table = [t << n | u for t, u in rows]
-    table.append((1 << 2 * n) - 1)
-    lanes, width = pack_lanes(table)
-    ones = int.from_bytes(b"\1".ljust(width >> 3, b"\0") * len(table), "little")
-    inv = ~lanes >> n
-    missing = [(1 << y, inv >> y & ones) for y in range(n)]
+    held, hit, ones = row_planes(rows, n)
+    missing = [(1 << y, ones & ~plane) for y, plane in enumerate(hit)]
     out = []
-    for x in range(n):
-        held, meet = lanes >> x & ones, 0
+    for plane in held:
+        meet = 0
         for bit, miss in missing:
-            if not held & miss:
+            if not plane & miss:
                 meet |= bit
         out.append(meet)
     return tuple(out)
 
 
-def contained_union_table(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
-    """table[a] = union of the payloads whose key mask sits inside ``a``.
+def contained_union_lanes(pairs: Iterable[tuple[int, int]], n: int) -> tuple[int, int]:
+    """:func:`contained_union_table` as (lanes, lane width in bits), lane
+    a holding the union of the payloads whose key sits inside a.
 
     Subset-sum (zeta) transform over the subset lattice: seed each key
     with the union of its payloads, then close upwards one point at a
     time.  The table is one integer of 2**n byte-aligned lanes
     (:func:`pack_lanes`), so each point is one shift-and-OR over all of them.
     """
-    size = 1 << n
-    table = [0] * size
+    table = [0] * (1 << n)
     for key, payload in pairs:
         table[key] |= payload
     lanes, width = pack_lanes(table)
-    lane = width // 8
-    code = _LANE_CODE.get(lane)
-    raw = _zeta(lanes, _clear_masks(n, width), width).to_bytes(size * lane, "little")
+    return _zeta(lanes, _clear_masks(n, width), width), width
+
+
+def unpack_lanes(lanes: int, width: int, n: int) -> tuple[int, ...]:
+    """The 2**n ``width``-bit lanes of ``lanes`` as a tuple: the inverse
+    of :func:`pack_lanes`."""
+    lane = width >> 3
+    raw = lanes.to_bytes(lane << n, "little")
+    code = _PACK_CODE.get(lane)
     if code is None:
-        return [int.from_bytes(raw[i:i + lane], "little") for i in range(0, len(raw), lane)]
-    words = array(code)
-    words.frombytes(raw)
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words.tolist()
+        return tuple(int.from_bytes(raw[i:i + lane], "little") for i in range(0, len(raw), lane))
+    return struct.unpack(f"<{1 << n}{code}", raw)
 
 
-def within_image(table: Sequence[int]) -> Family:
-    """Every mask a that sits inside ``table[a]``, ascending."""
-    return tuple(a for a, image in enumerate(table) if a & ~image == 0)
+def contained_union_table(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
+    """table[a] = union of the payloads whose key mask sits inside ``a``:
+    :func:`contained_union_lanes`, unpacked."""
+    return list(unpack_lanes(*contained_union_lanes(pairs, n), n))
 
 
 def is_monotone_lanes(lanes: int, width: int, n: int) -> bool:
@@ -232,6 +243,24 @@ def is_monotone_lanes(lanes: int, width: int, n: int) -> bool:
     return not any(
         (lanes & clear) << (width << i) & ~lanes for i, clear in _clear_masks(n, width)
     )
+
+
+def zero_lanes(lanes: int, width: int, n: int) -> Family:
+    """The a, ascending, whose lane is zero among 2**n ``width``-bit lanes.
+
+    Each step ORs the lanes onto themselves shifted down by the bytes
+    gathered so far, so that at the end the low byte of each lane is the
+    OR of all its bytes; those low bytes, one per lane, are read as flags
+    in C.  ``identity & ~table`` is zero at lane a iff a sits inside
+    ``table[a]``, so the open family of a table is one call.
+    """
+    lane, covered = width >> 3, 8
+    while covered < width:
+        step = min(covered, width - covered)
+        lanes |= lanes >> step
+        covered += step
+    flags = lanes.to_bytes(lane << n, "little")[::lane].translate(_ZERO_FLAG)
+    return tuple(compress(range(1 << n), flags))
 
 
 def down_plane(family: Iterable[int], n: int) -> int:
@@ -276,7 +305,13 @@ def upward_closure(family: Iterable[int], n: int) -> Family:
 
 def union_closure_plane(family: Iterable[int], n: int) -> int:
     """The 2**n-bit plane flagging every union of members of ``family``,
-    the empty union included.
+    the empty union included (:func:`close_unions` of its plane)."""
+    return close_unions(family_plane(family, n), n)
+
+
+def close_unions(members: int, n: int) -> int:
+    """The union closure of the family flagged by the 2**n-bit plane
+    ``members``, as a plane.
 
     A subset s is a union of members exactly when each point b of s lies
     in some member inside s.  For each b, the zeta transform of the
@@ -284,11 +319,17 @@ def union_closure_plane(family: Iterable[int], n: int) -> int:
     the sets flagged for every point they hold are the union closure.
     """
     masks = _clear_masks(n, 1)
-    members = family_plane(family, n)
     ok = (1 << (1 << n)) - 1
     for _, clear in masks:
         ok &= _zeta(members & ~clear, masks, 1) | clear
     return ok
+
+
+def complement_plane(plane: int, n: int) -> int:
+    """The 2**n-bit plane flagging the complements of the sets ``plane``
+    flags: bit a moves to bit (2**n - 1) - a, so the plane's base-2
+    digits are reversed."""
+    return int(format(plane, "b").zfill(1 << n)[::-1], 2)
 
 
 def union_closure(family: Iterable[int], n: int) -> Family:

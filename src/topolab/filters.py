@@ -22,8 +22,10 @@ one member table ``has[t]``, the subset-sum transform of the pairs
 (member, 1 << j) (:func:`member_table`): the literal up-set of the
 members, never their meet.  Grouping the selector-open sets by their
 enlargement, every base's limit set is then one pass over the distinct
-enlargements (:func:`base_limit_sets`), and its adherence set is the AND
-of its members' pair-closures.  The exhaustive convergence closure asks
+enlargements (:func:`base_limit_sets`), and so is its adherence set, as
+an enlargement misses a member iff its complement traps it
+(:func:`base_adherence_sets`); :func:`adherence_set` ANDs the members'
+pair-closures instead.  The exhaustive convergence closure asks
 for a nonempty core inside both the set and a point's envelope: one AND
 of two submask planes per point.  The per-point predicates
 :func:`converges` and :func:`accumulates` keep the literal rules.
@@ -209,20 +211,44 @@ def base_limit_sets(p: OpPair, bases: Sequence[Sequence[int]],
     the limit set.  Base j traps a member in t iff bit j of ``has[t]``
     (:func:`member_table` of ``bases``, built here unless given), so
     its outside is the union of the groups of
-    :func:`~topolab.pairs.image_groups` whose t lacks bit j.  Groups are
-    first merged by the set of bases they miss.
+    :func:`~topolab.pairs.image_groups` whose t lacks bit j.
     """
     if has is None:
         has = member_table(bases, p.topology.n)
     everyone = (1 << len(bases)) - 1
-    by_missing: dict[int, int] = {}  # bases trapping nothing -> their groups
+    return _outside_groups(p, len(bases), has, 0, everyone)
+
+
+def base_adherence_sets(p: OpPair, bases: Sequence[Sequence[int]],
+                        has: Sequence[int] | None = None) -> list[int]:
+    """The adherence set of each base in ``bases``, from the groups of
+    :func:`~topolab.pairs.image_groups` rather than the pair-interior
+    table.
+
+    x misses the pair-closure of a member m iff some selector-open set
+    around x has an enlargement t missing m, that is m inside the
+    complement of t.  So base j misses x iff some group (t, union
+    holding x) has bit j of ``has[full ^ t]`` (:func:`member_table` of
+    ``bases``, built here unless given).
+    """
+    if has is None:
+        has = member_table(bases, p.topology.n)
+    return _outside_groups(p, len(bases), has, p.topology.full, 0)
+
+
+def _outside_groups(p: OpPair, count: int, has: Sequence[int], flip: int, invert: int) -> list[int]:
+    """For each j below ``count``, the complement of the union of the
+    groups (t, union) of :func:`~topolab.pairs.image_groups` with bit j
+    of ``has[t ^ flip] ^ invert``.  Groups are first merged by those
+    bits."""
+    by_missed: dict[int, int] = {}
     for t, group in image_groups(p):
-        missing = everyone & ~has[t]
-        if missing:
-            by_missing[missing] = by_missing.get(missing, 0) | group
-    outside = [0] * len(bases)
-    for missing, union in by_missing.items():
-        for j in iter_points(missing):
+        missed = has[t ^ flip] ^ invert
+        if missed:
+            by_missed[missed] = by_missed.get(missed, 0) | group
+    outside = [0] * count
+    for missed, union in by_missed.items():
+        for j in iter_points(missed):
             outside[j] |= union
     full = p.topology.full
     return [full ^ o for o in outside]

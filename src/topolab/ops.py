@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .bits import (
     Family, canonical_family, is_monotone_lanes, pack_lanes, point_meets, upward_closure,
-    within_image,
+    zero_lanes,
 )
 from .space import Topology, memoized
 
@@ -83,13 +83,24 @@ class Operation:
 
 
 def table_violation(topology: Topology, table: Sequence[int]) -> Optional[tuple[str, int]]:
-    """First violated operation law as (condition, witness mask), else None."""
+    """First violated operation law as (condition, witness mask), else None.
+
+    A table whose entries run from 0 up to exactly the whole space packs
+    to the lanes of the interior table (:meth:`~topolab.space.Topology.int_lanes`),
+    so one AND-NOT of the two accepts it.  Every lawful table passes
+    that test, as its image of the whole space is the whole space; any
+    other table is walked entry by entry to name the first witness.
+    """
     count = 1 << topology.n
     if len(table) != count:
         return (f"table has {len(table)} entries, expected {count}", 0)
     if table[0] != 0:
         return ("the empty set must map to the empty set", 0)
     full = topology.full
+    if max(table) == full and min(table) >= 0:
+        inner = topology.int_lanes()[0]
+        if inner & ~pack_lanes(table)[0] == 0:
+            return None
     inner = topology.int_table()
     for a in range(count):
         if table[a] & ~full:
@@ -149,9 +160,9 @@ def catalog(topology: Topology) -> dict[str, Operation]:
 
 
 def dual_table(op: Operation) -> tuple[int, ...]:
-    """Raw complement-conjugate table X \\ op(X \\ A), with no validation."""
-    full = op.topology.full
-    return tuple(full ^ op.table[full ^ a] for a in op.topology.subsets())
+    """Raw complement-conjugate table X \\ op(X \\ A), with no validation;
+    X \\ A runs down as A runs up, so it is the table reversed."""
+    return tuple(map(op.topology.full.__xor__, reversed(op.table)))
 
 
 def dual(op: Operation) -> Operation:
@@ -193,8 +204,10 @@ def is_monotone(op: Operation) -> bool:
 @memoized
 def op_open_family(op: Operation) -> Family:
     """All subsets S with S inside op(S); contains the empty and full sets
-    and every open set.  Kept on the operation."""
-    return within_image(op.table)
+    and every open set: the zero lanes of ``identity & ~table``
+    (:func:`~topolab.bits.zero_lanes`).  Kept on the operation."""
+    ident, width = op.topology.identity_lanes()
+    return zero_lanes(ident & ~op_lanes(op)[0], width, op.topology.n)
 
 
 def op_closed_family(op: Operation) -> Family:

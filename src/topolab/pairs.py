@@ -29,10 +29,10 @@ from typing import Iterable, Sequence
 from weakref import WeakValueDictionary
 
 from .bits import (
-    Family, canonical_family, contained_union_table, family_plane, point_meets,
-    union_closure_plane, within_image,
+    Family, canonical_family, contained_union_lanes, family_plane, iter_points, pack_lanes,
+    point_meets, row_planes, union_closure_plane, unpack_lanes, zero_lanes,
 )
-from .ops import Operation, at_point, group_by_image, is_monotone, is_regular_wrt, leq, op_open_family
+from .ops import Operation, at_point, group_by_image, is_monotone, leq, op_open_family
 from .space import Topology, build_topology, memoized
 
 #: Families constructible by an independent defining rule.
@@ -119,13 +119,23 @@ def _selector_at(k: PairKernel, point: int) -> Family:
 
 
 @memoized
-def int_table(k: PairKernel) -> tuple[int, ...]:
-    """``int_table(p)[a]`` is the pair-interior of ``a``, for every subset."""
-    # pair-interior of a = union of the selector-open sets whose
-    # enlargement sits inside a; a subset-sum transform gives the whole
-    # table at once instead of |selector-open| work per entry
+def int_lanes(k: PairKernel) -> tuple[int, int]:
+    """The pair-interior table as (lanes, lane width in bits), lane a
+    holding the pair-interior of a: the union of the selector-open sets
+    whose enlargement sits inside a, so one subset-sum transform
+    (:func:`~topolab.bits.contained_union_lanes`) gives the whole table
+    at once instead of |selector-open| work per entry.  The lanes are
+    the space's width, since the whole space is selector-open and
+    enlarged to itself."""
     enl, fam = k.enlarger.table, k.family
-    return tuple(contained_union_table(zip(map(enl.__getitem__, fam), fam), k.topology.n))
+    return contained_union_lanes(zip(map(enl.__getitem__, fam), fam), k.topology.n)
+
+
+@memoized
+def int_table(k: PairKernel) -> tuple[int, ...]:
+    """``int_table(p)[a]`` is the pair-interior of ``a``, for every
+    subset: :func:`int_lanes`, unpacked."""
+    return unpack_lanes(*int_lanes(k), k.topology.n)
 
 
 @memoized
@@ -155,41 +165,59 @@ def pair_closure_by_points(p: OpPair, sets: Iterable[int]) -> list[int]:
 
     A point falls outside exactly when some selector-open set around it
     has an enlargement missing the set.  With the selector-open sets
-    grouped by enlargement t (:func:`image_groups`), the outside is the
-    union of the groups whose t misses the set.  Kept as a second route
-    so the complement identity stays testable.
+    grouped by enlargement t (:func:`image_groups`), transposed into
+    planes (:func:`~topolab.bits.row_planes`), the groups whose t meets
+    a set are the OR of the ``hit`` planes of its points, and x stays
+    inside iff every group holding x is among them: |a| + n plane
+    operations per set a.  It reads the groups, never the pair-interior
+    table, so the complement identity stays testable.
     """
-    groups = image_groups(p)
-    full = p.topology.full
+    held, hit, ones = row_planes(image_groups(p), p.topology.n)
     out = []
     for a in sets:
-        outside = 0
-        for t, union in groups:
-            if not t & a:
-                outside |= union
-        out.append(full ^ outside)
+        meeting = 0
+        for y in iter_points(a):
+            meeting |= hit[y]
+        missing, closure = ones & ~meeting, 0
+        for x, plane in enumerate(held):
+            if not plane & missing:
+                closure |= 1 << x
+        out.append(closure)
     return out
 
 
 @memoized
+def regular_scan(k: PairKernel) -> bool:
+    """:func:`~topolab.ops.is_regular_wrt` of the enlarger over the
+    selector-open family, on the kernel's rows: the meet of the images
+    around x is its envelope (:func:`envelopes`), and it is an image
+    around x iff its group (:func:`image_groups`) holds x, or the whole
+    set either way."""
+    groups, full = dict(image_groups(k)), k.topology.full
+    return all(m == full or groups.get(m, 0) >> x & 1 for x, m in enumerate(envelopes(k)))
+
+
+@memoized
 def enlarger_is_regular(k: PairKernel) -> bool:
-    """:func:`is_regular_wrt` of the enlarger over the selector-open
-    family.
+    """Whether the enlarger is regular over the selector-open family
+    (:func:`~topolab.ops.is_regular_wrt`).
 
     Fast path: a monotone enlarger is regular over an
     intersection-closed family, as the meet of two neighbourhoods of a
-    point is a third whose image squeezes under both images.
+    point is a third whose image squeezes under both images.  Otherwise
+    the kernel's scan (:func:`regular_scan`) decides.
     """
     return (
         is_monotone(k.enlarger) and k.topology.family_props(k.family)[0]
-    ) or is_regular_wrt(k.enlarger, k.family)
+    ) or regular_scan(k)
 
 
 @memoized
 def pair_open_family(k: PairKernel) -> Family:
-    """The sets a inside their pair-interior (:func:`~topolab.bits.within_image`
-    of the pair-interior table)."""
-    return within_image(int_table(k))
+    """The sets a inside their pair-interior: the zero lanes of
+    ``identity & ~int_lanes`` (:func:`~topolab.bits.zero_lanes`)."""
+    ident, width = k.topology.identity_lanes()
+    return zero_lanes(ident & ~int_lanes(k)[0], width, k.topology.n)
 
 
 def pair_closed_family(p: OpPair) -> Family:
@@ -221,7 +249,10 @@ def classify_structure(p: OpPair) -> StructureReport:
         table), iff X minus int(c) misses c, iff cl(k) sits inside k.
     closed_iff_cl_equal   holds iff int(a) = a for every pair-open a.
         cl(k) = k iff int(c) = c, which makes c pair-open; so the flag
-        fails exactly at a pair-open c with int(c) != c.
+        fails exactly at a pair-open c with int(c) != c.  The fixed
+        points of int are the zero lanes of ``int_lanes ^ identity``
+        (:func:`~topolab.bits.zero_lanes`) and all pair-open, so the
+        flag holds iff there are as many of them as pair-open sets.
     is_kuratowski         holds iff cl(empty) = empty, every
         selector-open u sits inside enl[u], every pair-interior image
         is a fixed point of int, and the enlarger is regular over the
@@ -233,9 +264,10 @@ def classify_structure(p: OpPair) -> StructureReport:
           ``family_nested`` flag of :func:`base_report`), a u whose
           enlargement fits inside c fits inside c; conversely take
           c = enl[u], whose interior holds u and sits inside enl[u];
-        - idempotent: int(i) = i for every image i = int(c), read over
-          the distinct images; given the previous axiom, int(i) sits
-          inside i, so this says every pair-interior image is pair-open;
+        - idempotent: int(i) = i for every image i = int(c), so every
+          entry of the table is a fixed point; given the previous axiom,
+          int(i) sits inside i, so this says every pair-interior image
+          is pair-open;
         - multiplicative: int(c & d) inside int(c) & int(d) holds as
           int is monotone.  The converse at x needs, for u and v around
           x enlarged inside c and d, a w around x enlarged inside
@@ -249,16 +281,18 @@ def classify_structure(p: OpPair) -> StructureReport:
     full = top.full
     table = int_table(p)
     fam = pair_open_family(p)
+    ident, width = top.identity_lanes()
+    fixed = zero_lanes(int_lanes(p)[0] ^ ident, width, top.n)
 
     inter_closed, union_closed = top.family_props(fam)
     supra = fam[-1] == full and union_closed  # fam is sorted ascending
     topo = supra and inter_closed
 
-    equal_ok = all(table[a] == a for a in fam)
+    equal_ok = len(fixed) == len(fam)
     kur = (
         table[full] == full
         and _kernel_report(p).family_nested
-        and all(table[i] == i for i in set(table))
+        and set(fixed).issuperset(table)
         and enlarger_is_regular(p)
     )
 
@@ -288,47 +322,52 @@ def named_family(top: Topology, name: str) -> Family:
 
     Read off the space's interior table, and memoized per name on the
     space (:func:`memoized`), so each family is built once and dies with
-    the space.
+    the space.  Each rule over all 2**n subsets reads a whole table on
+    its lanes: "a inside table[a]" is the zero lanes of
+    ``identity & ~table``, "a equals table[a]" those of
+    ``identity ^ table`` (:func:`~topolab.bits.zero_lanes`).
     """
-    it, full = top.int_table().__getitem__, top.full
-    subs = top.subsets()
+    inner, full, n = top.int_table(), top.full, top.n
+    ident, width = top.identity_lanes()
+    cl = [full ^ i for i in reversed(inner)]  # full ^ a runs down as a runs up
 
-    def cl(a: int) -> int:
-        return full ^ it(full ^ a)
+    def within(lanes: int) -> Family:
+        return zero_lanes(ident & ~lanes, width, n)
+
+    def fixed(table: Sequence[int]) -> Family:
+        return zero_lanes(ident ^ pack_lanes(table)[0], width, n)
 
     def compl(fam: Sequence[int]) -> Family:
         return canonical_family(full ^ a for a in fam)
 
     if name == "SO":
-        return tuple(a for a in subs if a & ~cl(it(a)) == 0)
+        return within(pack_lanes([cl[i] for i in inner])[0])
     if name == "SC":
         return compl(named_family(top, "SO"))
     if name == "PO":
-        return tuple(a for a in subs if a & ~it(cl(a)) == 0)
+        return within(pack_lanes([inner[c] for c in cl])[0])
     if name == "PC":
         return compl(named_family(top, "PO"))
     if name == "RO":
-        return tuple(a for a in subs if a == it(cl(a)))
+        return fixed([inner[c] for c in cl])
     if name == "RC":
-        return tuple(a for a in subs if a == cl(it(a)))
+        return fixed([cl[i] for i in inner])
     if name == "SR":
         sc = set(named_family(top, "SC"))
         return tuple(a for a in named_family(top, "SO") if a in sc)
     if name == "tau_theta":
         # a is in the family when each of its points has an open set
         # whose closure fits inside a; the transform collects those witnesses
-        witness = contained_union_table(((cl(u), u) for u in top.opens), top.n)
-        return tuple(a for a in subs if a & ~witness[a] == 0)
+        return within(contained_union_lanes(((cl[u], u) for u in top.opens), n)[0])
     if name == "tau_s":
         return build_topology(top.ground, named_family(top, "RO")).opens
     if name in ("SthetaO", "SthetaC", "thetaSO", "thetaSC"):
         so = named_family(top, "SO")
         if name.startswith("S"):
-            measure = {u: u | it(cl(u)) for u in so}  # semi-closure of the nbhd
+            measure = [u | inner[cl[u]] for u in so]  # semi-closure of the nbhd
         else:
-            measure = {u: cl(u) for u in so}
-        witness = contained_union_table(((measure[u], u) for u in so), top.n)
-        fam = tuple(a for a in subs if a & ~witness[a] == 0)
+            measure = [cl[u] for u in so]
+        fam = within(contained_union_lanes(zip(measure, so), n)[0])
         return fam if name.endswith("O") else compl(fam)
     raise ValueError(f"unknown family name {name!r}; choose from {NAMED_FAMILIES}")
 
@@ -399,9 +438,11 @@ def _kernel_report(k: PairKernel) -> BaseReport:
     enlargement, so iff all 2**n subsets are enlarger-open).
 
     The base is :func:`enlargement_base`.  A set b is pair-open iff b
-    sits inside int[b], so that membership is one table lookup.  ``family_nested`` reads u inside enl[u] off the enlarger's
-    table for every selector-open u.  ``is_base`` compares two 2**n-bit
-    planes: the pair-open family's against the base's union closure.
+    sits inside int[b], so that membership is one table lookup.
+    ``family_nested`` says every selector-open u sits inside enl[u],
+    that is the selector-open family sits inside the enlarger-open one.
+    ``is_base`` compares two 2**n-bit planes: the pair-open family's
+    against the base's union closure.
     """
     n, enl, fam = k.topology.n, k.enlarger.table, k.family
     inner = int_table(k)
@@ -413,7 +454,7 @@ def _kernel_report(k: PairKernel) -> BaseReport:
     base_pair_open = all(b & ~inner[b] == 0 for b in base)
     return BaseReport(
         image_stable=base_selector_open and all(enl[b] & ~b == 0 for b in base),
-        family_nested=all(u & ~enl[u] == 0 for u in fam),
+        family_nested=set(op_open_family(k.enlarger)).issuperset(fam),
         base_pair_open=base_pair_open,
         order_dominates=len(op_open_family(k.enlarger)) == 1 << n,
         base_in_pair_and_selector=base_pair_open and base_selector_open,

@@ -2,9 +2,11 @@
 
 Ground sets are capped at 16 points so that every subset is a single
 machine word and every map on subsets can be tabulated in full.  Open-set
-families are closed under arbitrary unions and intersections; both axioms
-are checked, and topologies generated, by one subset-lattice pass each
-(:func:`topolab.bits.union_closure`) rather than by scanning member pairs.
+families are closed under arbitrary unions and intersections.  A family
+is accepted, and topologies are generated, through the meets of its
+points (Alexandroff) and one subset-lattice pass
+(:func:`topolab.bits.union_closure_plane`) rather than by scanning member
+pairs.
 """
 
 from __future__ import annotations
@@ -20,13 +22,18 @@ from .bits import (
     MAX_POINTS,
     Family,
     canonical_family,
-    contained_union_table,
+    close_unions,
+    complement_plane,
+    contained_union_lanes,
     family_plane,
     intersection_closure,
     iter_points,
+    pack_lanes,
     point_meets,
     subsets,
     union_closure,
+    union_closure_plane,
+    unpack_lanes,
 )
 
 #: the largest ground set that is enumerated, and quantified over, in full
@@ -114,8 +121,9 @@ class Topology:
     ``n`` and ``full`` are fixed at construction from the ground set, so
     reading either is one slot read.  Instances are immutable and safe to
     share between threads.  Every table derived from the space (the
-    minimal neighbourhoods, the interior table, the closure verdicts of
-    :meth:`family_props`, and what other modules derive from it) is kept
+    minimal neighbourhoods, the interior table and its lanes, the
+    identity's lanes, the closure verdicts of :meth:`family_props`, and
+    what other modules derive from it) is kept
     in ``_memo`` through :func:`memoized`, so it dies with the space;
     the pair kernels are registered there too, held weakly.  Pickling
     rebuilds through the constructor: validated, with an empty ``_memo``.
@@ -171,16 +179,31 @@ class Topology:
         return point_meets(zip(self.opens, self.opens), self.n)
 
     @memoized
-    def int_table(self) -> tuple[int, ...]:
-        """``int_table()[a]`` is the interior of ``a``, for every subset.
+    def int_lanes(self) -> tuple[int, int]:
+        """The interior table as (lanes, lane width in bits), lane a
+        holding the interior of a.
 
         x lies in the interior of a exactly when its minimal open
         neighbourhood fits inside a, so one subset-sum transform over the
-        n pairs (min_nbhds()[x], {x}) tabulates every interior at once.
+        n pairs (min_nbhds()[x], {x}) tabulates every interior at once
+        (:func:`~topolab.bits.contained_union_lanes`).  Every table of
+        subsets of the space packs to these lanes' width, as each holds
+        the whole space (the interior of the whole space is itself).
         """
-        return tuple(contained_union_table(
-            ((m, 1 << x) for x, m in enumerate(self.min_nbhds())), self.n
-        ))
+        return contained_union_lanes(((m, 1 << x) for x, m in enumerate(self.min_nbhds())), self.n)
+
+    @memoized
+    def int_table(self) -> tuple[int, ...]:
+        """``int_table()[a]`` is the interior of ``a``, for every subset:
+        :meth:`int_lanes`, unpacked."""
+        return unpack_lanes(*self.int_lanes(), self.n)
+
+    @memoized
+    def identity_lanes(self) -> tuple[int, int]:
+        """The identity table, lane a holding a, packed like
+        :meth:`int_lanes`: ``identity & ~table`` is zero at lane a iff a
+        sits inside ``table[a]``."""
+        return pack_lanes(self.subsets())
 
     def interior(self, a: int) -> int:
         """Union of all open sets inside ``a`` (the largest open subset)."""
@@ -195,19 +218,28 @@ class Topology:
         """(intersection-closed, union-closed) for a canonical family of
         subsets of this space: whether it equals its intersection closure
         (so holds the whole space) and its union closure (so holds the
-        empty set).  Kept per family, so each distinct family is measured
-        once however many operations or pairs produce it.
+        empty set).  Both compare planes: the family's with its union
+        closure's, and the plane of its complements with theirs, since a
+        family is intersection-closed iff its complements are
+        union-closed.  Kept per family, so each distinct family is
+        measured once however many operations or pairs produce it.
         """
-        return (
-            intersection_closure(family, self.n) == family,
-            union_closure(family, self.n) == family,
-        )
+        plane = family_plane(family, self.n)
+        comp = complement_plane(plane, self.n)
+        return close_unions(comp, self.n) == comp, close_unions(plane, self.n) == plane
 
 
 def family_violation(ground: GroundSet, family: Sequence[int]) -> Optional[str]:
     """Why ``family`` fails the topology axioms, or None if it passes.
 
-    A closure failure names the smallest missing union or intersection.
+    A family holding both ends is a topology iff it equals the union
+    closure of its points' meets (Alexandroff): the meet at x is the
+    least member around x when the family is a topology, and the unions
+    of those meets are a topology whatever the family, since y in the
+    meet at x puts the meet at y inside it.  So acceptance is one
+    :func:`~topolab.bits.point_meets` and one plane comparison; only a
+    rejected family is diagnosed, by the union and then the intersection
+    closure, naming the smallest missing union or intersection.
     """
     full = ground.full
     for m in family:
@@ -219,6 +251,9 @@ def family_violation(ground: GroundSet, family: Sequence[int]) -> Optional[str]:
     if full not in members:
         return "the whole space is missing"
     n = ground.size
+    meets = point_meets(zip(members, members), n)
+    if union_closure_plane(meets, n) == family_plane(members, n):
+        return None
     missing = [m for m in union_closure(members, n) if m not in members]
     if missing:
         return (
@@ -226,12 +261,10 @@ def family_violation(ground: GroundSet, family: Sequence[int]) -> Optional[str]:
             "is a union of members but is missing"
         )
     missing = [m for m in intersection_closure(members, n) if m not in members]
-    if missing:
-        return (
-            f"not closed under intersection: {_braced(ground, missing[0])} "
-            "is an intersection of members but is missing"
-        )
-    return None
+    return (
+        f"not closed under intersection: {_braced(ground, missing[0])} "
+        "is an intersection of members but is missing"
+    )
 
 
 def _braced(ground: GroundSet, mask: int) -> str:

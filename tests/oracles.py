@@ -23,7 +23,12 @@ minimal neighbourhoods, the subbasis neighbourhoods, the envelopes, the
 closed-family meets, pair-separation and regularity each ran before they
 became one lane kernel, and the filters suite's per-core statements as
 they ran, one core and point at a time, before its rows were indexed by
-core position.  None of them import the code paths they validate.
+core position.  The whole-table scans that moved onto lanes stay here as
+well: the entry walk of the operation laws, the pairwise-fixpoint
+verdicts and messages of the topology check, the entry scan for open
+families and the group-by-group loop of the pointwise pair closure, with
+the member-by-member adherence of a base.  None of them import the code
+paths they validate.
 """
 
 from __future__ import annotations
@@ -675,3 +680,127 @@ def per_core_filter_records(ctx, a: str, b: str, rows, mask_str) -> list[tuple]:
                 fail(f"{c},{d}", "transfer to a wider pair", mask_str(core))
                 break
     return out
+
+
+def literal_table_violation(top, table, inner) -> tuple | None:
+    """The operation laws walked entry by entry, against the interior
+    table ``inner``: the first violated law as (condition, witness
+    mask), else None.  This is the walk every table went through before
+    the lane test, and still the one that names a rejected table's
+    witness."""
+    count = 1 << top.n
+    if len(table) != count:
+        return (f"table has {len(table)} entries, expected {count}", 0)
+    if table[0] != 0:
+        return ("the empty set must map to the empty set", 0)
+    full = top.full
+    for a in range(count):
+        if table[a] & ~full:
+            return ("image uses bits outside the ground set", a)
+        if inner[a] & ~table[a]:
+            return ("image must contain the interior of the argument", a)
+    return None
+
+
+def literal_family_violation(ground, family) -> str | None:
+    """Why ``family`` fails the topology axioms, with the smallest
+    missing union (then intersection) found by pairwise fixpoints: the
+    verdict and message ``family_violation`` gave before its Alexandroff
+    acceptance."""
+    full = ground.full
+    for m in family:
+        if m & ~full:
+            return f"member {m:#x} uses bits outside the ground set"
+    members = set(family)
+    if 0 not in members:
+        return "the empty set is missing"
+    if full not in members:
+        return "the whole space is missing"
+
+    def braced(mask: int) -> str:
+        return "{" + ",".join(lab for i, lab in enumerate(ground.labels) if mask >> i & 1) + "}"
+
+    unions = set(pairwise_fixpoint(members, operator.or_)) - members
+    if unions:
+        return f"not closed under union: {braced(min(unions))} is a union of members but is missing"
+    meets = set(pairwise_fixpoint(members, operator.and_)) - members
+    if meets:
+        return (
+            f"not closed under intersection: {braced(min(meets))} "
+            "is an intersection of members but is missing"
+        )
+    return None
+
+
+def scan_within(table) -> tuple:
+    """Every a inside ``table[a]``, one entry at a time."""
+    return tuple(a for a, image in enumerate(table) if a & ~image == 0)
+
+
+def literal_pair_closure_by_points(p, sets) -> list[int]:
+    """The pair-closure of each set by the pointwise rule over the
+    groups of distinct enlargements, one group at a time: a point falls
+    outside when some group holding it has an enlargement missing the
+    set.  The loop ``pair_closure_by_points`` ran before its planes."""
+    from topolab.pairs import image_groups
+
+    groups = image_groups(p)
+    full = p.topology.full
+    out = []
+    for a in sets:
+        outside = 0
+        for t, union in groups:
+            if not t & a:
+                outside |= union
+        out.append(full ^ outside)
+    return out
+
+
+def literal_base_adherence(base, p) -> int:
+    """The points a family of members accumulates at: the AND of the
+    members' pair-closures, each by the pointwise rule."""
+    out = p.topology.full
+    for m in base:
+        out &= pointwise_pair_closure(p, m)
+    return out
+
+
+def literal_named_family(top, name: str, inner) -> tuple:
+    """A named family by its defining rule read one subset at a time,
+    against the interior table ``inner``: the witness families
+    (tau_theta and the semi-theta families) ask, point by point, for a
+    neighbourhood of the right kind whose measure fits inside."""
+    full = top.full
+    subs = range(1 << top.n)
+
+    def cl(a):
+        return full ^ inner[full ^ a]
+
+    def compl(fam):
+        return tuple(sorted(full ^ a for a in fam))
+
+    def by_points(nbhds, measure):
+        return tuple(
+            a for a in subs
+            if all(any(u >> x & 1 and measure(u) & ~a == 0 for u in nbhds) for x in range(top.n) if a >> x & 1)
+        )
+
+    so = tuple(a for a in subs if a & ~cl(inner[a]) == 0)
+    po = tuple(a for a in subs if a & ~inner[cl(a)] == 0)
+    ro = tuple(a for a in subs if a == inner[cl(a)])
+    rules = {
+        "SO": lambda: so,
+        "SC": lambda: compl(so),
+        "PO": lambda: po,
+        "PC": lambda: compl(po),
+        "RO": lambda: ro,
+        "RC": lambda: tuple(a for a in subs if a == cl(inner[a])),
+        "SR": lambda: tuple(sorted(set(so) & set(compl(so)))),
+        "tau_theta": lambda: by_points(top.opens, cl),
+        "tau_s": lambda: pairwise_fixpoint_topology(top.n, ro),
+        "SthetaO": lambda: by_points(so, lambda u: u | inner[cl(u)]),
+        "SthetaC": lambda: compl(by_points(so, lambda u: u | inner[cl(u)])),
+        "thetaSO": lambda: by_points(so, cl),
+        "thetaSC": lambda: compl(by_points(so, cl)),
+    }
+    return rules[name]()

@@ -148,3 +148,76 @@ def test_pack_lanes_picks_the_narrowest_fitting_lane():
         lanes, width = bits.pack_lanes([0, top, 1])
         assert width == 8 * lane, need
         assert lanes == top << width | 1 << (2 * width), need
+
+
+def test_zero_lanes_match_the_entry_scan():
+    # tables of 0-10 points whose entries are zero about half the time,
+    # packed to 1-, 2-, 4-, 8- and 9-byte lanes, and the same lanes read
+    # at a 3-byte width the packer never picks; a lane whose only set bit
+    # is its top one counts as nonzero
+    rng = random.Random(59)
+    for n in range(11):
+        for bits_wide in (1, 8, 9, 16, 17, 32, 33, 64, 65):
+            table = [rng.getrandbits(bits_wide) if rng.random() < 0.5 else 0 for _ in range(1 << n)]
+            table[-1] |= 1 << (bits_wide - 1)
+            table[0] = 1 << (bits_wide - 1) if n else table[0]
+            lanes, width = bits.pack_lanes(table)
+            expect = tuple(a for a, v in enumerate(table) if v == 0)
+            assert bits.zero_lanes(lanes, width, n) == expect, (n, bits_wide)
+        table = [rng.getrandbits(24) if rng.random() < 0.5 else 0 for _ in range(1 << n)]
+        lanes = sum(v << (24 * a) for a, v in enumerate(table))
+        assert bits.zero_lanes(lanes, 24, n) == tuple(a for a, v in enumerate(table) if v == 0), n
+    assert bits.zero_lanes(0, 8, 0) == (0,) and bits.zero_lanes(1, 8, 0) == ()
+
+
+def test_lanes_round_trip_and_transform_like_the_table():
+    # unpack_lanes inverts pack_lanes at every lane width, and
+    # contained_union_lanes is the literal table packed
+    rng = random.Random(61)
+    for n in range(9):
+        for width in WIDTHS:
+            table = [rng.getrandbits(width) for _ in range(1 << n)]
+            assert bits.unpack_lanes(*bits.pack_lanes(table), n) == tuple(table), (n, width)
+            for pairs in _pair_lists(rng, n, width):
+                lanes, lane_width = bits.contained_union_lanes(iter(pairs), n)
+                expect = literal_contained_union_table(pairs, n)
+                assert bits.unpack_lanes(lanes, lane_width, n) == tuple(expect), (n, width, pairs)
+
+
+def test_row_planes_transpose_the_rows():
+    # held[x] and hit[y] flag exactly the rows whose u holds x and whose t
+    # holds y, read back lane by lane; the closing row is in every hit
+    # plane and no held plane
+    rng = random.Random(67)
+    for n in range(MAX_POINTS + 1):
+        rows = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(rng.randrange(30))]
+        held, hit, ones = bits.row_planes(iter(rows), n)
+        assert len(held) == len(hit) == n
+        closed = rows + [((1 << n) - 1, 0)]
+        width = bits.pack_lanes([t << n | u for t, u in closed])[1]
+        assert width >= 2 * n
+        for i, (t, u) in enumerate(closed):
+            for x in range(n):
+                assert (held[x] >> (i * width) & 1) == (u >> x & 1), (n, i, x)
+                assert (hit[x] >> (i * width) & 1) == (t >> x & 1), (n, i, x)
+        assert ones == sum(1 << (i * width) for i in range(len(closed)))
+        assert all(plane & ~ones == 0 for plane in held + hit)
+
+
+def test_plane_closures_match_pairwise_fixpoints():
+    # close_unions on a family's plane, and on its complement_plane,
+    # against pairwise fixpoints over seeded families of 0-12 points
+    rng = random.Random(71)
+    for n in range(13):
+        full = (1 << n) - 1
+        for _ in range(6):
+            fam = canonical_family(rng.randrange(1 << n) for _ in range(rng.randrange(1, 7)))
+            plane = bits.family_plane(fam, n)
+            comp = bits.complement_plane(plane, n)
+            assert comp == bits.family_plane([full ^ m for m in fam], n)
+            assert bits.complement_plane(comp, n) == plane
+            unions = pairwise_fixpoint({0, *fam}, operator.or_)
+            assert bits.close_unions(plane, n) == bits.family_plane(unions, n), (n, fam)
+            meets = pairwise_fixpoint({full, *fam}, operator.and_)
+            closed = bits.close_unions(comp, n)
+            assert bits.complement_plane(closed, n) == bits.family_plane(meets, n), (n, fam)

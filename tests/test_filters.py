@@ -6,6 +6,7 @@ from topolab import (
     OpPair,
     accumulates,
     adherence_set,
+    base_adherence_sets,
     base_limit_sets,
     catalog,
     convergence_closure,
@@ -26,6 +27,7 @@ from topolab import (
 from topolab.filters import refined_core
 
 from oracles import (
+    literal_base_adherence,
     literal_finer_convergent,
     literal_is_filterbase,
     literal_is_regular_wrt,
@@ -423,3 +425,45 @@ def test_exhaustive_convergence_closure_matches_the_submask_scan():
                     literal = submask_convergence_closure(p, s)
                     assert convergence_closure(p, s, exhaustive=True) == literal, (top, a, b, s)
                     assert convergence_closure(p, s) == literal, (top, a, b, s)
+
+
+def test_base_adherence_sets_match_the_member_walk():
+    # every kernel of every space of at most 4 points, n = 0 included, and
+    # of seeded 5-16-point spaces: every filterbase up to 3 points, seeded
+    # bases, arbitrary families and the empty family above, with the
+    # member table built inside and passed in.  The literal walk over the
+    # members' pointwise closures up to 8 points, the pair-interior
+    # table's route everywhere
+    import random
+
+    rng = random.Random(113)
+    spaces = [top for n in range(5) for top in enumerate_topologies(n)]
+    spaces += [random_topology(n, rng.randrange(10**6), n) for n in range(5, 17)]
+    for top in spaces:
+        n = top.n
+        if n <= 3:
+            nonempty = list(range(1, 1 << n))
+            fams = [
+                tuple(nonempty[i] for i in range(len(nonempty)) if sel >> i & 1)
+                for sel in range(1, 1 << len(nonempty))
+            ]
+            fams = [()] + [f for f in fams if is_filterbase(f)]
+        else:
+            fams = [()]
+            for _ in range(4):
+                core = rng.randrange(1, 1 << n)
+                fams.append(tuple(sorted({core, *(core | rng.randrange(1 << n) for _ in range(2))})))
+                fams.append(tuple(rng.randrange(1 << n) for _ in range(rng.randrange(1, 4))))
+        has = member_table(fams, n)
+        ops = catalog(top)
+        kernels = {}
+        for a in BUILTIN_NAMES:
+            for b in BUILTIN_NAMES:
+                p = OpPair(ops[a], ops[b])
+                kernels.setdefault(p.kernel, p)
+        for p in kernels.values():
+            got = base_adherence_sets(p, fams, has)
+            assert got == base_adherence_sets(p, fams), p
+            assert got == [adherence_set(f, p) for f in fams], p
+            if n <= 8:
+                assert got == [literal_base_adherence(f, p) for f in fams], p

@@ -208,6 +208,39 @@ def test_flipped_base_limit_bit_fails_like_the_per_base_scan(monkeypatch):
     assert got == expected
 
 
+def test_flipped_base_adherence_bit_fails_like_the_member_walk(monkeypatch):
+    # the base side of "base and generated filter agree" comes from the
+    # groups (base_adherence_sets) and the filter side from the interior
+    # table: one wrong bit on the base side is reported with the subject
+    # and witness of the literal walk over the members' pointwise
+    # closures with the same bit flipped
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=5, samples=1, seed=3, suites=("filters",))
+    flip_base, flip_point = 3, 2
+    real = harness.base_adherence_sets
+
+    def flipped(p, bases, has=None):
+        got = real(p, bases, has)
+        got[flip_base] ^= 1 << flip_point
+        return got
+
+    monkeypatch.setattr(harness, "base_adherence_sets", flipped)
+    got = _records(run_suites(cfg).suites["filters"])
+    expected = []
+    for label, top in sweep_spaces(cfg):
+        ctx = _SpaceContext(label, top, cfg)
+        for a, b in ctx.pair_names:
+            p = ctx.pairs[(a, b)]
+            for j, base in enumerate(ctx.bases):
+                f = Filter(top.n, intersect_all(base, top.full))
+                walk = oracles.literal_base_adherence(base, p) ^ (j == flip_base) << flip_point
+                diff = (scan_limit_set(base, p) ^ limit_set(f, p)) | (walk ^ adherence_set(f, p))
+                if diff:
+                    expected.append((f"{a},{b}", "base and generated filter agree", str(list(base)),
+                                     str((diff & -diff).bit_length() - 1)))
+    assert len(expected) == 49
+    assert got == expected
+
+
 def test_wrong_monotone_verdict_fails_the_regularity_statement(monkeypatch):
     # scl is swapped for a non-monotone operation on the indiscrete space
     # that maps the singleton {0} to the whole space, so no neighbourhood

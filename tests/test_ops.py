@@ -29,6 +29,7 @@ from topolab.space import Topology
 from oracles import (
     literal_is_regular_wrt,
     literal_neighborhoods,
+    literal_table_violation,
     naive_interior,
     naive_is_monotone,
     scan_open_family,
@@ -384,3 +385,104 @@ def test_monotone_open_family_is_supratopology():
             if is_monotone(op):
                 fam = set(op_open_family(op))
                 assert all(x | y in fam for x in fam for y in fam)
+
+
+def lane_test_spaces(seed: int):
+    """Every space of at most 4 points, n = 0 included, then one seeded
+    space of each size from 5 to 16 points."""
+    rng = random.Random(seed)
+    spaces = [top for n in range(5) for top in enumerate_topologies(n)]
+    return spaces + [random_topology(n, rng.randrange(10**6), n) for n in range(5, 17)]
+
+
+def lawful_tables(top, rng):
+    """The catalog tables, their duals up to 8 points, and two seeded
+    lawful tables: the interior with seeded extra points, and the whole
+    space on the nonempty sets."""
+    full = top.full
+    tables = [op.table for op in catalog(top).values()]
+    if top.n <= 8:
+        tables += [dual_table(op) for op in catalog(top).values()]
+    grown = [i | rng.randrange(1 << top.n) for i in top.int_table()]
+    grown[0] = 0
+    tables += [tuple(grown), tuple(full if a else 0 for a in top.subsets())]
+    return tables
+
+
+def corrupted(table, top, rng):
+    """Tables that each break the operation laws in one seeded way; some
+    break them twice, so that only the first witness is right."""
+    n, full = top.n, top.full
+    size = 1 << n
+    inner = top.int_table()
+    out = [table[:-1], table + (0,), (1,) + table[1:]]
+    for _ in range(3 if n <= 8 else 1):
+        bad = list(table)
+        a = rng.randrange(1, size) if n else 0
+        bad[a] |= 1 << (n + rng.randrange(3))  # a bit outside the ground set
+        out.append(tuple(bad))
+        bad = list(table)
+        bad[a] = -1 - rng.randrange(4)
+        out.append(tuple(bad))
+        lost = [b for b in range(size) if inner[b]]
+        if lost:
+            b = rng.choice(lost)
+            bad = list(table)
+            bad[b] &= ~(inner[b] & -inner[b])  # drops a point of the interior
+            out.append(tuple(bad))
+            c = rng.choice(lost)
+            bad[c] = 0
+            out.append(tuple(bad))
+    if n:
+        bad = list(table)
+        bad[full] = full >> 1
+        out.append(tuple(bad))
+    return out
+
+
+def test_lane_table_violation_matches_the_entry_walk():
+    # every lawful table passes the lane test, and every corrupted one
+    # gets the condition and witness the entry walk names
+    rng = random.Random(73)
+    for top in lane_test_spaces(73):
+        inner = [naive_interior(top, a) for a in top.subsets()] if top.n <= 8 else top.int_table()
+        for table in lawful_tables(top, rng):
+            assert table_violation(top, table) is None, (top, table)
+            assert literal_table_violation(top, table, inner) is None
+            for bad in corrupted(table, top, rng):
+                expect = literal_table_violation(top, bad, inner)
+                assert expect is not None
+                assert table_violation(top, bad) == expect, (top, bad, expect)
+
+
+def test_open_families_are_the_zero_lanes():
+    # op_open_family reads the zero lanes of identity & ~table; the entry
+    # scan agrees for every lawful table of every space
+    rng = random.Random(79)
+    for top in lane_test_spaces(79):
+        for table in lawful_tables(top, rng):
+            op = Operation(top, table)
+            assert op_open_family(op) == scan_open_family(op), (top, table)
+            assert op_open_family(op)[0] == 0 and op_open_family(op)[-1] == top.full
+
+
+def test_operations_suite_builds_each_dual_once(monkeypatch):
+    # the operations suite builds the seven catalog duals and their duals,
+    # fourteen operations, and the catalog dual identities read the same
+    # seven duals
+    from topolab.harness import SuiteConfig, _SpaceContext, _suite_operations
+
+    calls = []
+
+    def counted(topology, table):
+        calls.append(table)
+        return table_violation(topology, table)
+
+    for top in lane_test_spaces(83)[:40:7]:
+        ctx = _SpaceContext("s", top, SuiteConfig())
+        monkeypatch.setattr(ops_module, "table_violation", counted)
+        calls.clear()
+        result = _suite_operations(ctx, SuiteConfig())
+        monkeypatch.undo()
+        assert len(calls) == 2 * len(BUILTIN_NAMES), top
+        assert not result.failures

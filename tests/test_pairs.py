@@ -28,14 +28,19 @@ from topolab.compact import (
     additive_hypothesis, failing_plane,
 )
 from topolab.filters import _envelope_planes, _point_limits, neighbourhood_images, principal_rows
+from topolab.ops import is_regular_wrt
 from topolab.pairs import (
-    _kernel_report, _selector_at, enlarger_is_regular, envelopes, image_groups, int_table,
-    pair_closure_by_points,
+    _kernel_report, _selector_at, enlarger_is_regular, envelopes, image_groups, int_lanes,
+    int_table, pair_closure_by_points, regular_scan,
 )
 from topolab.space import indiscrete
 
 from oracles import (
+    literal_is_regular_wrt,
+    literal_named_family,
+    literal_pair_closure_by_points,
     literal_structure,
+    naive_interior,
     naive_pair_interior,
     pairwise_intersection_closed,
     pairwise_union_closed,
@@ -44,6 +49,7 @@ from oracles import (
     scan_base_flags,
     scan_envelope,
     scan_image_stable,
+    scan_within,
 )
 
 
@@ -359,6 +365,7 @@ def memoized_rows(owner) -> dict:
     rows = {
         "int": int_table(owner), "open": pair_open_family(owner), "groups": image_groups(owner),
         "envelopes": envelopes(owner), "regular": enlarger_is_regular(owner),
+        "lanes": int_lanes(owner), "regular_scan": regular_scan(owner),
         "base": enlargement_base(owner), "report": _kernel_report(owner),
         "additive": _additive_scan(owner), "limits": _point_limits(owner),
         "principal": principal_rows(owner), "images": neighbourhood_images(owner),
@@ -435,3 +442,81 @@ def test_selector_readings_stay_off_the_kernel():
             }
             assert got == expected, (sel, enl, first)
         assert expected["custom"] != expected["catalog"], (sel, enl)
+
+
+def lane_kernels(seed: int):
+    """(space, pairs, one pair per kernel) for every space of at most 4
+    points, n = 0 included, then one seeded space of each size from 5 to
+    16 points."""
+    rng = random.Random(seed)
+    spaces = [top for n in range(5) for top in enumerate_topologies(n)]
+    spaces += [random_topology(n, rng.randrange(10**6), n) for n in range(5, 17)]
+    for top in spaces:
+        pairs = all_pairs(top)
+        yield top, pairs, list({id(p.kernel): p for p in pairs}.values())
+
+
+def test_pair_open_family_is_the_zero_lanes():
+    # the zero lanes of identity & ~int_lanes against the entry scan of
+    # the pointwise pair interior up to 4 points, of the unpacked table
+    # above; the fixed points behind closed_iff_cl_equal likewise
+    for top, pairs, kernels in lane_kernels(103):
+        for p in kernels:
+            table = int_table(p)
+            if top.n <= 4:
+                assert table == tuple(naive_pair_interior(p, a) for a in top.subsets())
+            assert pair_open_family(p) == scan_within(table), p
+            fixed = [a for a in pair_open_family(p) if table[a] == a]
+            assert classify_structure(p).closed_iff_cl_equal == (len(fixed) == len(pair_open_family(p)))
+
+
+def test_pointwise_closure_planes_match_the_group_loop():
+    # every subset up to 8 points, the ends and seeded subsets above
+    rng = random.Random(107)
+    for top, pairs, kernels in lane_kernels(107):
+        sets = list(top.subsets()) if top.n <= 8 else [0, top.full] + [
+            rng.randrange(1 << top.n) for _ in range(14)
+        ]
+        for p in pairs:
+            got = pair_closure_by_points(p, sets)
+            assert got == literal_pair_closure_by_points(p, sets), p
+            if top.n <= 2:
+                assert got == [pointwise_pair_closure(p, a) for a in sets], p
+
+
+def test_kernel_regularity_scan_matches_the_literal_quantifiers():
+    # the kernel's scan and the fast-path verdict against the literal
+    # cubic quantifiers up to 3 points and on seeded 4-6-point spaces,
+    # and against the from-scratch regrouping everywhere; besides the
+    # catalog, seeded lawful enlargers (the interior with seeded extra
+    # points) up to 6 points, whose meets are often an image away from
+    # the point
+    rng = random.Random(109)
+    for top, pairs, kernels in lane_kernels(109):
+        if top.n <= 6:
+            for sel in catalog(top).values():
+                for _ in range(2):
+                    table = [i | rng.randrange(1 << top.n) for i in top.int_table()]
+                    table[0] = 0
+                    kernels.append(OpPair(sel, Operation(top, table)))
+        for p in kernels:
+            k = p.kernel
+            scan = regular_scan(p)
+            assert scan is regular_scan(k) is k._memo[regular_scan.__wrapped__]
+            assert scan == is_regular_wrt(k.enlarger, k.family), p
+            if top.n <= 3 or (top.n <= 6 and len(k.family) <= 40):
+                assert scan == literal_is_regular_wrt(k.enlarger, k.family), p
+                assert enlarger_is_regular(p) == scan, p
+
+
+def test_named_families_on_lanes_match_their_rules_subset_by_subset():
+    # every named family of every space of at most 4 points, n = 0
+    # included, and of seeded 5-9-point spaces, against its defining rule
+    # read one subset at a time over the naive interior
+    rng = random.Random(127)
+    spaces = [top for n in range(5) for top in enumerate_topologies(n)]
+    spaces += [random_topology(n, rng.randrange(10**6), n) for n in range(5, 10)]
+    for top in spaces:
+        inner = [naive_interior(top, a) for a in top.subsets()]
+        for name in NAMED_FAMILIES:
+            assert named_family(top, name) == literal_named_family(top, name, inner), (top, name)

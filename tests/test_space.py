@@ -20,6 +20,7 @@ from topolab.space import family_violation
 
 from oracles import (
     count_preorders,
+    literal_family_violation,
     naive_interior,
     pairwise_fixpoint,
     pairwise_fixpoint_topology,
@@ -290,3 +291,77 @@ def test_empty_ground_set():
     assert empty.interior(0) == 0 and empty.closure(0) == 0
     assert is_topology(empty.ground, (0,))
     assert build_topology(default_ground(0), ()).opens == (0,)
+
+
+def test_alexandroff_acceptance_matches_the_pairwise_verdicts():
+    # every family of subsets of at most 3 points, n = 0 included, in
+    # ascending and shuffled order with a repeated member, then with a
+    # member outside the ground set: the verdict and the message are the
+    # pairwise fixpoints'
+    rng = random.Random(89)
+    accepted = rejected = 0
+    for n in range(4):
+        g = default_ground(n)
+        for bits in range(1 << (1 << n)):
+            fam = [m for m in range(1 << n) if bits >> m & 1]
+            shuffled = fam + fam[:1]
+            rng.shuffle(shuffled)
+            expect = literal_family_violation(g, fam)
+            assert family_violation(g, fam) == expect, (n, fam)
+            assert family_violation(g, shuffled) == expect, (n, shuffled)
+            assert family_violation(g, fam + [1 << n]) == literal_family_violation(g, fam + [1 << n])
+            accepted += expect is None
+            rejected += expect is not None and "closed under" in expect
+    assert accepted == 1 + 1 + 4 + 29 and rejected > 0
+
+
+def test_alexandroff_acceptance_on_seeded_wide_families():
+    # topologies of 5-12 points with one member dropped, one seeded set
+    # added, or both, and unions of two topologies' opens: the same
+    # verdicts and messages as the pairwise fixpoints
+    rng = random.Random(97)
+    for n in range(5, 13):
+        g = default_ground(n)
+        for _ in range(3):
+            opens = list(random_topology(n, rng.randrange(10**6), rng.randrange(2, 6)).opens)
+            other = random_topology(n, rng.randrange(10**6), 2).opens
+            dropped = opens[:]
+            if len(dropped) > 2:
+                del dropped[rng.randrange(1, len(dropped) - 1)]
+            added = opens + [rng.randrange(1 << n)]
+            for fam in (opens, dropped, added, dropped + added[-1:], sorted(set(opens) | set(other))):
+                assert family_violation(g, fam) == literal_family_violation(g, fam), (n, fam)
+    assert family_violation(default_ground(5), (0, 1, 2, 31)) == (
+        "not closed under union: {a,b} is a union of members but is missing"
+    )
+
+
+def test_family_props_planes_match_pairwise_scans_on_every_small_family():
+    # every family of subsets of at most 3 points, then seeded families
+    # of 4-16 points, against the pairwise scans with the ends
+    rng = random.Random(101)
+    for n in range(4):
+        top = random_topology(n, 0, 1)
+        full = top.full
+        for bits in range(1 << (1 << n)):
+            fam = tuple(m for m in range(1 << n) if bits >> m & 1)
+            assert top.family_props(fam) == (
+                full in fam and pairwise_intersection_closed(fam),
+                0 in fam and pairwise_union_closed(fam),
+            ), (n, fam)
+    for n in range(4, 17):
+        top = random_topology(n, rng.randrange(10**6), n)
+        full = top.full
+        picks = [top.opens[rng.randrange(len(top.opens))] for _ in range(4)]
+        families = [
+            canonical_family(rng.randrange(1 << n) for _ in range(rng.randrange(1, 6))),
+            canonical_family([0, full, *picks]),
+            canonical_family([0, full, *pairwise_fixpoint(picks, operator.or_, operator.and_)]),
+            canonical_family(pairwise_fixpoint(picks, operator.or_)),
+            canonical_family(pairwise_fixpoint(picks, operator.and_)),
+        ]
+        for fam in families:
+            assert top.family_props(fam) == (
+                full in fam and pairwise_intersection_closed(fam),
+                0 in fam and pairwise_union_closed(fam),
+            ), (n, fam)
