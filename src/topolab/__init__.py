@@ -75,6 +75,7 @@ from .compact import (
     additive_hypothesis,
     brute_force_compact,
     brute_force_compact_all,
+    brute_force_compact_images,
     closed_space_predicates,
     compactness_kind,
     failing_plane,

@@ -18,8 +18,13 @@ quantifier evaluation is kept alongside as :func:`brute_force_compact_all`
 and the two must agree everywhere.  It is batched but still literal: one
 walk over the subfamilies of the ambient family decides every target
 set, reading "some finite subfamily" as the up-closure over every
-submask, never as the family itself.  Above 4 points only, the oracle
-suite thins ambient families above ten members without a note.
+submask, never as the family itself.  Both read an enlarger only through
+its images of the ambient's members, so one walk
+(:func:`brute_force_compact_images`) answers every distinct image tuple
+of an ambient family, with the plain-cover planes computed once for all
+of them, and the oracle suite runs once per ambient family and image
+tuple.  Above 4 points only, the oracle suite thins ambient families
+above ten members without a note.
 
 Every per-set statement about a pair has the same shape: A fails
 exactly when it holds some x and sits inside a member of row[x].  The
@@ -37,7 +42,7 @@ members only; the proof is at :func:`additive_hypothesis`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bits import (
     SUBFAMILY_CAP,
@@ -131,41 +136,59 @@ def is_compact(cs: CoverSystem, a: int) -> CompactnessVerdict:
     return CompactnessVerdict(True)
 
 
-def brute_force_compact_all(cs: CoverSystem, targets: Sequence[int]) -> tuple[bool, ...]:
-    """Literal evaluation of the compactness quantifiers for every target.
+def brute_force_compact_images(ambient: Family, images: Iterable[Sequence[int]],
+                               targets: Sequence[int]) -> list[tuple[bool, ...]]:
+    """Literal evaluation of the compactness quantifiers for every target,
+    once per row of ``images``: one enlarger's images of the ambient
+    family's members, in order.
 
     One walk over the 2**k subfamilies of the ambient family decides
     every target, on 2**k-bit planes, bit ``sel`` for the subfamily
     picked by the bits of ``sel``.  A target is covered on the AND of
-    its points' plain planes and reached on the AND of their enlarged
-    planes.  "Some finite subfamily of ``sel`` reaches it" is the
-    up-closure of the reached plane over every submask
-    (:func:`~topolab.bits.up_planes`), never ``sel`` itself, and the
-    target fails exactly when a covering subfamily lies off it.  Kept as
-    the independent oracle for :func:`is_compact`; capped at
-    2**SUBFAMILY_CAP subfamilies.
+    its points' plain planes, computed once for all rows, and reached
+    on the AND of their enlarged planes; a point's plane depends only on
+    which members miss it and is built once per such pattern.  "Some finite
+    subfamily of ``sel`` reaches it" is the up-closure of the reached
+    plane over every submask (:func:`~topolab.bits.up_planes`), never
+    ``sel`` itself, and the target fails exactly when a covering
+    subfamily lies off it.  Kept as the independent oracle for
+    :func:`is_compact`; capped at 2**SUBFAMILY_CAP subfamilies.
     """
-    k = len(cs.ambient)
+    k = len(ambient)
     if k > SUBFAMILY_CAP:
         raise ValueError(f"family of {k} members exceeds the subfamily scan cap ({SUBFAMILY_CAP})")
     everything = (1 << (1 << k)) - 1
+    planes: dict[int, int] = {}
 
-    def meets(images: Sequence[int]) -> Iterator[int]:
+    def meets(members: Sequence[int]) -> Iterator[int]:
         """Per target, the AND over its points x of the subfamilies whose
-        images' union holds x: all but the submasks of those missing x."""
+        members' union holds x: all but the submasks of those missing x."""
         at = {}
         for t in targets:
             out = everything
             for x in iter_points(t):
                 if x not in at:
-                    missing = sum(1 << i for i, m in enumerate(images) if not m >> x & 1)
-                    at[x] = everything ^ down_plane((missing,), k)
+                    missing = sum(1 << i for i, m in enumerate(members) if not m >> x & 1)
+                    if missing not in planes:
+                        planes[missing] = everything ^ down_plane((missing,), k)
+                    at[x] = planes[missing]
                 out &= at[x]
             yield out
 
+    covered = list(meets(ambient))
+    return [
+        tuple(not c & ~finite for c, finite in zip(covered, up_planes(meets(row), k)))
+        for row in images
+    ]
+
+
+def brute_force_compact_all(cs: CoverSystem, targets: Sequence[int]) -> tuple[bool, ...]:
+    """Literal verdict for every target in one cover system:
+    :func:`brute_force_compact_images` on the enlarger's images."""
     enl = cs.enlarger.table
-    reached = up_planes(meets([enl[u] for u in cs.ambient]), k)
-    return tuple(not covered & ~finite for covered, finite in zip(meets(cs.ambient), reached))
+    # a lazy row, read only once the ambient family has passed the cap
+    row = ([enl[u] for u in cs.ambient] for _ in range(1))
+    return brute_force_compact_images(cs.ambient, row, targets)[0]
 
 
 def brute_force_compact(cs: CoverSystem, a: int) -> bool:

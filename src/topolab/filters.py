@@ -21,19 +21,22 @@ members.  Whether an enlargement t traps a member of base j is bit j of
 one member table ``has[t]``, the subset-sum transform of the pairs
 (member, 1 << j) (:func:`member_table`): the literal up-set of the
 members, never their meet.  Grouping the selector-open sets by their
-enlargement, every base's limit set is then one pass over the distinct
-enlargements (:func:`base_limit_sets`), and so is its adherence set, as
-an enlargement misses a member iff its complement traps it
-(:func:`base_adherence_sets`); :func:`adherence_set` ANDs the members'
-pair-closures instead.  The exhaustive convergence closure asks
-for a nonempty core inside both the set and a point's envelope: one AND
-of two submask planes per point.  The per-point predicates
+enlargement, the bases' limits are then one pass over the distinct
+enlargements, kept as one row per point with bit j for base j
+(:func:`base_limit_rows`), and so are their adherences, as an
+enlargement misses a member iff its complement traps it
+(:func:`base_adherence_rows`); :func:`base_limit_sets` and
+:func:`base_adherence_sets` transpose the rows into one set per base,
+and :func:`adherence_set` ANDs the members' pair-closures instead.  The
+exhaustive convergence closure asks for a nonempty core inside both the
+set and a point's envelope: one AND of two submask planes per point.  The per-point predicates
 :func:`converges` and :func:`accumulates` keep the literal rules.
 
 A sweep quantifies over a list of cores and checks those rules on rows
 indexed by position: :func:`point_rows` transposes a kernel's limit or
 adherence sets of the cores into one row per point, bit i standing for
-the i-th core, and the core table ``inside[t]`` (:func:`member_table` of
+the i-th core (:func:`spread_rows` ORs any flags instead, say the bases
+sharing a core), and the core table ``inside[t]`` (:func:`member_table` of
 the cores, one member each) flags the cores inside t.  A literal rule is
 then one table row per member: :func:`rows_within` ANDs ``inside[t]``
 over the sets t around each point, :func:`rows_meeting` the complements
@@ -202,28 +205,28 @@ def member_table(bases: Sequence[Sequence[int]], n: int) -> list[int]:
     )
 
 
-def base_limit_sets(p: OpPair, bases: Sequence[Sequence[int]],
+def base_limit_rows(p: OpPair, bases: Sequence[Sequence[int]],
                     has: Sequence[int] | None = None) -> list[int]:
-    """The limit set of each base in ``bases``.
+    """``out[x]`` flags, by bit j, the bases of ``bases`` that converge
+    to x.
 
     Convergence fails at x iff some selector-open set around x has an
-    enlargement t trapping no member; such sets make up the outside of
-    the limit set.  Base j traps a member in t iff bit j of ``has[t]``
-    (:func:`member_table` of ``bases``, built here unless given), so
-    its outside is the union of the groups of
-    :func:`~topolab.pairs.image_groups` whose t lacks bit j.
+    enlargement t trapping no member.  Base j traps a member in t iff
+    bit j of ``has[t]`` (:func:`member_table` of ``bases``, built here
+    unless given), so base j misses x iff some group (t, union holding
+    x) of :func:`~topolab.pairs.image_groups` has t lacking bit j.
     """
     if has is None:
         has = member_table(bases, p.topology.n)
     everyone = (1 << len(bases)) - 1
-    return _outside_groups(p, len(bases), has, 0, everyone)
+    return [everyone ^ row for row in _missed_rows(p, has, 0, everyone)]
 
 
-def base_adherence_sets(p: OpPair, bases: Sequence[Sequence[int]],
+def base_adherence_rows(p: OpPair, bases: Sequence[Sequence[int]],
                         has: Sequence[int] | None = None) -> list[int]:
-    """The adherence set of each base in ``bases``, from the groups of
-    :func:`~topolab.pairs.image_groups` rather than the pair-interior
-    table.
+    """``out[x]`` flags, by bit j, the bases of ``bases`` that
+    accumulate at x, from the groups of :func:`~topolab.pairs.image_groups`
+    rather than the pair-interior table.
 
     x misses the pair-closure of a member m iff some selector-open set
     around x has an enlargement t missing m, that is m inside the
@@ -233,25 +236,35 @@ def base_adherence_sets(p: OpPair, bases: Sequence[Sequence[int]],
     """
     if has is None:
         has = member_table(bases, p.topology.n)
-    return _outside_groups(p, len(bases), has, p.topology.full, 0)
+    everyone = (1 << len(bases)) - 1
+    return [everyone ^ row for row in _missed_rows(p, has, p.topology.full, 0)]
 
 
-def _outside_groups(p: OpPair, count: int, has: Sequence[int], flip: int, invert: int) -> list[int]:
-    """For each j below ``count``, the complement of the union of the
-    groups (t, union) of :func:`~topolab.pairs.image_groups` with bit j
-    of ``has[t ^ flip] ^ invert``.  Groups are first merged by those
-    bits."""
+def _missed_rows(p: OpPair, has: Sequence[int], flip: int, invert: int) -> list[int]:
+    """``out[x]``: the OR of ``has[t ^ flip] ^ invert`` over the groups
+    (t, union) of :func:`~topolab.pairs.image_groups` whose union holds
+    x.  Groups are first merged by those bits, so each distinct pattern
+    is spread over the points of its merged union once."""
     by_missed: dict[int, int] = {}
     for t, group in image_groups(p):
         missed = has[t ^ flip] ^ invert
         if missed:
             by_missed[missed] = by_missed.get(missed, 0) | group
-    outside = [0] * count
-    for missed, union in by_missed.items():
-        for j in iter_points(missed):
-            outside[j] |= union
-    full = p.topology.full
-    return [full ^ o for o in outside]
+    return spread_rows(zip(by_missed.values(), by_missed), p.topology.n)
+
+
+def base_limit_sets(p: OpPair, bases: Sequence[Sequence[int]],
+                    has: Sequence[int] | None = None) -> list[int]:
+    """The limit set of each base in ``bases``: :func:`base_limit_rows`
+    transposed."""
+    return point_rows(base_limit_rows(p, bases, has), len(bases))
+
+
+def base_adherence_sets(p: OpPair, bases: Sequence[Sequence[int]],
+                        has: Sequence[int] | None = None) -> list[int]:
+    """The adherence set of each base in ``bases``:
+    :func:`base_adherence_rows` transposed."""
+    return point_rows(base_adherence_rows(p, bases, has), len(bases))
 
 
 def limit_set(f: FilterLike, p: OpPair) -> int:
@@ -320,13 +333,18 @@ def refined_core(k: PairKernel, core: int, point: int) -> int:
 def point_rows(values: Sequence[int], n: int) -> list[int]:
     """``out[x]`` flags, by bit i, the entries ``values[i]`` that hold
     point x: the transpose of a row of n-bit sets into n rows indexed by
-    position, one step per set bit."""
+    position (:func:`spread_rows` with one flag per position)."""
+    return spread_rows(zip(values, map((1).__lshift__, range(len(values)))), n)
+
+
+def spread_rows(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
+    """``out[x]`` is the OR of the flags m over the pairs (v, m) whose
+    n-bit set v holds x, one step per set bit of each v."""
     out = [0] * n
-    for i, v in enumerate(values):
-        bit = 1 << i
+    for v, flags in pairs:
         while v:
             low = v & -v
-            out[low.bit_length() - 1] |= bit
+            out[low.bit_length() - 1] |= flags
             v ^= low
     return out
 

@@ -25,15 +25,15 @@ from .compact import (
     NAMED_CLASSES,
     CoverSystem,
     additive_hypothesis,
-    brute_force_compact_all,
+    brute_force_compact_images,
     compactness_kind,
     failing_plane,
     is_compact,
     space_compactness_flags,
 )
 from .filters import (
-    base_adherence_sets,
-    base_limit_sets,
+    base_adherence_rows,
+    base_limit_rows,
     convergence_closure,
     generated_filter,
     is_filterbase,
@@ -48,6 +48,7 @@ from .filters import (
     refined_core,
     rows_meeting,
     rows_within,
+    spread_rows,
 )
 from .jsonio import SchemaError, canonical_json
 from .ops import (
@@ -252,8 +253,8 @@ class _SpaceContext:
     monotonicity, the pointwise order, which open families sit inside
     which, and which enlargers agree on each open family).  The pairs,
     the quantified subsets, filterbases and cores, the lists of wider
-    pairs and the enlargers requested with each selector are built on
-    first read, so a miner that reads only the catalog's readings never
+    pairs and the agreeing partners of each pair are built on first
+    read, so a miner that reads only the catalog's readings never
     builds them.
 
     It keeps no rows: every row built from a pair (pair tables, filter
@@ -369,16 +370,20 @@ class _SpaceContext:
         return got
 
     @cached_property
-    def enlargers_of(self) -> dict[str, list[str]]:
-        """The enlargers requested with each selector, in request order."""
-        out: dict[str, list[str]] = {}
+    def partners(self) -> dict[tuple[str, str], list[str]]:
+        """partners[(a, b)]: the enlargers requested with selector a that
+        agree with b on the a-open family, b among them, one entry per
+        requested name in request order; keyed by the distinct requested
+        pairs, in request order."""
+        enlargers: dict[str, list[str]] = {}
         for a, b in self.pair_names:
-            out.setdefault(a, []).append(b)
+            enlargers.setdefault(a, []).append(b)
+        out: dict[tuple[str, str], list[str]] = {}
+        for a, b in self.pair_names:
+            if (a, b) not in out:
+                number = self.agreement[(a, b)]
+                out[(a, b)] = [d for d in enlargers[a] if self.agreement[(a, d)] == number]
         return out
-
-    def enlargers_agree(self, a: str, b: str, c: str) -> bool:
-        """Whether enlargers b and c agree on the a-open family."""
-        return self.agreement[(a, b)] == self.agreement[(a, c)]
 
     def regularity(self, sel_name: str, enl_name: str) -> Optional[bool]:
         """Whether the enlarger is regular against the selector-open
@@ -671,16 +676,13 @@ def _suite_families(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         if enlargement_base(ctx.pairs[(a, "identity")]) != ctx.open_sets[a]:
             _fail(out, ctx, f"{a},identity", a, "identity enlarger bases the selector family")
 
-    # enlargers agreeing on the selector-open family induce the same family
-    for a in BUILTIN_NAMES:
-        for b in BUILTIN_NAMES:
-            for c in BUILTIN_NAMES:
-                if (a, b) not in requested or (a, c) not in requested:
-                    continue
-                if ctx.enlargers_agree(a, b, c):
-                    out.instances_checked += 1
-                    if pair_open_family(ctx.pairs[(a, b)]) != pair_open_family(ctx.pairs[(a, c)]):
-                        _fail(out, ctx, f"{a},{b}", f"{a},{c}", "agreeing enlargers induce one family")
+    # enlargers agreeing on the selector-open family induce the same family;
+    # like every statement here, once per distinct requested pair
+    for (a, b), agreeing in ctx.partners.items():
+        for c in dict.fromkeys(agreeing):
+            out.instances_checked += 1
+            if pair_open_family(ctx.pairs[(a, b)]) != pair_open_family(ctx.pairs[(a, c)]):
+                _fail(out, ctx, f"{a},{b}", f"{a},{c}", "agreeing enlargers induce one family")
     return out
 
 
@@ -698,7 +700,11 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     out = SuiteResult()
     n, full = ctx.n, ctx.full
     exhaustive = n <= EXHAUSTIVE_POINTS
-    base_cores = [generated_filter(n, base).core for base in ctx.bases]
+    # the bases by the core of the filter each generates, bit j for base j
+    by_core: dict[int, int] = {}
+    for j, base in enumerate(ctx.bases):
+        core = generated_filter(n, base).core
+        by_core[core] = by_core.get(core, 0) | 1 << j
     has = member_table(ctx.bases, n)
     # per-point rows flag the quantified cores by their position i in the
     # core list; inside[t] flags the cores inside t
@@ -736,16 +742,18 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         lim_at, adh_at = point_rows(lims, n), point_rows(adhs, n)
         env = envelopes(p)
 
-        # base predicates match the generated filter's; the witness is the
-        # lowest point where either set differs
-        base_lims = base_limit_sets(p, ctx.bases, has)
-        base_adhs = base_adherence_sets(p, ctx.bases, has)
-        for base, core, base_lim, base_adh in zip(ctx.bases, base_cores, base_lims, base_adhs):
-            out.instances_checked += 1
-            diff = (base_lim ^ lim[core]) | (base_adh ^ adh[core])
-            if diff:
-                _fail(out, ctx, pair, str(list(base)), "base and generated filter agree",
-                      str((diff & -diff).bit_length() - 1))
+        # base predicates match the generated filter's, compared on rows by
+        # point: the bases' from the groups and the member table, the
+        # generated filters' from the envelopes and the pair interior; the
+        # witness is the lowest point where either set differs
+        out.instances_checked += len(ctx.bases)
+        base_lim_at = base_limit_rows(p, ctx.bases, has)
+        base_adh_at = base_adherence_rows(p, ctx.bases, has)
+        core_lim_at = spread_rows(((lim[c], js) for c, js in by_core.items()), n)
+        core_adh_at = spread_rows(((adh[c], js) for c, js in by_core.items()), n)
+        bad = [(base_lim_at[x] ^ core_lim_at[x]) | (base_adh_at[x] ^ core_adh_at[x]) for x in range(n)]
+        for j, x in _first_points(bad):
+            _fail(out, ctx, pair, str(list(ctx.bases[j])), "base and generated filter agree", str(x))
 
         # superset-closed neighbourhood variant changes nothing (monotone
         # enlarger); each up-set is one pass over all subsets, and the
@@ -962,10 +970,11 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
             derived.add(canonical_family(enlargement_base(p) + (ctx.full,)))
         ambients = sorted(derived)
 
-    def check(fam: Family, enl_name: str, out: SuiteResult) -> None:
+    def check(fam: Family, enl_name: str, row: tuple[int, ...], out: SuiteResult) -> None:
+        # the enlarger is read on the family's members only, where its
+        # images are ``row``, and ``literal`` holds the family's walk
         cs = CoverSystem(fam, ctx.ops[enl_name])
-        literal = brute_force_compact_all(cs, ctx.subsets)
-        for s, literal_compact in zip(ctx.subsets, literal):
+        for s, literal_compact in zip(ctx.subsets, literal[row]):
             out.instances_checked += 1
             verdict = is_compact(cs, s)
             if verdict.compact != literal_compact:
@@ -992,9 +1001,12 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
         if ctx.n > EXHAUSTIVE_POINTS and len(fam) > sweep_cap:
             trimmed = rng.sample([m for m in fam if m != ctx.full], sweep_cap - 1)
             fam = canonical_family(trimmed + [ctx.full])
-        # one oracle run per distinct enlarger table
-        _shared_runs(out, [(fam, nm) for nm in BUILTIN_NAMES],
-                     lambda fam, nm: ctx.ops[nm], check)
+        # one literal walk answers each distinct image tuple of the
+        # enlargers on the family, and one run checks each
+        items = [(fam, nm, tuple(map(ctx.ops[nm].table.__getitem__, fam))) for nm in BUILTIN_NAMES]
+        distinct = list(dict.fromkeys(row for _, _, row in items))
+        literal = dict(zip(distinct, brute_force_compact_images(fam, distinct, ctx.subsets)))
+        _shared_runs(out, items, lambda fam, nm, row: row, check)
     return out
 
 
@@ -1047,8 +1059,8 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     def agreeing(a: str, b: str, out: SuiteResult) -> None:
         # enlargers agreeing on the selector-open family give one verdict;
         # the partners share the selector's name, so this runs per name
-        for d in ctx.enlargers_of[a]:
-            if d != b and ctx.enlargers_agree(a, b, d):
+        for d in ctx.partners[(a, b)]:
+            if d != b:
                 out.instances_checked += 1
                 p, q = ctx.pairs[(a, b)], ctx.pairs[(a, d)]
                 diff = quantified & (

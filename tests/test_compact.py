@@ -11,6 +11,7 @@ from topolab import (
     additive_hypothesis,
     brute_force_compact,
     brute_force_compact_all,
+    brute_force_compact_images,
     catalog,
     closed_space_predicates,
     compactness_kind,
@@ -201,11 +202,14 @@ def test_batched_oracle_matches_per_subset_scan():
     for top, ambients, targets, enlargers in cases:
         ops = catalog(top)
         for fam in ambients:
-            for enl in enlargers:
+            # every enlarger's images in one walk, and each on its own
+            rows = [[ops[enl].table[u] for u in fam] for enl in enlargers]
+            together = brute_force_compact_images(fam, rows, targets)
+            for enl, joint in zip(enlargers, together):
                 cs = CoverSystem(fam, ops[enl])
                 got = brute_force_compact_all(cs, targets)
                 expected = tuple(per_subset_compact(cs, s) for s in targets)
-                assert got == expected, (top, fam, enl)
+                assert got == expected == joint, (top, fam, enl)
                 checked += len(targets)
                 refuted += expected.count(False)
     assert refuted and refuted < checked

@@ -1,7 +1,6 @@
 import collections
 import gc
 import hashlib
-import itertools
 import json
 import pathlib
 import random
@@ -19,6 +18,7 @@ from topolab import (
     adherence_set,
     base_report,
     compactness_kind,
+    converges,
     indiscrete,
     enumerate_topologies,
     is_monotone,
@@ -179,18 +179,18 @@ def _records(result) -> list[tuple]:
 
 
 def test_flipped_base_limit_bit_fails_like_the_per_base_scan(monkeypatch):
-    # one wrong bit in the batched base limits is reported with the
+    # one wrong bit in the batched base limit rows is reported with the
     # subject and witness the per-base scan gives with the same bit flipped
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=5, samples=1, seed=3, suites=("filters",))
     flip_base, flip_point = 2, 1
-    real = harness.base_limit_sets
+    real = harness.base_limit_rows
 
     def flipped(p, bases, has=None):
         got = real(p, bases, has)
-        got[flip_base] ^= 1 << flip_point
+        got[flip_point] ^= 1 << flip_base
         return got
 
-    monkeypatch.setattr(harness, "base_limit_sets", flipped)
+    monkeypatch.setattr(harness, "base_limit_rows", flipped)
     got = _records(run_suites(cfg).suites["filters"])
     expected = []
     for label, top in sweep_spaces(cfg):
@@ -210,20 +210,20 @@ def test_flipped_base_limit_bit_fails_like_the_per_base_scan(monkeypatch):
 
 def test_flipped_base_adherence_bit_fails_like_the_member_walk(monkeypatch):
     # the base side of "base and generated filter agree" comes from the
-    # groups (base_adherence_sets) and the filter side from the interior
+    # groups (base_adherence_rows) and the filter side from the interior
     # table: one wrong bit on the base side is reported with the subject
     # and witness of the literal walk over the members' pointwise
     # closures with the same bit flipped
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=5, samples=1, seed=3, suites=("filters",))
     flip_base, flip_point = 3, 2
-    real = harness.base_adherence_sets
+    real = harness.base_adherence_rows
 
     def flipped(p, bases, has=None):
         got = real(p, bases, has)
-        got[flip_base] ^= 1 << flip_point
+        got[flip_point] ^= 1 << flip_base
         return got
 
-    monkeypatch.setattr(harness, "base_adherence_sets", flipped)
+    monkeypatch.setattr(harness, "base_adherence_rows", flipped)
     got = _records(run_suites(cfg).suites["filters"])
     expected = []
     for label, top in sweep_spaces(cfg):
@@ -239,6 +239,59 @@ def test_flipped_base_adherence_bit_fails_like_the_member_walk(monkeypatch):
                                      str((diff & -diff).bit_length() - 1)))
     assert len(expected) == 49
     assert got == expected
+
+
+def test_base_rows_match_the_per_base_sets_and_the_literal_rules():
+    # the filters suite's base block compares rows by point, bit j of row
+    # x for base j, over the suite's own bases and every kernel of every
+    # space of at most 3 points and of seeded 5-, 6- and 8-point spaces.
+    # The base rows are the per-base sets transposed and agree with the
+    # literal convergence rule and the member walk; the generated
+    # filters' rows, spread over the bases by core, are the principal
+    # filters' sets.  Two flipped bits of one base give the per-base
+    # comparison's witness, the lower point, in base order
+    rng = random.Random(131)
+    spaces = [t for n in range(4) for t in enumerate_topologies(n)]
+    spaces += [random_topology(n, rng.randrange(10**6), n) for n in (5, 6, 8)]
+    for top in spaces:
+        ctx = _SpaceContext("s", top, SuiteConfig())
+        n, bases = top.n, ctx.bases
+        has = member_table(bases, n)
+        cores = [intersect_all(base, top.full) for base in bases]
+        by_core = {}
+        for j, core in enumerate(cores):
+            by_core[core] = by_core.get(core, 0) | 1 << j
+        kernels = {}
+        for p in ctx.pairs.values():
+            kernels.setdefault(p.kernel, p)
+        for p in kernels.values():
+            lim_at = filters.base_limit_rows(p, bases, has)
+            adh_at = filters.base_adherence_rows(p, bases, has)
+            assert lim_at == filters.base_limit_rows(p, bases), p
+            assert adh_at == filters.base_adherence_rows(p, bases), p
+            limits, adherences = filters.base_limit_sets(p, bases, has), filters.base_adherence_sets(p, bases, has)
+            walks = [oracles.literal_base_adherence(base, p) for base in bases]
+            for j, base in enumerate(bases):
+                assert limits[j] == sum(converges(base, p, x) << x for x in range(n)), (p, base)
+                assert adherences[j] == walks[j], (p, base)
+                for x in range(n):
+                    assert lim_at[x] >> j & 1 == limits[j] >> x & 1, (p, base, x)
+                    assert adh_at[x] >> j & 1 == adherences[j] >> x & 1, (p, base, x)
+            lim, adh = principal_rows(p)
+            core_lim_at = filters.spread_rows(((lim[c], js) for c, js in by_core.items()), n)
+            assert core_lim_at == lim_at, p
+            assert filters.spread_rows(((adh[c], js) for c, js in by_core.items()), n) == adh_at, p
+            if n < 2:
+                continue
+            j = rng.randrange(len(bases))
+            x, y = sorted(rng.sample(range(n), 2))
+            flipped = list(lim_at)
+            flipped[x] ^= 1 << j
+            flipped[y] ^= 1 << j
+            bad = [flipped[z] ^ core_lim_at[z] for z in range(n)]
+            diffs = [(limits[i] ^ lim[c]) ^ (i == j) * (1 << x | 1 << y) for i, c in enumerate(cores)]
+            expected = [(i, (d & -d).bit_length() - 1) for i, d in enumerate(diffs) if d]
+            assert list(harness._first_points(bad)) == expected == [(j, x)], p
 
 
 def test_wrong_monotone_verdict_fails_the_regularity_statement(monkeypatch):
@@ -545,15 +598,22 @@ def test_flipped_filter_and_restricted_bits_fail_like_the_per_set_statements(mon
 
 def test_enlargers_agree_matches_the_image_scan():
     # the per-selector agreement classes against the scan over the
-    # selector-open family, every triple of names
+    # selector-open family, every triple of names, in request order and
+    # once per requested name (a reversed catalog with one name twice)
     rng = random.Random(103)
     spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
     spaces += [random_topology(n, rng.randrange(10**6), n) for n in (4, 6, 8)]
-    for top in spaces:
-        ctx = _SpaceContext("s", top, SuiteConfig())
-        for a, b, c in itertools.product(BUILTIN_NAMES, repeat=3):
-            literal = all(ctx.ops[b].table[u] == ctx.ops[c].table[u] for u in ctx.open_sets[a])
-            assert ctx.enlargers_agree(a, b, c) == literal, (top, a, b, c)
+    for pairs in (CATALOG_PAIRS, CATALOG_PAIRS[::-1] + ("int,cl",)):
+        names = [tuple(spec.split(",")) for spec in pairs]
+        for top in spaces:
+            ctx = _SpaceContext("s", top, SuiteConfig(pairs=pairs))
+            assert list(ctx.partners) == list(dict.fromkeys(names))
+            for a, b in ctx.partners:
+                literal = [
+                    c for s, c in names
+                    if s == a and all(ctx.ops[b].table[u] == ctx.ops[c].table[u] for u in ctx.open_sets[a])
+                ]
+                assert ctx.partners[(a, b)] == literal, (top, a, b)
 
 
 def test_filter_rows_match_literal_rules():
@@ -641,13 +701,16 @@ def test_each_run_key_runs_once(monkeypatch):
     # operations and 16 distinct (selector, enlarger) pairs: the structure
     # statements run once per pair kernel and order dominance, the
     # compactness statements once per kernel, dominance and monotone
-    # selector, the oracle once per distinct enlarger of each ambient family
+    # selector, and the oracle once per ambient family and distinct image
+    # tuple of the enlargers on it, which is all the oracle and the fast
+    # criterion read of an enlarger
     cfg = SuiteConfig(n_exhaustive=2, n_sampled=6, samples=2, seed=31)
     top = dict(sweep_spaces(cfg))["n=6~0"]
-    seen = {"classify_structure": [], "space_compactness_flags": [], "brute_force_compact_all": []}
+    seen = {"classify_structure": [], "space_compactness_flags": [], "brute_force_compact_images": [],
+            "is_compact": []}
     for name, calls in seen.items():
         def counted(first, *rest, real=getattr(harness, name), calls=calls):
-            calls.append(first)
+            calls.append((first, *rest[:1]))
             return real(first, *rest)
         monkeypatch.setattr(harness, name, counted)
     report = run_suites(cfg, spaces=[("n=6~0", top)])
@@ -663,34 +726,75 @@ def test_each_run_key_runs_once(monkeypatch):
             p.kernel, base_report(p).order_dominates, is_monotone(p.selector)),
     }
     for name, key in run_keys.items():
-        keys = {key(p) for p in ctx.pairs.values()}
-        assert len(seen[name]) == len(keys), name
-        assert {key(p) for p in seen[name]} == keys, name
+        keys = {key(p) for (p,) in seen[name]}
+        expected = {key(p) for p in ctx.pairs.values()}
+        assert len(seen[name]) == len(expected), name
+        assert keys == expected, name
     assert len({run_keys["classify_structure"](p) for p in ctx.pairs.values()}) == 9
-    # one block of calls per ambient family, one call per distinct enlarger
-    oracle, k = seen["brute_force_compact_all"], len(distinct_ops)
-    # above 4 points the bigger ambient families are cut to seeded draws of 10
-    assert max(len(cs.ambient) for cs in oracle) == 10
-    ambients = len(oracle) // k
-    assert report.suites["compactness_oracle"].instances_checked == ambients * 7 * len(ctx.subsets)
-    for i in range(0, len(oracle), k):
-        block = oracle[i:i + k]
-        assert len({cs.ambient for cs in block}) == 1
-        assert {cs.enlarger for cs in block} == distinct_ops
+    # one literal walk per ambient family, answering each distinct image
+    # tuple of the seven enlargers on it once; above 4 points the bigger
+    # ambient families are cut to seeded draws of 10
+    walks = seen["brute_force_compact_images"]
+    ambients = [fam for fam, _ in walks]
+    assert len(set(ambients)) == len(ambients)
+    assert max(map(len, ambients)) == 10
+    keys = []
+    for fam, images in walks:
+        on_fam = [tuple(op.table[u] for u in fam) for op in ctx.ops.values()]
+        assert list(images) == list(dict.fromkeys(on_fam)), fam
+        keys += [(fam, row) for row in images]
+    # 9 runs where there are 16 (ambient, distinct operation) pairs: some
+    # operations differ only off an ambient family
+    assert (len(keys), len(ambients) * len(distinct_ops)) == (9, 16)
+    assert report.suites["compactness_oracle"].instances_checked == len(ambients) * 7 * len(ctx.subsets)
+    # the fast criterion runs once per key and quantified subset
+    runs = collections.Counter((cs.ambient, tuple(cs.enlarger.table[u] for u in cs.ambient))
+                               for cs, _ in seen["is_compact"])
+    assert runs == dict.fromkeys(keys, len(ctx.subsets))
 
 
 def test_oracle_walks_every_ambient_family_whole_up_to_four_points(monkeypatch):
     # the largest is the power set, the identity-open family of 16 members
     sizes = []
 
-    def spied(cs, targets, real=compact.brute_force_compact_all):
-        sizes.append(len(cs.ambient))
-        return real(cs, targets)
+    def spied(ambient, images, targets, real=compact.brute_force_compact_images):
+        sizes.append(len(ambient))
+        return real(ambient, images, targets)
 
-    monkeypatch.setattr(harness, "brute_force_compact_all", spied)
+    monkeypatch.setattr(harness, "brute_force_compact_images", spied)
     cfg = SuiteConfig(n_exhaustive=0, suites=("compactness_oracle",))
     assert run_suites(cfg, spaces=[("n=4", random_topology(4, 0, 4))]).ok
     assert max(sizes) == 16
+
+
+def test_failing_oracle_runs_are_not_shared(monkeypatch):
+    # two enlargers whose images agree on an ambient family share one
+    # oracle run key there; a wrong literal verdict for that image tuple
+    # fails the run, so each name runs its own body and reports its own
+    # record under its own name
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=3, samples=1, seed=5, suites=("compactness_oracle",))
+    [(label, top)] = sweep_spaces(cfg)
+    ctx = _SpaceContext(label, top, cfg)
+    real = compact.brute_force_compact_images
+    target = []
+
+    def flipped(ambient, images, targets):
+        # the first image tuple shared by enlargers with different tables
+        # gets a wrong verdict for the last target, the whole space
+        got = real(ambient, images, targets)
+        for at, row in enumerate(images):
+            names = [nm for nm, op in ctx.ops.items() if tuple(op.table[u] for u in ambient) == row]
+            if not target and len({ctx.ops[nm].table for nm in names}) > 1:
+                target.append((ambient, names))
+            if target and target[0] == (ambient, names):
+                got[at] = got[at][:-1] + (not got[at][-1],)
+        return got
+
+    monkeypatch.setattr(harness, "brute_force_compact_images", flipped)
+    got = _records(run_suites(cfg, [(label, top)]).suites["compactness_oracle"])
+    [(ambient, names)] = target
+    statement = "fast criterion agrees with the literal oracle"
+    assert got == [(nm, statement, _mask_str(ctx, top.full), str(list(ambient))) for nm in names]
 
 
 def test_failing_runs_are_not_shared(monkeypatch):

@@ -1,0 +1,74 @@
+"""Checks on the library's source itself."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "topolab"
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """The functions taking arguments that ``source`` decorates with
+    ``functools.cache`` or ``functools.lru_cache(maxsize=None)``, under
+    any import spelling: such a cache keeps every argument and result
+    for the life of the process."""
+    tree = ast.parse(source)
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "functools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update((a.asname or a.name, a.name) for a in node.names)
+
+    def resolve(expr):
+        if isinstance(expr, ast.Name):
+            return names.get(expr.id)
+        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name) and expr.value.id in modules:
+            return expr.attr
+        return None
+
+    def unbounded(decorator) -> bool:
+        if not isinstance(decorator, ast.Call):
+            return resolve(decorator) == "cache"
+        if resolve(decorator.func) == "cache":
+            return True
+        if resolve(decorator.func) != "lru_cache":
+            return False
+        sizes = [k.value for k in decorator.keywords if k.arg == "maxsize"] + decorator.args[:1]
+        return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            takes = a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg
+            if takes and any(unbounded(d) for d in node.decorator_list):
+                out.append(node.name)
+    return out
+
+
+def test_the_scan_finds_unbounded_caches():
+    source = (
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import cache, lru_cache as lru\n"
+        "@functools.cache\ndef a(x): pass\n"
+        "@cache\ndef b(*xs): pass\n"
+        "@ft.lru_cache(maxsize=None)\ndef c(x): pass\n"
+        "@lru(None)\ndef d(*, x): pass\n"
+        "class K:\n    @functools.cache\n    def e(self): pass\n"
+        "@functools.cache\ndef zero(): pass\n"
+        "@lru(maxsize=4)\ndef bounded(x): pass\n"
+        "@lru\ndef default(x): pass\n"
+        "@other.cache\ndef elsewhere(x): pass\n"
+    )
+    assert unbounded_caches(source) == ["a", "b", "c", "d", "e"]
+
+
+def test_no_unbounded_process_wide_caches():
+    # derived tables live on their space or pair kernel and die with it;
+    # a process-wide cache may hold only a bounded number of entries or
+    # none keyed by an argument, like the CLI's parser
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = {str(f.relative_to(SRC)): unbounded_caches(f.read_text(encoding="utf-8")) for f in files}
+    assert {name: fns for name, fns in found.items() if fns} == {}
