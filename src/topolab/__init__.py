@@ -53,8 +53,6 @@ from .filters import (
     Filter,
     accumulates,
     adherence_set,
-    base_adherence_sets,
-    base_limit_sets,
     converges,
     convergence_closure,
     finer_convergent,
@@ -74,7 +72,6 @@ from .compact import (
     SpaceCompactnessFlags,
     additive_hypothesis,
     brute_force_compact,
-    brute_force_compact_all,
     brute_force_compact_images,
     closed_space_predicates,
     compactness_kind,

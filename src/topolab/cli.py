@@ -58,16 +58,6 @@ def _point_set(top: Topology, spec: str) -> int:
         raise SchemaError(exc.args[0]) from None
 
 
-def _fmt_family(top: Topology, family) -> str:
-    """Braced label lists, one loop over the ground set's labels per mask."""
-    points = [(1 << i, lab) for i, lab in enumerate(top.ground.labels)]
-    return " ".join(["{" + ",".join([lab for bit, lab in points if m & bit]) + "}" for m in family])
-
-
-def _fmt(top: Topology, mask: int) -> str:
-    return _fmt_family(top, (mask,))
-
-
 def _cmd_enumerate(args) -> int:
     if not 0 <= args.n <= EXHAUSTIVE_POINTS:
         raise SchemaError(f"exhaustive enumeration is capped at n = {EXHAUSTIVE_POINTS}; use random_topology")
@@ -104,11 +94,11 @@ def _cmd_families(args) -> int:
     p = _pair(top, args.pair)
     rep = classify_structure(p)
     print(f"space: {len(top.opens)} opens on {top.n} points")
-    print(f"selector-open ({p.selector.name}):", _fmt_family(top, op_open_family(p.selector)))
-    print(f"enlarger-open ({p.enlarger.name}):", _fmt_family(top, op_open_family(p.enlarger)))
-    print("pair-open:", _fmt_family(top, pair_open_family(p)))
-    print("pair-closed:", _fmt_family(top, pair_closed_family(p)))
-    print("enlargement base:", _fmt_family(top, enlargement_base(p)))
+    print(f"selector-open ({p.selector.name}):", top.ground.braced(*op_open_family(p.selector)))
+    print(f"enlarger-open ({p.enlarger.name}):", top.ground.braced(*op_open_family(p.enlarger)))
+    print("pair-open:", top.ground.braced(*pair_open_family(p)))
+    print("pair-closed:", top.ground.braced(*pair_closed_family(p)))
+    print("enlargement base:", top.ground.braced(*enlargement_base(p)))
     print(
         "structure:"
         f" supratopology={str(rep.is_supratopology).lower()}"
@@ -129,9 +119,9 @@ def _cmd_filter(args) -> int:
     f = Filter(top.n, core)
     lim = limit_set(f, p)
     adh = adherence_set(f, p)
-    print("core:", _fmt(top, core))
-    print("limit_set:", _fmt(top, lim))
-    print("adherence_set:", _fmt(top, adh))
+    print("core:", top.ground.braced(core))
+    print("limit_set:", top.ground.braced(lim))
+    print("adherence_set:", top.ground.braced(adh))
     if args.report:
         for x in range(top.n):
             print(
@@ -153,11 +143,11 @@ def _cmd_compact(args) -> int:
             f" this one has {len(cs.ambient)}"
         )
     verdict: CompactnessVerdict = is_compact(cs, subset)
-    print("set:", _fmt(top, subset))
+    print("set:", top.ground.braced(subset))
     print("compact:", str(verdict.compact).lower())
     if not verdict.compact:
         print("witness_point:", top.ground.labels[verdict.witness_point])
-        print("witness_cover:", _fmt_family(top, verdict.witness_cover))
+        print("witness_cover:", top.ground.braced(*verdict.witness_cover))
     if args.oracle:
         oracle = brute_force_compact(cs, subset)
         print("oracle:", str(oracle).lower())

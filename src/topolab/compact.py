@@ -14,17 +14,17 @@ is then contained in that point's avoidance family.  Scanning the points
 of A therefore decides compactness in O(|ambient| * |A|) word steps, and
 with the union of each point's avoidance family tabulated once per pair
 kernel and cover kind, in O(|A|) (:func:`compactness_kind`).  The literal
-quantifier evaluation is kept alongside as :func:`brute_force_compact_all`
-and the two must agree everywhere.  It is batched but still literal: one
-walk over the subfamilies of the ambient family decides every target
-set, reading "some finite subfamily" as the up-closure over every
-submask, never as the family itself.  Both read an enlarger only through
-its images of the ambient's members, so one walk
-(:func:`brute_force_compact_images`) answers every distinct image tuple
-of an ambient family, with the plain-cover planes computed once for all
-of them, and the oracle suite runs once per ambient family and image
-tuple.  Above 4 points only, the oracle suite thins ambient families
-above ten members without a note.
+quantifier evaluation is kept alongside, and the two must agree
+everywhere.  It is batched but still literal: one walk over the
+subfamilies of the ambient family decides every target set, reading
+"some finite subfamily" as the up-closure over every submask, never as
+the family itself.  Both read an enlarger only through its images of the
+ambient's members, so one walk (:func:`brute_force_compact_images`)
+answers every distinct image tuple of an ambient family, with the
+plain-cover planes computed once for all of them, and the oracle suite
+runs once per ambient family and image tuple; :func:`brute_force_compact`
+is its one-set call.  Above 4 points only, the oracle suite thins
+ambient families above ten members without a note.
 
 Every per-set statement about a pair has the same shape: A fails
 exactly when it holds some x and sits inside a member of row[x].  The
@@ -182,39 +182,13 @@ def brute_force_compact_images(ambient: Family, images: Iterable[Sequence[int]],
     ]
 
 
-def brute_force_compact_all(cs: CoverSystem, targets: Sequence[int]) -> tuple[bool, ...]:
-    """Literal verdict for every target in one cover system:
-    :func:`brute_force_compact_images` on the enlarger's images."""
+def brute_force_compact(cs: CoverSystem, a: int) -> bool:
+    """Literal verdict for one set: :func:`brute_force_compact_images` on
+    the enlarger's images of the ambient family."""
     enl = cs.enlarger.table
     # a lazy row, read only once the ambient family has passed the cap
     row = ([enl[u] for u in cs.ambient] for _ in range(1))
-    return brute_force_compact_images(cs.ambient, row, targets)[0]
-
-
-def brute_force_compact(cs: CoverSystem, a: int) -> bool:
-    """Literal verdict for one set: :func:`brute_force_compact_all` on ``(a,)``."""
-    return brute_force_compact_all(cs, (a,))[0]
-
-
-@memoized
-def _outside_row(k: PairKernel, kind: str) -> tuple[int, ...]:
-    """outside[x] = union of the kind's ambient members whose enlargement
-    misses x, one row per kernel and kind.
-
-    Those are the members whose enlargement fits inside full minus x, so
-    the row is read off a contained-union table at those n sets: the
-    pair-interior table for the pair kind, the union of the members
-    inside each set for the two plain kinds.
-    """
-    n, full = k.topology.n, k.topology.full
-    if kind == "pair":
-        inner = int_table(k)
-    elif kind in ("pair_open", "base"):
-        members = pair_open_family(k) if kind == "pair_open" else enlargement_base(k) + (full,)
-        inner = contained_union_table(((u, u) for u in members), n)
-    else:
-        raise ValueError(f"unknown kind {kind!r}; use 'pair', 'pair_open' or 'base'")
-    return tuple(inner[full ^ (1 << x)] for x in range(n))
+    return brute_force_compact_images(cs.ambient, row, (a,))[0][0]
 
 
 @memoized
@@ -265,12 +239,22 @@ def _row(k: PairKernel, kind: str) -> tuple[tuple[int, ...], ...]:
         return tuple(
             tuple(full ^ c for c, union in reach.items() if union >> x & 1) for x in range(n)
         )
-    if kind in ("pair", "pair_open", "base"):
-        return tuple((m,) for m in _outside_row(k, kind))
-    raise ValueError(
-        f"unknown kind {kind!r}; use 'pair', 'pair_open', 'base', 'ultra', 'closed'"
-        " or 'restricted'"
-    )
+    if kind == "pair":
+        inner = int_table(k)
+    elif kind in ("pair_open", "base"):
+        members = pair_open_family(k) if kind == "pair_open" else enlargement_base(k) + (full,)
+        inner = contained_union_table(((u, u) for u in members), n)
+    else:
+        raise ValueError(
+            f"unknown kind {kind!r}; use 'pair', 'pair_open', 'base', 'ultra', 'closed'"
+            " or 'restricted'"
+        )
+    # outside[x], the union of the kind's ambient members whose
+    # enlargement misses x: those are the members whose enlargement fits
+    # inside full minus x, so it is read off a contained-union table at
+    # those n sets, the pair-interior table for the pair kind and the
+    # union of the members inside each set for the two plain kinds
+    return tuple((inner[full ^ (1 << x)],) for x in range(n))
 
 
 def compactness_kind(p: OpPair, a: int, kind: str = "pair") -> bool:

@@ -21,16 +21,15 @@ members.  Whether an enlargement t traps a member of base j is bit j of
 one member table ``has[t]``, the subset-sum transform of the pairs
 (member, 1 << j) (:func:`member_table`): the literal up-set of the
 members, never their meet.  Grouping the selector-open sets by their
-enlargement, the bases' limits are then one pass over the distinct
+enlargement, the bases' limits and adherences (an enlargement misses a
+member iff its complement traps it) are then one pass over the distinct
 enlargements, kept as one row per point with bit j for base j
-(:func:`base_limit_rows`), and so are their adherences, as an
-enlargement misses a member iff its complement traps it
-(:func:`base_adherence_rows`); :func:`base_limit_sets` and
-:func:`base_adherence_sets` transpose the rows into one set per base,
+(:func:`base_rows`); :func:`limit_set` reads one base off those rows,
 and :func:`adherence_set` ANDs the members' pair-closures instead.  The
 exhaustive convergence closure asks for a nonempty core inside both the
-set and a point's envelope: one AND of two submask planes per point.  The per-point predicates
-:func:`converges` and :func:`accumulates` keep the literal rules.
+set and a point's envelope: one AND of two submask planes per point.
+The per-point predicates :func:`converges` and :func:`accumulates` keep
+the literal rules.
 
 A sweep quantifies over a list of cores and checks those rules on rows
 indexed by position: :func:`point_rows` transposes a kernel's limit or
@@ -205,73 +204,47 @@ def member_table(bases: Sequence[Sequence[int]], n: int) -> list[int]:
     )
 
 
-def base_limit_rows(p: OpPair, bases: Sequence[Sequence[int]],
-                    has: Sequence[int] | None = None) -> list[int]:
-    """``out[x]`` flags, by bit j, the bases of ``bases`` that converge
-    to x.
+def base_rows(p: OpPair, bases: Sequence[Sequence[int]],
+              has: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
+    """(limits, adherences): ``limits[x]`` flags, by bit j, the bases of
+    ``bases`` that converge to x, and ``adherences[x]`` those that
+    accumulate at x.
 
+    Base j traps a member in t iff bit j of ``has[t]``
+    (:func:`member_table` of ``bases``, built here unless given).
     Convergence fails at x iff some selector-open set around x has an
-    enlargement t trapping no member.  Base j traps a member in t iff
-    bit j of ``has[t]`` (:func:`member_table` of ``bases``, built here
-    unless given), so base j misses x iff some group (t, union holding
-    x) of :func:`~topolab.pairs.image_groups` has t lacking bit j.
+    enlargement t trapping no member, so base j misses x iff some group
+    (t, union holding x) of :func:`~topolab.pairs.image_groups` has t
+    lacking bit j.  x misses the pair-closure of a member m iff some such
+    t misses m, that is m sits inside ``full ^ t``, so base j does not
+    accumulate at x iff some group has bit j of ``has[full ^ t]``.  One
+    pass over the groups merges them by each missed pattern, and each
+    distinct pattern is spread over the points of its merged union once.
     """
+    n, full = p.topology.n, p.topology.full
     if has is None:
-        has = member_table(bases, p.topology.n)
+        has = member_table(bases, n)
     everyone = (1 << len(bases)) - 1
-    return [everyone ^ row for row in _missed_rows(p, has, 0, everyone)]
-
-
-def base_adherence_rows(p: OpPair, bases: Sequence[Sequence[int]],
-                        has: Sequence[int] | None = None) -> list[int]:
-    """``out[x]`` flags, by bit j, the bases of ``bases`` that
-    accumulate at x, from the groups of :func:`~topolab.pairs.image_groups`
-    rather than the pair-interior table.
-
-    x misses the pair-closure of a member m iff some selector-open set
-    around x has an enlargement t missing m, that is m inside the
-    complement of t.  So base j misses x iff some group (t, union
-    holding x) has bit j of ``has[full ^ t]`` (:func:`member_table` of
-    ``bases``, built here unless given).
-    """
-    if has is None:
-        has = member_table(bases, p.topology.n)
-    everyone = (1 << len(bases)) - 1
-    return [everyone ^ row for row in _missed_rows(p, has, p.topology.full, 0)]
-
-
-def _missed_rows(p: OpPair, has: Sequence[int], flip: int, invert: int) -> list[int]:
-    """``out[x]``: the OR of ``has[t ^ flip] ^ invert`` over the groups
-    (t, union) of :func:`~topolab.pairs.image_groups` whose union holds
-    x.  Groups are first merged by those bits, so each distinct pattern
-    is spread over the points of its merged union once."""
-    by_missed: dict[int, int] = {}
+    unlimited: dict[int, int] = {}
+    unadherent: dict[int, int] = {}
     for t, group in image_groups(p):
-        missed = has[t ^ flip] ^ invert
+        missed = everyone ^ has[t]
         if missed:
-            by_missed[missed] = by_missed.get(missed, 0) | group
-    return spread_rows(zip(by_missed.values(), by_missed), p.topology.n)
-
-
-def base_limit_sets(p: OpPair, bases: Sequence[Sequence[int]],
-                    has: Sequence[int] | None = None) -> list[int]:
-    """The limit set of each base in ``bases``: :func:`base_limit_rows`
-    transposed."""
-    return point_rows(base_limit_rows(p, bases, has), len(bases))
-
-
-def base_adherence_sets(p: OpPair, bases: Sequence[Sequence[int]],
-                        has: Sequence[int] | None = None) -> list[int]:
-    """The adherence set of each base in ``bases``:
-    :func:`base_adherence_rows` transposed."""
-    return point_rows(base_adherence_rows(p, bases, has), len(bases))
+            unlimited[missed] = unlimited.get(missed, 0) | group
+        missed = has[full ^ t]
+        if missed:
+            unadherent[missed] = unadherent.get(missed, 0) | group
+    return tuple(
+        [everyone ^ row for row in spread_rows(zip(by_missed.values(), by_missed), n)]
+        for by_missed in (unlimited, unadherent)
+    )
 
 
 def limit_set(f: FilterLike, p: OpPair) -> int:
     """The points ``f`` converges to."""
     if isinstance(f, Filter):
         return principal_rows(p)[0][f.core]
-    return base_limit_sets(p, (tuple(f),))[0]
+    return points_reached(1, base_rows(p, (tuple(f),))[0])
 
 
 def adherence_set(f: FilterLike, p: OpPair) -> int:

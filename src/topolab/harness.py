@@ -15,9 +15,9 @@ from __future__ import annotations
 import operator
 import platform
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import __version__
 from .bits import Family, canonical_family, derive_seed, family_plane, iter_points, mask_of
@@ -32,8 +32,7 @@ from .compact import (
     space_compactness_flags,
 )
 from .filters import (
-    base_adherence_rows,
-    base_limit_rows,
+    base_rows,
     convergence_closure,
     generated_filter,
     is_filterbase,
@@ -143,36 +142,35 @@ class SuiteConfig:
         for name in self.suites:
             if name not in SUITE_NAMES:
                 raise SchemaError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+        for key in ("pairs", "suites"):
+            names = getattr(self, key)
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise SchemaError(f"config field {key!r} repeats {name!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
+        """The config a JSON object names: integer fields as integers,
+        the tuple fields (pairs, suites) as lists of strings."""
         if not isinstance(data, dict):
             raise SchemaError("config must be a JSON object")
-        allowed = {"n_exhaustive", "n_sampled", "samples", "seed", "pairs", "suites"}
-        unknown = set(data) - allowed
+        listed = {f.name: isinstance(f.default, tuple) for f in fields(cls)}
+        unknown = set(data) - set(listed)
         if unknown:
             raise SchemaError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(data)
-        for key in ("pairs", "suites"):
-            if key in kwargs:
-                value = kwargs[key]
+        for key, value in data.items():
+            if listed[key]:
                 if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
                     raise SchemaError(f"config field {key!r} must be a list of strings")
                 kwargs[key] = tuple(value)
-        for key in ("n_exhaustive", "n_sampled", "samples", "seed"):
-            if key in kwargs and type(kwargs[key]) is not int:  # JSON true is an int subclass
+            elif type(value) is not int:  # JSON true is an int subclass
                 raise SchemaError(f"config field {key!r} must be an integer")
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "n_exhaustive": self.n_exhaustive,
-            "n_sampled": self.n_sampled,
-            "samples": self.samples,
-            "seed": self.seed,
-            "pairs": list(self.pairs),
-            "suites": list(self.suites),
-        }
+        """The fields in declaration order, tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -181,11 +179,14 @@ class SuiteResult:
     failures: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
 
+    def note(self, key: str, count: int = 1) -> None:
+        self.notes[key] = self.notes.get(key, 0) + count
+
     def merge(self, other: "SuiteResult") -> None:
         self.instances_checked += other.instances_checked
         self.failures.extend(other.failures)
         for key, value in other.notes.items():
-            self.notes[key] = self.notes.get(key, 0) + value
+            self.note(key, value)
 
 
 @dataclass
@@ -263,7 +264,7 @@ class _SpaceContext:
     :func:`~topolab.space.memoized`, and dies with the context's pairs.
     Named pairs keep one :class:`OpPair` each, since witnesses print the
     names; the per-pair suites run once per kernel and selector reading
-    (:meth:`each_pair`)."""
+    (:func:`_shared_runs` over ``pair_names``)."""
 
     def __init__(self, label: str, top: Topology, cfg: SuiteConfig):
         self.label = label
@@ -345,14 +346,6 @@ class _SpaceContext:
             picked.add(rng.randrange(1, 1 << self.n))
         return sorted(picked)
 
-    def each_pair(self, out: SuiteResult, key: Callable, body: Callable,
-                  tail: Optional[Callable] = None) -> None:
-        """``body(a, b, run)`` once per distinct ``key(a, b)`` among the
-        requested names, counted once per name (:func:`_shared_runs`).
-        Each suite keys by what its body reads: the pair's kernel, plus
-        the readings of the selector's table the body makes."""
-        _shared_runs(out, self.pair_names, key, body, tail)
-
     def dominates(self, a: str, b: str) -> bool:
         """Whether enlarger b sits above the identity or above selector a
         (``order_dominates`` of :func:`~topolab.pairs.base_report`)."""
@@ -372,29 +365,29 @@ class _SpaceContext:
     @cached_property
     def partners(self) -> dict[tuple[str, str], list[str]]:
         """partners[(a, b)]: the enlargers requested with selector a that
-        agree with b on the a-open family, b among them, one entry per
-        requested name in request order; keyed by the distinct requested
-        pairs, in request order."""
+        agree with b on the a-open family, b among them, in request order;
+        keyed by the requested pairs, in request order."""
         enlargers: dict[str, list[str]] = {}
         for a, b in self.pair_names:
             enlargers.setdefault(a, []).append(b)
-        out: dict[tuple[str, str], list[str]] = {}
-        for a, b in self.pair_names:
-            if (a, b) not in out:
-                number = self.agreement[(a, b)]
-                out[(a, b)] = [d for d in enlargers[a] if self.agreement[(a, d)] == number]
-        return out
+        return {
+            (a, b): [d for d in enlargers[a] if self.agreement[(a, d)] == self.agreement[(a, b)]]
+            for a, b in self.pair_names
+        }
 
-    def regularity(self, sel_name: str, enl_name: str) -> Optional[bool]:
+    def regularity(self, sel_name: str, enl_name: str, out: SuiteResult) -> bool:
         """Whether the enlarger is regular against the selector-open
-        family (:func:`enlarger_is_regular`, kept on the pair's kernel);
-        None past :meth:`regularity_gated`, unless its fast path, a
-        monotone enlarger over an intersection-closed family, applies.
+        family (:func:`enlarger_is_regular`, kept on the pair's kernel).
+        Past :meth:`regularity_gated`, unless its fast path, a monotone
+        enlarger over an intersection-closed family, applies, the answer
+        is unknown: ``out`` notes ``regularity_unknown`` and the answer
+        reads False, so the statements it gates are skipped, not asserted.
         """
         fam = self.open_sets[sel_name]
         fast = self.monotone[enl_name] and self.top.family_props(fam)[0]
         if self.regularity_gated(fam) and not fast:
-            return None
+            out.note("regularity_unknown")
+            return False
         return enlarger_is_regular(self.pairs[(sel_name, enl_name)])
 
     def regularity_gated(self, fam: Family) -> bool:
@@ -405,18 +398,19 @@ class _SpaceContext:
         return len(fam) ** 3 * max(self.n, 1) > 2 * 10**8
 
 
+def _subfamilies(members: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every subfamily of ``members``, by ascending selection mask: bit i
+    of the mask picks ``members[i]``."""
+    for sel in range(1 << len(members)):
+        yield tuple(m for i, m in enumerate(members) if sel >> i & 1)
+
+
 @lru_cache(maxsize=4)
 def _all_bases(n: int) -> tuple[tuple[int, ...], ...]:
     """Every filterbase of nonempty subsets of an n-point set, n at most
     3: the same for every space of n points, so enumerated once per n
     (127 subfamilies at 3 points)."""
-    nonempty = range(1, 1 << n)
-    out = []
-    for sel in range(1, 1 << len(nonempty)):
-        fam = tuple(m for i, m in enumerate(nonempty) if sel >> i & 1)
-        if is_filterbase(fam):
-            out.append(fam)
-    return tuple(out)
+    return tuple(filter(is_filterbase, _subfamilies(range(1, 1 << n))))
 
 
 @memoized
@@ -437,10 +431,6 @@ def _fail(out: SuiteResult, ctx: _SpaceContext, pair: str, subject: str,
         "statement": statement,
         "witness": witness,
     })
-
-
-def _mask_str(ctx: _SpaceContext, mask: int) -> str:
-    return "{" + ",".join(ctx.top.ground.labels_of_mask(mask)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +500,7 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
     for nm in ("cloint", "cl", "scl", "identity", "introcl"):
         if ctx.regularity_gated(ctx.top.opens):
-            out.notes["regularity_scan_skipped"] = out.notes.get("regularity_scan_skipped", 0) + 1
+            out.note("regularity_scan_skipped")
             continue
         out.instances_checked += 1
         if not is_regular_wrt(ops[nm], ctx.top.opens):
@@ -524,7 +514,7 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 if not ctx.monotone[b]:
                     continue
                 if ctx.regularity_gated(selfam):
-                    out.notes["regularity_scan_skipped"] = out.notes.get("regularity_scan_skipped", 0) + 1
+                    out.note("regularity_scan_skipped")
                     continue
                 out.instances_checked += 1
                 # the kernel's scan, not enlarger_is_regular, whose fast
@@ -553,6 +543,7 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
 def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     out = SuiteResult()
+    braced = ctx.top.ground.braced
 
     def check(a: str, b: str, out: SuiteResult) -> None:
         p = ctx.pairs[(a, b)]
@@ -566,7 +557,7 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         # complement duality and monotonicity of the pair operators
         for s, by_points in zip(ctx.subsets, pair_closure_by_points(p, ctx.subsets)):
             if pair_closure(p, s) != by_points:
-                _fail(out, ctx, pair, _mask_str(ctx, s), "pointwise and complement closures agree")
+                _fail(out, ctx, pair, braced(s), "pointwise and complement closures agree")
                 break
         monotone_broken = False
         for s in ctx.subsets:
@@ -575,16 +566,13 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 if s >> i & 1:
                     continue
                 if inner & ~pair_interior(p, s | (1 << i)):
-                    _fail(out, ctx, pair, _mask_str(ctx, s), "pair interior is monotone")
+                    _fail(out, ctx, pair, braced(s), "pair interior is monotone")
                     monotone_broken = True
                     break
             if monotone_broken:
                 break
 
-        regular = ctx.regularity(a, b)
-        if regular is None:
-            out.notes["regularity_unknown"] = out.notes.get("regularity_unknown", 0) + 1
-            regular = False  # skip the gated checks, nothing is asserted
+        regular = ctx.regularity(a, b, out)
         if regular:
             out.instances_checked += 1
             if not rep.is_topology:
@@ -610,8 +598,7 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                         break
                 if not chain_ok:
                     _fail(out, ctx, pair, "X", "closure operator induces the pair topology")
-                key = "cl_reading_both" if rep.closed_iff_cl_equal else "cl_reading_subset_only"
-                out.notes[key] = out.notes.get(key, 0) + 1
+                out.note("cl_reading_both" if rep.closed_iff_cl_equal else "cl_reading_subset_only")
 
                 if base.base_pair_open:
                     out.instances_checked += 1
@@ -626,7 +613,7 @@ def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         if (base.hypothesis_b or base.hypothesis_c or base.hypothesis_d) and not base.is_base:
             _fail(out, ctx, pair, "base", "enlargement base generates the pair-open family")
 
-    ctx.each_pair(out, lambda a, b: (ctx.pairs[(a, b)].kernel, ctx.dominates(a, b)), check)
+    _shared_runs(out, ctx.pair_names, lambda a, b: (ctx.pairs[(a, b)].kernel, ctx.dominates(a, b)), check)
     return out
 
 
@@ -676,10 +663,9 @@ def _suite_families(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         if enlargement_base(ctx.pairs[(a, "identity")]) != ctx.open_sets[a]:
             _fail(out, ctx, f"{a},identity", a, "identity enlarger bases the selector family")
 
-    # enlargers agreeing on the selector-open family induce the same family;
-    # like every statement here, once per distinct requested pair
+    # enlargers agreeing on the selector-open family induce the same family
     for (a, b), agreeing in ctx.partners.items():
-        for c in dict.fromkeys(agreeing):
+        for c in agreeing:
             out.instances_checked += 1
             if pair_open_family(ctx.pairs[(a, b)]) != pair_open_family(ctx.pairs[(a, c)]):
                 _fail(out, ctx, f"{a},{b}", f"{a},{c}", "agreeing enlargers induce one family")
@@ -698,6 +684,7 @@ def _first_points(rows: Sequence[int]):
 
 def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     out = SuiteResult()
+    braced = ctx.top.ground.braced
     n, full = ctx.n, ctx.full
     exhaustive = n <= EXHAUSTIVE_POINTS
     # the bases by the core of the filter each generates, bit j for base j
@@ -724,16 +711,13 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         return got
 
     def subject(i: int) -> str:
-        return _mask_str(ctx, cores[i])
+        return braced(cores[i])
 
     def check(a: str, b: str, out: SuiteResult) -> None:
         p = ctx.pairs[(a, b)]
         pair = p.name
         sel_open = ctx.open_sets[a]
-        regular = ctx.regularity(a, b)
-        if regular is None:
-            out.notes["regularity_unknown"] = out.notes.get("regularity_unknown", 0) + 1
-            regular = False  # gated statements are skipped, not asserted
+        regular = ctx.regularity(a, b, out)
         nested = ctx.inside[(a, b)]
         inter_closed = ctx.top.family_props(sel_open)[0]
         monotone_enl = ctx.monotone[b]
@@ -747,8 +731,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         # generated filters' from the envelopes and the pair interior; the
         # witness is the lowest point where either set differs
         out.instances_checked += len(ctx.bases)
-        base_lim_at = base_limit_rows(p, ctx.bases, has)
-        base_adh_at = base_adherence_rows(p, ctx.bases, has)
+        base_lim_at, base_adh_at = base_rows(p, ctx.bases, has)
         core_lim_at = spread_rows(((lim[c], js) for c, js in by_core.items()), n)
         core_adh_at = spread_rows(((adh[c], js) for c, js in by_core.items()), n)
         bad = [(base_lim_at[x] ^ core_lim_at[x]) | (base_adh_at[x] ^ core_adh_at[x]) for x in range(n)]
@@ -769,7 +752,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             for i, x in _first_points(bad):
                 _fail(out, ctx, pair, subject(i), "neighbourhood variant agrees", str(x))
         elif monotone_enl:
-            out.notes["neighbourhood_variant_skipped"] = out.notes.get("neighbourhood_variant_skipped", 0) + 1
+            out.note("neighbourhood_variant_skipped")
 
         # membership characterization of convergence, against the
         # distinct enlargements of the selector-open sets around each point
@@ -800,7 +783,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 if not c1 >> i & 1 or c2 == 0:
                     continue
                 if adh[c2] & ~adh1 or lim1 & ~lim[c2]:
-                    _fail(out, ctx, pair, _mask_str(ctx, c1), "refinement moves limits up, adherence down", _mask_str(ctx, c2))
+                    _fail(out, ctx, pair, braced(c1), "refinement moves limits up, adherence down", braced(c2))
                     broken = True
                     break
             if broken:
@@ -849,7 +832,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         for F in maximal_filters(ctx.top):
             out.instances_checked += 1
             if adh[F.core] & ~lim[F.core]:
-                _fail(out, ctx, pair, _mask_str(ctx, F.core), "maximal accumulation is convergence")
+                _fail(out, ctx, pair, braced(F.core), "maximal accumulation is convergence")
 
         # separation kills multiple limits
         if is_t2(p):
@@ -895,14 +878,14 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             unreached = pc ^ conv_exists if regular else 0
             for x in iter_points(unclosed | unreached):
                 if unclosed >> x & 1:
-                    _fail(out, ctx, pair, _mask_str(ctx, s), "accumulating filters land in the closure", str(x))
+                    _fail(out, ctx, pair, braced(s), "accumulating filters land in the closure", str(x))
                 if unreached >> x & 1:
-                    _fail(out, ctx, pair, _mask_str(ctx, s), "regular: closure points are filter limits", str(x))
+                    _fail(out, ctx, pair, braced(s), "regular: closure points are filter limits", str(x))
             if regular:
                 closed = pc & ~s == 0
                 absorbed = conv_exists & ~s == 0
                 if closed != absorbed:
-                    _fail(out, ctx, pair, _mask_str(ctx, s), "regular: closed iff limits stay inside")
+                    _fail(out, ctx, pair, braced(s), "regular: closed iff limits stay inside")
 
         # the convergence closure operator
         ccl = {s: convergence_closure(p, s) for s in ctx.subsets}
@@ -947,24 +930,18 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             if first_break[key] is not None:
                 _fail(out, ctx, pair, f"{c},{d}", "transfer to a wider pair", subject(first_break[key]))
 
-    ctx.each_pair(out, lambda a, b: ctx.pairs[(a, b)].kernel, check)
+    _shared_runs(out, ctx.pair_names, lambda a, b: ctx.pairs[(a, b)].kernel, check)
     return out
 
 
 def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     out = SuiteResult()
+    braced = ctx.top.ground.braced
     if ctx.n <= 2:
-        ambients = []
-        others = [m for m in range(1 << ctx.n) if m != ctx.full]
-        for sel in range(1 << len(others)):
-            fam = tuple(sorted(
-                [others[i] for i in range(len(others)) if sel >> i & 1] + [ctx.full]
-            ))
-            ambients.append(fam)
+        # every family holding the whole set, the largest mask
+        ambients = [fam + (ctx.full,) for fam in _subfamilies(range(ctx.full))]
     else:
-        derived = set()
-        for fam in ctx.open_sets.values():
-            derived.add(fam)
+        derived = set(ctx.open_sets.values())
         for p in ctx.pairs.values():
             derived.add(pair_open_family(p))
             derived.add(canonical_family(enlargement_base(p) + (ctx.full,)))
@@ -978,7 +955,7 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
             out.instances_checked += 1
             verdict = is_compact(cs, s)
             if verdict.compact != literal_compact:
-                _fail(out, ctx, enl_name, _mask_str(ctx, s),
+                _fail(out, ctx, enl_name, braced(s),
                       "fast criterion agrees with the literal oracle", str(list(fam)))
             if not verdict.compact:
                 cover = verdict.witness_cover
@@ -990,7 +967,7 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
                 if s & ~union or not s >> point & 1 or any(
                     enl[u] >> point & 1 for u in cover
                 ):
-                    _fail(out, ctx, enl_name, _mask_str(ctx, s),
+                    _fail(out, ctx, enl_name, braced(s),
                           "failing verdicts carry valid witnesses", str(list(cover)))
 
     # every family is walked whole up to 4 points (16 members at most);
@@ -1012,11 +989,12 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
 
 def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     out = SuiteResult()
+    braced = ctx.top.ground.braced
     quantified = family_plane(ctx.subsets, ctx.n)
 
     def first(plane: int) -> str:
         """The lowest quantified subset flagged in ``plane``."""
-        return _mask_str(ctx, (plane & -plane).bit_length() - 1)
+        return braced((plane & -plane).bit_length() - 1)
 
     def verdicts(p: OpPair, s: int, kinds: tuple[str, ...]) -> str:
         return str({k: not failing_plane(p, k) >> s & 1 for k in kinds})
@@ -1035,13 +1013,13 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             additive = quantified & (cover ^ failing_plane(p, "restricted"))
         for s in ctx.subsets:
             if faces >> s & 1:
-                _fail(out, ctx, pair, _mask_str(ctx, s), "filter statements agree",
+                _fail(out, ctx, pair, braced(s), "filter statements agree",
                       verdicts(p, s, ("pair", "ultra", "closed")))
             if kinds >> s & 1:
-                _fail(out, ctx, pair, _mask_str(ctx, s), "cover kinds agree under the base hypothesis",
+                _fail(out, ctx, pair, braced(s), "cover kinds agree under the base hypothesis",
                       verdicts(p, s, ("pair", "base", "pair_open")))
             if additive >> s & 1:
-                _fail(out, ctx, pair, _mask_str(ctx, s),
+                _fail(out, ctx, pair, braced(s),
                       "additive enlarger matches restricted accumulation")
         sflags = space_compactness_flags(p)
         out.instances_checked += 1
@@ -1072,8 +1050,9 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
     # the body reads the selector's table twice: through hypothesis_d of
     # the base report and through the additive hypothesis
-    ctx.each_pair(
-        out, lambda a, b: (ctx.pairs[(a, b)].kernel, ctx.dominates(a, b), ctx.monotone[a]),
+    _shared_runs(
+        out, ctx.pair_names,
+        lambda a, b: (ctx.pairs[(a, b)].kernel, ctx.dominates(a, b), ctx.monotone[a]),
         check, agreeing,
     )
 
@@ -1083,7 +1062,7 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         out.instances_checked += 1
         n_cls, h_cls, s_cls, big_s = (compactness_kind(p, s) for p in named)
         if (n_cls and not h_cls) or (s_cls and not big_s) or (big_s and not h_cls):
-            _fail(out, ctx, "", _mask_str(ctx, s), "named class implications hold")
+            _fail(out, ctx, "", braced(s), "named class implications hold")
     return out
 
 

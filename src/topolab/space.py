@@ -105,6 +105,12 @@ class GroundSet:
     def labels_of_mask(self, mask: int) -> list[str]:
         return [self.labels[i] for i in iter_points(mask)]
 
+    def braced(self, *masks: int) -> str:
+        """The masks as braced label lists, ``{a,b} {c}``: one loop over
+        the labels per mask."""
+        points = [(1 << i, lab) for i, lab in enumerate(self.labels)]
+        return " ".join(["{" + ",".join([lab for bit, lab in points if m & bit]) + "}" for m in masks])
+
 
 def default_ground(n: int) -> GroundSet:
     """Points named a, b, c, ... for quick construction."""
@@ -167,8 +173,7 @@ class Topology:
         return h
 
     def __repr__(self) -> str:
-        shown = " ".join(_braced(self.ground, m) for m in self.opens)
-        return f"Topology(n={self.n}, opens={shown})"
+        return f"Topology(n={self.n}, opens={self.ground.braced(*self.opens)})"
 
     @memoized
     def min_nbhds(self) -> tuple[int, ...]:
@@ -257,18 +262,14 @@ def family_violation(ground: GroundSet, family: Sequence[int]) -> Optional[str]:
     missing = [m for m in union_closure(members, n) if m not in members]
     if missing:
         return (
-            f"not closed under union: {_braced(ground, missing[0])} "
+            f"not closed under union: {ground.braced(missing[0])} "
             "is a union of members but is missing"
         )
     missing = [m for m in intersection_closure(members, n) if m not in members]
     return (
-        f"not closed under intersection: {_braced(ground, missing[0])} "
+        f"not closed under intersection: {ground.braced(missing[0])} "
         "is an intersection of members but is missing"
     )
-
-
-def _braced(ground: GroundSet, mask: int) -> str:
-    return "{" + ",".join(ground.labels_of_mask(mask)) + "}"
 
 
 def is_topology(ground: GroundSet, family: Sequence[int]) -> bool:

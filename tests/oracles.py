@@ -28,7 +28,9 @@ well: the entry walk of the operation laws, the pairwise-fixpoint
 verdicts and messages of the topology check, the entry scan for open
 families and the group-by-group loop of the pointwise pair closure, with
 the member-by-member adherence of a base.  None of them import the code
-paths they validate.
+paths they validate, but for the three readers at the end, which take
+the library's batched base rows and literal oracle one base or one
+cover system at a time.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ import functools
 import itertools
 import operator
 import random
-
-import numpy as np
 
 from topolab.bits import submasks_desc
 
@@ -125,12 +125,16 @@ def count_preorders(n: int) -> int:
     off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
     count = 0
     for bits in range(1 << len(off_diagonal)):
-        rel = np.eye(n, dtype=bool)
+        rel = [[i == j for j in range(n)] for i in range(n)]
         for k, (i, j) in enumerate(off_diagonal):
             if bits >> k & 1:
-                rel[i, j] = True
-        closure = rel @ rel
-        if not (closure & ~rel).any():
+                rel[i][j] = True
+        # transitive: the composition rel;rel adds no pair to rel
+        composed = [
+            (i, k) for i in range(n) for j in range(n) if rel[i][j]
+            for k in range(n) if rel[j][k]
+        ]
+        if all(rel[i][k] for i, k in composed):
             count += 1
     return count
 
@@ -595,13 +599,14 @@ def per_core_filter_records(ctx, a: str, b: str, rows, mask_str) -> list[tuple]:
     enlarged neighbourhoods, the envelopes, separation, the pair closure
     and the refinement construction are read literally."""
     from topolab import Filter
+    from topolab.harness import SuiteResult
     from topolab.ops import leq
 
     p = ctx.pairs[(a, b)]
     n, full = ctx.n, ctx.full
     fam = scan_open_family(p.selector)
     enl = p.enlarger.table
-    regular = bool(ctx.regularity(a, b))
+    regular = ctx.regularity(a, b, SuiteResult())  # gated reads False
     lim, adh = rows(p)
     env = [scan_envelope(p, x) for x in range(n)]
     cores = ctx.core_list
@@ -804,3 +809,35 @@ def literal_named_family(top, name: str, inner) -> tuple:
         "thetaSC": lambda: compl(by_points(so, cl)),
     }
     return rules[name]()
+
+
+# The last three are not independent routes: they read the library's own
+# batched rows one set or one target at a time, so the tests can compare
+# them with the scans above.
+
+
+def base_limit_sets(p, bases, has=None) -> list[int]:
+    """The limit set of each base: the limit rows of
+    :func:`topolab.filters.base_rows` transposed."""
+    from topolab.filters import base_rows, point_rows
+
+    return point_rows(base_rows(p, bases, has)[0], len(bases))
+
+
+def base_adherence_sets(p, bases, has=None) -> list[int]:
+    """The adherence set of each base: the adherence rows of
+    :func:`topolab.filters.base_rows` transposed."""
+    from topolab.filters import base_rows, point_rows
+
+    return point_rows(base_rows(p, bases, has)[1], len(bases))
+
+
+def brute_force_compact_all(cs, targets) -> tuple[bool, ...]:
+    """The literal verdict for every target in one cover system:
+    :func:`topolab.compact.brute_force_compact_images` on the enlarger's
+    images, read only once the ambient family has passed the cap."""
+    from topolab.compact import brute_force_compact_images
+
+    enl = cs.enlarger.table
+    row = ([enl[u] for u in cs.ambient] for _ in range(1))
+    return brute_force_compact_images(cs.ambient, row, targets)[0]

@@ -10,7 +10,6 @@ from topolab import (
     OpPair,
     additive_hypothesis,
     brute_force_compact,
-    brute_force_compact_all,
     brute_force_compact_images,
     catalog,
     closed_space_predicates,
@@ -24,7 +23,7 @@ from topolab import (
     space_compactness_flags,
 )
 from topolab.bits import canonical_family
-from topolab.compact import _closed_meets, _outside_row
+from topolab.compact import _closed_meets, _row
 from topolab.filters import _point_limits
 from topolab.ops import Operation, dual_table, is_monotone, op_closed_family, op_open_family
 from topolab.pairs import (
@@ -41,6 +40,7 @@ from oracles import (
     all_families_of_nonempty,
     antichain_families,
     base_gap_has_disjoint_member,
+    brute_force_compact_all,
     inner_bases_accumulate,
     literal_fip_and_gap,
     maximal_bases_converge,
@@ -647,7 +647,7 @@ def test_avoidance_row_equals_the_filter_routes():
         ops = catalog(top)
         for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
             p = OpPair(ops[a], ops[b])
-            outside = _outside_row(p, "pair")
+            outside = tuple(m for (m,) in _row(p, "pair"))
             by_points = pair_closure_by_points(p, (1 << x for x in range(top.n)))
             for x in range(top.n):
                 assert outside[x] == full ^ pair_closure(p, 1 << x), (top, a, b, x)

@@ -6,8 +6,6 @@ from topolab import (
     OpPair,
     accumulates,
     adherence_set,
-    base_adherence_sets,
-    base_limit_sets,
     catalog,
     convergence_closure,
     converges,
@@ -27,6 +25,8 @@ from topolab import (
 from topolab.filters import refined_core
 
 from oracles import (
+    base_adherence_sets,
+    base_limit_sets,
     literal_base_adherence,
     literal_finer_convergent,
     literal_is_filterbase,

@@ -43,7 +43,7 @@ from topolab.filters import (
 )
 from topolab.pairs import envelopes, image_groups
 from topolab.ops import Operation
-from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES, _SpaceContext, _mask_str
+from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES, _SpaceContext
 
 import oracles
 from oracles import (
@@ -77,6 +77,11 @@ def test_config_defaults_and_validation():
         SuiteConfig(pairs=("int,boom",))
     with pytest.raises(SchemaError):
         SuiteConfig(suites=("nope",))
+    # a repeated name would be counted, and its failures listed, twice
+    with pytest.raises(SchemaError, match="'suites' repeats 'families'"):
+        SuiteConfig(n_exhaustive=2, suites=("families", "families"))
+    with pytest.raises(SchemaError, match="'pairs' repeats 'int,cl'"):
+        SuiteConfig(pairs=("int,cl", "cl,int", "int,cl"))
 
 
 def test_config_from_dict():
@@ -92,6 +97,10 @@ def test_config_from_dict():
             SuiteConfig.from_dict({key: True})
     with pytest.raises(SchemaError, match="list of strings"):
         SuiteConfig.from_dict({"pairs": "int,cl"})
+    with pytest.raises(SchemaError, match="repeats 'structure'"):
+        SuiteConfig.from_dict({"suites": ["structure", "families", "structure"]})
+    with pytest.raises(SchemaError, match="repeats 'int,cl'"):
+        SuiteConfig.from_dict({"pairs": ["int,cl", "int,cl"]})
     with pytest.raises(SchemaError, match="object"):
         SuiteConfig.from_dict([1])
 
@@ -183,14 +192,14 @@ def test_flipped_base_limit_bit_fails_like_the_per_base_scan(monkeypatch):
     # subject and witness the per-base scan gives with the same bit flipped
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=5, samples=1, seed=3, suites=("filters",))
     flip_base, flip_point = 2, 1
-    real = harness.base_limit_rows
+    real = harness.base_rows
 
     def flipped(p, bases, has=None):
-        got = real(p, bases, has)
-        got[flip_point] ^= 1 << flip_base
-        return got
+        limits, adherences = real(p, bases, has)
+        limits[flip_point] ^= 1 << flip_base
+        return limits, adherences
 
-    monkeypatch.setattr(harness, "base_limit_rows", flipped)
+    monkeypatch.setattr(harness, "base_rows", flipped)
     got = _records(run_suites(cfg).suites["filters"])
     expected = []
     for label, top in sweep_spaces(cfg):
@@ -210,20 +219,20 @@ def test_flipped_base_limit_bit_fails_like_the_per_base_scan(monkeypatch):
 
 def test_flipped_base_adherence_bit_fails_like_the_member_walk(monkeypatch):
     # the base side of "base and generated filter agree" comes from the
-    # groups (base_adherence_rows) and the filter side from the interior
-    # table: one wrong bit on the base side is reported with the subject
-    # and witness of the literal walk over the members' pointwise
-    # closures with the same bit flipped
+    # groups (the adherence rows of base_rows) and the filter side from
+    # the interior table: one wrong bit on the base side is reported with
+    # the subject and witness of the literal walk over the members'
+    # pointwise closures with the same bit flipped
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=5, samples=1, seed=3, suites=("filters",))
     flip_base, flip_point = 3, 2
-    real = harness.base_adherence_rows
+    real = harness.base_rows
 
     def flipped(p, bases, has=None):
-        got = real(p, bases, has)
-        got[flip_point] ^= 1 << flip_base
-        return got
+        limits, adherences = real(p, bases, has)
+        adherences[flip_point] ^= 1 << flip_base
+        return limits, adherences
 
-    monkeypatch.setattr(harness, "base_adherence_rows", flipped)
+    monkeypatch.setattr(harness, "base_rows", flipped)
     got = _records(run_suites(cfg).suites["filters"])
     expected = []
     for label, top in sweep_spaces(cfg):
@@ -265,11 +274,9 @@ def test_base_rows_match_the_per_base_sets_and_the_literal_rules():
         for p in ctx.pairs.values():
             kernels.setdefault(p.kernel, p)
         for p in kernels.values():
-            lim_at = filters.base_limit_rows(p, bases, has)
-            adh_at = filters.base_adherence_rows(p, bases, has)
-            assert lim_at == filters.base_limit_rows(p, bases), p
-            assert adh_at == filters.base_adherence_rows(p, bases), p
-            limits, adherences = filters.base_limit_sets(p, bases, has), filters.base_adherence_sets(p, bases, has)
+            lim_at, adh_at = filters.base_rows(p, bases, has)
+            assert (lim_at, adh_at) == filters.base_rows(p, bases), p
+            limits, adherences = oracles.base_limit_sets(p, bases, has), oracles.base_adherence_sets(p, bases, has)
             walks = [oracles.literal_base_adherence(base, p) for base in bases]
             for j, base in enumerate(bases):
                 assert limits[j] == sum(converges(base, p, x) << x for x in range(n)), (p, base)
@@ -350,7 +357,7 @@ def test_emptied_limit_row_fails_transfer_per_name(monkeypatch):
             wide_lim, wide_adh = emptied(ctx.pairs[(c, d)])
             for core in ctx.core_list:
                 if lim[core] & ~wide_lim[core] or adh[core] & ~wide_adh[core]:
-                    expected.append((f"{a},{b}", statement, f"{c},{d}", _mask_str(ctx, core)))
+                    expected.append((f"{a},{b}", statement, f"{c},{d}", ctx.top.ground.braced(core)))
                     break
     assert len({r[0] for r in expected}) > 1
     assert got == expected
@@ -445,7 +452,7 @@ def test_flipped_row_bit_fails_like_the_per_core_loop(monkeypatch, row, pair, co
     for ctx in contexts:
         for a, b in ctx.pair_names:
             expected += oracles.per_core_filter_records(
-                ctx, a, b, flipped, lambda m, ctx=ctx: _mask_str(ctx, m))
+                ctx, a, b, flipped, ctx.top.ground.braced)
     statements = {r[1] for r in expected}
     assert len(statements) >= 3, statements
     got = _records(run_suites(cfg, spaces).suites["filters"])
@@ -487,7 +494,7 @@ def test_padded_neighbourhoods_fail_like_the_per_core_predicates(monkeypatch):
                     if bool(lim[core] >> x & 1) != family_converges(core, p, x, fam) or \
                        bool(adh[core] >> x & 1) != family_accumulates(core, p, x, fam):
                         expected.append((f"{a},{b}", "neighbourhood variant agrees",
-                                         _mask_str(ctx, core), str(x)))
+                                         ctx.top.ground.braced(core), str(x)))
                         break
     assert expected
     assert got == expected
@@ -521,7 +528,7 @@ def test_flipped_failing_plane_bit_fails_like_the_per_set_scan(monkeypatch):
         monkeypatch.setattr(harness, "failing_plane", fn)
         records[name] = _records(run_suites(cfg, [(label, top)]).suites["compactness"])
     assert records["batched"] == records["per_set"]
-    subject = _mask_str(ctx, flip_set)
+    subject = ctx.top.ground.braced(flip_set)
     assert ("int,cl", "filter statements agree", subject) in {r[:3] for r in records["batched"]}
 
     def compact_at(a, b, s, kind="pair"):
@@ -535,14 +542,14 @@ def test_flipped_failing_plane_bit_fails_like_the_per_set_scan(monkeypatch):
             if set(ctx.open_sets[c]) <= set(ctx.open_sets[a]) and leq(ctx.ops[b], ctx.ops[d]):
                 strict = [s for s in ctx.subsets if compact_at(a, b, s) and not compact_at(c, d, s)]
                 if strict:
-                    expected.append((f"{a},{b}", blocks[0], f"{c},{d}", _mask_str(ctx, strict[0])))
+                    expected.append((f"{a},{b}", blocks[0], f"{c},{d}", ctx.top.ground.braced(strict[0])))
         for c, d in ctx.pair_names:
             if c != a or d == b:
                 continue
             if all(ctx.ops[b].table[u] == ctx.ops[d].table[u] for u in ctx.open_sets[a]):
                 for s in ctx.subsets:
                     if any(compact_at(a, b, s, k) != compact_at(c, d, s, k) for k in ("pair", "pair_open")):
-                        expected.append((f"{a},{b}", blocks[1], f"{c},{d}", _mask_str(ctx, s)))
+                        expected.append((f"{a},{b}", blocks[1], f"{c},{d}", ctx.top.ground.braced(s)))
                         break
     assert {r[1] for r in expected} == set(blocks)
     assert [r for r in records["batched"] if r[1] in blocks] == expected
@@ -582,7 +589,7 @@ def test_flipped_filter_and_restricted_bits_fail_like_the_per_set_statements(mon
             v["restricted"] = all(pointwise_pair_closure(p, r) & s for r in residues if r & s)
             for k in ("ultra", "closed", "restricted"):
                 v[k] ^= flip(p, k, s)
-            subject = _mask_str(ctx, s)
+            subject = ctx.top.ground.braced(s)
             faces = {k: v[k] for k in ("pair", "ultra", "closed")}
             if len(set(faces.values())) > 1:
                 expected.append((f"{a},{b}", "filter statements agree", subject, str(faces)))
@@ -598,16 +605,16 @@ def test_flipped_filter_and_restricted_bits_fail_like_the_per_set_statements(mon
 
 def test_enlargers_agree_matches_the_image_scan():
     # the per-selector agreement classes against the scan over the
-    # selector-open family, every triple of names, in request order and
-    # once per requested name (a reversed catalog with one name twice)
+    # selector-open family, every triple of names, in request order (the
+    # catalog, reversed, and every other name of it reversed)
     rng = random.Random(103)
     spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
     spaces += [random_topology(n, rng.randrange(10**6), n) for n in (4, 6, 8)]
-    for pairs in (CATALOG_PAIRS, CATALOG_PAIRS[::-1] + ("int,cl",)):
+    for pairs in (CATALOG_PAIRS, CATALOG_PAIRS[::-1], CATALOG_PAIRS[::-2]):
         names = [tuple(spec.split(",")) for spec in pairs]
         for top in spaces:
             ctx = _SpaceContext("s", top, SuiteConfig(pairs=pairs))
-            assert list(ctx.partners) == list(dict.fromkeys(names))
+            assert list(ctx.partners) == names
             for a, b in ctx.partners:
                 literal = [
                     c for s, c in names
@@ -794,7 +801,7 @@ def test_failing_oracle_runs_are_not_shared(monkeypatch):
     got = _records(run_suites(cfg, [(label, top)]).suites["compactness_oracle"])
     [(ambient, names)] = target
     statement = "fast criterion agrees with the literal oracle"
-    assert got == [(nm, statement, _mask_str(ctx, top.full), str(list(ambient))) for nm in names]
+    assert got == [(nm, statement, ctx.top.ground.braced(top.full), str(list(ambient))) for nm in names]
 
 
 def test_failing_runs_are_not_shared(monkeypatch):
@@ -846,7 +853,7 @@ def test_fault_in_one_pair_of_a_shared_kernel_names_only_that_pair(monkeypatch):
     monkeypatch.setattr(compact, "failing_plane", flipped)
     monkeypatch.setattr(harness, "failing_plane", flipped)
     got = _records(run_suites(cfg, [(label, top)]).suites["compactness"])
-    assert got == [("identity,cl", "filter statements agree", _mask_str(ctx, 0b0011),
+    assert got == [("identity,cl", "filter statements agree", ctx.top.ground.braced(0b0011),
                     str({"pair": True, "ultra": False, "closed": True}))]
 
 

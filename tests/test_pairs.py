@@ -24,7 +24,7 @@ from topolab import (
     random_topology,
 )
 from topolab.compact import (
-    _additive_scan, _closed_meets, _failing_plane, _outside_row, _residue_row, _row,
+    _additive_scan, _closed_meets, _failing_plane, _residue_row, _row,
     additive_hypothesis, failing_plane,
 )
 from topolab.filters import _envelope_planes, _point_limits, neighbourhood_images, principal_rows
@@ -377,8 +377,6 @@ def memoized_rows(owner) -> dict:
     for kind in KINDS:
         rows["row", kind] = _row(owner, kind)
         rows["plane", kind] = failing_plane(owner, kind)
-    for kind in KINDS[:3]:
-        rows["outside", kind] = _outside_row(owner, kind)
     return rows
 
 
