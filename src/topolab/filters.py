@@ -370,11 +370,13 @@ def is_t2(p: OpPair) -> bool:
     exactly when y lies in the pair interior of ``X \\ enl[u]``, so the
     points separated from x are the union of those interiors over the
     selector-open u around x; the points not separated, its complement,
-    are one :func:`~topolab.bits.point_meets` of the complements.  That
-    meet may hold x itself, so only the other points are asked for.
+    are one :func:`~topolab.bits.point_meets` of the complements, one
+    row per distinct enlargement t (:func:`~topolab.pairs.image_groups`),
+    around the points of t's group.  That meet may hold x itself, so
+    only the other points are asked for.
     """
-    enl, inner, full = p.enlarger.table, int_table(p), p.topology.full
-    rows = ((full ^ inner[full ^ enl[u]], u) for u in p.kernel.family)
+    inner, full = int_table(p), p.topology.full
+    rows = ((full ^ inner[full ^ t], union) for t, union in image_groups(p))
     return not any((full ^ 1 << x) & m for x, m in enumerate(point_meets(rows, p.topology.n)))
 
 
@@ -446,18 +448,27 @@ def convergence_closure(p: OpPair, a: int, exhaustive: bool = False) -> int:
     plane of ``a`` and that of x's envelope share a bit other than the
     empty core's (bit 0).
     """
-    if a == 0:
-        return 0  # no filter can contain the empty set
+    singleton, every = convergence_closures(p, (a,))
+    return every[0] if exhaustive else singleton[0]
+
+
+def convergence_closures(p: OpPair, sets: Sequence[int]) -> tuple[list[int], list[int]]:
+    """:func:`convergence_closure` of each of ``sets`` by both routes in
+    one pass: the singleton scan on the envelopes (a singleton core
+    inside ``a`` converges to x iff it sits in x's envelope) and the
+    exhaustive scan on their submask planes.  No filter contains the
+    empty set, and both routes read 0 there."""
     n = p.topology.n
-    out = 0
-    if exhaustive:
+    rows = list(zip(range(n), envelopes(p), _envelope_planes(p)))
+    singleton, exhaustive = [], []
+    for a in sets:
         plane = down_plane((a,), n) & ~1
-        for x, env in enumerate(_envelope_planes(p)):
-            if plane & env:
-                out |= 1 << x
-        return out
-    cores = [1 << x for x in range(n) if a >> x & 1]
-    for x, env in enumerate(envelopes(p)):
-        if any(c & ~env == 0 for c in cores):
-            out |= 1 << x
-    return out
+        one = every = 0
+        for x, env, env_plane in rows:
+            if a & env:
+                one |= 1 << x
+            if plane & env_plane:
+                every |= 1 << x
+        singleton.append(one)
+        exhaustive.append(every)
+    return singleton, exhaustive

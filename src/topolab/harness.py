@@ -17,7 +17,7 @@ import platform
 import random
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .bits import Family, canonical_family, derive_seed, family_plane, iter_points, mask_of
@@ -33,7 +33,7 @@ from .compact import (
 )
 from .filters import (
     base_rows,
-    convergence_closure,
+    convergence_closures,
     generated_filter,
     is_filterbase,
     is_t2,
@@ -223,28 +223,58 @@ def emit_report(report: Report, path: str) -> None:
 
 
 def _shared_runs(out: SuiteResult, items: Sequence[tuple], key: Callable,
-                 body: Callable, tail: Optional[Callable] = None) -> None:
-    """Run ``body(*item, run)`` once per distinct ``key(*item)`` and merge
-    the run into ``out`` once per item, in item order.
+                 body: Callable, tail: Optional[Callable] = None,
+                 clean: Optional[dict] = None) -> None:
+    """Run ``body(*item, run)`` once per distinct ``key(*item)``, as if it
+    ran once per item.
 
     The key must hold everything the body reads of its item but the
     names it puts in failure records.  A clean run records nothing that
-    names its item, so items of one key share it.  A run with a failure
-    is never shared: each other item of that key runs its own body, so
-    its records carry its own name.  ``tail(*item, out)`` runs for every
-    item, for checks that read the item's names rather than its key.
+    names its item, so items of one key share it: it is merged once, its
+    instances and notes multiplied by its uses.  A run with a failure is
+    never shared: it is merged in item order, and each other item of
+    that key runs its own body, so its records carry its own name.
+    ``tail(*item, out)`` runs for every item, for checks that read the
+    item's names rather than its key.  ``clean`` (key -> clean run) may
+    outlive the call: runs found there are shared without running their
+    bodies, and the clean runs of this call are added to it.
     """
-    runs: dict = {}
+    clean = {} if clean is None else clean
+    failed = set()
+    uses: dict = {}
     for item in items:
         k = key(*item)
-        run = runs.get(k)
-        if run is None or run.failures:
+        if k in clean:
+            uses[k] = uses.get(k, 0) + 1
+        else:
             run = SuiteResult()
             body(*item, run)
-            runs.setdefault(k, run)
-        out.merge(run)
+            if run.failures or k in failed:
+                out.merge(run)
+                failed.add(k)
+            else:
+                clean[k] = run
+                uses[k] = 1
         if tail is not None:
             tail(*item, out)
+    for k, count in uses.items():
+        run = clean[k]
+        out.instances_checked += run.instances_checked * count
+        for note, value in run.notes.items():
+            out.note(note, value * count)
+
+
+@dataclass
+class _OracleStore:
+    """The compactness oracle's answers for one sweep, keyed by (ambient
+    family, image row, quantified subsets): the literal walk's verdicts
+    and the clean runs of the fast criterion against them, which read
+    nothing else of their space.  It holds masks, verdict tuples and
+    counts only, so it keeps no space alive, and :func:`run_suites`
+    drops it with the sweep."""
+
+    literal: dict = field(default_factory=dict)
+    clean: dict = field(default_factory=dict)
 
 
 class _SpaceContext:
@@ -264,9 +294,13 @@ class _SpaceContext:
     :func:`~topolab.space.memoized`, and dies with the context's pairs.
     Named pairs keep one :class:`OpPair` each, since witnesses print the
     names; the per-pair suites run once per kernel and selector reading
-    (:func:`_shared_runs` over ``pair_names``)."""
+    (:func:`_shared_runs` over ``pair_names``), and the statements over
+    pairs of names compare one pair per kernel (:meth:`kernel_pairs`).
+    ``oracle`` is the sweep's :class:`_OracleStore`; a context made
+    alone gets its own."""
 
-    def __init__(self, label: str, top: Topology, cfg: SuiteConfig):
+    def __init__(self, label: str, top: Topology, cfg: SuiteConfig,
+                 oracle: Optional[_OracleStore] = None):
         self.label = label
         self.top = top
         self.n = top.n
@@ -296,6 +330,7 @@ class _SpaceContext:
                 self.agreement[(a, b)] = seen.setdefault(images(self.ops[b].table), len(seen))
         #: (a, b) -> :meth:`wider`, filled as pairs are read
         self._wider: dict[tuple[str, str], list[tuple[str, str]]] = {}
+        self.oracle = _OracleStore() if oracle is None else oracle
 
     @cached_property
     def pairs(self) -> dict[tuple[str, str], OpPair]:
@@ -360,6 +395,25 @@ class _SpaceContext:
             got = self._wider[(a, b)] = [
                 (c, d) for c, d in self.pair_names if self.inside[(c, a)] and self.order[(b, d)]
             ]
+        return got
+
+    def kernel_pairs(self, names: Iterable[tuple[str, str]]) -> list[OpPair]:
+        """One requested pair per distinct kernel among ``names``.  Every
+        row a statement compares between named pairs lives on their
+        kernels, so comparing these decides the comparison of every two
+        names: equality is transitive."""
+        return list({p.kernel: p for p in map(self.pairs.__getitem__, names)}.values())
+
+    def class_differs(self, a: str, b: str, rows: Callable, memo: dict) -> bool:
+        """Whether the pairs of the agreement class of (a, b), selector a
+        with the enlargers agreeing with b on the a-open family, differ in
+        ``rows``: compared on one pair per kernel, once per class, and
+        kept in ``memo``."""
+        cls = (a, self.agreement[(a, b)])
+        got = memo.get(cls)
+        if got is None:
+            first, *rest = self.kernel_pairs((a, d) for d in self.partners[(a, b)])
+            got = memo[cls] = any(rows(q) != rows(first) for q in rest)
         return got
 
     @cached_property
@@ -663,12 +717,16 @@ def _suite_families(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         if enlargement_base(ctx.pairs[(a, "identity")]) != ctx.open_sets[a]:
             _fail(out, ctx, f"{a},identity", a, "identity enlarger bases the selector family")
 
-    # enlargers agreeing on the selector-open family induce the same family
+    # enlargers agreeing on the selector-open family induce the same
+    # family; names are compared one by one only in a class whose kernels
+    # differ
+    split: dict = {}
     for (a, b), agreeing in ctx.partners.items():
-        for c in agreeing:
-            out.instances_checked += 1
-            if pair_open_family(ctx.pairs[(a, b)]) != pair_open_family(ctx.pairs[(a, c)]):
-                _fail(out, ctx, f"{a},{b}", f"{a},{c}", "agreeing enlargers induce one family")
+        out.instances_checked += len(agreeing)
+        if ctx.class_differs(a, b, pair_open_family, split):
+            for c in agreeing:
+                if pair_open_family(ctx.pairs[(a, b)]) != pair_open_family(ctx.pairs[(a, c)]):
+                    _fail(out, ctx, f"{a},{b}", f"{a},{c}", "agreeing enlargers induce one family")
     return out
 
 
@@ -887,10 +945,11 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 if closed != absorbed:
                     _fail(out, ctx, pair, braced(s), "regular: closed iff limits stay inside")
 
-        # the convergence closure operator
-        ccl = {s: convergence_closure(p, s) for s in ctx.subsets}
+        # the convergence closure operator, by both routes in one pass
+        singleton, every = convergence_closures(p, ctx.subsets)
+        ccl = dict(zip(ctx.subsets, singleton))
         out.instances_checked += 1
-        if any(ccl[s] != convergence_closure(p, s, exhaustive=True) for s in ctx.subsets):
+        if singleton != every:
             _fail(out, ctx, pair, "cl*", "singleton scan equals the exhaustive scan")
         if regular:
             out.instances_checked += 1
@@ -914,21 +973,22 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                         _fail(out, ctx, pair, "cl*", "fixed-complement family matches the pair family")
 
         # convergence/accumulation transfer between pairs, read off the
-        # wider pair's rows: one comparison per wider kernel, one count and
-        # record per name
+        # wider pair's rows: one comparison per wider kernel, one count per
+        # name, and one record per name of a kernel that breaks it
+        wider = ctx.wider(a, b)
+        out.instances_checked += len(wider)
         first_break: dict = {}
-        for (c, d) in ctx.wider(a, b):
-            wide = ctx.pairs[(c, d)]
-            key = wide.kernel
-            if key not in first_break:
-                wide_lims, wide_adhs = core_values(wide)
-                first_break[key] = next((
-                    i for i in range(len(cores))
-                    if lims[i] & ~wide_lims[i] or adhs[i] & ~wide_adhs[i]
-                ), None)
-            out.instances_checked += 1
-            if first_break[key] is not None:
-                _fail(out, ctx, pair, f"{c},{d}", "transfer to a wider pair", subject(first_break[key]))
+        for wide in ctx.kernel_pairs(wider):
+            wide_lims, wide_adhs = core_values(wide)
+            for i in range(len(cores)):
+                if lims[i] & ~wide_lims[i] or adhs[i] & ~wide_adhs[i]:
+                    first_break[wide.kernel] = i
+                    break
+        if first_break:
+            for (c, d) in wider:
+                i = first_break.get(ctx.pairs[(c, d)].kernel)
+                if i is not None:
+                    _fail(out, ctx, pair, f"{c},{d}", "transfer to a wider pair", subject(i))
 
     _shared_runs(out, ctx.pair_names, lambda a, b: ctx.pairs[(a, b)].kernel, check)
     return out
@@ -947,11 +1007,14 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
             derived.add(canonical_family(enlargement_base(p) + (ctx.full,)))
         ambients = sorted(derived)
 
+    store = ctx.oracle
+    subsets = tuple(ctx.subsets)
+
     def check(fam: Family, enl_name: str, row: tuple[int, ...], out: SuiteResult) -> None:
         # the enlarger is read on the family's members only, where its
-        # images are ``row``, and ``literal`` holds the family's walk
+        # images are ``row``, and the store holds the family's walk
         cs = CoverSystem(fam, ctx.ops[enl_name])
-        for s, literal_compact in zip(ctx.subsets, literal[row]):
+        for s, literal_compact in zip(subsets, store.literal[fam, row, subsets]):
             out.instances_checked += 1
             verdict = is_compact(cs, s)
             if verdict.compact != literal_compact:
@@ -979,11 +1042,15 @@ def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResu
             trimmed = rng.sample([m for m in fam if m != ctx.full], sweep_cap - 1)
             fam = canonical_family(trimmed + [ctx.full])
         # one literal walk answers each distinct image tuple of the
-        # enlargers on the family, and one run checks each
+        # enlargers on the family that the sweep has not met yet, and one
+        # clean run per sweep checks each
         items = [(fam, nm, tuple(map(ctx.ops[nm].table.__getitem__, fam))) for nm in BUILTIN_NAMES]
-        distinct = list(dict.fromkeys(row for _, _, row in items))
-        literal = dict(zip(distinct, brute_force_compact_images(fam, distinct, ctx.subsets)))
-        _shared_runs(out, items, lambda fam, nm, row: row, check)
+        walk = [row for row in dict.fromkeys(row for _, _, row in items)
+                if (fam, row, subsets) not in store.literal]
+        if walk:
+            for row, verdicts in zip(walk, brute_force_compact_images(fam, walk, subsets)):
+                store.literal[fam, row, subsets] = verdicts
+        _shared_runs(out, items, lambda fam, nm, row: (fam, row, subsets), check, clean=store.clean)
     return out
 
 
@@ -1027,24 +1094,35 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
             _fail(out, ctx, pair, "X", "space-level statements agree", str(sflags.statements()))
 
         # compactness transfers to wider pairs: sets compact here and
-        # failing there
-        for (c, d) in ctx.wider(a, b):
-            out.instances_checked += 1
-            strict = failing_plane(ctx.pairs[(c, d)]) & ~cover & quantified
-            if strict:
-                _fail(out, ctx, pair, f"{c},{d}", "compact sets transfer to wider pairs", first(strict))
+        # failing there, compared once per wider kernel and named per name
+        wider = ctx.wider(a, b)
+        out.instances_checked += len(wider)
+        if any(failing_plane(q) & ~cover & quantified for q in ctx.kernel_pairs(wider)):
+            for (c, d) in wider:
+                strict = failing_plane(ctx.pairs[(c, d)]) & ~cover & quantified
+                if strict:
+                    _fail(out, ctx, pair, f"{c},{d}", "compact sets transfer to wider pairs", first(strict))
+
+    split: dict = {}
+
+    def planes(q: OpPair) -> tuple[int, int]:
+        return quantified & failing_plane(q), quantified & failing_plane(q, "pair_open")
 
     def agreeing(a: str, b: str, out: SuiteResult) -> None:
         # enlargers agreeing on the selector-open family give one verdict;
-        # the partners share the selector's name, so this runs per name
-        for d in ctx.partners[(a, b)]:
+        # the partners share the selector's name, so this runs per name,
+        # and compares names one by one only in a class whose kernels
+        # differ
+        partners = ctx.partners[(a, b)]
+        out.instances_checked += len(partners) - 1
+        if not ctx.class_differs(a, b, planes, split):
+            return
+        p = ctx.pairs[(a, b)]
+        cover, pair_open = planes(p)
+        for d in partners:
             if d != b:
-                out.instances_checked += 1
-                p, q = ctx.pairs[(a, b)], ctx.pairs[(a, d)]
-                diff = quantified & (
-                    (failing_plane(p) ^ failing_plane(q))
-                    | (failing_plane(p, "pair_open") ^ failing_plane(q, "pair_open"))
-                )
+                other_cover, other_pair_open = planes(ctx.pairs[(a, d)])
+                diff = (cover ^ other_cover) | (pair_open ^ other_pair_open)
                 if diff:
                     _fail(out, ctx, p.name, f"{a},{d}", "agreeing enlargers give one verdict", first(diff))
 
@@ -1092,12 +1170,14 @@ def sweep_spaces(cfg: SuiteConfig) -> list[tuple[str, Topology]]:
 
 def run_suites(cfg: SuiteConfig, spaces: Optional[Sequence[tuple[str, Topology]]] = None) -> Report:
     """Run the configured suites over the configured spaces, one space
-    after another, merging results in space order."""
+    after another, merging results in space order.  The compactness
+    oracle's answers (:class:`_OracleStore`) are kept for this call."""
     if spaces is None:
         spaces = sweep_spaces(cfg)
     suites = {name: SuiteResult() for name in cfg.suites}
+    oracle = _OracleStore()
     for label, top in spaces:
-        ctx = _SpaceContext(label, top, cfg)
+        ctx = _SpaceContext(label, top, cfg, oracle)
         for name in cfg.suites:
             suites[name].merge(_SUITES[name](ctx, cfg))
     return Report(

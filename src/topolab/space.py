@@ -96,10 +96,10 @@ class GroundSet:
         index = self._index
         m = 0
         for name in names:
-            i = index.get(name)
-            if i is None:
-                raise KeyError(f"unknown point label {name!r}")
-            m |= 1 << i
+            try:
+                m |= 1 << index[name]
+            except (KeyError, TypeError):  # a list read from JSON is unhashable
+                raise KeyError(f"unknown point label {name!r}") from None
         return m
 
     def labels_of_mask(self, mask: int) -> list[str]:

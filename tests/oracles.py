@@ -23,7 +23,9 @@ minimal neighbourhoods, the subbasis neighbourhoods, the envelopes, the
 closed-family meets, pair-separation and regularity each ran before they
 became one lane kernel, and the filters suite's per-core statements as
 they ran, one core and point at a time, before its rows were indexed by
-core position.  The whole-table scans that moved onto lanes stay here as
+core position, with the name-pair statements of the families and
+compactness suites as they ran, one pair of names at a time, before
+they compared one pair per kernel.  The whole-table scans that moved onto lanes stay here as
 well: the entry walk of the operation laws, the pairwise-fixpoint
 verdicts and messages of the topology check, the entry scan for open
 families and the group-by-group loop of the pointwise pair closure, with
@@ -685,6 +687,51 @@ def per_core_filter_records(ctx, a: str, b: str, rows, mask_str) -> list[tuple]:
                 fail(f"{c},{d}", "transfer to a wider pair", mask_str(core))
                 break
     return out
+
+
+def per_name_pair_records(ctx, statement: str, rows) -> tuple[int, list[tuple]]:
+    """The instances and records of one statement over pairs of requested
+    names, one name pair at a time: the loops the families and
+    compactness suites ran before they compared one pair per kernel.
+    Records are (pair, statement, subject, witness) in the suites' order.
+    Partners (same selector, enlargers agreeing on the selector-open
+    family) and wider pairs (smaller selector-open family, enlarger
+    above) are read off the tables; ``rows`` is ``pair_open_family`` for
+    the families statement and ``failing_plane`` for the others."""
+    from topolab.ops import leq
+
+    names = ctx.pair_names
+    quantified = sum(1 << s for s in ctx.subsets)
+    count, out = 0, []
+
+    def first(plane: int) -> str:
+        return ctx.top.ground.braced((plane & -plane).bit_length() - 1)
+
+    for a, b in names:
+        p = ctx.pairs[(a, b)]
+        if statement == "compact sets transfer to wider pairs":
+            for c, d in names:
+                if set(ctx.open_sets[c]) <= set(ctx.open_sets[a]) and leq(ctx.ops[b], ctx.ops[d]):
+                    count += 1
+                    strict = rows(ctx.pairs[(c, d)]) & ~rows(p) & quantified
+                    if strict:
+                        out.append((f"{a},{b}", statement, f"{c},{d}", first(strict)))
+            continue
+        enl = ctx.ops[b].table
+        for s, d in names:
+            if s != a or any(ctx.ops[d].table[u] != enl[u] for u in ctx.open_sets[a]):
+                continue
+            q = ctx.pairs[(a, d)]
+            if statement == "agreeing enlargers induce one family":
+                count += 1
+                if rows(p) != rows(q):
+                    out.append((f"{a},{b}", statement, f"{a},{d}", ""))
+            elif d != b:
+                count += 1
+                diff = quantified & ((rows(p) ^ rows(q)) | (rows(p, "pair_open") ^ rows(q, "pair_open")))
+                if diff:
+                    out.append((f"{a},{b}", statement, f"{a},{d}", first(diff)))
+    return count, out
 
 
 def literal_table_violation(top, table, inner) -> tuple | None:

@@ -194,6 +194,28 @@ def test_unknown_point_label_is_usage_error(s2_file, capsys):
     assert main(["filter", "--space", s2_file, "--pair", "int,cl", "--core", "q"]) == 2
 
 
+def test_nested_list_label_in_a_space_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"points": ["a", "b"], "opens": [[], [["a"]], ["a", "b"]]}), encoding="utf-8")
+    assert main(["families", "--space", str(path), "--pair", "int,cl"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown point label ['a']" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["key", "value"])
+def test_nested_list_label_in_an_operation_file_is_usage_error(where, tmp_path, s2_file, capsys):
+    doc = operation_to_dict(builtin(sierpinski(), "cl"))
+    if where == "key":
+        doc["table"][json.dumps([["a"]])] = ["a"]
+    else:
+        doc["table"]['["a"]'] = [["a"], "b"]
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["families", "--space", s2_file, "--pair", f"int,custom:{op_path}"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown point label ['a']" in err and "Traceback" not in err
+
+
 def test_library_value_error_propagates(monkeypatch, s2_file):
     # only usage and schema errors map to exit 2; a ValueError raised
     # inside a library call is a defect and must surface

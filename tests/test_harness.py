@@ -183,6 +183,13 @@ def test_sixteen_point_report_matches_pinned_digest():
     assert digest == "ef45ecbee902d32237374a28a4fa84f9bf1d1625aad76923c104a81c3dcde098"
 
 
+def test_four_point_report_matches_pinned_digest():
+    # every suite over every space of at most four points: the largest
+    # exhaustive sweep, where no quantifier is sampled
+    digest = _report_digest(SuiteConfig(n_exhaustive=4))
+    assert digest == "bea7a938a593a706bb23104f81ef7e8a09b361dad7aae1a04b6adf64377dc912"
+
+
 def _records(result) -> list[tuple]:
     return [(f["pair"], f["statement"], f["subject"], f["witness"]) for f in result.failures]
 
@@ -686,8 +693,8 @@ def test_swept_space_is_collectable(monkeypatch):
     kernels = []
     real = _SpaceContext.__init__
 
-    def spied(self, label, top, cfg):
-        real(self, label, top, cfg)
+    def spied(self, label, top, cfg, *rest):
+        real(self, label, top, cfg, *rest)
         kernels.extend((label, weakref.ref(p.kernel)) for p in self.pairs.values())
 
     monkeypatch.setattr(_SpaceContext, "__init__", spied)
@@ -916,11 +923,217 @@ def test_sharing_changes_no_report(monkeypatch):
     shared = reports()
     real = harness._shared_runs
 
-    def unshared(out, items, key, body, tail=None):
+    def unshared(out, items, key, body, tail=None, clean=None):
         real(out, items, lambda *item: item, body, tail)
 
     monkeypatch.setattr(harness, "_shared_runs", unshared)
     assert reports() == shared
+
+
+@pytest.mark.parametrize("kind", ["family", "pair", "pair_open"])
+def test_faulted_kernel_in_an_agreement_class_fails_like_the_per_name_loop(monkeypatch, kind):
+    # one kernel of a three-kernel agreement class (selector int, the
+    # enlargers agreeing with cl on the opens) reads a wrong pair-open
+    # family, or a wrong pair or pair_open plane: the class splits and its
+    # names are compared one by one, with the records of the per-name loop
+    # and its count, which is what the sweep loses when each name is its
+    # own only partner (the families statement also compares a name with
+    # itself)
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=4, samples=1, seed=5)
+    spaces = sweep_spaces(cfg)
+    [(label, top)] = spaces
+    ctx = _SpaceContext(label, top, cfg)
+    kernels = list(dict.fromkeys(ctx.pairs[("int", d)].kernel for d in ctx.partners[("int", "cl")]))
+    assert len(kernels) == 3
+    target = kernels[1]
+    if kind == "family":
+        suite, statement, name = "families", "agreeing enlargers induce one family", "pair_open_family"
+        real = harness.pair_open_family
+
+        def faulty(p):
+            return real(p)[:-1] if p.kernel is target else real(p)
+    else:
+        suite, statement, name = "compactness", "agreeing enlargers give one verdict", "failing_plane"
+        real = harness.failing_plane
+
+        def faulty(p, k="pair"):
+            return real(p, k) ^ (p.kernel is target and k == kind) << top.full
+
+    cfg = replace(cfg, suites=(suite,))
+    clean = run_suites(cfg, spaces).suites[suite]
+    monkeypatch.setattr(harness, name, faulty)
+    got = run_suites(cfg, spaces).suites[suite]
+    count, expected = oracles.per_name_pair_records(ctx, statement, faulty)
+    assert len({r[0] for r in expected}) > 1
+    assert [r for r in _records(got) if r[1] == statement] == expected
+    assert got.instances_checked == clean.instances_checked
+    monkeypatch.setattr(_SpaceContext, "partners",
+                        property(lambda self: {nm: [nm[1]] for nm in self.pair_names}))
+    lone = run_suites(cfg, spaces).suites[suite]
+    self_checks = len(ctx.pair_names) if kind == "family" else 0
+    assert got.instances_checked - lone.instances_checked == count - self_checks
+
+
+def test_faulted_wider_kernel_shared_by_several_names_fails_like_the_per_name_loop(monkeypatch):
+    # a kernel six names share fails at one more set, its first nonempty
+    # compact one: each pair with those names among its wider pairs
+    # reports one record per such name, as the per-name loop does, and the
+    # transfer statement counts what that loop counts, which is what the
+    # sweep loses with no wider pairs at all
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=4, samples=1, seed=5, suites=("compactness",))
+    spaces = sweep_spaces(cfg)
+    [(label, top)] = spaces
+    ctx = _SpaceContext(label, top, cfg)
+    target = ctx.pairs[("int", "cl")].kernel
+    sharing = {f"{c},{d}" for (c, d), p in ctx.pairs.items() if p.kernel is target}
+    assert len(sharing) == 6
+    real = harness.failing_plane
+    plane = real(ctx.pairs[("int", "cl")])
+    flip_set = next(s for s in ctx.subsets if s and not plane >> s & 1)
+
+    def faulty(p, kind="pair"):
+        return real(p, kind) | (p.kernel is target and kind == "pair") << flip_set
+
+    clean = run_suites(cfg, spaces).suites["compactness"]
+    monkeypatch.setattr(harness, "failing_plane", faulty)
+    got = run_suites(cfg, spaces).suites["compactness"]
+    statement = "compact sets transfer to wider pairs"
+    count, expected = oracles.per_name_pair_records(ctx, statement, faulty)
+    assert len({r[2] for r in expected} & sharing) > 1
+    assert [r for r in _records(got) if r[1] == statement] == expected
+    assert got.instances_checked == clean.instances_checked
+    monkeypatch.setattr(_SpaceContext, "wider", lambda self, a, b: [])
+    assert got.instances_checked - run_suites(cfg, spaces).suites["compactness"].instances_checked == count
+
+
+def test_oracle_walks_and_runs_once_per_sweep_and_fails_in_each_space(monkeypatch):
+    # across the spaces of at most two points, each (ambient family, image
+    # row, quantified subsets) key is walked once and its fast criterion
+    # runs once.  A wrong literal verdict for a key the four 2-point spaces
+    # all meet fails the run in each of them, under every name whose images
+    # on the family give the row, with the space's own label
+    cfg = SuiteConfig(n_exhaustive=2, suites=("compactness_oracle",))
+    spaces = sweep_spaces(cfg)
+    fam = row = (0b01, 0b11)
+    walks, runs = [], collections.Counter()
+    real_walk, real_run = harness.brute_force_compact_images, harness.is_compact
+
+    def spied_walk(ambient, images, targets, flip=False):
+        walks.extend((ambient, r, tuple(targets)) for r in images)
+        got = real_walk(ambient, images, targets)
+        return [v[:-1] + (not v[-1],) if flip and (ambient, r) == (fam, row) else v
+                for r, v in zip(images, got)]
+
+    def spied_run(cs, s):
+        runs[cs.ambient, tuple(cs.enlarger.table[u] for u in cs.ambient), cs.enlarger.topology.n] += 1
+        return real_run(cs, s)
+
+    monkeypatch.setattr(harness, "brute_force_compact_images", spied_walk)
+    monkeypatch.setattr(harness, "is_compact", spied_run)
+    clean = run_suites(cfg, spaces).suites["compactness_oracle"]
+    assert not clean.failures
+    assert len(walks) == len(set(walks)) and (fam, row, (0, 1, 2, 3)) in walks
+    assert runs == {(a, r, len(t).bit_length() - 1): len(t) for a, r, t in walks}
+
+    monkeypatch.setattr(harness, "brute_force_compact_images", lambda *args: spied_walk(*args, flip=True))
+    got = run_suites(cfg, spaces).suites["compactness_oracle"]
+    expected = []
+    for label, top in spaces:
+        ctx = _SpaceContext(label, top, cfg)
+        for nm in BUILTIN_NAMES:
+            if top.n == 2 and tuple(ctx.ops[nm].table[u] for u in fam) == row:
+                expected.append((label, nm, top.ground.braced(top.full), str(list(fam))))
+    assert len({r[0] for r in expected}) == 4
+    statement = "fast criterion agrees with the literal oracle"
+    assert [(f["space"], f["pair"], f["subject"], f["witness"]) for f in got.failures] == expected
+    assert {f["statement"] for f in got.failures} == {statement}
+    assert got.instances_checked == clean.instances_checked
+
+
+def test_oracle_store_lives_for_one_sweep(monkeypatch):
+    # every space of a sweep reads one store, and nothing keeps it once
+    # the sweep returns; the next sweep starts empty and walks again
+    refs = []
+    real = _SpaceContext.__init__
+
+    def spied(self, label, top, cfg, *rest):
+        real(self, label, top, cfg, *rest)
+        assert not refs or refs[0]() is self.oracle
+        refs.append(weakref.ref(self.oracle))
+
+    monkeypatch.setattr(_SpaceContext, "__init__", spied)
+    walks = []
+    real_walk = harness.brute_force_compact_images
+
+    def counted(ambient, images, targets):
+        walks.append(ambient)
+        return real_walk(ambient, images, targets)
+
+    monkeypatch.setattr(harness, "brute_force_compact_images", counted)
+    cfg = SuiteConfig(n_exhaustive=2, suites=("compactness_oracle",))
+    counts = []
+    for _ in range(2):
+        assert run_suites(cfg).ok
+        gc.collect()
+        assert len(refs) == 5 and all(ref() is None for ref in refs)
+        refs.clear()
+        counts.append(len(walks))
+        walks.clear()
+    assert counts[0] == counts[1] > 0
+
+
+def test_shared_clean_runs_count_their_instances_and_notes_once_per_item():
+    # a clean run is merged once with its instances and notes multiplied
+    # by its uses; runs with failures are merged in item order, and every
+    # other item of their key runs its own body.  A store passed in keeps
+    # the clean runs for a later call, which runs none of their bodies
+    calls = []
+
+    def body(name, key, out):
+        calls.append(name)
+        out.instances_checked += 2
+        out.note("regularity_unknown")
+        if key == "bad":
+            out.failures.append(name)
+
+    items = [("x", "k"), ("y", "bad"), ("z", "k"), ("w", "bad"), ("v", "k")]
+    out, clean = harness.SuiteResult(), {}
+    harness._shared_runs(out, items, lambda name, key: key, body, clean=clean)
+    assert calls == ["x", "y", "w"]
+    assert (out.instances_checked, out.failures, out.notes) == (10, ["y", "w"], {"regularity_unknown": 5})
+    assert list(clean) == ["k"]
+    again = harness.SuiteResult()
+    harness._shared_runs(again, [("u", "k"), ("t", "bad")], lambda name, key: key, body, clean=clean)
+    assert calls[3:] == ["t"]
+    assert (again.instances_checked, again.failures, again.notes) == (4, ["t"], {"regularity_unknown": 2})
+
+
+def test_notes_of_shared_runs_match_a_run_that_shares_nothing(monkeypatch):
+    # the wide11 workload's spaces gate regularity on their big selector
+    # families: the structure runs shared by several names note
+    # regularity_unknown and the closure readings as often as one run per
+    # name does
+    cfg = SuiteConfig(n_exhaustive=0, n_sampled=11, samples=2, seed=0, suites=("structure",))
+    spaces = sweep_spaces(cfg)
+    runs = []
+    real_classify = harness.classify_structure
+
+    def counted(p):
+        runs.append(p)
+        return real_classify(p)
+
+    monkeypatch.setattr(harness, "classify_structure", counted)
+    shared = run_suites(cfg, spaces).suites["structure"]
+    assert shared.notes["regularity_unknown"] and shared.notes["cl_reading_both"]
+    assert len(runs) < 2 * len(CATALOG_PAIRS)
+    real = harness._shared_runs
+
+    def unshared(out, items, key, body, tail=None, clean=None):
+        real(out, items, lambda *item: item, body, tail)
+
+    monkeypatch.setattr(harness, "_shared_runs", unshared)
+    alone = run_suites(cfg, spaces).suites["structure"]
+    assert (shared.instances_checked, shared.notes) == (alone.instances_checked, alone.notes)
 
 
 def test_context_order_is_leq():

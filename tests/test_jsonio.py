@@ -47,6 +47,8 @@ def test_space_loader_rejects_bad_documents():
         space_from_dict({"points": ["a"], "opens": "x"})
     with pytest.raises(SchemaError, match="unknown point"):
         space_from_dict({"points": ["a"], "opens": [[], ["z"]]})
+    with pytest.raises(SchemaError, match="unknown point"):
+        space_from_dict({"points": ["a"], "opens": [[], [["a"]]]})
 
 
 def test_space_loader_names_the_violated_axiom():
@@ -94,6 +96,11 @@ def test_operation_loader_bad_keys(s2):
     doc["table"]['["z"]'] = []
     with pytest.raises(SchemaError, match="unknown point"):
         operation_from_dict(doc, s2)
+    for key, value in (('[["a"]]', []), ('["a"]', [{"b": 1}])):
+        doc = operation_to_dict(catalog(s2)["cl"])
+        doc["table"][key] = value
+        with pytest.raises(SchemaError, match="unknown point"):
+            operation_from_dict(doc, s2)
     doc = operation_to_dict(catalog(s2)["cl"])
     doc["table"]['["b","a"]'] = ["a", "b"]  # same subset, different spelling
     with pytest.raises(SchemaError, match="twice"):

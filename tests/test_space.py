@@ -44,6 +44,9 @@ def test_label_index_keeps_errors_equality_and_hash():
     for _ in range(2):  # index built by the call above, then kept
         with pytest.raises(KeyError, match="unknown point label 'w'"):
             g.mask_of_labels(["x", "w"])
+    # an unhashable label, as a nested JSON list reads, is unknown too
+    with pytest.raises(KeyError, match=r"unknown point label \['x'\]"):
+        g.mask_of_labels(["y", ["x"]])
     assert g.mask_of_labels([]) == 0
     fresh = GroundSet(("x", "y", "z"))
     assert g == fresh and hash(g) == hash(fresh)
