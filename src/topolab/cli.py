@@ -164,47 +164,49 @@ def _cmd_mine(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; :attr:`commands` maps each command name to
+    its subparser, so :func:`main` can hand a query straight to it."""
     parser = argparse.ArgumentParser(
         prog="topolab",
         description="finite-space operator calculus and property checker",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = commands = {}
 
-    p = sub.add_parser("enumerate", help="write every topology of a given size as JSONL")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(command=name, func=func)
+        return p
+
+    p = command("enumerate", _cmd_enumerate, "write every topology of a given size as JSONL")
     p.add_argument("--n", type=int, required=True, help=f"points (0..{EXHAUSTIVE_POINTS})")
     p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("check", help="run property suites from a config file")
+    p = command("check", _cmd_check, "run property suites from a config file")
     p.add_argument("--config", required=True, help="SuiteConfig as JSON")
     p.add_argument("--space", help="restrict the sweep to one space file")
     p.add_argument("--out", help="report file (default stdout)")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("families", help="print the families a pair induces on a space")
+    p = command("families", _cmd_families, "print the families a pair induces on a space")
     p.add_argument("--space", required=True)
     p.add_argument("--pair", required=True, help="<first>,<second>; builtin name or custom:<file>")
-    p.set_defaults(func=_cmd_families)
 
-    p = sub.add_parser("filter", help="limits and adherence of a principal filter")
+    p = command("filter", _cmd_filter, "limits and adherence of a principal filter")
     p.add_argument("--space", required=True)
     p.add_argument("--pair", required=True)
     p.add_argument("--core", required=True, help="comma-separated point labels")
     p.add_argument("--report", action="store_true", help="per-point detail")
-    p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("compact", help="compactness verdict with witnesses")
+    p = command("compact", _cmd_compact, "compactness verdict with witnesses")
     p.add_argument("--space", required=True)
     p.add_argument("--pair", required=True)
     p.add_argument("--set", required=True, help="comma-separated point labels ('' for the empty set)")
     p.add_argument("--oracle", action="store_true",
                    help=f"cross-check the literal oracle (at most {SUBFAMILY_CAP} selector-open sets)")
-    p.set_defaults(func=_cmd_compact)
 
-    p = sub.add_parser("mine", help="search small spaces for counterexample witnesses")
+    p = command("mine", _cmd_mine, "search small spaces for counterexample witnesses")
     p.add_argument("--target", required=True, help=f"one of {MINE_TARGETS}")
     p.add_argument("--n-max", type=int, default=2, help="largest ground-set size to scan")
-    p.set_defaults(func=_cmd_mine)
     return parser
 
 
@@ -216,8 +218,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``argv`` parsed in one pass: a known command's arguments go
+    straight to its subparser, and leftovers are reported by the
+    top-level parser, as its own two-pass parse would.  No command, an
+    unknown one or a top-level option goes through the top-level parser."""
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (SchemaError, OSError, UnicodeDecodeError) as exc:

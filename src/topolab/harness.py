@@ -328,8 +328,10 @@ class _SpaceContext:
             seen: dict = {}
             for b in BUILTIN_NAMES:
                 self.agreement[(a, b)] = seen.setdefault(images(self.ops[b].table), len(seen))
-        #: (a, b) -> :meth:`wider`, filled as pairs are read
+        #: (a, b) -> :meth:`wider` and :meth:`wider_kernels`, filled as
+        #: pairs are read
         self._wider: dict[tuple[str, str], list[tuple[str, str]]] = {}
+        self._wider_kernels: dict[tuple[str, str], list[OpPair]] = {}
         self.oracle = _OracleStore() if oracle is None else oracle
 
     @cached_property
@@ -395,6 +397,14 @@ class _SpaceContext:
             got = self._wider[(a, b)] = [
                 (c, d) for c, d in self.pair_names if self.inside[(c, a)] and self.order[(b, d)]
             ]
+        return got
+
+    def wider_kernels(self, a: str, b: str) -> list[OpPair]:
+        """:meth:`kernel_pairs` of :meth:`wider`, built on its first read
+        and kept."""
+        got = self._wider_kernels.get((a, b))
+        if got is None:
+            got = self._wider_kernels[(a, b)] = self.kernel_pairs(self.wider(a, b))
         return got
 
     def kernel_pairs(self, names: Iterable[tuple[str, str]]) -> list[OpPair]:
@@ -978,7 +988,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         wider = ctx.wider(a, b)
         out.instances_checked += len(wider)
         first_break: dict = {}
-        for wide in ctx.kernel_pairs(wider):
+        for wide in ctx.wider_kernels(a, b):
             wide_lims, wide_adhs = core_values(wide)
             for i in range(len(cores)):
                 if lims[i] & ~wide_lims[i] or adhs[i] & ~wide_adhs[i]:
@@ -1097,7 +1107,7 @@ def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         # failing there, compared once per wider kernel and named per name
         wider = ctx.wider(a, b)
         out.instances_checked += len(wider)
-        if any(failing_plane(q) & ~cover & quantified for q in ctx.kernel_pairs(wider)):
+        if any(failing_plane(q) & ~cover & quantified for q in ctx.wider_kernels(a, b)):
             for (c, d) in wider:
                 strict = failing_plane(ctx.pairs[(c, d)]) & ~cover & quantified
                 if strict:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .bits import MAX_POINTS
 from .ops import Operation, OperationError
 from .space import GroundSet, Topology
 
@@ -43,6 +44,8 @@ def space_from_dict(data: Any) -> Topology:
         raise SchemaError("field 'points' must be a list of strings")
     if len(set(points)) != len(points):
         raise SchemaError("point labels must be distinct")
+    if len(points) > MAX_POINTS:
+        raise SchemaError(f"ground sets are capped at {MAX_POINTS} points; this one has {len(points)}")
     if not isinstance(opens, list) or not all(isinstance(o, list) for o in opens):
         raise SchemaError("field 'opens' must be a list of label lists")
     ground = GroundSet(tuple(points))

@@ -36,21 +36,24 @@ class Operation:
     ``table[mask]`` is the image of the subset ``mask``.  Instances are
     immutable; calling one applies the table.  The tables derived from
     one (its open family and its packed lanes) are kept in ``_memo``
-    through :func:`~topolab.space.memoized`, so they die with it.
-    Pickling rebuilds through the constructor, with an empty ``_memo``.
+    through :func:`~topolab.space.memoized`, so they die with it.  The
+    lanes enter ``_memo`` at construction, as the validation packs them
+    anyway.  Pickling rebuilds through the constructor, with a ``_memo``
+    holding only the lanes.
     """
 
     __slots__ = ("topology", "table", "name", "_memo", "_hash")
 
     def __init__(self, topology: Topology, table: Sequence[int], name: str = "custom"):
         table = tuple(table)
-        problem = table_violation(topology, table)
+        memo: dict = {}
+        problem = table_violation(topology, table, memo)
         if problem is not None:
             raise OperationError(name, *problem)
         object.__setattr__(self, "topology", topology)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_memo", memo)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -82,7 +85,9 @@ class Operation:
         return h
 
 
-def table_violation(topology: Topology, table: Sequence[int]) -> Optional[tuple[str, int]]:
+def table_violation(
+    topology: Topology, table: Sequence[int], memo: Optional[dict] = None
+) -> Optional[tuple[str, int]]:
     """First violated operation law as (condition, witness mask), else None.
 
     A table whose entries run from 0 up to exactly the whole space packs
@@ -90,6 +95,8 @@ def table_violation(topology: Topology, table: Sequence[int]) -> Optional[tuple[
     so one AND-NOT of the two accepts it.  Every lawful table passes
     that test, as its image of the whole space is the whole space; any
     other table is walked entry by entry to name the first witness.
+    Given a ``memo`` dict, an accepted table's lanes are stored there as
+    the :func:`op_lanes` table, which they are.
     """
     count = 1 << topology.n
     if len(table) != count:
@@ -98,8 +105,10 @@ def table_violation(topology: Topology, table: Sequence[int]) -> Optional[tuple[
         return ("the empty set must map to the empty set", 0)
     full = topology.full
     if max(table) == full and min(table) >= 0:
-        inner = topology.int_lanes()[0]
-        if inner & ~pack_lanes(table)[0] == 0:
+        lanes = pack_lanes(table)
+        if topology.int_lanes()[0] & ~lanes[0] == 0:
+            if memo is not None:
+                memo[op_lanes.__wrapped__] = lanes
             return None
     inner = topology.int_table()
     for a in range(count):
@@ -191,7 +200,9 @@ def op_lanes(op: Operation) -> tuple[int, int]:
     (:func:`~topolab.bits.pack_lanes`), kept on the operation.  Every table
     over one space packs to the same width, since every operation maps
     the whole space to itself (its image holds the interior of the whole
-    space), so the largest entry is the whole space."""
+    space), so the largest entry is the whole space.  The constructor
+    keeps the lanes :func:`table_violation` packed, so this is read, not
+    built."""
     return pack_lanes(op.table)
 
 

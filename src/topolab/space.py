@@ -105,11 +105,31 @@ class GroundSet:
     def labels_of_mask(self, mask: int) -> list[str]:
         return [self.labels[i] for i in iter_points(mask)]
 
+    @cached_property
+    def _byte_names(self) -> tuple[tuple[str, ...], ...]:
+        """Per byte of a mask, the comma-joined labels of each of its
+        values: at most 2^8 strings per byte, built on first use and kept
+        in the instance dict like :attr:`_index`."""
+        tables = []
+        for low in range(0, max(len(self.labels), 1), 8):
+            names = [""]
+            for lab in self.labels[low:low + 8]:
+                names += [f"{s},{lab}" if s else lab for s in names]
+            tables.append(tuple(names))
+        return tuple(tables)
+
     def braced(self, *masks: int) -> str:
-        """The masks as braced label lists, ``{a,b} {c}``: one loop over
-        the labels per mask."""
-        points = [(1 << i, lab) for i, lab in enumerate(self.labels)]
-        return " ".join(["{" + ",".join([lab for bit, lab in points if m & bit]) + "}" for m in masks])
+        """The masks as braced label lists, ``{a,b} {c}``: one read of
+        :attr:`_byte_names` per byte of each mask; bits outside the
+        ground set are ignored."""
+        full, tables = self.full, self._byte_names
+        if len(tables) == 1:
+            names = tables[0]
+            return " ".join(["{" + names[m & full] + "}" for m in masks])
+        low, high = tables
+        return " ".join(
+            ["{" + ",".join(filter(None, (low[m & 255], high[(m & full) >> 8]))) + "}" for m in masks]
+        )
 
 
 def default_ground(n: int) -> GroundSet:
@@ -131,22 +151,25 @@ class Topology:
     identity's lanes, the closure verdicts of :meth:`family_props`, and
     what other modules derive from it) is kept
     in ``_memo`` through :func:`memoized`, so it dies with the space;
-    the pair kernels are registered there too, held weakly.  Pickling
-    rebuilds through the constructor: validated, with an empty ``_memo``.
+    the pair kernels are registered there too, held weakly.  The
+    minimal neighbourhoods enter ``_memo`` at construction, as the
+    validation computes them anyway.  Pickling rebuilds through the
+    constructor: validated, with a ``_memo`` holding only that table.
     """
 
     __slots__ = ("ground", "opens", "n", "full", "_memo", "_hash", "__weakref__")
 
     def __init__(self, ground: GroundSet, opens: Iterable[int]):
         fam = canonical_family(opens)
-        problem = family_violation(ground, fam)
+        memo: dict = {}
+        problem = family_violation(ground, fam, memo)
         if problem is not None:
             raise ValueError(f"not a topology: {problem}")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "opens", fam)
         object.__setattr__(self, "n", ground.size)
         object.__setattr__(self, "full", ground.full)
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_memo", memo)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -180,6 +203,8 @@ class Topology:
         """``min_nbhds()[x]`` is the smallest open set containing x, the
         meet of the opens around it (one :func:`~topolab.bits.point_meets`
         of the rows (u, u)); the workhorse behind interior and closure.
+        The constructor keeps the meets :func:`family_violation` computed,
+        so this is read, not built.
         """
         return point_meets(zip(self.opens, self.opens), self.n)
 
@@ -234,7 +259,7 @@ class Topology:
         return close_unions(comp, self.n) == comp, close_unions(plane, self.n) == plane
 
 
-def family_violation(ground: GroundSet, family: Sequence[int]) -> Optional[str]:
+def family_violation(ground: GroundSet, family: Sequence[int], memo: Optional[dict] = None) -> Optional[str]:
     """Why ``family`` fails the topology axioms, or None if it passes.
 
     A family holding both ends is a topology iff it equals the union
@@ -244,7 +269,9 @@ def family_violation(ground: GroundSet, family: Sequence[int]) -> Optional[str]:
     meet at x puts the meet at y inside it.  So acceptance is one
     :func:`~topolab.bits.point_meets` and one plane comparison; only a
     rejected family is diagnosed, by the union and then the intersection
-    closure, naming the smallest missing union or intersection.
+    closure, naming the smallest missing union or intersection.  Given a
+    ``memo`` dict, a passing family's meets are stored there as the
+    :meth:`Topology.min_nbhds` table, which they are.
     """
     full = ground.full
     for m in family:
@@ -258,6 +285,8 @@ def family_violation(ground: GroundSet, family: Sequence[int]) -> Optional[str]:
     n = ground.size
     meets = point_meets(zip(members, members), n)
     if union_closure_plane(meets, n) == family_plane(members, n):
+        if memo is not None:
+            memo[Topology.min_nbhds.__wrapped__] = meets
         return None
     missing = [m for m in union_closure(members, n) if m not in members]
     if missing:

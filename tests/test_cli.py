@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from topolab import builtin, discrete, sierpinski
-from topolab.cli import main
+from topolab.cli import _parse, build_parser, main
 from topolab.harness import Report, SuiteResult
 from topolab.jsonio import operation_to_dict, write_space
 
@@ -225,3 +229,115 @@ def test_library_value_error_propagates(monkeypatch, s2_file):
     monkeypatch.setattr("topolab.cli.classify_structure", broken)
     with pytest.raises(ValueError, match="internal failure"):
         main(["families", "--space", s2_file, "--pair", "int,cl"])
+
+
+C3 = str(Path(__file__).parent / "data" / "c3.json")
+USAGE = "usage: topolab [-h] {enumerate,check,families,filter,compact,mine} ...\n"
+
+#: (argv, exit code, stdout, stderr), as the two-pass argparse parse gave them
+DISPATCH = [
+    ([], 2, "", USAGE + "topolab: error: the following arguments are required: command\n"),
+    (["-h"], 0, (
+        USAGE
+        + "\n"
+        "finite-space operator calculus and property checker\n"
+        "\n"
+        "positional arguments:\n"
+        "  {enumerate,check,families,filter,compact,mine}\n"
+        "    enumerate           write every topology of a given size as JSONL\n"
+        "    check               run property suites from a config file\n"
+        "    families            print the families a pair induces on a space\n"
+        "    filter              limits and adherence of a principal filter\n"
+        "    compact             compactness verdict with witnesses\n"
+        "    mine                search small spaces for counterexample witnesses\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ), ""),
+    (["bogus"], 2, "", USAGE + (
+        "topolab: error: argument command: invalid choice: 'bogus' (choose from"
+        " 'enumerate', 'check', 'families', 'filter', 'compact', 'mine')\n"
+    )),
+    (["families", "--space", C3, "--pair", "int,cl", "--bogus"], 2, "",
+     USAGE + "topolab: error: unrecognized arguments: --bogus\n"),
+    (["compact", "--space", C3, "--pair", "int,cl"], 2, "", (
+        "usage: topolab compact [-h] --space SPACE --pair PAIR --set SET [--oracle]\n"
+        "topolab compact: error: the following arguments are required: --set\n"
+    )),
+    (["families", "-h"], 0, (
+        "usage: topolab families [-h] --space SPACE --pair PAIR\n"
+        "\n"
+        "options:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --space SPACE\n"
+        "  --pair PAIR    <first>,<second>; builtin name or custom:<file>\n"
+    ), ""),
+    (["families", "--spa", C3, "--pair", "int,cl"], 0, (
+        "space: 4 opens on 3 points\n"
+        "selector-open (int): {} {a} {a,b} {a,b,c}\n"
+        "enlarger-open (cl): {} {a} {b} {a,b} {c} {a,c} {b,c} {a,b,c}\n"
+        "pair-open: {} {a,b,c}\n"
+        "pair-closed: {} {a,b,c}\n"
+        "enlargement base: {} {a,b,c}\n"
+        "structure: supratopology=true topology=true closed_iff_cl_subset=true"
+        " closed_iff_cl_equal=true kuratowski=true\n"
+    ), ""),
+]
+
+
+def run_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code, out, err", DISPATCH)
+def test_dispatch_keeps_the_two_pass_output(argv, code, out, err, capsys, monkeypatch):
+    # the one-pass dispatch prints what the top-level parse did before it:
+    # help, usage errors from the top-level and the subcommand parsers,
+    # leftover arguments and abbreviated options, at a fixed help width
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_main(argv, capsys) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "2"],
+    ["check", "--config", "c.json", "--space", C3, "--out", "r.json"],
+    ["families", "--pair", "int,cl", "--space", C3],
+    ["filter", "--space", C3, "--pair", "int,cl", "--core", "a,b", "--rep"],
+    ["compact", "--space", C3, "--pair", "int,cl", "--set", "", "--oracle"],
+    ["compact", "--space=" + C3, "--pair", "int,cl", "--set=a"],
+    ["mine", "--target", "inclusion_without_order"],
+    ["mine", "--target", "inclusion_without_order", "--n-max", "3"],
+])
+def test_one_pass_parse_matches_the_two_pass_parse(argv):
+    assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    # python -m topolab.cli parses sys.argv[1:] (main(None)) and prints
+    # what main does with the same arguments
+    argv = ["families", "--space", C3, "--pair", "int,cl"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "topolab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == run_main(argv, capsys)
+    assert done.returncode == 0 and done.stdout.startswith("space: 4 opens on 3 points\n")
+
+
+def test_space_file_over_sixteen_points_is_usage_error(tmp_path, capsys):
+    points = [f"p{i}" for i in range(17)]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"points": points, "opens": [[], points]}), encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["structure"], "pairs": ["int,cl"]}), encoding="utf-8")
+    for argv in (["families", "--space", str(big), "--pair", "int,cl"],
+                 ["check", "--config", str(cfg), "--space", str(big)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ground sets are capped at 16 points; this one has 17\n", argv

@@ -124,9 +124,9 @@ def test_operation_loader_validates_once(s2, monkeypatch):
     # witness subset by its labels
     calls = []
 
-    def counted(topology, table):
+    def counted(topology, table, *rest):
         calls.append(table)
-        return table_violation(topology, table)
+        return table_violation(topology, table, *rest)
 
     monkeypatch.setattr(ops_module, "table_violation", counted)
     scl = catalog(s2)["scl"]

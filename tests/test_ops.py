@@ -22,7 +22,7 @@ from topolab import (
     random_topology,
 )
 from topolab import ops as ops_module
-from topolab.bits import intersection_closure, union_closure
+from topolab.bits import intersection_closure, pack_lanes, union_closure
 from topolab.ops import at_point, op_lanes, table_violation, tabulate
 from topolab.space import Topology
 
@@ -131,9 +131,9 @@ def test_dual_validates_once(d2, monkeypatch):
     # dual and the witness mask
     calls = []
 
-    def counted(topology, table):
+    def counted(topology, table, *rest):
         calls.append(table)
-        return table_violation(topology, table)
+        return table_violation(topology, table, *rest)
 
     monkeypatch.setattr(ops_module, "table_violation", counted)
     ops = catalog(d2)
@@ -193,7 +193,8 @@ def test_derived_tables_live_in_their_owners_memo():
 
 def test_operation_pickle_round_trip(s2):
     # a catalog operation whose memo holds its lanes and open family, and
-    # a custom one: equal, equal hashes, the name kept, an empty memo
+    # a custom one: equal, equal hashes, the name kept, and a memo holding
+    # only the copy's own validation lanes, none of the original's objects
     ops = catalog(s2)
     cl = ops["cl"]
     op_lanes(cl)
@@ -203,7 +204,8 @@ def test_operation_pickle_round_trip(s2):
     for op in (cl, custom):
         copy = pickle.loads(pickle.dumps(op))
         assert copy == op and hash(copy) == hash(op) and copy.name == op.name
-        assert copy._memo == {} and copy.topology == s2
+        assert copy._memo == {op_lanes.__wrapped__: pack_lanes(copy.table)} and copy.topology == s2
+        assert all(value is not op._memo.get(key) for key, value in copy._memo.items())
 
 
 def test_leq_chains_and_errors(s2, d2):
@@ -474,9 +476,9 @@ def test_operations_suite_builds_each_dual_once(monkeypatch):
 
     calls = []
 
-    def counted(topology, table):
+    def counted(topology, table, *rest):
         calls.append(table)
-        return table_violation(topology, table)
+        return table_violation(topology, table, *rest)
 
     for top in lane_test_spaces(83)[:40:7]:
         ctx = _SpaceContext("s", top, SuiteConfig())
@@ -486,3 +488,19 @@ def test_operations_suite_builds_each_dual_once(monkeypatch):
         monkeypatch.undo()
         assert len(calls) == 2 * len(BUILTIN_NAMES), top
         assert not result.failures
+
+
+def test_kept_lanes_are_the_packed_table():
+    # from construction on, an operation's memo holds exactly the lanes its
+    # validation packed, equal to packing its table afresh: catalog
+    # operations, their duals and seeded custom tables, on every space of
+    # at most 4 points and one seeded space of each size up to 16
+    rng = random.Random(97)
+    for top in lane_test_spaces(97):
+        ops = list(catalog(top).values())
+        if top.n <= 8:
+            ops += [dual(op) for op in ops]
+        ops += [Operation(top, table, "blob") for table in lawful_tables(top, rng)[-2:]]
+        for op in ops:
+            assert op._memo == {op_lanes.__wrapped__: pack_lanes(op.table)}, (top, op.name)
+            assert op_lanes(op) is op._memo[op_lanes.__wrapped__]

@@ -15,7 +15,8 @@ from topolab import (
     sierpinski,
 )
 from topolab import space as space_module
-from topolab.bits import canonical_family, intersection_closure, union_closure
+from topolab.bits import canonical_family, intersection_closure, point_meets, union_closure
+from topolab.jsonio import dumps_space, loads_space
 from topolab.space import family_violation
 
 from oracles import (
@@ -260,7 +261,8 @@ def test_build_topology_reads_the_subbasis_once_and_validates_it_first():
 def test_pickle_round_trip_rebuilds_through_the_constructor(monkeypatch):
     # a fresh space and one whose memo holds tables keyed by their
     # builders; the copy is equal, hashes equal, is validated again and
-    # starts with an empty memo
+    # starts with a memo holding only its own validation meets, none of the
+    # original's objects
     fresh = random_topology(3, 0, 3)
     filled = sierpinski()
     filled.int_table()
@@ -268,15 +270,16 @@ def test_pickle_round_trip_rebuilds_through_the_constructor(monkeypatch):
     assert filled._memo
     checked = []
 
-    def counted(ground, family):
+    def counted(ground, family, *rest):
         checked.append(family)
-        return family_violation(ground, family)
+        return family_violation(ground, family, *rest)
 
     monkeypatch.setattr(space_module, "family_violation", counted)
     for top in (fresh, filled):
         copy = pickle.loads(pickle.dumps(top))
         assert copy == top and hash(copy) == hash(top) and copy is not top
-        assert copy._memo == {}
+        assert copy._memo == {Topology.min_nbhds.__wrapped__: point_meets(zip(copy.opens, copy.opens), copy.n)}
+        assert all(value is not top._memo.get(key) for key, value in copy._memo.items())
         assert copy.int_table() == top.int_table()
     assert checked == [fresh.opens, filled.opens]
 
@@ -368,3 +371,46 @@ def test_family_props_planes_match_pairwise_scans_on_every_small_family():
                 full in fam and pairwise_intersection_closed(fam),
                 0 in fam and pairwise_union_closed(fam),
             ), (n, fam)
+
+
+def test_kept_min_nbhds_are_the_point_meets():
+    # from construction on, a space's memo holds exactly the meets its
+    # validation computed, equal to point_meets recomputed from scratch, on
+    # every space of at most 4 points and on seeded 8-, 12- and 16-point
+    # spaces, enumerated, built and read from a file alike
+    rng = random.Random(103)
+    spaces = [top for n in range(5) for top in enumerate_topologies(n)]
+    spaces += [random_topology(n, rng.randrange(10**6), n) for n in (8, 12, 16) for _ in range(3)]
+    for top in spaces:
+        for space in (top, loads_space(dumps_space(top))):
+            meets = point_meets(zip(space.opens, space.opens), space.n)
+            assert space._memo == {Topology.min_nbhds.__wrapped__: meets}, space
+            assert space.min_nbhds() is space._memo[Topology.min_nbhds.__wrapped__]
+
+
+def literal_braced(ground, *masks):
+    return " ".join(
+        "{" + ",".join(lab for i, lab in enumerate(ground.labels) if m >> i & 1) + "}" for m in masks
+    )
+
+
+def test_braced_matches_the_literal_label_join():
+    # every mask for n = 0..10 and seeded 16-point masks, one mask per
+    # call and all in one call, with one-letter and longer labels; bits
+    # outside the ground set are ignored
+    rng = random.Random(107)
+    grounds = [default_ground(n) for n in range(11)]
+    grounds += [GroundSet(tuple(f"p{i}" for i in range(n))) for n in (3, 9, 10)]
+    for ground in grounds:
+        masks = list(range(1 << ground.size))
+        for m in masks:
+            assert ground.braced(m) == literal_braced(ground, m), (ground, m)
+        assert ground.braced(*masks) == literal_braced(ground, *masks)
+        assert ground.braced(ground.full | 1 << ground.size) == literal_braced(ground, ground.full)
+        assert ground.braced() == ""
+    for ground in (default_ground(16), GroundSet(tuple(f"x{i}" for i in range(16)))):
+        masks = [0, ground.full, 0xFF, 0xFF00] + [rng.randrange(1 << 16) for _ in range(500)]
+        for m in masks:
+            assert ground.braced(m) == literal_braced(ground, m), (ground, m)
+        assert ground.braced(*masks) == literal_braced(ground, *masks)
+        assert ground.braced(1 << 16 | 5) == literal_braced(ground, 5)
