@@ -34,6 +34,7 @@ MAX_POINTS = 16
 _PACK_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct's standard sizes
 _LANE_BYTES = (1, 1, 2, 4, 4, 8, 8, 8, 8)  # lane bytes for entries of 0-8 bytes
 _DIGIT_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+_FLAG_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 _ZERO_FLAG = b"\1" + bytes(255)  # byte -> 1 if it is zero, else 0
 
 
@@ -138,10 +139,47 @@ def family_plane(family: Iterable[int], n: int) -> int:
     return int(digits, 2)
 
 
-def _bits_of(plane: int) -> Family:
-    """The set bits of ``plane``, ascending."""
+def plane_members(plane: int) -> Family:
+    """The set bits of ``plane``, ascending: the family a plane flags."""
     flags = format(plane, "b")[::-1].encode().translate(_DIGIT_FLAG)
     return tuple(compress(range(len(flags)), flags))
+
+
+def members_holding(plane: int, n: int, point: int) -> int:
+    """The members of the 2**n-bit ``plane`` that hold ``point``: the
+    plane off the ``clear`` mask of the point (:func:`_clear_masks`)."""
+    return plane & ~_plane_masks(n)[n - 1 - point][1]
+
+
+def plane_meet(plane: int, n: int) -> int:
+    """The meet of the n-point sets flagged by the 2**n-bit ``plane``,
+    computed from the members: y is in it iff no member lies off y, one
+    AND with the ``clear`` mask of y per point.  The empty meet is the
+    whole set."""
+    meet = (1 << n) - 1
+    for i, clear in _clear_masks(n, 1):
+        if plane & clear:
+            meet ^= 1 << i
+    return meet
+
+
+def bit_planes(table: Sequence[int], n: int) -> list[int]:
+    """The 2**n entries of ``table``, n-point sets, transposed into
+    planes (Warren, "Hacker's Delight", 2nd ed., ch. 7): ``out[x]`` is
+    the 2**n-bit plane flagging the a whose ``table[a]`` holds x.
+
+    The table is packed once (:func:`pack_lanes`); point x is one shift
+    and mask of the lanes down to their low bit, read back as one flag
+    byte per lane and turned into base-2 digits, so no entry is walked
+    in Python."""
+    lanes, width = pack_lanes(table)
+    lane = width >> 3
+    ones = int.from_bytes(b"\1".ljust(lane, b"\0") * (1 << n), "little")
+    out = []
+    for x in range(n):
+        flags = (lanes >> x & ones).to_bytes(lane << n, "little")[::lane]
+        out.append(int(flags.translate(_FLAG_DIGIT)[::-1], 2))
+    return out
 
 
 def pack_lanes(table: Sequence[int]) -> tuple[int, int]:
@@ -157,6 +195,16 @@ def pack_lanes(table: Sequence[int]) -> tuple[int, int]:
     else:
         raw = struct.pack(f"<{len(table)}{code}", *table)
     return int.from_bytes(raw, "little"), 8 * lane
+
+
+@lru_cache(maxsize=MAX_POINTS + 1)
+def identity_lanes(n: int) -> tuple[int, int]:
+    """The identity table of n points packed (:func:`pack_lanes`), lane
+    a holding a: ``identity & ~table`` is zero at lane a iff a sits
+    inside ``table[a]``.  It depends on n alone, so it comes from a cache
+    of one entry per n, like :func:`_plane_masks`: 128 KiB at 16 points
+    and 256 KiB for every n up to it."""
+    return pack_lanes(subsets(n))
 
 
 def row_planes(rows: Iterable[tuple[int, int]], n: int) -> tuple[list[int], list[int], int]:
@@ -300,7 +348,7 @@ def up_planes(planes: Iterable[int], n: int) -> Iterator[int]:
 def upward_closure(family: Iterable[int], n: int) -> Family:
     """Every subset holding some member of ``family``."""
     (plane,) = up_planes((family_plane(family, n),), n)
-    return _bits_of(plane)
+    return plane_members(plane)
 
 
 def union_closure_plane(family: Iterable[int], n: int) -> int:
@@ -336,7 +384,7 @@ def union_closure(family: Iterable[int], n: int) -> Family:
     """Every union of members of ``family``, the empty union included
     (:func:`union_closure_plane`).  A family is union-closed and contains
     the empty set exactly when it equals its union closure."""
-    return _bits_of(union_closure_plane(family, n))
+    return plane_members(union_closure_plane(family, n))
 
 
 def intersection_closure(family: Iterable[int], n: int) -> Family:

@@ -42,6 +42,8 @@ members only; the proof is at :func:`additive_hypothesis`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .bits import (
@@ -113,13 +115,20 @@ def _minimal_cover(members: list[int], a: int) -> Family:
 
     Removal is attempted from the highest bitmask down, so low-mask
     members are kept preferentially and the result is deterministic.
+    When the member at position i is tried, the family left without it
+    is the members below i, all still kept, and the members above i
+    that survived: it covers ``a`` iff the OR of the prefix below i and
+    of the survivors does, so each removal is two ORs and one AND-NOT.
+    A family that does not cover ``a`` loses no member.
     """
-    kept = sorted(members)
-    for i in range(len(kept) - 1, -1, -1):
-        trial = kept[:i] + kept[i + 1:]
-        if is_cover(trial, a):
-            kept = trial
-    return tuple(kept)
+    members = sorted(members)
+    below = list(accumulate(members, or_, initial=0))
+    kept, above = [], 0
+    for i in reversed(range(len(members))):
+        if a & ~(below[i] | above):
+            kept.append(members[i])
+            above |= members[i]
+    return tuple(reversed(kept))
 
 
 def is_compact(cs: CoverSystem, a: int) -> CompactnessVerdict:

@@ -42,6 +42,15 @@ over the sets t around each point, :func:`rows_meeting` the complements
 of ``inside[full ^ t]``, and :func:`points_reached` reads which points a
 set of positions (say the cores inside a set, ``inside[s]``) reaches.
 The refinement construction is :func:`refined_core`, on the kernel.
+
+The neighbourhood filterbases at a point are 2**n-bit planes, bit a for
+subset a (:func:`nbhd_plane`): the plain base is the selector-open
+family's plane ANDed with the plane of the sets holding the point, and
+the enlarged base the plane of the enlargements whose image group holds
+the point, transposed once per kernel from the groups.  Their filterbase
+laws and convergence are checked on the members the plane flags, the
+meet taken over them one point at a time; :func:`nbhd_filterbase` lists
+the members only for a caller that asks for them.
 """
 
 from __future__ import annotations
@@ -51,12 +60,14 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .bits import (
     Family,
-    canonical_family,
     contained_union_table,
     down_plane,
     intersect_all,
     iter_points,
     mask_of,
+    members_holding,
+    plane_meet,
+    plane_members,
     point_meets,
     submasks_desc,
 )
@@ -65,12 +76,13 @@ from .pairs import (
     OpPair,
     PairKernel,
     _kernel_report,
-    _selector_at,
     enlarger_is_regular,
     envelopes,
     image_groups,
+    image_planes,
     int_table,
     pair_closure,
+    selector_plane,
 )
 from .space import Topology, memoized
 
@@ -390,36 +402,52 @@ def nbhd_filterbase(p: OpPair, point: int, variant: str = "plain") -> Family:
               w.r.t. the selector-open family, same nesting
 
     The returned base always generates a filter converging to ``point``;
-    that contract is enforced rather than assumed.  The base depends on
-    the pair's kernel alone and is kept there; a base that fails raises
-    on every call.
+    that contract is enforced rather than assumed.  The members are
+    listed off the checked plane (:func:`nbhd_plane`); a base that fails
+    raises on every call.
     """
-    return _nbhd_filterbase(p, point, variant)
+    return plane_members(nbhd_plane(p, point, variant))
 
 
 @memoized
-def _nbhd_filterbase(k: PairKernel, point: int, variant: str) -> Family:
+def nbhd_plane(k: PairKernel, point: int, variant: str) -> int:
+    """:func:`nbhd_filterbase` as a 2**n-bit plane, checked, for a pair
+    or its kernel, and kept on the kernel.
+
+    plain     the selector-open family's plane AND the plane of the sets
+              holding the point (:func:`~topolab.bits.members_holding`)
+    enlarged  the plane of the distinct enlargements around the point,
+              from the image groups (:func:`~topolab.pairs.image_planes`)
+
+    The literal contract holds on the members the plane flags: the
+    filterbase laws (:func:`is_filterbase`: some member, none empty, and
+    their meet among them), with the meet computed from the members
+    (:func:`~topolab.bits.plane_meet`), never read off the envelopes;
+    the filter the base generates, at that meet, converges iff the meet
+    sits inside the point's envelope.
+    """
     nested = _kernel_report(k).family_nested
+    n = k.topology.n
     if variant == "plain":
         if not k.topology.family_props(k.family)[0]:
             raise ValueError("selector-open family is not intersection-closed")
         if not nested:
             raise ValueError("selector-open family does not sit inside the enlarger-open family")
-        base = _selector_at(k, point)
+        plane = members_holding(selector_plane(k), n, point)
     elif variant == "enlarged":
         if not enlarger_is_regular(k):
             raise ValueError("enlarger is not regular w.r.t. the selector-open family")
         if not nested:
             raise ValueError("selector-open family does not sit inside the enlarger-open family")
-        base = canonical_family(map(k.enlarger.table.__getitem__, _selector_at(k, point)))
+        plane = image_planes(k)[point]
     else:
         raise ValueError(f"unknown variant {variant!r}; use 'plain' or 'enlarged'")
-    if not is_filterbase(base):
+    meet = plane_meet(plane, n)
+    if not plane or plane & 1 or not plane >> meet & 1:
         raise RuntimeError("neighbourhood base failed the filterbase laws")
-    # the generated filter converges iff its core sits in the envelope
-    if intersect_all(base, k.topology.full) & ~envelopes(k)[point]:
+    if meet & ~envelopes(k)[point]:
         raise RuntimeError("neighbourhood base failed to converge at its point")
-    return base
+    return plane
 
 
 @memoized

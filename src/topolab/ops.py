@@ -35,11 +35,11 @@ class Operation:
 
     ``table[mask]`` is the image of the subset ``mask``.  Instances are
     immutable; calling one applies the table.  The tables derived from
-    one (its open family and its packed lanes) are kept in ``_memo``
-    through :func:`~topolab.space.memoized`, so they die with it.  The
-    lanes enter ``_memo`` at construction, as the validation packs them
-    anyway.  Pickling rebuilds through the constructor, with a ``_memo``
-    holding only the lanes.
+    one (its open family, its packed lanes and whether it is monotone)
+    are kept in ``_memo`` through :func:`~topolab.space.memoized`, so
+    they die with it.  The lanes enter ``_memo`` at construction, as the
+    validation packs them anyway.  Pickling rebuilds through the
+    constructor, with a ``_memo`` holding only the lanes.
     """
 
     __slots__ = ("topology", "table", "name", "_memo", "_hash")
@@ -206,9 +206,11 @@ def op_lanes(op: Operation) -> tuple[int, int]:
     return pack_lanes(op.table)
 
 
+@memoized
 def is_monotone(op: Operation) -> bool:
     """Whether S inside T forces op(S) inside op(T): n shift-and-AND
-    steps on the table's lanes (:func:`~topolab.bits.is_monotone_lanes`)."""
+    steps on the table's lanes (:func:`~topolab.bits.is_monotone_lanes`).
+    Kept on the operation, so the kernels sharing an enlarger ask once."""
     return is_monotone_lanes(*op_lanes(op), op.topology.n)
 
 

@@ -12,9 +12,20 @@ closed form off the pair-interior table.
 Every row derived from a pair, bar two readings of the selector's
 table, depends on the selector-open family and the enlarger alone, so
 it is built once per :class:`PairKernel`, shared by the pairs with that
-family and enlarger table (identity, cl and scl all select P(X)).  One
-such row, the distinct enlargements (:func:`image_groups`), gives the
-pointwise closure rule, the envelopes and the filters' limit sets.
+family and enlarger table (identity, cl and scl all select P(X)).
+
+One walk of the selector-open family per kernel: :func:`image_groups`
+pairs each distinct enlargement t with the union of the selector-open
+sets enlarged to t, and every other row reads those groups, or the
+family's plane (:meth:`~topolab.space.Topology.family_plane`, one per
+family), never the members one by one.  Two facts carry the rows over:
+- seed merge: the pair-interior transform seeds entry enl[u] with u for
+  every member u and ORs equal keys, so seeding t with its group's union
+  gives the same table (:func:`int_lanes`);
+- a union sits inside t iff every member does, so "each u inside enl[u]"
+  is "each group's union inside its t" (:func:`_kernel_report`).
+The same groups give the base (their images), the envelopes, the
+pointwise closure rule, regularity and the filters' limit sets.
 
 Classical generalized-open families (semi-open, pre-open, regular-open,
 the theta and semi-regularization variants) are provided by
@@ -29,10 +40,11 @@ from typing import Iterable, Sequence
 from weakref import WeakValueDictionary
 
 from .bits import (
-    Family, canonical_family, contained_union_lanes, family_plane, iter_points, pack_lanes,
-    point_meets, row_planes, union_closure_plane, unpack_lanes, zero_lanes,
+    Family, bit_planes, canonical_family, close_unions, contained_union_lanes, family_plane,
+    iter_points, members_holding, pack_lanes, plane_members, point_meets, row_planes,
+    unpack_lanes, zero_lanes,
 )
-from .ops import Operation, at_point, group_by_image, is_monotone, leq, op_open_family
+from .ops import Operation, group_by_image, is_monotone, leq, op_open_family
 from .space import Topology, build_topology, memoized
 
 #: Families constructible by an independent defining rule.
@@ -114,21 +126,31 @@ class OpPair:
 
 
 @memoized
+def selector_plane(k: PairKernel) -> int:
+    """The 2**n-bit plane of the selector-open family: the space's plane
+    of it (:meth:`~topolab.space.Topology.family_plane`), looked up once
+    per kernel, as the lookup hashes the whole family."""
+    return k.topology.family_plane(k.family)
+
+
+@memoized
 def _selector_at(k: PairKernel, point: int) -> Family:
-    return at_point(k.family, point)
+    """The selector-open sets holding ``point``, read off the family's
+    plane (:func:`~topolab.bits.members_holding`)."""
+    return plane_members(members_holding(selector_plane(k), k.topology.n, point))
 
 
 @memoized
 def int_lanes(k: PairKernel) -> tuple[int, int]:
     """The pair-interior table as (lanes, lane width in bits), lane a
     holding the pair-interior of a: the union of the selector-open sets
-    whose enlargement sits inside a, so one subset-sum transform
-    (:func:`~topolab.bits.contained_union_lanes`) gives the whole table
-    at once instead of |selector-open| work per entry.  The lanes are
-    the space's width, since the whole space is selector-open and
-    enlarged to itself."""
-    enl, fam = k.enlarger.table, k.family
-    return contained_union_lanes(zip(map(enl.__getitem__, fam), fam), k.topology.n)
+    whose enlargement sits inside a.  One subset-sum transform
+    (:func:`~topolab.bits.contained_union_lanes`) seeded with the image
+    groups (t, union of the sets enlarged to t) gives the whole table at
+    once: seeding each member u at enl[u] ORs the members with equal
+    images into the same entry anyway.  The lanes are the space's width,
+    since the whole space is selector-open and enlarged to itself."""
+    return contained_union_lanes(image_groups(k), k.topology.n)
 
 
 @memoized
@@ -374,8 +396,9 @@ def named_family(top: Topology, name: str) -> Family:
 
 @memoized
 def enlargement_base(k: PairKernel) -> Family:
-    """Deduplicated images of the selector-open sets under the enlarger."""
-    return canonical_family(map(k.enlarger.table.__getitem__, k.family))
+    """Deduplicated images of the selector-open sets under the enlarger:
+    the images of the groups (:func:`image_groups`), sorted."""
+    return tuple(sorted(dict(image_groups(k))))
 
 
 @memoized
@@ -383,10 +406,23 @@ def image_groups(k: PairKernel) -> tuple[tuple[int, int], ...]:
     """(t, union of the selector-open sets enlarged to t) for each
     distinct enlargement t, in order of first appearance.  Some
     selector-open set around x is enlarged to t iff t's union holds x.
-    One grouping per kernel, read by the envelopes, the pointwise
-    closure rule and the filters' limit sets.
+    The one walk of the selector-open family per kernel: every other
+    kernel row that needs the members reads these groups.
     """
     return tuple(group_by_image(k.enlarger.table, k.family).items())
+
+
+@memoized
+def image_planes(k: PairKernel) -> tuple[int, ...]:
+    """``image_planes(k)[x]`` is the 2**n-bit plane of the distinct
+    enlargements of the selector-open sets around x: the t whose group
+    (:func:`image_groups`) holds x.  The table t -> union of t's group is
+    transposed once (:func:`~topolab.bits.bit_planes`)."""
+    n = k.topology.n
+    table = [0] * (1 << n)
+    for t, union in image_groups(k):
+        table[t] = union
+    return tuple(bit_planes(table, n))
 
 
 @dataclass(frozen=True)
@@ -437,28 +473,32 @@ def _kernel_report(k: PairKernel) -> BaseReport:
     above the identity (a set is enlarger-open iff it sits inside its
     enlargement, so iff all 2**n subsets are enlarger-open).
 
-    The base is :func:`enlargement_base`.  A set b is pair-open iff b
-    sits inside int[b], so that membership is one table lookup.
-    ``family_nested`` says every selector-open u sits inside enl[u],
-    that is the selector-open family sits inside the enlarger-open one.
-    ``is_base`` compares two 2**n-bit planes: the pair-open family's
+    The base is :func:`enlargement_base`, read as a 2**n-bit plane, so
+    each membership flag is one AND-NOT of two planes: against the
+    selector-open family's plane (:func:`selector_plane`) and the
+    pair-open family's.  ``family_nested`` says every selector-open u
+    sits inside enl[u], that is the selector-open family sits inside the
+    enlarger-open one; a union sits inside t iff each of its members
+    does, so it reads each group's union against its image
+    (:func:`image_groups`).  ``is_base`` compares the pair-open plane
     against the base's union closure.
     """
-    n, enl, fam = k.topology.n, k.enlarger.table, k.family
-    inner = int_table(k)
+    n, enl = k.topology.n, k.enlarger.table
     base = enlargement_base(k)
+    base_plane = family_plane(base, n)
+    pair_plane = family_plane(pair_open_family(k), n)
     # "every enlarged selector-open set is selector-open and its own
     # enlargement does not grow it" reads the images alone, so the base
     # (the distinct images) decides it
-    base_selector_open = set(fam).issuperset(base)
-    base_pair_open = all(b & ~inner[b] == 0 for b in base)
+    base_selector_open = base_plane & ~selector_plane(k) == 0
+    base_pair_open = base_plane & ~pair_plane == 0
     return BaseReport(
         image_stable=base_selector_open and all(enl[b] & ~b == 0 for b in base),
-        family_nested=set(op_open_family(k.enlarger)).issuperset(fam),
+        family_nested=all(union & ~t == 0 for t, union in image_groups(k)),
         base_pair_open=base_pair_open,
         order_dominates=len(op_open_family(k.enlarger)) == 1 << n,
         base_in_pair_and_selector=base_pair_open and base_selector_open,
-        is_base=family_plane(pair_open_family(k), n) & ~union_closure_plane(base, n) == 0,
+        is_base=pair_plane & ~close_unions(base_plane, n) == 0,
     )
 
 

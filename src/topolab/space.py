@@ -26,9 +26,9 @@ from .bits import (
     complement_plane,
     contained_union_lanes,
     family_plane,
+    identity_lanes,
     intersection_closure,
     iter_points,
-    pack_lanes,
     point_meets,
     subsets,
     union_closure,
@@ -147,9 +147,9 @@ class Topology:
     ``n`` and ``full`` are fixed at construction from the ground set, so
     reading either is one slot read.  Instances are immutable and safe to
     share between threads.  Every table derived from the space (the
-    minimal neighbourhoods, the interior table and its lanes, the
-    identity's lanes, the closure verdicts of :meth:`family_props`, and
-    what other modules derive from it) is kept
+    minimal neighbourhoods, the interior table and its lanes, the planes
+    and closure verdicts of families (:meth:`family_plane`,
+    :meth:`family_props`), and what other modules derive from it) is kept
     in ``_memo`` through :func:`memoized`, so it dies with the space;
     the pair kernels are registered there too, held weakly.  The
     minimal neighbourhoods enter ``_memo`` at construction, as the
@@ -228,12 +228,12 @@ class Topology:
         :meth:`int_lanes`, unpacked."""
         return unpack_lanes(*self.int_lanes(), self.n)
 
-    @memoized
     def identity_lanes(self) -> tuple[int, int]:
         """The identity table, lane a holding a, packed like
         :meth:`int_lanes`: ``identity & ~table`` is zero at lane a iff a
-        sits inside ``table[a]``."""
-        return pack_lanes(self.subsets())
+        sits inside ``table[a]``.  Every space of n points reads one
+        table (:func:`~topolab.bits.identity_lanes`)."""
+        return identity_lanes(self.n)
 
     def interior(self, a: int) -> int:
         """Union of all open sets inside ``a`` (the largest open subset)."""
@@ -242,6 +242,13 @@ class Topology:
     def closure(self, a: int) -> int:
         """Smallest closed superset of ``a``; complement-dual of interior."""
         return self.full ^ self.interior(self.full ^ a)
+
+    @memoized
+    def family_plane(self, family: Family) -> int:
+        """The 2**n-bit plane of a canonical family of subsets of this
+        space (:func:`~topolab.bits.family_plane`), kept per family: the
+        pair kernels sharing a selector-open family read one plane."""
+        return family_plane(family, self.n)
 
     @memoized
     def family_props(self, family: Family) -> tuple[bool, bool]:
@@ -254,7 +261,7 @@ class Topology:
         union-closed.  Kept per family, so each distinct family is
         measured once however many operations or pairs produce it.
         """
-        plane = family_plane(family, self.n)
+        plane = self.family_plane(family)
         comp = complement_plane(plane, self.n)
         return close_unions(comp, self.n) == comp, close_unions(plane, self.n) == plane
 

@@ -29,7 +29,11 @@ they compared one pair per kernel.  The whole-table scans that moved onto lanes 
 well: the entry walk of the operation laws, the pairwise-fixpoint
 verdicts and messages of the topology check, the entry scan for open
 families and the group-by-group loop of the pointwise pair closure, with
-the member-by-member adherence of a base.  None of them import the code
+the member-by-member adherence of a base.  So do the walks over a
+kernel's selector-open family that its rows now read off the image
+groups and planes: the pair interior, the enlargement base, the nesting
+and image-stability flags and the neighbourhood filterbases, with the
+trial-removal minimal cover.  None of them import the code
 paths they validate, but for the three readers at the end, which take
 the library's batched base rows and literal oracle one base or one
 cover system at a time.
@@ -861,6 +865,88 @@ def literal_named_family(top, name: str, inner) -> tuple:
 # The last three are not independent routes: they read the library's own
 # batched rows one set or one target at a time, so the tests can compare
 # them with the scans above.
+
+
+def catalog_kernels(top) -> list:
+    """The distinct pair kernels of the 49 catalog pairs on ``top``: the
+    universe of kernels the member walks below are checked over."""
+    from topolab import OpPair, catalog
+
+    ops = catalog(top).values()
+    kernels = {}
+    for sel in ops:
+        for enl in ops:
+            k = OpPair(sel, enl).kernel
+            kernels[id(k)] = k
+    return list(kernels.values())
+
+
+def member_walk_interior(k, a: int) -> int:
+    """The pair-interior of ``a`` for a kernel, walking the selector-open
+    family: the union of the members u whose enlargement sits inside a."""
+    enl = k.enlarger.table
+    out = 0
+    for u in k.family:
+        if enl[u] & ~a == 0:
+            out |= u
+    return out
+
+
+def member_walk_base(k) -> tuple:
+    """The enlargement base of a kernel: the distinct images of the
+    selector-open sets, sorted."""
+    enl = k.enlarger.table
+    return tuple(sorted({enl[u] for u in k.family}))
+
+
+def member_walk_nested(k) -> bool:
+    """Every selector-open set sits inside its enlargement."""
+    enl = k.enlarger.table
+    return all(u & ~enl[u] == 0 for u in k.family)
+
+
+def member_walk_image_stable(k) -> bool:
+    """Every enlarged selector-open set is selector-open and its own
+    enlargement does not grow it, one selector-open set at a time."""
+    fam, enl = set(k.family), k.enlarger.table
+    return all(enl[u] in fam and enl[enl[u]] & ~enl[u] == 0 for u in k.family)
+
+
+def member_walk_nbhd_base(k, point: int, variant: str):
+    """The neighbourhood filterbase at ``point`` walking the selector-open
+    family, its preconditions left to the caller: the members around the
+    point (plain) or their distinct enlargements (enlarged).  The meet is
+    folded over the base's members, and the filter it generates is asked
+    to sit inside the enlargement of each member around the point.
+    Returns the base, or the message of the RuntimeError the library
+    raises."""
+    enl = k.enlarger.table
+    around = [u for u in k.family if u >> point & 1]
+    base = sorted(set(around) if variant == "plain" else {enl[u] for u in around})
+    meet = functools.reduce(operator.and_, base, k.topology.full)
+    if not base or 0 in base or meet not in base:
+        return "neighbourhood base failed the filterbase laws"
+    if any(meet & ~enl[u] for u in around):
+        return "neighbourhood base failed to converge at its point"
+    return tuple(base)
+
+
+def trial_minimal_cover(members, a: int) -> tuple:
+    """A cover of ``a`` no proper subfamily of which covers it, pruned
+    from the highest mask down by trying each removal on a copy of the
+    kept list: the quadratic routine ``compact._minimal_cover`` replaced."""
+    def covers(family) -> bool:
+        union = 0
+        for u in family:
+            union |= u
+        return a & ~union == 0
+
+    kept = sorted(members)
+    for i in range(len(kept) - 1, -1, -1):
+        trial = kept[:i] + kept[i + 1:]
+        if covers(trial):
+            kept = trial
+    return tuple(kept)
 
 
 def base_limit_sets(p, bases, has=None) -> list[int]:

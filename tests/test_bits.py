@@ -221,3 +221,40 @@ def test_plane_closures_match_pairwise_fixpoints():
             meets = pairwise_fixpoint({full, *fam}, operator.and_)
             closed = bits.close_unions(comp, n)
             assert bits.complement_plane(closed, n) == bits.family_plane(meets, n), (n, fam)
+
+
+def test_identity_lanes_are_one_bounded_table_per_size():
+    # the packed identity of every ground-set size, shared by the spaces
+    # of that size, from a cache of at most one entry per size
+    for n in range(MAX_POINTS + 1):
+        assert bits.identity_lanes(n) == bits.pack_lanes(range(1 << n)), n
+        assert bits.identity_lanes(n) is bits.identity_lanes(n)
+    info = bits.identity_lanes.cache_info()
+    assert info.maxsize == MAX_POINTS + 1 and info.currsize <= info.maxsize
+    one, other = random_topology(5, 1, 5), random_topology(5, 2, 5)
+    assert one.identity_lanes() is other.identity_lanes() is bits.identity_lanes(5)
+
+
+def test_plane_reads_match_the_member_loops():
+    # the members holding a point, their meet and the transposed table,
+    # on 2**n-bit planes, against loops over the members and entries:
+    # seeded families and tables at every size up to 16 points
+    rng = random.Random(59)
+    for n in range(MAX_POINTS + 1):
+        full = (1 << n) - 1
+        for _ in range(3):
+            fam = canonical_family(rng.randrange(1 << n) for _ in range(rng.randrange(40)))
+            plane = bits.family_plane(fam, n)
+            assert bits.plane_members(plane) == fam
+            meet = full
+            for m in fam:
+                meet &= m
+            assert bits.plane_meet(plane, n) == meet, (n, fam)
+            for x in range(n):
+                around = tuple(m for m in fam if m >> x & 1)
+                assert bits.plane_members(bits.members_holding(plane, n, x)) == around
+        table = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(1 << n)]
+        planes = bits.bit_planes(table, n)
+        assert len(planes) == n
+        for x, got in enumerate(planes):
+            assert got == bits.family_plane((a for a, t in enumerate(table) if t >> x & 1), n)

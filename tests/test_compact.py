@@ -23,7 +23,7 @@ from topolab import (
     space_compactness_flags,
 )
 from topolab.bits import canonical_family
-from topolab.compact import _closed_meets, _row
+from topolab.compact import _closed_meets, _minimal_cover, _row
 from topolab.filters import _point_limits
 from topolab.ops import Operation, dual_table, is_monotone, op_closed_family, op_open_family
 from topolab.pairs import (
@@ -34,13 +34,14 @@ from topolab.pairs import (
     pair_closure_by_points,
     pair_open_family,
 )
-from topolab.space import discrete
+from topolab.space import EXHAUSTIVE_POINTS, discrete
 
 from oracles import (
     all_families_of_nonempty,
     antichain_families,
     base_gap_has_disjoint_member,
     brute_force_compact_all,
+    catalog_kernels,
     inner_bases_accumulate,
     literal_fip_and_gap,
     maximal_bases_converge,
@@ -51,6 +52,7 @@ from oracles import (
     seeded_subfamily,
     subfamily_bases_accumulate,
     subfamily_fip_and_gap,
+    trial_minimal_cover,
 )
 
 KINDS = ("pair", "pair_open", "base")
@@ -119,6 +121,32 @@ def test_witnesses_are_valid(s2):
                 assert a & ~union == 0
                 assert a >> v.witness_point & 1
                 assert all(not ops[enl].table[u] >> v.witness_point & 1 for u in v.witness_cover)
+
+
+def test_witness_covers_match_the_trial_removals():
+    # the prefix-OR pruning keeps what trying each removal on a copy kept:
+    # the witness of every failing subset of every catalog cover system
+    # (one per pair kernel) on every space of at most 4 points and on
+    # seeded 6- and 8-point spaces, then seeded families, covers or not
+    rng = random.Random(401)
+    spaces = [top for n in range(EXHAUSTIVE_POINTS + 1) for top in enumerate_topologies(n)]
+    spaces += [random_topology(n, rng.randrange(10**6), n) for n in (6, 8)]
+    witnesses = 0
+    for top in spaces:
+        for k in catalog_kernels(top):
+            cs, enl = CoverSystem(k.family, k.enlarger), k.enlarger.table
+            for a in top.subsets():
+                v = is_compact(cs, a)
+                if not v.compact:
+                    avoid = [u for u in k.family if not enl[u] >> v.witness_point & 1]
+                    assert v.witness_cover == trial_minimal_cover(avoid, a), (top, k.enlarger, a)
+                    witnesses += 1
+    assert witnesses > 10_000
+    for _ in range(5000):
+        n = rng.randrange(7)
+        members = [rng.randrange(1 << n) for _ in range(rng.randrange(12))]
+        a = rng.randrange(1 << n)
+        assert _minimal_cover(members, a) == trial_minimal_cover(members, a), (members, a)
 
 
 def test_brute_force_agrees_everywhere_small():

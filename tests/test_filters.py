@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from topolab import (
@@ -22,16 +24,23 @@ from topolab import (
     pair_closure,
     random_topology,
 )
+from topolab import filters
 from topolab.filters import refined_core
+from topolab.pairs import _kernel_report, enlarger_is_regular
+from topolab.space import EXHAUSTIVE_POINTS
 
 from oracles import (
     base_adherence_sets,
     base_limit_sets,
+    catalog_kernels,
     literal_base_adherence,
     literal_finer_convergent,
     literal_is_filterbase,
     literal_is_regular_wrt,
     literal_is_t2,
+    member_walk_nbhd_base,
+    member_walk_nested,
+    pairwise_intersection_closed,
     pointwise_pair_closure,
     scan_limit_set,
     submask_convergence_closure,
@@ -344,6 +353,69 @@ def test_nbhd_filterbase(s2):
     bad = pair(s2, "scl", "int")
     with pytest.raises(ValueError):
         nbhd_filterbase(bad, 0, "plain")
+
+
+def nbhd_verdict(k, point: int, variant: str):
+    """The library's neighbourhood base, or the error it raises."""
+    try:
+        return nbhd_filterbase(k, point, variant)
+    except ValueError:
+        return ValueError
+    except RuntimeError as err:
+        return str(err)
+
+
+def test_nbhd_bases_match_the_member_walk():
+    # both neighbourhood bases on their planes against the walk over the
+    # selector-open family: every point of every kernel of every space of
+    # at most 4 points, with the preconditions read pairwise and literally;
+    # then every kernel of seeded 8-, 12- and 16-point spaces at three
+    # points, with the library's preconditions (checked literally above)
+    seen = set()
+    small = [top for n in range(EXHAUSTIVE_POINTS + 1) for top in enumerate_topologies(n)]
+    for top in small:
+        for k in catalog_kernels(top):
+            nested = member_walk_nested(k)
+            ok = {
+                "plain": nested and pairwise_intersection_closed(k.family),
+                "enlarged": nested and literal_is_regular_wrt(k.enlarger, k.family),
+            }
+            for x in range(top.n):
+                for variant, holds in ok.items():
+                    want = member_walk_nbhd_base(k, x, variant) if holds else ValueError
+                    assert nbhd_verdict(k, x, variant) == want, (top, k.enlarger, x, variant)
+                    seen.add((variant, holds))
+    assert seen == {(v, h) for v in ("plain", "enlarged") for h in (True, False)}
+    rng = random.Random(311)
+    for n in (8, 12, 16):
+        top = random_topology(n, rng.randrange(10**6), n)
+        for k in catalog_kernels(top):
+            nested = _kernel_report(k).family_nested
+            ok = {
+                "plain": nested and top.family_props(k.family)[0],
+                "enlarged": nested and enlarger_is_regular(k),
+            }
+            for x in (0, rng.randrange(n), n - 1):
+                for variant, holds in ok.items():
+                    want = member_walk_nbhd_base(k, x, variant) if holds else ValueError
+                    assert nbhd_verdict(k, x, variant) == want, (n, k.enlarger, x, variant)
+
+
+def test_nbhd_base_meet_comes_from_the_members(monkeypatch):
+    # with every envelope faulted to the empty set, each base still passes
+    # the filterbase laws on its own members and fails only convergence; a
+    # meet read off the envelopes would fail the laws instead
+    monkeypatch.setattr(filters, "envelopes", lambda k: (0,) * k.topology.n)
+    checked = 0
+    for top in small_spaces() + [random_topology(8, 5, 8)]:
+        for k in catalog_kernels(top):
+            for x in range(top.n):
+                for variant in ("plain", "enlarged"):
+                    got = nbhd_verdict(k, x, variant)
+                    if got is not ValueError:
+                        assert got == "neighbourhood base failed to converge at its point", (top, x)
+                        checked += 1
+    assert checked > 100
 
 
 def test_convergence_closure_examples(s2):

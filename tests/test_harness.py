@@ -17,6 +17,7 @@ from topolab import (
     additive_hypothesis,
     adherence_set,
     base_report,
+    catalog,
     compactness_kind,
     converges,
     indiscrete,
@@ -27,6 +28,7 @@ from topolab import (
     mine_counterexamples,
     random_topology,
     run_suites,
+    sierpinski,
     sweep_spaces,
 )
 from topolab import compact, filters, harness
@@ -333,6 +335,33 @@ def test_wrong_monotone_verdict_fails_the_regularity_statement(monkeypatch):
     # the selectors whose open family is all of P(X); the other three
     # select only the ends, where regularity holds trivially
     assert flagged == {"identity,scl", "cl,scl", "scl,scl", "introcl,scl"}
+
+
+def test_unlawful_double_dual_is_a_failure_record(monkeypatch):
+    # identity's dual faulted to a lawful table (every nonempty set to the
+    # whole space) whose own dual maps every proper subset to the empty
+    # set, though the open {a} is its own interior: no operation.  The
+    # suite compares the raw double dual, so it records the failure and
+    # runs on
+    real_dual = harness.dual
+
+    def faulted(op):
+        if op.name != "identity":
+            return real_dual(op)
+        top = op.topology
+        return Operation(top, [top.full if a else 0 for a in top.subsets()], "faulted")
+
+    monkeypatch.setattr(harness, "dual", faulted)
+    top = sierpinski()
+    with pytest.raises(ops_module.OperationError):
+        real_dual(faulted(catalog(top)["identity"]))
+    cfg = SuiteConfig(n_exhaustive=0, suites=("operations",))
+    failures = run_suites(cfg, [("sierpinski", top)]).suites["operations"].failures
+    records = {(f["pair"], f["statement"]) for f in failures}
+    assert ("identity", "double dual returns the operation") in records
+    assert ("identity,identity", "catalog dual identity") in records
+    assert not any(f["statement"] == "double dual returns the operation"
+                   for f in failures if f["pair"] != "identity")
 
 
 def test_emptied_limit_row_fails_transfer_per_name(monkeypatch):
@@ -671,13 +700,13 @@ def test_separation_and_neighbourhood_bases_run_on_twelve_points(monkeypatch):
     # 4096 selector-open sets: separation and both neighbourhood bases are
     # checked at every point, with no cost gate in the way
     variants = []
-    real = harness.nbhd_filterbase
+    real = harness.nbhd_plane
 
     def counted(p, point, variant):
         variants.append(variant)
         return real(p, point, variant)
 
-    monkeypatch.setattr(harness, "nbhd_filterbase", counted)
+    monkeypatch.setattr(harness, "nbhd_plane", counted)
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=12, pairs=("identity,identity",), suites=("filters",))
     result = run_suites(cfg, spaces=[("n=12", random_topology(12, 0, 12))]).suites["filters"]
     assert not result.failures

@@ -33,13 +33,18 @@ from topolab.pairs import (
     _kernel_report, _selector_at, enlarger_is_regular, envelopes, image_groups, int_lanes,
     int_table, pair_closure_by_points, regular_scan,
 )
-from topolab.space import indiscrete
+from topolab.space import EXHAUSTIVE_POINTS, indiscrete
 
 from oracles import (
+    catalog_kernels,
     literal_is_regular_wrt,
     literal_named_family,
     literal_pair_closure_by_points,
     literal_structure,
+    member_walk_base,
+    member_walk_image_stable,
+    member_walk_interior,
+    member_walk_nested,
     naive_interior,
     naive_pair_interior,
     pairwise_intersection_closed,
@@ -518,3 +523,37 @@ def test_named_families_on_lanes_match_their_rules_subset_by_subset():
         inner = [naive_interior(top, a) for a in top.subsets()]
         for name in NAMED_FAMILIES:
             assert named_family(top, name) == literal_named_family(top, name, inner), (top, name)
+
+
+def assert_rows_match_the_member_walks(k, subsets) -> tuple[bool, bool]:
+    """The kernel rows read off the image groups and planes against the
+    walks over its selector-open family; returns the two flags."""
+    inner = int_table(k)
+    for a in subsets:
+        assert inner[a] == member_walk_interior(k, a), (k.topology, k.enlarger, a)
+    assert enlargement_base(k) == member_walk_base(k), (k.topology, k.enlarger)
+    rep = _kernel_report(k)
+    flags = (member_walk_nested(k), member_walk_image_stable(k))
+    assert (rep.family_nested, rep.image_stable) == flags, (k.topology, k.enlarger)
+    return flags
+
+
+def test_kernel_rows_match_the_member_walks():
+    # the pair interior, the enlargement base, family_nested and
+    # image_stable against walks over the selector-open family: every
+    # kernel of every space of at most 4 points and of seeded custom
+    # pairs, on every subset; then every kernel of seeded 8-, 12- and
+    # 16-point spaces, on the ends and 16 seeded subsets
+    seen = set()
+    kernels = [k for n in range(EXHAUSTIVE_POINTS + 1) for top in enumerate_topologies(n)
+               for k in catalog_kernels(top)]
+    kernels += [p.kernel for p in custom_pairs(37, 80)]
+    for k in kernels:
+        seen.add(assert_rows_match_the_member_walks(k, k.topology.subsets()))
+    assert seen == {(a, b) for a in (True, False) for b in (True, False)}
+    rng = random.Random(307)
+    for n in (8, 12, 16):
+        top = random_topology(n, rng.randrange(10**6), n)
+        subsets = [0, top.full] + [rng.getrandbits(n) for _ in range(16)]
+        for k in catalog_kernels(top):
+            assert_rows_match_the_member_walks(k, subsets)
