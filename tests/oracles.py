@@ -1,42 +1,13 @@
-"""Independent reference implementations used only to check the library.
+"""Independent reference implementations used only to check the library,
+and the differential table ``ROUTES`` that pairs each fast route of the
+library with one of them.
 
-Each oracle recomputes a quantity through a different route than the
-package: preorder counting and the literal filter over every subset
-family for the enumerator, direct scans for interior,
-monotonicity, contained-union tables and neighbourhood up-sets, the
-per-subset subfamily scan for cover compactness, the raw pointwise rules
-for the pair interior and pair closure, the structure flags read
-literally off their wording, the quadratic directedness test for
-filterbases, pairwise scans and fixpoints for union and intersection
-closure, full core scans and subfamily tables for the compactness
-statements about bases and families, the maximal filters' convergence
-read off its definition, and the family universes those statements are
-quantified over.  The scans that the library's rows and
-planes replaced stay here too: the any-scan limit set of a base, the
-per-core convergence and accumulation over a given neighbourhood
-family, the submask loop of the exhaustive convergence closure, the
-pairwise additivity scan, the base-report scans for image stability,
-for the enlarger sitting above the identity and for the four base flags
-(over the pairwise union closure), the one-set-at-a-time open family,
-the per-point envelope scan, and the row-by-row meet loop that the
-minimal neighbourhoods, the subbasis neighbourhoods, the envelopes, the
-closed-family meets, pair-separation and regularity each ran before they
-became one lane kernel, and the filters suite's per-core statements as
-they ran, one core and point at a time, before its rows were indexed by
-core position, with the name-pair statements of the families and
-compactness suites as they ran, one pair of names at a time, before
-they compared one pair per kernel.  The whole-table scans that moved onto lanes stay here as
-well: the entry walk of the operation laws, the pairwise-fixpoint
-verdicts and messages of the topology check, the entry scan for open
-families and the group-by-group loop of the pointwise pair closure, with
-the member-by-member adherence of a base.  So do the walks over a
-kernel's selector-open family that its rows now read off the image
-groups and planes: the pair interior, the enlargement base, the nesting
-and image-stability flags and the neighbourhood filterbases, with the
-trial-removal minimal cover.  None of them import the code
-paths they validate, but for the three readers at the end, which take
-the library's batched base rows and literal oracle one base or one
-cover system at a time.
+Each oracle recomputes a quantity the way its definition reads, or the
+way the library computed it before a faster route replaced it: subset
+by subset, point by point, member by member, pair by pair, or by
+pairwise fixpoints.  The oracles import no code path they validate,
+but where a docstring names the library row an oracle reads, and the
+table at the end, which imports the fast routes it compares.
 """
 
 from __future__ import annotations
@@ -45,6 +16,7 @@ import functools
 import itertools
 import operator
 import random
+from typing import Callable, NamedTuple
 
 from topolab.bits import submasks_desc
 
@@ -104,9 +76,10 @@ def literal_point_meets(rows, n: int) -> tuple:
     whole set where no row does: one walk over the points of each u."""
     out = [(1 << n) - 1] * n
     for t, u in rows:
-        for x in range(n):
-            if u >> x & 1:
-                out[x] &= t
+        while u:
+            low = u & -u
+            out[low.bit_length() - 1] &= t
+            u ^= low
     return tuple(out)
 
 
@@ -862,23 +835,9 @@ def literal_named_family(top, name: str, inner) -> tuple:
     return rules[name]()
 
 
-# The last three are not independent routes: they read the library's own
-# batched rows one set or one target at a time, so the tests can compare
-# them with the scans above.
-
-
 def catalog_kernels(top) -> list:
-    """The distinct pair kernels of the 49 catalog pairs on ``top``: the
-    universe of kernels the member walks below are checked over."""
-    from topolab import OpPair, catalog
-
-    ops = catalog(top).values()
-    kernels = {}
-    for sel in ops:
-        for enl in ops:
-            k = OpPair(sel, enl).kernel
-            kernels[id(k)] = k
-    return list(kernels.values())
+    """The distinct pair kernels of the 49 catalog pairs on ``top``."""
+    return list({id(p.kernel): p.kernel for p in catalog_pairs(top)}.values())
 
 
 def member_walk_interior(k, a: int) -> int:
@@ -949,6 +908,11 @@ def trial_minimal_cover(members, a: int) -> tuple:
     return tuple(kept)
 
 
+# The last three are not independent routes: they read the library's own
+# batched rows one set or one target at a time, so the tests can compare
+# them with the scans above.
+
+
 def base_limit_sets(p, bases, has=None) -> list[int]:
     """The limit set of each base: the limit rows of
     :func:`topolab.filters.base_rows` transposed."""
@@ -974,3 +938,927 @@ def brute_force_compact_all(cs, targets) -> tuple[bool, ...]:
     enl = cs.enlarger.table
     row = ([enl[u] for u in cs.ambient] for _ in range(1))
     return brute_force_compact_images(cs.ambient, row, targets)[0]
+
+
+def family_universe(n: int) -> tuple:
+    """Every antichain of nonempty sets up to 4 points; above that every
+    singleton family plus seeded samples."""
+    if n <= 4:
+        return antichain_families(n)
+    return tuple((1 << y,) for y in range(n)) + sampled_families(n, seed=n, count=64)
+
+
+def meet(sets, full: int) -> int:
+    out = full
+    for m in sets:
+        out &= m
+    return out
+
+
+def closed_refuter(closed, dual, s: int, full: int):
+    """Some y in s whose S_y = {f : y in dual(f)} refutes the closed pair:
+    its meet misses s while every finite part's dual meet holds y."""
+    for y in range(full.bit_length()):
+        sy = [f for f in closed if dual[f] >> y & 1]
+        if s >> y & 1 and s & meet(sy, full) == 0 and meet((dual[f] for f in sy), full) >> y & 1:
+            return y
+    return None
+
+
+def custom_pairs(seed: int, count: int) -> list:
+    """Seeded pairs on 1-5 points whose members are custom tables
+    int(a) | random bits (most of them not monotone) or catalog
+    operations, as the CLI's ``custom:`` operations allow."""
+    from topolab import BUILTIN_NAMES, Operation, OpPair, catalog, random_topology
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randrange(1, 6)
+        top = random_topology(n, rng.randrange(10**6), n)
+        inner = top.int_table()
+        ops = catalog(top)
+
+        def member():
+            if rng.random() < 0.25:
+                return ops[rng.choice(BUILTIN_NAMES)]
+            bits = [rng.getrandbits(n) & rng.getrandbits(n) if a else 0 for a in top.subsets()]
+            return Operation(top, [i | b for i, b in zip(inner, bits)])
+
+        out.append(OpPair(member(), member()))
+    return out
+
+
+def special_pairs() -> list:
+    """Hand-built pairs that refute a tempting shortcut: on the discrete
+    3-point space a selector that is not monotone though its enlarger is
+    additive over its open sets; on the indiscrete 3-point space the
+    selector A -> A for |A| >= 2 (empty otherwise) and the enlarger
+    {a,b} -> {a}, {b,c} -> {b}, {a,c} -> {c} (identity elsewhere), where
+    enl[u] is the OR of enl[j] over the union-irreducible j inside every
+    selector-open u, yet enl[{a,b} | {b,c}] is X: the zeta form of the
+    additivity scan reads True there."""
+    from topolab import Operation, OpPair, catalog, discrete, indiscrete
+
+    top = discrete(3)
+    table = list(top.subsets())
+    table[0b001] = 0b011
+    out = [OpPair(Operation(top, table), catalog(top)["identity"])]
+    top = indiscrete(3)
+    select = [a if a.bit_count() >= 2 else 0 for a in top.subsets()]
+    enlarge = list(top.subsets())
+    enlarge[0b011], enlarge[0b110], enlarge[0b101] = 0b001, 0b010, 0b100
+    return out + [OpPair(Operation(top, select, "pairs"), Operation(top, enlarge, "shrink"))]
+
+
+def blunt3():
+    """Opens {}, {a,b}, X: the pre-open sets are everything but {c}, and
+    the identity enlarger is not regular over them."""
+    from topolab import Topology, default_ground
+
+    return Topology(default_ground(3), (0, 0b011, 0b111))
+
+
+def catalog_pairs(top) -> list:
+    """The 49 catalog pairs of ``top``, selector-major."""
+    from topolab import OpPair, catalog
+
+    ops = list(catalog(top).values())
+    return [OpPair(sel, enl) for sel in ops for enl in ops]
+
+
+def lane_test_spaces(seed: int) -> list:
+    """Every space of at most 4 points, then one seeded space of each size
+    from 5 to 16, built afresh so that no memo is shared with a caller."""
+    from topolab import enumerate_topologies
+
+    return [top for n in range(5) for top in enumerate_topologies(n)] + list(seeded_spaces(seed, UP16))
+
+
+def lawful_tables(top, rng) -> list:
+    """The catalog tables, their duals up to 8 points, and two seeded
+    lawful tables: the interior with seeded extra points, and the whole
+    space on the nonempty sets."""
+    from topolab import catalog, dual_table
+
+    full = top.full
+    tables = [op.table for op in catalog(top).values()]
+    if top.n <= 8:
+        tables += [dual_table(op) for op in catalog(top).values()]
+    grown = [i | rng.randrange(1 << top.n) for i in top.int_table()]
+    grown[0] = 0
+    tables += [tuple(grown), tuple(full if a else 0 for a in top.subsets())]
+    return tables
+
+
+def corrupted(table, top, rng) -> list:
+    """Tables that each break the operation laws in one seeded way; some
+    break them twice, so that only the first witness is right."""
+    n, full = top.n, top.full
+    size = 1 << n
+    inner = top.int_table()
+    out = [table[:-1], table + (0,), (1,) + table[1:]]
+    for _ in range(3 if n <= 8 else 1):
+        bad = list(table)
+        a = rng.randrange(1, size) if n else 0
+        bad[a] |= 1 << (n + rng.randrange(3))  # a bit outside the ground set
+        out.append(tuple(bad))
+        bad = list(table)
+        bad[a] = -1 - rng.randrange(4)
+        out.append(tuple(bad))
+        lost = [b for b in range(size) if inner[b]]
+        if lost:
+            b = rng.choice(lost)
+            bad = list(table)
+            bad[b] &= ~(inner[b] & -inner[b])  # drops a point of the interior
+            out.append(tuple(bad))
+            c = rng.choice(lost)
+            bad[c] = 0
+            out.append(tuple(bad))
+    if n:
+        bad = list(table)
+        bad[full] = full >> 1
+        out.append(tuple(bad))
+    return out
+
+
+def verdict(route, *args):
+    """``route(*args)``, ValueError if it refuses, or its RuntimeError's message."""
+    try:
+        return route(*args)
+    except ValueError:
+        return ValueError
+    except RuntimeError as err:
+        return str(err)
+
+
+# ---------------------------------------------------------------------------
+# The differential table: each row of ROUTES pairs a fast route of the
+# library with a literal route over a named universe of cases, built on
+# first use and shared by the rows naming it.  The spaces of at most 4
+# points are one list for all; the seeded spaces are those the checks the
+# rows replaced drew, with the same seeds.  A row that reads only a pair's
+# kernel runs on one pair per kernel, as the pairs sharing it read the
+# same memoized rows.  tests/mutants.py names the rows that must catch
+# each seeded fault.
+
+
+class Route(NamedTuple):
+    """A fast and a literal route, each a function of one case; cases on
+    spaces of more than ``max_n`` points are left out."""
+
+    name: str
+    fast: Callable
+    literal: Callable
+    universe: str
+    max_n: int = 16
+
+
+class Case(NamedTuple):
+    """A pair (or a space) with what its rows read: ``sets``, every subset
+    up to 8 points, else the ends and 16 seeded ones; ``picks``, the same
+    up to 4 points and with 6; ``points``, all up to 8 points, else the
+    ends and a seeded one; ``bases``, the empty family and every
+    filterbase up to 3 points, else 4 seeded bases and 4 seeded families
+    at 4 points and 12 of each above, with their member table ``has``."""
+
+    p: object
+    sets: tuple
+    picks: tuple
+    points: tuple
+    bases: tuple
+    has: tuple
+
+    @property
+    def top(self):
+        return getattr(self.p, "topology", self.p)
+
+    def __repr__(self) -> str:
+        return f"{getattr(self.p, 'name', 'space')} on {self.top!r}"
+
+
+def seeded_spaces(seed: int, sizes: tuple, density: int = 0, skip: int = 0) -> tuple:
+    """``random_topology(n, draw, density or n)`` per n in ``sizes``, the
+    draws from one ``random.Random(seed)``, dropping ``skip`` subset draws
+    after each space where the old checks drew their subsets from it."""
+    from topolab import random_topology
+
+    rng = random.Random(seed)
+    out = []
+    for n in sizes:
+        out.append(random_topology(n, rng.randrange(10**6), density or n))
+        for _ in range(skip):
+            rng.randrange(1 << n)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def exhaustive_spaces(max_n: int) -> tuple:
+    from topolab import enumerate_topologies
+
+    return tuple(top for n in range(max_n + 1) for top in enumerate_topologies(n))
+
+
+def _case(top) -> Case:
+    from topolab.filters import member_table
+
+    n, full = top.n, top.full
+    rng = random.Random(f"{n} {len(top.opens)} {top.opens[-2:]}")
+    sets = tuple(top.subsets()) if n <= 8 else (0, full, *(rng.randrange(1 << n) for _ in range(16)))
+    picks = tuple(top.subsets()) if n <= 4 else (0, full, *(rng.randrange(1 << n) for _ in range(6)))
+    points = tuple(range(n)) if n <= 8 else (0, rng.randrange(n), n - 1)
+    bases = [f for f in all_families_of_nonempty(n) if not f or literal_is_filterbase(f)] if n <= 3 else [()]
+    for _ in range(0 if n <= 3 else 4 if n == 4 else 12):
+        core = rng.randrange(1, 1 << n)
+        bases.append(tuple(sorted({core, *(core | rng.randrange(1 << n) for _ in range(2))})))
+        bases.append(tuple(rng.randrange(1 << n) for _ in range(rng.randrange(1, 4))))
+    return Case(top, sets, picks, points, tuple(bases), tuple(member_table(bases, n)))
+
+
+def _pair_case(p) -> Case:
+    return _case(p.topology)._replace(p=p)
+
+
+def _cases(top, every_pair: bool) -> tuple:
+    """A case per catalog pair of ``top``, or per kernel, with the first
+    pair of it in catalog order."""
+    case, firsts = _case(top), {}
+    for p in catalog_pairs(top):
+        firsts.setdefault(p if every_pair else id(p.kernel), p)
+    return tuple(case._replace(p=p) for p in firsts.values())
+
+
+#: the cases of the spaces of at most 4 points, which every universe reads
+_small_cases = functools.lru_cache(maxsize=None)(_cases)
+
+
+def _kernels(max_n: int, *draws, spaces=tuple, extra=tuple, pairs_from: int = 17):
+    """A case per kernel (per catalog pair from ``pairs_from`` points) of the
+    spaces of at most ``max_n`` points, of ``seeded_spaces(*draw)`` for each
+    draw and of ``spaces()``, then one per pair ``extra()`` lists."""
+    def build():
+        tops = (*exhaustive_spaces(max_n), *(t for draw in draws for t in seeded_spaces(*draw)), *spaces())
+        cases = (c for t in tops for c in (_small_cases if t.n <= 4 else _cases)(t, t.n >= pairs_from))
+        return (*cases, *map(_pair_case, extra()))
+    return build
+
+
+def _table_cases(seed: int, corrupt: bool) -> list:
+    """(space, lawful table, corrupted tables) over ``lane_test_spaces``."""
+    rng = random.Random(seed)
+    return [(top, table, corrupted(table, top, rng) if corrupt else ())
+            for top in lane_test_spaces(seed) for table in lawful_tables(top, rng)]
+
+
+def _cover_cases(seed: int, count: int) -> list:
+    """(members, a): seeded families of 0-6 points, covers or not, drawn
+    after the two spaces of the witness-cover universe."""
+    rng = random.Random(seed)
+    rng.randrange(10**6), rng.randrange(10**6)
+
+    def draw(n):
+        return [rng.randrange(1 << n) for _ in range(rng.randrange(12))], rng.randrange(1 << n)
+    return [draw(rng.randrange(7)) for _ in range(count)]
+
+
+def _grown_pairs(seed: int) -> list:
+    """Per catalog selector up to 6 points, two enlargers growing the interior
+    by seeded points: lawful, their meets often an image away from a point."""
+    from topolab import Operation, OpPair, catalog
+
+    rng = random.Random(seed)
+
+    def grown(top):
+        table = [i | rng.randrange(1 << top.n) for i in top.int_table()]
+        return Operation(top, [0, *table[1:]])
+    return [OpPair(sel, grown(top)) for top in lane_test_spaces(seed) if top.n <= 6
+            for sel in catalog(top).values() for _ in range(2)]
+
+
+def fixed_spaces(draws: tuple) -> tuple:
+    """``random_topology(n, seed, n)`` for each (n, seed) of ``draws``."""
+    from topolab import random_topology
+
+    return tuple(random_topology(n, seed, n) for n, seed in draws)
+
+
+def regularity_cases():
+    """(space, families): every family holding the whole set up to 3 points;
+    on seeded 4-7-point spaces open families of up to 48 and seeded ones."""
+    from topolab import catalog, op_open_family, random_topology
+
+    for top in exhaustive_spaces(3)[1:]:
+        others = list(range(top.full))
+        yield top, [
+            tuple(sorted([others[i] for i in range(len(others)) if sel >> i & 1] + [top.full]))
+            for sel in range(1 << len(others))
+        ]
+    rng = random.Random(47)
+    for n in range(4, 8):
+        for _ in range(2):
+            top = random_topology(n, rng.randrange(10**6), n)
+            fams = [f for f in map(op_open_family, catalog(top).values()) if len(f) <= 48]
+            fams.append(())
+            for size in (2, 3, 5, 8, 13, 21):
+                picked = {rng.randrange(1 << n) for _ in range(size)}
+                fams.append(tuple(sorted(picked | {top.full})))
+                fams.append(tuple(sorted(picked - {top.full})))
+            yield top, fams
+
+
+def neighbourhood_cases() -> list:
+    """(n, family): every operation-open family up to 3 points, then seeded
+    families on 4-8 points, empty or without the whole set among them."""
+    from topolab import catalog, op_open_family
+
+    out = [(top.n, op_open_family(op)) for top in exhaustive_spaces(3)[1:] for op in catalog(top).values()]
+    rng = random.Random(29)
+    for n in range(4, 9):
+        out.append((n, ()))
+        for _ in range(4):
+            out.append((n, tuple(sorted({rng.randrange(1 << n) for _ in range(rng.randrange(1, 9))}))))
+    return out
+
+
+def defined_tables(top) -> tuple:
+    """The catalog's tables by definition: interior by scan, closure as its dual."""
+    full = top.full
+    inner = [naive_interior(top, a) for a in top.subsets()]
+    cl = [full ^ inner[full ^ a] for a in top.subsets()]
+    rules = (lambda a: a, inner.__getitem__, cl.__getitem__, lambda a: cl[inner[a]], lambda a: inner[cl[a]],
+             lambda a: a | inner[cl[a]], lambda a: a & cl[inner[a]])
+    return tuple(tuple(map(rule, top.subsets())) for rule in rules)
+
+
+def _interior_spaces() -> list:
+    """The spaces of at most 4 points, 30 seeded 5-point ones and one of each
+    size from 6 to 16, read on the ends and 30 seeded subsets above 8."""
+    from topolab import random_topology
+
+    rng = random.Random(5)
+    out = [_case(top) for top in exhaustive_spaces(4)]
+    out += [_case(random_topology(5, rng.randrange(10**6), 4)) for _ in range(30)]
+    for n in range(6, 17):
+        top = random_topology(n, rng.randrange(10**6), n)
+        picks = top.subsets() if n <= 8 else [0, top.full] + [rng.randrange(1 << n) for _ in range(30)]
+        out.append(_case(top)._replace(sets=tuple(picks)))
+    return out
+
+
+def _order_cases() -> list:
+    """Catalog pairs up to 3 points, then 40 pairs of seeded tables
+    int(a) | random bits on 1-6 points, both ways and each with itself."""
+    from topolab import Operation, catalog, random_topology
+
+    out = [(a, b) for top in exhaustive_spaces(3)[1:] for a in catalog(top).values()
+           for b in catalog(top).values()]
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        top = random_topology(n, rng.randrange(10**6), n)
+        a, b = (Operation(top, [i | (rng.getrandbits(n) & rng.getrandbits(n) if m else 0)
+                                for m, i in enumerate(top.int_table())]) for _ in range(2))
+        out += [(a, b), (b, a), (a, a)]
+    return out
+
+
+def _widened_operations() -> list:
+    """The catalog on 20 seeded 4-point spaces, then on seeded 3-, 4- and
+    9-point ones with its tables widened at one image, monotone or not."""
+    from topolab import Operation, builtin, catalog, random_topology
+
+    rng = random.Random(3)
+    out = [op for top in [random_topology(4, rng.randrange(10**6), 3) for _ in range(20)]
+           for op in catalog(top).values()]
+    for n, trials in ((3, 40), (4, 40), (9, 3)):
+        top = random_topology(n, rng.randrange(10**6), n)
+        out += catalog(top).values()
+        for _ in range(trials):
+            table = list(builtin(top, rng.choice(tuple(catalog(top)))).table)
+            table[rng.randrange(1, 1 << n)] |= rng.randrange(1 << n)
+            out.append(Operation(top, table, "widened"))
+    return out
+
+
+def _partner_contexts() -> list:
+    """Sweep contexts of the spaces of 1-3 points and seeded 4-, 6-, 8-point
+    ones, the catalog pairs requested in order, reversed and every other."""
+    from topolab.harness import CATALOG_PAIRS, SuiteConfig, _SpaceContext
+
+    tops = exhaustive_spaces(3)[1:] + seeded_spaces(103, (4, 6, 8))
+    return [_SpaceContext("s", top, SuiteConfig(pairs=pairs))
+            for pairs in (CATALOG_PAIRS, CATALOG_PAIRS[::-1], CATALOG_PAIRS[::-2]) for top in tops]
+
+
+def _scanned_partners(ctx) -> tuple:
+    """The requested names, then per pair the names whose enlarger agrees
+    with its own on the selector-open family, scanned name by name."""
+    names, ops = ctx.pair_names, ctx.ops
+    return names, {(a, b): [c for s, c in names if s == a and all(
+        ops[b].table[u] == ops[c].table[u] for u in ctx.open_sets[a])] for a, b in names}
+
+
+UP16 = tuple(range(5, 17))
+UP8 = (4, 5, 6, 7, 8)
+
+#: name -> builder of the universe's cases, called once per session.
+UNIVERSES = {
+    "kernels+47": _kernels(4, (47, UP16)),
+    "kernels+103": _kernels(4, (103, UP16)),
+    "kernels+107": _kernels(4, (107, UP16)),
+    "kernels+109": _kernels(4, (109, UP16), extra=lambda: _grown_pairs(109)),
+    "kernels+113": _kernels(4, (113, UP16)),
+    "kernels+307": _kernels(4, (307, (8, 12, 16)), extra=lambda: custom_pairs(37, 80)),
+    "kernels+311": _kernels(4, (311, (8, 12, 16))),
+    "kernels+401": _kernels(4, (401, (6, 8))),
+    "kernels+107x4": _kernels(4, (107, tuple(n for n in range(5, 11) for _ in range(4)))),
+    "kernels3+23": _kernels(3, (23, (4, 5, 6)), (23, (5,) * 8, 4)),
+    "pairs3+23": _kernels(3, (23, (4, 5, 6)), pairs_from=4),
+    "kernels3+29": _kernels(3, (29, (4, 5, 6))),
+    "kernels3+41": _kernels(3, (41, UP8, 0, 6)),
+    "kernels3+53": _kernels(3, (53, (4, 4, 5, 5, 6, 6, 7, 7)),
+                            extra=lambda: special_pairs() + catalog_pairs(blunt3())),
+    "kernels3+71": _kernels(3, (71, UP8)),
+    "kernels3+79": _kernels(3, (79, UP8)),
+    "kernels3+83": _kernels(3, (83, UP8)),
+    "kernels3+89": _kernels(3, (89, UP8)),
+    "kernels3+97": _kernels(3, (97, UP8), extra=special_pairs),
+    "kernels3+97x40": _kernels(3, (97, (4,) * 40 + (5, 6, 7)), extra=lambda: custom_pairs(17, 60)),
+    "pairs3+101": _kernels(3, (101, (4, 5, 6, 7, 8, 9)), pairs_from=0, extra=lambda: custom_pairs(29, 60)),
+    "kernels3+103": _kernels(3, (103, (4, 5, 6, 7, 8, 9)), extra=lambda: custom_pairs(31, 60)),
+    "spaces+47": lambda: tuple(map(_case, exhaustive_spaces(4) + seeded_spaces(47, UP16))),
+    "spaces+127": lambda: tuple(map(_case, exhaustive_spaces(4) + seeded_spaces(127, (5, 6, 7, 8, 9)))),
+    "spaces3+0-2": lambda: tuple(map(_case, exhaustive_spaces(3)[1:] + fixed_spaces(
+        tuple((n, seed) for n in range(4, 11) for seed in range(3))))),
+    "kernels3+41-43": _kernels(3, spaces=lambda: fixed_spaces(((4, 41), (5, 42), (6, 43)))),
+    "contexts+103": _partner_contexts,
+    "families+47": lambda: list(regularity_cases()),
+    "families+29": neighbourhood_cases,
+    "spaces+5": _interior_spaces,
+    "nonempty3": lambda: [fam for n in (1, 2, 3) for fam in all_families_of_nonempty(n)],
+    "operations+53": _order_cases,
+    "operations+3": _widened_operations,
+    "tables+73": lambda: _table_cases(73, corrupt=True),
+    "tables+79": lambda: _table_cases(79, corrupt=False),
+    "covers+401": lambda: _cover_cases(401, 5000),
+}
+
+
+# The two sides of the rows, one case at a time.
+
+
+@functools.lru_cache(maxsize=1)  # read by both sides of a case in turn
+def _meet_rows(p) -> tuple:
+    """The rows a kernel meets per point: its envelope groups, its closed sets
+    with their dual images, and the rows of :func:`topolab.filters.is_t2`."""
+    from topolab.ops import dual_table
+    from topolab.pairs import image_groups, int_table
+
+    full, fam = p.topology.full, p.kernel.family
+    enl, dual, inner = p.enlarger.table, dual_table(p.enlarger), int_table(p)
+    return (list(image_groups(p)), [(full ^ u, dual[full ^ u]) for u in fam],
+            [(full ^ inner[full ^ enl[u]], u) for u in fam])
+
+
+def _literal_regularity(c):
+    """The cubic quantifiers where quick; the library's regrouping always."""
+    from topolab.ops import is_regular_wrt
+
+    k = c.p.kernel
+    regrouped = is_regular_wrt(k.enlarger, k.family)
+    small = c.top.n <= 3 or (c.top.n <= 6 and len(k.family) <= 40)
+    return (literal_is_regular_wrt(k.enlarger, k.family) if small else regrouped,) * 2 + (regrouped,)
+
+
+def _literal_adherences(c):
+    """The walk over the members' pointwise closures up to 8 points (each
+    member's closure computed once per case), the pair-interior table's
+    route above."""
+    from topolab import adherence_set
+
+    if c.top.n > 8:
+        return ([adherence_set(f, c.p) for f in c.bases],) * 3
+    closure = functools.lru_cache(maxsize=None)(functools.partial(pointwise_pair_closure, c.p))
+    return ([meet(map(closure, f), c.top.full) for f in c.bases],) * 3
+
+
+def _finer_convergent(c):
+    from topolab import Filter, finer_convergent, is_regular_wrt
+
+    k, n = c.p.kernel, c.top.n
+    return (is_regular_wrt(k.enlarger, k.family), *(
+        verdict(lambda f, x: finer_convergent(f, c.p, x).core, Filter(n, core), x)
+        for core in c.picks if core for x in range(n)))
+
+
+def _literal_finer_convergent(c):
+    """The literal construction where the literal preconditions hold;
+    refused elsewhere."""
+    from topolab import Filter
+
+    k, n = c.p.kernel, c.top.n
+    regular = literal_is_regular_wrt(k.enlarger, k.family)
+    return (regular, *(
+        literal_finer_convergent(Filter(n, core), c.p, x)
+        if regular and pointwise_pair_closure(c.p, core) >> x & 1 else ValueError
+        for core in c.picks if core for x in range(n)))
+
+
+def _literal_nbhd_bases(c):
+    """The member walk, its preconditions read pairwise and literally up
+    to 4 points and off the library's checked flags above."""
+    from topolab.pairs import _kernel_report, enlarger_is_regular
+
+    k = c.p.kernel
+    if c.top.n <= 4:
+        nested = member_walk_nested(k)
+        ok = {"plain": nested and pairwise_intersection_closed(k.family),
+              "enlarged": nested and literal_is_regular_wrt(k.enlarger, k.family)}
+    else:
+        nested = _kernel_report(k).family_nested
+        ok = {"plain": nested and k.topology.family_props(k.family)[0],
+              "enlarged": nested and enlarger_is_regular(k)}
+    return tuple(member_walk_nbhd_base(k, x, v) if ok[v] else ValueError
+                 for x in c.points for v in ("plain", "enlarged"))
+
+
+STATEMENTS = ("pair", "pair_open", "base", "ultra", "closed", "restricted")
+KINDS = STATEMENTS[:3]
+
+
+def _space_flags(c):
+    """The space-level statements read set by set: the whole space, every
+    nonempty residue and every pair-closed set, in the three kinds."""
+    from topolab import compactness_kind, pair_closed_family
+
+    full, enl = c.top.full, c.p.enlarger.table
+    residues = [r for r in {full ^ enl[u] for u in c.p.kernel.family} if r]
+    groups = (((full,), ("pair", "base", "pair_open")), (residues, KINDS), (pair_closed_family(c.p), KINDS))
+    return tuple(all(compactness_kind(c.p, s, kind) for s in sets)
+                 for sets, kinds in groups for kind in kinds)
+
+
+def _avoidance_rows(c):
+    """outside[x] of the pair kind, full ^ the limits of {x} through the
+    envelopes, and full ^ the closed meets through the dual table."""
+    from topolab.compact import _closed_meets, _row
+    from topolab.filters import _point_limits
+
+    full = c.top.full
+    return (tuple(m for (m,) in _row(c.p, "pair")), tuple(full ^ m for m in _point_limits(c.p)),
+            tuple(full ^ m for m in _closed_meets(c.p)))
+
+
+@functools.lru_cache(maxsize=1)  # read by both sides of a case in turn
+def _failing_verdicts(c) -> tuple:
+    """(set, verdict) for each set failing in the pair's cover system."""
+    from topolab import CoverSystem, is_compact
+
+    cs = CoverSystem(c.p.kernel.family, c.p.enlarger)
+    return tuple((a, v) for a, v in ((a, is_compact(cs, a)) for a in c.sets) if not v.compact)
+
+
+def _trial_covers(c) -> tuple:
+    """Per failing set, its witness x and the trial-removal cover avoiding x."""
+    enl, fam = c.p.enlarger.table, c.p.kernel.family
+    return tuple((x, trial_minimal_cover([u for u in fam if not enl[u] >> x & 1], a))
+                 for a, x in ((a, v.witness_point) for a, v in _failing_verdicts(c)))
+
+
+def _kind_systems(c):
+    """The cover system each compactness kind quantifies over."""
+    from topolab import CoverSystem, catalog, enlargement_base, pair_open_family
+    from topolab.bits import canonical_family
+
+    identity, p = catalog(c.top)["identity"], c.p
+    return (CoverSystem(p.kernel.family, p.enlarger), CoverSystem(pair_open_family(p), identity),
+            CoverSystem(canonical_family(enlargement_base(p) + (c.top.full,)), identity))
+
+
+def _literal_kinds(c):
+    """The avoidance criterion on each kind's cover system, and the
+    literal oracle wherever its ambient family has at most 12 members."""
+    from topolab import is_compact
+
+    out = []
+    for cs in _kind_systems(c):
+        brute = brute_force_compact_all(cs, c.picks) if len(cs.ambient) <= 12 else None
+        out += ((is_compact(cs, s).compact, brute[i] if brute else is_compact(cs, s).compact)
+                for i, s in enumerate(c.picks))
+    return tuple(out)
+
+
+def _family_statements(c):
+    """Per set, the pair plane's verdict as the three base statements and
+    the two family statements, and the closed plane's as the closed
+    pair."""
+    from topolab import failing_plane
+
+    pair, closed = failing_plane(c.p, "pair"), failing_plane(c.p, "closed")
+    return tuple(((not pair >> s & 1,) * 3, (not pair >> s & 1,) * 2, (not closed >> s & 1,) * 2)
+                 for s in c.picks)
+
+
+def _literal_family_statements(c):
+    """The statements straight from their wording, over every antichain up
+    to 4 points (singleton families and seeded samples above; every
+    family, too, on two points) and every subfamily of a selector-closed
+    family of at most 10 members.  Above 10, the closed pair fails
+    exactly when some S_y refutes by definition, and a refuting
+    subfamily of a seeded 10-member draw must make it fail."""
+    from topolab.ops import dual_table, op_closed_family
+
+    top, p = c.top, c.p
+    n, full = top.n, top.full
+    closed, dual = op_closed_family(p.selector), dual_table(p.enlarger)
+    drawn = seeded_subfamily(closed, f"{n},{p.name}")
+    out = []
+    for s in c.picks:
+        literal = _subfamily_statements(drawn, s, full, tuple(dual[f] for f in drawn))
+        if drawn != closed:
+            refuted = closed_refuter(closed, dual, s, full) is not None
+            literal = (not refuted,) * 2 if refuted or literal == (True, True) else "a drawn part refutes"
+        out.append((*_base_and_family_statements(p.kernel, s), literal))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _base_and_family_statements(k, s: int) -> tuple:
+    """The three base statements and the family pair for one kernel and
+    set, read literally off the pointwise pair closure."""
+    n, full = k.topology.n, k.topology.full
+    cl = _closures(k)
+    bases = (inner_bases_accumulate(cl, s), meeting_bases_accumulate(cl, s, n),
+             base_gap_has_disjoint_member(cl, s, n))
+    family = literal_fip_and_gap(cl, family_universe(n), s, full)
+    if n == 2 and literal_fip_and_gap(cl, all_families_of_nonempty(2), s, full) != family:
+        family = "the antichains and every family disagree"
+    return bases, family
+
+
+@functools.lru_cache(maxsize=None)
+def _closures(k) -> list:
+    from topolab.pairs import pair_closure_by_points
+
+    return pair_closure_by_points(k, k.topology.subsets())
+
+
+#: pairs sharing a kernel draw the same subfamilies unless they have more
+#: than 10 members, so each scan runs once per family, set and images
+_subfamily_statements = functools.lru_cache(maxsize=None)(subfamily_fip_and_gap)
+
+
+def _literal_complement_statements(c):
+    """The literal subfamily scans over residue and pair-closed families
+    of at most 10 members, or seeded 10-member draws of bigger ones: any
+    refuting base among the drawn residues must fail the set, which fails
+    exactly when some residue r has its base {r} refuting by
+    definition."""
+    from topolab import pair_closed_family
+    from topolab.bits import canonical_family
+
+    top, p = c.top, c.p
+    full, enl = top.full, p.enlarger.table
+    cl = _closures(p.kernel)
+    residues = canonical_family(full ^ enl[u] for u in p.kernel.family)
+    drawn = seeded_subfamily(residues, f"residues,{top.n},{p.name}")
+    closed = seeded_subfamily(pair_closed_family(p), f"closed,{top.n},{p.name}")
+    out = []
+    for s in c.picks:
+        literal = subfamily_bases_accumulate(drawn, cl, s)
+        if drawn != residues:
+            each = all(subfamily_bases_accumulate((r,), cl, s) for r in residues)
+            literal = "a drawn base refutes" if each and not literal else each
+        out.append((_subfamily_statements(drawn, s, full), _subfamily_statements(closed, s, full), literal))
+    return tuple(out)
+
+
+def _base_report(c):
+    from topolab import base_report, op_open_family
+
+    p, n = c.p, c.top.n
+    rep = base_report(p)
+    flags = (rep.family_nested, rep.base_pair_open, rep.base_in_pair_and_selector, rep.is_base)
+    above = len(op_open_family(p.enlarger)) == 1 << n
+    return above, rep.image_stable, rep.order_dominates, flags if n <= 6 else ()
+
+
+def _scanned_base_report(c):
+    """Image stability over every selector-open set, "above the identity"
+    over all subsets, and up to 6 points (the pointwise interior scan is
+    cubic) the four base flags by scans and the pairwise union closure."""
+    from topolab import leq
+
+    above = scan_above_identity(c.p)
+    flags = scan_base_flags(c.p) if c.top.n <= 6 else ()
+    return above, scan_image_stable(c.p), above or leq(c.p.selector, c.p.enlarger), flags
+
+
+def _routes() -> tuple:
+    from topolab import (
+        NAMED_FAMILIES, Filter, Operation, accumulates, additive_hypothesis, adherence_set, catalog,
+        classify_structure, compactness_kind, convergence_closure, converges, enlargement_base,
+        failing_plane, generated_filter, is_filterbase, is_monotone, is_regular_wrt, is_t2, leq, limit_set,
+        named_family, nbhd_filterbase, neighborhoods, op_open_family, pair_closed_family, pair_closure,
+        pair_open_family, space_compactness_flags,
+    )
+    from topolab.bits import point_meets
+    from topolab.compact import _minimal_cover
+    from topolab.filters import refined_core
+    from topolab.ops import table_violation
+    from topolab.pairs import (
+        _kernel_report, enlarger_is_regular, int_table, pair_closure_by_points, regular_scan)
+
+    def structure(p):
+        rep = classify_structure(p)
+        return (rep.is_supratopology, rep.is_topology, rep.closed_iff_cl_subset, rep.closed_iff_cl_equal,
+                rep.is_kuratowski)
+
+    def walked_violations(top, table, bad):
+        inner = [naive_interior(top, a) for a in top.subsets()] if top.n <= 8 else top.int_table()
+        return tuple(literal_table_violation(top, t, inner) for t in (table, *bad))
+
+    def where(rule, f, c):
+        """The points ``rule(f, p, x)`` holds at, one point at a time."""
+        return sum(rule(f, c.p, x) << x for x in range(c.top.n))
+
+    def principal(c):
+        return [Filter(c.top.n, core) for core in range(1, 1 << c.top.n)]
+
+    def pairwise(route, t):
+        return tuple(route(op, f) for op in catalog(t[0]).values() for f in t[1])
+
+    def fixed(c):
+        return tuple(a for a in scan_within(int_table(c.p)) if int_table(c.p)[a] == a)
+
+    def all_closures(c, closure):
+        return tuple((closure(c.p, s, exhaustive=True), closure(c.p, s)) for s in c.picks)
+
+    return (
+        # spaces, operations and families
+        Route("builtin_tables", lambda c: tuple(op.table for op in catalog(c.p).values()),
+              lambda c: defined_tables(c.p), "spaces3+0-2"),
+        Route("interior", lambda c: tuple((c.p.int_table()[a], c.p.interior(a)) for a in c.sets),
+              lambda c: tuple((naive_interior(c.p, a),) * 2 for a in c.sets), "spaces+5"),
+        Route("min_nbhds", lambda c: c.p.min_nbhds(),
+              lambda c: literal_point_meets(zip(c.p.opens, c.p.opens), c.p.n), "spaces+47"),
+        Route("named_families", lambda c: tuple(named_family(c.p, name) for name in NAMED_FAMILIES),
+              lambda c: tuple(literal_named_family(c.p, name, [naive_interior(c.p, a) for a in c.p.subsets()])
+                              for name in NAMED_FAMILIES), "spaces+127"),
+        Route("table_violation", lambda t: tuple(table_violation(t[0], table) for table in (t[1], *t[2])),
+              lambda t: walked_violations(*t), "tables+73"),
+        Route("op_open_family", lambda t: op_open_family(Operation(*t[:2])), lambda t: (  # holding both ends
+            f if (f := scan_open_family(Operation(*t[:2])))[0] == 0 == f[-1] ^ t[0].full else "no end"),
+              "tables+79"),
+        Route("leq", lambda t: leq(*t), lambda t: all(x & ~y == 0 for x, y in zip(t[0].table, t[1].table)),
+              "operations+53"),
+        Route("is_monotone", is_monotone, lambda op: naive_is_monotone(op) or (  # the catalog always is
+            op.name != "widened" and "a catalog operation is not monotone"), "operations+3"),
+        Route("regular_wrt", lambda t: pairwise(is_regular_wrt, t),
+              lambda t: pairwise(literal_is_regular_wrt, t), "families+47"),
+        Route("neighborhoods", lambda t: tuple(neighborhoods(t[0], t[1], x) for x in range(t[0])),
+              lambda t: tuple(literal_neighborhoods(t[0], t[1], x) for x in range(t[0])), "families+29"),
+        Route("is_filterbase", is_filterbase, literal_is_filterbase, "nonempty3"),
+        # kernel rows
+        Route("point_meets", lambda c: tuple(point_meets(rows, c.top.n) for rows in _meet_rows(c.p)),
+              lambda c: tuple(literal_point_meets(rows, c.top.n) for rows in _meet_rows(c.p)), "kernels+47"),
+        Route("interior_pointwise", lambda c: int_table(c.p),
+              lambda c: tuple(naive_pair_interior(c.p, a) for a in c.top.subsets()), "kernels+103", max_n=4),
+        Route("interior_walk", lambda c: tuple(int_table(c.p)[a] for a in c.sets),
+              lambda c: tuple(member_walk_interior(c.p.kernel, a) for a in c.sets), "kernels+307"),
+        Route("enlargement_base", lambda c: enlargement_base(c.p), lambda c: member_walk_base(c.p.kernel),
+              "kernels+307"),
+        Route("kernel_flags", lambda c: (_kernel_report(c.p).family_nested, _kernel_report(c.p).image_stable),
+              lambda c: (member_walk_nested(c.p.kernel), member_walk_image_stable(c.p.kernel)),
+              "kernels+307"),
+        Route("closure_by_points", lambda c: pair_closure_by_points(c.p, c.sets),
+              lambda c: literal_pair_closure_by_points(c.p, c.sets), "kernels+107"),
+        Route("closure_pointwise", lambda c: pair_closure_by_points(c.p, c.sets),
+              lambda c: [pointwise_pair_closure(c.p, a) for a in c.sets], "kernels+107", max_n=3),
+        Route("closure_table", lambda c: [pair_closure(c.p, a) for a in c.sets],
+              lambda c: literal_pair_closure_by_points(c.p, c.sets), "kernels3+23"),
+        Route("pair_open_family",
+              lambda c: (pair_open_family(c.p), classify_structure(c.p).closed_iff_cl_equal),
+              lambda c: (scan_within(int_table(c.p)), fixed(c) == scan_within(int_table(c.p))),
+              "kernels+103"),
+        Route("pair_closed_family", lambda c: pair_closed_family(c.p),
+              lambda c: tuple(sorted(c.top.full ^ a for a in scan_within(int_table(c.p)))), "kernels3+29"),
+        Route("structure", lambda c: structure(c.p), lambda c: (  # and the ladder holds
+            f if (f := literal_structure(c.p))[0] and f[1] >= f[4] else "off the ladder"), "kernels3+97x40"),
+        Route("regularity", lambda c: (regular_scan(c.p), enlarger_is_regular(c.p), regular_scan(c.p)),
+              _literal_regularity, "kernels+109"),
+        Route("envelopes", lambda c: tuple(map(c.p.envelope, range(c.top.n))),
+              lambda c: tuple(scan_envelope(c.p, x) for x in range(c.top.n)), "kernels3+103"),
+        Route("base_report", _base_report, _scanned_base_report, "pairs3+101"),
+        # filters
+        Route("base_adherence", lambda c: (base_adherence_sets(c.p, c.bases, c.has), base_adherence_sets(
+            c.p, c.bases), [adherence_set(f, c.p) for f in c.bases]), _literal_adherences, "kernels+113"),
+        Route("base_limits", lambda c: (base_limit_sets(c.p, c.bases, c.has), base_limit_sets(c.p, c.bases), [
+            limit_set(f, c.p) for f in c.bases]), lambda c: ([scan_limit_set(f, c.p) for f in c.bases],) * 3,
+              "kernels3+71", max_n=8),
+        Route("base_sets", lambda c: tuple((limit_set(f, c.p), adherence_set(f, c.p)) for f in c.bases),
+              lambda c: tuple((where(converges, f, c), where(accumulates, f, c)) for f in c.bases),
+              "kernels3+29"),
+        Route("principal_sets", lambda c: tuple((limit_set(f, c.p), adherence_set(f, c.p), limit_set(
+            (f.core,), c.p), adherence_set((f.core,), c.p)) for f in principal(c)), lambda c: tuple((
+                sum(family_converges(f.core, c.p, x, c.p.kernel.family) << x for x in range(c.top.n)),
+                pointwise_pair_closure(c.p, f.core), where(converges, f, c), where(accumulates, f, c))
+                for f in principal(c)), "kernels3+41-43"),
+        Route("generated_filters", lambda c: tuple((where(converges, b, c), where(accumulates, b, c))
+                                                   for b in c.bases if b), lambda c: tuple(
+            (where(converges, g, c), where(accumulates, g, c))
+            for g in (generated_filter(c.top.n, b) for b in c.bases if b)), "kernels3+29", max_n=3),
+        Route("partners", lambda ctx: (list(ctx.partners), ctx.partners), _scanned_partners, "contexts+103"),
+        Route("t2", lambda c: is_t2(c.p), lambda c: literal_is_t2(c.p), "kernels3+53"),
+        Route("refined_core", lambda c: tuple(verdict(refined_core, c.p, core, x)
+                                              for core in range(1, 1 << c.top.n) for x in range(c.top.n)),
+              lambda c: tuple("refinement base failed the filterbase laws" if g is None else g for g in (
+                  literal_finer_convergent(f, c.p, x) for f in principal(c) for x in range(c.top.n))),
+              "kernels3+53", max_n=3),
+        Route("finer_convergent", _finer_convergent, _literal_finer_convergent, "kernels3+53"),
+        Route("nbhd_bases", lambda c: tuple(verdict(nbhd_filterbase, c.p, x, v)
+                                            for x in c.points for v in ("plain", "enlarged")),
+              _literal_nbhd_bases, "kernels+311"),
+        Route("convergence_closure", lambda c: all_closures(c, convergence_closure),
+              lambda c: tuple((submask_convergence_closure(c.p, s),) * 2 for s in c.picks), "kernels3+79"),
+        # compactness
+        Route("failing_planes", lambda c: tuple(failing_plane(c.p, kind) for kind in STATEMENTS),
+              lambda c: tuple(sum(1 << s for s in c.sets if not compactness_kind(c.p, s, kind))
+                              for kind in STATEMENTS), "kernels3+83", max_n=8),
+        Route("space_flags", lambda c: space_compactness_flags(c.p).statements(), _space_flags,
+              "kernels3+89"),
+        Route("additive_hypothesis", lambda c: additive_hypothesis(c.p),
+              lambda c: pairwise_additive_hypothesis(c.p), "kernels3+97"),
+        Route("avoidance_row", _avoidance_rows, lambda c: (tuple(c.top.full ^ m for m in (
+            literal_pair_closure_by_points(c.p, [1 << x for x in range(c.top.n)]))),) * 3, "kernels+107x4"),
+        Route("witness_covers",
+              lambda c: tuple((v.witness_point, v.witness_cover) for _, v in _failing_verdicts(c)),
+              _trial_covers, "kernels+401"),
+        Route("minimal_cover", lambda c: _minimal_cover(*c), lambda c: trial_minimal_cover(*c), "covers+401"),
+        Route("cover_kinds", lambda c: tuple((compactness_kind(c.p, s, kind),) * 2
+                                             for kind in KINDS for s in c.picks),
+              _literal_kinds, "kernels3+41"),
+        Route("ultra_plane", lambda c: tuple(not failing_plane(c.p, "ultra") >> s & 1 for s in c.picks),
+              lambda c: tuple(maximal_bases_converge(c.p, s) for s in c.picks), "kernels3+23"),
+        Route("family_statements", _family_statements, _literal_family_statements, "pairs3+23"),
+        Route("complement_statements",  # the four complement statements hold as stated
+              lambda c: tuple(((True, True), (True, True), not failing_plane(c.p, "restricted") >> s & 1)
+                              for s in c.picks), _literal_complement_statements, "pairs3+23"),
+    )
+
+
+ROUTES = _routes()
+ROUTE_NAMES = {route.name: route for route in ROUTES}
+
+
+def first_difference(fast, literal) -> str:
+    """The path of indices down to the first entries that differ, and them."""
+    path = []
+    while isinstance(fast, (tuple, list)) and type(fast) is type(literal) and len(fast) == len(literal):
+        i = next(i for i, (a, b) in enumerate(zip(fast, literal)) if a != b)
+        path.append(i)
+        fast, literal = fast[i], literal[i]
+    return f"at {path}: fast {fast!r}, literal {literal!r}"
+
+
+@functools.lru_cache(maxsize=None)
+def route_outcome(name: str) -> str | None:
+    """Run one row over its universe: None, or where the routes differ.
+    The universe is let go once every row naming it has run."""
+    route = ROUTE_NAMES[name]
+    try:
+        for case in universe(route.universe):
+            if isinstance(case, Case) and case.top.n > route.max_n:
+                continue
+            fast, literal = route.fast(case), route.literal(case)
+            if fast != literal:
+                return f"{name} differs on {case!r} {first_difference(fast, literal)}"
+        return None
+    finally:
+        _ran.add(name)
+        if all(r.name in _ran for r in ROUTES if r.universe == route.universe):
+            _built.pop(route.universe, None)
+
+
+#: the universes built and the rows run, so a universe lives while it has a row to run
+_built: dict = {}
+_ran: set = set()
+
+
+def universe(name: str) -> tuple:
+    """The cases of a universe, built on first use."""
+    if name not in _built:
+        _built[name] = tuple(UNIVERSES[name]())
+    return _built[name]
+
+
+def route_check(*names: str):
+    """A test running the named rows, under the name of a check they replaced."""
+    return lambda: check_routes(*names)
+
+
+def check_routes(*names: str) -> None:
+    """Fail on the first difference a named row finds; each row runs once."""
+    for name in names:
+        outcome = route_outcome(name)
+        assert outcome is None, outcome

@@ -12,11 +12,9 @@ from topolab.bits import (
     union_closure,
     upward_closure,
 )
-from topolab.ops import catalog, dual_table
-from topolab.pairs import OpPair, image_groups, int_table
-from topolab.space import EXHAUSTIVE_POINTS, MAX_POINTS, enumerate_topologies, random_topology
+from topolab.space import MAX_POINTS, random_topology
 
-from oracles import literal_contained_union_table, literal_point_meets, pairwise_fixpoint
+from oracles import literal_contained_union_table, literal_point_meets, pairwise_fixpoint, route_check
 
 WIDTHS = (1, 7, 8, 9, 16, 17, 64, 65)
 
@@ -70,35 +68,6 @@ def test_closures_match_pairwise_fixpoint_on_seeded_families():
             assert intersection_closure(fam, n) == pairwise_fixpoint({full, *fam}, operator.and_)
             literal = tuple(a for a in range(1 << n) if any(m & ~a == 0 for m in fam))
             assert upward_closure(fam, n) == literal
-
-
-def _meet_rows(top):
-    """(label, rows) for each row set the library meets on ``top``: the
-    opens, and per pair kernel of the catalog the envelope groups, the
-    selector-closed sets with their dual images and the separation rows."""
-    full = top.full
-    yield "opens", [(u, u) for u in top.opens]
-    ops = catalog(top)
-    kernels = {}
-    for sel in ops.values():
-        for enl in ops.values():
-            k = OpPair(sel, enl).kernel
-            kernels[id(k)] = k
-    for k in kernels.values():
-        enl, dual, inner = k.enlarger.table, dual_table(k.enlarger), int_table(k)
-        yield "envelopes", list(image_groups(k))
-        yield "closed", [(full ^ u, dual[full ^ u]) for u in k.family]
-        yield "separation", [(full ^ inner[full ^ enl[u]], u) for u in k.family]
-
-
-def test_point_meets_match_the_row_loop_on_every_kernel():
-    # every space of at most 4 points, then seeded 5-16-point spaces
-    rng = random.Random(47)
-    spaces = [top for n in range(EXHAUSTIVE_POINTS + 1) for top in enumerate_topologies(n)]
-    spaces += [random_topology(n, rng.randrange(10**6), n) for n in range(5, MAX_POINTS + 1)]
-    for top in spaces:
-        for label, rows in _meet_rows(top):
-            assert bits.point_meets(rows, top.n) == literal_point_meets(rows, top.n), (top, label)
 
 
 def test_point_meets_match_the_row_loop_on_wide_spaces():
@@ -258,3 +227,7 @@ def test_plane_reads_match_the_member_loops():
         assert len(planes) == n
         for x, got in enumerate(planes):
             assert got == bits.family_plane((a for a, t in enumerate(table) if t >> x & 1), n)
+
+
+# Checks that became rows of oracles.ROUTES, kept under their names.
+test_point_meets_match_the_row_loop_on_every_kernel = route_check("point_meets", "min_nbhds")

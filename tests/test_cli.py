@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from topolab import builtin, discrete, sierpinski
+from topolab import builtin, cli, discrete, sierpinski
 from topolab.cli import _parse, build_parser, main
 from topolab.harness import Report, SuiteResult
 from topolab.jsonio import operation_to_dict, write_space
@@ -234,7 +234,8 @@ def test_library_value_error_propagates(monkeypatch, s2_file):
 C3 = str(Path(__file__).parent / "data" / "c3.json")
 USAGE = "usage: topolab [-h] {enumerate,check,families,filter,compact,mine} ...\n"
 
-#: (argv, exit code, stdout, stderr), as the two-pass argparse parse gave them
+#: (argv, exit code, stdout, stderr), as the two-pass argparse parse gave
+#: them on Python 3.11
 DISPATCH = [
     ([], 2, "", USAGE + "topolab: error: the following arguments are required: command\n"),
     (["-h"], 0, (
@@ -296,11 +297,16 @@ def run_main(argv, capsys):
 
 @pytest.mark.parametrize("argv, code, out, err", DISPATCH)
 def test_dispatch_keeps_the_two_pass_output(argv, code, out, err, capsys, monkeypatch):
-    # the one-pass dispatch prints what the top-level parse did before it:
-    # help, usage errors from the top-level and the subcommand parsers,
-    # leftover arguments and abbreviated options, at a fixed help width
+    # the one-pass dispatch prints what the two-pass parse prints in the
+    # same interpreter: help, usage errors, leftover arguments, abbreviated
+    # options; argparse's wording varies by release, so the pins are read
+    # on the release they were captured with only
     monkeypatch.setenv("COLUMNS", "80")
-    assert run_main(argv, capsys) == (code, out, err)
+    one_pass = run_main(argv, capsys)
+    monkeypatch.setattr(cli, "_parse", lambda args: build_parser().parse_args(args))
+    assert one_pass == run_main(argv, capsys)
+    if sys.version_info[:2] == (3, 11):
+        assert one_pass == (code, out, err)
 
 
 @pytest.mark.parametrize("argv", [

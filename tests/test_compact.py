@@ -23,58 +23,26 @@ from topolab import (
     space_compactness_flags,
 )
 from topolab.bits import canonical_family
-from topolab.compact import _closed_meets, _minimal_cover, _row
-from topolab.filters import _point_limits
-from topolab.ops import Operation, dual_table, is_monotone, op_closed_family, op_open_family
-from topolab.pairs import (
-    base_report,
-    enlargement_base,
-    pair_closed_family,
-    pair_closure,
-    pair_closure_by_points,
-    pair_open_family,
-)
-from topolab.space import EXHAUSTIVE_POINTS, discrete
+from topolab.ops import dual_table, op_closed_family, op_open_family
+from topolab.pairs import base_report, enlargement_base, pair_closure_by_points, pair_open_family
 
 from oracles import (
-    all_families_of_nonempty,
     antichain_families,
-    base_gap_has_disjoint_member,
     brute_force_compact_all,
-    catalog_kernels,
-    inner_bases_accumulate,
+    closed_refuter,
     literal_fip_and_gap,
-    maximal_bases_converge,
-    meeting_bases_accumulate,
-    pairwise_additive_hypothesis,
     per_subset_compact,
+    route_check,
     sampled_families,
-    seeded_subfamily,
-    subfamily_bases_accumulate,
-    subfamily_fip_and_gap,
-    trial_minimal_cover,
 )
 
 KINDS = ("pair", "pair_open", "base")
 #: the filter faces of compactness: the cover kind and its two other routes
 FACES = ("pair", "ultra", "closed")
-STATEMENTS = KINDS + ("ultra", "closed", "restricted")
 
 
 def small_spaces():
     return [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
-
-
-def oracle_spaces():
-    """Every space of at most 3 points with all its subsets, then seeded
-    4-6-point spaces with seeded subsets."""
-    out = [(top, list(top.subsets())) for top in small_spaces()]
-    rng = random.Random(23)
-    for n in (4, 5, 6):
-        top = random_topology(n, rng.randrange(10**6), n)
-        picked = {0, top.full, *(rng.randrange(1 << n) for _ in range(4))}
-        out.append((top, sorted(picked)))
-    return out
 
 
 def pair(top, a, b):
@@ -121,32 +89,6 @@ def test_witnesses_are_valid(s2):
                 assert a & ~union == 0
                 assert a >> v.witness_point & 1
                 assert all(not ops[enl].table[u] >> v.witness_point & 1 for u in v.witness_cover)
-
-
-def test_witness_covers_match_the_trial_removals():
-    # the prefix-OR pruning keeps what trying each removal on a copy kept:
-    # the witness of every failing subset of every catalog cover system
-    # (one per pair kernel) on every space of at most 4 points and on
-    # seeded 6- and 8-point spaces, then seeded families, covers or not
-    rng = random.Random(401)
-    spaces = [top for n in range(EXHAUSTIVE_POINTS + 1) for top in enumerate_topologies(n)]
-    spaces += [random_topology(n, rng.randrange(10**6), n) for n in (6, 8)]
-    witnesses = 0
-    for top in spaces:
-        for k in catalog_kernels(top):
-            cs, enl = CoverSystem(k.family, k.enlarger), k.enlarger.table
-            for a in top.subsets():
-                v = is_compact(cs, a)
-                if not v.compact:
-                    avoid = [u for u in k.family if not enl[u] >> v.witness_point & 1]
-                    assert v.witness_cover == trial_minimal_cover(avoid, a), (top, k.enlarger, a)
-                    witnesses += 1
-    assert witnesses > 10_000
-    for _ in range(5000):
-        n = rng.randrange(7)
-        members = [rng.randrange(1 << n) for _ in range(rng.randrange(12))]
-        a = rng.randrange(1 << n)
-        assert _minimal_cover(members, a) == trial_minimal_cover(members, a), (members, a)
 
 
 def test_brute_force_agrees_everywhere_small():
@@ -309,87 +251,6 @@ def test_non_compact_flags_all_false(s2):
     assert verdicts(p, 0b10) == (False, False, False)
 
 
-def test_antichain_reduction_matches_full_quantification():
-    # two-point carriers are small enough to quantify over every family of
-    # nonempty sets; the antichain restriction must not change the flags
-    for top in enumerate_topologies(2):
-        every = list(all_families_of_nonempty(2))
-        anti = antichain_families(2)
-        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
-            p = pair(top, a, b)
-            cl = [pair_closure(p, m) for m in top.subsets()]
-            for s in top.subsets():
-                fip_all, gap_all = literal_fip_and_gap(cl, every, s, top.full)
-                fip_anti, gap_anti = literal_fip_and_gap(cl, anti, s, top.full)
-                assert (fip_all, gap_all) == (fip_anti, gap_anti)
-
-
-def family_universe(n):
-    """Every antichain of nonempty sets up to 4 points; above that every
-    singleton family plus seeded samples."""
-    if n <= 4:
-        return antichain_families(n)
-    return tuple((1 << y,) for y in range(n)) + sampled_families(n, seed=n, count=64)
-
-
-def meet(sets, full):
-    out = full
-    for m in sets:
-        out &= m
-    return out
-
-
-def closed_refuter(closed, dual, s, full):
-    """Some y in s whose S_y = {f : y in dual(f)} refutes the closed pair:
-    its meet misses s while every finite part's dual meet holds y."""
-    for y in range(full.bit_length()):
-        sy = [f for f in closed if dual[f] >> y & 1]
-        if s >> y & 1 and s & meet(sy, full) == 0 and meet((dual[f] for f in sy), full) >> y & 1:
-            return y
-    return None
-
-
-def test_flags_against_literal_family_quantification():
-    # the closed forms of the base statements and of both family pairs
-    # must match literal scans straight from their wording, over the
-    # complete universes: every antichain up to 4 points (singleton
-    # families and seeded samples above), every family on two points,
-    # and every subfamily of a selector-closed family of at most 10
-    # members.  On bigger closed families the record must be False
-    # exactly when some S_y refutes by definition, and any refuting
-    # subfamily of a seeded 10-member draw must force False.
-    every = list(all_families_of_nonempty(2))
-    for top, subsets in oracle_spaces():
-        full = top.full
-        universe = family_universe(top.n)
-        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
-            p = pair(top, a, b)
-            cl = pair_closure_by_points(p, top.subsets())
-            closed = op_closed_family(p.selector)
-            dual = dual_table(p.enlarger)
-            drawn = seeded_subfamily(closed, f"{top.n},{a},{b}")
-            for s in subsets:
-                # six of the ten statements are the pair plane's verdict,
-                # the two closed ones the closed plane's
-                cover, _, closed_ok = verdicts(p, s)
-                assert cover == inner_bases_accumulate(cl, s)
-                assert cover == meeting_bases_accumulate(cl, s, top.n)
-                assert cover == base_gap_has_disjoint_member(cl, s, top.n)
-                family = (cover, cover)
-                assert family == literal_fip_and_gap(cl, universe, s, full)
-                if top.n == 2:
-                    assert family == literal_fip_and_gap(cl, every, s, full)
-                closed_pair = (closed_ok, closed_ok)
-                literal = subfamily_fip_and_gap(drawn, s, full, [dual[f] for f in drawn])
-                if drawn == closed:
-                    assert closed_pair == literal
-                    continue
-                if literal != (True, True):
-                    assert closed_pair == (False, False)
-                refuter = closed_refuter(closed, dual, s, full)
-                assert closed_pair == ((True, True) if refuter is None else (False, False))
-
-
 def test_antichain_families_cap():
     # nonempty subsets of two points: {a}, {b}, {a,b}; the antichains are
     # the empty family, three singletons and {{a},{b}}
@@ -437,40 +298,6 @@ def test_every_residue_decides_restricted_accumulation():
     assert compactness_kind(p, 22, "restricted") == compactness_kind(p, 22) == rule
 
 
-def kind_system(p, kind, identity):
-    """The cover system a compactness kind quantifies over."""
-    if kind == "pair":
-        return CoverSystem(p.kernel.family, p.enlarger)
-    if kind == "pair_open":
-        return CoverSystem(pair_open_family(p), identity)
-    return CoverSystem(canonical_family(enlargement_base(p) + (p.topology.full,)), identity)
-
-
-def test_compactness_kind_matches_avoidance_criterion():
-    # every kind's row against is_compact on the kind's cover system, and
-    # against the literal oracle wherever the ambient family is small
-    spaces = [(top, list(top.subsets())) for top in small_spaces()]
-    rng = random.Random(41)
-    for n in (4, 5, 6, 7, 8):
-        top = random_topology(n, rng.randrange(10**6), n)
-        spaces.append((top, sorted({0, top.full, *(rng.randrange(1 << n) for _ in range(6))})))
-    for top, subsets in spaces:
-        ops = catalog(top)
-        literal = {}  # many pairs share one cover system; scan each once
-        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
-            p = OpPair(ops[a], ops[b])
-            for kind in KINDS:
-                cs = kind_system(p, kind, ops["identity"])
-                key = (cs.ambient, cs.enlarger.table)
-                if len(cs.ambient) <= 12 and key not in literal:
-                    literal[key] = dict(zip(subsets, brute_force_compact_all(cs, subsets)))
-                for s in subsets:
-                    got = compactness_kind(p, s, kind)
-                    assert got == is_compact(cs, s).compact, (top, a, b, kind, s)
-                    if key in literal:
-                        assert got == literal[key][s], (top, a, b, kind, s)
-
-
 def test_cover_kind_hypothesis_examples(s2):
     # the four complement statements hold for every set, so the kinds
     # agree when the set is compact in all three
@@ -478,37 +305,6 @@ def test_cover_kind_hypothesis_examples(s2):
         for p in (pair(top, "int", "introcl"), pair(top, "cloint", "scl")):
             assert base_report(p).hypothesis_d
             assert verdicts(p, top.full, KINDS) == (True, True, True)
-
-
-def test_complement_statements_hold_literally():
-    # the cover-kind check takes the four complement statements as True
-    # without a scan, and the restricted plane reads restricted
-    # accumulation off every nonempty residue; the literal subfamily
-    # scans must agree over residue and closed families of at most 10
-    # members.  Bigger ones are scanned over a seeded 10-member draw (any
-    # refuting base among them must force False), and the record must be
-    # False exactly when some residue r has its base {r} refuting by
-    # definition.
-    for top, subsets in oracle_spaces():
-        full = top.full
-        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
-            p = pair(top, a, b)
-            enl = p.enlarger.table
-            cl = pair_closure_by_points(p, top.subsets())
-            residues = canonical_family(full ^ enl[u] for u in p.kernel.family)
-            drawn = seeded_subfamily(residues, f"residues,{top.n},{a},{b}")
-            closed = seeded_subfamily(pair_closed_family(p), f"closed,{top.n},{a},{b}")
-            for s in subsets:
-                assert subfamily_fip_and_gap(drawn, s, full) == (True, True)
-                assert subfamily_fip_and_gap(closed, s, full) == (True, True)
-                (restricted,) = verdicts(p, s, ("restricted",))
-                literal = subfamily_bases_accumulate(drawn, cl, s)
-                if drawn == residues:
-                    assert restricted == literal
-                    continue
-                if not literal:
-                    assert not restricted
-                assert restricted == all(subfamily_bases_accumulate((r,), cl, s) for r in residues)
 
 
 def test_space_flags_examples(s2):
@@ -578,107 +374,20 @@ def test_closed_space_predicates(s2, d2, i2):
     assert not rep.hausdorff
 
 
-def _plane_spaces(seed: int):
-    """Every space of at most 3 points, then seeded 4-8-point spaces."""
-    rng = random.Random(seed)
-    return small_spaces() + [random_topology(n, rng.randrange(10**6), n) for n in (4, 5, 6, 7, 8)]
-
-
-def test_failing_planes_match_the_per_set_scan():
-    # every subset, every statement and all 49 pairs: bit a of a plane is
-    # set exactly when the per-set scan of the statement's row fails a
-    for top in _plane_spaces(83):
-        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
-            p = pair(top, a, b)
-            for kind in STATEMENTS:
-                plane = failing_plane(p, kind)
-                assert plane >> (1 << top.n) == 0
-                for s in top.subsets():
-                    assert bool(plane >> s & 1) != compactness_kind(p, s, kind), (top, a, b, kind, s)
-    # an unknown kind names every statement the planes know
+def test_unknown_kind_names_every_statement():
     for check in (failing_plane, lambda p, kind: compactness_kind(p, 1, kind)):
         with pytest.raises(ValueError, match="'pair_open', 'base', 'ultra', 'closed' or 'restricted'"):
             check(pair(small_spaces()[0], "int", "cl"), "nope")
 
 
-def test_space_flags_match_the_per_set_scan():
-    # the space-level record read off planes against compactness_kind over
-    # the whole space, every nonempty residue and every pair-closed set
-    for top in _plane_spaces(89):
-        full = top.full
-        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
-            p = pair(top, a, b)
-            enl = p.enlarger.table
-            residues = [r for r in canonical_family(full ^ enl[u] for u in p.kernel.family) if r]
-            closed = pair_closed_family(p)
-
-            def compact_all(sets, kind):
-                return all(compactness_kind(p, s, kind) for s in sets)
-
-            expected = tuple(
-                compact_all(sets, kind)
-                for sets, kinds in (((full,), ("pair", "base", "pair_open")),
-                                    (residues, ("pair", "pair_open", "base")),
-                                    (closed, ("pair", "pair_open", "base")))
-                for kind in kinds
-            )
-            flags = space_compactness_flags(p)
-            assert flags.statements() == expected, (top, a, b)
-
-
-def test_additive_hypothesis_matches_the_pairwise_scan():
-    # monotone selector first, then (u, j) with j empty or union-irreducible,
-    # against the pairwise scan over every pair of selector-open sets
-    seen = set()
-    for top in _plane_spaces(97):
-        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
-            p = pair(top, a, b)
-            got = additive_hypothesis(p)
-            assert got == pairwise_additive_hypothesis(p), (top, a, b)
-            seen.add(got)
-    assert seen == {True, False}
-    # a selector that is not monotone but whose enlarger is additive over
-    # its open sets: only the monotone test refutes the hypothesis
-    top = discrete(3)
-    table = list(top.subsets())
-    table[0b001] = 0b011
-    p = OpPair(Operation(top, table), catalog(top)["identity"])
-    assert not is_monotone(p.selector)
-    assert additive_hypothesis(p) is False and pairwise_additive_hypothesis(p) is False
-
-
-def test_ultra_plane_matches_maximal_filters():
-    # the two maximal-base statements, read literally: every singleton
-    # filter inside a set converges to some point of it
-    seen = set()
-    for top, subsets in oracle_spaces():
-        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
-            p = pair(top, a, b)
-            plane = failing_plane(p, "ultra")
-            for s in subsets:
-                literal = maximal_bases_converge(p, s)
-                assert (not plane >> s & 1) == literal, (top, a, b, s)
-                seen.add(literal)
-    assert seen == {True, False}
-
-
-def test_avoidance_row_equals_the_filter_routes():
-    # outside[x] of the pair kind is full ^ cl({x}) (the same table entry,
-    # and the pointwise closure rule), full ^ the point's limits through
-    # the envelopes, and full ^ the closed meets through the dual table:
-    # every space of at most 4 points and seeded 5-10-point spaces
-    rng = random.Random(107)
-    spaces = [t for n in range(5) for t in enumerate_topologies(n)]
-    spaces += [random_topology(n, rng.randrange(10**6), n) for n in range(5, 11) for _ in range(4)]
-    for top in spaces:
-        full = top.full
-        ops = catalog(top)
-        for a, b in itertools.product(BUILTIN_NAMES, repeat=2):
-            p = OpPair(ops[a], ops[b])
-            outside = tuple(m for (m,) in _row(p, "pair"))
-            by_points = pair_closure_by_points(p, (1 << x for x in range(top.n)))
-            for x in range(top.n):
-                assert outside[x] == full ^ pair_closure(p, 1 << x), (top, a, b, x)
-                assert outside[x] == full ^ by_points[x], (top, a, b, x)
-            assert outside == tuple(full ^ m for m in _point_limits(p)), (top, a, b)
-            assert outside == tuple(full ^ m for m in _closed_meets(p)), (top, a, b)
+# Checks that became rows of oracles.ROUTES, kept under their names.
+test_antichain_reduction_matches_full_quantification = route_check("family_statements")
+test_failing_planes_match_the_per_set_scan = route_check("failing_planes")
+test_witness_covers_match_the_trial_removals = route_check("witness_covers", "minimal_cover")
+test_compactness_kind_matches_avoidance_criterion = route_check("cover_kinds")
+test_flags_against_literal_family_quantification = route_check("family_statements")
+test_complement_statements_hold_literally = route_check("complement_statements")
+test_space_flags_match_the_per_set_scan = route_check("space_flags")
+test_additive_hypothesis_matches_the_pairwise_scan = route_check("additive_hypothesis")
+test_ultra_plane_matches_maximal_filters = route_check("ultra_plane")
+test_avoidance_row_equals_the_filter_routes = route_check("avoidance_row")

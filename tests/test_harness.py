@@ -53,6 +53,7 @@ from oracles import (
     family_converges,
     maximal_bases_converge,
     pointwise_pair_closure,
+    route_check,
     scan_limit_set,
 )
 
@@ -639,49 +640,6 @@ def test_flipped_filter_and_restricted_bits_fail_like_the_per_set_statements(mon
     assert got == expected
 
 
-def test_enlargers_agree_matches_the_image_scan():
-    # the per-selector agreement classes against the scan over the
-    # selector-open family, every triple of names, in request order (the
-    # catalog, reversed, and every other name of it reversed)
-    rng = random.Random(103)
-    spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
-    spaces += [random_topology(n, rng.randrange(10**6), n) for n in (4, 6, 8)]
-    for pairs in (CATALOG_PAIRS, CATALOG_PAIRS[::-1], CATALOG_PAIRS[::-2]):
-        names = [tuple(spec.split(",")) for spec in pairs]
-        for top in spaces:
-            ctx = _SpaceContext("s", top, SuiteConfig(pairs=pairs))
-            assert list(ctx.partners) == names
-            for a, b in ctx.partners:
-                literal = [
-                    c for s, c in names
-                    if s == a and all(ctx.ops[b].table[u] == ctx.ops[c].table[u] for u in ctx.open_sets[a])
-                ]
-                assert ctx.partners[(a, b)] == literal, (top, a, b)
-
-
-def test_filter_rows_match_literal_rules():
-    # every core of every space of at most 3 points and of seeded 4-6-point
-    # spaces, all 49 pairs; the kernel's rows are filled on first read and
-    # keep every core read
-    spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
-    spaces += [random_topology(n, seed, n) for n, seed in ((4, 41), (5, 42), (6, 43))]
-    for i, top in enumerate(spaces):
-        n = top.n
-        ctx = _SpaceContext(f"s{i}", top, SuiteConfig())
-        for key, p in ctx.pairs.items():
-            enl = p.enlarger.table
-            lim_row, adh_row = principal_rows(p)
-            for core in range(1, 1 << n):
-                literal = sum(
-                    1 << x for x in range(n)
-                    if all(core & ~enl[u] == 0 for u in p.selector_at(x))
-                )
-                f = Filter(n, core)
-                assert lim_row[core] == limit_set(f, p) == literal, (i, key, core)
-                assert adh_row[core] == adherence_set(f, p) == pointwise_pair_closure(p, core), (i, key, core)
-            assert set(ctx.core_list) <= set(lim_row) and set(ctx.core_list) <= set(adh_row)
-
-
 def test_refinement_construction_runs_on_multipoint_cores(monkeypatch):
     # a broken construction must be reported on cores of several points
     # above three points, not only on singletons
@@ -1243,3 +1201,8 @@ def test_catalog_pairs_cover_the_named_classes():
         "inclusion_without_order", "nonregular_pair",
         "transfer_strictness", "nonadditive_enlarger",
     )
+
+
+# Checks that became rows of oracles.ROUTES, kept under their names.
+test_enlargers_agree_matches_the_image_scan = route_check("partners")
+test_filter_rows_match_literal_rules = route_check("principal_sets")

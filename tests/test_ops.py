@@ -27,11 +27,11 @@ from topolab.ops import at_point, op_lanes, table_violation, tabulate
 from topolab.space import Topology
 
 from oracles import (
-    literal_is_regular_wrt,
-    literal_neighborhoods,
-    literal_table_violation,
+    lane_test_spaces,
+    lawful_tables,
     naive_interior,
     naive_is_monotone,
+    route_check,
     scan_open_family,
 )
 
@@ -46,35 +46,6 @@ def test_builtin_examples(s2, c3):
     assert ops["introcl"].table[0] == 0
     assert catalog(c3)["cloint"].table[0b101] == c3.full
     assert ops["identity"].table == (0, 1, 2, 3)
-
-
-def test_builtin_tables_match_their_definitions():
-    # the rules read literally: interior by scanning the opens, closure
-    # as its complement dual
-    spaces = small_spaces() + [
-        random_topology(n, seed, n) for n in range(4, 11) for seed in range(3)
-    ]
-    for top in spaces:
-        full = top.full
-
-        def it(a):
-            return naive_interior(top, a)
-
-        def cl(a):
-            return full ^ it(full ^ a)
-
-        rules = {
-            "identity": lambda a: a,
-            "int": it,
-            "cl": cl,
-            "cloint": lambda a: cl(it(a)),
-            "introcl": lambda a: it(cl(a)),
-            "scl": lambda a: a | it(cl(a)),
-            "sint": lambda a: a & cl(it(a)),
-        }
-        assert set(rules) == set(BUILTIN_NAMES)
-        for name, rule in rules.items():
-            assert builtin(top, name).table == tuple(rule(a) for a in top.subsets()), (top, name)
 
 
 def test_builtin_rejects_unknown(s2):
@@ -222,49 +193,6 @@ def test_leq_chains_and_errors(s2, d2):
         leq(ops["int"], catalog(d2)["int"])
 
 
-def test_leq_matches_the_entrywise_scan():
-    # every catalog pair on every space of at most 3 points, and seeded
-    # custom tables int(a) | random bits on 1-6 points
-    for top in small_spaces():
-        ops = list(catalog(top).values())
-        for a in ops:
-            for b in ops:
-                assert leq(a, b) == all(x & ~y == 0 for x, y in zip(a.table, b.table))
-    rng = random.Random(53)
-    for _ in range(40):
-        n = rng.randrange(1, 7)
-        top = random_topology(n, rng.randrange(10**6), n)
-        inner = top.int_table()
-        a, b = (Operation(top, [i | (rng.getrandbits(n) & rng.getrandbits(n) if m else 0)
-                                for m, i in enumerate(inner)]) for _ in range(2))
-        for x, y in ((a, b), (b, a), (a, a)):
-            assert leq(x, y) == all(s & ~t == 0 for s, t in zip(x.table, y.table))
-
-
-def test_is_monotone_matches_naive():
-    rng = random.Random(3)
-    for trial in range(20):
-        top = random_topology(4, rng.randrange(10**6), 3)
-        for name in BUILTIN_NAMES:
-            op = builtin(top, name)
-            assert is_monotone(op) == naive_is_monotone(op)
-    # builtins with one image widened, monotone or not; nine points make
-    # the packed lanes two bytes wide
-    verdicts = set()
-    for n, trials in ((3, 40), (4, 40), (9, 3)):
-        top = random_topology(n, rng.randrange(10**6), n)
-        assert all(is_monotone(op) for op in catalog(top).values())
-        for trial in range(trials):
-            table = list(builtin(top, rng.choice(BUILTIN_NAMES)).table)
-            a = rng.randrange(1, 1 << n)
-            table[a] |= rng.randrange(1 << n)
-            op = Operation(top, table, "widened")
-            verdict = is_monotone(op)
-            assert verdict == naive_is_monotone(op), (n, trial)
-            verdicts.add(verdict)
-    assert verdicts == {True, False}
-
-
 def test_every_builtin_is_monotone():
     for top in small_spaces():
         for name in BUILTIN_NAMES:
@@ -307,63 +235,11 @@ def test_regularity_examples(s2):
     assert not is_regular_wrt(catalog(discrete(3))["identity"], bad_family)
 
 
-def _regularity_cases():
-    """(space, families): on every space up to 3 points every family
-    holding the whole set; on seeded 4-7-point spaces the catalog's open
-    families up to 48 members and seeded families, the empty one and
-    ones without the whole set included."""
-    for top in small_spaces():
-        others = list(range(top.full))
-        yield top, [
-            tuple(sorted([others[i] for i in range(len(others)) if sel >> i & 1] + [top.full]))
-            for sel in range(1 << len(others))
-        ]
-    rng = random.Random(47)
-    for n in range(4, 8):
-        for _ in range(2):
-            top = random_topology(n, rng.randrange(10**6), n)
-            fams = [f for f in map(op_open_family, catalog(top).values()) if len(f) <= 48]
-            fams.append(())
-            for size in (2, 3, 5, 8, 13, 21):
-                picked = {rng.randrange(1 << n) for _ in range(size)}
-                fams.append(tuple(sorted(picked | {top.full})))
-                fams.append(tuple(sorted(picked - {top.full})))
-            yield top, fams
-
-
-def test_regularity_matches_literal_scan():
-    checked = 0
-    for top, fams in _regularity_cases():
-        for op in catalog(top).values():
-            for fam in fams:
-                assert is_regular_wrt(op, fam) == literal_is_regular_wrt(op, fam), (top, op, fam)
-                checked += 1
-    assert checked > 10_000
-
-
 def test_neighborhoods(s2):
     assert neighborhoods(2, s2.opens, 0) == (1, 3)
     assert neighborhoods(2, (), 0) == ()
     assert neighborhoods(2, s2.opens, 1) == (3,)
     assert at_point(s2.opens, 1) == (3,)
-
-
-def test_neighborhoods_match_literal_scan():
-    # every operation-open family of every space up to 3 points, then
-    # seeded families (the empty family and ones without the full set
-    # included) on 4-8 points
-    cases = [
-        (top.n, op_open_family(op))
-        for top in small_spaces() for op in catalog(top).values()
-    ]
-    rng = random.Random(29)
-    for n in range(4, 9):
-        cases.append((n, ()))
-        for _ in range(4):
-            cases.append((n, tuple(sorted({rng.randrange(1 << n) for _ in range(rng.randrange(1, 9))}))))
-    for n, fam in cases:
-        for x in range(n):
-            assert neighborhoods(n, fam, x) == literal_neighborhoods(n, fam, x), (n, fam, x)
 
 
 def test_inclusion_lemma_forward_and_converse(s2):
@@ -387,85 +263,6 @@ def test_monotone_open_family_is_supratopology():
             if is_monotone(op):
                 fam = set(op_open_family(op))
                 assert all(x | y in fam for x in fam for y in fam)
-
-
-def lane_test_spaces(seed: int):
-    """Every space of at most 4 points, n = 0 included, then one seeded
-    space of each size from 5 to 16 points."""
-    rng = random.Random(seed)
-    spaces = [top for n in range(5) for top in enumerate_topologies(n)]
-    return spaces + [random_topology(n, rng.randrange(10**6), n) for n in range(5, 17)]
-
-
-def lawful_tables(top, rng):
-    """The catalog tables, their duals up to 8 points, and two seeded
-    lawful tables: the interior with seeded extra points, and the whole
-    space on the nonempty sets."""
-    full = top.full
-    tables = [op.table for op in catalog(top).values()]
-    if top.n <= 8:
-        tables += [dual_table(op) for op in catalog(top).values()]
-    grown = [i | rng.randrange(1 << top.n) for i in top.int_table()]
-    grown[0] = 0
-    tables += [tuple(grown), tuple(full if a else 0 for a in top.subsets())]
-    return tables
-
-
-def corrupted(table, top, rng):
-    """Tables that each break the operation laws in one seeded way; some
-    break them twice, so that only the first witness is right."""
-    n, full = top.n, top.full
-    size = 1 << n
-    inner = top.int_table()
-    out = [table[:-1], table + (0,), (1,) + table[1:]]
-    for _ in range(3 if n <= 8 else 1):
-        bad = list(table)
-        a = rng.randrange(1, size) if n else 0
-        bad[a] |= 1 << (n + rng.randrange(3))  # a bit outside the ground set
-        out.append(tuple(bad))
-        bad = list(table)
-        bad[a] = -1 - rng.randrange(4)
-        out.append(tuple(bad))
-        lost = [b for b in range(size) if inner[b]]
-        if lost:
-            b = rng.choice(lost)
-            bad = list(table)
-            bad[b] &= ~(inner[b] & -inner[b])  # drops a point of the interior
-            out.append(tuple(bad))
-            c = rng.choice(lost)
-            bad[c] = 0
-            out.append(tuple(bad))
-    if n:
-        bad = list(table)
-        bad[full] = full >> 1
-        out.append(tuple(bad))
-    return out
-
-
-def test_lane_table_violation_matches_the_entry_walk():
-    # every lawful table passes the lane test, and every corrupted one
-    # gets the condition and witness the entry walk names
-    rng = random.Random(73)
-    for top in lane_test_spaces(73):
-        inner = [naive_interior(top, a) for a in top.subsets()] if top.n <= 8 else top.int_table()
-        for table in lawful_tables(top, rng):
-            assert table_violation(top, table) is None, (top, table)
-            assert literal_table_violation(top, table, inner) is None
-            for bad in corrupted(table, top, rng):
-                expect = literal_table_violation(top, bad, inner)
-                assert expect is not None
-                assert table_violation(top, bad) == expect, (top, bad, expect)
-
-
-def test_open_families_are_the_zero_lanes():
-    # op_open_family reads the zero lanes of identity & ~table; the entry
-    # scan agrees for every lawful table of every space
-    rng = random.Random(79)
-    for top in lane_test_spaces(79):
-        for table in lawful_tables(top, rng):
-            op = Operation(top, table)
-            assert op_open_family(op) == scan_open_family(op), (top, table)
-            assert op_open_family(op)[0] == 0 and op_open_family(op)[-1] == top.full
 
 
 def test_operations_suite_builds_each_dual_once(monkeypatch):
@@ -504,3 +301,13 @@ def test_kept_lanes_are_the_packed_table():
         for op in ops:
             assert op._memo == {op_lanes.__wrapped__: pack_lanes(op.table)}, (top, op.name)
             assert op_lanes(op) is op._memo[op_lanes.__wrapped__]
+
+
+# Checks that became rows of oracles.ROUTES, kept under their names.
+test_leq_matches_the_entrywise_scan = route_check("leq")
+test_is_monotone_matches_naive = route_check("is_monotone")
+test_builtin_tables_match_their_definitions = route_check("builtin_tables")
+test_regularity_matches_literal_scan = route_check("regular_wrt")
+test_neighborhoods_match_literal_scan = route_check("neighborhoods")
+test_lane_table_violation_matches_the_entry_walk = route_check("table_violation")
+test_open_families_are_the_zero_lanes = route_check("op_open_family")

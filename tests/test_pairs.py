@@ -14,7 +14,6 @@ from topolab import (
     enlargement_base,
     enumerate_topologies,
     is_monotone,
-    leq,
     named_family,
     op_open_family,
     pair_closed_family,
@@ -28,33 +27,16 @@ from topolab.compact import (
     additive_hypothesis, failing_plane,
 )
 from topolab.filters import _envelope_planes, _point_limits, neighbourhood_images, principal_rows
-from topolab.ops import is_regular_wrt
 from topolab.pairs import (
     _kernel_report, _selector_at, enlarger_is_regular, envelopes, image_groups, int_lanes,
     int_table, pair_closure_by_points, regular_scan,
 )
-from topolab.space import EXHAUSTIVE_POINTS, indiscrete
+from topolab.space import indiscrete
 
 from oracles import (
-    catalog_kernels,
-    literal_is_regular_wrt,
-    literal_named_family,
-    literal_pair_closure_by_points,
-    literal_structure,
-    member_walk_base,
-    member_walk_image_stable,
-    member_walk_interior,
-    member_walk_nested,
-    naive_interior,
     naive_pair_interior,
-    pairwise_intersection_closed,
-    pairwise_union_closed,
     pointwise_pair_closure,
-    scan_above_identity,
-    scan_base_flags,
-    scan_envelope,
-    scan_image_stable,
-    scan_within,
+    route_check,
 )
 
 
@@ -90,16 +72,6 @@ def test_pair_closure_examples(s2, c3):
     assert pair_closure(semi, 0b100) == c3.full
 
 
-def test_pair_interior_matches_pointwise_rule():
-    for top in small_spaces():
-        for p in all_pairs(top):
-            by_points = pair_closure_by_points(p, top.subsets())
-            for a in top.subsets():
-                assert pair_interior(p, a) == naive_pair_interior(p, a)
-                assert pair_closure(p, a) == by_points[a]
-                assert top.full ^ pair_interior(p, a) == pair_closure(p, top.full ^ a)
-
-
 def test_one_pass_closure_matches_per_point_rule():
     for top in small_spaces():
         for p in all_pairs(top):
@@ -123,14 +95,6 @@ def test_pair_families_examples(s2):
     assert pair_closed_family(OpPair(ops["int"], ops["cl"])) == (0, 3)
 
 
-def test_pair_families_complement_each_other():
-    for top in small_spaces():
-        for p in all_pairs(top):
-            opens = pair_open_family(p)
-            closed = set(pair_closed_family(p))
-            assert {top.full ^ a for a in opens} == closed
-
-
 def test_classify_structure_examples(s2):
     ops = catalog(s2)
     rep = classify_structure(OpPair(ops["int"], ops["cl"]))
@@ -140,57 +104,6 @@ def test_classify_structure_examples(s2):
     for top in small_spaces():
         p = OpPair(catalog(top)["cloint"], catalog(top)["scl"])
         assert classify_structure(p).is_supratopology
-
-
-def custom_pairs(seed: int, count: int) -> list:
-    """Seeded pairs on 1-5 points whose members are custom tables
-    int(a) | random bits (most of them not monotone) or catalog
-    operations, as the CLI's ``custom:`` operations allow."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randrange(1, 6)
-        top = random_topology(n, rng.randrange(10**6), n)
-        inner = top.int_table()
-        ops = catalog(top)
-
-        def member():
-            if rng.random() < 0.25:
-                return ops[rng.choice(BUILTIN_NAMES)]
-            bits = [rng.getrandbits(n) & rng.getrandbits(n) if a else 0 for a in top.subsets()]
-            return Operation(top, [i | b for i, b in zip(inner, bits)])
-
-        out.append(OpPair(member(), member()))
-    return out
-
-
-def test_structure_flag_implications():
-    # the closed forms of classify_structure against the five flags read
-    # off their wording: every space of at most 3 points, 40 seeded
-    # 4-point spaces, seeded 5-7-point spaces (all 49 catalog pairs each)
-    # and seeded custom pairs
-    rng = random.Random(97)
-    seeded = [random_topology(4, rng.randrange(10**6), 4) for _ in range(40)]
-    seeded += [random_topology(n, rng.randrange(10**6), n) for n in (5, 6, 7)]
-    custom = custom_pairs(17, 60)
-    assert {is_monotone(op) for p in custom for op in (p.selector, p.enlarger)} == {True, False}
-    pairs = [p for top in small_spaces() + seeded for p in all_pairs(top)] + custom
-    seen = set()
-    for p in pairs:
-        rep = classify_structure(p)
-        assert rep.is_supratopology
-        flags = (rep.is_supratopology, rep.is_topology, rep.closed_iff_cl_subset,
-                 rep.closed_iff_cl_equal, rep.is_kuratowski)
-        assert flags == literal_structure(p), p
-        fam = pair_open_family(p)
-        assert rep.is_supratopology == pairwise_union_closed(fam)
-        assert rep.is_topology == (pairwise_union_closed(fam) and pairwise_intersection_closed(fam))
-        if rep.is_kuratowski:
-            assert rep.is_topology
-        if rep.is_topology:
-            assert rep.is_supratopology
-        seen |= {("equal", rep.closed_iff_cl_equal), ("kuratowski", rep.is_kuratowski)}
-    assert seen == {(flag, value) for flag in ("equal", "kuratowski") for value in (True, False)}
 
 
 def test_named_family_examples(s2, c3, d2):
@@ -267,60 +180,6 @@ def test_pair_topology_from_kuratowski_closure(s2):
     ptop = Topology(s2.ground, fam)
     for a in s2.subsets():
         assert pair_closure(p, a) == ptop.closure(a)
-
-
-def test_pair_duality_on_random_spaces():
-    rng = random.Random(23)
-    for trial in range(8):
-        top = random_topology(5, rng.randrange(10**6), 4)
-        ops = catalog(top)
-        for a, b in (("int", "cl"), ("cloint", "scl"), ("scl", "introcl")):
-            p = OpPair(ops[a], ops[b])
-            by_points = pair_closure_by_points(p, top.subsets())
-            for s in top.subsets():
-                assert top.full ^ pair_interior(p, s) == pair_closure(p, top.full ^ s)
-                assert pair_closure(p, s) == by_points[s]
-
-
-def test_base_report_matches_the_scans():
-    # image stability over the base against the scan over every
-    # selector-open set, and "above the identity" as a count of the
-    # enlarger-open sets against the scan over all subsets: every space of
-    # at most 3 points and seeded 4-9-point spaces (all 49 pairs), and
-    # seeded custom pairs.  The table lookups and planes of the other four
-    # flags are checked against sets built by scans and the pairwise union
-    # closure up to 6 points (the pointwise interior scan is cubic)
-    rng = random.Random(101)
-    spaces = small_spaces() + [random_topology(n, rng.randrange(10**6), n) for n in range(4, 10)]
-    pairs = [p for top in spaces for p in all_pairs(top)] + custom_pairs(29, 60)
-    seen, seen_flags = set(), set()
-    for p in pairs:
-        top = p.topology
-        rep = base_report(p)
-        above = scan_above_identity(p)
-        assert (len(op_open_family(p.enlarger)) == 1 << top.n) == above, (top, p)
-        assert rep.image_stable == scan_image_stable(p), (top, p)
-        assert rep.order_dominates == (above or leq(p.selector, p.enlarger)), (top, p)
-        seen.add((rep.image_stable, above))
-        if top.n <= 6:
-            flags = (rep.family_nested, rep.base_pair_open, rep.base_in_pair_and_selector, rep.is_base)
-            assert flags == scan_base_flags(p), (top, p)
-            seen_flags |= set(enumerate(flags))
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
-    assert seen_flags == {(i, value) for i in range(4) for value in (True, False)}
-
-
-def test_envelopes_match_the_per_point_scan():
-    # all n envelopes from one pass over the distinct enlargements against
-    # the meet over each point's selector-open sets: every space of at
-    # most 3 points and seeded 4-9-point spaces (all 49 pairs), and
-    # seeded custom pairs
-    rng = random.Random(103)
-    spaces = small_spaces() + [random_topology(n, rng.randrange(10**6), n) for n in range(4, 10)]
-    pairs = [p for top in spaces for p in all_pairs(top)] + custom_pairs(31, 60)
-    for p in pairs:
-        for x in range(p.topology.n):
-            assert p.envelope(x) == scan_envelope(p, x), (p, x)
 
 
 KINDS = ("pair", "pair_open", "base", "ultra", "closed", "restricted")
@@ -447,113 +306,15 @@ def test_selector_readings_stay_off_the_kernel():
         assert expected["custom"] != expected["catalog"], (sel, enl)
 
 
-def lane_kernels(seed: int):
-    """(space, pairs, one pair per kernel) for every space of at most 4
-    points, n = 0 included, then one seeded space of each size from 5 to
-    16 points."""
-    rng = random.Random(seed)
-    spaces = [top for n in range(5) for top in enumerate_topologies(n)]
-    spaces += [random_topology(n, rng.randrange(10**6), n) for n in range(5, 17)]
-    for top in spaces:
-        pairs = all_pairs(top)
-        yield top, pairs, list({id(p.kernel): p for p in pairs}.values())
-
-
-def test_pair_open_family_is_the_zero_lanes():
-    # the zero lanes of identity & ~int_lanes against the entry scan of
-    # the pointwise pair interior up to 4 points, of the unpacked table
-    # above; the fixed points behind closed_iff_cl_equal likewise
-    for top, pairs, kernels in lane_kernels(103):
-        for p in kernels:
-            table = int_table(p)
-            if top.n <= 4:
-                assert table == tuple(naive_pair_interior(p, a) for a in top.subsets())
-            assert pair_open_family(p) == scan_within(table), p
-            fixed = [a for a in pair_open_family(p) if table[a] == a]
-            assert classify_structure(p).closed_iff_cl_equal == (len(fixed) == len(pair_open_family(p)))
-
-
-def test_pointwise_closure_planes_match_the_group_loop():
-    # every subset up to 8 points, the ends and seeded subsets above
-    rng = random.Random(107)
-    for top, pairs, kernels in lane_kernels(107):
-        sets = list(top.subsets()) if top.n <= 8 else [0, top.full] + [
-            rng.randrange(1 << top.n) for _ in range(14)
-        ]
-        for p in pairs:
-            got = pair_closure_by_points(p, sets)
-            assert got == literal_pair_closure_by_points(p, sets), p
-            if top.n <= 2:
-                assert got == [pointwise_pair_closure(p, a) for a in sets], p
-
-
-def test_kernel_regularity_scan_matches_the_literal_quantifiers():
-    # the kernel's scan and the fast-path verdict against the literal
-    # cubic quantifiers up to 3 points and on seeded 4-6-point spaces,
-    # and against the from-scratch regrouping everywhere; besides the
-    # catalog, seeded lawful enlargers (the interior with seeded extra
-    # points) up to 6 points, whose meets are often an image away from
-    # the point
-    rng = random.Random(109)
-    for top, pairs, kernels in lane_kernels(109):
-        if top.n <= 6:
-            for sel in catalog(top).values():
-                for _ in range(2):
-                    table = [i | rng.randrange(1 << top.n) for i in top.int_table()]
-                    table[0] = 0
-                    kernels.append(OpPair(sel, Operation(top, table)))
-        for p in kernels:
-            k = p.kernel
-            scan = regular_scan(p)
-            assert scan is regular_scan(k) is k._memo[regular_scan.__wrapped__]
-            assert scan == is_regular_wrt(k.enlarger, k.family), p
-            if top.n <= 3 or (top.n <= 6 and len(k.family) <= 40):
-                assert scan == literal_is_regular_wrt(k.enlarger, k.family), p
-                assert enlarger_is_regular(p) == scan, p
-
-
-def test_named_families_on_lanes_match_their_rules_subset_by_subset():
-    # every named family of every space of at most 4 points, n = 0
-    # included, and of seeded 5-9-point spaces, against its defining rule
-    # read one subset at a time over the naive interior
-    rng = random.Random(127)
-    spaces = [top for n in range(5) for top in enumerate_topologies(n)]
-    spaces += [random_topology(n, rng.randrange(10**6), n) for n in range(5, 10)]
-    for top in spaces:
-        inner = [naive_interior(top, a) for a in top.subsets()]
-        for name in NAMED_FAMILIES:
-            assert named_family(top, name) == literal_named_family(top, name, inner), (top, name)
-
-
-def assert_rows_match_the_member_walks(k, subsets) -> tuple[bool, bool]:
-    """The kernel rows read off the image groups and planes against the
-    walks over its selector-open family; returns the two flags."""
-    inner = int_table(k)
-    for a in subsets:
-        assert inner[a] == member_walk_interior(k, a), (k.topology, k.enlarger, a)
-    assert enlargement_base(k) == member_walk_base(k), (k.topology, k.enlarger)
-    rep = _kernel_report(k)
-    flags = (member_walk_nested(k), member_walk_image_stable(k))
-    assert (rep.family_nested, rep.image_stable) == flags, (k.topology, k.enlarger)
-    return flags
-
-
-def test_kernel_rows_match_the_member_walks():
-    # the pair interior, the enlargement base, family_nested and
-    # image_stable against walks over the selector-open family: every
-    # kernel of every space of at most 4 points and of seeded custom
-    # pairs, on every subset; then every kernel of seeded 8-, 12- and
-    # 16-point spaces, on the ends and 16 seeded subsets
-    seen = set()
-    kernels = [k for n in range(EXHAUSTIVE_POINTS + 1) for top in enumerate_topologies(n)
-               for k in catalog_kernels(top)]
-    kernels += [p.kernel for p in custom_pairs(37, 80)]
-    for k in kernels:
-        seen.add(assert_rows_match_the_member_walks(k, k.topology.subsets()))
-    assert seen == {(a, b) for a in (True, False) for b in (True, False)}
-    rng = random.Random(307)
-    for n in (8, 12, 16):
-        top = random_topology(n, rng.randrange(10**6), n)
-        subsets = [0, top.full] + [rng.getrandbits(n) for _ in range(16)]
-        for k in catalog_kernels(top):
-            assert_rows_match_the_member_walks(k, subsets)
+# Checks that became rows of oracles.ROUTES, kept under their names.
+test_pair_families_complement_each_other = route_check("pair_closed_family")
+test_pair_interior_matches_pointwise_rule = route_check("interior_pointwise", "closure_table")
+test_structure_flag_implications = route_check("structure")
+test_pair_duality_on_random_spaces = route_check("closure_table")
+test_base_report_matches_the_scans = route_check("base_report")
+test_envelopes_match_the_per_point_scan = route_check("envelopes")
+test_pair_open_family_is_the_zero_lanes = route_check("pair_open_family", "interior_pointwise")
+test_pointwise_closure_planes_match_the_group_loop = route_check("closure_by_points", "closure_pointwise")
+test_kernel_regularity_scan_matches_the_literal_quantifiers = route_check("regularity")
+test_named_families_on_lanes_match_their_rules_subset_by_subset = route_check("named_families")
+test_kernel_rows_match_the_member_walks = route_check("interior_walk", "enlargement_base", "kernel_flags")

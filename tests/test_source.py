@@ -1,9 +1,10 @@
-"""Checks on the library's source itself."""
+"""Checks on the library's source itself, and on the test oracles'."""
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "topolab"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "topolab"
 
 
 def unbounded_caches(source: str) -> list[str]:
@@ -72,3 +73,47 @@ def test_no_unbounded_process_wide_caches():
     assert files
     found = {str(f.relative_to(SRC)): unbounded_caches(f.read_text(encoding="utf-8")) for f in files}
     assert {name: fns for name, fns in found.items() if fns} == {}
+
+
+def unread_functions(module: str, readers: list[str]) -> list[str]:
+    """The public functions of ``module`` read neither by its statements
+    outside definitions (a table like ``ROUTES``) nor by ``readers``,
+    directly or through functions read that way."""
+    tree = ast.parse(module)
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+    def reads(node) -> set[str]:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+            n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+    todo = [name for node in tree.body if not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            for name in reads(node)]
+    todo += [name for source in readers for name in reads(ast.parse(source))]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo += reads(defs[name])
+    return [name for name, node in defs.items()
+            if isinstance(node, ast.FunctionDef) and not name.startswith("_") and name not in reached]
+
+
+def test_the_scan_finds_unread_functions():
+    module = (
+        "def kept(): return helper()\n"
+        "def helper(): pass\n"
+        "def in_table(): pass\n"
+        "def dead(): return dead_helper()\n"
+        "def dead_helper(): pass\n"
+        "def _private(): pass\n"
+        "TABLE = (in_table,)\n"
+    )
+    assert unread_functions(module, ["from m import dead\nassert m.kept()\n"]) == ["dead", "dead_helper"]
+
+
+def test_every_oracle_is_read():
+    # an oracle that lost its last comparison would pass unnoticed: each
+    # one is read by a row of oracles.ROUTES or by a test
+    readers = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("test_*.py"))]
+    assert unread_functions((TESTS / "oracles.py").read_text(encoding="utf-8"), readers) == []

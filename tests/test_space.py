@@ -22,11 +22,11 @@ from topolab.space import family_violation
 from oracles import (
     count_preorders,
     literal_family_violation,
-    naive_interior,
     pairwise_fixpoint,
     pairwise_fixpoint_topology,
     pairwise_intersection_closed,
     pairwise_union_closed,
+    route_check,
 )
 
 
@@ -135,25 +135,6 @@ def test_interior_closure_examples(s2, c3):
     assert s2.closure(0b01) == s2.full
     assert s2.closure(0) == 0
     assert c3.closure(0b010) == 0b110
-
-
-def test_interior_matches_naive_scan():
-    for n in range(5):
-        for top in enumerate_topologies(n):
-            assert top.int_table() == tuple(naive_interior(top, a) for a in top.subsets())
-    rng = random.Random(5)
-    for trial in range(30):
-        top = random_topology(5, rng.randrange(10**6), 4)
-        for a in top.subsets():
-            assert top.interior(a) == naive_interior(top, a)
-    # every subset up to 8 points, seeded subsets above
-    for n in range(6, 17):
-        top = random_topology(n, rng.randrange(10**6), n)
-        table = top.int_table()
-        assert len(table) == 1 << n
-        picks = top.subsets() if n <= 8 else [0, top.full] + [rng.randrange(1 << n) for _ in range(30)]
-        for a in picks:
-            assert table[a] == top.interior(a) == naive_interior(top, a)
 
 
 def test_family_props_memo_matches_fresh_closures():
@@ -414,3 +395,7 @@ def test_braced_matches_the_literal_label_join():
             assert ground.braced(m) == literal_braced(ground, m), (ground, m)
         assert ground.braced(*masks) == literal_braced(ground, *masks)
         assert ground.braced(1 << 16 | 5) == literal_braced(ground, 5)
+
+
+# Checks that became rows of oracles.ROUTES, kept under their names.
+test_interior_matches_naive_scan = route_check("interior")
