@@ -6,12 +6,14 @@ Each mutant is copied with ``src/``, ``tests/`` and ``pyproject.toml``
 to a fresh temporary directory (whose ``pythonpath = ["src"]`` then
 loads the mutated ``src``); its old text must occur exactly once in its
 file and is replaced by the new text, and each check it names, a row of
-``oracles.ROUTES`` or a pytest node id, must fail there.  The unmutated
+``oracles.ROUTES`` (run by the test whose ``route_check`` names it) or a
+pytest node id, must fail there.  The unmutated
 copy must pass them all first.  Exits non-zero on any survivor.
 Standard library only; tier 1 does not collect this file.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -87,6 +89,8 @@ MUTANTS = (
            ("pair_open_family", "structure")),
     Mutant("family_nested reads the groups the wrong way round", "pairs.py",
            "family_nested=all(union & ~t == 0", "family_nested=all(t & ~union == 0", ("kernel_flags",)),
+    Mutant("a principal row forgets the cores it computed", "filters.py",
+           "got = self[core] = self._of(core)", "got = self._of(core)", ("principal_sets",)),
     Mutant("refined_core leaves out the envelope", "filters.py",
            "meet = core & envelopes(k)[point]", "meet = core", ("refined_core", "finer_convergent")),
     Mutant("is_t2 asks for the point itself", "filters.py",
@@ -111,9 +115,18 @@ def copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
+def node_id(check: str) -> str:
+    """``check`` if it is a pytest node id, else the test that runs the row."""
+    for path in [] if "::" in check else sorted((ROOT / "tests").glob("test_*.py")):
+        for test, rows in re.findall(r"^(\w+) = route_check\((.*)\)$", path.read_text(encoding="utf-8"), re.M):
+            if f'"{check}"' in rows:
+                return f"tests/{path.name}::{test}"
+    return check
+
+
 def run_checks(tree: Path, checks) -> int:
     """pytest's exit code for the checks in ``tree``: 0 if all pass, 1 if one fails."""
-    ids = [c if "::" in c else f"tests/test_routes.py::test_route[{c}]" for c in checks]
+    ids = sorted(set(map(node_id, checks)))
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *ids]
     done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -129,7 +142,7 @@ def outcome(m: Mutant) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         copy_tree(Path(tmp))
         (Path(tmp) / path).write_text(text.replace(m.old, m.new), encoding="utf-8")
-        missed = [check for check in m.checks if run_checks(Path(tmp), (check,)) != 1]
+        missed = [check for check in dict.fromkeys(map(node_id, m.checks)) if run_checks(Path(tmp), (check,)) != 1]
     return f"SURVIVED {', '.join(missed)}" if missed else "killed"
 
 

@@ -1094,33 +1094,39 @@ def verdict(route, *args):
 
 # ---------------------------------------------------------------------------
 # The differential table: each row of ROUTES pairs a fast route of the
-# library with a literal route over a named universe of cases, built on
-# first use and shared by the rows naming it.  The spaces of at most 4
-# points are one list for all; the seeded spaces are those the checks the
-# rows replaced drew, with the same seeds.  A row that reads only a pair's
-# kernel runs on one pair per kernel, as the pairs sharing it read the
-# same memoized rows.  tests/mutants.py names the rows that must catch
-# each seeded fault.
+# library with a literal route over a named universe of cases.  A row's
+# own universe is built when the row runs; one that several rows read is
+# kept from the first of them to the last.  The spaces of at most 4
+# points are one list for all; the seeded spaces, and the subsets, cores,
+# points and bases drawn on them, replay the generators of the checks the
+# rows replaced, draw for draw.  A row that reads only a pair's kernel
+# runs on one pair per kernel, as the pairs sharing it read the same
+# memoized rows.  Each row is run by one test, ``route_check`` under the
+# name of a check it replaced; tests/mutants.py names the rows that must
+# catch each seeded fault.
 
 
 class Route(NamedTuple):
     """A fast and a literal route, each a function of one case; cases on
-    spaces of more than ``max_n`` points are left out."""
+    spaces of more than ``max_n`` points are left out.  ``seen``, if given,
+    must hold of the (case, literal result) pairs, so that a universe that
+    turned degenerate cannot make the routes agree trivially."""
 
     name: str
     fast: Callable
     literal: Callable
     universe: str
     max_n: int = 16
+    seen: Callable | None = None
 
 
 class Case(NamedTuple):
     """A pair (or a space) with what its rows read: ``sets``, every subset
-    up to 8 points, else the ends and 16 seeded ones; ``picks``, the same
-    up to 4 points and with 6; ``points``, all up to 8 points, else the
-    ends and a seeded one; ``bases``, the empty family and every
-    filterbase up to 3 points, else 4 seeded bases and 4 seeded families
-    at 4 points and 12 of each above, with their member table ``has``."""
+    up to 8 points, else the ends; ``picks``, every subset up to 4 points,
+    else the ends; ``points``, every point; ``bases``, the empty family and
+    every filterbase up to 3 points, with their member table ``has``.  A
+    seeded space reads, in their place, what the check its row replaced
+    drew for it (:func:`_replay`)."""
 
     p: object
     sets: tuple
@@ -1137,19 +1143,13 @@ class Case(NamedTuple):
         return f"{getattr(self.p, 'name', 'space')} on {self.top!r}"
 
 
-def seeded_spaces(seed: int, sizes: tuple, density: int = 0, skip: int = 0) -> tuple:
+def seeded_spaces(seed: int, sizes: tuple, density: int = 0) -> tuple:
     """``random_topology(n, draw, density or n)`` per n in ``sizes``, the
-    draws from one ``random.Random(seed)``, dropping ``skip`` subset draws
-    after each space where the old checks drew their subsets from it."""
+    draws from one ``random.Random(seed)``."""
     from topolab import random_topology
 
     rng = random.Random(seed)
-    out = []
-    for n in sizes:
-        out.append(random_topology(n, rng.randrange(10**6), density or n))
-        for _ in range(skip):
-            rng.randrange(1 << n)
-    return tuple(out)
+    return tuple(random_topology(n, rng.randrange(10**6), density or n) for n in sizes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1159,20 +1159,17 @@ def exhaustive_spaces(max_n: int) -> tuple:
     return tuple(top for n in range(max_n + 1) for top in enumerate_topologies(n))
 
 
-def _case(top) -> Case:
+def _with_bases(bases: list, n: int) -> dict:
     from topolab.filters import member_table
 
-    n, full = top.n, top.full
-    rng = random.Random(f"{n} {len(top.opens)} {top.opens[-2:]}")
-    sets = tuple(top.subsets()) if n <= 8 else (0, full, *(rng.randrange(1 << n) for _ in range(16)))
-    picks = tuple(top.subsets()) if n <= 4 else (0, full, *(rng.randrange(1 << n) for _ in range(6)))
-    points = tuple(range(n)) if n <= 8 else (0, rng.randrange(n), n - 1)
+    return {"bases": tuple(bases), "has": tuple(member_table(bases, n))}
+
+
+def _case(top) -> Case:
+    n, ends = top.n, (0, top.full)
+    every = tuple(top.subsets())
     bases = [f for f in all_families_of_nonempty(n) if not f or literal_is_filterbase(f)] if n <= 3 else [()]
-    for _ in range(0 if n <= 3 else 4 if n == 4 else 12):
-        core = rng.randrange(1, 1 << n)
-        bases.append(tuple(sorted({core, *(core | rng.randrange(1 << n) for _ in range(2))})))
-        bases.append(tuple(rng.randrange(1 << n) for _ in range(rng.randrange(1, 4))))
-    return Case(top, sets, picks, points, tuple(bases), tuple(member_table(bases, n)))
+    return Case(top, every if n <= 8 else ends, every if n <= 4 else ends, tuple(range(n)), **_with_bases(bases, n))
 
 
 def _pair_case(p) -> Case:
@@ -1192,15 +1189,81 @@ def _cases(top, every_pair: bool) -> tuple:
 _small_cases = functools.lru_cache(maxsize=None)(_cases)
 
 
-def _kernels(max_n: int, *draws, spaces=tuple, extra=tuple, pairs_from: int = 17):
-    """A case per kernel (per catalog pair from ``pairs_from`` points) of the
-    spaces of at most ``max_n`` points, of ``seeded_spaces(*draw)`` for each
-    draw and of ``spaces()``, then one per pair ``extra()`` lists."""
+def _replay(seed: int, sizes: tuple, draw=None, draws: int | None = None, density: int = 0, every_pair=False):
+    """The cases of seeded spaces as the check a row replaced drew them:
+    ``random_topology(n, r, density or n)`` per n in ``sizes``, r from one
+    ``random.Random(seed)``, each space's cases reading the fields
+    ``draw(rng, space)`` returns, drawn from the same generator right
+    after the space, or in turn from ``random.Random(draws)``."""
+    from topolab import random_topology
+
+    rng = random.Random(seed)
+    other = rng if draws is None else random.Random(draws)
+    for n in sizes:
+        top = random_topology(n, rng.randrange(10**6), density or n)
+        fields = draw(other, top) if draw else {}
+        yield from (c._replace(**fields) for c in (_small_cases if n <= 4 else _cases)(top, every_pair))
+
+
+def _subsets(count: int, low: int = 0):
+    """A draw: the ends and ``count`` seeded sets from ``low`` up, as picks."""
+    def draw(rng, top):
+        return {"picks": tuple(sorted({0, top.full, *(rng.randrange(low, 1 << top.n) for _ in range(count))}))}
+    return draw
+
+
+def _sets(count: int, above: int = 0):
+    """A draw: on more than ``above`` points, the ends and ``count`` seeded sets, as sets."""
+    return lambda rng, top: {"sets": (0, top.full, *(rng.randrange(1 << top.n) for _ in range(count)))
+                             } if top.n > above else {}
+
+
+def _bases(count: int, low: int = 0):
+    """A draw: the empty family, then ``count`` times a seeded filterbase
+    around a core and a seeded family of members from ``low`` up."""
+    def draw(rng, top):
+        n, bases = top.n, [()]
+        for _ in range(count):
+            core = rng.randrange(1, 1 << n)
+            bases.append(tuple(sorted({core, *(core | rng.randrange(1 << n) for _ in range(2))})))
+            bases.append(tuple(rng.randrange(low, 1 << n) for _ in range(rng.randrange(1, 4))))
+        return _with_bases(bases, n)
+    return draw
+
+
+def _kernels(max_n: int, *seeded, extra=tuple, every_pair: bool = False):
+    """A case per kernel (or per catalog pair) of the spaces of at most
+    ``max_n`` points, the cases ``_replay(*part)`` gives for each part of
+    ``seeded``, then one per pair ``extra()`` lists."""
     def build():
-        tops = (*exhaustive_spaces(max_n), *(t for draw in draws for t in seeded_spaces(*draw)), *spaces())
-        cases = (c for t in tops for c in (_small_cases if t.n <= 4 else _cases)(t, t.n >= pairs_from))
-        return (*cases, *map(_pair_case, extra()))
+        small = (c for t in exhaustive_spaces(max_n) for c in _small_cases(t, every_pair))
+        return (*small, *(c for part in seeded for c in _replay(*part, every_pair=every_pair)),
+                *map(_pair_case, extra()))
     return build
+
+
+def _adherence_cases() -> list:
+    """The adherence check's kernels: the spaces of at most 4 points and
+    seeded 5-16-point ones, and from 4 points the bases it drew from the
+    same generator after all its spaces."""
+    from topolab import random_topology
+
+    rng, draw = random.Random(113), _bases(4)
+    tops = exhaustive_spaces(4) + tuple(random_topology(n, rng.randrange(10**6), n) for n in UP16)
+    return [c._replace(**fields) for t in tops for fields in [draw(rng, t) if t.n >= 4 else {}]
+            for c in (_small_cases if t.n <= 4 else _cases)(t, False)]
+
+
+def _nbhd_cases() -> list:
+    """Kernels of seeded 8-, 12- and 16-point spaces at the ends and one
+    point drawn per kernel, as the neighbourhood-base check drew them."""
+    from topolab import random_topology
+
+    rng, out = random.Random(311), []
+    for n in (8, 12, 16):
+        top = random_topology(n, rng.randrange(10**6), n)
+        out += [c._replace(points=(0, rng.randrange(n), n - 1)) for c in _cases(top, False)]
+    return out
 
 
 def _table_cases(seed: int, corrupt: bool) -> list:
@@ -1358,6 +1421,98 @@ def _scanned_partners(ctx) -> tuple:
         ops[b].table[u] == ops[c].table[u] for u in ctx.open_sets[a])] for a, b in names}
 
 
+def _cover_systems(power_sets: bool) -> list:
+    """Every family holding the whole set up to 2 points with each catalog
+    enlarger, or the power sets of seeded 4-point spaces, one enlarger each."""
+    from topolab import CoverSystem, catalog
+
+    if power_sets:
+        return [CoverSystem(tuple(t.subsets()), catalog(t)[e]) for t, e in zip(
+            seeded_spaces(17, (4,) * 5, 3), ("sint", "introcl", "identity", "int", "cloint"))]
+    return [CoverSystem(f, op) for top, fams in itertools.takewhile(lambda t: t[0].n <= 2, regularity_cases())
+            for f in fams for op in catalog(top).values()]
+
+
+def every_family(max_n: int) -> list:
+    """(n, family) for every family of subsets of n points, n up to ``max_n``."""
+    return [(n, tuple(m for m in range(1 << n) if bits >> m & 1)) for n in range(max_n + 1)
+            for bits in range(1 << (1 << n))]
+
+
+def _drawn_families(seed: int, sizes, least: int) -> list:
+    """(n, family): per n in ``sizes``, six seeded families of ``least`` to 6 drawn sets."""
+    from topolab.bits import canonical_family
+
+    rng = random.Random(seed)
+    return [(n, canonical_family(rng.randrange(1 << n) for _ in range(rng.randrange(least, 7))))
+            for n in sizes for _ in range(6)]
+
+
+def _props_cases() -> list:
+    """(space, family): every family up to 3 points on a space of its size,
+    then per seeded 4-16-point space a drawn family, and the ends with four
+    drawn opens, with the lattice they generate, their unions and their meets."""
+    from topolab import random_topology
+    from topolab.bits import canonical_family
+
+    tops = [random_topology(n, 0, 1) for n in range(4)]
+    out = [(tops[n], fam) for n, fam in every_family(3)]
+    rng = random.Random(101)
+    for n in range(4, 17):
+        top = random_topology(n, rng.randrange(10**6), n)
+        picks = [top.opens[rng.randrange(len(top.opens))] for _ in range(4)]
+        drawn = [rng.randrange(1 << n) for _ in range(rng.randrange(1, 6))]
+        lattice = pairwise_fixpoint(picks, operator.or_, operator.and_)
+        out += [(top, canonical_family(f)) for f in (drawn, [0, top.full, *picks], [0, top.full, *lattice],
+                                                      pairwise_fixpoint(picks, operator.or_),
+                                                      pairwise_fixpoint(picks, operator.and_))]
+    return out
+
+
+def _memo_cases() -> list:
+    """(space, families): per space of at most 3 points its opens and six seeded families."""
+    from topolab.bits import canonical_family
+
+    rng = random.Random(17)
+    return [(top, [top.opens] + [canonical_family(rng.randrange(1 << top.n) for _ in range(rng.randrange(1, 5)))
+                                 for _ in range(6)]) for top in exhaustive_spaces(3)]
+
+
+def _subbases() -> list:
+    """(n, subbasis): every family up to 3 points, then 200 seeded ones on 5-8 points."""
+    rng = random.Random(29)
+    return [*every_family(3), *((n, [rng.randrange(1 << n) for _ in range(rng.randrange(n + 1))])
+                                for n in (rng.randrange(5, 9) for _ in range(200)))]
+
+
+def _violation_cases(wide: bool) -> list:
+    """(ground, families, the families whose literal verdicts they must get):
+    every family up to 3 points, shuffled with a repeated member (the
+    family's verdict) and with a member outside the ground set; or per
+    seeded topology of 5-12 points its opens, less a member, with a drawn
+    set, both, and with a second topology's opens."""
+    from topolab import default_ground, random_topology
+
+    rng, out = random.Random(97 if wide else 89), []
+    if not wide:
+        for n, fam in every_family(3):
+            fam, outside = list(fam), [*fam, 1 << n]
+            shuffled = fam + fam[:1]
+            rng.shuffle(shuffled)
+            out.append((default_ground(n), (fam, shuffled, outside), (fam, fam, outside)))
+        return out
+    for n in (n for n in range(5, 13) for _ in range(3)):
+        opens = list(random_topology(n, rng.randrange(10**6), rng.randrange(2, 6)).opens)
+        other = random_topology(n, rng.randrange(10**6), 2).opens
+        dropped = opens[:]
+        if len(dropped) > 2:
+            del dropped[rng.randrange(1, len(dropped) - 1)]
+        added = opens + [rng.randrange(1 << n)]
+        fams = (opens, dropped, added, dropped + added[-1:], sorted(set(opens) | set(other)))
+        out.append((default_ground(n), fams, fams))
+    return out
+
+
 UP16 = tuple(range(5, 17))
 UP8 = (4, 5, 6, 7, 8)
 
@@ -1365,32 +1520,45 @@ UP8 = (4, 5, 6, 7, 8)
 UNIVERSES = {
     "kernels+47": _kernels(4, (47, UP16)),
     "kernels+103": _kernels(4, (103, UP16)),
-    "kernels+107": _kernels(4, (107, UP16)),
+    "kernels+107": _kernels(4, (107, UP16, _sets(14, above=8), 107)),
     "kernels+109": _kernels(4, (109, UP16), extra=lambda: _grown_pairs(109)),
-    "kernels+113": _kernels(4, (113, UP16)),
-    "kernels+307": _kernels(4, (307, (8, 12, 16)), extra=lambda: custom_pairs(37, 80)),
-    "kernels+311": _kernels(4, (311, (8, 12, 16))),
+    "kernels+113": _adherence_cases,
+    "kernels+307": _kernels(4, (307, (8, 12, 16), lambda rng, t: {"sets": (
+        0, t.full, *(rng.getrandbits(t.n) for _ in range(16)))}), extra=lambda: custom_pairs(37, 80)),
+    "kernels+311": lambda: (*_kernels(4)(), *_nbhd_cases()),
     "kernels+401": _kernels(4, (401, (6, 8))),
     "kernels+107x4": _kernels(4, (107, tuple(n for n in range(5, 11) for _ in range(4)))),
-    "kernels3+23": _kernels(3, (23, (4, 5, 6)), (23, (5,) * 8, 4)),
-    "pairs3+23": _kernels(3, (23, (4, 5, 6)), pairs_from=4),
-    "kernels3+29": _kernels(3, (29, (4, 5, 6))),
-    "kernels3+41": _kernels(3, (41, UP8, 0, 6)),
-    "kernels3+53": _kernels(3, (53, (4, 4, 5, 5, 6, 6, 7, 7)),
-                            extra=lambda: special_pairs() + catalog_pairs(blunt3())),
-    "kernels3+71": _kernels(3, (71, UP8)),
-    "kernels3+79": _kernels(3, (79, UP8)),
+    "kernels3+23": _kernels(3, (23, (4, 5, 6), _subsets(4)), (23, (5,) * 8, None, None, 4)),
+    "pairs3+23": _kernels(3, (23, (4, 5, 6), _subsets(4)), every_pair=True),
+    "kernels3+29": _kernels(3, (29, (4, 5, 6), _bases(12, low=1))),
+    "kernels3+41": _kernels(3, (41, UP8, _subsets(6))),
+    "kernels3+41x2": _kernels(3, (41, (5, 5, 6, 6, 7, 7, 8, 8), _sets(14))),
+    "pairs3+53": _kernels(3, (53, (4, 4, 5, 5, 6, 6, 7, 7), _subsets(4, low=1), 59), every_pair=True,
+                          extra=lambda: special_pairs() + catalog_pairs(blunt3())),
+    "kernels3+71": _kernels(3, (71, UP8, _bases(10), 67)),
+    "kernels3+79": _kernels(3, (79, UP8, _subsets(6), 73)),
     "kernels3+83": _kernels(3, (83, UP8)),
     "kernels3+89": _kernels(3, (89, UP8)),
     "kernels3+97": _kernels(3, (97, UP8), extra=special_pairs),
     "kernels3+97x40": _kernels(3, (97, (4,) * 40 + (5, 6, 7)), extra=lambda: custom_pairs(17, 60)),
-    "pairs3+101": _kernels(3, (101, (4, 5, 6, 7, 8, 9)), pairs_from=0, extra=lambda: custom_pairs(29, 60)),
+    "pairs3+101": _kernels(3, (101, (4, 5, 6, 7, 8, 9)), every_pair=True, extra=lambda: custom_pairs(29, 60)),
     "kernels3+103": _kernels(3, (103, (4, 5, 6, 7, 8, 9)), extra=lambda: custom_pairs(31, 60)),
     "spaces+47": lambda: tuple(map(_case, exhaustive_spaces(4) + seeded_spaces(47, UP16))),
     "spaces+127": lambda: tuple(map(_case, exhaustive_spaces(4) + seeded_spaces(127, (5, 6, 7, 8, 9)))),
     "spaces3+0-2": lambda: tuple(map(_case, exhaustive_spaces(3)[1:] + fixed_spaces(
         tuple((n, seed) for n in range(4, 11) for seed in range(3))))),
-    "kernels3+41-43": _kernels(3, spaces=lambda: fixed_spaces(((4, 41), (5, 42), (6, 43)))),
+    "kernels3+41-43": lambda: (*_kernels(3)(), *(c for t in fixed_spaces(((4, 41), (5, 42), (6, 43)))
+                                                 for c in _cases(t, False))),
+    "systems2": lambda: _cover_systems(power_sets=False),
+    "powersets+17": lambda: _cover_systems(power_sets=True),
+    "families4": lambda: every_family(4),
+    "families+101": _props_cases,
+    "families+17": _memo_cases,
+    "families+43": lambda: _drawn_families(43, range(5, 13), 0),
+    "families+71": lambda: _drawn_families(71, range(13), 1),
+    "subbases+29": _subbases,
+    "families+89": lambda: _violation_cases(wide=False),
+    "families+97": lambda: _violation_cases(wide=True),
     "contexts+103": _partner_contexts,
     "families+47": lambda: list(regularity_cases()),
     "families+29": neighbourhood_cases,
@@ -1482,6 +1650,7 @@ def _literal_nbhd_bases(c):
                  for x in c.points for v in ("plain", "enlarged"))
 
 
+REFUSED = "refinement base failed the filterbase laws"
 STATEMENTS = ("pair", "pair_open", "base", "ultra", "closed", "restricted")
 KINDS = STATEMENTS[:3]
 
@@ -1561,11 +1730,11 @@ def _family_statements(c):
 
 def _literal_family_statements(c):
     """The statements straight from their wording, over every antichain up
-    to 4 points (singleton families and seeded samples above; every
-    family, too, on two points) and every subfamily of a selector-closed
-    family of at most 10 members.  Above 10, the closed pair fails
-    exactly when some S_y refutes by definition, and a refuting
-    subfamily of a seeded 10-member draw must make it fail."""
+    to 4 points (singleton families and seeded samples above) and every
+    subfamily of a selector-closed family of at most 10 members.  Above
+    10, the closed pair fails exactly when some S_y refutes by
+    definition, and a refuting subfamily of a seeded 10-member draw must
+    make it fail."""
     from topolab.ops import dual_table, op_closed_family
 
     top, p = c.top, c.p
@@ -1582,7 +1751,7 @@ def _literal_family_statements(c):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)  # a space's kernels and sets
 def _base_and_family_statements(k, s: int) -> tuple:
     """The three base statements and the family pair for one kernel and
     set, read literally off the pointwise pair closure."""
@@ -1590,13 +1759,10 @@ def _base_and_family_statements(k, s: int) -> tuple:
     cl = _closures(k)
     bases = (inner_bases_accumulate(cl, s), meeting_bases_accumulate(cl, s, n),
              base_gap_has_disjoint_member(cl, s, n))
-    family = literal_fip_and_gap(cl, family_universe(n), s, full)
-    if n == 2 and literal_fip_and_gap(cl, all_families_of_nonempty(2), s, full) != family:
-        family = "the antichains and every family disagree"
-    return bases, family
+    return bases, literal_fip_and_gap(cl, family_universe(n), s, full)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _closures(k) -> list:
     from topolab.pairs import pair_closure_by_points
 
@@ -1605,7 +1771,7 @@ def _closures(k) -> list:
 
 #: pairs sharing a kernel draw the same subfamilies unless they have more
 #: than 10 members, so each scan runs once per family, set and images
-_subfamily_statements = functools.lru_cache(maxsize=None)(subfamily_fip_and_gap)
+_subfamily_statements = functools.lru_cache(maxsize=4096)(subfamily_fip_and_gap)
 
 
 def _literal_complement_statements(c):
@@ -1656,16 +1822,20 @@ def _scanned_base_report(c):
 
 def _routes() -> tuple:
     from topolab import (
-        NAMED_FAMILIES, Filter, Operation, accumulates, additive_hypothesis, adherence_set, catalog,
-        classify_structure, compactness_kind, convergence_closure, converges, enlargement_base,
-        failing_plane, generated_filter, is_filterbase, is_monotone, is_regular_wrt, is_t2, leq, limit_set,
+        NAMED_FAMILIES, Filter, Operation, accumulates, additive_hypothesis, adherence_set, brute_force_compact,
+        catalog, classify_structure, compactness_kind, convergence_closure, converges, enlargement_base,
+        failing_plane, generated_filter, is_compact, is_filterbase, is_monotone, is_regular_wrt, is_t2, leq,
+        limit_set,
         named_family, nbhd_filterbase, neighborhoods, op_open_family, pair_closed_family, pair_closure,
         pair_open_family, space_compactness_flags,
     )
-    from topolab.bits import point_meets
+    from topolab.bits import (
+        close_unions, complement_plane, family_plane, intersection_closure, point_meets, union_closure,
+        upward_closure)
     from topolab.compact import _minimal_cover
-    from topolab.filters import refined_core
+    from topolab.filters import principal_rows, refined_core
     from topolab.ops import table_violation
+    from topolab.space import build_topology, default_ground, family_violation, is_topology
     from topolab.pairs import (
         _kernel_report, enlarger_is_regular, int_table, pair_closure_by_points, regular_scan)
 
@@ -1674,9 +1844,10 @@ def _routes() -> tuple:
         return (rep.is_supratopology, rep.is_topology, rep.closed_iff_cl_subset, rep.closed_iff_cl_equal,
                 rep.is_kuratowski)
 
-    def walked_violations(top, table, bad):
+    def walked_violations(top, table, bad):  # the lawful table passes, every corrupted one fails
         inner = [naive_interior(top, a) for a in top.subsets()] if top.n <= 8 else top.int_table()
-        return tuple(literal_table_violation(top, t, inner) for t in (table, *bad))
+        out = tuple(literal_table_violation(top, t, inner) for t in (table, *bad))
+        return out if out[0] is None and None not in out[1:] else "a lawful table fails or a corrupted one passes"
 
     def where(rule, f, c):
         """The points ``rule(f, p, x)`` holds at, one point at a time."""
@@ -1691,8 +1862,66 @@ def _routes() -> tuple:
     def fixed(c):
         return tuple(a for a in scan_within(int_table(c.p)) if int_table(c.p)[a] == a)
 
+    def fip_and_gap(families):  # the family pair of each set, over ``families(n)``
+        return lambda c: tuple(literal_fip_and_gap(_closures(c.p.kernel), families(c.top.n), s, c.top.full)
+                               for s in c.picks)
+
+    def closed(n, fam):  # under unions with the empty set, under meets with the whole set
+        return 0 in fam and pairwise_union_closed(fam), (1 << n) - 1 in fam and pairwise_intersection_closed(fam)
+
+    def fixpoints(n, fam):  # the union and the meet closures
+        return pairwise_fixpoint({0, *fam}, operator.or_), pairwise_fixpoint({(1 << n) - 1, *fam}, operator.and_)
+
+    def planes(n, fam):
+        plane = family_plane(fam, n)
+        comp = complement_plane(plane, n)
+        return comp, complement_plane(comp, n), close_unions(plane, n), complement_plane(close_unions(comp, n), n)
+
+    def plane_rules(n, fam):
+        unions, meets = fixpoints(n, fam)
+        return tuple(family_plane(f, n) for f in ([(1 << n) - 1 ^ m for m in fam], fam, unions, meets))
+
+    def memo_rules(t):  # the closure kernel's verdicts, read twice, which the pairwise scans must share
+        kernel = [(intersection_closure(f, t[0].n) == f, union_closure(f, t[0].n) == f) for f in t[1]]
+        return tuple(k if k == closed(t[0].n, f)[::-1] else "the kernel and the scans disagree"
+                     for k, f in zip(kernel, t[1])) * 2
+
+    def violation(t):
+        return tuple(family_violation(t[0], f) for f in t[1])
+
+    def literal_violation(t):
+        return tuple(literal_family_violation(t[0], f) for f in t[2])
+
+    def violations(seen):  # the small families: one per space up to 3 points passes, some fail a closure law
+        verdicts = [out[0] for c, out in seen if len(c[1]) == 3]
+        return verdicts.count(None) == 1 + 1 + 4 + 29 and any(v and "closed under" in v for v in verdicts)
+
+    def covered(cs):
+        return tuple(is_compact(cs, a).compact for a in cs.enlarger.topology.subsets())
+
     def all_closures(c, closure):
         return tuple((closure(c.p, s, exhaustive=True), closure(c.p, s)) for s in c.picks)
+
+    def both(read=lambda out: (out,)):  # ``read`` takes both truth values on the literal results
+        return lambda seen: {v for _, out in seen for v in read(out)} == {True, False}
+
+    def more(than, read=len):  # ``read`` sums to more than ``than`` over the literal results
+        return lambda seen: sum(read(out) for _, out in seen) > than
+
+    def principal_reads(c):
+        lim, adh = principal_rows(c.p)
+        out = [(lim[f.core], limit_set(f, c.p), limit_set((f.core,), c.p), adh[f.core], adherence_set(f, c.p),
+                adherence_set((f.core,), c.p)) for f in principal(c)]
+        return out, all(f.core in lim and f.core in adh for f in principal(c))  # the rows keep every core read
+
+    def principal_rules(c):
+        out = []
+        for f in principal(c):
+            lim = sum(family_converges(f.core, c.p, x, c.p.kernel.family) << x for x in range(c.top.n))
+            adh = pointwise_pair_closure(c.p, f.core)
+            out.append((lim,) * 3 + (adh,) * 3 if (lim, adh) == (where(converges, f, c), where(accumulates, f, c))
+                       else "the per-point rules disagree with the selector rule")
+        return out, True
 
     return (
         # spaces, operations and families
@@ -1713,12 +1942,26 @@ def _routes() -> tuple:
         Route("leq", lambda t: leq(*t), lambda t: all(x & ~y == 0 for x, y in zip(t[0].table, t[1].table)),
               "operations+53"),
         Route("is_monotone", is_monotone, lambda op: naive_is_monotone(op) or (  # the catalog always is
-            op.name != "widened" and "a catalog operation is not monotone"), "operations+3"),
+            op.name != "widened" and "a catalog operation is not monotone"), "operations+3", seen=both()),
         Route("regular_wrt", lambda t: pairwise(is_regular_wrt, t),
-              lambda t: pairwise(literal_is_regular_wrt, t), "families+47"),
+              lambda t: pairwise(literal_is_regular_wrt, t), "families+47", seen=more(10_000)),
         Route("neighborhoods", lambda t: tuple(neighborhoods(t[0], t[1], x) for x in range(t[0])),
               lambda t: tuple(literal_neighborhoods(t[0], t[1], x) for x in range(t[0])), "families+29"),
         Route("is_filterbase", is_filterbase, literal_is_filterbase, "nonempty3"),
+        Route("family_props", lambda t: t[0].family_props(t[1]), lambda t: closed(t[0].n, t[1])[::-1],
+              "families+101"),
+        Route("family_props_memo", lambda t: tuple(map(t[0].family_props, t[1] * 2)), memo_rules, "families+17"),
+        Route("closure_kernel", lambda t: (union_closure(t[1], t[0]) == t[1], intersection_closure(t[1], t[0]) == t[1],
+                                           is_topology(default_ground(t[0]), t[1])),
+              lambda t: (*closed(*t), all(closed(*t))), "families4"),
+        Route("closures", lambda t: (union_closure(t[1], t[0]), intersection_closure(t[1], t[0]), upward_closure(
+            t[1], t[0])), lambda t: (*fixpoints(*t), tuple(a for a in range(1 << t[0]) if any(
+                m & ~a == 0 for m in t[1]))), "families+43"),
+        Route("plane_closures", lambda t: planes(*t), lambda t: plane_rules(*t), "families+71"),
+        Route("build_topology", lambda t: build_topology(default_ground(t[0]), t[1]).opens,
+              lambda t: pairwise_fixpoint_topology(*t), "subbases+29"),
+        Route("family_violation", violation, literal_violation, "families+89", seen=violations),
+        Route("family_violation_wide", violation, literal_violation, "families+97"),
         # kernel rows
         Route("point_meets", lambda c: tuple(point_meets(rows, c.top.n) for rows in _meet_rows(c.p)),
               lambda c: tuple(literal_point_meets(rows, c.top.n) for rows in _meet_rows(c.p)), "kernels+47"),
@@ -1730,11 +1973,11 @@ def _routes() -> tuple:
               "kernels+307"),
         Route("kernel_flags", lambda c: (_kernel_report(c.p).family_nested, _kernel_report(c.p).image_stable),
               lambda c: (member_walk_nested(c.p.kernel), member_walk_image_stable(c.p.kernel)),
-              "kernels+307"),
+              "kernels+307", seen=lambda seen: len({out for _, out in seen}) == 4),
         Route("closure_by_points", lambda c: pair_closure_by_points(c.p, c.sets),
               lambda c: literal_pair_closure_by_points(c.p, c.sets), "kernels+107"),
         Route("closure_pointwise", lambda c: pair_closure_by_points(c.p, c.sets),
-              lambda c: [pointwise_pair_closure(c.p, a) for a in c.sets], "kernels+107", max_n=3),
+              lambda c: [pointwise_pair_closure(c.p, a) for a in c.sets], "kernels3+41x2"),
         Route("closure_table", lambda c: [pair_closure(c.p, a) for a in c.sets],
               lambda c: literal_pair_closure_by_points(c.p, c.sets), "kernels3+23"),
         Route("pair_open_family",
@@ -1744,12 +1987,15 @@ def _routes() -> tuple:
         Route("pair_closed_family", lambda c: pair_closed_family(c.p),
               lambda c: tuple(sorted(c.top.full ^ a for a in scan_within(int_table(c.p)))), "kernels3+29"),
         Route("structure", lambda c: structure(c.p), lambda c: (  # and the ladder holds
-            f if (f := literal_structure(c.p))[0] and f[1] >= f[4] else "off the ladder"), "kernels3+97x40"),
+            f if (f := literal_structure(c.p))[0] and f[1] >= f[4] else "off the ladder"), "kernels3+97x40",
+              seen=lambda seen: both(lambda f: f[3:])(seen) and {  # and some custom member is not monotone
+                  is_monotone(op) for c, _ in seen for op in (c.p.selector, c.p.enlarger)} == {True, False}),
         Route("regularity", lambda c: (regular_scan(c.p), enlarger_is_regular(c.p), regular_scan(c.p)),
               _literal_regularity, "kernels+109"),
         Route("envelopes", lambda c: tuple(map(c.p.envelope, range(c.top.n))),
               lambda c: tuple(scan_envelope(c.p, x) for x in range(c.top.n)), "kernels3+103"),
-        Route("base_report", _base_report, _scanned_base_report, "pairs3+101"),
+        Route("base_report", _base_report, _scanned_base_report, "pairs3+101", seen=lambda seen: len(
+            {out[:2] for _, out in seen}) == 4 and len({f for _, out in seen for f in enumerate(out[3])}) == 8),
         # filters
         Route("base_adherence", lambda c: (base_adherence_sets(c.p, c.bases, c.has), base_adherence_sets(
             c.p, c.bases), [adherence_set(f, c.p) for f in c.bases]), _literal_adherences, "kernels+113"),
@@ -1759,48 +2005,52 @@ def _routes() -> tuple:
         Route("base_sets", lambda c: tuple((limit_set(f, c.p), adherence_set(f, c.p)) for f in c.bases),
               lambda c: tuple((where(converges, f, c), where(accumulates, f, c)) for f in c.bases),
               "kernels3+29"),
-        Route("principal_sets", lambda c: tuple((limit_set(f, c.p), adherence_set(f, c.p), limit_set(
-            (f.core,), c.p), adherence_set((f.core,), c.p)) for f in principal(c)), lambda c: tuple((
-                sum(family_converges(f.core, c.p, x, c.p.kernel.family) << x for x in range(c.top.n)),
-                pointwise_pair_closure(c.p, f.core), where(converges, f, c), where(accumulates, f, c))
-                for f in principal(c)), "kernels3+41-43"),
+        Route("principal_sets", principal_reads, principal_rules, "kernels3+41-43"),
         Route("generated_filters", lambda c: tuple((where(converges, b, c), where(accumulates, b, c))
                                                    for b in c.bases if b), lambda c: tuple(
             (where(converges, g, c), where(accumulates, g, c))
             for g in (generated_filter(c.top.n, b) for b in c.bases if b)), "kernels3+29", max_n=3),
         Route("partners", lambda ctx: (list(ctx.partners), ctx.partners), _scanned_partners, "contexts+103"),
-        Route("t2", lambda c: is_t2(c.p), lambda c: literal_is_t2(c.p), "kernels3+53"),
+        Route("t2", lambda c: is_t2(c.p), lambda c: literal_is_t2(c.p), "pairs3+53", seen=both()),
         Route("refined_core", lambda c: tuple(verdict(refined_core, c.p, core, x)
                                               for core in range(1, 1 << c.top.n) for x in range(c.top.n)),
-              lambda c: tuple("refinement base failed the filterbase laws" if g is None else g for g in (
+              lambda c: tuple(REFUSED if g is None else g for g in (
                   literal_finer_convergent(f, c.p, x) for f in principal(c) for x in range(c.top.n))),
-              "kernels3+53", max_n=3),
-        Route("finer_convergent", _finer_convergent, _literal_finer_convergent, "kernels3+53"),
+              "pairs3+53", max_n=3, seen=more(10_000, lambda out: out.count(REFUSED))),
+        Route("finer_convergent", _finer_convergent, _literal_finer_convergent, "pairs3+53",
+              seen=more(10_000, lambda out: len(out) - 1 - out.count(ValueError))),
         Route("nbhd_bases", lambda c: tuple(verdict(nbhd_filterbase, c.p, x, v)
                                             for x in c.points for v in ("plain", "enlarged")),
-              _literal_nbhd_bases, "kernels+311"),
+              _literal_nbhd_bases, "kernels+311", seen=lambda seen: len(
+                  {(i % 2, b is ValueError) for c, out in seen if c.top.n <= 4 for i, b in enumerate(out)}) == 4),
         Route("convergence_closure", lambda c: all_closures(c, convergence_closure),
               lambda c: tuple((submask_convergence_closure(c.p, s),) * 2 for s in c.picks), "kernels3+79"),
         # compactness
+        Route("brute_force", covered, lambda cs: tuple(
+            brute_force_compact(cs, a) for a in cs.enlarger.topology.subsets()), "systems2"),
+        Route("brute_force_all", covered, lambda cs: brute_force_compact_all(cs, cs.enlarger.topology.subsets()),
+              "powersets+17"),
         Route("failing_planes", lambda c: tuple(failing_plane(c.p, kind) for kind in STATEMENTS),
               lambda c: tuple(sum(1 << s for s in c.sets if not compactness_kind(c.p, s, kind))
                               for kind in STATEMENTS), "kernels3+83", max_n=8),
         Route("space_flags", lambda c: space_compactness_flags(c.p).statements(), _space_flags,
               "kernels3+89"),
         Route("additive_hypothesis", lambda c: additive_hypothesis(c.p),
-              lambda c: pairwise_additive_hypothesis(c.p), "kernels3+97"),
+              lambda c: pairwise_additive_hypothesis(c.p), "kernels3+97", seen=both()),
         Route("avoidance_row", _avoidance_rows, lambda c: (tuple(c.top.full ^ m for m in (
             literal_pair_closure_by_points(c.p, [1 << x for x in range(c.top.n)]))),) * 3, "kernels+107x4"),
         Route("witness_covers",
               lambda c: tuple((v.witness_point, v.witness_cover) for _, v in _failing_verdicts(c)),
-              _trial_covers, "kernels+401"),
+              _trial_covers, "kernels+401", seen=more(10_000)),
         Route("minimal_cover", lambda c: _minimal_cover(*c), lambda c: trial_minimal_cover(*c), "covers+401"),
         Route("cover_kinds", lambda c: tuple((compactness_kind(c.p, s, kind),) * 2
                                              for kind in KINDS for s in c.picks),
               _literal_kinds, "kernels3+41"),
         Route("ultra_plane", lambda c: tuple(not failing_plane(c.p, "ultra") >> s & 1 for s in c.picks),
-              lambda c: tuple(maximal_bases_converge(c.p, s) for s in c.picks), "kernels3+23"),
+              lambda c: tuple(maximal_bases_converge(c.p, s) for s in c.picks), "kernels3+23", seen=both(tuple)),
         Route("family_statements", _family_statements, _literal_family_statements, "pairs3+23"),
+        Route("antichain_reduction", fip_and_gap(antichain_families), fip_and_gap(all_families_of_nonempty),
+              "pairs3+23", max_n=2),
         Route("complement_statements",  # the four complement statements hold as stated
               lambda c: tuple(((True, True), (True, True), not failing_plane(c.p, "restricted") >> s & 1)
                               for s in c.picks), _literal_complement_statements, "pairs3+23"),
@@ -1821,35 +2071,34 @@ def first_difference(fast, literal) -> str:
     return f"at {path}: fast {fast!r}, literal {literal!r}"
 
 
-@functools.lru_cache(maxsize=None)
 def route_outcome(name: str) -> str | None:
-    """Run one row over its universe: None, or where the routes differ.
-    The universe is let go once every row naming it has run."""
-    route = ROUTE_NAMES[name]
-    try:
-        for case in universe(route.universe):
-            if isinstance(case, Case) and case.top.n > route.max_n:
-                continue
-            fast, literal = route.fast(case), route.literal(case)
-            if fast != literal:
-                return f"{name} differs on {case!r} {first_difference(fast, literal)}"
-        return None
-    finally:
-        _ran.add(name)
-        if all(r.name in _ran for r in ROUTES if r.universe == route.universe):
-            _built.pop(route.universe, None)
+    """Run one row over its universe: None, or where the routes differ,
+    or that the literal results fail the row's ``seen``."""
+    route, seen = ROUTE_NAMES[name], []
+    for case in universe(name):
+        if isinstance(case, Case) and case.top.n > route.max_n:
+            continue
+        fast, literal = route.fast(case), route.literal(case)
+        if fast != literal:
+            return f"{name} differs on {case!r} {first_difference(fast, literal)}"
+        if route.seen:
+            seen.append((case, literal))
+    return None if not route.seen or route.seen(seen) else f"{name}: its universe is degenerate"
 
 
-#: the universes built and the rows run, so a universe lives while it has a row to run
-_built: dict = {}
-_ran: set = set()
+#: the universes several rows read, kept from the first of them to the last
+_shared: dict = {}
 
 
-def universe(name: str) -> tuple:
-    """The cases of a universe, built on first use."""
-    if name not in _built:
-        _built[name] = tuple(UNIVERSES[name]())
-    return _built[name]
+def universe(row: str) -> tuple:
+    """The cases of a row's universe: built afresh for a row of its own, else
+    kept until every row naming it has asked."""
+    name = ROUTE_NAMES[row].universe
+    cases, left = _shared.pop(name, (None, {r.name for r in ROUTES if r.universe == name}))
+    cases = cases or tuple(UNIVERSES[name]())
+    if left - {row}:
+        _shared[name] = cases, left - {row}
+    return cases
 
 
 def route_check(*names: str):
@@ -1858,7 +2107,7 @@ def route_check(*names: str):
 
 
 def check_routes(*names: str) -> None:
-    """Fail on the first difference a named row finds; each row runs once."""
+    """Fail on the first difference, or degenerate universe, a named row finds."""
     for name in names:
         outcome = route_outcome(name)
         assert outcome is None, outcome

@@ -1,20 +1,16 @@
 """The subset-lattice and per-point meet kernels against literal scans
 and fixpoints."""
 
-import operator
 import random
 
 from topolab import bits
 from topolab.bits import (
     canonical_family,
     contained_union_table,
-    intersection_closure,
-    union_closure,
-    upward_closure,
 )
 from topolab.space import MAX_POINTS, random_topology
 
-from oracles import literal_contained_union_table, literal_point_meets, pairwise_fixpoint, route_check
+from oracles import literal_contained_union_table, literal_point_meets, route_check
 
 WIDTHS = (1, 7, 8, 9, 16, 17, 64, 65)
 
@@ -56,18 +52,6 @@ def test_clear_masks_flag_the_lanes_of_subsets_without_each_point():
     (i, clear), *_ = bits._clear_masks(MAX_POINTS + 1, 1)
     assert (i, clear) == (MAX_POINTS, (1 << (1 << MAX_POINTS)) - 1)
     assert bits._plane_masks.cache_info().currsize == info.currsize
-
-
-def test_closures_match_pairwise_fixpoint_on_seeded_families():
-    rng = random.Random(43)
-    for n in range(5, 13):
-        full = (1 << n) - 1
-        for _ in range(6):
-            fam = canonical_family(rng.randrange(1 << n) for _ in range(rng.randrange(0, 7)))
-            assert union_closure(fam, n) == pairwise_fixpoint({0, *fam}, operator.or_)
-            assert intersection_closure(fam, n) == pairwise_fixpoint({full, *fam}, operator.and_)
-            literal = tuple(a for a in range(1 << n) if any(m & ~a == 0 for m in fam))
-            assert upward_closure(fam, n) == literal
 
 
 def test_point_meets_match_the_row_loop_on_wide_spaces():
@@ -173,25 +157,6 @@ def test_row_planes_transpose_the_rows():
         assert all(plane & ~ones == 0 for plane in held + hit)
 
 
-def test_plane_closures_match_pairwise_fixpoints():
-    # close_unions on a family's plane, and on its complement_plane,
-    # against pairwise fixpoints over seeded families of 0-12 points
-    rng = random.Random(71)
-    for n in range(13):
-        full = (1 << n) - 1
-        for _ in range(6):
-            fam = canonical_family(rng.randrange(1 << n) for _ in range(rng.randrange(1, 7)))
-            plane = bits.family_plane(fam, n)
-            comp = bits.complement_plane(plane, n)
-            assert comp == bits.family_plane([full ^ m for m in fam], n)
-            assert bits.complement_plane(comp, n) == plane
-            unions = pairwise_fixpoint({0, *fam}, operator.or_)
-            assert bits.close_unions(plane, n) == bits.family_plane(unions, n), (n, fam)
-            meets = pairwise_fixpoint({full, *fam}, operator.and_)
-            closed = bits.close_unions(comp, n)
-            assert bits.complement_plane(closed, n) == bits.family_plane(meets, n), (n, fam)
-
-
 def test_identity_lanes_are_one_bounded_table_per_size():
     # the packed identity of every ground-set size, shared by the spaces
     # of that size, from a cache of at most one entry per size
@@ -231,3 +196,5 @@ def test_plane_reads_match_the_member_loops():
 
 # Checks that became rows of oracles.ROUTES, kept under their names.
 test_point_meets_match_the_row_loop_on_every_kernel = route_check("point_meets", "min_nbhds")
+test_closures_match_pairwise_fixpoint_on_seeded_families = route_check("closures")
+test_plane_closures_match_pairwise_fixpoints = route_check("plane_closures")

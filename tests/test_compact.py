@@ -91,20 +91,6 @@ def test_witnesses_are_valid(s2):
                 assert all(not ops[enl].table[u] >> v.witness_point & 1 for u in v.witness_cover)
 
 
-def test_brute_force_agrees_everywhere_small():
-    for top in small_spaces():
-        if top.n > 2:
-            continue
-        others = [m for m in top.subsets() if m != top.full]
-        ops = catalog(top)
-        for sel in range(1 << len(others)):
-            fam = tuple(sorted([others[i] for i in range(len(others)) if sel >> i & 1] + [top.full]))
-            for enl in BUILTIN_NAMES:
-                cs = CoverSystem(fam, ops[enl])
-                for a in top.subsets():
-                    assert is_compact(cs, a).compact == brute_force_compact(cs, a)
-
-
 def test_brute_force_cap(s2):
     cs = CoverSystem(tuple(s2.subsets()), catalog(s2)["cl"])
     big = CoverSystem.__new__(CoverSystem)
@@ -346,24 +332,6 @@ def test_empty_ground_set_is_compact():
     assert all(named_set_class(empty, 0, k) for k in NAMED_CLASSES)
 
 
-def test_oracle_agreement_on_random_spaces():
-    import random as _random
-
-    from topolab import random_topology
-
-    # the full power set as ambient family is the richest source of
-    # non-compact instances; one enlarger per seeded space keeps it quick
-    rng = _random.Random(17)
-    enlargers = ("sint", "introcl", "identity", "int", "cloint")
-    for trial in range(5):
-        top = random_topology(4, rng.randrange(10**6), 3)
-        ops = catalog(top)
-        cs = CoverSystem(tuple(top.subsets()), ops[enlargers[trial]])
-        literal = brute_force_compact_all(cs, top.subsets())
-        for a in top.subsets():
-            assert is_compact(cs, a).compact == literal[a]
-
-
 def test_closed_space_predicates(s2, d2, i2):
     theta = pair(d2, "int", "cl")
     rep = closed_space_predicates(d2, theta)
@@ -381,7 +349,9 @@ def test_unknown_kind_names_every_statement():
 
 
 # Checks that became rows of oracles.ROUTES, kept under their names.
-test_antichain_reduction_matches_full_quantification = route_check("family_statements")
+test_antichain_reduction_matches_full_quantification = route_check("antichain_reduction")
+test_brute_force_agrees_everywhere_small = route_check("brute_force")
+test_oracle_agreement_on_random_spaces = route_check("brute_force_all")
 test_failing_planes_match_the_per_set_scan = route_check("failing_planes")
 test_witness_covers_match_the_trial_removals = route_check("witness_covers", "minimal_cover")
 test_compactness_kind_matches_avoidance_criterion = route_check("cover_kinds")

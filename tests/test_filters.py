@@ -26,7 +26,6 @@ from topolab import filters
 from oracles import (
     blunt3,
     catalog_kernels,
-    check_routes,
     route_check,
     verdict,
 )
@@ -98,9 +97,6 @@ def test_limit_and_adherence_sets(s2):
     assert limit_set(Filter(2, 0b10), plain) == 0b10
     assert adherence_set(Filter(2, 0b10), plain) & 0b10
     assert adherence_set(Filter(2, s2.full), theta) == s2.full
-    # principal filters take a one-step route, checked against the
-    # per-point rules and the one-member base by the principal_sets row
-    check_routes("principal_sets")
 
 
 def test_redundant_bases_change_nothing(s2):

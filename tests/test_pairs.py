@@ -29,15 +29,11 @@ from topolab.compact import (
 from topolab.filters import _envelope_planes, _point_limits, neighbourhood_images, principal_rows
 from topolab.pairs import (
     _kernel_report, _selector_at, enlarger_is_regular, envelopes, image_groups, int_lanes,
-    int_table, pair_closure_by_points, regular_scan,
+    int_table, regular_scan,
 )
 from topolab.space import indiscrete
 
-from oracles import (
-    naive_pair_interior,
-    pointwise_pair_closure,
-    route_check,
-)
+from oracles import naive_pair_interior, route_check
 
 
 def small_spaces():
@@ -70,21 +66,6 @@ def test_pair_closure_examples(s2, c3):
     ops3 = catalog(c3)
     semi = OpPair(ops3["cloint"], ops3["cl"])
     assert pair_closure(semi, 0b100) == c3.full
-
-
-def test_one_pass_closure_matches_per_point_rule():
-    for top in small_spaces():
-        for p in all_pairs(top):
-            expect = [pointwise_pair_closure(p, a) for a in top.subsets()]
-            assert pair_closure_by_points(p, top.subsets()) == expect
-    rng = random.Random(41)
-    for n in range(5, 9):
-        for _ in range(2):
-            top = random_topology(n, rng.randrange(10**6), n)
-            picks = [0, top.full] + [rng.randrange(1 << n) for _ in range(14)]
-            for p in all_pairs(top):
-                expect = [pointwise_pair_closure(p, a) for a in picks]
-                assert pair_closure_by_points(p, picks) == expect
 
 
 def test_pair_families_examples(s2):
@@ -308,13 +289,14 @@ def test_selector_readings_stay_off_the_kernel():
 
 # Checks that became rows of oracles.ROUTES, kept under their names.
 test_pair_families_complement_each_other = route_check("pair_closed_family")
-test_pair_interior_matches_pointwise_rule = route_check("interior_pointwise", "closure_table")
+test_pair_interior_matches_pointwise_rule = route_check("interior_pointwise")
 test_structure_flag_implications = route_check("structure")
 test_pair_duality_on_random_spaces = route_check("closure_table")
 test_base_report_matches_the_scans = route_check("base_report")
 test_envelopes_match_the_per_point_scan = route_check("envelopes")
-test_pair_open_family_is_the_zero_lanes = route_check("pair_open_family", "interior_pointwise")
-test_pointwise_closure_planes_match_the_group_loop = route_check("closure_by_points", "closure_pointwise")
+test_pair_open_family_is_the_zero_lanes = route_check("pair_open_family")
+test_pointwise_closure_planes_match_the_group_loop = route_check("closure_by_points")
+test_one_pass_closure_matches_per_point_rule = route_check("closure_pointwise")
 test_kernel_regularity_scan_matches_the_literal_quantifiers = route_check("regularity")
 test_named_families_on_lanes_match_their_rules_subset_by_subset = route_check("named_families")
 test_kernel_rows_match_the_member_walks = route_check("interior_walk", "enlargement_base", "kernel_flags")

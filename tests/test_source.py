@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "topolab"
@@ -114,6 +115,11 @@ def test_the_scan_finds_unread_functions():
 
 def test_every_oracle_is_read():
     # an oracle that lost its last comparison would pass unnoticed: each
-    # one is read by a row of oracles.ROUTES or by a test
+    # one is read by a row of oracles.ROUTES or by a test, and each row is
+    # run by exactly one route_check(...) test
+    from oracles import ROUTES
+
     readers = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("test_*.py"))]
     assert unread_functions((TESTS / "oracles.py").read_text(encoding="utf-8"), readers) == []
+    run = re.findall(r'"(\w+)"', " ".join(re.findall(r"^\w+ = route_check\((.*)\)$", "\n".join(readers), re.M)))
+    assert sorted(run) == sorted(route.name for route in ROUTES)

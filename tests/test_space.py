@@ -21,9 +21,7 @@ from topolab.space import family_violation
 
 from oracles import (
     count_preorders,
-    literal_family_violation,
     pairwise_fixpoint,
-    pairwise_fixpoint_topology,
     pairwise_intersection_closed,
     pairwise_union_closed,
     route_check,
@@ -96,19 +94,9 @@ def test_family_violation_messages():
         "not closed under intersection: {b} is an intersection of members but is missing"
     )
     assert family_violation(g3, (0, 0b001, 0b011, 0b111)) is None
-
-
-def test_closure_kernel_matches_pairwise_scans_on_every_small_family():
-    for n in range(5):
-        g = default_ground(n)
-        full = g.full
-        for bits in range(1 << (1 << n)):
-            fam = tuple(m for m in range(1 << n) if bits >> m & 1)
-            unions = 0 in fam and pairwise_union_closed(fam)
-            meets = full in fam and pairwise_intersection_closed(fam)
-            assert (union_closure(fam, n) == fam) == unions
-            assert (intersection_closure(fam, n) == fam) == meets
-            assert is_topology(g, fam) == (unions and meets)
+    assert family_violation(default_ground(5), (0, 1, 2, 31)) == (
+        "not closed under union: {a,b} is a union of members but is missing"
+    )
 
 
 def test_closure_kernel_matches_pairwise_fixpoint_on_seeded_families():
@@ -135,23 +123,6 @@ def test_interior_closure_examples(s2, c3):
     assert s2.closure(0b01) == s2.full
     assert s2.closure(0) == 0
     assert c3.closure(0b010) == 0b110
-
-
-def test_family_props_memo_matches_fresh_closures():
-    rng = random.Random(17)
-    for n in range(4):
-        for top in enumerate_topologies(n):
-            families = [top.opens] + [
-                canonical_family(rng.randrange(1 << n) for _ in range(rng.randrange(1, 5)))
-                for _ in range(6)
-            ]
-            for fam in families + families:  # the second round reads the memo
-                expect = (intersection_closure(fam, n) == fam, union_closure(fam, n) == fam)
-                assert top.family_props(fam) == expect
-                assert expect == (
-                    pairwise_intersection_closed(fam) and top.full in fam,
-                    pairwise_union_closed(fam) and 0 in fam,
-                )
 
 
 def test_interior_closure_laws():
@@ -189,19 +160,6 @@ def test_random_topology_deterministic_and_valid():
     assert is_topology(a.ground, a.opens)
     assert random_topology(5, 1, 0).opens == (0, a.full)
     assert random_topology(1, 99, 4).opens == (0, 1)
-
-
-def test_build_topology_matches_pairwise_fixpoint():
-    for n in range(4):
-        g = default_ground(n)
-        for bits in range(1 << (1 << n)):
-            sub = [m for m in range(1 << n) if bits >> m & 1]
-            assert build_topology(g, sub).opens == pairwise_fixpoint_topology(n, sub)
-    rng = random.Random(29)
-    for trial in range(200):
-        n = rng.randrange(5, 9)
-        sub = [rng.randrange(1 << n) for _ in range(rng.randrange(n + 1))]
-        assert build_topology(default_ground(n), sub).opens == pairwise_fixpoint_topology(n, sub)
 
 
 def test_build_topology_sixteen_points():
@@ -280,80 +238,6 @@ def test_empty_ground_set():
     assert build_topology(default_ground(0), ()).opens == (0,)
 
 
-def test_alexandroff_acceptance_matches_the_pairwise_verdicts():
-    # every family of subsets of at most 3 points, n = 0 included, in
-    # ascending and shuffled order with a repeated member, then with a
-    # member outside the ground set: the verdict and the message are the
-    # pairwise fixpoints'
-    rng = random.Random(89)
-    accepted = rejected = 0
-    for n in range(4):
-        g = default_ground(n)
-        for bits in range(1 << (1 << n)):
-            fam = [m for m in range(1 << n) if bits >> m & 1]
-            shuffled = fam + fam[:1]
-            rng.shuffle(shuffled)
-            expect = literal_family_violation(g, fam)
-            assert family_violation(g, fam) == expect, (n, fam)
-            assert family_violation(g, shuffled) == expect, (n, shuffled)
-            assert family_violation(g, fam + [1 << n]) == literal_family_violation(g, fam + [1 << n])
-            accepted += expect is None
-            rejected += expect is not None and "closed under" in expect
-    assert accepted == 1 + 1 + 4 + 29 and rejected > 0
-
-
-def test_alexandroff_acceptance_on_seeded_wide_families():
-    # topologies of 5-12 points with one member dropped, one seeded set
-    # added, or both, and unions of two topologies' opens: the same
-    # verdicts and messages as the pairwise fixpoints
-    rng = random.Random(97)
-    for n in range(5, 13):
-        g = default_ground(n)
-        for _ in range(3):
-            opens = list(random_topology(n, rng.randrange(10**6), rng.randrange(2, 6)).opens)
-            other = random_topology(n, rng.randrange(10**6), 2).opens
-            dropped = opens[:]
-            if len(dropped) > 2:
-                del dropped[rng.randrange(1, len(dropped) - 1)]
-            added = opens + [rng.randrange(1 << n)]
-            for fam in (opens, dropped, added, dropped + added[-1:], sorted(set(opens) | set(other))):
-                assert family_violation(g, fam) == literal_family_violation(g, fam), (n, fam)
-    assert family_violation(default_ground(5), (0, 1, 2, 31)) == (
-        "not closed under union: {a,b} is a union of members but is missing"
-    )
-
-
-def test_family_props_planes_match_pairwise_scans_on_every_small_family():
-    # every family of subsets of at most 3 points, then seeded families
-    # of 4-16 points, against the pairwise scans with the ends
-    rng = random.Random(101)
-    for n in range(4):
-        top = random_topology(n, 0, 1)
-        full = top.full
-        for bits in range(1 << (1 << n)):
-            fam = tuple(m for m in range(1 << n) if bits >> m & 1)
-            assert top.family_props(fam) == (
-                full in fam and pairwise_intersection_closed(fam),
-                0 in fam and pairwise_union_closed(fam),
-            ), (n, fam)
-    for n in range(4, 17):
-        top = random_topology(n, rng.randrange(10**6), n)
-        full = top.full
-        picks = [top.opens[rng.randrange(len(top.opens))] for _ in range(4)]
-        families = [
-            canonical_family(rng.randrange(1 << n) for _ in range(rng.randrange(1, 6))),
-            canonical_family([0, full, *picks]),
-            canonical_family([0, full, *pairwise_fixpoint(picks, operator.or_, operator.and_)]),
-            canonical_family(pairwise_fixpoint(picks, operator.or_)),
-            canonical_family(pairwise_fixpoint(picks, operator.and_)),
-        ]
-        for fam in families:
-            assert top.family_props(fam) == (
-                full in fam and pairwise_intersection_closed(fam),
-                0 in fam and pairwise_union_closed(fam),
-            ), (n, fam)
-
-
 def test_kept_min_nbhds_are_the_point_meets():
     # from construction on, a space's memo holds exactly the meets its
     # validation computed, equal to point_meets recomputed from scratch, on
@@ -399,3 +283,9 @@ def test_braced_matches_the_literal_label_join():
 
 # Checks that became rows of oracles.ROUTES, kept under their names.
 test_interior_matches_naive_scan = route_check("interior")
+test_closure_kernel_matches_pairwise_scans_on_every_small_family = route_check("closure_kernel")
+test_family_props_memo_matches_fresh_closures = route_check("family_props_memo")
+test_build_topology_matches_pairwise_fixpoint = route_check("build_topology")
+test_alexandroff_acceptance_matches_the_pairwise_verdicts = route_check("family_violation")
+test_alexandroff_acceptance_on_seeded_wide_families = route_check("family_violation_wide")
+test_family_props_planes_match_pairwise_scans_on_every_small_family = route_check("family_props")
