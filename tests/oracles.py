@@ -1185,10 +1185,6 @@ def _cases(top, every_pair: bool) -> tuple:
     return tuple(case._replace(p=p) for p in firsts.values())
 
 
-#: the cases of the spaces of at most 4 points, which every universe reads
-_small_cases = functools.lru_cache(maxsize=None)(_cases)
-
-
 def _replay(seed: int, sizes: tuple, draw=None, draws: int | None = None, density: int = 0, every_pair=False):
     """The cases of seeded spaces as the check a row replaced drew them:
     ``random_topology(n, r, density or n)`` per n in ``sizes``, r from one
@@ -1202,7 +1198,7 @@ def _replay(seed: int, sizes: tuple, draw=None, draws: int | None = None, densit
     for n in sizes:
         top = random_topology(n, rng.randrange(10**6), density or n)
         fields = draw(other, top) if draw else {}
-        yield from (c._replace(**fields) for c in (_small_cases if n <= 4 else _cases)(top, every_pair))
+        yield from (c._replace(**fields) for c in _cases(top, every_pair))
 
 
 def _subsets(count: int, low: int = 0):
@@ -1236,7 +1232,7 @@ def _kernels(max_n: int, *seeded, extra=tuple, every_pair: bool = False):
     ``max_n`` points, the cases ``_replay(*part)`` gives for each part of
     ``seeded``, then one per pair ``extra()`` lists."""
     def build():
-        small = (c for t in exhaustive_spaces(max_n) for c in _small_cases(t, every_pair))
+        small = (c for t in exhaustive_spaces(max_n) for c in _cases(t, every_pair))
         return (*small, *(c for part in seeded for c in _replay(*part, every_pair=every_pair)),
                 *map(_pair_case, extra()))
     return build
@@ -1251,7 +1247,7 @@ def _adherence_cases() -> list:
     rng, draw = random.Random(113), _bases(4)
     tops = exhaustive_spaces(4) + tuple(random_topology(n, rng.randrange(10**6), n) for n in UP16)
     return [c._replace(**fields) for t in tops for fields in [draw(rng, t) if t.n >= 4 else {}]
-            for c in (_small_cases if t.n <= 4 else _cases)(t, False)]
+            for c in _cases(t, False)]
 
 
 def _nbhd_cases() -> list:
