@@ -23,7 +23,7 @@ import hashlib
 import struct
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Family = tuple  # tuple[int, ...], canonical: sorted ascending, no duplicates
 
@@ -36,6 +36,7 @@ _LANE_BYTES = (1, 1, 2, 4, 4, 8, 8, 8, 8)  # lane bytes for entries of 0-8 bytes
 _DIGIT_FLAG = bytes.maketrans(b"01", b"\x00\x01")
 _FLAG_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 _ZERO_FLAG = b"\1" + bytes(255)  # byte -> 1 if it is zero, else 0
+_ZERO_DIGIT = b"1" + b"0" * 255  # byte -> "1" if it is zero, else "0"
 
 
 def derive_seed(*parts) -> int:
@@ -182,12 +183,14 @@ def bit_planes(table: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def pack_lanes(table: Sequence[int]) -> tuple[int, int]:
+def pack_lanes(table: Sequence[int], top: Optional[int] = None) -> tuple[int, int]:
     """``table`` as one integer of equal byte-aligned lanes, lane a
     holding ``table[a]``: (lanes, lane width in bits).  Lanes are 1, 2,
     4 or 8 bytes through one little-endian ``struct.pack``; wider
-    entries go through one ``int.to_bytes`` each."""
-    need = (max(table).bit_length() + 7) >> 3
+    entries go through one ``int.to_bytes`` each.  ``top``, if given,
+    has the bit length of the largest entry (the OR of the entries
+    does), and spares the scan for it."""
+    need = ((max(table) if top is None else top).bit_length() + 7) >> 3
     lane = _LANE_BYTES[need] if need <= 8 else need
     code = _PACK_CODE.get(lane)
     if code is None:
@@ -257,9 +260,11 @@ def contained_union_lanes(pairs: Iterable[tuple[int, int]], n: int) -> tuple[int
     (:func:`pack_lanes`), so each point is one shift-and-OR over all of them.
     """
     table = [0] * (1 << n)
+    top = 0
     for key, payload in pairs:
         table[key] |= payload
-    lanes, width = pack_lanes(table)
+        top |= payload
+    lanes, width = pack_lanes(table, top)
     return _zeta(lanes, _clear_masks(n, width), width), width
 
 
@@ -293,22 +298,34 @@ def is_monotone_lanes(lanes: int, width: int, n: int) -> bool:
     )
 
 
-def zero_lanes(lanes: int, width: int, n: int) -> Family:
-    """The a, ascending, whose lane is zero among 2**n ``width``-bit lanes.
-
-    Each step ORs the lanes onto themselves shifted down by the bytes
-    gathered so far, so that at the end the low byte of each lane is the
-    OR of all its bytes; those low bytes, one per lane, are read as flags
-    in C.  ``identity & ~table`` is zero at lane a iff a sits inside
-    ``table[a]``, so the open family of a table is one call.
-    """
+def _folded_bytes(lanes: int, width: int, n: int) -> bytes:
+    """The low byte of each of 2**n ``width``-bit lanes after folding,
+    zero iff the lane is zero.  Each step ORs the lanes onto themselves
+    shifted down by the bytes gathered so far, so that at the end the
+    low byte of each lane is the OR of all its bytes; those low bytes,
+    one per lane, are read in C."""
     lane, covered = width >> 3, 8
     while covered < width:
         step = min(covered, width - covered)
         lanes |= lanes >> step
         covered += step
-    flags = lanes.to_bytes(lane << n, "little")[::lane].translate(_ZERO_FLAG)
-    return tuple(compress(range(1 << n), flags))
+    return lanes.to_bytes(lane << n, "little")[::lane]
+
+
+def zero_lanes(lanes: int, width: int, n: int) -> Family:
+    """The a, ascending, whose lane is zero among 2**n ``width``-bit
+    lanes (:func:`_folded_bytes`, read as flags).  ``identity & ~table``
+    is zero at lane a iff a sits inside ``table[a]``, so the open family
+    of a table is one call."""
+    return tuple(compress(range(1 << n), _folded_bytes(lanes, width, n).translate(_ZERO_FLAG)))
+
+
+def zero_plane(lanes: int, width: int, n: int) -> int:
+    """:func:`zero_lanes` as a 2**n-bit plane: the folded bytes of
+    :func:`_folded_bytes` read as base-2 digits, so no member is walked.
+    Membership, inclusion and size of the family are then one bit test,
+    AND-NOT or bit count."""
+    return int(_folded_bytes(lanes, width, n).translate(_ZERO_DIGIT)[::-1], 2)
 
 
 def down_plane(family: Iterable[int], n: int) -> int:
@@ -378,6 +395,17 @@ def complement_plane(plane: int, n: int) -> int:
     flags: bit a moves to bit (2**n - 1) - a, so the plane's base-2
     digits are reversed."""
     return int(format(plane, "b").zfill(1 << n)[::-1], 2)
+
+
+def plane_props(plane: int, n: int) -> tuple[bool, bool]:
+    """(intersection-closed, union-closed) for the family flagged by the
+    2**n-bit ``plane``: whether it equals its intersection closure (so
+    holds the whole space) and its union closure (so holds the empty
+    set).  Both compare planes: the family's with its union closure's,
+    and the plane of its complements with theirs, since a family is
+    intersection-closed iff its complements are union-closed."""
+    comp = complement_plane(plane, n)
+    return close_unions(comp, n) == comp, close_unions(plane, n) == plane
 
 
 def union_closure(family: Iterable[int], n: int) -> Family:

@@ -429,7 +429,7 @@ def nbhd_plane(k: PairKernel, point: int, variant: str) -> int:
     nested = _kernel_report(k).family_nested
     n = k.topology.n
     if variant == "plain":
-        if not k.topology.family_props(k.family)[0]:
+        if not k.topology.plane_props(selector_plane(k))[0]:
             raise ValueError("selector-open family is not intersection-closed")
         if not nested:
             raise ValueError("selector-open family does not sit inside the enlarger-open family")

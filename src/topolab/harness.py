@@ -59,6 +59,7 @@ from .ops import (
     is_regular_wrt,
     leq,
     op_open_family,
+    op_open_plane,
 )
 from .pairs import (
     OpPair,
@@ -282,8 +283,9 @@ class _SpaceContext:
     """Per-space inputs shared by all suites and the miner: the operation
     catalog, the requested pairs, the quantified subsets, filterbases and
     cores, and the catalog's readings made once per space (open families,
-    monotonicity, the pointwise order, which open families sit inside
-    which, and which enlargers agree on each open family).  The pairs,
+    their planes and closure verdicts, monotonicity, the pointwise order,
+    which open families sit inside which, one AND-NOT of two planes each,
+    and which enlargers agree on each open family).  The pairs,
     the quantified subsets, filterbases and cores, the lists of wider
     pairs and the agreeing partners of each pair are built on first
     read, so a miner that reads only the catalog's readings never
@@ -310,7 +312,9 @@ class _SpaceContext:
         self.ops = catalog(top)
         self.pair_names = [(a, b) for a, _, b in (spec.partition(",") for spec in cfg.pairs)]
         self.open_sets = {name: op_open_family(op) for name, op in self.ops.items()}
-        self.open_as_set = {name: set(f) for name, f in self.open_sets.items()}
+        self.open_planes = {name: op_open_plane(op) for name, op in self.ops.items()}
+        #: props[name]: (intersection-closed, union-closed) for the open family
+        self.props = {name: top.plane_props(plane) for name, plane in self.open_planes.items()}
         self.monotone = {name: is_monotone(op) for name, op in self.ops.items()}
         #: order[(a, b)] is leq(ops[a], ops[b]), measured once per space
         self.order = {
@@ -318,7 +322,7 @@ class _SpaceContext:
         }
         #: inside[(a, b)]: the a-open family sits inside the b-open family
         self.inside = {
-            (a, b): self.open_as_set[a] <= self.open_as_set[b]
+            (a, b): self.open_planes[a] & ~self.open_planes[b] == 0
             for a in BUILTIN_NAMES for b in BUILTIN_NAMES
         }
         #: agreement[(a, b)] numbers enlarger b by its images of the a-open
@@ -448,9 +452,8 @@ class _SpaceContext:
         is unknown: ``out`` notes ``regularity_unknown`` and the answer
         reads False, so the statements it gates are skipped, not asserted.
         """
-        fam = self.open_sets[sel_name]
-        fast = self.monotone[enl_name] and self.top.family_props(fam)[0]
-        if self.regularity_gated(fam) and not fast:
+        fast = self.monotone[enl_name] and self.props[sel_name][0]
+        if self.regularity_gated(self.open_sets[sel_name]) and not fast:
             out.note("regularity_unknown")
             return False
         return enlarger_is_regular(self.pairs[(sel_name, enl_name)])
@@ -544,18 +547,16 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
                 if order[(a, b)] and order[(b, c)] and not order[(a, c)]:
                     _fail(out, ctx, f"{a},{c}", b, "order is transitive")
 
+    opens = ctx.top.family_plane(ctx.top.opens)
     for nm in names:
-        fam = ctx.open_sets[nm]
-        famset = ctx.open_as_set[nm]
+        plane = ctx.open_planes[nm]
         out.instances_checked += 1
-        if 0 not in famset or ctx.full not in famset or any(
-            u not in famset for u in ctx.top.opens
-        ):
+        if not plane & 1 or not plane >> ctx.full & 1 or opens & ~plane:
             _fail(out, ctx, nm, nm, "open family contains the opens and the ends")
         out.instances_checked += 1
         if not ctx.monotone[nm]:
             _fail(out, ctx, nm, nm, "catalog operations are monotone")
-        elif not ctx.top.family_props(fam)[1]:
+        elif not ctx.props[nm][1]:
             _fail(out, ctx, nm, nm, "monotone operation yields a supratopology")
 
     # forward inclusion: dominated enlarger widens the open family
@@ -575,7 +576,7 @@ def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
 
     for a in names:
         selfam = ctx.open_sets[a]
-        inter, union = ctx.top.family_props(selfam)
+        inter, union = ctx.props[a]
         if inter and union:
             for b in names:
                 if not ctx.monotone[b]:
@@ -790,7 +791,7 @@ def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
         sel_open = ctx.open_sets[a]
         regular = ctx.regularity(a, b, out)
         nested = ctx.inside[(a, b)]
-        inter_closed = ctx.top.family_props(sel_open)[0]
+        inter_closed = ctx.props[a][0]
         monotone_enl = ctx.monotone[b]
         lim, adh = principal_rows(p)
         lims, adhs = core_values(p)

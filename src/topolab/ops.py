@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .bits import (
     Family, canonical_family, is_monotone_lanes, pack_lanes, point_meets, upward_closure,
-    zero_lanes,
+    zero_lanes, zero_plane,
 )
 from .space import Topology, memoized
 
@@ -35,7 +35,8 @@ class Operation:
 
     ``table[mask]`` is the image of the subset ``mask``.  Instances are
     immutable; calling one applies the table.  The tables derived from
-    one (its open family, its packed lanes and whether it is monotone)
+    one (its open family and its plane, the plane of the sets it
+    shrinks, its packed lanes and whether it is monotone)
     are kept in ``_memo`` through :func:`~topolab.space.memoized`, so
     they die with it.  The lanes enter ``_memo`` at construction, as the
     validation packs them anyway.  Pickling rebuilds through the
@@ -221,6 +222,23 @@ def op_open_family(op: Operation) -> Family:
     (:func:`~topolab.bits.zero_lanes`).  Kept on the operation."""
     ident, width = op.topology.identity_lanes()
     return zero_lanes(ident & ~op_lanes(op)[0], width, op.topology.n)
+
+
+@memoized
+def op_open_plane(op: Operation) -> int:
+    """:func:`op_open_family` as a 2**n-bit plane: the zero plane of
+    ``identity & ~table`` (:func:`~topolab.bits.zero_plane`).  Kept on
+    the operation."""
+    ident, width = op.topology.identity_lanes()
+    return zero_plane(ident & ~op_lanes(op)[0], width, op.topology.n)
+
+
+@memoized
+def op_shrink_plane(op: Operation) -> int:
+    """The 2**n-bit plane of the sets S with op(S) inside S: the zero
+    plane of ``table & ~identity``.  Kept on the operation."""
+    ident, width = op.topology.identity_lanes()
+    return zero_plane(op_lanes(op)[0] & ~ident, width, op.topology.n)
 
 
 def op_closed_family(op: Operation) -> Family:

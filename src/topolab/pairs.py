@@ -18,14 +18,15 @@ One walk of the selector-open family per kernel: :func:`image_groups`
 pairs each distinct enlargement t with the union of the selector-open
 sets enlarged to t, and every other row reads those groups, or the
 family's plane (:meth:`~topolab.space.Topology.family_plane`, one per
-family), never the members one by one.  Two facts carry the rows over:
-- seed merge: the pair-interior transform seeds entry enl[u] with u for
-  every member u and ORs equal keys, so seeding t with its group's union
-  gives the same table (:func:`int_lanes`);
-- a union sits inside t iff every member does, so "each u inside enl[u]"
-  is "each group's union inside its t" (:func:`_kernel_report`).
-The same groups give the base (their images), the envelopes, the
-pointwise closure rule, regularity and the filters' limit sets.
+family), never the members one by one.  The pair-interior transform
+seeds entry enl[u] with u for every member u and ORs equal keys, so
+seeding t with its group's union gives the same table
+(:func:`int_lanes`).  The same groups give the base (their images), the
+envelopes, the pointwise closure rule, regularity and the filters'
+limit sets.  Whole-family questions (inclusion, both ends, closure
+under unions and meets, size) are asked of 2**n-bit planes, the zero
+planes of lanes (:func:`pair_open_plane`,
+:func:`~topolab.ops.op_open_plane`), never of member tuples.
 
 Classical generalized-open families (semi-open, pre-open, regular-open,
 the theta and semi-regularization variants) are provided by
@@ -42,9 +43,11 @@ from weakref import WeakValueDictionary
 from .bits import (
     Family, bit_planes, canonical_family, close_unions, contained_union_lanes, family_plane,
     iter_points, members_holding, pack_lanes, plane_members, point_meets, row_planes,
-    unpack_lanes, zero_lanes,
+    unpack_lanes, zero_lanes, zero_plane,
 )
-from .ops import Operation, group_by_image, is_monotone, leq, op_open_family
+from .ops import (
+    Operation, group_by_image, is_monotone, leq, op_open_family, op_open_plane, op_shrink_plane,
+)
 from .space import Topology, build_topology, memoized
 
 #: Families constructible by an independent defining rule.
@@ -230,7 +233,7 @@ def enlarger_is_regular(k: PairKernel) -> bool:
     the kernel's scan (:func:`regular_scan`) decides.
     """
     return (
-        is_monotone(k.enlarger) and k.topology.family_props(k.family)[0]
+        is_monotone(k.enlarger) and k.topology.plane_props(selector_plane(k))[0]
     ) or regular_scan(k)
 
 
@@ -240,6 +243,15 @@ def pair_open_family(k: PairKernel) -> Family:
     ``identity & ~int_lanes`` (:func:`~topolab.bits.zero_lanes`)."""
     ident, width = k.topology.identity_lanes()
     return zero_lanes(ident & ~int_lanes(k)[0], width, k.topology.n)
+
+
+@memoized
+def pair_open_plane(k: PairKernel) -> int:
+    """:func:`pair_open_family` as a 2**n-bit plane, the zero plane of
+    the same lanes (:func:`~topolab.bits.zero_plane`): what the
+    structure and base reports read."""
+    ident, width = k.topology.identity_lanes()
+    return zero_plane(ident & ~int_lanes(k)[0], width, k.topology.n)
 
 
 def pair_closed_family(p: OpPair) -> Family:
@@ -263,8 +275,10 @@ def classify_structure(p: OpPair) -> StructureReport:
     in closed form off the pair-interior table ``int``; the closure is
     its complement dual, cl(k) = X minus int(X minus k).
 
-    The two family axioms are read off the space's memo of closure
-    verdicts.  For the others, write c for the complement of k:
+    The pair-open family is read as its plane (:func:`pair_open_plane`),
+    and its two family axioms off the space's memo of closure verdicts
+    (:meth:`~topolab.space.Topology.plane_props`).  For the others,
+    write c for the complement of k:
 
     closed_iff_cl_subset  holds by construction.  c is pair-open iff
         c sits inside int(c) (how :func:`pair_open_family` reads the
@@ -272,9 +286,9 @@ def classify_structure(p: OpPair) -> StructureReport:
     closed_iff_cl_equal   holds iff int(a) = a for every pair-open a.
         cl(k) = k iff int(c) = c, which makes c pair-open; so the flag
         fails exactly at a pair-open c with int(c) != c.  The fixed
-        points of int are the zero lanes of ``int_lanes ^ identity``
-        (:func:`~topolab.bits.zero_lanes`) and all pair-open, so the
-        flag holds iff there are as many of them as pair-open sets.
+        points of int are the zero plane of ``int_lanes ^ identity``
+        (:func:`~topolab.bits.zero_plane`) and all pair-open, so the
+        flag holds iff the two planes have as many bits.
     is_kuratowski         holds iff cl(empty) = empty, every
         selector-open u sits inside enl[u], every pair-interior image
         is a fixed point of int, and the enlarger is regular over the
@@ -297,24 +311,24 @@ def classify_structure(p: OpPair) -> StructureReport:
           d = enl[v].  Finite additivity of cl is this identity
           through the complements, given cl(empty) = empty.
     ``tests/oracles.literal_structure`` reads all five flags off their
-    wording.
+    wording.  Every flag is a ``bool``.
     """
     top = p.topology
-    full = top.full
+    full, n = top.full, top.n
     table = int_table(p)
-    fam = pair_open_family(p)
+    plane = pair_open_plane(p)
     ident, width = top.identity_lanes()
-    fixed = zero_lanes(int_lanes(p)[0] ^ ident, width, top.n)
+    fixed = zero_plane(int_lanes(p)[0] ^ ident, width, n)
 
-    inter_closed, union_closed = top.family_props(fam)
-    supra = fam[-1] == full and union_closed  # fam is sorted ascending
+    inter_closed, union_closed = top.plane_props(plane)
+    supra = plane >> full & 1 == 1 and union_closed
     topo = supra and inter_closed
 
-    equal_ok = len(fixed) == len(fam)
+    equal_ok = fixed.bit_count() == plane.bit_count()
     kur = (
         table[full] == full
         and _kernel_report(p).family_nested
-        and set(fixed).issuperset(table)
+        and family_plane(set(table), n) & ~fixed == 0
         and enlarger_is_regular(p)
     )
 
@@ -473,30 +487,29 @@ def _kernel_report(k: PairKernel) -> BaseReport:
     above the identity (a set is enlarger-open iff it sits inside its
     enlargement, so iff all 2**n subsets are enlarger-open).
 
-    The base is :func:`enlargement_base`, read as a 2**n-bit plane, so
-    each membership flag is one AND-NOT of two planes: against the
-    selector-open family's plane (:func:`selector_plane`) and the
-    pair-open family's.  ``family_nested`` says every selector-open u
-    sits inside enl[u], that is the selector-open family sits inside the
-    enlarger-open one; a union sits inside t iff each of its members
-    does, so it reads each group's union against its image
-    (:func:`image_groups`).  ``is_base`` compares the pair-open plane
-    against the base's union closure.
+    Every flag is one AND-NOT, bit test or bit count of 2**n-bit planes.
+    The base is :func:`enlargement_base`, read as a plane, and each
+    membership flag is an AND-NOT against the selector-open family's
+    plane (:func:`selector_plane`) or the pair-open family's
+    (:func:`pair_open_plane`).  ``family_nested`` says every
+    selector-open u sits inside enl[u], that is the selector-open family
+    sits inside the enlarger-open one (:func:`~topolab.ops.op_open_plane`).
+    ``image_stable`` reads the images alone, so the base decides it:
+    every image is selector-open and sits in the plane of the sets the
+    enlarger does not grow (:func:`~topolab.ops.op_shrink_plane`).
+    ``is_base`` compares the pair-open plane against the base's union
+    closure.
     """
-    n, enl = k.topology.n, k.enlarger.table
-    base = enlargement_base(k)
-    base_plane = family_plane(base, n)
-    pair_plane = family_plane(pair_open_family(k), n)
-    # "every enlarged selector-open set is selector-open and its own
-    # enlargement does not grow it" reads the images alone, so the base
-    # (the distinct images) decides it
+    n, enl = k.topology.n, k.enlarger
+    base_plane = family_plane(enlargement_base(k), n)
+    pair_plane = pair_open_plane(k)
     base_selector_open = base_plane & ~selector_plane(k) == 0
     base_pair_open = base_plane & ~pair_plane == 0
     return BaseReport(
-        image_stable=base_selector_open and all(enl[b] & ~b == 0 for b in base),
-        family_nested=all(union & ~t == 0 for t, union in image_groups(k)),
+        image_stable=base_selector_open and base_plane & ~op_shrink_plane(enl) == 0,
+        family_nested=selector_plane(k) & ~op_open_plane(enl) == 0,
         base_pair_open=base_pair_open,
-        order_dominates=len(op_open_family(k.enlarger)) == 1 << n,
+        order_dominates=op_open_plane(enl).bit_count() == 1 << n,
         base_in_pair_and_selector=base_pair_open and base_selector_open,
         is_base=pair_plane & ~close_unions(base_plane, n) == 0,
     )

@@ -6,7 +6,7 @@ families are closed under arbitrary unions and intersections.  A family
 is accepted, and topologies are generated, through the meets of its
 points (Alexandroff) and one subset-lattice pass
 (:func:`topolab.bits.union_closure_plane`) rather than by scanning member
-pairs.
+pairs; acceptance reads the family's plane, never a set of its members.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ from .bits import (
     contained_union_lanes,
     family_plane,
     identity_lanes,
-    intersection_closure,
     iter_points,
+    members_holding,
+    plane_meet,
+    plane_props,
     point_meets,
     subsets,
     union_closure,
@@ -148,8 +150,8 @@ class Topology:
     reading either is one slot read.  Instances are immutable and safe to
     share between threads.  Every table derived from the space (the
     minimal neighbourhoods, the interior table and its lanes, the planes
-    and closure verdicts of families (:meth:`family_plane`,
-    :meth:`family_props`), and what other modules derive from it) is kept
+    of families and the closure verdicts of planes (:meth:`family_plane`,
+    :meth:`plane_props`), and what other modules derive from it) is kept
     in ``_memo`` through :func:`memoized`, so it dies with the space;
     the pair kernels are registered there too, held weakly.  The
     minimal neighbourhoods enter ``_memo`` at construction, as the
@@ -251,19 +253,18 @@ class Topology:
         return family_plane(family, self.n)
 
     @memoized
+    def plane_props(self, plane: int) -> tuple[bool, bool]:
+        """(intersection-closed, union-closed) for the family of subsets
+        of this space flagged by the 2**n-bit ``plane``
+        (:func:`~topolab.bits.plane_props`).  Kept per plane, keyed by
+        the int, so each distinct family is measured once however many
+        operations or pairs produce it."""
+        return plane_props(plane, self.n)
+
     def family_props(self, family: Family) -> tuple[bool, bool]:
-        """(intersection-closed, union-closed) for a canonical family of
-        subsets of this space: whether it equals its intersection closure
-        (so holds the whole space) and its union closure (so holds the
-        empty set).  Both compare planes: the family's with its union
-        closure's, and the plane of its complements with theirs, since a
-        family is intersection-closed iff its complements are
-        union-closed.  Kept per family, so each distinct family is
-        measured once however many operations or pairs produce it.
-        """
-        plane = self.family_plane(family)
-        comp = complement_plane(plane, self.n)
-        return close_unions(comp, self.n) == comp, close_unions(plane, self.n) == plane
+        """:meth:`plane_props` of a canonical family, through its plane
+        (:meth:`family_plane`)."""
+        return self.plane_props(self.family_plane(family))
 
 
 def family_violation(ground: GroundSet, family: Sequence[int], memo: Optional[dict] = None) -> Optional[str]:
@@ -273,39 +274,47 @@ def family_violation(ground: GroundSet, family: Sequence[int], memo: Optional[di
     closure of its points' meets (Alexandroff): the meet at x is the
     least member around x when the family is a topology, and the unions
     of those meets are a topology whatever the family, since y in the
-    meet at x puts the meet at y inside it.  So acceptance is one
-    :func:`~topolab.bits.point_meets` and one plane comparison; only a
+    meet at x puts the meet at y inside it.  So acceptance reads the
+    family's 2**n-bit plane: both ends are two bit tests, the meet at x
+    is :func:`~topolab.bits.plane_meet` of the members holding x, and
+    the union closure of the meets is one plane comparison.  Only a
     rejected family is diagnosed, by the union and then the intersection
-    closure, naming the smallest missing union or intersection.  Given a
-    ``memo`` dict, a passing family's meets are stored there as the
-    :meth:`Topology.min_nbhds` table, which they are.
+    closure of its plane, naming the smallest missing union or
+    intersection.  Given a ``memo`` dict, a passing family's meets are
+    stored there as the :meth:`Topology.min_nbhds` table, which they are.
     """
     full = ground.full
-    for m in family:
-        if m & ~full:
-            return f"member {m:#x} uses bits outside the ground set"
-    members = set(family)
-    if 0 not in members:
-        return "the empty set is missing"
-    if full not in members:
-        return "the whole space is missing"
+    if family and (min(family) < 0 or max(family) > full):
+        m = next(m for m in family if m & ~full)
+        return f"member {m:#x} uses bits outside the ground set"
     n = ground.size
-    meets = point_meets(zip(members, members), n)
-    if union_closure_plane(meets, n) == family_plane(members, n):
+    plane = family_plane(family, n)
+    if not plane & 1:
+        return "the empty set is missing"
+    if not plane >> full & 1:
+        return "the whole space is missing"
+    meets = tuple(plane_meet(members_holding(plane, n, x), n) for x in range(n))
+    if union_closure_plane(meets, n) == plane:
         if memo is not None:
             memo[Topology.min_nbhds.__wrapped__] = meets
         return None
-    missing = [m for m in union_closure(members, n) if m not in members]
+    missing = close_unions(plane, n) & ~plane
     if missing:
         return (
-            f"not closed under union: {ground.braced(missing[0])} "
+            f"not closed under union: {ground.braced(_lowest(missing))} "
             "is a union of members but is missing"
         )
-    missing = [m for m in intersection_closure(members, n) if m not in members]
+    comp = complement_plane(plane, n)
+    missing = complement_plane(close_unions(comp, n), n) & ~plane
     return (
-        f"not closed under intersection: {ground.braced(missing[0])} "
+        f"not closed under intersection: {ground.braced(_lowest(missing))} "
         "is an intersection of members but is missing"
     )
+
+
+def _lowest(plane: int) -> int:
+    """The smallest set a nonzero plane flags."""
+    return (plane & -plane).bit_length() - 1
 
 
 def is_topology(ground: GroundSet, family: Sequence[int]) -> bool:

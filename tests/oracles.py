@@ -767,18 +767,20 @@ def scan_within(table) -> tuple:
 
 
 def literal_pair_closure_by_points(p, sets) -> list[int]:
-    """The pair-closure of each set by the pointwise rule over the
-    groups of distinct enlargements, one group at a time: a point falls
-    outside when some group holding it has an enlargement missing the
-    set.  The loop ``pair_closure_by_points`` ran before its planes."""
-    from topolab.pairs import image_groups
-
-    groups = image_groups(p)
-    full = p.topology.full
+    """The pair-closure of each set by the pointwise rule: a point falls
+    outside when some selector-open set u around it has an enlargement
+    missing the set.  The pairs (u, enl[u]) are walked here, once, into
+    the union of the u per distinct enlargement, and each set is read
+    against those unions: the loop ``pair_closure_by_points`` ran before
+    its planes, with no row of the library's kernel."""
+    enl, full = p.enlarger.table, p.topology.full
+    groups: dict = {}
+    for u in p.kernel.family:
+        groups[enl[u]] = groups.get(enl[u], 0) | u
     out = []
     for a in sets:
         outside = 0
-        for t, union in groups:
+        for t, union in groups.items():
             if not t & a:
                 outside |= union
         out.append(full ^ outside)
@@ -1429,6 +1431,15 @@ def _cover_systems(power_sets: bool) -> list:
             for f in fams for op in catalog(top).values()]
 
 
+def _lane_tables(seed: int) -> list:
+    """(table, n): per n up to 10 and per top entry length of 1 to 72
+    bits, a seeded table whose entries are zero, nonzero only above
+    their low byte, or drawn whole, a third of each on average."""
+    rng = random.Random(seed)
+    return [(tuple(rng.getrandbits(bits) & rng.choice((0, ~255, -1)) for _ in range(1 << n)), n)
+            for n in range(11) for bits in (1, 8, 9, 16, 17, 32, 33, 64, 65, 72)]
+
+
 def every_family(max_n: int) -> list:
     """(n, family) for every family of subsets of n points, n up to ``max_n``."""
     return [(n, tuple(m for m in range(1 << n) if bits >> m & 1)) for n in range(max_n + 1)
@@ -1564,6 +1575,7 @@ UNIVERSES = {
     "operations+3": _widened_operations,
     "tables+73": lambda: _table_cases(73, corrupt=True),
     "tables+79": lambda: _table_cases(79, corrupt=False),
+    "lanes+61": lambda: _lane_tables(61),
     "covers+401": lambda: _cover_cases(401, 5000),
 }
 
@@ -1826,14 +1838,14 @@ def _routes() -> tuple:
         pair_open_family, space_compactness_flags,
     )
     from topolab.bits import (
-        close_unions, complement_plane, family_plane, intersection_closure, point_meets, union_closure,
-        upward_closure)
+        close_unions, complement_plane, family_plane, intersection_closure, pack_lanes, plane_props,
+        point_meets, union_closure, upward_closure, zero_lanes, zero_plane)
     from topolab.compact import _minimal_cover
     from topolab.filters import principal_rows, refined_core
-    from topolab.ops import table_violation
+    from topolab.ops import op_open_plane, op_shrink_plane, table_violation
     from topolab.space import build_topology, default_ground, family_violation, is_topology
     from topolab.pairs import (
-        _kernel_report, enlarger_is_regular, int_table, pair_closure_by_points, regular_scan)
+        _kernel_report, enlarger_is_regular, int_table, pair_closure_by_points, pair_open_plane, regular_scan)
 
     def structure(p):
         rep = classify_structure(p)
@@ -1867,6 +1879,12 @@ def _routes() -> tuple:
 
     def fixpoints(n, fam):  # the union and the meet closures
         return pairwise_fixpoint({0, *fam}, operator.or_), pairwise_fixpoint({(1 << n) - 1, *fam}, operator.and_)
+
+    def walked_plane(sets):  # the plane of ``sets``, one set at a time
+        return sum(1 << a for a in sets)
+
+    def table_planes(route, t):  # ``route`` of the operation of the lawful table ``t[1]``
+        return route(Operation(*t[:2]))
 
     def planes(n, fam):
         plane = family_plane(fam, n)
@@ -1935,6 +1953,10 @@ def _routes() -> tuple:
         Route("op_open_family", lambda t: op_open_family(Operation(*t[:2])), lambda t: (  # holding both ends
             f if (f := scan_open_family(Operation(*t[:2])))[0] == 0 == f[-1] ^ t[0].full else "no end"),
               "tables+79"),
+        Route("op_open_plane", lambda t: table_planes(op_open_plane, t),
+              lambda t: walked_plane(a for a, image in enumerate(t[1]) if a & ~image == 0), "tables+79"),
+        Route("op_shrink_plane", lambda t: table_planes(op_shrink_plane, t),
+              lambda t: walked_plane(a for a, image in enumerate(t[1]) if image & ~a == 0), "tables+79"),
         Route("leq", lambda t: leq(*t), lambda t: all(x & ~y == 0 for x, y in zip(t[0].table, t[1].table)),
               "operations+53"),
         Route("is_monotone", is_monotone, lambda op: naive_is_monotone(op) or (  # the catalog always is
@@ -1946,6 +1968,8 @@ def _routes() -> tuple:
         Route("is_filterbase", is_filterbase, literal_is_filterbase, "nonempty3"),
         Route("family_props", lambda t: t[0].family_props(t[1]), lambda t: closed(t[0].n, t[1])[::-1],
               "families+101"),
+        Route("plane_props", lambda t: plane_props(family_plane(t[1], t[0]), t[0]),
+              lambda t: closed(*t)[::-1], "families4"),
         Route("family_props_memo", lambda t: tuple(map(t[0].family_props, t[1] * 2)), memo_rules, "families+17"),
         Route("closure_kernel", lambda t: (union_closure(t[1], t[0]) == t[1], intersection_closure(t[1], t[0]) == t[1],
                                            is_topology(default_ground(t[0]), t[1])),
@@ -1954,6 +1978,9 @@ def _routes() -> tuple:
             t[1], t[0])), lambda t: (*fixpoints(*t), tuple(a for a in range(1 << t[0]) if any(
                 m & ~a == 0 for m in t[1]))), "families+43"),
         Route("plane_closures", lambda t: planes(*t), lambda t: plane_rules(*t), "families+71"),
+        Route("zero_plane", lambda t: (zero_plane(*pack_lanes(t[0]), t[1]), zero_lanes(*pack_lanes(t[0]), t[1])),
+              lambda t: (walked_plane(a for a, v in enumerate(t[0]) if v == 0),
+                         tuple(a for a, v in enumerate(t[0]) if v == 0)), "lanes+61"),
         Route("build_topology", lambda t: build_topology(default_ground(t[0]), t[1]).opens,
               lambda t: pairwise_fixpoint_topology(*t), "subbases+29"),
         Route("family_violation", violation, literal_violation, "families+89", seen=violations),
@@ -1980,6 +2007,8 @@ def _routes() -> tuple:
               lambda c: (pair_open_family(c.p), classify_structure(c.p).closed_iff_cl_equal),
               lambda c: (scan_within(int_table(c.p)), fixed(c) == scan_within(int_table(c.p))),
               "kernels+103"),
+        Route("pair_open_plane", lambda c: pair_open_plane(c.p),
+              lambda c: walked_plane(scan_within(int_table(c.p))), "kernels+103"),
         Route("pair_closed_family", lambda c: pair_closed_family(c.p),
               lambda c: tuple(sorted(c.top.full ^ a for a in scan_within(int_table(c.p)))), "kernels3+29"),
         Route("structure", lambda c: structure(c.p), lambda c: (  # and the ladder holds

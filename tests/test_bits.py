@@ -198,3 +198,5 @@ def test_plane_reads_match_the_member_loops():
 test_point_meets_match_the_row_loop_on_every_kernel = route_check("point_meets", "min_nbhds")
 test_closures_match_pairwise_fixpoint_on_seeded_families = route_check("closures")
 test_plane_closures_match_pairwise_fixpoints = route_check("plane_closures")
+test_zero_planes_match_the_lane_walk = route_check("zero_plane")
+test_plane_props_match_pairwise_scans = route_check("plane_props")

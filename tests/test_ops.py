@@ -139,8 +139,8 @@ def test_derived_tables_live_in_their_owners_memo():
             for _ in range(4)
         ]
         for fam in families:
-            props = top.family_props(fam)
-            assert top.family_props(fam) is props is memo[Topology.family_props.__wrapped__, fam]
+            props, plane = top.family_props(fam), top.family_plane(fam)
+            assert top.family_props(fam) is props is memo[Topology.plane_props.__wrapped__, plane]
             assert props == (intersection_closure(fam, n) == fam, union_closure(fam, n) == fam)
         for op in catalog(top).values():
             fam = op_open_family(op)
@@ -311,3 +311,4 @@ test_regularity_matches_literal_scan = route_check("regular_wrt")
 test_neighborhoods_match_literal_scan = route_check("neighborhoods")
 test_lane_table_violation_matches_the_entry_walk = route_check("table_violation")
 test_open_families_are_the_zero_lanes = route_check("op_open_family")
+test_operation_planes_match_the_subset_walk = route_check("op_open_plane", "op_shrink_plane")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -33,7 +34,7 @@ from topolab.pairs import (
 )
 from topolab.space import indiscrete
 
-from oracles import naive_pair_interior, route_check
+from oracles import catalog_pairs, custom_pairs, exhaustive_spaces, naive_pair_interior, route_check, seeded_spaces
 
 
 def small_spaces():
@@ -288,6 +289,26 @@ def test_selector_readings_stay_off_the_kernel():
 
 
 # Checks that became rows of oracles.ROUTES, kept under their names.
+def test_report_flags_are_exactly_bools():
+    # plane arithmetic yields ints (``plane >> x & 1``), which the CLI
+    # would print as 1 or 0: every field of both reports must be a bool,
+    # on every catalog pair of every space of at most 3 points, seeded
+    # 8- and 11-point spaces and seeded custom pairs
+    tops = exhaustive_spaces(3) + seeded_spaces(59, (8, 8, 11, 11))
+    pairs = [p for top in tops for p in catalog_pairs(top)] + custom_pairs(61, 40)
+    seen = set()
+    for p in pairs:
+        for rep in (classify_structure(p), base_report(p)):
+            for field in dataclasses.fields(rep):
+                value = getattr(rep, field.name)
+                assert type(value) is bool, (p, field.name, value)
+                seen.add((field.name, value))
+    # every flag takes both values but the two that always hold: a
+    # pair-open family is a supratopology, and closed_iff_cl_subset holds
+    # by construction
+    assert len(seen) == 2 * 11 - 2
+
+
 test_pair_families_complement_each_other = route_check("pair_closed_family")
 test_pair_interior_matches_pointwise_rule = route_check("interior_pointwise")
 test_structure_flag_implications = route_check("structure")
@@ -295,6 +316,7 @@ test_pair_duality_on_random_spaces = route_check("closure_table")
 test_base_report_matches_the_scans = route_check("base_report")
 test_envelopes_match_the_per_point_scan = route_check("envelopes")
 test_pair_open_family_is_the_zero_lanes = route_check("pair_open_family")
+test_pair_open_plane_matches_the_subset_walk = route_check("pair_open_plane")
 test_pointwise_closure_planes_match_the_group_loop = route_check("closure_by_points")
 test_one_pass_closure_matches_per_point_rule = route_check("closure_pointwise")
 test_kernel_regularity_scan_matches_the_literal_quantifiers = route_check("regularity")
