@@ -1883,9 +1883,6 @@ def _routes() -> tuple:
     def walked_plane(sets):  # the plane of ``sets``, one set at a time
         return sum(1 << a for a in sets)
 
-    def table_planes(route, t):  # ``route`` of the operation of the lawful table ``t[1]``
-        return route(Operation(*t[:2]))
-
     def planes(n, fam):
         plane = family_plane(fam, n)
         comp = complement_plane(plane, n)
@@ -1953,9 +1950,9 @@ def _routes() -> tuple:
         Route("op_open_family", lambda t: op_open_family(Operation(*t[:2])), lambda t: (  # holding both ends
             f if (f := scan_open_family(Operation(*t[:2])))[0] == 0 == f[-1] ^ t[0].full else "no end"),
               "tables+79"),
-        Route("op_open_plane", lambda t: table_planes(op_open_plane, t),
+        Route("op_open_plane", lambda t: op_open_plane(Operation(*t[:2])),
               lambda t: walked_plane(a for a, image in enumerate(t[1]) if a & ~image == 0), "tables+79"),
-        Route("op_shrink_plane", lambda t: table_planes(op_shrink_plane, t),
+        Route("op_shrink_plane", lambda t: op_shrink_plane(Operation(*t[:2])),
               lambda t: walked_plane(a for a, image in enumerate(t[1]) if image & ~a == 0), "tables+79"),
         Route("leq", lambda t: leq(*t), lambda t: all(x & ~y == 0 for x, y in zip(t[0].table, t[1].table)),
               "operations+53"),
@@ -1980,7 +1977,8 @@ def _routes() -> tuple:
         Route("plane_closures", lambda t: planes(*t), lambda t: plane_rules(*t), "families+71"),
         Route("zero_plane", lambda t: (zero_plane(*pack_lanes(t[0]), t[1]), zero_lanes(*pack_lanes(t[0]), t[1])),
               lambda t: (walked_plane(a for a, v in enumerate(t[0]) if v == 0),
-                         tuple(a for a, v in enumerate(t[0]) if v == 0)), "lanes+61"),
+                         tuple(a for a, v in enumerate(t[0]) if v == 0)), "lanes+61",
+              seen=lambda seen: any(v >> 8 and not v & 255 for t, _ in seen for v in t[0])),  # lanes the fold must read
         Route("build_topology", lambda t: build_topology(default_ground(t[0]), t[1]).opens,
               lambda t: pairwise_fixpoint_topology(*t), "subbases+29"),
         Route("family_violation", violation, literal_violation, "families+89", seen=violations),
