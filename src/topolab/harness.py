@@ -2,9 +2,12 @@
 
 Six suites check every property the library promises, over every
 enumerated space up to a configurable size plus seeded random spaces
-above it.  A failure never aborts the sweep: the full report is always
-produced, with one record per violated statement, because harvested
-counterexamples are the point of the exercise.
+above it.  Each statement is declared once (:data:`STATEMENTS`), and one
+runner (:func:`_run`) checks the declarations, sharing each clean run
+among the items that read the same inputs.  A failure never aborts the
+sweep: the full report is always produced, with one record per violated
+statement, because harvested counterexamples are the point of the
+exercise.
 
 Reports are deterministic: given the same configuration (seed included)
 the emitted JSON is byte-identical from run to run.
@@ -16,8 +19,9 @@ import operator
 import platform
 import random
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from functools import cached_property, lru_cache, partial
+from itertools import product
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import __version__
 from .bits import Family, canonical_family, derive_seed, family_plane, iter_points, mask_of
@@ -52,6 +56,7 @@ from .filters import (
 from .jsonio import SchemaError, canonical_json
 from .ops import (
     BUILTIN_NAMES,
+    Operation,
     catalog,
     dual,
     dual_table,
@@ -74,6 +79,7 @@ from .pairs import (
     pair_closure_by_points,
     pair_interior,
     pair_open_family,
+    pair_open_plane,
     regular_scan,
 )
 from .space import EXHAUSTIVE_POINTS, Topology, enumerate_topologies, memoized, random_topology
@@ -96,6 +102,12 @@ MINE_TARGETS = (
     "nonadditive_enlarger",
 )
 
+#: catalog operations (a, b) with b the dual of a, and the links (a, b)
+#: of the catalog's order chains, a below b
+_DUALS = (("int", "cl"), ("cloint", "introcl"), ("scl", "sint"), ("identity", "identity"))
+_CHAIN = (("int", "cloint"), ("cloint", "cl"), ("int", "identity"), ("identity", "scl"), ("scl", "cl"),
+          ("int", "introcl"), ("introcl", "scl"))
+
 #: pair families whose pair-open sets must reproduce an independently
 #: constructed named family
 FAMILY_IDENTITIES = (
@@ -111,8 +123,8 @@ class SuiteConfig:
     """What to sweep.
 
     Spaces of every size up to ``n_exhaustive`` are enumerated in full;
-    ``samples`` further spaces of size ``n_sampled`` are generated from
-    the seed.  Subsets and filter cores are quantified exhaustively up to
+    ``samples`` further spaces of size ``n_sampled``, which must then be
+    bigger, are generated from the seed.  Subsets and filter cores are quantified exhaustively up to
     :data:`~topolab.space.EXHAUSTIVE_POINTS` (4) points and sampled above
     (16 subsets; the singletons, the whole set and seeded cores);
     filterbases are enumerated in full up to 3 points and drawn from the
@@ -135,6 +147,8 @@ class SuiteConfig:
             raise SchemaError("n_sampled must be between 0 and 16")
         if self.samples < 0:
             raise SchemaError("samples must be nonnegative")
+        if self.samples and self.n_sampled <= self.n_exhaustive:
+            raise SchemaError("samples need n_sampled above n_exhaustive")
         for spec in self.pairs:
             a, _, b = spec.partition(",")
             if a not in BUILTIN_NAMES or b not in BUILTIN_NAMES:
@@ -224,86 +238,23 @@ def emit_report(report: Report, path: str) -> None:
         fh.write(report.to_json())
 
 
-def _shared_runs(out: SuiteResult, items: Sequence[tuple], key: Callable,
-                 body: Callable, tail: Optional[Callable] = None,
-                 clean: Optional[dict] = None) -> None:
-    """Run ``body(*item, run)`` once per distinct ``key(*item)``, as if it
-    ran once per item.
-
-    The key must hold everything the body reads of its item but the
-    names it puts in failure records.  A clean run records nothing that
-    names its item, so items of one key share it: it is merged once, its
-    instances and notes multiplied by its uses.  A run with a failure is
-    never shared: it is merged in item order, and each other item of
-    that key runs its own body, so its records carry its own name.
-    ``tail(*item, out)`` runs for every item, for checks that read the
-    item's names rather than its key.  ``clean`` (key -> clean run) may
-    outlive the call: runs found there are shared without running their
-    bodies, and the clean runs of this call are added to it.
-    """
-    clean = {} if clean is None else clean
-    failed = set()
-    uses: dict = {}
-    for item in items:
-        k = key(*item)
-        if k in clean:
-            uses[k] = uses.get(k, 0) + 1
-        else:
-            run = SuiteResult()
-            body(*item, run)
-            if run.failures or k in failed:
-                out.merge(run)
-                failed.add(k)
-            else:
-                clean[k] = run
-                uses[k] = 1
-        if tail is not None:
-            tail(*item, out)
-    for k, count in uses.items():
-        run = clean[k]
-        out.instances_checked += run.instances_checked * count
-        for note, value in run.notes.items():
-            out.note(note, value * count)
-
-
-@dataclass
-class _OracleStore:
-    """The compactness oracle's answers for one sweep, keyed by (ambient
-    family, image row, quantified subsets): the literal walk's verdicts
-    and the clean runs of the fast criterion against them, which read
-    nothing else of their space.  It holds masks, verdict tuples and
-    counts only, so it keeps no space alive, and :func:`run_suites`
-    drops it with the sweep."""
-
-    literal: dict = field(default_factory=dict)
-    clean: dict = field(default_factory=dict)
+class _Sweep(dict):
+    """What one sweep keeps across spaces: each ambient statement's clean
+    runs and the literal oracle's verdicts, with no space kept alive."""
 
 
 class _SpaceContext:
-    """Per-space inputs shared by all suites and the miner: the operation
-    catalog, the requested pairs, the quantified subsets, filterbases and
-    cores, and the catalog's readings made once per space (open families,
-    their planes and closure verdicts, monotonicity, the pointwise order,
-    which open families sit inside which, one AND-NOT of two planes each,
-    and which enlargers agree on each open family).  The pairs,
-    the quantified subsets, filterbases and cores, the lists of wider
-    pairs and the agreeing partners of each pair are built on first
-    read, so a miner that reads only the catalog's readings never
-    builds them.
-
-    It keeps no rows: every row built from a pair (pair tables, filter
-    rows, neighbourhood images, compactness planes) lives on the pair's
-    kernel (:class:`~topolab.pairs.PairKernel`) through
-    :func:`~topolab.space.memoized`, and dies with the context's pairs.
-    Named pairs keep one :class:`OpPair` each, since witnesses print the
-    names; the per-pair suites run once per kernel and selector reading
-    (:func:`_shared_runs` over ``pair_names``), and the statements over
-    pairs of names compare one pair per kernel (:meth:`kernel_pairs`).
-    ``oracle`` is the sweep's :class:`_OracleStore`; a context made
-    alone gets its own."""
+    """Per-space inputs shared by all suites and the miner: the catalog,
+    the requested pairs, and the catalog's readings made once per space
+    (open families and their planes and closure verdicts, monotonicity,
+    order, which open families sit inside which, which enlargers agree on
+    each).  The pairs, the quantified universes and their tables are
+    built on first read.  Every row built from a pair lives on its kernel
+    (:class:`~topolab.pairs.PairKernel`) and dies with the context's
+    pairs.  ``sweep`` is the sweep's :class:`_Sweep`."""
 
     def __init__(self, label: str, top: Topology, cfg: SuiteConfig,
-                 oracle: Optional[_OracleStore] = None):
+                 sweep: Optional[_Sweep] = None):
         self.label = label
         self.top = top
         self.n = top.n
@@ -311,6 +262,8 @@ class _SpaceContext:
         self.seed = cfg.seed
         self.ops = catalog(top)
         self.pair_names = [(a, b) for a, _, b in (spec.partition(",") for spec in cfg.pairs)]
+        #: enlargers[a]: the enlargers requested with selector a, in request order
+        self.enlargers = {a: [d for c, d in self.pair_names if c == a] for a in BUILTIN_NAMES}
         self.open_sets = {name: op_open_family(op) for name, op in self.ops.items()}
         self.open_planes = {name: op_open_plane(op) for name, op in self.ops.items()}
         #: props[name]: (intersection-closed, union-closed) for the open family
@@ -333,11 +286,15 @@ class _SpaceContext:
             seen: dict = {}
             for b in BUILTIN_NAMES:
                 self.agreement[(a, b)] = seen.setdefault(images(self.ops[b].table), len(seen))
-        #: (a, b) -> :meth:`wider` and :meth:`wider_kernels`, filled as
-        #: pairs are read
-        self._wider: dict[tuple[str, str], list[tuple[str, str]]] = {}
-        self._wider_kernels: dict[tuple[str, str], list[OpPair]] = {}
-        self.oracle = _OracleStore() if oracle is None else oracle
+        #: (over, a, b) -> a PAIRS statement's other pairs and the first of each kernel
+        self.others: dict = {}
+        self.sweep = _Sweep() if sweep is None else sweep
+
+    @cached_property
+    def duals(self) -> dict[str, Operation]:
+        """The catalog's duals, dropped with the context rather than kept on
+        their operations: a 16-point dual holds about 2.5 MB."""
+        return {nm: dual(op) for nm, op in self.ops.items()}
 
     @cached_property
     def pairs(self) -> dict[tuple[str, str], OpPair]:
@@ -345,17 +302,22 @@ class _SpaceContext:
         return {(a, b): OpPair(self.ops[a], self.ops[b]) for a, b in self.pair_names}
 
     @cached_property
-    def subsets(self) -> list[int]:
+    def subsets(self) -> tuple[int, ...]:
         """Subsets to quantify over: all of them up to
         :data:`~topolab.space.EXHAUSTIVE_POINTS` points, the ends plus
         seeded draws above."""
         if self.n <= EXHAUSTIVE_POINTS:
-            return list(self.top.subsets())
+            return tuple(self.top.subsets())
         rng = random.Random(derive_seed(self.seed, "subsets", self.label))
         picked = {0, self.full}
         while len(picked) < 16:
             picked.add(rng.randrange(1 << self.n))
-        return sorted(picked)
+        return tuple(sorted(picked))
+
+    @cached_property
+    def quantified(self) -> int:
+        """:attr:`subsets` as a 2**n-bit plane."""
+        return family_plane(self.subsets, self.n)
 
     @cached_property
     def bases(self) -> Sequence[tuple[int, ...]]:
@@ -375,6 +337,20 @@ class _SpaceContext:
         return out
 
     @cached_property
+    def base_table(self) -> list[int]:
+        """:func:`~topolab.filters.member_table` of :attr:`bases`."""
+        return member_table(self.bases, self.n)
+
+    @cached_property
+    def base_cores(self) -> dict[int, int]:
+        """The bases by the core of the filter each generates, bit j for j."""
+        by_core: dict[int, int] = {}
+        for j, base in enumerate(self.bases):
+            core = generated_filter(self.n, base).core
+            by_core[core] = by_core.get(core, 0) | 1 << j
+        return by_core
+
+    @cached_property
     def core_list(self) -> Sequence[int]:
         """Filter cores to quantify over: every nonempty mask up to
         :data:`~topolab.space.EXHAUSTIVE_POINTS` points, singletons plus
@@ -388,6 +364,11 @@ class _SpaceContext:
             picked.add(rng.randrange(1, 1 << self.n))
         return sorted(picked)
 
+    @cached_property
+    def core_table(self) -> list[int]:
+        """``core_table[t]`` flags the cores inside t by position."""
+        return member_table([(c,) for c in self.core_list], self.n)
+
     def dominates(self, a: str, b: str) -> bool:
         """Whether enlarger b sits above the identity or above selector a
         (``order_dominates`` of :func:`~topolab.pairs.base_report`)."""
@@ -395,67 +376,25 @@ class _SpaceContext:
 
     def wider(self, a: str, b: str) -> list[tuple[str, str]]:
         """The requested pairs (c, d) that (a, b) transfers to, in request
-        order: the c-open family inside the a-open family, and b below d.
-        Each list is built on its first read and kept."""
-        got = self._wider.get((a, b))
-        if got is None:
-            got = self._wider[(a, b)] = [
-                (c, d) for c, d in self.pair_names if self.inside[(c, a)] and self.order[(b, d)]
-            ]
-        return got
+        order: the c-open family inside the a-open family, and b below d."""
+        narrower = {c for c in BUILTIN_NAMES if self.inside[(c, a)]}
+        above = {d for d in BUILTIN_NAMES if self.order[(b, d)]}
+        return [(c, d) for c, d in self.pair_names if c in narrower and d in above]
 
-    def wider_kernels(self, a: str, b: str) -> list[OpPair]:
-        """:meth:`kernel_pairs` of :meth:`wider`, built on its first read
-        and kept."""
-        got = self._wider_kernels.get((a, b))
-        if got is None:
-            got = self._wider_kernels[(a, b)] = self.kernel_pairs(self.wider(a, b))
-        return got
+    def agreeing(self, a: str, b: str) -> list[tuple[str, str]]:
+        """The requested pairs (a, d) whose enlarger agrees with b on the
+        a-open family, (a, b) among them, in request order."""
+        mark = self.agreement[(a, b)]
+        return [(a, d) for d in self.enlargers[a] if self.agreement[(a, d)] == mark]
 
-    def kernel_pairs(self, names: Iterable[tuple[str, str]]) -> list[OpPair]:
-        """One requested pair per distinct kernel among ``names``.  Every
-        row a statement compares between named pairs lives on their
-        kernels, so comparing these decides the comparison of every two
-        names: equality is transitive."""
-        return list({p.kernel: p for p in map(self.pairs.__getitem__, names)}.values())
-
-    def class_differs(self, a: str, b: str, rows: Callable, memo: dict) -> bool:
-        """Whether the pairs of the agreement class of (a, b), selector a
-        with the enlargers agreeing with b on the a-open family, differ in
-        ``rows``: compared on one pair per kernel, once per class, and
-        kept in ``memo``."""
-        cls = (a, self.agreement[(a, b)])
-        got = memo.get(cls)
-        if got is None:
-            first, *rest = self.kernel_pairs((a, d) for d in self.partners[(a, b)])
-            got = memo[cls] = any(rows(q) != rows(first) for q in rest)
-        return got
-
-    @cached_property
-    def partners(self) -> dict[tuple[str, str], list[str]]:
-        """partners[(a, b)]: the enlargers requested with selector a that
-        agree with b on the a-open family, b among them, in request order;
-        keyed by the requested pairs, in request order."""
-        enlargers: dict[str, list[str]] = {}
-        for a, b in self.pair_names:
-            enlargers.setdefault(a, []).append(b)
-        return {
-            (a, b): [d for d in enlargers[a] if self.agreement[(a, d)] == self.agreement[(a, b)]]
-            for a, b in self.pair_names
-        }
-
-    def regularity(self, sel_name: str, enl_name: str, out: SuiteResult) -> bool:
+    def regularity(self, sel_name: str, enl_name: str) -> Optional[bool]:
         """Whether the enlarger is regular against the selector-open
-        family (:func:`enlarger_is_regular`, kept on the pair's kernel).
-        Past :meth:`regularity_gated`, unless its fast path, a monotone
-        enlarger over an intersection-closed family, applies, the answer
-        is unknown: ``out`` notes ``regularity_unknown`` and the answer
-        reads False, so the statements it gates are skipped, not asserted.
-        """
+        family (:func:`enlarger_is_regular`, kept on the pair's kernel);
+        None past :meth:`regularity_gated`, unless its fast path (a
+        monotone enlarger over an intersection-closed family) applies."""
         fast = self.monotone[enl_name] and self.props[sel_name][0]
         if self.regularity_gated(self.open_sets[sel_name]) and not fast:
-            out.note("regularity_unknown")
-            return False
+            return None
         return enlarger_is_regular(self.pairs[(sel_name, enl_name)])
 
     def regularity_gated(self, fam: Family) -> bool:
@@ -464,6 +403,225 @@ class _SpaceContext:
         ``regularity_scan_skipped`` and ``regularity_unknown`` notes
         pinned in ``bench/expected.json``."""
         return len(fam) ** 3 * max(self.n, 1) > 2 * 10**8
+
+
+class _PairRun:
+    """A requested pair (a, b) as one run of a suite's pair statements
+    reads it: its names, its pair, and the readings several statements
+    share, each made once per run."""
+
+    def __init__(self, ctx: _SpaceContext, a: str, b: str):
+        self.ctx, self.a, self.b, self.p = ctx, a, b, ctx.pairs[(a, b)]
+
+    structure = cached_property(lambda self: classify_structure(self.p))
+    base = cached_property(lambda self: base_report(self.p))
+    regular = cached_property(lambda self: self.ctx.regularity(self.a, self.b))
+    closures = cached_property(lambda self: convergence_closures(self.p, self.ctx.subsets))
+
+    @cached_property
+    def refinement(self) -> tuple[int, Optional[tuple[int, int]]]:
+        """(cores scanned, the first (core, finer core) where refinement
+        moves a limit down or adherence up, else None).  Single-point
+        drops suffice: any refinement is a chain of them."""
+        lim, adh = principal_rows(self.p)
+        lims, adhs = self.cores
+        scanned = 0
+        for c1, lim1, adh1 in zip(self.ctx.core_list, lims, adhs):
+            if c1.bit_count() == 1:
+                continue
+            scanned += 1
+            for i in range(self.ctx.n):
+                c2 = c1 ^ (1 << i)  # finer
+                if c1 >> i & 1 and (adh[c2] & ~adh1 or lim1 & ~lim[c2]):
+                    return scanned, (c1, c2)
+        return scanned, None
+
+    @cached_property
+    def cores(self) -> tuple[list[int], list[int]]:
+        """The quantified cores' limit and adherence sets, by position."""
+        lim, adh = principal_rows(self.p)
+        return [lim[c] for c in self.ctx.core_list], [adh[c] for c in self.ctx.core_list]
+
+    at_points = cached_property(lambda self: tuple(point_rows(row, self.ctx.n) for row in self.cores))
+
+
+# ---------------------------------------------------------------------------
+# the runner
+
+#: what a statement reads: the space; a requested pair; a requested pair
+#: and other requested pairs; or an ambient family and an image row on it
+SPACE, PAIR, PAIRS, AMBIENT = "space", "pair", "pairs", "ambient"
+
+#: the readings run keys are made of, of each of a list of requested
+#: pairs (a, b) or of ambient items (enlarger name, family, image row)
+_READINGS = {
+    "kernel": lambda ctx, items: [ctx.pairs[item].kernel for item in items],
+    "dominates": lambda ctx, items: [ctx.dominates(a, b) for a, b in items],
+    "monotone": lambda ctx, items: [ctx.monotone[a] for a, _ in items],
+    # the requested pairs (a, d) of the agreement class, and so their kernels
+    "agreement": lambda ctx, items: [(a, ctx.agreement[(a, b)]) for a, b in items],
+    # the ambient family, the image row and the quantified subsets
+    "ambient": lambda ctx, items: [(fam, row, ctx.subsets) for _, fam, row in items],
+}
+
+
+@dataclass(frozen=True, eq=False)
+class Statement:
+    """One statement of a suite, declared once.  ``check(ctx, *args)``
+    yields its failures, each as an index into ``texts`` and the record
+    fields its item does not name, and the names of the readings it
+    notes.  ``count(ctx, *args)`` (or a constant) is its instances: 0 when
+    its hypothesis fails, which skips the check, and None when a gate
+    does, which notes ``note``.  ``key`` names the readings
+    (:data:`_READINGS`) a run of it depends on.  By ``reads``:
+
+    SPACE    args are an item of ``over(ctx)`` (else none); the check
+             names pair, subject and witness.
+    PAIR     args are the pair's :class:`_PairRun`; records name the pair.
+    PAIRS    args are the :class:`_PairRun` of a requested pair and of
+             each other pair ``over(ctx, a, b)`` lists, one instance each;
+             records name both, and the check returns its witnesses.
+    AMBIENT  args are the items (enlarger name, family, image row) of
+             ``over(ctx)``; records name the enlarger.
+    """
+
+    suite: str
+    texts: tuple[str, ...]
+    reads: str
+    check: Callable
+    count: Union[int, Callable] = 1
+    note: str = ""
+    key: tuple[str, ...] = ("kernel",)
+    over: Optional[Callable] = None
+
+
+def _fail(out: SuiteResult, ctx: _SpaceContext, statement: str, pair: str, subject: str,
+          witness: str = "") -> None:
+    out.failures.append({
+        "space": ctx.label,
+        "opens": [ctx.top.ground.labels_of_mask(m) for m in ctx.top.opens],
+        "pair": pair,
+        "subject": subject,
+        "statement": statement,
+        "witness": witness,
+    })
+
+
+def _apply(out: SuiteResult, ctx: _SpaceContext, st: Statement, args: tuple, names: tuple) -> None:
+    """Count, gate and check ``st`` on one item into ``out``."""
+    count = st.count
+    if callable(count):
+        count = count(ctx, *args)
+    if count is None:
+        out.note(st.note)
+    elif count:
+        out.instances_checked += count
+        for got in st.check(ctx, *args):
+            if type(got) is str:
+                out.note(got)
+            else:
+                _fail(out, ctx, st.texts[got[0]], *names, *got[1:])
+
+
+def _run_keys(ctx: _SpaceContext, key: tuple[str, ...], items: Sequence[tuple]) -> list:
+    """The readings ``key`` of each of ``items``: everything a run keyed
+    so reads of its item, but the names its records carry."""
+    columns = [_READINGS[r](ctx, items) for r in key]
+    return columns[0] if len(columns) == 1 else list(zip(*columns))
+
+
+def _keyed(out: SuiteResult, ctx: _SpaceContext, items: Sequence[tuple],
+           stages: Sequence[tuple[Callable, dict, tuple[str, ...]]]) -> None:
+    """Each stage ``(body, clean, key)`` runs ``body(run, *item)`` over
+    ``items`` once per distinct run key (:func:`_run_keys`), as if once
+    per item; an item's stages run in turn.  A clean run records nothing
+    that names its item, so the items of one key share it, its instances
+    and notes multiplied by its uses.  A run with a failure is never
+    shared: each other item of its key runs on its own, so its records
+    carry its own names, and so do the item's later stages, since its
+    rows may depend on more than its key.  ``clean`` (key -> clean run)
+    may outlive the call."""
+    stages = [(body, clean, _run_keys(ctx, key, items), set(), {}) for body, clean, key in stages]
+    for i, item in enumerate(items):
+        alone = False
+        for body, clean, keys, failed, uses in stages:
+            key = None if alone else keys[i]
+            if key in clean:
+                uses[key] = uses.get(key, 0) + 1
+                continue
+            run = SuiteResult()
+            body(run, *item)
+            if alone or run.failures or key in failed:
+                out.merge(run)
+                failed.add(key)
+                alone = True
+            else:
+                clean[key] = run
+                uses[key] = 1
+    for _, clean, _, _, uses in stages:
+        for key, count in uses.items():
+            run = clean[key]
+            out.instances_checked += run.instances_checked * count
+            for note, value in run.notes.items():
+                out.note(note, value * count)
+
+
+def _compared(ctx: _SpaceContext, st: Statement, out: SuiteResult, a: str, b: str, view: Callable) -> None:
+    """A PAIRS statement between (a, b) and each other pair: against the
+    first of each kernel and, if one fails, against every one, so each
+    record names its own.  ``view`` gives a pair's :class:`_PairRun`."""
+    entry = ctx.others.get((st.over, a, b))
+    if entry is None:
+        others = st.over(ctx, a, b)
+        entry = ctx.others[st.over, a, b] = others, {ctx.pairs[q].kernel: q for q in reversed(others)}.values()
+    others, firsts = entry
+    out.instances_checked += len(others)
+    run = view((a, b))
+    if any(st.check(ctx, run, view(q)) for q in firsts):
+        for c, d in others:
+            for got in st.check(ctx, run, view((c, d))):
+                _fail(out, ctx, st.texts[got[0]], f"{a},{b}", f"{c},{d}", *got[1:])
+
+
+def _run(statements: Sequence[Statement], ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
+    """One suite's declarations over one space, in order.  The pair
+    statements run in one pass over the requested pairs: per pair, one
+    run of its PAIR statements keyed by all their readings, with the
+    PAIRS statements that key covers, then one run per other PAIRS
+    statement."""
+    out = SuiteResult()
+    paired = [st for st in statements if st.reads in (PAIR, PAIRS)]
+    key = tuple(dict.fromkeys(r for st in paired if st.reads == PAIR for r in st.key))
+    joined = [st for st in paired if st.reads == PAIR or set(st.key) <= set(key)]
+
+    views: dict = {}
+
+    def view(name: tuple[str, str]) -> _PairRun:
+        return views.get(name) or views.setdefault(name, _PairRun(ctx, *name))
+
+    def pair_run(run: SuiteResult, a: str, b: str) -> None:
+        args, names = (view((a, b)),), (f"{a},{b}",)
+        for st in joined:
+            if st.reads == PAIR:
+                _apply(run, ctx, st, args, names)
+            else:
+                _compared(ctx, st, run, a, b, view)
+
+    for st in statements:
+        if st.reads == SPACE:
+            for item in st.over(ctx) if st.over else [()]:
+                _apply(out, ctx, st, item, ())
+        elif st.reads == AMBIENT:
+            def body(run: SuiteResult, *item, st=st) -> None:
+                _apply(run, ctx, st, item, item[:1])
+
+            _keyed(out, ctx, list(st.over(ctx)), [(body, ctx.sweep.setdefault(st, {}), st.key)])
+        elif st is paired[0]:
+            stages = [(pair_run, {}, key)] if joined else []
+            stages += [(lambda run, a, b, st=other: _compared(ctx, st, run, a, b, view), {}, other.key)
+                       for other in paired if other not in joined]
+            _keyed(out, ctx, ctx.pair_names, stages)
+    return out
 
 
 def _subfamilies(members: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -489,261 +647,6 @@ def _family_topology(top: Topology, family: Family) -> Topology:
     return Topology(top.ground, family)
 
 
-def _fail(out: SuiteResult, ctx: _SpaceContext, pair: str, subject: str,
-          statement: str, witness: str = "") -> None:
-    out.failures.append({
-        "space": ctx.label,
-        "opens": [ctx.top.ground.labels_of_mask(m) for m in ctx.top.opens],
-        "pair": pair,
-        "subject": subject,
-        "statement": statement,
-        "witness": witness,
-    })
-
-
-# ---------------------------------------------------------------------------
-# suites
-
-
-def _suite_operations(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
-    out = SuiteResult()
-    ops = ctx.ops
-    order = ctx.order
-    names = BUILTIN_NAMES
-
-    # each catalog dual is built once and dropped with the suite, not kept
-    # on its operation: a 16-point dual holds about 2.5 MB.  The double
-    # dual is compared as a raw table, so an unlawful one is a failure
-    # record rather than a validation error
-    duals = {nm: dual(ops[nm]) for nm in names}
-    for nm in names:
-        out.instances_checked += 1
-        if dual_table(duals[nm]) != ops[nm].table:
-            _fail(out, ctx, nm, nm, "double dual returns the operation")
-    for a, b in (("int", "cl"), ("cloint", "introcl"), ("scl", "sint"), ("identity", "identity")):
-        out.instances_checked += 1
-        if duals[a].table != ops[b].table:
-            _fail(out, ctx, f"{a},{b}", a, "catalog dual identity")
-
-    chains = (
-        ("int", "cloint"), ("cloint", "cl"),
-        ("int", "identity"), ("identity", "scl"), ("scl", "cl"),
-        ("int", "introcl"), ("introcl", "scl"),
-    )
-    for a, b in chains:
-        out.instances_checked += 1
-        if not order[(a, b)]:
-            _fail(out, ctx, f"{a},{b}", a, "catalog order chain")
-
-    # partial-order axioms over the catalog
-    for a in names:
-        out.instances_checked += 1
-        if not order[(a, a)]:
-            _fail(out, ctx, a, a, "order is reflexive")
-        for b in names:
-            if order[(a, b)] and order[(b, a)] and ops[a].table != ops[b].table:
-                _fail(out, ctx, f"{a},{b}", a, "order is antisymmetric")
-            for c in names:
-                if order[(a, b)] and order[(b, c)] and not order[(a, c)]:
-                    _fail(out, ctx, f"{a},{c}", b, "order is transitive")
-
-    opens = ctx.top.family_plane(ctx.top.opens)
-    for nm in names:
-        plane = ctx.open_planes[nm]
-        out.instances_checked += 1
-        if not plane & 1 or not plane >> ctx.full & 1 or opens & ~plane:
-            _fail(out, ctx, nm, nm, "open family contains the opens and the ends")
-        out.instances_checked += 1
-        if not ctx.monotone[nm]:
-            _fail(out, ctx, nm, nm, "catalog operations are monotone")
-        elif not ctx.props[nm][1]:
-            _fail(out, ctx, nm, nm, "monotone operation yields a supratopology")
-
-    # forward inclusion: dominated enlarger widens the open family
-    for a in names:
-        for b in names:
-            out.instances_checked += 1
-            if ctx.dominates(a, b) and not ctx.inside[(a, b)]:
-                _fail(out, ctx, f"{a},{b}", a, "order forces open-family inclusion")
-
-    for nm in ("cloint", "cl", "scl", "identity", "introcl"):
-        if ctx.regularity_gated(ctx.top.opens):
-            out.note("regularity_scan_skipped")
-            continue
-        out.instances_checked += 1
-        if not is_regular_wrt(ops[nm], ctx.top.opens):
-            _fail(out, ctx, nm, nm, "catalog operation regular over the opens")
-
-    for a in names:
-        selfam = ctx.open_sets[a]
-        inter, union = ctx.props[a]
-        if inter and union:
-            for b in names:
-                if not ctx.monotone[b]:
-                    continue
-                if ctx.regularity_gated(selfam):
-                    out.note("regularity_scan_skipped")
-                    continue
-                out.instances_checked += 1
-                # the kernel's scan, not enlarger_is_regular, whose fast
-                # path is this statement
-                if not regular_scan(ctx.pairs.get((a, b)) or OpPair(ops[a], ops[b])):
-                    _fail(out, ctx, f"{a},{b}", b, "monotone enlarger regular over a selector topology")
-
-    # identity enlarger reproduces the selector family (monotone selector),
-    # on the requested pair where there is one, so its rows stay on the
-    # kernel the later suites read
-    for a in names:
-        if ctx.monotone[a]:
-            out.instances_checked += 1
-            p = ctx.pairs.get((a, "identity")) or OpPair(ops[a], ops["identity"])
-            if pair_open_family(p) != ctx.open_sets[a]:
-                _fail(out, ctx, f"{a},identity", a, "identity enlarger keeps the selector family")
-
-    # semi-closure is idempotent on semi-open sets
-    scl = ops["scl"].table
-    out.instances_checked += 1
-    if any(scl[scl[u]] != scl[u] for u in named_family(ctx.top, "SO")):
-        _fail(out, ctx, "scl", "SO", "semi-closure idempotent on semi-open sets")
-
-    return out
-
-
-def _suite_structure(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
-    out = SuiteResult()
-    braced = ctx.top.ground.braced
-
-    def check(a: str, b: str, out: SuiteResult) -> None:
-        p = ctx.pairs[(a, b)]
-        pair = p.name
-        rep = classify_structure(p)
-        base = base_report(p)
-        out.instances_checked += 1
-        if not rep.is_supratopology:
-            _fail(out, ctx, pair, "X", "pair-open family is a supratopology")
-
-        # complement duality and monotonicity of the pair operators
-        for s, by_points in zip(ctx.subsets, pair_closure_by_points(p, ctx.subsets)):
-            if pair_closure(p, s) != by_points:
-                _fail(out, ctx, pair, braced(s), "pointwise and complement closures agree")
-                break
-        monotone_broken = False
-        for s in ctx.subsets:
-            inner = pair_interior(p, s)
-            for i in range(ctx.n):
-                if s >> i & 1:
-                    continue
-                if inner & ~pair_interior(p, s | (1 << i)):
-                    _fail(out, ctx, pair, braced(s), "pair interior is monotone")
-                    monotone_broken = True
-                    break
-            if monotone_broken:
-                break
-
-        regular = ctx.regularity(a, b, out)
-        if regular:
-            out.instances_checked += 1
-            if not rep.is_topology:
-                _fail(out, ctx, pair, "X", "regular enlarger makes the family a topology")
-        if regular and ctx.dominates(a, b):
-            out.instances_checked += 1
-            if not rep.closed_iff_cl_equal:
-                _fail(out, ctx, pair, "X", "dominating enlarger upgrades closed sets to fixed points")
-        if regular and base.family_nested:
-            out.instances_checked += 1
-            # closure-operator readings: the weaker one must hold, the
-            # stronger one is recorded either way
-            if not rep.is_topology:
-                # already reported above; the readings below presuppose it
-                _fail(out, ctx, pair, "X", "closure operator induces the pair topology")
-            else:
-                ptop = _family_topology(ctx.top, pair_open_family(p))
-                chain_ok = True
-                for s in ctx.subsets:
-                    pc = pair_closure(p, s)
-                    if s & ~pc or pc & ~ptop.closure(s):
-                        chain_ok = False
-                        break
-                if not chain_ok:
-                    _fail(out, ctx, pair, "X", "closure operator induces the pair topology")
-                out.note("cl_reading_both" if rep.closed_iff_cl_equal else "cl_reading_subset_only")
-
-                if base.base_pair_open:
-                    out.instances_checked += 1
-                    if not rep.is_kuratowski:
-                        _fail(out, ctx, pair, "X", "pair closure is a Kuratowski operator")
-                    if any(pair_closure(p, s) != ptop.closure(s) for s in ctx.subsets):
-                        _fail(out, ctx, pair, "X", "pair closure equals closure in the pair topology")
-
-        out.instances_checked += 1
-        if base.hypothesis_a and not base.base_in_pair_and_selector:
-            _fail(out, ctx, pair, "base", "stable images land in both open families")
-        if (base.hypothesis_b or base.hypothesis_c or base.hypothesis_d) and not base.is_base:
-            _fail(out, ctx, pair, "base", "enlargement base generates the pair-open family")
-
-    _shared_runs(out, ctx.pair_names, lambda a, b: (ctx.pairs[(a, b)].kernel, ctx.dominates(a, b)), check)
-    return out
-
-
-def _suite_families(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
-    out = SuiteResult()
-    top = ctx.top
-    requested = set(ctx.pair_names)
-
-    for a, b, fam_name in FAMILY_IDENTITIES:
-        if (a, b) not in requested:
-            continue
-        out.instances_checked += 1
-        if pair_open_family(ctx.pairs[(a, b)]) != named_family(top, fam_name):
-            _fail(out, ctx, f"{a},{b}", fam_name, "pair family equals the named family")
-
-    out.instances_checked += 1
-    if ctx.open_sets["int"] != top.opens:
-        _fail(out, ctx, "int", "tau", "interior-open sets are the opens")
-    checks = (("cloint", "SO"), ("introcl", "PO"))
-    for nm, fam_name in checks:
-        out.instances_checked += 1
-        if ctx.open_sets[nm] != named_family(top, fam_name):
-            _fail(out, ctx, nm, fam_name, "operation-open family equals the named family")
-    for nm in ("cl", "identity", "scl"):
-        out.instances_checked += 1
-        if ctx.open_sets[nm] != tuple(top.subsets()):
-            _fail(out, ctx, nm, "P(X)", "operation-open family is the whole power set")
-
-    # complement pairings among the named families
-    for opened, closed in (("SO", "SC"), ("PO", "PC"), ("SthetaO", "SthetaC"), ("thetaSO", "thetaSC")):
-        out.instances_checked += 1
-        expect = canonical_family(ctx.full ^ m for m in named_family(top, opened))
-        if named_family(top, closed) != expect:
-            _fail(out, ctx, "", closed, "closed family complements the open one")
-
-    base_checks = (("int", "introcl", "RO"), ("cloint", "cl", "RC"))
-    for a, b, fam_name in base_checks:
-        if (a, b) not in requested:
-            continue
-        out.instances_checked += 1
-        if enlargement_base(ctx.pairs[(a, b)]) != named_family(top, fam_name):
-            _fail(out, ctx, f"{a},{b}", fam_name, "enlargement base equals the named family")
-    for a in BUILTIN_NAMES:
-        if (a, "identity") not in requested:
-            continue
-        out.instances_checked += 1
-        if enlargement_base(ctx.pairs[(a, "identity")]) != ctx.open_sets[a]:
-            _fail(out, ctx, f"{a},identity", a, "identity enlarger bases the selector family")
-
-    # enlargers agreeing on the selector-open family induce the same
-    # family; names are compared one by one only in a class whose kernels
-    # differ
-    split: dict = {}
-    for (a, b), agreeing in ctx.partners.items():
-        out.instances_checked += len(agreeing)
-        if ctx.class_differs(a, b, pair_open_family, split):
-            for c in agreeing:
-                if pair_open_family(ctx.pairs[(a, b)]) != pair_open_family(ctx.pairs[(a, c)]):
-                    _fail(out, ctx, f"{a},{b}", f"{a},{c}", "agreeing enlargers induce one family")
-    return out
-
-
 def _first_points(rows: Sequence[int]):
     """(i, x) for each position i flagged in some ``rows[x]``, ascending,
     with x the lowest such point."""
@@ -754,417 +657,513 @@ def _first_points(rows: Sequence[int]):
         yield i, next(x for x, row in enumerate(rows) if row >> i & 1)
 
 
-def _suite_filters(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
-    out = SuiteResult()
-    braced = ctx.top.ground.braced
-    n, full = ctx.n, ctx.full
-    exhaustive = n <= EXHAUSTIVE_POINTS
-    # the bases by the core of the filter each generates, bit j for base j
-    by_core: dict[int, int] = {}
-    for j, base in enumerate(ctx.bases):
-        core = generated_filter(n, base).core
-        by_core[core] = by_core.get(core, 0) | 1 << j
-    has = member_table(ctx.bases, n)
-    # per-point rows flag the quantified cores by their position i in the
-    # core list; inside[t] flags the cores inside t
-    cores = ctx.core_list
+def _one(bad: bool, *fields) -> Sequence[tuple]:
+    """The record of a statement's first text with ``fields``, if
+    ``bad``."""
+    return [(0, *fields)] if bad else ()
+
+
+def _lowest(ctx: _SpaceContext, plane: int) -> Sequence[tuple]:
+    """The record of a statement's first text naming the lowest subset
+    in ``plane``, if any."""
+    return [(0, ctx.top.ground.braced((plane & -plane).bit_length() - 1))] if plane else ()
+
+
+def _wider_pairs(ctx: _SpaceContext, a: str, b: str) -> list[tuple[str, str]]:
+    """:meth:`_SpaceContext.wider`, one ``over`` for both transfer statements."""
+    return ctx.wider(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the checks longer than one expression; STATEMENTS holds the others
+
+
+def _partial_order(ctx):
+    order, ops = ctx.order, ctx.ops
+    for a in BUILTIN_NAMES:
+        if not order[(a, a)]:
+            yield 0, a, a
+        for b in BUILTIN_NAMES:
+            if order[(a, b)] and order[(b, a)] and ops[a].table != ops[b].table:
+                yield 1, f"{a},{b}", a
+            for c in BUILTIN_NAMES:
+                if order[(a, b)] and order[(b, c)] and not order[(a, c)]:
+                    yield 2, f"{a},{c}", b
+
+
+def _open_families(ctx):
+    opens = ctx.top.family_plane(ctx.top.opens)
+    for nm in BUILTIN_NAMES:
+        plane = ctx.open_planes[nm]
+        if not plane & 1 or not plane >> ctx.full & 1 or opens & ~plane:
+            yield 0, nm, nm
+        if not ctx.monotone[nm]:
+            yield 1, nm, nm
+        elif not ctx.props[nm][1]:
+            yield 2, nm, nm
+
+
+def _pair_axioms(ctx, run):
+    p, braced = run.p, ctx.top.ground.braced
+    if not run.structure.is_supratopology:
+        yield 0, "X"
+    # complement duality and monotonicity of the pair operators
+    for s, by_points in zip(ctx.subsets, pair_closure_by_points(p, ctx.subsets)):
+        if pair_closure(p, s) != by_points:
+            yield 1, braced(s)
+            break
+    for s in ctx.subsets:
+        inner = pair_interior(p, s)
+        for i in range(ctx.n):
+            if not s >> i & 1 and inner & ~pair_interior(p, s | 1 << i):
+                yield 2, braced(s)
+                return
+
+
+def _closure_induces_topology(ctx, run):
+    # the weaker closure-operator reading must hold, the stronger one is
+    # noted either way
+    if not run.structure.is_topology:
+        # reported by the statement above; the readings presuppose it
+        yield 0, "X"
+        return
+    p = run.p
+    ptop = _family_topology(ctx.top, pair_open_family(p))
+    for s in ctx.subsets:
+        pc = pair_closure(p, s)
+        if s & ~pc or pc & ~ptop.closure(s):
+            yield 0, "X"
+            break
+    yield "cl_reading_both" if run.structure.closed_iff_cl_equal else "cl_reading_subset_only"
+
+
+def _kuratowski(ctx, run):
+    if not run.structure.is_kuratowski:
+        yield 0, "X"
+    p = run.p
+    ptop = _family_topology(ctx.top, pair_open_family(p))
+    if any(pair_closure(p, s) != ptop.closure(s) for s in ctx.subsets):
+        yield 1, "X"
+
+
+def _enlargement_base(ctx, run):
+    base = run.base
+    if base.hypothesis_a and not base.base_in_pair_and_selector:
+        yield 0, "base"
+    if (base.hypothesis_b or base.hypothesis_c or base.hypothesis_d) and not base.is_base:
+        yield 1, "base"
+
+
+def _bases_agree(ctx, run):
+    # base predicates match the generated filter's, compared on rows by
+    # point: the bases' from the groups and the member table, the
+    # generated filters' from the envelopes and the pair interior; the
+    # witness is the lowest point where either set differs
+    p, n = run.p, ctx.n
+    lim, adh = principal_rows(p)
+    base_lim_at, base_adh_at = base_rows(p, ctx.bases, ctx.base_table)
+    core_lim_at = spread_rows(((lim[c], js) for c, js in ctx.base_cores.items()), n)
+    core_adh_at = spread_rows(((adh[c], js) for c, js in ctx.base_cores.items()), n)
+    bad = [(base_lim_at[x] ^ core_lim_at[x]) | (base_adh_at[x] ^ core_adh_at[x]) for x in range(n)]
+    for j, x in _first_points(bad):
+        yield 0, str(list(ctx.bases[j])), str(x)
+
+
+def _variant_agrees(ctx, run):
+    # the superset-closed neighbourhood variant changes nothing (monotone
+    # enlarger): the cores are tested literally against the distinct
+    # enlargements of the up-set around each point, kept on the kernel
+    lim_at, adh_at = run.at_points
+    images = neighbourhood_images(run.p)
+    cores, inside = ctx.core_list, ctx.core_table
     everyone = (1 << len(cores)) - 1
-    inside = member_table([(c,) for c in cores], n)
-    singletons = mask_of(i for i, c in enumerate(cores) if c.bit_count() == 1)
-    values: dict = {}
+    within = rows_within(inside, images, everyone)
+    meeting = rows_meeting(inside, images, everyone, ctx.full)
+    bad = [(lim_at[x] ^ within[x]) | (adh_at[x] ^ meeting[x]) for x in range(ctx.n)]
+    for i, x in _first_points(bad):
+        yield 0, ctx.top.ground.braced(cores[i]), str(x)
 
-    def core_values(q: OpPair) -> tuple[list[int], list[int]]:
-        """The limit and adherence sets of the quantified cores, by
-        position: one read of each kernel's rows per suite."""
-        got = values.get(q.kernel)
-        if got is None:
-            lim, adh = principal_rows(q)
-            got = values[q.kernel] = [lim[c] for c in cores], [adh[c] for c in cores]
-        return got
 
-    def subject(i: int) -> str:
-        return braced(cores[i])
+def _limits_contained(ctx, run):
+    # membership characterization of convergence, against the distinct
+    # enlargements of the selector-open sets around each point
+    n, cores = ctx.n, ctx.core_list
+    lim_at, adh_at = run.at_points
+    groups = image_groups(run.p)
+    images_at = [[t for t, union in groups if union >> x & 1] for x in range(n)]
+    within = rows_within(ctx.core_table, images_at, (1 << len(cores)) - 1)
+    unadherent = 0
+    for x in range(n):
+        unadherent |= lim_at[x] & ~adh_at[x]
+    first = dict(_first_points([lim_at[x] ^ within[x] for x in range(n)]))
+    for i in iter_points(unadherent | mask_of(first)):
+        if unadherent >> i & 1:
+            yield 0, ctx.top.ground.braced(cores[i])
+        if i in first:
+            yield 1, ctx.top.ground.braced(cores[i]), str(first[i])
 
-    def check(a: str, b: str, out: SuiteResult) -> None:
-        p = ctx.pairs[(a, b)]
-        pair = p.name
-        sel_open = ctx.open_sets[a]
-        regular = ctx.regularity(a, b, out)
-        nested = ctx.inside[(a, b)]
-        inter_closed = ctx.props[a][0]
-        monotone_enl = ctx.monotone[b]
-        lim, adh = principal_rows(p)
-        lims, adhs = core_values(p)
-        lim_at, adh_at = point_rows(lims, n), point_rows(adhs, n)
-        env = envelopes(p)
 
-        # base predicates match the generated filter's, compared on rows by
-        # point: the bases' from the groups and the member table, the
-        # generated filters' from the envelopes and the pair interior; the
-        # witness is the lowest point where either set differs
-        out.instances_checked += len(ctx.bases)
-        base_lim_at, base_adh_at = base_rows(p, ctx.bases, has)
-        core_lim_at = spread_rows(((lim[c], js) for c, js in by_core.items()), n)
-        core_adh_at = spread_rows(((adh[c], js) for c, js in by_core.items()), n)
-        bad = [(base_lim_at[x] ^ core_lim_at[x]) | (base_adh_at[x] ^ core_adh_at[x]) for x in range(n)]
-        for j, x in _first_points(bad):
-            _fail(out, ctx, pair, str(list(ctx.bases[j])), "base and generated filter agree", str(x))
-
-        # superset-closed neighbourhood variant changes nothing (monotone
-        # enlarger); each up-set is one pass over all subsets, and the
-        # variant is gated on bigger carriers.  The cores are tested
-        # literally against the distinct enlargements of the up-set around
-        # each point, kept on the kernel: one core-table row per member
-        if monotone_enl and (1 << n) * max(len(sel_open), 1) <= 10**7:
-            images = neighbourhood_images(p)
-            out.instances_checked += len(cores)
-            within = rows_within(inside, images, everyone)
-            meeting = rows_meeting(inside, images, everyone, full)
-            bad = [(lim_at[x] ^ within[x]) | (adh_at[x] ^ meeting[x]) for x in range(n)]
-            for i, x in _first_points(bad):
-                _fail(out, ctx, pair, subject(i), "neighbourhood variant agrees", str(x))
-        elif monotone_enl:
-            out.note("neighbourhood_variant_skipped")
-
-        # membership characterization of convergence, against the
-        # distinct enlargements of the selector-open sets around each point
-        groups = image_groups(p)
-        images_at = [[t for t, union in groups if union >> x & 1] for x in range(n)]
-        within = rows_within(inside, images_at, everyone)
-        out.instances_checked += len(cores)
-        unadherent = 0
+def _accumulation(ctx, run):
+    # accumulation equals existence of a finer convergent filter, and the
+    # refinement construction is exercised on every accumulating core and
+    # point.  Exact: convergence survives refinement, so some finer filter
+    # converges iff some singleton core inside does, i.e. iff the core
+    # meets the envelope; the literal submask scan, read off the limit
+    # rows, is kept on small carriers to check exactly that
+    n, full, cores, inside = ctx.n, ctx.full, ctx.core_list, ctx.core_table
+    lim_at, adh_at = run.at_points
+    env = envelopes(run.p)
+    everyone = (1 << len(cores)) - 1
+    finer_at = [everyone & ~inside[full ^ e] for e in env]
+    rows = []
+    if n <= EXHAUSTIVE_POINTS:
+        # up to 4 points inside[core] flags every nonempty submask
+        literal_at = point_rows([points_reached(inside[c], lim_at) for c in cores], n)
+        rows.append((0, [literal_at[x] ^ finer_at[x] for x in range(n)]))
+    rows.append((1, [finer_at[x] & ~adh_at[x] for x in range(n)]))
+    if run.regular:
+        rows.append((2, [adh_at[x] ^ finer_at[x] for x in range(n)]))
+        unrefined = [0] * n
         for x in range(n):
-            unadherent |= lim_at[x] & ~adh_at[x]
-        uncontained = [lim_at[x] ^ within[x] for x in range(n)]
-        first = dict(_first_points(uncontained))
-        for i in iter_points(unadherent | mask_of(first)):
-            if unadherent >> i & 1:
-                _fail(out, ctx, pair, subject(i), "limits are adherent")
-            if i in first:
-                _fail(out, ctx, pair, subject(i), "convergence is enlarged-members containment", str(first[i]))
-
-        # refinement monotonicity; single-point core drops suffice, any
-        # refinement is a chain of them and the two set maps compose
-        for c1, lim1, adh1 in zip(cores, lims, adhs):
-            if c1.bit_count() == 1:
-                continue
-            out.instances_checked += 1
-            broken = False
-            for i in range(n):
-                c2 = c1 ^ (1 << i)  # finer
-                if not c1 >> i & 1 or c2 == 0:
-                    continue
-                if adh[c2] & ~adh1 or lim1 & ~lim[c2]:
-                    _fail(out, ctx, pair, braced(c1), "refinement moves limits up, adherence down", braced(c2))
-                    broken = True
-                    break
-            if broken:
-                break
-
-        # accumulation equals existence of a finer convergent filter, and
-        # the refinement construction is exercised on every accumulating
-        # core and point.  Exact: convergence survives refinement, so some
-        # finer filter converges iff some singleton core inside does, i.e.
-        # iff the core meets the envelope; the literal submask scan, read
-        # off the limit rows, is kept on small carriers to check exactly that
-        out.instances_checked += len(cores)
-        finer_at = [everyone & ~inside[full ^ e] for e in env]
-        statements = []
-        if exhaustive:
-            # up to 4 points inside[core] flags every nonempty submask
-            literal_at = point_rows([points_reached(inside[c], lim_at) for c in cores], n)
-            statements.append(("singleton cores decide finer convergence",
-                               [literal_at[x] ^ finer_at[x] for x in range(n)]))
-        statements.append(("convergent refinements accumulate",
-                           [finer_at[x] & ~adh_at[x] for x in range(n)]))
-        if regular:
-            statements.append(("regular: accumulation iff finer convergence",
-                               [adh_at[x] ^ finer_at[x] for x in range(n)]))
-            unrefined = [0] * n
-            for x in range(n):
-                for i in iter_points(adh_at[x]):
-                    try:
-                        meet = refined_core(p, cores[i], x)
-                    except RuntimeError:
-                        meet = 0
-                    if not meet or meet & ~cores[i] or meet & ~env[x]:
-                        unrefined[x] |= 1 << i
-            statements.append(("refinement construction converges", unrefined))
-        flagged = 0
-        for _, rows in statements:
-            for row in rows:
-                flagged |= row
-        for i in iter_points(flagged):
-            for x in range(n):
-                for statement, rows in statements:
-                    if rows[x] >> i & 1:
-                        _fail(out, ctx, pair, subject(i), statement, str(x))
-
-        # maximal filters: accumulation already is convergence
-        for F in maximal_filters(ctx.top):
-            out.instances_checked += 1
-            if adh[F.core] & ~lim[F.core]:
-                _fail(out, ctx, pair, braced(F.core), "maximal accumulation is convergence")
-
-        # separation kills multiple limits
-        if is_t2(p):
-            out.instances_checked += len(cores)
-            for i, (lim_c, adh_c) in enumerate(zip(lims, adhs)):
-                if lim_c and (adh_c != lim_c or lim_c.bit_count() > 1):
-                    _fail(out, ctx, pair, subject(i), "separated pairs give unique limits")
-
-        # neighbourhood filterbases converge by construction
-        if inter_closed and nested:
-            for x in range(n):
-                out.instances_checked += 1
+            for i in iter_points(adh_at[x]):
                 try:
-                    nbhd_plane(p, x, "plain")
+                    meet = refined_core(run.p, cores[i], x)
                 except RuntimeError:
-                    _fail(out, ctx, pair, str(x), "plain neighbourhood base converges")
-        if regular and nested:
-            for x in range(n):
-                out.instances_checked += 1
-                try:
-                    nbhd_plane(p, x, "enlarged")
-                except RuntimeError:
-                    _fail(out, ctx, pair, str(x), "enlarged neighbourhood base converges")
-
-        # filters versus the pair closure; cores inside s are scanned in
-        # full on small carriers (every core inside[s] flags), while above
-        # that the scan shrinks to the singletons and s itself, which is
-        # exact: convergence survives refinement (singletons decide it)
-        # and accumulation survives coarsening (the core s decides it).
-        # Above 4 points s need not be a quantified core, so its rows are
-        # read directly
-        for s in ctx.subsets:
-            pc = pair_closure(p, s)
-            out.instances_checked += 1
-            # points where some filter containing s accumulates / converges
-            within = inside[s] if exhaustive else inside[s] & singletons
-            acc_exists = points_reached(within, adh_at)
-            conv_exists = points_reached(within, lim_at)
-            if s and not exhaustive:
-                acc_exists |= adh[s]
-                conv_exists |= lim[s]
-            unclosed = acc_exists & ~pc
-            unreached = pc ^ conv_exists if regular else 0
-            for x in iter_points(unclosed | unreached):
-                if unclosed >> x & 1:
-                    _fail(out, ctx, pair, braced(s), "accumulating filters land in the closure", str(x))
-                if unreached >> x & 1:
-                    _fail(out, ctx, pair, braced(s), "regular: closure points are filter limits", str(x))
-            if regular:
-                closed = pc & ~s == 0
-                absorbed = conv_exists & ~s == 0
-                if closed != absorbed:
-                    _fail(out, ctx, pair, braced(s), "regular: closed iff limits stay inside")
-
-        # the convergence closure operator, by both routes in one pass
-        singleton, every = convergence_closures(p, ctx.subsets)
-        ccl = dict(zip(ctx.subsets, singleton))
-        out.instances_checked += 1
-        if singleton != every:
-            _fail(out, ctx, pair, "cl*", "singleton scan equals the exhaustive scan")
-        if regular:
-            out.instances_checked += 1
-            if any(ccl[s] != pair_closure(p, s) for s in ctx.subsets):
-                _fail(out, ctx, pair, "cl*", "regular: convergence closure is the pair closure")
-            if exhaustive:
-                # every subset is quantified here, so ccl holds every complement
-                fam = pair_open_family(p)
-                tau_sub = tuple(
-                    u for u in ctx.top.subsets()
-                    if ccl[full ^ u] & ~(full ^ u) == 0
-                )
-                if tau_sub != fam:
-                    _fail(out, ctx, pair, "cl*", "shrinking-complement family matches the pair family")
-                if nested:
-                    tau_eq = tuple(
-                        u for u in ctx.top.subsets()
-                        if ccl[full ^ u] == full ^ u
-                    )
-                    if tau_eq != fam:
-                        _fail(out, ctx, pair, "cl*", "fixed-complement family matches the pair family")
-
-        # convergence/accumulation transfer between pairs, read off the
-        # wider pair's rows: one comparison per wider kernel, one count per
-        # name, and one record per name of a kernel that breaks it
-        wider = ctx.wider(a, b)
-        out.instances_checked += len(wider)
-        first_break: dict = {}
-        for wide in ctx.wider_kernels(a, b):
-            wide_lims, wide_adhs = core_values(wide)
-            for i in range(len(cores)):
-                if lims[i] & ~wide_lims[i] or adhs[i] & ~wide_adhs[i]:
-                    first_break[wide.kernel] = i
-                    break
-        if first_break:
-            for (c, d) in wider:
-                i = first_break.get(ctx.pairs[(c, d)].kernel)
-                if i is not None:
-                    _fail(out, ctx, pair, f"{c},{d}", "transfer to a wider pair", subject(i))
-
-    _shared_runs(out, ctx.pair_names, lambda a, b: ctx.pairs[(a, b)].kernel, check)
-    return out
+                    meet = 0
+                if not meet or meet & ~cores[i] or meet & ~env[x]:
+                    unrefined[x] |= 1 << i
+        rows.append((3, unrefined))
+    flagged = 0
+    for _, by_point in rows:
+        for row in by_point:
+            flagged |= row
+    for i in iter_points(flagged):
+        for x in range(n):
+            for text, by_point in rows:
+                if by_point[x] >> i & 1:
+                    yield text, ctx.top.ground.braced(cores[i]), str(x)
 
 
-def _suite_compactness_oracle(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
-    out = SuiteResult()
-    braced = ctx.top.ground.braced
+def _maximal_filters(ctx, run):
+    # one maximal filter per point: accumulation already is convergence
+    lim, adh = principal_rows(run.p)
+    for F in maximal_filters(ctx.top):
+        if adh[F.core] & ~lim[F.core]:
+            yield 0, ctx.top.ground.braced(F.core)
+
+
+def _neighbourhood_bases(ctx, run, variant):
+    # neighbourhood filterbases converge by construction
+    for x in range(ctx.n):
+        try:
+            nbhd_plane(run.p, x, variant)
+        except RuntimeError:
+            yield 0, str(x)
+
+
+def _filters_and_closure(ctx, run):
+    # cores inside s are scanned in full on small carriers (every core
+    # inside[s] flags), while above that the scan shrinks to the
+    # singletons and s itself, which is exact: convergence survives
+    # refinement (singletons decide it) and accumulation survives
+    # coarsening (the core s decides it).  Above 4 points s need not be a
+    # quantified core, so its rows are read directly
+    p, braced, regular = run.p, ctx.top.ground.braced, run.regular
+    exhaustive = ctx.n <= EXHAUSTIVE_POINTS
+    lim, adh = principal_rows(p)
+    lim_at, adh_at = run.at_points
+    singletons = mask_of(i for i, c in enumerate(ctx.core_list) if c.bit_count() == 1)
+    for s in ctx.subsets:
+        pc = pair_closure(p, s)
+        # points where some filter containing s accumulates / converges
+        within = ctx.core_table[s] if exhaustive else ctx.core_table[s] & singletons
+        acc_exists = points_reached(within, adh_at)
+        conv_exists = points_reached(within, lim_at)
+        if s and not exhaustive:
+            acc_exists |= adh[s]
+            conv_exists |= lim[s]
+        unclosed = acc_exists & ~pc
+        unreached = pc ^ conv_exists if regular else 0
+        for x in iter_points(unclosed | unreached):
+            if unclosed >> x & 1:
+                yield 0, braced(s), str(x)
+            if unreached >> x & 1:
+                yield 1, braced(s), str(x)
+        if regular and (pc & ~s == 0) != (conv_exists & ~s == 0):
+            yield 2, braced(s)
+
+
+def _convergence_closure(ctx, run):
+    p, full = run.p, ctx.full
+    ccl = dict(zip(ctx.subsets, run.closures[0]))
+    if any(ccl[s] != pair_closure(p, s) for s in ctx.subsets):
+        yield 0, "cl*"
+    if ctx.n <= EXHAUSTIVE_POINTS:
+        # every subset is quantified here, so ccl holds every complement
+        fam = pair_open_family(p)
+        if tuple(u for u in ctx.top.subsets() if ccl[full ^ u] & ~(full ^ u) == 0) != fam:
+            yield 1, "cl*"
+        if ctx.inside[(run.a, run.b)] and tuple(
+                u for u in ctx.top.subsets() if ccl[full ^ u] == full ^ u) != fam:
+            yield 2, "cl*"
+
+
+def _ambients(ctx):
+    """(enlarger name, ambient family, the enlarger's images of its
+    members: all the oracle and the fast criterion read of it) for each
+    oracle family and catalog enlarger.  Families are walked whole up to
+    4 points; above, big ones are cut to a seeded draw, without a note."""
+    full = ctx.full
     if ctx.n <= 2:
         # every family holding the whole set, the largest mask
-        ambients = [fam + (ctx.full,) for fam in _subfamilies(range(ctx.full))]
+        ambients = [fam + (full,) for fam in _subfamilies(range(full))]
     else:
         derived = set(ctx.open_sets.values())
         for p in ctx.pairs.values():
             derived.add(pair_open_family(p))
-            derived.add(canonical_family(enlargement_base(p) + (ctx.full,)))
+            derived.add(canonical_family(enlargement_base(p) + (full,)))
         ambients = sorted(derived)
-
-    store = ctx.oracle
-    subsets = tuple(ctx.subsets)
-
-    def check(fam: Family, enl_name: str, row: tuple[int, ...], out: SuiteResult) -> None:
-        # the enlarger is read on the family's members only, where its
-        # images are ``row``, and the store holds the family's walk
-        cs = CoverSystem(fam, ctx.ops[enl_name])
-        for s, literal_compact in zip(subsets, store.literal[fam, row, subsets]):
-            out.instances_checked += 1
-            verdict = is_compact(cs, s)
-            if verdict.compact != literal_compact:
-                _fail(out, ctx, enl_name, braced(s),
-                      "fast criterion agrees with the literal oracle", str(list(fam)))
-            if not verdict.compact:
-                cover = verdict.witness_cover
-                point = verdict.witness_point
-                enl = ctx.ops[enl_name].table
-                union = 0
-                for u in cover:
-                    union |= u
-                if s & ~union or not s >> point & 1 or any(
-                    enl[u] >> point & 1 for u in cover
-                ):
-                    _fail(out, ctx, enl_name, braced(s),
-                          "failing verdicts carry valid witnesses", str(list(cover)))
-
-    # every family is walked whole up to 4 points (16 members at most);
-    # above that big ones are cut to a seeded draw, so far without a note
     sweep_cap = 10
-    rng = random.Random(derive_seed(cfg.seed, "oracle", ctx.label))
+    rng = random.Random(derive_seed(ctx.seed, "oracle", ctx.label))
     for fam in ambients:
         if ctx.n > EXHAUSTIVE_POINTS and len(fam) > sweep_cap:
-            trimmed = rng.sample([m for m in fam if m != ctx.full], sweep_cap - 1)
-            fam = canonical_family(trimmed + [ctx.full])
-        # one literal walk answers each distinct image tuple of the
-        # enlargers on the family that the sweep has not met yet, and one
-        # clean run per sweep checks each
-        items = [(fam, nm, tuple(map(ctx.ops[nm].table.__getitem__, fam))) for nm in BUILTIN_NAMES]
-        walk = [row for row in dict.fromkeys(row for _, _, row in items)
-                if (fam, row, subsets) not in store.literal]
-        if walk:
-            for row, verdicts in zip(walk, brute_force_compact_images(fam, walk, subsets)):
-                store.literal[fam, row, subsets] = verdicts
-        _shared_runs(out, items, lambda fam, nm, row: (fam, row, subsets), check, clean=store.clean)
-    return out
+            trimmed = rng.sample([m for m in fam if m != full], sweep_cap - 1)
+            fam = canonical_family(trimmed + [full])
+        for nm in BUILTIN_NAMES:
+            yield nm, fam, tuple(map(ctx.ops[nm].table.__getitem__, fam))
 
 
-def _suite_compactness(ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
-    out = SuiteResult()
-    braced = ctx.top.ground.braced
-    quantified = family_plane(ctx.subsets, ctx.n)
+def _oracle_agrees(ctx, nm, fam, row):
+    subsets, braced = ctx.subsets, ctx.top.ground.braced
+    literal = ctx.sweep.setdefault("literal", {})
+    if (fam, row, subsets) not in literal:
+        # one literal walk answers every image row of the catalog on the
+        # family that the sweep has not met yet
+        rows = dict.fromkeys(tuple(map(ctx.ops[e].table.__getitem__, fam)) for e in BUILTIN_NAMES)
+        walk = [r for r in rows if (fam, r, subsets) not in literal]
+        for r, verdicts in zip(walk, brute_force_compact_images(fam, walk, subsets)):
+            literal[fam, r, subsets] = verdicts
+    cs = CoverSystem(fam, ctx.ops[nm])
+    enl = ctx.ops[nm].table
+    for s, literal_compact in zip(subsets, literal[fam, row, subsets]):
+        verdict = is_compact(cs, s)
+        if verdict.compact != literal_compact:
+            yield 0, braced(s), str(list(fam))
+        if not verdict.compact:
+            cover, point = verdict.witness_cover, verdict.witness_point
+            union = 0
+            for u in cover:
+                union |= u
+            if s & ~union or not s >> point & 1 or any(enl[u] >> point & 1 for u in cover):
+                yield 1, braced(s), str(list(cover))
 
-    def first(plane: int) -> str:
-        """The lowest quantified subset flagged in ``plane``."""
-        return braced((plane & -plane).bit_length() - 1)
 
-    def verdicts(p: OpPair, s: int, kinds: tuple[str, ...]) -> str:
+def _kinds_agree(ctx, run):
+    # the quantified subsets each check flags, one plane per check
+    p, braced, quantified = run.p, ctx.top.ground.braced, ctx.quantified
+    cover = failing_plane(p)
+    faces = quantified & ((cover ^ failing_plane(p, "ultra")) | (cover ^ failing_plane(p, "closed")))
+    kinds = additive = 0
+    if run.base.hypothesis_d:
+        kinds = quantified & (cover | failing_plane(p, "base") | failing_plane(p, "pair_open"))
+    if additive_hypothesis(p):
+        additive = quantified & (cover ^ failing_plane(p, "restricted"))
+
+    def verdicts(s: int, kinds: tuple[str, ...]) -> str:
         return str({k: not failing_plane(p, k) >> s & 1 for k in kinds})
 
-    def check(a: str, b: str, out: SuiteResult) -> None:
-        p = ctx.pairs[(a, b)]
-        pair = p.name
-        out.instances_checked += len(ctx.subsets)
-        # the quantified subsets each check flags, one plane per check
-        cover = failing_plane(p)
-        faces = quantified & ((cover ^ failing_plane(p, "ultra")) | (cover ^ failing_plane(p, "closed")))
-        kinds = additive = 0
-        if base_report(p).hypothesis_d:
-            kinds = quantified & (cover | failing_plane(p, "base") | failing_plane(p, "pair_open"))
-        if additive_hypothesis(p):
-            additive = quantified & (cover ^ failing_plane(p, "restricted"))
-        for s in ctx.subsets:
-            if faces >> s & 1:
-                _fail(out, ctx, pair, braced(s), "filter statements agree",
-                      verdicts(p, s, ("pair", "ultra", "closed")))
-            if kinds >> s & 1:
-                _fail(out, ctx, pair, braced(s), "cover kinds agree under the base hypothesis",
-                      verdicts(p, s, ("pair", "base", "pair_open")))
-            if additive >> s & 1:
-                _fail(out, ctx, pair, braced(s),
-                      "additive enlarger matches restricted accumulation")
-        sflags = space_compactness_flags(p)
-        out.instances_checked += 1
-        if sflags.hypothesis and not sflags.agree():
-            _fail(out, ctx, pair, "X", "space-level statements agree", str(sflags.statements()))
+    for s in ctx.subsets:
+        if faces >> s & 1:
+            yield 0, braced(s), verdicts(s, ("pair", "ultra", "closed"))
+        if kinds >> s & 1:
+            yield 1, braced(s), verdicts(s, ("pair", "base", "pair_open"))
+        if additive >> s & 1:
+            yield 2, braced(s)
 
-        # compactness transfers to wider pairs: sets compact here and
-        # failing there, compared once per wider kernel and named per name
-        wider = ctx.wider(a, b)
-        out.instances_checked += len(wider)
-        if any(failing_plane(q) & ~cover & quantified for q in ctx.wider_kernels(a, b)):
-            for (c, d) in wider:
-                strict = failing_plane(ctx.pairs[(c, d)]) & ~cover & quantified
-                if strict:
-                    _fail(out, ctx, pair, f"{c},{d}", "compact sets transfer to wider pairs", first(strict))
 
-    split: dict = {}
-
-    def planes(q: OpPair) -> tuple[int, int]:
-        return quantified & failing_plane(q), quantified & failing_plane(q, "pair_open")
-
-    def agreeing(a: str, b: str, out: SuiteResult) -> None:
-        # enlargers agreeing on the selector-open family give one verdict;
-        # the partners share the selector's name, so this runs per name,
-        # and compares names one by one only in a class whose kernels
-        # differ
-        partners = ctx.partners[(a, b)]
-        out.instances_checked += len(partners) - 1
-        if not ctx.class_differs(a, b, planes, split):
-            return
-        p = ctx.pairs[(a, b)]
-        cover, pair_open = planes(p)
-        for d in partners:
-            if d != b:
-                other_cover, other_pair_open = planes(ctx.pairs[(a, d)])
-                diff = (cover ^ other_cover) | (pair_open ^ other_pair_open)
-                if diff:
-                    _fail(out, ctx, p.name, f"{a},{d}", "agreeing enlargers give one verdict", first(diff))
-
-    # the body reads the selector's table twice: through hypothesis_d of
-    # the base report and through the additive hypothesis
-    _shared_runs(
-        out, ctx.pair_names,
-        lambda a, b: (ctx.pairs[(a, b)].kernel, ctx.dominates(a, b), ctx.monotone[a]),
-        check, agreeing,
-    )
-
-    # named class implications, on pairs that die with this suite
+def _named_classes(ctx):
+    # on pairs that die with the run
     named = [OpPair(ctx.ops[sel], ctx.ops[enl]) for sel, enl in map(NAMED_CLASSES.get, "NHsS")]
     for s in ctx.subsets:
-        out.instances_checked += 1
         n_cls, h_cls, s_cls, big_s = (compactness_kind(p, s) for p in named)
         if (n_cls and not h_cls) or (s_cls and not big_s) or (big_s and not h_cls):
-            _fail(out, ctx, "", braced(s), "named class implications hold")
-    return out
+            yield 0, "", ctx.top.ground.braced(s)
 
+
+# ---------------------------------------------------------------------------
+# the declarations
+
+#: every statement the sweep checks, by suite, in record order.  Library
+#: functions are read through module globals at call time.
+STATEMENTS = (
+    # the double dual is compared as a raw table, so an unlawful one is a
+    # failure record rather than a validation error
+    Statement("operations", ("double dual returns the operation",), SPACE,
+              lambda ctx: [(0, nm, nm) for nm in BUILTIN_NAMES
+                           if dual_table(ctx.duals[nm]) != ctx.ops[nm].table], len(BUILTIN_NAMES)),
+    Statement("operations", ("catalog dual identity",), SPACE,
+              lambda ctx: [(0, f"{a},{b}", a) for a, b in _DUALS if ctx.duals[a].table != ctx.ops[b].table],
+              len(_DUALS)),
+    Statement("operations", ("catalog order chain",), SPACE,
+              lambda ctx: [(0, f"{a},{b}", a) for a, b in _CHAIN if not ctx.order[(a, b)]], len(_CHAIN)),
+    Statement("operations", ("order is reflexive", "order is antisymmetric", "order is transitive"),
+              SPACE, _partial_order, len(BUILTIN_NAMES)),
+    Statement("operations", ("open family contains the opens and the ends",
+                             "catalog operations are monotone",
+                             "monotone operation yields a supratopology"),
+              SPACE, _open_families, 2 * len(BUILTIN_NAMES)),
+    Statement("operations", ("order forces open-family inclusion",), SPACE,
+              lambda ctx: [(0, f"{a},{b}", a) for a, b in product(BUILTIN_NAMES, BUILTIN_NAMES)
+                           if ctx.dominates(a, b) and not ctx.inside[(a, b)]], len(BUILTIN_NAMES) ** 2),
+    Statement("operations", ("catalog operation regular over the opens",), SPACE,
+              lambda ctx, nm: _one(not is_regular_wrt(ctx.ops[nm], ctx.top.opens), nm, nm),
+              lambda ctx, nm: None if ctx.regularity_gated(ctx.top.opens) else 1, "regularity_scan_skipped",
+              over=lambda ctx: [(nm,) for nm in ("cloint", "cl", "scl", "identity", "introcl")]),
+    # the kernel's scan, not enlarger_is_regular, whose fast path is this
+    # statement
+    Statement("operations", ("monotone enlarger regular over a selector topology",), SPACE,
+              lambda ctx, a, b: _one(not regular_scan(ctx.pairs.get((a, b)) or OpPair(ctx.ops[a], ctx.ops[b])),
+                                     f"{a},{b}", b),
+              lambda ctx, a, b: None if ctx.regularity_gated(ctx.open_sets[a]) else 1,
+              "regularity_scan_skipped", over=lambda ctx: [(a, b) for a in BUILTIN_NAMES if all(ctx.props[a])
+                                                           for b in BUILTIN_NAMES if ctx.monotone[b]]),
+    # on the requested pair where there is one, so its rows stay on the
+    # kernel the later suites read
+    Statement("operations", ("identity enlarger keeps the selector family",), SPACE,
+              lambda ctx, a: _one(pair_open_plane(ctx.pairs.get((a, "identity")) or OpPair(
+                  ctx.ops[a], ctx.ops["identity"])) != ctx.open_planes[a], f"{a},identity", a),
+              over=lambda ctx: [(a,) for a in BUILTIN_NAMES if ctx.monotone[a]]),
+    Statement("operations", ("semi-closure idempotent on semi-open sets",), SPACE,
+              lambda ctx: _one(any(ctx.ops["scl"].table[v] != v for v in map(
+                  ctx.ops["scl"].table.__getitem__, named_family(ctx.top, "SO"))), "scl", "SO")),
+
+    Statement("structure", ("pair-open family is a supratopology",
+                            "pointwise and complement closures agree", "pair interior is monotone"),
+              PAIR, _pair_axioms),
+    # one statement of each suite that reads regularity notes where the
+    # gate hides it, so regularity_unknown counts each pair once per suite
+    Statement("structure", ("regular enlarger makes the family a topology",), PAIR,
+              lambda ctx, run: _one(not run.structure.is_topology, "X"),
+              lambda ctx, run: None if run.regular is None else int(run.regular), "regularity_unknown"),
+    Statement("structure", ("dominating enlarger upgrades closed sets to fixed points",), PAIR,
+              lambda ctx, run: _one(not run.structure.closed_iff_cl_equal, "X"),
+              lambda ctx, run: int(bool(run.regular) and ctx.dominates(run.a, run.b)),
+              key=("kernel", "dominates")),
+    Statement("structure", ("closure operator induces the pair topology",), PAIR, _closure_induces_topology,
+              lambda ctx, run: int(bool(run.regular) and run.base.family_nested)),
+    Statement("structure", ("pair closure is a Kuratowski operator",
+                            "pair closure equals closure in the pair topology"), PAIR, _kuratowski,
+              lambda ctx, run: int(bool(run.regular) and run.base.family_nested and run.structure.is_topology
+                                   and run.base.base_pair_open)),
+    Statement("structure", ("stable images land in both open families",
+                            "enlargement base generates the pair-open family"), PAIR, _enlargement_base),
+
+    Statement("families", ("pair family equals the named family",), SPACE,
+              lambda ctx, a, b, fam: _one(ctx.top.family_plane(named_family(ctx.top, fam))
+                                          != pair_open_plane(ctx.pairs[(a, b)]), f"{a},{b}", fam),
+              over=lambda ctx: [t for t in FAMILY_IDENTITIES if t[:2] in ctx.pairs]),
+    Statement("families", ("interior-open sets are the opens",), SPACE,
+              lambda ctx: _one(ctx.open_planes["int"] != ctx.top.family_plane(ctx.top.opens), "int", "tau")),
+    Statement("families", ("operation-open family equals the named family",), SPACE,
+              lambda ctx: [(0, nm, fam) for nm, fam in (("cloint", "SO"), ("introcl", "PO"))
+                           if ctx.open_planes[nm] != ctx.top.family_plane(named_family(ctx.top, fam))], 2),
+    Statement("families", ("operation-open family is the whole power set",), SPACE,
+              lambda ctx: [(0, nm, "P(X)") for nm in ("cl", "identity", "scl")
+                           if ctx.open_planes[nm] != (1 << (1 << ctx.n)) - 1], 3),
+    Statement("families", ("closed family complements the open one",), SPACE,
+              lambda ctx: [(0, "", closed) for opened, closed in (
+                  ("SO", "SC"), ("PO", "PC"), ("SthetaO", "SthetaC"), ("thetaSO", "thetaSC"))
+                           if named_family(ctx.top, closed)
+                           != canonical_family(ctx.full ^ m for m in named_family(ctx.top, opened))], 4),
+    Statement("families", ("enlargement base equals the named family",), SPACE,
+              lambda ctx, a, b, fam: _one(enlargement_base(ctx.pairs[(a, b)]) != named_family(ctx.top, fam),
+                                          f"{a},{b}", fam),
+              over=lambda ctx: [t for t in (("int", "introcl", "RO"), ("cloint", "cl", "RC"))
+                                if t[:2] in ctx.pairs]),
+    Statement("families", ("identity enlarger bases the selector family",), SPACE,
+              lambda ctx, a: _one(enlargement_base(ctx.pairs[(a, "identity")]) != ctx.open_sets[a],
+                                  f"{a},identity", a),
+              over=lambda ctx: [(a,) for a in BUILTIN_NAMES if (a, "identity") in ctx.pairs]),
+    Statement("families", ("agreeing enlargers induce one family",), PAIRS,
+              lambda ctx, run, other: _one(pair_open_plane(run.p) != pair_open_plane(other.p)),
+              key=("agreement",), over=lambda ctx, a, b: ctx.agreeing(a, b)),
+
+    Statement("filters", ("base and generated filter agree",), PAIR, _bases_agree,
+              lambda ctx, run: len(ctx.bases)),
+    # each up-set is one pass over all subsets, so the variant is gated on
+    # bigger carriers
+    Statement("filters", ("neighbourhood variant agrees",), PAIR, _variant_agrees,
+              lambda ctx, run: 0 if not ctx.monotone[run.b] else len(ctx.core_list)
+              if (1 << ctx.n) * max(len(ctx.open_sets[run.a]), 1) <= 10**7 else None,
+              "neighbourhood_variant_skipped"),
+    Statement("filters", ("limits are adherent", "convergence is enlarged-members containment"), PAIR,
+              _limits_contained, lambda ctx, run: len(ctx.core_list)),
+    Statement("filters", ("refinement moves limits up, adherence down",), PAIR,
+              lambda ctx, run: [(0, *map(ctx.top.ground.braced, run.refinement[1]))]
+              if run.refinement[1] else (),
+              lambda ctx, run: run.refinement[0]),
+    Statement("filters", ("singleton cores decide finer convergence", "convergent refinements accumulate",
+                          "regular: accumulation iff finer convergence",
+                          "refinement construction converges"),
+              PAIR, _accumulation, lambda ctx, run: len(ctx.core_list)),
+    Statement("filters", ("maximal accumulation is convergence",), PAIR, _maximal_filters,
+              lambda ctx, run: ctx.n),
+    Statement("filters", ("separated pairs give unique limits",), PAIR,
+              lambda ctx, run: [(0, ctx.top.ground.braced(c)) for c, lim, adh in zip(ctx.core_list, *run.cores)
+                                if lim and (adh != lim or lim.bit_count() > 1)],
+              lambda ctx, run: len(ctx.core_list) if is_t2(run.p) else 0),
+    Statement("filters", ("plain neighbourhood base converges",), PAIR,
+              lambda ctx, run: _neighbourhood_bases(ctx, run, "plain"),
+              lambda ctx, run: ctx.n if ctx.props[run.a][0] and ctx.inside[(run.a, run.b)] else 0),
+    Statement("filters", ("enlarged neighbourhood base converges",), PAIR,
+              lambda ctx, run: _neighbourhood_bases(ctx, run, "enlarged"),
+              lambda ctx, run: ctx.n if run.regular and ctx.inside[(run.a, run.b)] else 0),
+    Statement("filters", ("accumulating filters land in the closure",
+                          "regular: closure points are filter limits",
+                          "regular: closed iff limits stay inside"),
+              PAIR, _filters_and_closure, lambda ctx, run: len(ctx.subsets)),
+    # the convergence closure operator, by both routes in one pass
+    Statement("filters", ("singleton scan equals the exhaustive scan",), PAIR,
+              lambda ctx, run: _one(run.closures[0] != run.closures[1], "cl*")),
+    Statement("filters", ("regular: convergence closure is the pair closure",
+                          "shrinking-complement family matches the pair family",
+                          "fixed-complement family matches the pair family"),
+              PAIR, _convergence_closure, lambda ctx, run: None if run.regular is None else int(run.regular),
+              "regularity_unknown"),
+    # convergence and accumulation move up to the wider pair
+    Statement("filters", ("transfer to a wider pair",), PAIRS,
+              lambda ctx, run, wide: next(([(0, ctx.top.ground.braced(c))] for c, lim, adh, wide_lim, wide_adh
+                                           in zip(ctx.core_list, *run.cores, *wide.cores)
+                                           if lim & ~wide_lim or adh & ~wide_adh), ()), over=_wider_pairs),
+
+    Statement("compactness_oracle", ("fast criterion agrees with the literal oracle",
+                                     "failing verdicts carry valid witnesses"),
+              AMBIENT, _oracle_agrees, lambda ctx, nm, fam, row: len(ctx.subsets), key=("ambient",),
+              over=_ambients),
+
+    # the first statement reads the selector's table twice: through
+    # hypothesis_d of the base report and through the additive hypothesis
+    Statement("compactness", ("filter statements agree", "cover kinds agree under the base hypothesis",
+                              "additive enlarger matches restricted accumulation"),
+              PAIR, _kinds_agree, lambda ctx, run: len(ctx.subsets), key=("kernel", "dominates", "monotone")),
+    Statement("compactness", ("space-level statements agree",), PAIR,
+              lambda ctx, run: [(0, "X", str(f.statements())) for f in [space_compactness_flags(run.p)]
+                                if f.hypothesis and not f.agree()]),
+    # sets compact for the pair and failing for the wider pair
+    Statement("compactness", ("compact sets transfer to wider pairs",), PAIRS,
+              lambda ctx, run, wide: _lowest(ctx, ctx.quantified & failing_plane(wide.p)
+                                             & ~failing_plane(run.p)), over=_wider_pairs),
+    Statement("compactness", ("agreeing enlargers give one verdict",), PAIRS,
+              lambda ctx, run, other: _lowest(ctx, ctx.quantified & (
+                  (failing_plane(run.p) ^ failing_plane(other.p))
+                  | (failing_plane(run.p, "pair_open") ^ failing_plane(other.p, "pair_open")))),
+              key=("agreement",), over=lambda ctx, a, b: [q for q in ctx.agreeing(a, b) if q != (a, b)]),
+    Statement("compactness", ("named class implications hold",), SPACE, _named_classes,
+              lambda ctx: len(ctx.subsets)),
+)
 
 _SUITES: dict[str, Callable[[_SpaceContext, SuiteConfig], SuiteResult]] = {
-    "operations": _suite_operations,
-    "structure": _suite_structure,
-    "families": _suite_families,
-    "filters": _suite_filters,
-    "compactness_oracle": _suite_compactness_oracle,
-    "compactness": _suite_compactness,
+    name: partial(_run, [st for st in STATEMENTS if st.suite == name]) for name in SUITE_NAMES
 }
 
 
@@ -1174,24 +1173,23 @@ def sweep_spaces(cfg: SuiteConfig) -> list[tuple[str, Topology]]:
     for n in range(1, cfg.n_exhaustive + 1):
         for idx, top in enumerate(enumerate_topologies(n)):
             spaces.append((f"n={n}#{idx}", top))
-    if cfg.samples and cfg.n_sampled > cfg.n_exhaustive:
-        for i in range(cfg.samples):
-            seed = derive_seed(cfg.seed, "space", i)
-            top = random_topology(cfg.n_sampled, seed, cfg.n_sampled)
-            spaces.append((f"n={cfg.n_sampled}~{i}", top))
+    for i in range(cfg.samples):
+        seed = derive_seed(cfg.seed, "space", i)
+        top = random_topology(cfg.n_sampled, seed, cfg.n_sampled)
+        spaces.append((f"n={cfg.n_sampled}~{i}", top))
     return spaces
 
 
 def run_suites(cfg: SuiteConfig, spaces: Optional[Sequence[tuple[str, Topology]]] = None) -> Report:
     """Run the configured suites over the configured spaces, one space
-    after another, merging results in space order.  The compactness
-    oracle's answers (:class:`_OracleStore`) are kept for this call."""
+    after another, merging results in space order.  What the statements
+    over ambient families keep (:class:`_Sweep`) is kept for this call."""
     if spaces is None:
         spaces = sweep_spaces(cfg)
     suites = {name: SuiteResult() for name in cfg.suites}
-    oracle = _OracleStore()
+    sweep = _Sweep()
     for label, top in spaces:
-        ctx = _SpaceContext(label, top, cfg, oracle)
+        ctx = _SpaceContext(label, top, cfg, sweep)
         for name in cfg.suites:
             suites[name].merge(_SUITES[name](ctx, cfg))
     return Report(
@@ -1202,7 +1200,6 @@ def run_suites(cfg: SuiteConfig, spaces: Optional[Sequence[tuple[str, Topology]]
         config=cfg.to_dict(),
         suites=suites,
     )
-
 
 # ---------------------------------------------------------------------------
 # counterexample mining

@@ -121,6 +121,19 @@ MUTANTS = (
     Mutant("byte tables joined high-first", "space.py",
            "(low[m & 255], high[(m & full) >> 8])", "(high[(m & full) >> 8], low[m & 255])",
            ("tests/test_space.py::test_braced_matches_the_literal_label_join",)),
+    Mutant("a failing run is shared with its twins", "harness.py",
+           "            if alone or run.failures or key in failed:\n", "            if alone or key in failed:\n",
+           ("tests/test_harness.py::test_shared_clean_runs_count_their_instances_and_notes_once_per_item",)),
+    Mutant("a clean run is counted once, not once per name", "harness.py",
+           "out.instances_checked += run.instances_checked * count", "out.instances_checked += run.instances_checked",
+           ("tests/test_harness.py::test_notes_of_shared_runs_match_a_run_that_shares_nothing",)),
+    Mutant("a two-pair verdict is keyed by one kernel only", "harness.py",
+           'key=("agreement",), over=lambda ctx, a, b: ctx.agreeing(a, b)),',
+           'key=("kernel",), over=lambda ctx, a, b: ctx.agreeing(a, b)),',
+           ("tests/test_harness.py::test_sharing_changes_no_report",)),
+    Mutant("the sweep-lived oracle runs are keyed without the quantified subsets", "harness.py",
+           "[(fam, row, ctx.subsets) for _, fam, row in items]", "[(fam, row) for _, fam, row in items]",
+           ("tests/test_harness.py::test_oracle_runs_are_not_shared_across_quantified_subsets",)),
     Mutant("leftover arguments not reported", "cli.py",
            "    if extra:\n        parser.error", "    if not extra:\n        parser.error",
            ("tests/test_cli.py::test_dispatch_keeps_the_two_pass_output",)),

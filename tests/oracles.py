@@ -578,14 +578,13 @@ def per_core_filter_records(ctx, a: str, b: str, rows, mask_str) -> list[tuple]:
     enlarged neighbourhoods, the envelopes, separation, the pair closure
     and the refinement construction are read literally."""
     from topolab import Filter
-    from topolab.harness import SuiteResult
     from topolab.ops import leq
 
     p = ctx.pairs[(a, b)]
     n, full = ctx.n, ctx.full
     fam = scan_open_family(p.selector)
     enl = p.enlarger.table
-    regular = ctx.regularity(a, b, SuiteResult())  # gated reads False
+    regular = ctx.regularity(a, b)  # gated reads None
     lim, adh = rows(p)
     env = [scan_envelope(p, x) for x in range(n)]
     cores = ctx.core_list
@@ -673,7 +672,7 @@ def per_name_pair_records(ctx, statement: str, rows) -> tuple[int, list[tuple]]:
     Records are (pair, statement, subject, witness) in the suites' order.
     Partners (same selector, enlargers agreeing on the selector-open
     family) and wider pairs (smaller selector-open family, enlarger
-    above) are read off the tables; ``rows`` is ``pair_open_family`` for
+    above) are read off the tables; ``rows`` is ``pair_open_plane`` for
     the families statement and ``failing_plane`` for the others."""
     from topolab.ops import leq
 
@@ -2033,7 +2032,8 @@ def _routes() -> tuple:
                                                    for b in c.bases if b), lambda c: tuple(
             (where(converges, g, c), where(accumulates, g, c))
             for g in (generated_filter(c.top.n, b) for b in c.bases if b)), "kernels3+29", max_n=3),
-        Route("partners", lambda ctx: (list(ctx.partners), ctx.partners), _scanned_partners, "contexts+103"),
+        Route("partners", lambda ctx: (ctx.pair_names, {
+            nm: [d for _, d in ctx.agreeing(*nm)] for nm in ctx.pair_names}), _scanned_partners, "contexts+103"),
         Route("t2", lambda c: is_t2(c.p), lambda c: literal_is_t2(c.p), "pairs3+53", seen=both()),
         Route("refined_core", lambda c: tuple(verdict(refined_core, c.p, core, x)
                                               for core in range(1, 1 << c.top.n) for x in range(c.top.n)),

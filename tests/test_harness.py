@@ -85,6 +85,9 @@ def test_config_defaults_and_validation():
         SuiteConfig(n_exhaustive=2, suites=("families", "families"))
     with pytest.raises(SchemaError, match="'pairs' repeats 'int,cl'"):
         SuiteConfig(pairs=("int,cl", "cl,int", "int,cl"))
+    # sampled spaces no bigger than the enumerated ones would be dropped
+    with pytest.raises(SchemaError, match="samples need n_sampled above n_exhaustive"):
+        SuiteConfig(n_exhaustive=3, n_sampled=3, samples=5)
 
 
 def test_config_from_dict():
@@ -106,6 +109,8 @@ def test_config_from_dict():
         SuiteConfig.from_dict({"pairs": ["int,cl", "int,cl"]})
     with pytest.raises(SchemaError, match="object"):
         SuiteConfig.from_dict([1])
+    with pytest.raises(SchemaError, match="n_sampled above n_exhaustive"):
+        SuiteConfig.from_dict({"n_exhaustive": 3, "n_sampled": 2, "samples": 1})
 
 
 def test_sweep_spaces_counts():
@@ -908,12 +913,7 @@ def test_sharing_changes_no_report(monkeypatch):
         return got + [faulted.to_json()]
 
     shared = reports()
-    real = harness._shared_runs
-
-    def unshared(out, items, key, body, tail=None, clean=None):
-        real(out, items, lambda *item: item, body, tail)
-
-    monkeypatch.setattr(harness, "_shared_runs", unshared)
+    monkeypatch.setattr(harness, "_run_keys", lambda ctx, key, items: [(ctx.label, item) for item in items])
     assert reports() == shared
 
 
@@ -930,15 +930,15 @@ def test_faulted_kernel_in_an_agreement_class_fails_like_the_per_name_loop(monke
     spaces = sweep_spaces(cfg)
     [(label, top)] = spaces
     ctx = _SpaceContext(label, top, cfg)
-    kernels = list(dict.fromkeys(ctx.pairs[("int", d)].kernel for d in ctx.partners[("int", "cl")]))
+    kernels = list(dict.fromkeys(ctx.pairs[q].kernel for q in ctx.agreeing("int", "cl")))
     assert len(kernels) == 3
     target = kernels[1]
     if kind == "family":
-        suite, statement, name = "families", "agreeing enlargers induce one family", "pair_open_family"
-        real = harness.pair_open_family
+        suite, statement, name = "families", "agreeing enlargers induce one family", "pair_open_plane"
+        real = harness.pair_open_plane
 
         def faulty(p):
-            return real(p)[:-1] if p.kernel is target else real(p)
+            return real(p) & ~(1 << top.full) if p.kernel is target else real(p)
     else:
         suite, statement, name = "compactness", "agreeing enlargers give one verdict", "failing_plane"
         real = harness.failing_plane
@@ -954,8 +954,7 @@ def test_faulted_kernel_in_an_agreement_class_fails_like_the_per_name_loop(monke
     assert len({r[0] for r in expected}) > 1
     assert [r for r in _records(got) if r[1] == statement] == expected
     assert got.instances_checked == clean.instances_checked
-    monkeypatch.setattr(_SpaceContext, "partners",
-                        property(lambda self: {nm: [nm[1]] for nm in self.pair_names}))
+    monkeypatch.setattr(_SpaceContext, "agreeing", lambda self, a, b: [(a, b)])
     lone = run_suites(cfg, spaces).suites[suite]
     self_checks = len(ctx.pair_names) if kind == "family" else 0
     assert got.instances_checked - lone.instances_checked == count - self_checks
@@ -1045,8 +1044,8 @@ def test_oracle_store_lives_for_one_sweep(monkeypatch):
 
     def spied(self, label, top, cfg, *rest):
         real(self, label, top, cfg, *rest)
-        assert not refs or refs[0]() is self.oracle
-        refs.append(weakref.ref(self.oracle))
+        assert not refs or refs[0]() is self.sweep
+        refs.append(weakref.ref(self.sweep))
 
     monkeypatch.setattr(_SpaceContext, "__init__", spied)
     walks = []
@@ -1069,30 +1068,56 @@ def test_oracle_store_lives_for_one_sweep(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_oracle_runs_are_not_shared_across_quantified_subsets(monkeypatch):
+    # one 5-point space swept under two labels quantifies two seeded
+    # draws of subsets over the same ambient families: each label walks
+    # the literal oracle on its own draw, so a run is shared only between
+    # spaces that quantify the same subsets
+    top = random_topology(5, 3, 5)
+    spaces = [("a", top), ("b", top)]
+    cfg = SuiteConfig(n_exhaustive=0, suites=("compactness_oracle",))
+    walks = collections.defaultdict(set)
+    real = harness.brute_force_compact_images
+
+    def spied(ambient, images, targets):
+        walks[ambient].add(tuple(targets))
+        return real(ambient, images, targets)
+
+    monkeypatch.setattr(harness, "brute_force_compact_images", spied)
+    assert run_suites(cfg, spaces).ok
+    draws = {tuple(_SpaceContext(label, t, cfg).subsets) for label, t in spaces}
+    assert len(draws) == 2 and any(seen == draws for seen in walks.values())
+
+
 def test_shared_clean_runs_count_their_instances_and_notes_once_per_item():
     # a clean run is merged once with its instances and notes multiplied
     # by its uses; runs with failures are merged in item order, and every
-    # other item of their key runs its own body.  A store passed in keeps
-    # the clean runs for a later call, which runs none of their bodies
+    # other item of their key runs its own check.  The sweep's store keeps
+    # the clean runs of a statement over ambient families for a later
+    # space, which runs none of their checks
     calls = []
 
-    def body(name, key, out):
+    def check(ctx, name, key, row):
         calls.append(name)
-        out.instances_checked += 2
-        out.note("regularity_unknown")
+        yield "regularity_unknown"
         if key == "bad":
-            out.failures.append(name)
+            yield 0, "X", ""
 
-    items = [("x", "k"), ("y", "bad"), ("z", "k"), ("w", "bad"), ("v", "k")]
-    out, clean = harness.SuiteResult(), {}
-    harness._shared_runs(out, items, lambda name, key: key, body, clean=clean)
+    items = [("x", "k", 0), ("y", "bad", 0), ("z", "k", 0), ("w", "bad", 0), ("v", "k", 0)]
+    st = harness.Statement("compactness_oracle", ("fails at bad",), harness.AMBIENT, check, 2,
+                           key=("ambient",), over=lambda ctx: items)
+    cfg = SuiteConfig()
+    ctx = _SpaceContext("s", sierpinski(), cfg)
+    out = harness._run([st], ctx, cfg)
     assert calls == ["x", "y", "w"]
-    assert (out.instances_checked, out.failures, out.notes) == (10, ["y", "w"], {"regularity_unknown": 5})
-    assert list(clean) == ["k"]
-    again = harness.SuiteResult()
-    harness._shared_runs(again, [("u", "k"), ("t", "bad")], lambda name, key: key, body, clean=clean)
+    assert (out.instances_checked, [f["pair"] for f in out.failures], out.notes) == (
+        10, ["y", "w"], {"regularity_unknown": 5})
+    assert list(ctx.sweep[st]) == [("k", 0, ctx.subsets)]
+    items = [("u", "k", 0), ("t", "bad", 0)]
+    again = harness._run([st], _SpaceContext("t", sierpinski(), cfg, ctx.sweep), cfg)
     assert calls[3:] == ["t"]
-    assert (again.instances_checked, again.failures, again.notes) == (4, ["t"], {"regularity_unknown": 2})
+    assert (again.instances_checked, [f["pair"] for f in again.failures], again.notes) == (
+        4, ["t"], {"regularity_unknown": 2})
 
 
 def test_notes_of_shared_runs_match_a_run_that_shares_nothing(monkeypatch):
@@ -1113,12 +1138,7 @@ def test_notes_of_shared_runs_match_a_run_that_shares_nothing(monkeypatch):
     shared = run_suites(cfg, spaces).suites["structure"]
     assert shared.notes["regularity_unknown"] and shared.notes["cl_reading_both"]
     assert len(runs) < 2 * len(CATALOG_PAIRS)
-    real = harness._shared_runs
-
-    def unshared(out, items, key, body, tail=None, clean=None):
-        real(out, items, lambda *item: item, body, tail)
-
-    monkeypatch.setattr(harness, "_shared_runs", unshared)
+    monkeypatch.setattr(harness, "_run_keys", lambda ctx, key, items: [(ctx.label, item) for item in items])
     alone = run_suites(cfg, spaces).suites["structure"]
     assert (shared.instances_checked, shared.notes) == (alone.instances_checked, alone.notes)
 

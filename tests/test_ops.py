@@ -269,7 +269,7 @@ def test_operations_suite_builds_each_dual_once(monkeypatch):
     # the operations suite builds and validates the seven catalog duals
     # once each; their duals are compared as raw tables, never validated,
     # and the catalog dual identities read the same seven duals
-    from topolab.harness import SuiteConfig, _SpaceContext, _suite_operations
+    from topolab.harness import _SUITES, SuiteConfig, _SpaceContext
 
     calls = []
 
@@ -281,7 +281,7 @@ def test_operations_suite_builds_each_dual_once(monkeypatch):
         ctx = _SpaceContext("s", top, SuiteConfig())
         monkeypatch.setattr(ops_module, "table_violation", counted)
         calls.clear()
-        result = _suite_operations(ctx, SuiteConfig())
+        result = _SUITES["operations"](ctx, SuiteConfig())
         monkeypatch.undo()
         assert len(calls) == len(BUILTIN_NAMES), top
         assert not result.failures

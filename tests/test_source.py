@@ -123,3 +123,32 @@ def test_every_oracle_is_read():
     assert unread_functions((TESTS / "oracles.py").read_text(encoding="utf-8"), readers) == []
     run = re.findall(r'"(\w+)"', " ".join(re.findall(r"^\w+ = route_check\((.*)\)$", "\n".join(readers), re.M)))
     assert sorted(run) == sorted(route.name for route in ROUTES)
+
+
+def test_each_statement_text_is_declared_once():
+    # a failure record's statement text comes from the one declaration
+    # of harness.STATEMENTS that lists it: no text is listed twice, no
+    # other string of the module spells one, and only the runner writes
+    # records or counts instances
+    from topolab import harness
+
+    tree = ast.parse((SRC / "harness.py").read_text(encoding="utf-8"))
+    listed = [elt for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Statement"
+              for elt in node.args[1].elts]
+    texts = [elt.value for elt in listed]
+    assert texts and len(texts) == len(set(texts))
+    assert sorted(texts) == sorted(t for st in harness.STATEMENTS for t in st.texts)
+    spelled = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and node.value in texts and not any(node is e for e in listed)]
+    assert spelled == []
+
+    def writers(test) -> set[str]:
+        return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                and any(test(node) for node in ast.walk(fn))}
+
+    assert writers(lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fail") == {
+        "_apply", "_compared"}
+    assert writers(lambda node: isinstance(node, ast.AugAssign)
+                   and getattr(node.target, "attr", None) == "instances_checked") == {
+        "merge", "_apply", "_keyed", "_compared"}
