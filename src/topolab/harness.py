@@ -24,7 +24,7 @@ from itertools import product
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import __version__
-from .bits import Family, canonical_family, derive_seed, family_plane, iter_points, mask_of
+from .bits import Family, canonical_family, derive_seed, down_plane, family_plane, iter_points, mask_of
 from .compact import (
     NAMED_CLASSES,
     CoverSystem,
@@ -82,7 +82,7 @@ from .pairs import (
     pair_open_plane,
     regular_scan,
 )
-from .space import EXHAUSTIVE_POINTS, Topology, enumerate_topologies, memoized, random_topology
+from .space import EXHAUSTIVE_POINTS, Topology, enumerate_topologies, random_topology
 
 CATALOG_PAIRS = tuple(f"{a},{b}" for a in BUILTIN_NAMES for b in BUILTIN_NAMES)
 
@@ -108,6 +108,10 @@ _DUALS = (("int", "cl"), ("cloint", "introcl"), ("scl", "sint"), ("identity", "i
 _CHAIN = (("int", "cloint"), ("cloint", "cl"), ("int", "identity"), ("identity", "scl"), ("scl", "cl"),
           ("int", "introcl"), ("introcl", "scl"))
 
+#: the largest ground set whose filterbases are quantified in full
+#: (:func:`_all_bases`); above it they are drawn from the seed and label
+FULL_BASES_POINTS = 3
+
 #: pair families whose pair-open sets must reproduce an independently
 #: constructed named family
 FAMILY_IDENTITIES = (
@@ -127,10 +131,10 @@ class SuiteConfig:
     bigger, are generated from the seed.  Subsets and filter cores are quantified exhaustively up to
     :data:`~topolab.space.EXHAUSTIVE_POINTS` (4) points and sampled above
     (16 subsets; the singletons, the whole set and seeded cores);
-    filterbases are enumerated in full up to 3 points and drawn from the
-    seed above.  The compactness oracle walks every ambient family whole
-    up to 4 points; above, it cuts any family of more than 10 members to
-    a seeded draw.
+    filterbases are enumerated in full up to :data:`FULL_BASES_POINTS`
+    (3) points and drawn from the seed above.  The compactness oracle
+    walks every ambient family whole up to 4 points; above, it cuts any
+    family of more than 10 members to a seeded draw.
     """
 
     n_exhaustive: int = 3
@@ -239,8 +243,13 @@ def emit_report(report: Report, path: str) -> None:
 
 
 class _Sweep(dict):
-    """What one sweep keeps across spaces: each ambient statement's clean
-    runs and the literal oracle's verdicts, with no space kept alive."""
+    """What one sweep keeps across spaces, by the declaration it serves:
+    the clean runs of each ambient statement, of each suite's pair
+    statements on the spaces whose quantified universes are a function
+    of n alone (:attr:`_SpaceContext.label_free`), and the literal
+    oracle's verdicts.  Every run key is built from ints and tuples, and
+    every value from counts, notes and verdicts, so no space, operation
+    or kernel is kept alive."""
 
 
 class _SpaceContext:
@@ -321,9 +330,10 @@ class _SpaceContext:
 
     @cached_property
     def bases(self) -> Sequence[tuple[int, ...]]:
-        """Filterbases to quantify over: every one up to 3 points
-        (:func:`_all_bases`), seeded supersets of a random core above."""
-        if self.n <= 3:
+        """Filterbases to quantify over: every one up to
+        :data:`FULL_BASES_POINTS` points (:func:`_all_bases`), seeded
+        supersets of a random core above."""
+        if self.n <= FULL_BASES_POINTS:
             return _all_bases(self.n)
         # bigger carriers: seeded bases built as supersets of a random core
         rng = random.Random(derive_seed(self.seed, "bases", self.label))
@@ -368,6 +378,25 @@ class _SpaceContext:
     def core_table(self) -> list[int]:
         """``core_table[t]`` flags the cores inside t by position."""
         return member_table([(c,) for c in self.core_list], self.n)
+
+    @property
+    def label_free(self) -> bool:
+        """Whether every quantified universe (:attr:`subsets`,
+        :attr:`core_list`, :attr:`bases`) is a function of n alone, so
+        that a pair statement's run depends on the space only through
+        what the pair's kernel is made of (:meth:`kernel_key`).  Above,
+        the label seeds the draws: the bases from 4 points, the subsets
+        and cores from 5."""
+        return self.n <= min(EXHAUSTIVE_POINTS, FULL_BASES_POINTS)
+
+    def kernel_key(self, a: str, b: str):
+        """What the kernel of pair (a, b) is made of, where
+        :attr:`label_free`: n, the a-open family's plane and b's table,
+        the same in every space they recur in.  Elsewhere the kernel
+        itself, so no table of 2**n entries is hashed."""
+        if self.label_free:
+            return self.n, self.open_planes[a], self.ops[b].table
+        return self.pairs[(a, b)].kernel
 
     def dominates(self, a: str, b: str) -> bool:
         """Whether enlarger b sits above the identity or above selector a
@@ -455,7 +484,7 @@ SPACE, PAIR, PAIRS, AMBIENT = "space", "pair", "pairs", "ambient"
 #: the readings run keys are made of, of each of a list of requested
 #: pairs (a, b) or of ambient items (enlarger name, family, image row)
 _READINGS = {
-    "kernel": lambda ctx, items: [ctx.pairs[item].kernel for item in items],
+    "kernel": lambda ctx, items: [ctx.kernel_key(a, b) for a, b in items],
     "dominates": lambda ctx, items: [ctx.dominates(a, b) for a, b in items],
     "monotone": lambda ctx, items: [ctx.monotone[a] for a, _ in items],
     # the requested pairs (a, d) of the agreement class, and so their kernels
@@ -586,13 +615,25 @@ def _compared(ctx: _SpaceContext, st: Statement, out: SuiteResult, a: str, b: st
 def _run(statements: Sequence[Statement], ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     """One suite's declarations over one space, in order.  The pair
     statements run in one pass over the requested pairs: per pair, one
-    run of its PAIR statements keyed by all their readings, with the
-    PAIRS statements that key covers, then one run per other PAIRS
-    statement."""
+    run of its PAIR statements keyed by all their readings, then one run
+    per PAIRS statement, which reads the whole catalog through ``over``
+    and so is keyed within the space.  The PAIR runs of a
+    :attr:`~_SpaceContext.label_free` space are kept in the sweep's store
+    for every later space with their key; their checks read the context
+    only through n, ``full``, the quantified universes and their tables
+    (``subsets``, ``quantified``, ``core_list``, ``core_table``,
+    ``bases``, ``base_table``, ``base_cores``), the pair, and per-name
+    readings its key determines (``open_sets``, ``props``, ``monotone``,
+    ``inside``, ``regularity``, ``dominates``); of ``top`` they read n
+    and the labels, which only a failing run, never shared, writes."""
     out = SuiteResult()
     paired = [st for st in statements if st.reads in (PAIR, PAIRS)]
-    key = tuple(dict.fromkeys(r for st in paired if st.reads == PAIR for r in st.key))
-    joined = [st for st in paired if st.reads == PAIR or set(st.key) <= set(key)]
+    pair = [st for st in paired if st.reads == PAIR]
+    if paired[:len(pair)] != pair:
+        # a pair's PAIRS runs follow its PAIR run, which keeps the record
+        # order of the declarations only if they are declared so
+        raise ValueError(f"suite {paired[0].suite!r} declares a PAIRS statement before a PAIR one")
+    key = tuple(dict.fromkeys(r for st in pair for r in st.key))
 
     views: dict = {}
 
@@ -601,11 +642,8 @@ def _run(statements: Sequence[Statement], ctx: _SpaceContext, cfg: SuiteConfig) 
 
     def pair_run(run: SuiteResult, a: str, b: str) -> None:
         args, names = (view((a, b)),), (f"{a},{b}",)
-        for st in joined:
-            if st.reads == PAIR:
-                _apply(run, ctx, st, args, names)
-            else:
-                _compared(ctx, st, run, a, b, view)
+        for st in pair:
+            _apply(run, ctx, st, args, names)
 
     for st in statements:
         if st.reads == SPACE:
@@ -617,9 +655,9 @@ def _run(statements: Sequence[Statement], ctx: _SpaceContext, cfg: SuiteConfig) 
 
             _keyed(out, ctx, list(st.over(ctx)), [(body, ctx.sweep.setdefault(st, {}), st.key)])
         elif st is paired[0]:
-            stages = [(pair_run, {}, key)] if joined else []
+            stages = [(pair_run, ctx.sweep.setdefault(st, {}) if ctx.label_free else {}, key)] if pair else []
             stages += [(lambda run, a, b, st=other: _compared(ctx, st, run, a, b, view), {}, other.key)
-                       for other in paired if other not in joined]
+                       for other in paired[len(pair):]]
             _keyed(out, ctx, ctx.pair_names, stages)
     return out
 
@@ -639,12 +677,13 @@ def _all_bases(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(filter(is_filterbase, _subfamilies(range(1, 1 << n))))
 
 
-@memoized
-def _family_topology(top: Topology, family: Family) -> Topology:
-    """The topology on ``top``'s ground whose opens are ``family``: pairs
-    often share an open family, so each is validated and tabulated once,
-    in the space's memo."""
-    return Topology(top.ground, family)
+def _plane_closure(plane: int, s: int, n: int) -> int:
+    """The closure of ``s`` in the topology on n points whose opens the
+    2**n-bit ``plane`` flags: the whole set minus the interior of the
+    complement, its largest open subset.  That is the highest flagged
+    set below it, as it holds every other open set below it."""
+    full = (1 << n) - 1
+    return full ^ (plane & down_plane((full ^ s,), n)).bit_length() - 1
 
 
 def _first_points(rows: Sequence[int]):
@@ -728,10 +767,10 @@ def _closure_induces_topology(ctx, run):
         yield 0, "X"
         return
     p = run.p
-    ptop = _family_topology(ctx.top, pair_open_family(p))
+    plane = pair_open_plane(p)
     for s in ctx.subsets:
         pc = pair_closure(p, s)
-        if s & ~pc or pc & ~ptop.closure(s):
+        if s & ~pc or pc & ~_plane_closure(plane, s, ctx.n):
             yield 0, "X"
             break
     yield "cl_reading_both" if run.structure.closed_iff_cl_equal else "cl_reading_subset_only"
@@ -740,9 +779,8 @@ def _closure_induces_topology(ctx, run):
 def _kuratowski(ctx, run):
     if not run.structure.is_kuratowski:
         yield 0, "X"
-    p = run.p
-    ptop = _family_topology(ctx.top, pair_open_family(p))
-    if any(pair_closure(p, s) != ptop.closure(s) for s in ctx.subsets):
+    p, plane = run.p, pair_open_plane(run.p)
+    if any(pair_closure(p, s) != _plane_closure(plane, s, ctx.n) for s in ctx.subsets):
         yield 1, "X"
 
 
@@ -901,10 +939,10 @@ def _convergence_closure(ctx, run):
     if ctx.n <= EXHAUSTIVE_POINTS:
         # every subset is quantified here, so ccl holds every complement
         fam = pair_open_family(p)
-        if tuple(u for u in ctx.top.subsets() if ccl[full ^ u] & ~(full ^ u) == 0) != fam:
+        if tuple(u for u in ctx.subsets if ccl[full ^ u] & ~(full ^ u) == 0) != fam:
             yield 1, "cl*"
         if ctx.inside[(run.a, run.b)] and tuple(
-                u for u in ctx.top.subsets() if ccl[full ^ u] == full ^ u) != fam:
+                u for u in ctx.subsets if ccl[full ^ u] == full ^ u) != fam:
             yield 2, "cl*"
 
 

@@ -313,14 +313,13 @@ def classify_structure(p: OpPair) -> StructureReport:
     ``tests/oracles.literal_structure`` reads all five flags off their
     wording.  Every flag is a ``bool``.
     """
-    top = p.topology
-    full, n = top.full, top.n
+    full, n = p.topology.full, p.topology.n
     table = int_table(p)
     plane = pair_open_plane(p)
-    ident, width = top.identity_lanes()
+    ident, width = p.topology.identity_lanes()
     fixed = zero_plane(int_lanes(p)[0] ^ ident, width, n)
 
-    inter_closed, union_closed = top.plane_props(plane)
+    inter_closed, union_closed = p.topology.plane_props(plane)
     supra = plane >> full & 1 == 1 and union_closed
     topo = supra and inter_closed
 

@@ -134,6 +134,14 @@ MUTANTS = (
     Mutant("the sweep-lived oracle runs are keyed without the quantified subsets", "harness.py",
            "[(fam, row, ctx.subsets) for _, fam, row in items]", "[(fam, row) for _, fam, row in items]",
            ("tests/test_harness.py::test_oracle_runs_are_not_shared_across_quantified_subsets",)),
+    Mutant("the cross-space key drops the enlarger table", "harness.py",
+           "return self.n, self.open_planes[a], self.ops[b].table", "return self.n, self.open_planes[a]",
+           ("tests/test_harness.py::test_sharing_changes_no_report",)),
+    Mutant("the cross-space key ignores the universe threshold", "harness.py",
+           "return self.n <= min(EXHAUSTIVE_POINTS, FULL_BASES_POINTS)", "return True",
+           ("tests/test_harness.py::test_equal_kernels_under_different_universes_are_not_shared",)),
+    Mutant("the pair topology's closure reads the set's own down-set", "harness.py",
+           "(plane & down_plane((full ^ s,), n))", "(plane & down_plane((s,), n))", ("pair_topology_closure",)),
     Mutant("leftover arguments not reported", "cli.py",
            "    if extra:\n        parser.error", "    if not extra:\n        parser.error",
            ("tests/test_cli.py::test_dispatch_keeps_the_two_pass_output",)),

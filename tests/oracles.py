@@ -1841,6 +1841,7 @@ def _routes() -> tuple:
         point_meets, union_closure, upward_closure, zero_lanes, zero_plane)
     from topolab.compact import _minimal_cover
     from topolab.filters import principal_rows, refined_core
+    from topolab.harness import _plane_closure
     from topolab.ops import op_open_plane, op_shrink_plane, table_violation
     from topolab.space import build_topology, default_ground, family_violation, is_topology
     from topolab.pairs import (
@@ -1868,6 +1869,12 @@ def _routes() -> tuple:
 
     def fixed(c):
         return tuple(a for a in scan_within(int_table(c.p)) if int_table(c.p)[a] == a)
+
+    def topology_closures(closure):  # the closure of each set in the pair topology, where the family is one
+        return lambda c: tuple(closure(c, s) for s in c.sets) if structure(c.p)[1] else None
+
+    def member_union_closure(c, s):  # X minus the union of the pair-open sets missing s
+        return c.top.full ^ functools.reduce(operator.or_, (u for u in scan_within(int_table(c.p)) if not u & s), 0)
 
     def fip_and_gap(families):  # the family pair of each set, over ``families(n)``
         return lambda c: tuple(literal_fip_and_gap(_closures(c.p.kernel), families(c.top.n), s, c.top.full)
@@ -2006,6 +2013,9 @@ def _routes() -> tuple:
               "kernels+103"),
         Route("pair_open_plane", lambda c: pair_open_plane(c.p),
               lambda c: walked_plane(scan_within(int_table(c.p))), "kernels+103"),
+        Route("pair_topology_closure", topology_closures(lambda c, s: _plane_closure(
+            pair_open_plane(c.p), s, c.top.n)), topology_closures(member_union_closure), "kernels+103",
+              seen=both(lambda out: (out is None,))),
         Route("pair_closed_family", lambda c: pair_closed_family(c.p),
               lambda c: tuple(sorted(c.top.full ^ a for a in scan_within(int_table(c.p)))), "kernels3+29"),
         Route("structure", lambda c: structure(c.p), lambda c: (  # and the ladder holds

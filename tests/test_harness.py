@@ -466,23 +466,25 @@ def test_position_rows_match_the_per_core_predicates():
     (1, "identity,identity", "whole", "top"),
 ])
 def test_flipped_row_bit_fails_like_the_per_core_loop(monkeypatch, row, pair, core, points):
-    # wrong bits in one kernel's limit (row 0) or adherence (row 1) row,
-    # at the core {0} or the whole set, flipped at the top point or at
-    # every point: the per-core statements report what the per-core loop
-    # over the same rows reports, pair by pair, with every other input
-    # read literally.  The three cases between them fail all twelve
-    # statements, and the second fails several at more than one point of
-    # a core
+    # wrong bits in the limit (row 0) or adherence (row 1) row of every
+    # kernel made of what one space's kernel of the pair is made of (n,
+    # selector-open family, enlarger table), as the sweep shares a clean
+    # run among those across spaces, at the core {0} or the whole set,
+    # flipped at the top point or at every point: the per-core statements
+    # report what the per-core loop over the same rows reports, pair by
+    # pair, with every other input read literally.  The three cases
+    # between them fail all twelve statements, and the second fails
+    # several at more than one point of a core
     cfg = SuiteConfig(n_exhaustive=2, n_sampled=5, samples=1, seed=7, suites=("filters",))
     spaces = sweep_spaces(cfg)
-    # the contexts hold the kernels, so the sweep's pairs share them
     contexts = [_SpaceContext(label, top, cfg) for label, top in spaces]
-    targets = {ctx.top: ctx.pairs[tuple(pair.split(","))].kernel for ctx in contexts}
+    made_of = lambda k: (k.topology.n, k.family, k.enlarger.table)
+    targets = {made_of(ctx.pairs[tuple(pair.split(","))].kernel) for ctx in contexts}
     real = harness.principal_rows
 
     def flipped(p):
         got = real(p)
-        if p.kernel is not targets[p.topology]:
+        if made_of(p.kernel) not in targets:
             return got
         top = p.topology
         rows = [{c: r[c] for c in range(1, 1 << top.n)} for r in got]
@@ -1089,6 +1091,148 @@ def test_oracle_runs_are_not_shared_across_quantified_subsets(monkeypatch):
     assert len(draws) == 2 and any(seen == draws for seen in walks.values())
 
 
+def test_pair_runs_are_shared_across_the_spaces_of_a_sweep(monkeypatch):
+    # the 34 spaces of at most 3 points hold 391 pair kernels made of 294
+    # distinct (n, selector-open family, enlarger table): the filters
+    # statements run once per such content in the whole sweep, the
+    # structure and compactness statements once per content and the
+    # selector readings they are keyed by
+    cfg = SuiteConfig(n_exhaustive=3)
+    runs = collections.Counter()
+    for suite, name in (("structure", "classify_structure"), ("filters", "base_rows"),
+                        ("compactness", "space_compactness_flags")):
+        def counted(*args, real=getattr(harness, name), suite=suite):
+            runs[suite] += 1
+            return real(*args)
+        monkeypatch.setattr(harness, name, counted)
+    assert run_suites(cfg).ok
+    kernels = [p.kernel for label, top in sweep_spaces(cfg)
+               for p in set(_SpaceContext(label, top, cfg).pairs.values())]
+    made_of = {(k.topology.n, k.family, k.enlarger.table) for k in kernels}
+    assert (len(set(kernels)), len(made_of)) == (391, 294)
+    assert runs == {"structure": 317, "filters": 294, "compactness": 317}
+
+
+def test_sweep_store_keeps_no_space_alive(monkeypatch):
+    # the spaces of at most 3 points keep their pair runs in the sweep's
+    # store, keyed by what the kernels are made of, and a 5-point space
+    # keys its own by kernel, for its own call only: once the sweep
+    # returns, with its store still held, every space and pair kernel of
+    # it is gone, and every run key in the store is ints and tuples
+    stores, refs = [], []
+    real = _SpaceContext.__init__
+
+    def spied(self, label, top, cfg, *rest):
+        real(self, label, top, cfg, *rest)
+        stores[:] = [self.sweep]
+        refs.append(weakref.ref(top))
+        refs.extend(weakref.ref(p.kernel) for p in self.pairs.values())
+
+    monkeypatch.setattr(_SpaceContext, "__init__", spied)
+    assert run_suites(SuiteConfig(n_exhaustive=3, n_sampled=5, samples=1, seed=3)).ok
+    gc.collect()
+    assert len(refs) > 35 * 2 and all(ref() is None for ref in refs)
+    [store] = stores
+
+    def plain(key):
+        return isinstance(key, int) or type(key) is tuple and all(map(plain, key))
+
+    firsts = {suite: next(st for st in harness.STATEMENTS if st.suite == suite and st.reads == harness.PAIR)
+              for suite in ("structure", "filters", "compactness")}
+    assert all(store[st] for st in firsts.values())
+    # only the label-free spaces keep their pair runs: a key's first
+    # reading is n, the family's plane and the table, or it is that
+    n_of = lambda key: key[0] if type(key[0]) is int else key[0][0]
+    assert {n_of(key) for st in firsts.values() for key in store[st]} == {1, 2, 3}
+    assert {type(key) for key in store} == {harness.Statement, str}
+    assert all(plain(key) for runs in store.values() for key in runs)
+    assert all(type(run) is harness.SuiteResult for st in firsts.values() for run in store[st].values())
+
+
+def test_equal_kernels_under_different_universes_are_not_shared(monkeypatch):
+    # one 4-point space swept under two labels quantifies every subset and
+    # core in both, but two seeded draws of filterbases: each label runs
+    # its own filters pair statements on its own bases, once per kernel,
+    # as a run is shared across spaces only where every quantified
+    # universe is a function of n
+    top = random_topology(4, 3, 4)
+    spaces = [("a", top), ("b", top)]
+    cfg = SuiteConfig(n_exhaustive=0, suites=("filters",))
+    seen = collections.Counter()
+    real = harness.base_rows
+
+    def spied(p, bases, table):
+        seen[tuple(bases)] += 1
+        return real(p, bases, table)
+
+    monkeypatch.setattr(harness, "base_rows", spied)
+    assert run_suites(cfg, spaces).ok
+    contexts = [_SpaceContext(label, t, cfg) for label, t in spaces]
+    draws = [tuple(ctx.bases) for ctx in contexts]
+    kernels = len({p.kernel for p in contexts[0].pairs.values()})
+    assert draws[0] != draws[1] and seen == {draw: kernels for draw in draws}
+
+
+class _Reads:
+    """Forwards attribute reads to ``target`` and notes each in ``log`` by
+    its dotted path; a path in ``through`` hands back a recorder of its
+    own value, so the reads below it are noted instead."""
+
+    def __init__(self, target, log, through, path=""):
+        self._target, self._log, self._through, self._path = target, log, through, path
+
+    def __getattr__(self, name):
+        value, path = getattr(self._target, name), self._path + name
+        if path in self._through:
+            return _Reads(value, self._log, self._through, path + ".")
+        self._log.add(path)
+        return value
+
+
+def test_pair_checks_read_the_space_only_through_what_their_key_fixes():
+    # a clean run of a suite's PAIR statements is shared across the
+    # label-free spaces with its key, which is sound only while their
+    # counts and checks read the context through n, the quantified
+    # universes and their tables, the pair and the per-name readings the
+    # key fixes; the labels serve record text alone, and maximal_filters
+    # reads n of the space
+    allowed = {"n", "full", "subsets", "quantified", "core_list", "core_table", "bases", "base_table",
+               "base_cores", "pairs", "open_sets", "props", "monotone", "inside", "regularity", "dominates",
+               "top.n", "top.ground.braced"}
+    cfg = SuiteConfig()
+    spaces = sweep_spaces(SuiteConfig(n_exhaustive=2)) + [("c", random_topology(3, 5, 3)),
+                                                         ("d", random_topology(5, 3, 5))]
+    statements = [st for st in harness.STATEMENTS if st.reads == harness.PAIR]
+    read = set()
+    for label, top in spaces:
+        ctx = _SpaceContext(label, top, cfg)
+        recorder = _Reads(ctx, read, {"top", "top.ground"})
+        out = harness.SuiteResult()
+        for a, b in ctx.pair_names:
+            run = harness._PairRun(recorder, a, b)
+            for st in statements:
+                harness._apply(out, recorder, st, (run,), (f"{a},{b}",))
+        assert out.instances_checked and not out.failures
+    assert {"n", "subsets", "core_list", "bases", "pairs", "regularity", "top.ground.braced"} <= read <= allowed
+
+
+def test_pair_statements_are_declared_before_the_two_pair_statements():
+    # a pair's PAIRS runs follow its PAIR run, so the records keep the
+    # order of the declarations only if each suite declares its PAIR
+    # statements first; the runner refuses a suite that does not
+    for name in SUITE_NAMES:
+        reads = [st.reads for st in harness.STATEMENTS
+                 if st.suite == name and st.reads in (harness.PAIR, harness.PAIRS)]
+        assert reads == sorted(reads, key=harness.PAIRS.__eq__), name
+    compactness = [st for st in harness.STATEMENTS if st.suite == "compactness"]
+    first, later = (next(st for st in compactness if st.reads == r) for r in (harness.PAIR, harness.PAIRS))
+    cfg = SuiteConfig()
+    ctx = _SpaceContext("s", sierpinski(), cfg)
+    assert harness._run([first, later], ctx, cfg).instances_checked
+    with pytest.raises(ValueError, match="declares a PAIRS statement before a PAIR one"):
+        harness._run([later, first], ctx, cfg)
+
+
 def test_shared_clean_runs_count_their_instances_and_notes_once_per_item():
     # a clean run is merged once with its instances and notes multiplied
     # by its uses; runs with failures are merged in item order, and every
@@ -1226,3 +1370,4 @@ def test_catalog_pairs_cover_the_named_classes():
 # Checks that became rows of oracles.ROUTES, kept under their names.
 test_enlargers_agree_matches_the_image_scan = route_check("partners")
 test_filter_rows_match_literal_rules = route_check("principal_sets")
+test_pair_topology_closure_matches_the_member_union = route_check("pair_topology_closure")

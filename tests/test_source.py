@@ -76,6 +76,68 @@ def test_no_unbounded_process_wide_caches():
     assert {name: fns for name, fns in found.items() if fns} == {}
 
 
+#: what a kernel row may read of its space: n, the whole set, and the
+#: plane, closure verdicts and identity lanes, functions of n and of
+#: the family or plane they are given
+SPACE_READS = {"n", "full", "family_plane", "plane_props", "identity_lanes"}
+
+
+def space_reads(source: str) -> list[str]:
+    """Each read of ``k.topology`` or ``p.topology`` in ``source`` other
+    than one of :data:`SPACE_READS`, as "line: expression".  A space
+    handed whole to a function of the module as its first argument (a
+    table memoized on the space) is read through that function's
+    parameter, which must obey the same rule."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def wider(node, seen) -> list[str]:
+        up = parents[node]
+        if isinstance(up, ast.Attribute) and up.attr in SPACE_READS:
+            return []
+        fn = defs.get(getattr(up.func, "id", None)) if isinstance(up, ast.Call) and up.args[:1] == [node] else None
+        if fn is None:
+            return [f"{node.lineno}: {ast.unparse(up)}"]
+        if fn.name in seen:
+            return []
+        param = fn.args.args[0].arg
+        return [read for name in ast.walk(fn) if isinstance(name, ast.Name) and name.id == param
+                for read in wider(name, seen | {fn.name})]
+
+    return [read for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "topology"
+            and isinstance(node.value, ast.Name) and node.value.id in ("k", "p")
+            for read in wider(node, frozenset())]
+
+
+def test_the_scan_finds_wider_space_reads():
+    source = (
+        "def f(k, p, op):\n"
+        "    n, full = k.topology.n, p.topology.full\n"
+        "    top = p.topology\n"
+        "    g(k.topology, k.topology.family_plane(k.family), op.topology)\n"
+        "    return k.topology.closure(n), p.topology.plane_props(0), narrow(k.topology), wide(p.topology, 1)\n"
+        "def narrow(top):\n"
+        "    return top.n + narrow(top)\n"
+        "def wide(space, x):\n"
+        "    return space.full, space.opens\n"
+    )
+    assert sorted(space_reads(source)) == [
+        "3: top = p.topology", "4: g(k.topology, k.topology.family_plane(k.family), op.topology)",
+        "5: k.topology.closure", "9: space.opens"]
+
+
+def test_kernel_rows_read_the_space_only_through_n_and_its_planes():
+    # the sweep shares a pair statement's clean run across spaces by what
+    # the kernel is made of (n, the selector-open family, the enlarger's
+    # table), which is sound only while every row of a kernel or pair
+    # reads its space through n and what n and its arguments fix
+    found = {name: space_reads((SRC / name).read_text(encoding="utf-8"))
+             for name in ("pairs.py", "filters.py", "compact.py")}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
 def unread_functions(module: str, readers: list[str]) -> list[str]:
     """The public functions of ``module`` read neither by its statements
     outside definitions (a table like ``ROUTES``) nor by ``readers``,
