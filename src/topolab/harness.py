@@ -19,7 +19,7 @@ import operator
 import platform
 import random
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -108,10 +108,6 @@ _DUALS = (("int", "cl"), ("cloint", "introcl"), ("scl", "sint"), ("identity", "i
 _CHAIN = (("int", "cloint"), ("cloint", "cl"), ("int", "identity"), ("identity", "scl"), ("scl", "cl"),
           ("int", "introcl"), ("introcl", "scl"))
 
-#: the largest ground set whose filterbases are quantified in full
-#: (:func:`_all_bases`); above it they are drawn from the seed and label
-FULL_BASES_POINTS = 3
-
 #: pair families whose pair-open sets must reproduce an independently
 #: constructed named family
 FAMILY_IDENTITIES = (
@@ -128,13 +124,14 @@ class SuiteConfig:
 
     Spaces of every size up to ``n_exhaustive`` are enumerated in full;
     ``samples`` further spaces of size ``n_sampled``, which must then be
-    bigger, are generated from the seed.  Subsets and filter cores are quantified exhaustively up to
-    :data:`~topolab.space.EXHAUSTIVE_POINTS` (4) points and sampled above
-    (16 subsets; the singletons, the whole set and seeded cores);
-    filterbases are enumerated in full up to :data:`FULL_BASES_POINTS`
-    (3) points and drawn from the seed above.  The compactness oracle
-    walks every ambient family whole up to 4 points; above, it cuts any
-    family of more than 10 members to a seeded draw.
+    bigger, are generated from the seed.  Subsets, filter cores and
+    filterbases (:class:`_Universe`) are quantified exhaustively up to
+    :data:`~topolab.space.EXHAUSTIVE_POINTS` (4) points and drawn from
+    the seed and the space's label above: 16 subsets; the singletons, the
+    whole set and seeded cores; 24 seeded filterbases (8 above 9 points).
+    The compactness oracle walks every ambient family whole up to 4
+    points; above, it cuts any family of more than 10 members to a seeded
+    draw.
     """
 
     n_exhaustive: int = 3
@@ -242,33 +239,25 @@ def emit_report(report: Report, path: str) -> None:
         fh.write(report.to_json())
 
 
-class _Sweep(dict):
-    """What one sweep keeps across spaces, by the declaration it serves:
-    the clean runs of each ambient statement, of each suite's pair
-    statements on the spaces whose quantified universes are a function
-    of n alone (:attr:`_SpaceContext.label_free`), and the literal
-    oracle's verdicts.  Every run key is built from ints and tuples, and
-    every value from counts, notes and verdicts, so no space, operation
-    or kernel is kept alive."""
-
-
 class _SpaceContext:
     """Per-space inputs shared by all suites and the miner: the catalog,
     the requested pairs, and the catalog's readings made once per space
     (open families and their planes and closure verdicts, monotonicity,
     order, which open families sit inside which, which enlargers agree on
-    each).  The pairs, the quantified universes and their tables are
-    built on first read.  Every row built from a pair lives on its kernel
-    (:class:`~topolab.pairs.PairKernel`) and dies with the context's
-    pairs.  ``sweep`` is the sweep's :class:`_Sweep`."""
+    each).  The pairs are built on first read.  Every row built from a
+    pair lives on its kernel (:class:`~topolab.pairs.PairKernel`) and dies
+    with the context's pairs.  ``universe`` is what the statements
+    quantify over: the sweep's :class:`_Universe` of n points if given,
+    else the space's own."""
 
     def __init__(self, label: str, top: Topology, cfg: SuiteConfig,
-                 sweep: Optional[_Sweep] = None):
+                 universe: Optional[_Universe] = None):
         self.label = label
         self.top = top
         self.n = top.n
         self.full = top.full
         self.seed = cfg.seed
+        self.universe = universe or _Universe(top.n, cfg.seed, label)
         self.ops = catalog(top)
         self.pair_names = [(a, b) for a, _, b in (spec.partition(",") for spec in cfg.pairs)]
         #: enlargers[a]: the enlargers requested with selector a, in request order
@@ -297,7 +286,6 @@ class _SpaceContext:
                 self.agreement[(a, b)] = seen.setdefault(images(self.ops[b].table), len(seen))
         #: (over, a, b) -> a PAIRS statement's other pairs and the first of each kernel
         self.others: dict = {}
-        self.sweep = _Sweep() if sweep is None else sweep
 
     @cached_property
     def duals(self) -> dict[str, Operation]:
@@ -310,92 +298,14 @@ class _SpaceContext:
         """One :class:`OpPair` per requested name, in request order."""
         return {(a, b): OpPair(self.ops[a], self.ops[b]) for a, b in self.pair_names}
 
-    @cached_property
-    def subsets(self) -> tuple[int, ...]:
-        """Subsets to quantify over: all of them up to
-        :data:`~topolab.space.EXHAUSTIVE_POINTS` points, the ends plus
-        seeded draws above."""
-        if self.n <= EXHAUSTIVE_POINTS:
-            return tuple(self.top.subsets())
-        rng = random.Random(derive_seed(self.seed, "subsets", self.label))
-        picked = {0, self.full}
-        while len(picked) < 16:
-            picked.add(rng.randrange(1 << self.n))
-        return tuple(sorted(picked))
-
-    @cached_property
-    def quantified(self) -> int:
-        """:attr:`subsets` as a 2**n-bit plane."""
-        return family_plane(self.subsets, self.n)
-
-    @cached_property
-    def bases(self) -> Sequence[tuple[int, ...]]:
-        """Filterbases to quantify over: every one up to
-        :data:`FULL_BASES_POINTS` points (:func:`_all_bases`), seeded
-        supersets of a random core above."""
-        if self.n <= FULL_BASES_POINTS:
-            return _all_bases(self.n)
-        # bigger carriers: seeded bases built as supersets of a random core
-        rng = random.Random(derive_seed(self.seed, "bases", self.label))
-        out = []
-        for _ in range(24 if self.n <= 9 else 8):
-            core = rng.randrange(1, 1 << self.n)
-            members = {core}
-            for _ in range(rng.randrange(0, 3)):
-                members.add(core | rng.randrange(1 << self.n))
-            out.append(canonical_family(members))
-        return out
-
-    @cached_property
-    def base_table(self) -> list[int]:
-        """:func:`~topolab.filters.member_table` of :attr:`bases`."""
-        return member_table(self.bases, self.n)
-
-    @cached_property
-    def base_cores(self) -> dict[int, int]:
-        """The bases by the core of the filter each generates, bit j for j."""
-        by_core: dict[int, int] = {}
-        for j, base in enumerate(self.bases):
-            core = generated_filter(self.n, base).core
-            by_core[core] = by_core.get(core, 0) | 1 << j
-        return by_core
-
-    @cached_property
-    def core_list(self) -> Sequence[int]:
-        """Filter cores to quantify over: every nonempty mask up to
-        :data:`~topolab.space.EXHAUSTIVE_POINTS` points, singletons plus
-        seeded draws plus the full set above."""
-        if self.n <= EXHAUSTIVE_POINTS:
-            return range(1, 1 << self.n)
-        rng = random.Random(derive_seed(self.seed, "cores", self.label))
-        picked = {1 << x for x in range(self.n)}
-        picked.add(self.full)
-        while len(picked) < self.n + 17:
-            picked.add(rng.randrange(1, 1 << self.n))
-        return sorted(picked)
-
-    @cached_property
-    def core_table(self) -> list[int]:
-        """``core_table[t]`` flags the cores inside t by position."""
-        return member_table([(c,) for c in self.core_list], self.n)
-
-    @property
-    def label_free(self) -> bool:
-        """Whether every quantified universe (:attr:`subsets`,
-        :attr:`core_list`, :attr:`bases`) is a function of n alone, so
-        that a pair statement's run depends on the space only through
-        what the pair's kernel is made of (:meth:`kernel_key`).  Above,
-        the label seeds the draws: the bases from 4 points, the subsets
-        and cores from 5."""
-        return self.n <= min(EXHAUSTIVE_POINTS, FULL_BASES_POINTS)
-
     def kernel_key(self, a: str, b: str):
-        """What the kernel of pair (a, b) is made of, where
-        :attr:`label_free`: n, the a-open family's plane and b's table,
-        the same in every space they recur in.  Elsewhere the kernel
-        itself, so no table of 2**n entries is hashed."""
-        if self.label_free:
-            return self.n, self.open_planes[a], self.ops[b].table
+        """What the kernel of pair (a, b) is made of up to
+        :data:`~topolab.space.EXHAUSTIVE_POINTS` points, where a sweep's
+        spaces of n points read one universe: the a-open family's plane
+        and b's table.  Above, the kernel itself, so no table of 2**n
+        entries is hashed."""
+        if self.n <= EXHAUSTIVE_POINTS:
+            return self.open_planes[a], self.ops[b].table
         return self.pairs[(a, b)].kernel
 
     def dominates(self, a: str, b: str) -> bool:
@@ -434,6 +344,96 @@ class _SpaceContext:
         return len(fam) ** 3 * max(self.n, 1) > 2 * 10**8
 
 
+class _Universe:
+    """What the statements quantify over on n points, each built on first
+    read: the subsets, the filter cores and the filterbases, with their
+    tables.  ``runs`` keeps the clean runs of the statements over them,
+    by statement and run key, and the literal oracle's verdicts under
+    ``"literal"``.  Up to :data:`~topolab.space.EXHAUSTIVE_POINTS` points
+    every universe is complete, a function of n alone, and
+    :func:`run_suites` keeps one per n for its whole sweep; above, the
+    seed and a space's label draw it, for that space alone.  So two
+    spaces share a run exactly when they read one universe.  A sweep's
+    universes hold ints, tuples, counts and verdicts only; a space's own
+    also keys its pair runs by kernel (:meth:`_SpaceContext.kernel_key`)
+    and dies with the space."""
+
+    def __init__(self, n: int, seed: int, label: Optional[str]):
+        self.n, self.full, self.seed, self.label = n, (1 << n) - 1, seed, label
+        self.runs: dict = {}
+
+    def _rng(self, what: str) -> random.Random:
+        return random.Random(derive_seed(self.seed, what, self.label))
+
+    @cached_property
+    def subsets(self) -> tuple[int, ...]:
+        """Subsets to quantify over: all of them up to
+        :data:`~topolab.space.EXHAUSTIVE_POINTS` points, the ends plus
+        seeded draws above."""
+        if self.n <= EXHAUSTIVE_POINTS:
+            return tuple(range(1 << self.n))
+        rng = self._rng("subsets")
+        picked = {0, self.full}
+        while len(picked) < 16:
+            picked.add(rng.randrange(1 << self.n))
+        return tuple(sorted(picked))
+
+    @cached_property
+    def quantified(self) -> int:
+        """:attr:`subsets` as a 2**n-bit plane."""
+        return family_plane(self.subsets, self.n)
+
+    @cached_property
+    def bases(self) -> Sequence[tuple[int, ...]]:
+        """Filterbases to quantify over: every one up to
+        :data:`~topolab.space.EXHAUSTIVE_POINTS` points, by selection mask
+        (569 at 4 points), seeded supersets of a random core above."""
+        if self.n <= EXHAUSTIVE_POINTS:
+            return tuple(filter(is_filterbase, _subfamilies(range(1, 1 << self.n))))
+        rng = self._rng("bases")
+        out = []
+        for _ in range(24 if self.n <= 9 else 8):
+            core = rng.randrange(1, 1 << self.n)
+            members = {core}
+            for _ in range(rng.randrange(0, 3)):
+                members.add(core | rng.randrange(1 << self.n))
+            out.append(canonical_family(members))
+        return out
+
+    @cached_property
+    def base_table(self) -> list[int]:
+        """:func:`~topolab.filters.member_table` of :attr:`bases`."""
+        return member_table(self.bases, self.n)
+
+    @cached_property
+    def base_cores(self) -> dict[int, int]:
+        """The bases by the core of the filter each generates, bit j for j."""
+        by_core: dict[int, int] = {}
+        for j, base in enumerate(self.bases):
+            core = generated_filter(self.n, base).core
+            by_core[core] = by_core.get(core, 0) | 1 << j
+        return by_core
+
+    @cached_property
+    def core_list(self) -> Sequence[int]:
+        """Filter cores to quantify over: every nonempty mask up to
+        :data:`~topolab.space.EXHAUSTIVE_POINTS` points, singletons plus
+        seeded draws plus the full set above."""
+        if self.n <= EXHAUSTIVE_POINTS:
+            return range(1, 1 << self.n)
+        rng = self._rng("cores")
+        picked = {1 << x for x in range(self.n)}
+        picked.add(self.full)
+        while len(picked) < self.n + 17:
+            picked.add(rng.randrange(1, 1 << self.n))
+        return sorted(picked)
+
+    @cached_property
+    def core_table(self) -> list[int]:
+        """``core_table[t]`` flags the cores inside t by position."""
+        return member_table([(c,) for c in self.core_list], self.n)
+
+
 class _PairRun:
     """A requested pair (a, b) as one run of a suite's pair statements
     reads it: its names, its pair, and the readings several statements
@@ -445,7 +445,7 @@ class _PairRun:
     structure = cached_property(lambda self: classify_structure(self.p))
     base = cached_property(lambda self: base_report(self.p))
     regular = cached_property(lambda self: self.ctx.regularity(self.a, self.b))
-    closures = cached_property(lambda self: convergence_closures(self.p, self.ctx.subsets))
+    closures = cached_property(lambda self: convergence_closures(self.p, self.ctx.universe.subsets))
 
     @cached_property
     def refinement(self) -> tuple[int, Optional[tuple[int, int]]]:
@@ -455,7 +455,7 @@ class _PairRun:
         lim, adh = principal_rows(self.p)
         lims, adhs = self.cores
         scanned = 0
-        for c1, lim1, adh1 in zip(self.ctx.core_list, lims, adhs):
+        for c1, lim1, adh1 in zip(self.ctx.universe.core_list, lims, adhs):
             if c1.bit_count() == 1:
                 continue
             scanned += 1
@@ -469,7 +469,8 @@ class _PairRun:
     def cores(self) -> tuple[list[int], list[int]]:
         """The quantified cores' limit and adherence sets, by position."""
         lim, adh = principal_rows(self.p)
-        return [lim[c] for c in self.ctx.core_list], [adh[c] for c in self.ctx.core_list]
+        cores = self.ctx.universe.core_list
+        return [lim[c] for c in cores], [adh[c] for c in cores]
 
     at_points = cached_property(lambda self: tuple(point_rows(row, self.ctx.n) for row in self.cores))
 
@@ -489,8 +490,8 @@ _READINGS = {
     "monotone": lambda ctx, items: [ctx.monotone[a] for a, _ in items],
     # the requested pairs (a, d) of the agreement class, and so their kernels
     "agreement": lambda ctx, items: [(a, ctx.agreement[(a, b)]) for a, b in items],
-    # the ambient family, the image row and the quantified subsets
-    "ambient": lambda ctx, items: [(fam, row, ctx.subsets) for _, fam, row in items],
+    # the ambient family and the image row
+    "ambient": lambda ctx, items: [(fam, row) for _, fam, row in items],
 }
 
 
@@ -617,15 +618,13 @@ def _run(statements: Sequence[Statement], ctx: _SpaceContext, cfg: SuiteConfig) 
     statements run in one pass over the requested pairs: per pair, one
     run of its PAIR statements keyed by all their readings, then one run
     per PAIRS statement, which reads the whole catalog through ``over``
-    and so is keyed within the space.  The PAIR runs of a
-    :attr:`~_SpaceContext.label_free` space are kept in the sweep's store
-    for every later space with their key; their checks read the context
-    only through n, ``full``, the quantified universes and their tables
-    (``subsets``, ``quantified``, ``core_list``, ``core_table``,
-    ``bases``, ``base_table``, ``base_cores``), the pair, and per-name
-    readings its key determines (``open_sets``, ``props``, ``monotone``,
-    ``inside``, ``regularity``, ``dominates``); of ``top`` they read n
-    and the labels, which only a failing run, never shared, writes."""
+    and so is keyed within the space.  The PAIR and AMBIENT runs are
+    kept on the space's universe for every later space that reads it.
+    The PAIR checks read the context only through n, ``full``, the
+    universe, the pair, and per-name readings its key determines
+    (``open_sets``, ``props``, ``monotone``, ``inside``, ``regularity``,
+    ``dominates``); of ``top`` they read n and the labels, which only a
+    failing run, never shared, writes."""
     out = SuiteResult()
     paired = [st for st in statements if st.reads in (PAIR, PAIRS)]
     pair = [st for st in paired if st.reads == PAIR]
@@ -634,6 +633,7 @@ def _run(statements: Sequence[Statement], ctx: _SpaceContext, cfg: SuiteConfig) 
         # order of the declarations only if they are declared so
         raise ValueError(f"suite {paired[0].suite!r} declares a PAIRS statement before a PAIR one")
     key = tuple(dict.fromkeys(r for st in pair for r in st.key))
+    runs = ctx.universe.runs
 
     views: dict = {}
 
@@ -653,9 +653,9 @@ def _run(statements: Sequence[Statement], ctx: _SpaceContext, cfg: SuiteConfig) 
             def body(run: SuiteResult, *item, st=st) -> None:
                 _apply(run, ctx, st, item, item[:1])
 
-            _keyed(out, ctx, list(st.over(ctx)), [(body, ctx.sweep.setdefault(st, {}), st.key)])
+            _keyed(out, ctx, list(st.over(ctx)), [(body, runs.setdefault(st, {}), st.key)])
         elif st is paired[0]:
-            stages = [(pair_run, ctx.sweep.setdefault(st, {}) if ctx.label_free else {}, key)] if pair else []
+            stages = [(pair_run, runs.setdefault(st, {}), key)] if pair else []
             stages += [(lambda run, a, b, st=other: _compared(ctx, st, run, a, b, view), {}, other.key)
                        for other in paired[len(pair):]]
             _keyed(out, ctx, ctx.pair_names, stages)
@@ -667,14 +667,6 @@ def _subfamilies(members: Sequence[int]) -> Iterator[tuple[int, ...]]:
     of the mask picks ``members[i]``."""
     for sel in range(1 << len(members)):
         yield tuple(m for i, m in enumerate(members) if sel >> i & 1)
-
-
-@lru_cache(maxsize=4)
-def _all_bases(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every filterbase of nonempty subsets of an n-point set, n at most
-    3: the same for every space of n points, so enumerated once per n
-    (127 subfamilies at 3 points)."""
-    return tuple(filter(is_filterbase, _subfamilies(range(1, 1 << n))))
 
 
 def _plane_closure(plane: int, s: int, n: int) -> int:
@@ -747,11 +739,12 @@ def _pair_axioms(ctx, run):
     if not run.structure.is_supratopology:
         yield 0, "X"
     # complement duality and monotonicity of the pair operators
-    for s, by_points in zip(ctx.subsets, pair_closure_by_points(p, ctx.subsets)):
+    subsets = ctx.universe.subsets
+    for s, by_points in zip(subsets, pair_closure_by_points(p, subsets)):
         if pair_closure(p, s) != by_points:
             yield 1, braced(s)
             break
-    for s in ctx.subsets:
+    for s in subsets:
         inner = pair_interior(p, s)
         for i in range(ctx.n):
             if not s >> i & 1 and inner & ~pair_interior(p, s | 1 << i):
@@ -768,7 +761,7 @@ def _closure_induces_topology(ctx, run):
         return
     p = run.p
     plane = pair_open_plane(p)
-    for s in ctx.subsets:
+    for s in ctx.universe.subsets:
         pc = pair_closure(p, s)
         if s & ~pc or pc & ~_plane_closure(plane, s, ctx.n):
             yield 0, "X"
@@ -780,7 +773,7 @@ def _kuratowski(ctx, run):
     if not run.structure.is_kuratowski:
         yield 0, "X"
     p, plane = run.p, pair_open_plane(run.p)
-    if any(pair_closure(p, s) != _plane_closure(plane, s, ctx.n) for s in ctx.subsets):
+    if any(pair_closure(p, s) != _plane_closure(plane, s, ctx.n) for s in ctx.universe.subsets):
         yield 1, "X"
 
 
@@ -797,14 +790,14 @@ def _bases_agree(ctx, run):
     # point: the bases' from the groups and the member table, the
     # generated filters' from the envelopes and the pair interior; the
     # witness is the lowest point where either set differs
-    p, n = run.p, ctx.n
+    p, n, u = run.p, ctx.n, ctx.universe
     lim, adh = principal_rows(p)
-    base_lim_at, base_adh_at = base_rows(p, ctx.bases, ctx.base_table)
-    core_lim_at = spread_rows(((lim[c], js) for c, js in ctx.base_cores.items()), n)
-    core_adh_at = spread_rows(((adh[c], js) for c, js in ctx.base_cores.items()), n)
+    base_lim_at, base_adh_at = base_rows(p, u.bases, u.base_table)
+    core_lim_at = spread_rows(((lim[c], js) for c, js in u.base_cores.items()), n)
+    core_adh_at = spread_rows(((adh[c], js) for c, js in u.base_cores.items()), n)
     bad = [(base_lim_at[x] ^ core_lim_at[x]) | (base_adh_at[x] ^ core_adh_at[x]) for x in range(n)]
     for j, x in _first_points(bad):
-        yield 0, str(list(ctx.bases[j])), str(x)
+        yield 0, str(list(u.bases[j])), str(x)
 
 
 def _variant_agrees(ctx, run):
@@ -813,7 +806,7 @@ def _variant_agrees(ctx, run):
     # enlargements of the up-set around each point, kept on the kernel
     lim_at, adh_at = run.at_points
     images = neighbourhood_images(run.p)
-    cores, inside = ctx.core_list, ctx.core_table
+    cores, inside = ctx.universe.core_list, ctx.universe.core_table
     everyone = (1 << len(cores)) - 1
     within = rows_within(inside, images, everyone)
     meeting = rows_meeting(inside, images, everyone, ctx.full)
@@ -825,11 +818,11 @@ def _variant_agrees(ctx, run):
 def _limits_contained(ctx, run):
     # membership characterization of convergence, against the distinct
     # enlargements of the selector-open sets around each point
-    n, cores = ctx.n, ctx.core_list
+    n, cores = ctx.n, ctx.universe.core_list
     lim_at, adh_at = run.at_points
     groups = image_groups(run.p)
     images_at = [[t for t, union in groups if union >> x & 1] for x in range(n)]
-    within = rows_within(ctx.core_table, images_at, (1 << len(cores)) - 1)
+    within = rows_within(ctx.universe.core_table, images_at, (1 << len(cores)) - 1)
     unadherent = 0
     for x in range(n):
         unadherent |= lim_at[x] & ~adh_at[x]
@@ -848,7 +841,7 @@ def _accumulation(ctx, run):
     # converges iff some singleton core inside does, i.e. iff the core
     # meets the envelope; the literal submask scan, read off the limit
     # rows, is kept on small carriers to check exactly that
-    n, full, cores, inside = ctx.n, ctx.full, ctx.core_list, ctx.core_table
+    n, full, cores, inside = ctx.n, ctx.full, ctx.universe.core_list, ctx.universe.core_table
     lim_at, adh_at = run.at_points
     env = envelopes(run.p)
     everyone = (1 << len(cores)) - 1
@@ -906,15 +899,15 @@ def _filters_and_closure(ctx, run):
     # refinement (singletons decide it) and accumulation survives
     # coarsening (the core s decides it).  Above 4 points s need not be a
     # quantified core, so its rows are read directly
-    p, braced, regular = run.p, ctx.top.ground.braced, run.regular
+    p, braced, regular, u = run.p, ctx.top.ground.braced, run.regular, ctx.universe
     exhaustive = ctx.n <= EXHAUSTIVE_POINTS
     lim, adh = principal_rows(p)
     lim_at, adh_at = run.at_points
-    singletons = mask_of(i for i, c in enumerate(ctx.core_list) if c.bit_count() == 1)
-    for s in ctx.subsets:
+    singletons = mask_of(i for i, c in enumerate(u.core_list) if c.bit_count() == 1)
+    for s in u.subsets:
         pc = pair_closure(p, s)
         # points where some filter containing s accumulates / converges
-        within = ctx.core_table[s] if exhaustive else ctx.core_table[s] & singletons
+        within = u.core_table[s] if exhaustive else u.core_table[s] & singletons
         acc_exists = points_reached(within, adh_at)
         conv_exists = points_reached(within, lim_at)
         if s and not exhaustive:
@@ -932,17 +925,17 @@ def _filters_and_closure(ctx, run):
 
 
 def _convergence_closure(ctx, run):
-    p, full = run.p, ctx.full
-    ccl = dict(zip(ctx.subsets, run.closures[0]))
-    if any(ccl[s] != pair_closure(p, s) for s in ctx.subsets):
+    p, full, subsets = run.p, ctx.full, ctx.universe.subsets
+    ccl = dict(zip(subsets, run.closures[0]))
+    if any(ccl[s] != pair_closure(p, s) for s in subsets):
         yield 0, "cl*"
     if ctx.n <= EXHAUSTIVE_POINTS:
         # every subset is quantified here, so ccl holds every complement
         fam = pair_open_family(p)
-        if tuple(u for u in ctx.subsets if ccl[full ^ u] & ~(full ^ u) == 0) != fam:
+        if tuple(u for u in subsets if ccl[full ^ u] & ~(full ^ u) == 0) != fam:
             yield 1, "cl*"
         if ctx.inside[(run.a, run.b)] and tuple(
-                u for u in ctx.subsets if ccl[full ^ u] == full ^ u) != fam:
+                u for u in subsets if ccl[full ^ u] == full ^ u) != fam:
             yield 2, "cl*"
 
 
@@ -972,18 +965,18 @@ def _ambients(ctx):
 
 
 def _oracle_agrees(ctx, nm, fam, row):
-    subsets, braced = ctx.subsets, ctx.top.ground.braced
-    literal = ctx.sweep.setdefault("literal", {})
-    if (fam, row, subsets) not in literal:
+    subsets, braced = ctx.universe.subsets, ctx.top.ground.braced
+    literal = ctx.universe.runs.setdefault("literal", {})
+    if (fam, row) not in literal:
         # one literal walk answers every image row of the catalog on the
-        # family that the sweep has not met yet
+        # family that the universe has not met yet
         rows = dict.fromkeys(tuple(map(ctx.ops[e].table.__getitem__, fam)) for e in BUILTIN_NAMES)
-        walk = [r for r in rows if (fam, r, subsets) not in literal]
+        walk = [r for r in rows if (fam, r) not in literal]
         for r, verdicts in zip(walk, brute_force_compact_images(fam, walk, subsets)):
-            literal[fam, r, subsets] = verdicts
+            literal[fam, r] = verdicts
     cs = CoverSystem(fam, ctx.ops[nm])
     enl = ctx.ops[nm].table
-    for s, literal_compact in zip(subsets, literal[fam, row, subsets]):
+    for s, literal_compact in zip(subsets, literal[fam, row]):
         verdict = is_compact(cs, s)
         if verdict.compact != literal_compact:
             yield 0, braced(s), str(list(fam))
@@ -998,7 +991,7 @@ def _oracle_agrees(ctx, nm, fam, row):
 
 def _kinds_agree(ctx, run):
     # the quantified subsets each check flags, one plane per check
-    p, braced, quantified = run.p, ctx.top.ground.braced, ctx.quantified
+    p, braced, quantified = run.p, ctx.top.ground.braced, ctx.universe.quantified
     cover = failing_plane(p)
     faces = quantified & ((cover ^ failing_plane(p, "ultra")) | (cover ^ failing_plane(p, "closed")))
     kinds = additive = 0
@@ -1010,7 +1003,7 @@ def _kinds_agree(ctx, run):
     def verdicts(s: int, kinds: tuple[str, ...]) -> str:
         return str({k: not failing_plane(p, k) >> s & 1 for k in kinds})
 
-    for s in ctx.subsets:
+    for s in ctx.universe.subsets:
         if faces >> s & 1:
             yield 0, braced(s), verdicts(s, ("pair", "ultra", "closed"))
         if kinds >> s & 1:
@@ -1022,7 +1015,7 @@ def _kinds_agree(ctx, run):
 def _named_classes(ctx):
     # on pairs that die with the run
     named = [OpPair(ctx.ops[sel], ctx.ops[enl]) for sel, enl in map(NAMED_CLASSES.get, "NHsS")]
-    for s in ctx.subsets:
+    for s in ctx.universe.subsets:
         n_cls, h_cls, s_cls, big_s = (compactness_kind(p, s) for p in named)
         if (n_cls and not h_cls) or (s_cls and not big_s) or (big_s and not h_cls):
             yield 0, "", ctx.top.ground.braced(s)
@@ -1127,15 +1120,15 @@ STATEMENTS = (
               key=("agreement",), over=lambda ctx, a, b: ctx.agreeing(a, b)),
 
     Statement("filters", ("base and generated filter agree",), PAIR, _bases_agree,
-              lambda ctx, run: len(ctx.bases)),
+              lambda ctx, run: len(ctx.universe.bases)),
     # each up-set is one pass over all subsets, so the variant is gated on
     # bigger carriers
     Statement("filters", ("neighbourhood variant agrees",), PAIR, _variant_agrees,
-              lambda ctx, run: 0 if not ctx.monotone[run.b] else len(ctx.core_list)
+              lambda ctx, run: 0 if not ctx.monotone[run.b] else len(ctx.universe.core_list)
               if (1 << ctx.n) * max(len(ctx.open_sets[run.a]), 1) <= 10**7 else None,
               "neighbourhood_variant_skipped"),
     Statement("filters", ("limits are adherent", "convergence is enlarged-members containment"), PAIR,
-              _limits_contained, lambda ctx, run: len(ctx.core_list)),
+              _limits_contained, lambda ctx, run: len(ctx.universe.core_list)),
     Statement("filters", ("refinement moves limits up, adherence down",), PAIR,
               lambda ctx, run: [(0, *map(ctx.top.ground.braced, run.refinement[1]))]
               if run.refinement[1] else (),
@@ -1143,13 +1136,14 @@ STATEMENTS = (
     Statement("filters", ("singleton cores decide finer convergence", "convergent refinements accumulate",
                           "regular: accumulation iff finer convergence",
                           "refinement construction converges"),
-              PAIR, _accumulation, lambda ctx, run: len(ctx.core_list)),
+              PAIR, _accumulation, lambda ctx, run: len(ctx.universe.core_list)),
     Statement("filters", ("maximal accumulation is convergence",), PAIR, _maximal_filters,
               lambda ctx, run: ctx.n),
     Statement("filters", ("separated pairs give unique limits",), PAIR,
-              lambda ctx, run: [(0, ctx.top.ground.braced(c)) for c, lim, adh in zip(ctx.core_list, *run.cores)
+              lambda ctx, run: [(0, ctx.top.ground.braced(c)) for c, lim, adh
+                                in zip(ctx.universe.core_list, *run.cores)
                                 if lim and (adh != lim or lim.bit_count() > 1)],
-              lambda ctx, run: len(ctx.core_list) if is_t2(run.p) else 0),
+              lambda ctx, run: len(ctx.universe.core_list) if is_t2(run.p) else 0),
     Statement("filters", ("plain neighbourhood base converges",), PAIR,
               lambda ctx, run: _neighbourhood_bases(ctx, run, "plain"),
               lambda ctx, run: ctx.n if ctx.props[run.a][0] and ctx.inside[(run.a, run.b)] else 0),
@@ -1159,7 +1153,7 @@ STATEMENTS = (
     Statement("filters", ("accumulating filters land in the closure",
                           "regular: closure points are filter limits",
                           "regular: closed iff limits stay inside"),
-              PAIR, _filters_and_closure, lambda ctx, run: len(ctx.subsets)),
+              PAIR, _filters_and_closure, lambda ctx, run: len(ctx.universe.subsets)),
     # the convergence closure operator, by both routes in one pass
     Statement("filters", ("singleton scan equals the exhaustive scan",), PAIR,
               lambda ctx, run: _one(run.closures[0] != run.closures[1], "cl*")),
@@ -1171,33 +1165,34 @@ STATEMENTS = (
     # convergence and accumulation move up to the wider pair
     Statement("filters", ("transfer to a wider pair",), PAIRS,
               lambda ctx, run, wide: next(([(0, ctx.top.ground.braced(c))] for c, lim, adh, wide_lim, wide_adh
-                                           in zip(ctx.core_list, *run.cores, *wide.cores)
+                                           in zip(ctx.universe.core_list, *run.cores, *wide.cores)
                                            if lim & ~wide_lim or adh & ~wide_adh), ()), over=_wider_pairs),
 
     Statement("compactness_oracle", ("fast criterion agrees with the literal oracle",
                                      "failing verdicts carry valid witnesses"),
-              AMBIENT, _oracle_agrees, lambda ctx, nm, fam, row: len(ctx.subsets), key=("ambient",),
+              AMBIENT, _oracle_agrees, lambda ctx, nm, fam, row: len(ctx.universe.subsets), key=("ambient",),
               over=_ambients),
 
     # the first statement reads the selector's table twice: through
     # hypothesis_d of the base report and through the additive hypothesis
     Statement("compactness", ("filter statements agree", "cover kinds agree under the base hypothesis",
                               "additive enlarger matches restricted accumulation"),
-              PAIR, _kinds_agree, lambda ctx, run: len(ctx.subsets), key=("kernel", "dominates", "monotone")),
+              PAIR, _kinds_agree, lambda ctx, run: len(ctx.universe.subsets),
+              key=("kernel", "dominates", "monotone")),
     Statement("compactness", ("space-level statements agree",), PAIR,
               lambda ctx, run: [(0, "X", str(f.statements())) for f in [space_compactness_flags(run.p)]
                                 if f.hypothesis and not f.agree()]),
     # sets compact for the pair and failing for the wider pair
     Statement("compactness", ("compact sets transfer to wider pairs",), PAIRS,
-              lambda ctx, run, wide: _lowest(ctx, ctx.quantified & failing_plane(wide.p)
+              lambda ctx, run, wide: _lowest(ctx, ctx.universe.quantified & failing_plane(wide.p)
                                              & ~failing_plane(run.p)), over=_wider_pairs),
     Statement("compactness", ("agreeing enlargers give one verdict",), PAIRS,
-              lambda ctx, run, other: _lowest(ctx, ctx.quantified & (
+              lambda ctx, run, other: _lowest(ctx, ctx.universe.quantified & (
                   (failing_plane(run.p) ^ failing_plane(other.p))
                   | (failing_plane(run.p, "pair_open") ^ failing_plane(other.p, "pair_open")))),
               key=("agreement",), over=lambda ctx, a, b: [q for q in ctx.agreeing(a, b) if q != (a, b)]),
     Statement("compactness", ("named class implications hold",), SPACE, _named_classes,
-              lambda ctx: len(ctx.subsets)),
+              lambda ctx: len(ctx.universe.subsets)),
 )
 
 _SUITES: dict[str, Callable[[_SpaceContext, SuiteConfig], SuiteResult]] = {
@@ -1220,14 +1215,15 @@ def sweep_spaces(cfg: SuiteConfig) -> list[tuple[str, Topology]]:
 
 def run_suites(cfg: SuiteConfig, spaces: Optional[Sequence[tuple[str, Topology]]] = None) -> Report:
     """Run the configured suites over the configured spaces, one space
-    after another, merging results in space order.  What the statements
-    over ambient families keep (:class:`_Sweep`) is kept for this call."""
+    after another, merging results in space order.  The spaces of n
+    points, n up to :data:`~topolab.space.EXHAUSTIVE_POINTS`, read one
+    :class:`_Universe` for this call, and so share its tables and runs."""
     if spaces is None:
         spaces = sweep_spaces(cfg)
     suites = {name: SuiteResult() for name in cfg.suites}
-    sweep = _Sweep()
+    universes = {n: _Universe(n, cfg.seed, None) for n in range(EXHAUSTIVE_POINTS + 1)}
     for label, top in spaces:
-        ctx = _SpaceContext(label, top, cfg, sweep)
+        ctx = _SpaceContext(label, top, cfg, universes.get(top.n))
         for name in cfg.suites:
             suites[name].merge(_SUITES[name](ctx, cfg))
     return Report(

@@ -131,15 +131,19 @@ MUTANTS = (
            'key=("agreement",), over=lambda ctx, a, b: ctx.agreeing(a, b)),',
            'key=("kernel",), over=lambda ctx, a, b: ctx.agreeing(a, b)),',
            ("tests/test_harness.py::test_sharing_changes_no_report",)),
-    Mutant("the sweep-lived oracle runs are keyed without the quantified subsets", "harness.py",
-           "[(fam, row, ctx.subsets) for _, fam, row in items]", "[(fam, row) for _, fam, row in items]",
+    Mutant("the oracle's verdicts are kept past their universe, for the process", "harness.py",
+           'literal = ctx.universe.runs.setdefault("literal", {})',
+           'literal = _oracle_agrees.__dict__.setdefault("literal", {})',
            ("tests/test_harness.py::test_oracle_runs_are_not_shared_across_quantified_subsets",)),
-    Mutant("the cross-space key drops the enlarger table", "harness.py",
-           "return self.n, self.open_planes[a], self.ops[b].table", "return self.n, self.open_planes[a]",
+    Mutant("the shared-universe kernel key drops the enlarger table", "harness.py",
+           "return self.open_planes[a], self.ops[b].table", "return self.open_planes[a]",
            ("tests/test_harness.py::test_sharing_changes_no_report",)),
-    Mutant("the cross-space key ignores the universe threshold", "harness.py",
-           "return self.n <= min(EXHAUSTIVE_POINTS, FULL_BASES_POINTS)", "return True",
+    Mutant("a space above EXHAUSTIVE_POINTS reads the sweep's universe", "harness.py",
+           "for n in range(EXHAUSTIVE_POINTS + 1)}", "for n in range(17)}",
            ("tests/test_harness.py::test_equal_kernels_under_different_universes_are_not_shared",)),
+    Mutant("the universe seeds filterbases from 4 points", "harness.py",
+           "if self.n <= EXHAUSTIVE_POINTS:\n            return tuple(filter(is_filterbase",
+           "if self.n < EXHAUSTIVE_POINTS:\n            return tuple(filter(is_filterbase", ("quantified_bases",)),
     Mutant("the pair topology's closure reads the set's own down-set", "harness.py",
            "(plane & down_plane((full ^ s,), n))", "(plane & down_plane((s,), n))", ("pair_topology_closure",)),
     Mutant("leftover arguments not reported", "cli.py",

@@ -587,7 +587,7 @@ def per_core_filter_records(ctx, a: str, b: str, rows, mask_str) -> list[tuple]:
     regular = ctx.regularity(a, b)  # gated reads None
     lim, adh = rows(p)
     env = [scan_envelope(p, x) for x in range(n)]
-    cores = ctx.core_list
+    cores = ctx.universe.core_list
     out = []
 
     def fail(subject: str, statement: str, witness: str = "") -> None:
@@ -636,7 +636,7 @@ def per_core_filter_records(ctx, a: str, b: str, rows, mask_str) -> list[tuple]:
             if lim[core] and (adh[core] != lim[core] or lim[core].bit_count() > 1):
                 fail(mask_str(core), "separated pairs give unique limits")
 
-    for s in ctx.subsets:
+    for s in ctx.universe.subsets:
         pc = pointwise_pair_closure(p, s)
         if n <= 4:
             within = [c for c in submasks_desc(s) if c]
@@ -677,7 +677,7 @@ def per_name_pair_records(ctx, statement: str, rows) -> tuple[int, list[tuple]]:
     from topolab.ops import leq
 
     names = ctx.pair_names
-    quantified = sum(1 << s for s in ctx.subsets)
+    quantified = sum(1 << s for s in ctx.universe.subsets)
     count, out = 0, []
 
     def first(plane: int) -> str:
@@ -1570,6 +1570,7 @@ UNIVERSES = {
     "families+29": neighbourhood_cases,
     "spaces+5": _interior_spaces,
     "nonempty3": lambda: [fam for n in (1, 2, 3) for fam in all_families_of_nonempty(n)],
+    "grounds4": lambda: range(1, 5),
     "operations+53": _order_cases,
     "operations+3": _widened_operations,
     "tables+73": lambda: _table_cases(73, corrupt=True),
@@ -1841,7 +1842,7 @@ def _routes() -> tuple:
         point_meets, union_closure, upward_closure, zero_lanes, zero_plane)
     from topolab.compact import _minimal_cover
     from topolab.filters import principal_rows, refined_core
-    from topolab.harness import _plane_closure
+    from topolab.harness import _plane_closure, _Universe
     from topolab.ops import op_open_plane, op_shrink_plane, table_violation
     from topolab.space import build_topology, default_ground, family_violation, is_topology
     from topolab.pairs import (
@@ -2042,6 +2043,9 @@ def _routes() -> tuple:
                                                    for b in c.bases if b), lambda c: tuple(
             (where(converges, g, c), where(accumulates, g, c))
             for g in (generated_filter(c.top.n, b) for b in c.bases if b)), "kernels3+29", max_n=3),
+        Route("quantified_bases", lambda n: tuple(_Universe(n, 0, None).bases),
+              lambda n: tuple(map(tuple, subfamily_filterbases(tuple(range(1, 1 << n))))), "grounds4",
+              seen=lambda seen: [len(out) for _, out in seen] == [1, 5, 31, 569]),
         Route("partners", lambda ctx: (ctx.pair_names, {
             nm: [d for _, d in ctx.agreeing(*nm)] for nm in ctx.pair_names}), _scanned_partners, "contexts+103"),
         Route("t2", lambda c: is_t2(c.p), lambda c: literal_is_t2(c.p), "pairs3+53", seen=both()),

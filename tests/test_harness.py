@@ -195,7 +195,7 @@ def test_four_point_report_matches_pinned_digest():
     # every suite over every space of at most four points: the largest
     # exhaustive sweep, where no quantifier is sampled
     digest = _report_digest(SuiteConfig(n_exhaustive=4))
-    assert digest == "bea7a938a593a706bb23104f81ef7e8a09b361dad7aae1a04b6adf64377dc912"
+    assert digest == "b36205fd50b589530dad5b2ea26a7e5a45f291107170dadfd17138c172040784"
 
 
 def _records(result) -> list[tuple]:
@@ -221,7 +221,7 @@ def test_flipped_base_limit_bit_fails_like_the_per_base_scan(monkeypatch):
         ctx = _SpaceContext(label, top, cfg)
         for a, b in ctx.pair_names:
             p = ctx.pairs[(a, b)]
-            for j, base in enumerate(ctx.bases):
+            for j, base in enumerate(ctx.universe.bases):
                 f = Filter(top.n, intersect_all(base, top.full))
                 scan = scan_limit_set(base, p) ^ (j == flip_base) << flip_point
                 diff = (scan ^ limit_set(f, p)) | (adherence_set(base, p) ^ adherence_set(f, p))
@@ -254,7 +254,7 @@ def test_flipped_base_adherence_bit_fails_like_the_member_walk(monkeypatch):
         ctx = _SpaceContext(label, top, cfg)
         for a, b in ctx.pair_names:
             p = ctx.pairs[(a, b)]
-            for j, base in enumerate(ctx.bases):
+            for j, base in enumerate(ctx.universe.bases):
                 f = Filter(top.n, intersect_all(base, top.full))
                 walk = oracles.literal_base_adherence(base, p) ^ (j == flip_base) << flip_point
                 diff = (scan_limit_set(base, p) ^ limit_set(f, p)) | (walk ^ adherence_set(f, p))
@@ -279,7 +279,7 @@ def test_base_rows_match_the_per_base_sets_and_the_literal_rules():
     spaces += [random_topology(n, rng.randrange(10**6), n) for n in (5, 6, 8)]
     for top in spaces:
         ctx = _SpaceContext("s", top, SuiteConfig())
-        n, bases = top.n, ctx.bases
+        n, bases = top.n, ctx.universe.bases
         has = member_table(bases, n)
         cores = [intersect_all(base, top.full) for base in bases]
         by_core = {}
@@ -397,7 +397,7 @@ def test_emptied_limit_row_fails_transfer_per_name(monkeypatch):
             if not (set(ctx.open_sets[c]) <= set(ctx.open_sets[a]) and leq(ctx.ops[b], ctx.ops[d])):
                 continue
             wide_lim, wide_adh = emptied(ctx.pairs[(c, d)])
-            for core in ctx.core_list:
+            for core in ctx.universe.core_list:
                 if lim[core] & ~wide_lim[core] or adh[core] & ~wide_adh[core]:
                     expected.append((f"{a},{b}", statement, f"{c},{d}", ctx.top.ground.braced(core)))
                     break
@@ -425,7 +425,7 @@ def test_position_rows_match_the_per_core_predicates():
     for i, top in enumerate(spaces):
         n, full = top.n, top.full
         ctx = _SpaceContext(f"s{i}", top, SuiteConfig())
-        cores = list(ctx.core_list)
+        cores = list(ctx.universe.core_list)
         everyone = (1 << len(cores)) - 1
         inside = member_table([(c,) for c in cores], n)
         assert all(inside[t] == mask_of(j for j, c in enumerate(cores) if c & ~t == 0)
@@ -532,7 +532,7 @@ def test_padded_neighbourhoods_fail_like_the_per_core_predicates(monkeypatch):
                 continue
             p = ctx.pairs[(a, b)]
             lim, adh = principal_rows(p)
-            for core in ctx.core_list:
+            for core in ctx.universe.core_list:
                 for x in range(top.n):
                     fam = padded(top.n, ctx.open_sets[a], x)
                     if bool(lim[core] >> x & 1) != family_converges(core, p, x, fam) or \
@@ -584,14 +584,14 @@ def test_flipped_failing_plane_bit_fails_like_the_per_set_scan(monkeypatch):
     for a, b in ctx.pair_names:
         for c, d in ctx.pair_names:
             if set(ctx.open_sets[c]) <= set(ctx.open_sets[a]) and leq(ctx.ops[b], ctx.ops[d]):
-                strict = [s for s in ctx.subsets if compact_at(a, b, s) and not compact_at(c, d, s)]
+                strict = [s for s in ctx.universe.subsets if compact_at(a, b, s) and not compact_at(c, d, s)]
                 if strict:
                     expected.append((f"{a},{b}", blocks[0], f"{c},{d}", ctx.top.ground.braced(strict[0])))
         for c, d in ctx.pair_names:
             if c != a or d == b:
                 continue
             if all(ctx.ops[b].table[u] == ctx.ops[d].table[u] for u in ctx.open_sets[a]):
-                for s in ctx.subsets:
+                for s in ctx.universe.subsets:
                     if any(compact_at(a, b, s, k) != compact_at(c, d, s, k) for k in ("pair", "pair_open")):
                         expected.append((f"{a},{b}", blocks[1], f"{c},{d}", ctx.top.ground.braced(s)))
                         break
@@ -627,7 +627,7 @@ def test_flipped_filter_and_restricted_bits_fail_like_the_per_set_statements(mon
         p = ctx.pairs[(a, b)]
         enl = p.enlarger.table
         residues = {top.full ^ enl[u] for u in p.kernel.family} - {0}
-        for s in ctx.subsets:
+        for s in ctx.universe.subsets:
             v = {k: compactness_kind(p, s, k) for k in ("pair", "base", "pair_open", "closed")}
             v["ultra"] = maximal_bases_converge(p, s)
             v["restricted"] = all(pointwise_pair_closure(p, r) & s for r in residues if r & s)
@@ -754,11 +754,11 @@ def test_each_run_key_runs_once(monkeypatch):
     # 9 runs where there are 16 (ambient, distinct operation) pairs: some
     # operations differ only off an ambient family
     assert (len(keys), len(ambients) * len(distinct_ops)) == (9, 16)
-    assert report.suites["compactness_oracle"].instances_checked == len(ambients) * 7 * len(ctx.subsets)
+    assert report.suites["compactness_oracle"].instances_checked == len(ambients) * 7 * len(ctx.universe.subsets)
     # the fast criterion runs once per key and quantified subset
     runs = collections.Counter((cs.ambient, tuple(cs.enlarger.table[u] for u in cs.ambient))
                                for cs, _ in seen["is_compact"])
-    assert runs == dict.fromkeys(keys, len(ctx.subsets))
+    assert runs == dict.fromkeys(keys, len(ctx.universe.subsets))
 
 
 def test_oracle_walks_every_ambient_family_whole_up_to_four_points(monkeypatch):
@@ -977,7 +977,7 @@ def test_faulted_wider_kernel_shared_by_several_names_fails_like_the_per_name_lo
     assert len(sharing) == 6
     real = harness.failing_plane
     plane = real(ctx.pairs[("int", "cl")])
-    flip_set = next(s for s in ctx.subsets if s and not plane >> s & 1)
+    flip_set = next(s for s in ctx.universe.subsets if s and not plane >> s & 1)
 
     def faulty(p, kind="pair"):
         return real(p, kind) | (p.kernel is target and kind == "pair") << flip_set
@@ -996,8 +996,8 @@ def test_faulted_wider_kernel_shared_by_several_names_fails_like_the_per_name_lo
 
 def test_oracle_walks_and_runs_once_per_sweep_and_fails_in_each_space(monkeypatch):
     # across the spaces of at most two points, each (ambient family, image
-    # row, quantified subsets) key is walked once and its fast criterion
-    # runs once.  A wrong literal verdict for a key the four 2-point spaces
+    # row) key of each universe is walked once and its fast criterion runs
+    # once.  A wrong literal verdict for a key the four 2-point spaces
     # all meet fails the run in each of them, under every name whose images
     # on the family give the row, with the space's own label
     cfg = SuiteConfig(n_exhaustive=2, suites=("compactness_oracle",))
@@ -1039,15 +1039,16 @@ def test_oracle_walks_and_runs_once_per_sweep_and_fails_in_each_space(monkeypatc
 
 
 def test_oracle_store_lives_for_one_sweep(monkeypatch):
-    # every space of a sweep reads one store, and nothing keeps it once
-    # the sweep returns; the next sweep starts empty and walks again
+    # the spaces of n points in a sweep read one universe, which keeps the
+    # oracle's verdicts, and nothing keeps it once the sweep returns; the
+    # next sweep starts empty and walks again
     refs = []
     real = _SpaceContext.__init__
 
     def spied(self, label, top, cfg, *rest):
         real(self, label, top, cfg, *rest)
-        assert not refs or refs[0]() is self.sweep
-        refs.append(weakref.ref(self.sweep))
+        assert all(ref() is self.universe for n, ref in refs if n == self.n)
+        refs.append((self.n, weakref.ref(self.universe)))
 
     monkeypatch.setattr(_SpaceContext, "__init__", spied)
     walks = []
@@ -1063,7 +1064,7 @@ def test_oracle_store_lives_for_one_sweep(monkeypatch):
     for _ in range(2):
         assert run_suites(cfg).ok
         gc.collect()
-        assert len(refs) == 5 and all(ref() is None for ref in refs)
+        assert [n for n, _ in refs] == [1, 2, 2, 2, 2] and all(ref() is None for _, ref in refs)
         refs.clear()
         counts.append(len(walks))
         walks.clear()
@@ -1074,7 +1075,7 @@ def test_oracle_runs_are_not_shared_across_quantified_subsets(monkeypatch):
     # one 5-point space swept under two labels quantifies two seeded
     # draws of subsets over the same ambient families: each label walks
     # the literal oracle on its own draw, so a run is shared only between
-    # spaces that quantify the same subsets
+    # spaces that read one universe
     top = random_topology(5, 3, 5)
     spaces = [("a", top), ("b", top)]
     cfg = SuiteConfig(n_exhaustive=0, suites=("compactness_oracle",))
@@ -1087,7 +1088,7 @@ def test_oracle_runs_are_not_shared_across_quantified_subsets(monkeypatch):
 
     monkeypatch.setattr(harness, "brute_force_compact_images", spied)
     assert run_suites(cfg, spaces).ok
-    draws = {tuple(_SpaceContext(label, t, cfg).subsets) for label, t in spaces}
+    draws = {_SpaceContext(label, t, cfg).universe.subsets for label, t in spaces}
     assert len(draws) == 2 and any(seen == draws for seen in walks.values())
 
 
@@ -1114,17 +1115,19 @@ def test_pair_runs_are_shared_across_the_spaces_of_a_sweep(monkeypatch):
 
 
 def test_sweep_store_keeps_no_space_alive(monkeypatch):
-    # the spaces of at most 3 points keep their pair runs in the sweep's
-    # store, keyed by what the kernels are made of, and a 5-point space
-    # keys its own by kernel, for its own call only: once the sweep
-    # returns, with its store still held, every space and pair kernel of
-    # it is gone, and every run key in the store is ints and tuples
-    stores, refs = [], []
+    # the spaces of at most 3 points keep their pair runs on the sweep's
+    # universe of their n, keyed by what the kernels are made of, and a
+    # 5-point space keys its own by kernel on a universe of its own: once
+    # the sweep returns, with the sweep's universes still held, every space
+    # and pair kernel of it is gone, and every run key they keep is ints
+    # and tuples
+    universes, refs = {}, []
     real = _SpaceContext.__init__
 
-    def spied(self, label, top, cfg, *rest):
-        real(self, label, top, cfg, *rest)
-        stores[:] = [self.sweep]
+    def spied(self, label, top, cfg, universe):
+        real(self, label, top, cfg, universe)
+        if universe:
+            universes[self.n] = universe
         refs.append(weakref.ref(top))
         refs.extend(weakref.ref(p.kernel) for p in self.pairs.values())
 
@@ -1132,30 +1135,27 @@ def test_sweep_store_keeps_no_space_alive(monkeypatch):
     assert run_suites(SuiteConfig(n_exhaustive=3, n_sampled=5, samples=1, seed=3)).ok
     gc.collect()
     assert len(refs) > 35 * 2 and all(ref() is None for ref in refs)
-    [store] = stores
+    assert sorted(universes) == [1, 2, 3]
 
     def plain(key):
         return isinstance(key, int) or type(key) is tuple and all(map(plain, key))
 
-    firsts = {suite: next(st for st in harness.STATEMENTS if st.suite == suite and st.reads == harness.PAIR)
-              for suite in ("structure", "filters", "compactness")}
-    assert all(store[st] for st in firsts.values())
-    # only the label-free spaces keep their pair runs: a key's first
-    # reading is n, the family's plane and the table, or it is that
-    n_of = lambda key: key[0] if type(key[0]) is int else key[0][0]
-    assert {n_of(key) for st in firsts.values() for key in store[st]} == {1, 2, 3}
-    assert {type(key) for key in store} == {harness.Statement, str}
-    assert all(plain(key) for runs in store.values() for key in runs)
-    assert all(type(run) is harness.SuiteResult for st in firsts.values() for run in store[st].values())
+    firsts = [next(st for st in harness.STATEMENTS if st.suite == suite and st.reads == harness.PAIR)
+              for suite in ("structure", "filters", "compactness")]
+    for universe in universes.values():
+        runs = universe.runs
+        assert all(runs[st] for st in firsts)
+        assert {type(key) for key in runs} == {harness.Statement, str}
+        assert all(plain(key) for store in runs.values() for key in store)
+        assert all(type(run) is harness.SuiteResult for st in firsts for run in runs[st].values())
 
 
 def test_equal_kernels_under_different_universes_are_not_shared(monkeypatch):
-    # one 4-point space swept under two labels quantifies every subset and
-    # core in both, but two seeded draws of filterbases: each label runs
-    # its own filters pair statements on its own bases, once per kernel,
-    # as a run is shared across spaces only where every quantified
-    # universe is a function of n
-    top = random_topology(4, 3, 4)
+    # one 5-point space swept under two labels quantifies two seeded
+    # universes: each label runs its own filters pair statements on its own
+    # bases, once per kernel, as a run is shared only between spaces that
+    # read one universe
+    top = random_topology(5, 3, 5)
     spaces = [("a", top), ("b", top)]
     cfg = SuiteConfig(n_exhaustive=0, suites=("filters",))
     seen = collections.Counter()
@@ -1168,7 +1168,7 @@ def test_equal_kernels_under_different_universes_are_not_shared(monkeypatch):
     monkeypatch.setattr(harness, "base_rows", spied)
     assert run_suites(cfg, spaces).ok
     contexts = [_SpaceContext(label, t, cfg) for label, t in spaces]
-    draws = [tuple(ctx.bases) for ctx in contexts]
+    draws = [tuple(ctx.universe.bases) for ctx in contexts]
     kernels = len({p.kernel for p in contexts[0].pairs.values()})
     assert draws[0] != draws[1] and seen == {draw: kernels for draw in draws}
 
@@ -1190,15 +1190,13 @@ class _Reads:
 
 
 def test_pair_checks_read_the_space_only_through_what_their_key_fixes():
-    # a clean run of a suite's PAIR statements is shared across the
-    # label-free spaces with its key, which is sound only while their
-    # counts and checks read the context through n, the quantified
-    # universes and their tables, the pair and the per-name readings the
-    # key fixes; the labels serve record text alone, and maximal_filters
-    # reads n of the space
-    allowed = {"n", "full", "subsets", "quantified", "core_list", "core_table", "bases", "base_table",
-               "base_cores", "pairs", "open_sets", "props", "monotone", "inside", "regularity", "dominates",
-               "top.n", "top.ground.braced"}
+    # a clean run of a suite's PAIR statements is shared with its key
+    # across the spaces that read one universe, which is sound only while
+    # their counts and checks read the context through n, the universe,
+    # the pair and the per-name readings the key fixes; the labels serve
+    # record text alone, and maximal_filters reads n of the space
+    allowed = {"n", "full", "universe", "pairs", "open_sets", "props", "monotone", "inside", "regularity",
+               "dominates", "top.n", "top.ground.braced"}
     cfg = SuiteConfig()
     spaces = sweep_spaces(SuiteConfig(n_exhaustive=2)) + [("c", random_topology(3, 5, 3)),
                                                          ("d", random_topology(5, 3, 5))]
@@ -1213,7 +1211,7 @@ def test_pair_checks_read_the_space_only_through_what_their_key_fixes():
             for st in statements:
                 harness._apply(out, recorder, st, (run,), (f"{a},{b}",))
         assert out.instances_checked and not out.failures
-    assert {"n", "subsets", "core_list", "bases", "pairs", "regularity", "top.ground.braced"} <= read <= allowed
+    assert {"n", "universe", "pairs", "regularity", "top.ground.braced"} <= read <= allowed
 
 
 def test_pair_statements_are_declared_before_the_two_pair_statements():
@@ -1236,9 +1234,9 @@ def test_pair_statements_are_declared_before_the_two_pair_statements():
 def test_shared_clean_runs_count_their_instances_and_notes_once_per_item():
     # a clean run is merged once with its instances and notes multiplied
     # by its uses; runs with failures are merged in item order, and every
-    # other item of their key runs its own check.  The sweep's store keeps
-    # the clean runs of a statement over ambient families for a later
-    # space, which runs none of their checks
+    # other item of their key runs its own check.  The universe keeps the
+    # clean runs of a statement over ambient families for a later space
+    # that reads it, which runs none of their checks
     calls = []
 
     def check(ctx, name, key, row):
@@ -1256,9 +1254,9 @@ def test_shared_clean_runs_count_their_instances_and_notes_once_per_item():
     assert calls == ["x", "y", "w"]
     assert (out.instances_checked, [f["pair"] for f in out.failures], out.notes) == (
         10, ["y", "w"], {"regularity_unknown": 5})
-    assert list(ctx.sweep[st]) == [("k", 0, ctx.subsets)]
+    assert list(ctx.universe.runs[st]) == [("k", 0)]
     items = [("u", "k", 0), ("t", "bad", 0)]
-    again = harness._run([st], _SpaceContext("t", sierpinski(), cfg, ctx.sweep), cfg)
+    again = harness._run([st], _SpaceContext("t", sierpinski(), cfg, ctx.universe), cfg)
     assert calls[3:] == ["t"]
     assert (again.instances_checked, [f["pair"] for f in again.failures], again.notes) == (
         4, ["t"], {"regularity_unknown": 2})
@@ -1371,3 +1369,4 @@ def test_catalog_pairs_cover_the_named_classes():
 test_enlargers_agree_matches_the_image_scan = route_check("partners")
 test_filter_rows_match_literal_rules = route_check("principal_sets")
 test_pair_topology_closure_matches_the_member_union = route_check("pair_topology_closure")
+test_universes_quantify_every_filterbase_up_to_four_points = route_check("quantified_bases")

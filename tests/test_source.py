@@ -1,4 +1,5 @@
-"""Checks on the library's source itself, and on the test oracles'."""
+"""Checks on the library's source itself, on the test oracles', and on
+the digests README quotes."""
 
 import ast
 import pathlib
@@ -214,3 +215,52 @@ def test_each_statement_text_is_declared_once():
     assert writers(lambda node: isinstance(node, ast.AugAssign)
                    and getattr(node.target, "attr", None) == "instances_checked") == {
         "merge", "_apply", "_keyed", "_compared"}
+
+
+def pinned_digests(source: str) -> dict[tuple[str, str], str]:
+    """(config, spaces) -> the sha256 a test function of ``source`` pins
+    for its one ``_report_digest(config, spaces)`` call, both as
+    normalised source text (a name read through its assignment in the
+    function), spaces "default" where the call names none."""
+    out = {}
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        assigned = {t.id: node.value for node in nodes if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+        calls = [node for node in nodes
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_report_digest"]
+        pins = [node.value for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and re.fullmatch("[0-9a-f]{64}", node.value)]
+        if len(calls) == 1 and len(pins) == 1:
+            args = [ast.unparse(assigned.get(getattr(arg, "id", None), arg)) for arg in calls[0].args]
+            out[args[0], args[1] if len(args) > 1 else "default"] = pins[0]
+    return out
+
+
+def readme_digest_rows(text: str) -> list[tuple[str, str, str]]:
+    """(config, spaces, digest prefix) for each row of README's digest
+    table, config and spaces as normalised source text."""
+    def norm(src: str) -> str:
+        return ast.unparse(ast.parse(src, mode="eval"))
+
+    lines = text.splitlines()
+    rows = []
+    for line in lines[lines.index("| config | spaces | digest |") + 2:]:
+        if not line.startswith("|"):
+            break
+        config, spaces, digest = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        rows.append((norm(config), spaces if spaces == "default" else norm(spaces), digest.rstrip("…")))
+    return rows
+
+
+def test_readme_digests_begin_the_pinned_ones():
+    # README quotes the report digests tier 1 pins: each row of its table
+    # names a config and spaces a test of test_harness.py pins, and begins
+    # that test's digest
+    pins = pinned_digests((TESTS / "test_harness.py").read_text(encoding="utf-8"))
+    rows = readme_digest_rows((TESTS.parent / "README.md").read_text(encoding="utf-8"))
+    assert rows
+    for config, spaces, prefix in rows:
+        assert len(prefix) >= 8 and pins.get((config, spaces), "").startswith(prefix), (config, spaces)
