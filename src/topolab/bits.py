@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 Family = tuple  # tuple[int, ...], canonical: sorted ascending, no duplicates
 
@@ -183,6 +184,13 @@ def bit_planes(table: Sequence[int], n: int) -> list[int]:
     return out
 
 
+def _lane_bytes(bits: int) -> int:
+    """The bytes of a lane holding entries of ``bits`` bits: 1, 2, 4 or 8
+    up to 64 bits, one byte per 8 bits beyond."""
+    need = (bits + 7) >> 3
+    return _LANE_BYTES[need] if need <= 8 else need
+
+
 def pack_lanes(table: Sequence[int], top: Optional[int] = None) -> tuple[int, int]:
     """``table`` as one integer of equal byte-aligned lanes, lane a
     holding ``table[a]``: (lanes, lane width in bits).  Lanes are 1, 2,
@@ -190,8 +198,7 @@ def pack_lanes(table: Sequence[int], top: Optional[int] = None) -> tuple[int, in
     entries go through one ``int.to_bytes`` each.  ``top``, if given,
     has the bit length of the largest entry (the OR of the entries
     does), and spares the scan for it."""
-    need = ((max(table) if top is None else top).bit_length() + 7) >> 3
-    lane = _LANE_BYTES[need] if need <= 8 else need
+    lane = _lane_bytes((max(table) if top is None else top).bit_length())
     code = _PACK_CODE.get(lane)
     if code is None:
         raw = b"".join(v.to_bytes(lane, "little") for v in table)
@@ -268,15 +275,59 @@ def contained_union_lanes(pairs: Iterable[tuple[int, int]], n: int) -> tuple[int
     return _zeta(lanes, _clear_masks(n, width), width), width
 
 
-def unpack_lanes(lanes: int, width: int, n: int) -> tuple[int, ...]:
-    """The 2**n ``width``-bit lanes of ``lanes`` as a tuple: the inverse
-    of :func:`pack_lanes`."""
+def unpack_lanes(lanes: int, width: int, n: int) -> Sequence[int]:
+    """The 2**n ``width``-bit lanes of ``lanes``, in order: the inverse
+    of :func:`pack_lanes`.  One-byte lanes come back as a tuple, whose
+    entries are all cached small ints.  Lanes of 2, 4 or 8 bytes (an
+    n-point table from 9 points on) come back as a read-only
+    ``memoryview`` of the lane bytes cast to their width, 2 B an entry
+    where a tuple of ints holds about 36: indexing and iterating read
+    ints, assignment raises.  A big-endian host casts the byte-reversed
+    lanes, which hold each lane in native order and the last lane first,
+    and reads that view backwards."""
     lane = width >> 3
-    raw = lanes.to_bytes(lane << n, "little")
+    if lane == 1:
+        return tuple(lanes.to_bytes(1 << n, "little"))
     code = _PACK_CODE.get(lane)
     if code is None:
+        raw = lanes.to_bytes(lane << n, "little")
         return tuple(int.from_bytes(raw[i:i + lane], "little") for i in range(0, len(raw), lane))
-    return struct.unpack(f"<{1 << n}{code}", raw)
+    if sys.byteorder == "little":
+        return memoryview(lanes.to_bytes(lane << n, "little")).cast(code)
+    return memoryview(lanes.to_bytes(lane << n, "big")).cast(code)[::-1]
+
+
+class LanePairs:
+    """Rows (t, u) kept as two read-only views of packed lanes, ``first``
+    and ``second``, and immutable: it iterates as the (t, u) tuples, in
+    order, but holds 2 B an entry from 9 points on where a tuple of
+    pairs holds about 90 B a row.  Built by :func:`pair_rows`."""
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: memoryview, second: memoryview):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LanePairs is immutable")
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.first, self.second)
+
+
+def pair_rows(first: Collection[int], second: Collection[int],
+              n: int) -> tuple[tuple[int, int], ...] | LanePairs:
+    """The rows (first[i], second[i]) of n-point sets, in order: a tuple
+    of pairs while a set fits one byte (n <= 8), each entry a cached
+    small int, else a :class:`LanePairs` of the two columns packed in
+    native order to the lanes of n-bit entries."""
+    lane = _lane_bytes(n)
+    if lane == 1:
+        return tuple(zip(first, second))
+    code = _PACK_CODE[lane]
+    return LanePairs(*(memoryview(struct.pack(f"={len(col)}{code}", *col)).cast(code)
+                       for col in (first, second)))
 
 
 def contained_union_table(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:

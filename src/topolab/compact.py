@@ -49,11 +49,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .bits import (
     SUBFAMILY_CAP,
     Family,
+    LanePairs,
     canonical_family,
+    complement_plane,
     contained_union_table,
     down_plane,
     family_plane,
     iter_points,
+    pair_rows,
     point_meets,
     pointed_down_plane,
     up_planes,
@@ -67,8 +70,8 @@ from .pairs import (
     enlargement_base,
     image_groups,
     int_table,
-    pair_closed_family,
     pair_open_family,
+    pair_open_plane,
 )
 from .space import Topology, memoized
 
@@ -413,23 +416,27 @@ class SpaceCompactnessFlags:
 
 
 @memoized
-def _residue_row(k: PairKernel) -> tuple[tuple[int, int], ...]:
+def _residue_row(k: PairKernel) -> tuple[tuple[int, int], ...] | LanePairs:
     """(r, pair closure of r) for every nonempty residue r = full ^ enl[u]
     of a selector-open u, ascending; one row per kernel.  The empty
-    residue is left out: it is compact in every kind and meets no set."""
+    residue is left out: it is compact in every kind and meets no set.
+    A tuple of pairs up to 8 points; from 9 points on a
+    :class:`~topolab.bits.LanePairs` of 2-byte lanes, which iterates as
+    the same pairs (:func:`~topolab.bits.pair_rows`)."""
     full, inner = k.topology.full, int_table(k)
-    residues = canonical_family(full ^ t for t, _ in image_groups(k))
-    return tuple((r, full ^ inner[full ^ r]) for r in residues if r)  # r's pair closure
+    residues = [r for r in canonical_family(full ^ t for t, _ in image_groups(k)) if r]
+    return pair_rows(residues, [full ^ inner[full ^ r] for r in residues], k.topology.n)  # r's pair closure
 
 
 def space_compactness_flags(p: OpPair) -> SpaceCompactnessFlags:
     """Each statement is one test against a kind's :func:`failing_plane`:
     the whole space is one bit of it, and "every residue (every
     pair-closed set) is compact" says the plane misses the plane of the
-    residues (of the pair-closed sets)."""
+    residues (of the pair-closed sets, the complements of the pair-open
+    plane)."""
     n, full = p.topology.n, p.topology.full
     residues = family_plane((r for r, _ in _residue_row(p)), n)
-    closed = family_plane(pair_closed_family(p), n)
+    closed = complement_plane(pair_open_plane(p), n)
     pair, pair_open, base = (failing_plane(p, k) for k in ("pair", "pair_open", "base"))
     return SpaceCompactnessFlags(
         hypothesis=base_report(p).hypothesis_d,

@@ -56,7 +56,6 @@ from .filters import (
 from .jsonio import SchemaError, canonical_json
 from .ops import (
     BUILTIN_NAMES,
-    Operation,
     catalog,
     dual,
     dual_table,
@@ -286,12 +285,6 @@ class _SpaceContext:
                 self.agreement[(a, b)] = seen.setdefault(images(self.ops[b].table), len(seen))
         #: (over, a, b) -> a PAIRS statement's other pairs and the first of each kernel
         self.others: dict = {}
-
-    @cached_property
-    def duals(self) -> dict[str, Operation]:
-        """The catalog's duals, dropped with the context rather than kept on
-        their operations: a 16-point dual holds about 2.5 MB."""
-        return {nm: dual(op) for nm, op in self.ops.items()}
 
     @cached_property
     def pairs(self) -> dict[tuple[str, str], OpPair]:
@@ -820,7 +813,7 @@ def _limits_contained(ctx, run):
     # enlargements of the selector-open sets around each point
     n, cores = ctx.n, ctx.universe.core_list
     lim_at, adh_at = run.at_points
-    groups = image_groups(run.p)
+    groups = tuple(image_groups(run.p))  # read n times: unpacked once
     images_at = [[t for t, union in groups if union >> x & 1] for x in range(n)]
     within = rows_within(ctx.universe.core_table, images_at, (1 << len(cores)) - 1)
     unadherent = 0
@@ -1012,6 +1005,20 @@ def _kinds_agree(ctx, run):
             yield 2, braced(s)
 
 
+def _duals(ctx):
+    # the catalog's duals, built and validated here so they die with this
+    # statement (a 16-point dual holds about 2.5 MB); the double dual is
+    # compared as a raw table, so an unlawful one is a failure record
+    # rather than a validation error
+    duals = {nm: dual(op) for nm, op in ctx.ops.items()}
+    for nm in BUILTIN_NAMES:
+        if dual_table(duals[nm]) != ctx.ops[nm].table:
+            yield 0, nm, nm
+    for a, b in _DUALS:
+        if duals[a].table != ctx.ops[b].table:
+            yield 1, f"{a},{b}", a
+
+
 def _named_classes(ctx):
     # on pairs that die with the run
     named = [OpPair(ctx.ops[sel], ctx.ops[enl]) for sel, enl in map(NAMED_CLASSES.get, "NHsS")]
@@ -1027,14 +1034,8 @@ def _named_classes(ctx):
 #: every statement the sweep checks, by suite, in record order.  Library
 #: functions are read through module globals at call time.
 STATEMENTS = (
-    # the double dual is compared as a raw table, so an unlawful one is a
-    # failure record rather than a validation error
-    Statement("operations", ("double dual returns the operation",), SPACE,
-              lambda ctx: [(0, nm, nm) for nm in BUILTIN_NAMES
-                           if dual_table(ctx.duals[nm]) != ctx.ops[nm].table], len(BUILTIN_NAMES)),
-    Statement("operations", ("catalog dual identity",), SPACE,
-              lambda ctx: [(0, f"{a},{b}", a) for a, b in _DUALS if ctx.duals[a].table != ctx.ops[b].table],
-              len(_DUALS)),
+    Statement("operations", ("double dual returns the operation", "catalog dual identity"), SPACE,
+              _duals, len(BUILTIN_NAMES) + len(_DUALS)),
     Statement("operations", ("catalog order chain",), SPACE,
               lambda ctx: [(0, f"{a},{b}", a) for a, b in _CHAIN if not ctx.order[(a, b)]], len(_CHAIN)),
     Statement("operations", ("order is reflexive", "order is antisymmetric", "order is transitive"),

@@ -147,7 +147,7 @@ def builtin(topology: Topology, name: str) -> Operation:
         raise ValueError(f"unknown operation name {name!r}; choose from {BUILTIN_NAMES}")
     if name == "identity":
         return Operation(topology, topology.subsets(), name)
-    inner = topology.int_table()
+    inner = list(topology.int_table())  # indexed per entry below: a list reads faster than a lane view
     if name == "int":
         return Operation(topology, inner, name)
     full = topology.full

@@ -41,9 +41,9 @@ from typing import Iterable, Sequence
 from weakref import WeakValueDictionary
 
 from .bits import (
-    Family, bit_planes, canonical_family, close_unions, contained_union_lanes, family_plane,
-    iter_points, members_holding, pack_lanes, plane_members, point_meets, row_planes,
-    unpack_lanes, zero_lanes, zero_plane,
+    Family, LanePairs, bit_planes, canonical_family, close_unions, contained_union_lanes,
+    family_plane, iter_points, members_holding, pack_lanes, pair_rows, plane_members,
+    point_meets, row_planes, unpack_lanes, zero_lanes, zero_plane,
 )
 from .ops import (
     Operation, group_by_image, is_monotone, leq, op_open_family, op_open_plane, op_shrink_plane,
@@ -157,9 +157,11 @@ def int_lanes(k: PairKernel) -> tuple[int, int]:
 
 
 @memoized
-def int_table(k: PairKernel) -> tuple[int, ...]:
+def int_table(k: PairKernel) -> Sequence[int]:
     """``int_table(p)[a]`` is the pair-interior of ``a``, for every
-    subset: :func:`int_lanes`, unpacked."""
+    subset: :func:`int_lanes`, unpacked (:func:`~topolab.bits.unpack_lanes`),
+    so a tuple up to 8 points and a read-only ``memoryview`` of the
+    2-byte lanes from 9 points on."""
     return unpack_lanes(*int_lanes(k), k.topology.n)
 
 
@@ -303,7 +305,9 @@ def classify_structure(p: OpPair) -> StructureReport:
         - idempotent: int(i) = i for every image i = int(c), so every
           entry of the table is a fixed point; given the previous axiom,
           int(i) sits inside i, so this says every pair-interior image
-          is pair-open;
+          is pair-open.  Every fixed point a = int(a) is an image, so
+          the table holds exactly as many distinct entries as there are
+          fixed points;
         - multiplicative: int(c & d) inside int(c) & int(d) holds as
           int is monotone.  The converse at x needs, for u and v around
           x enlarged inside c and d, a w around x enlarged inside
@@ -327,7 +331,7 @@ def classify_structure(p: OpPair) -> StructureReport:
     kur = (
         table[full] == full
         and _kernel_report(p).family_nested
-        and family_plane(set(table), n) & ~fixed == 0
+        and len(set(table)) == fixed.bit_count()
         and enlarger_is_regular(p)
     )
 
@@ -362,7 +366,8 @@ def named_family(top: Topology, name: str) -> Family:
     ``identity & ~table``, "a equals table[a]" those of
     ``identity ^ table`` (:func:`~topolab.bits.zero_lanes`).
     """
-    inner, full, n = top.int_table(), top.full, top.n
+    # indexed per entry below: a list reads faster than a lane view
+    inner, full, n = list(top.int_table()), top.full, top.n
     ident, width = top.identity_lanes()
     cl = [full ^ i for i in reversed(inner)]  # full ^ a runs down as a runs up
 
@@ -415,14 +420,18 @@ def enlargement_base(k: PairKernel) -> Family:
 
 
 @memoized
-def image_groups(k: PairKernel) -> tuple[tuple[int, int], ...]:
+def image_groups(k: PairKernel) -> tuple[tuple[int, int], ...] | LanePairs:
     """(t, union of the selector-open sets enlarged to t) for each
     distinct enlargement t, in order of first appearance.  Some
     selector-open set around x is enlarged to t iff t's union holds x.
     The one walk of the selector-open family per kernel: every other
-    kernel row that needs the members reads these groups.
+    kernel row that needs the members reads these groups.  A tuple of
+    pairs up to 8 points; from 9 points on a
+    :class:`~topolab.bits.LanePairs` of 2-byte lanes, which iterates
+    as the same pairs (:func:`~topolab.bits.pair_rows`).
     """
-    return tuple(group_by_image(k.enlarger.table, k.family).items())
+    groups = group_by_image(k.enlarger.table, k.family)
+    return pair_rows(groups, groups.values(), k.topology.n)
 
 
 @memoized

@@ -225,9 +225,11 @@ class Topology:
         return contained_union_lanes(((m, 1 << x) for x, m in enumerate(self.min_nbhds())), self.n)
 
     @memoized
-    def int_table(self) -> tuple[int, ...]:
+    def int_table(self) -> Sequence[int]:
         """``int_table()[a]`` is the interior of ``a``, for every subset:
-        :meth:`int_lanes`, unpacked."""
+        :meth:`int_lanes`, unpacked (:func:`~topolab.bits.unpack_lanes`),
+        so a tuple up to 8 points and a read-only ``memoryview`` of the
+        2-byte lanes from 9 points on."""
         return unpack_lanes(*self.int_lanes(), self.n)
 
     def identity_lanes(self) -> tuple[int, int]:

@@ -41,8 +41,18 @@ ZETA = """    irreducibles = _union_irreducibles(k.topology, fam)
 
 MUTANTS = (
     Mutant("image_groups drops its last group", "pairs.py",
-           "k.family).items())\n", "k.family).items())[:-1]\n",
+           "return pair_rows(groups, groups.values(), k.topology.n)",
+           "return pair_rows(tuple(groups)[:-1], tuple(groups.values())[:-1], k.topology.n)",
            ("interior_walk", "enlargement_base", "closure_pointwise", "closure_by_points")),
+    Mutant("pair rows yield (u, t)", "bits.py",
+           "return zip(self.first, self.second)", "return zip(self.second, self.first)",
+           ("enlargement_base", "closure_by_points",
+            "tests/test_pairs.py::test_compact_rows_are_read_only_and_match_the_tuple_route")),
+    Mutant("the table view is cast one lane too narrow", "bits.py",
+           'memoryview(lanes.to_bytes(lane << n, "little")).cast(code)',
+           'memoryview(lanes.to_bytes(lane << n, "little")).cast(_PACK_CODE[lane >> 1])',
+           ("interior_walk", "tests/test_bits.py::test_lanes_round_trip_and_transform_like_the_table",
+            "tests/test_pairs.py::test_compact_rows_are_read_only_and_match_the_tuple_route")),
     Mutant("nbhd_plane takes its meet from the envelopes", "filters.py",
            "    meet = plane_meet(plane, n)\n", "    meet = envelopes(k)[point]\n", ("nbhd_bases",)),
     Mutant("spread_rows assigns instead of ORing", "filters.py",
@@ -60,7 +70,7 @@ MUTANTS = (
     Mutant("_additive_scan checks the zeta form", "compact.py",
            "    for j in _union_irreducibles(k.topology, fam):\n", ZETA, ("additive_hypothesis",)),
     Mutant("_residue_row drops the largest residue", "compact.py",
-           "for r in residues if r)", "for r in residues[:-1] if r)",
+           "for t, _ in image_groups(k)) if r]", "for t, _ in image_groups(k))[:-1] if r]",
            ("complement_statements", "space_flags")),
     Mutant("_minimal_cover forgets the kept prefix", "compact.py",
            "if a & ~(below[i] | above):", "if a & ~above:", ("minimal_cover", "witness_covers")),

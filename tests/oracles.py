@@ -1993,7 +1993,7 @@ def _routes() -> tuple:
         # kernel rows
         Route("point_meets", lambda c: tuple(point_meets(rows, c.top.n) for rows in _meet_rows(c.p)),
               lambda c: tuple(literal_point_meets(rows, c.top.n) for rows in _meet_rows(c.p)), "kernels+47"),
-        Route("interior_pointwise", lambda c: int_table(c.p),
+        Route("interior_pointwise", lambda c: tuple(int_table(c.p)),
               lambda c: tuple(naive_pair_interior(c.p, a) for a in c.top.subsets()), "kernels+103", max_n=4),
         Route("interior_walk", lambda c: tuple(int_table(c.p)[a] for a in c.sets),
               lambda c: tuple(member_walk_interior(c.p.kernel, a) for a in c.sets), "kernels+307"),

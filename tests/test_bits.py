@@ -130,11 +130,11 @@ def test_lanes_round_trip_and_transform_like_the_table():
     for n in range(9):
         for width in WIDTHS:
             table = [rng.getrandbits(width) for _ in range(1 << n)]
-            assert bits.unpack_lanes(*bits.pack_lanes(table), n) == tuple(table), (n, width)
+            assert tuple(bits.unpack_lanes(*bits.pack_lanes(table), n)) == tuple(table), (n, width)
             for pairs in _pair_lists(rng, n, width):
                 lanes, lane_width = bits.contained_union_lanes(iter(pairs), n)
                 expect = literal_contained_union_table(pairs, n)
-                assert bits.unpack_lanes(lanes, lane_width, n) == tuple(expect), (n, width, pairs)
+                assert tuple(bits.unpack_lanes(lanes, lane_width, n)) == tuple(expect), (n, width, pairs)
 
 
 def test_row_planes_transpose_the_rows():

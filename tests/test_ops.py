@@ -133,7 +133,7 @@ def test_derived_tables_live_in_their_owners_memo():
             assert got in around and all(got & ~u == 0 for u in around)
         table = top.int_table()
         assert top.int_table() is table is memo[Topology.int_table.__wrapped__]
-        assert table == tuple(naive_interior(top, a) for a in top.subsets())
+        assert tuple(table) == tuple(naive_interior(top, a) for a in top.subsets())
         families = [top.opens] + [
             tuple(sorted({rng.randrange(1 << n) for _ in range(rng.randrange(1, 5))}))
             for _ in range(4)

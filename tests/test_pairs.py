@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import struct
 
 import pytest
 
@@ -32,6 +33,8 @@ from topolab.pairs import (
     _kernel_report, _selector_at, enlarger_is_regular, envelopes, image_groups, int_lanes,
     int_table, regular_scan,
 )
+from topolab.bits import LanePairs, canonical_family
+from topolab.ops import group_by_image
 from topolab.space import indiscrete
 
 from oracles import catalog_pairs, custom_pairs, exhaustive_spaces, naive_pair_interior, route_check, seeded_spaces
@@ -170,9 +173,9 @@ KINDS = ("pair", "pair_open", "base", "ultra", "closed", "restricted")
 def kernel_rows(p) -> dict:
     """Every row a pair reads off its kernel."""
     return {
-        "int": int_table(p),
+        "int": tuple(int_table(p)),
         "open": pair_open_family(p),
-        "groups": image_groups(p),
+        "groups": tuple(image_groups(p)),
         "envelopes": tuple(p.envelope(x) for x in range(p.topology.n)),
         "regular": enlarger_is_regular(p),
         "base": base_report(p),
@@ -248,9 +251,44 @@ def test_rows_read_through_a_pair_are_its_kernels():
             for kind in KINDS:
                 assert p._memo[_failing_plane.__wrapped__, kind] is through_pair["plane", kind]
                 assert through_pair["plane", kind] == planes[kind], (p, kind)
-            assert int_table(fresh) == through_pair["int"] == tuple(
+            assert tuple(int_table(fresh)) == tuple(through_pair["int"]) == tuple(
                 naive_pair_interior(p, a) for a in top.subsets()
             ), p
+
+
+def test_compact_rows_are_read_only_and_match_the_tuple_route():
+    # from 9 points on, a space's and each kernel's interior table is a
+    # read-only memoryview of its 2-byte lanes, and the image groups and
+    # residue rows are LanePairs of two such views; assignment to any
+    # raises, and each equals, entry for entry, its tuple route: the
+    # lanes unpacked by struct, the groups' items, and the (residue, pair
+    # closure) pairs off that table
+    for top in seeded_spaces(233, (9, 10, 11, 12)):
+        full, count = top.full, 1 << top.n
+
+        def unpacked(lanes: tuple[int, int]) -> tuple[int, ...]:
+            assert lanes[1] == 16
+            return struct.unpack(f"<{count}H", lanes[0].to_bytes(2 * count, "little"))
+
+        rows = [(top.int_table(), unpacked(top.int_lanes()))]
+        for p in {p.kernel: p for p in all_pairs(top)}.values():
+            inner = unpacked(int_lanes(p))
+            groups = tuple(group_by_image(p.enlarger.table, p.kernel.family).items())
+            residues = canonical_family(full ^ t for t, _ in groups)
+            rows += [(int_table(p), inner), (image_groups(p), groups),
+                     (_residue_row(p), tuple((r, full ^ inner[full ^ r]) for r in residues if r))]
+        for row, expect in rows:
+            assert tuple(row) == expect, (top, expect[:4])
+            views = (row.first, row.second) if type(row) is LanePairs else (row,)
+            assert all(type(v) is memoryview and v.readonly for v in views), type(row)
+            for view in views:
+                with pytest.raises(TypeError):
+                    view[0] = 0
+            if type(row) is LanePairs:
+                for name in ("first", "second"):
+                    with pytest.raises(AttributeError):
+                        setattr(row, name, views[0])
+        assert sum(type(row) is LanePairs and len(expect) > 1 for row, expect in rows) > 1, top
 
 
 def test_selector_readings_stay_off_the_kernel():
