@@ -52,6 +52,7 @@ from .bits import (
     LanePairs,
     canonical_family,
     complement_plane,
+    contained_union_lanes,
     contained_union_table,
     down_plane,
     family_plane,
@@ -59,6 +60,7 @@ from .bits import (
     pair_rows,
     point_meets,
     pointed_down_plane,
+    unpack_lanes,
     up_planes,
 )
 from .filters import _point_limits, is_t2
@@ -255,7 +257,7 @@ def _row(k: PairKernel, kind: str) -> tuple[tuple[int, ...], ...]:
         inner = int_table(k)
     elif kind in ("pair_open", "base"):
         members = pair_open_family(k) if kind == "pair_open" else enlargement_base(k) + (full,)
-        inner = contained_union_table(((u, u) for u in members), n)
+        inner = unpack_lanes(*contained_union_lanes(((u, u) for u in members), n), n)
     else:
         raise ValueError(
             f"unknown kind {kind!r}; use 'pair', 'pair_open', 'base', 'ultra', 'closed'"

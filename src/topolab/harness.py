@@ -19,12 +19,13 @@ import operator
 import platform
 import random
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
+from operator import attrgetter
 from itertools import product
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import __version__
-from .bits import Family, canonical_family, derive_seed, down_plane, family_plane, iter_points, mask_of
+from .bits import canonical_family, derive_seed, down_plane, family_plane, iter_points, mask_of
 from .compact import (
     NAMED_CLASSES,
     CoverSystem,
@@ -92,13 +93,6 @@ SUITE_NAMES = (
     "filters",
     "compactness_oracle",
     "compactness",
-)
-
-MINE_TARGETS = (
-    "inclusion_without_order",
-    "nonregular_pair",
-    "transfer_strictness",
-    "nonadditive_enlarger",
 )
 
 #: catalog operations (a, b) with b the dual of a, and the links (a, b)
@@ -255,7 +249,6 @@ class _SpaceContext:
         self.top = top
         self.n = top.n
         self.full = top.full
-        self.seed = cfg.seed
         self.universe = universe or _Universe(top.n, cfg.seed, label)
         self.ops = catalog(top)
         self.pair_names = [(a, b) for a, _, b in (spec.partition(",") for spec in cfg.pairs)]
@@ -291,19 +284,9 @@ class _SpaceContext:
         """One :class:`OpPair` per requested name, in request order."""
         return {(a, b): OpPair(self.ops[a], self.ops[b]) for a, b in self.pair_names}
 
-    def kernel_key(self, a: str, b: str):
-        """What the kernel of pair (a, b) is made of up to
-        :data:`~topolab.space.EXHAUSTIVE_POINTS` points, where a sweep's
-        spaces of n points read one universe: the a-open family's plane
-        and b's table.  Above, the kernel itself, so no table of 2**n
-        entries is hashed."""
-        if self.n <= EXHAUSTIVE_POINTS:
-            return self.open_planes[a], self.ops[b].table
-        return self.pairs[(a, b)].kernel
-
     def dominates(self, a: str, b: str) -> bool:
-        """Whether enlarger b sits above the identity or above selector a
-        (``order_dominates`` of :func:`~topolab.pairs.base_report`)."""
+        """Whether enlarger b sits above the identity or above selector a,
+        as ``order_dominates`` of :func:`~topolab.pairs.base_report` says."""
         return self.order[("identity", b)] or self.order[(a, b)]
 
     def wider(self, a: str, b: str) -> list[tuple[str, str]]:
@@ -319,23 +302,6 @@ class _SpaceContext:
         mark = self.agreement[(a, b)]
         return [(a, d) for d in self.enlargers[a] if self.agreement[(a, d)] == mark]
 
-    def regularity(self, sel_name: str, enl_name: str) -> Optional[bool]:
-        """Whether the enlarger is regular against the selector-open
-        family (:func:`enlarger_is_regular`, kept on the pair's kernel);
-        None past :meth:`regularity_gated`, unless its fast path (a
-        monotone enlarger over an intersection-closed family) applies."""
-        fast = self.monotone[enl_name] and self.props[sel_name][0]
-        if self.regularity_gated(self.open_sets[sel_name]) and not fast:
-            return None
-        return enlarger_is_regular(self.pairs[(sel_name, enl_name)])
-
-    def regularity_gated(self, fam: Family) -> bool:
-        """Whether regularity over ``fam`` is skipped.  The closed form
-        is linear, so the gate guards no cost: it only reproduces the
-        ``regularity_scan_skipped`` and ``regularity_unknown`` notes
-        pinned in ``bench/expected.json``."""
-        return len(fam) ** 3 * max(self.n, 1) > 2 * 10**8
-
 
 class _Universe:
     """What the statements quantify over on n points, each built on first
@@ -348,8 +314,8 @@ class _Universe:
     seed and a space's label draw it, for that space alone.  So two
     spaces share a run exactly when they read one universe.  A sweep's
     universes hold ints, tuples, counts and verdicts only; a space's own
-    also keys its pair runs by kernel (:meth:`_SpaceContext.kernel_key`)
-    and dies with the space."""
+    also keys its pair runs by kernel (the ``kernel`` reading) and dies
+    with the space."""
 
     def __init__(self, n: int, seed: int, label: Optional[str]):
         self.n, self.full, self.seed, self.label = n, (1 << n) - 1, seed, label
@@ -428,25 +394,31 @@ class _Universe:
 
 
 class _PairRun:
-    """A requested pair (a, b) as one run of a suite's pair statements
-    reads it: its names, its pair, and the readings several statements
-    share, each made once per run."""
+    """A requested pair (a, b) as a suite's pair statements read it: its
+    names, its pair and the rows several statements share, each made
+    once per run, and by any other attribute the reading of that name
+    (:data:`_READINGS`), made on first read."""
 
     def __init__(self, ctx: _SpaceContext, a: str, b: str):
         self.ctx, self.a, self.b, self.p = ctx, a, b, ctx.pairs[(a, b)]
 
+    def __getattr__(self, name: str):
+        if name not in _READINGS:
+            raise AttributeError(name)
+        value = self.__dict__[name] = _READINGS[name].of(self.ctx, self)
+        return value
+
     structure = cached_property(lambda self: classify_structure(self.p))
     base = cached_property(lambda self: base_report(self.p))
-    regular = cached_property(lambda self: self.ctx.regularity(self.a, self.b))
     closures = cached_property(lambda self: convergence_closures(self.p, self.ctx.universe.subsets))
 
     @cached_property
-    def refinement(self) -> tuple[int, Optional[tuple[int, int]]]:
+    def refined(self) -> tuple[int, Optional[tuple[int, int]]]:
         """(cores scanned, the first (core, finer core) where refinement
         moves a limit down or adherence up, else None).  Single-point
         drops suffice: any refinement is a chain of them."""
         lim, adh = principal_rows(self.p)
-        lims, adhs = self.cores
+        lims, adhs = self.core_rows
         scanned = 0
         for c1, lim1, adh1 in zip(self.ctx.universe.core_list, lims, adhs):
             if c1.bit_count() == 1:
@@ -459,13 +431,13 @@ class _PairRun:
         return scanned, None
 
     @cached_property
-    def cores(self) -> tuple[list[int], list[int]]:
+    def core_rows(self) -> tuple[list[int], list[int]]:
         """The quantified cores' limit and adherence sets, by position."""
         lim, adh = principal_rows(self.p)
         cores = self.ctx.universe.core_list
         return [lim[c] for c in cores], [adh[c] for c in cores]
 
-    at_points = cached_property(lambda self: tuple(point_rows(row, self.ctx.n) for row in self.cores))
+    at_points = cached_property(lambda self: tuple(point_rows(row, self.ctx.n) for row in self.core_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +447,49 @@ class _PairRun:
 #: and other requested pairs; or an ambient family and an image row on it
 SPACE, PAIR, PAIRS, AMBIENT = "space", "pair", "pairs", "ambient"
 
-#: the readings run keys are made of, of each of a list of requested
-#: pairs (a, b) or of ambient items (enlarger name, family, image row)
+
+class _Reading(NamedTuple):
+    of: Callable  # of(ctx, *args), on a statement's args
+    fixed: bool = True  # whether a pair's kernel, on its universe, fixes it
+
+
+#: every reading a declaration names, each once; those of a pair take
+#: its :class:`_PairRun`, which also reads them by name
 _READINGS = {
-    "kernel": lambda ctx, items: [ctx.kernel_key(a, b) for a, b in items],
-    "dominates": lambda ctx, items: [ctx.dominates(a, b) for a, b in items],
-    "monotone": lambda ctx, items: [ctx.monotone[a] for a, _ in items],
-    # the requested pairs (a, d) of the agreement class, and so their kernels
-    "agreement": lambda ctx, items: [(a, ctx.agreement[(a, b)]) for a, b in items],
-    # the ambient family and the image row
-    "ambient": lambda ctx, items: [(fam, row) for _, fam, row in items],
+    # run keys.  The kernel is what it is made of where a sweep's spaces
+    # of n points read one universe (the a-open plane and b's table), and
+    # above the kernel itself; the agreement class holds the pairs (a, d)
+    "kernel": _Reading(lambda ctx, run: (ctx.open_planes[run.a], ctx.ops[run.b].table)
+                       if ctx.n <= EXHAUSTIVE_POINTS else run.p.kernel),
+    "dominates": _Reading(lambda ctx, run: ctx.dominates(run.a, run.b), False),
+    "monotone": _Reading(lambda ctx, run: ctx.monotone[run.a], False),
+    "agreement": _Reading(lambda ctx, run: (run.a, ctx.agreement[(run.a, run.b)]), False),
+    "ambient": _Reading(lambda ctx, nm, fam, row: (fam, row), False),
+    # hypotheses.  regular is None past its gate, but for a monotone
+    # enlarger on a meet_closed (intersection-closed) selector-open family,
+    # which nested puts inside the enlarger-open family
+    "regular": _Reading(lambda ctx, run: enlarger_is_regular(run.p) if ctx.monotone[run.b] and ctx.props[run.a][0]
+                        or not _READINGS["regularity_scan_skipped"].of(ctx, run.a) else None),
+    "nested": _Reading(lambda ctx, run: ctx.inside[(run.a, run.b)]),
+    "meet_closed": _Reading(lambda ctx, run: ctx.props[run.a][0]),
+    "monotone_enlarger": _Reading(lambda ctx, run: ctx.monotone[run.b]),
+    "topology": _Reading(lambda ctx, run: run.structure.is_topology),
+    "base_pair_open": _Reading(lambda ctx, run: run.base.base_pair_open),
+    "t2": _Reading(lambda ctx, run: is_t2(run.p)),
+    # sizes
+    "n": _Reading(lambda ctx, *args: ctx.n),
+    "subsets": _Reading(lambda ctx, *args: len(ctx.universe.subsets)),
+    "cores": _Reading(lambda ctx, *args: len(ctx.universe.core_list)),
+    "bases": _Reading(lambda ctx, *args: len(ctx.universe.bases)),
+    "refinement": _Reading(lambda ctx, run: run.refined[0]),
+    # gates: regularity over the a-open family, whose closed form is
+    # linear, so it only keeps the notes bench/expected.json pins; the
+    # neighbourhood variant, one pass over all subsets per up-set
+    "regularity_scan_skipped": _Reading(
+        lambda ctx, a, *names: ctx.open_planes[a].bit_count() ** 3 * max(ctx.n, 1) > 2 * 10**8),
+    "regularity_unknown": _Reading(lambda ctx, run: run.regular is None),
+    "neighbourhood_variant_skipped": _Reading(
+        lambda ctx, run: (1 << ctx.n) * max(ctx.open_planes[run.a].bit_count(), 1) > 10**7),
 }
 
 
@@ -493,10 +498,13 @@ class Statement:
     """One statement of a suite, declared once.  ``check(ctx, *args)``
     yields its failures, each as an index into ``texts`` and the record
     fields its item does not name, and the names of the readings it
-    notes.  ``count(ctx, *args)`` (or a constant) is its instances: 0 when
-    its hypothesis fails, which skips the check, and None when a gate
-    does, which notes ``note``.  ``key`` names the readings
-    (:data:`_READINGS`) a run of it depends on.  By ``reads``:
+    notes.  The other fields name readings (:data:`_READINGS`), listed in
+    ``names`` and resolved once, here.  It counts ``size`` and is checked
+    where no ``hyp`` reading of the pair fails or is undecided (None) and
+    the ``gate`` reading does not hold; where that holds and no hypothesis
+    fails, the gate is noted instead.  ``given`` names what the check
+    tests for some texts alone, ``key`` a PAIRS statement's key if not
+    the kernel.  By ``reads``:
 
     SPACE    args are an item of ``over(ctx)`` (else none); the check
              names pair, subject and witness.
@@ -512,10 +520,33 @@ class Statement:
     texts: tuple[str, ...]
     reads: str
     check: Callable
-    count: Union[int, Callable] = 1
-    note: str = ""
-    key: tuple[str, ...] = ("kernel",)
+    hyp: tuple[str, ...] = ()
+    size: Union[int, str] = 1
+    gate: str = ""
+    given: tuple[str, ...] = ()
+    key: tuple[str, ...] = ()
     over: Optional[Callable] = None
+
+    def __post_init__(self) -> None:
+        names = (*self.hyp, *self.given, *(r for r in (self.size, self.gate) if type(r) is str and r), *self.key)
+        of = {name: _READINGS[name].of for name in names}
+        # a pair's hypotheses are read off its run, which makes each once
+        hyp = tuple(lambda ctx, run, get=attrgetter(name): get(run) for name in self.hyp)
+        for attr, value in (("names", names), ("_hyp", hyp),
+                            ("_size", of.get(self.size)), ("_gate", of.get(self.gate))):
+            object.__setattr__(self, attr, value)
+
+
+def _stage_key(statements: Sequence[Statement]) -> tuple[str, ...]:
+    """The readings a run of one stage of a suite is keyed by: a suite's
+    PAIR statements by the kernel and every reading they name that it
+    does not fix, a PAIRS statement by its key or the kernel."""
+    first = statements[0]
+    if first.reads == AMBIENT:
+        return ("ambient",)
+    if first.reads == PAIRS:
+        return first.key or ("kernel",)
+    return ("kernel", *dict.fromkeys(r for st in statements for r in st.names if not _READINGS[r].fixed))
 
 
 def _fail(out: SuiteResult, ctx: _SpaceContext, statement: str, pair: str, subject: str,
@@ -532,13 +563,13 @@ def _fail(out: SuiteResult, ctx: _SpaceContext, statement: str, pair: str, subje
 
 def _apply(out: SuiteResult, ctx: _SpaceContext, st: Statement, args: tuple, names: tuple) -> None:
     """Count, gate and check ``st`` on one item into ``out``."""
-    count = st.count
-    if callable(count):
-        count = count(ctx, *args)
-    if count is None:
-        out.note(st.note)
-    elif count:
-        out.instances_checked += count
+    held = [holds(ctx, *args) for holds in st._hyp] if st._hyp else ()
+    if False in held:
+        return
+    if st._gate and st._gate(ctx, *args):
+        out.note(st.gate)
+    elif None not in held:
+        out.instances_checked += st._size(ctx, *args) if st._size else st.size
         for got in st.check(ctx, *args):
             if type(got) is str:
                 out.note(got)
@@ -549,7 +580,7 @@ def _apply(out: SuiteResult, ctx: _SpaceContext, st: Statement, args: tuple, nam
 def _run_keys(ctx: _SpaceContext, key: tuple[str, ...], items: Sequence[tuple]) -> list:
     """The readings ``key`` of each of ``items``: everything a run keyed
     so reads of its item, but the names its records carry."""
-    columns = [_READINGS[r](ctx, items) for r in key]
+    columns = [[of(ctx, *item) for item in items] for of in (_READINGS[r].of for r in key)]
     return columns[0] if len(columns) == 1 else list(zip(*columns))
 
 
@@ -589,35 +620,33 @@ def _keyed(out: SuiteResult, ctx: _SpaceContext, items: Sequence[tuple],
                 out.note(note, value * count)
 
 
-def _compared(ctx: _SpaceContext, st: Statement, out: SuiteResult, a: str, b: str, view: Callable) -> None:
-    """A PAIRS statement between (a, b) and each other pair: against the
-    first of each kernel and, if one fails, against every one, so each
-    record names its own.  ``view`` gives a pair's :class:`_PairRun`."""
+def _compared(ctx: _SpaceContext, st: Statement, out: SuiteResult, run: _PairRun, views: dict) -> None:
+    """A PAIRS statement between ``run``'s pair (a, b) and each other
+    pair of ``views``: against the first of each kernel and, if one
+    fails, against every one, so each record names its own."""
+    a, b = run.a, run.b
     entry = ctx.others.get((st.over, a, b))
     if entry is None:
         others = st.over(ctx, a, b)
         entry = ctx.others[st.over, a, b] = others, {ctx.pairs[q].kernel: q for q in reversed(others)}.values()
     others, firsts = entry
     out.instances_checked += len(others)
-    run = view((a, b))
-    if any(st.check(ctx, run, view(q)) for q in firsts):
+    if any(st.check(ctx, run, views[q]) for q in firsts):
         for c, d in others:
-            for got in st.check(ctx, run, view((c, d))):
+            for got in st.check(ctx, run, views[c, d]):
                 _fail(out, ctx, st.texts[got[0]], f"{a},{b}", f"{c},{d}", *got[1:])
 
 
 def _run(statements: Sequence[Statement], ctx: _SpaceContext, cfg: SuiteConfig) -> SuiteResult:
     """One suite's declarations over one space, in order.  The pair
     statements run in one pass over the requested pairs: per pair, one
-    run of its PAIR statements keyed by all their readings, then one run
-    per PAIRS statement, which reads the whole catalog through ``over``
-    and so is keyed within the space.  The PAIR and AMBIENT runs are
-    kept on the space's universe for every later space that reads it.
-    The PAIR checks read the context only through n, ``full``, the
-    universe, the pair, and per-name readings its key determines
-    (``open_sets``, ``props``, ``monotone``, ``inside``, ``regularity``,
-    ``dominates``); of ``top`` they read n and the labels, which only a
-    failing run, never shared, writes."""
+    run of its PAIR statements, then one per PAIRS statement, which reads
+    the whole catalog through ``over`` and so is kept within the space.
+    The PAIR and AMBIENT runs are kept on the universe for every space
+    that reads it, so a PAIR statement reads the context only through n,
+    ``full``, the universe, the pair and the readings its key fixes; of
+    ``top``, n and the labels, which only a failing run, never shared,
+    writes."""
     out = SuiteResult()
     paired = [st for st in statements if st.reads in (PAIR, PAIRS)]
     pair = [st for st in paired if st.reads == PAIR]
@@ -625,16 +654,9 @@ def _run(statements: Sequence[Statement], ctx: _SpaceContext, cfg: SuiteConfig) 
         # a pair's PAIRS runs follow its PAIR run, which keeps the record
         # order of the declarations only if they are declared so
         raise ValueError(f"suite {paired[0].suite!r} declares a PAIRS statement before a PAIR one")
-    key = tuple(dict.fromkeys(r for st in pair for r in st.key))
-    runs = ctx.universe.runs
 
-    views: dict = {}
-
-    def view(name: tuple[str, str]) -> _PairRun:
-        return views.get(name) or views.setdefault(name, _PairRun(ctx, *name))
-
-    def pair_run(run: SuiteResult, a: str, b: str) -> None:
-        args, names = (view((a, b)),), (f"{a},{b}",)
+    def pair_run(run: SuiteResult, pr: _PairRun) -> None:
+        args, names = (pr,), (f"{pr.a},{pr.b}",)
         for st in pair:
             _apply(run, ctx, st, args, names)
 
@@ -646,12 +668,13 @@ def _run(statements: Sequence[Statement], ctx: _SpaceContext, cfg: SuiteConfig) 
             def body(run: SuiteResult, *item, st=st) -> None:
                 _apply(run, ctx, st, item, item[:1])
 
-            _keyed(out, ctx, list(st.over(ctx)), [(body, runs.setdefault(st, {}), st.key)])
+            _keyed(out, ctx, list(st.over(ctx)), [(body, ctx.universe.runs.setdefault(st, {}), _stage_key([st]))])
         elif st is paired[0]:
-            stages = [(pair_run, runs.setdefault(st, {}), key)] if pair else []
-            stages += [(lambda run, a, b, st=other: _compared(ctx, st, run, a, b, view), {}, other.key)
+            views = {name: _PairRun(ctx, *name) for name in ctx.pair_names}
+            stages = [(pair_run, ctx.universe.runs.setdefault(st, {}), _stage_key(pair))] if pair else []
+            stages += [(lambda run, pr, st=other: _compared(ctx, st, run, pr, views), {}, _stage_key([other]))
                        for other in paired[len(pair):]]
-            _keyed(out, ctx, ctx.pair_names, stages)
+            _keyed(out, ctx, [(pr,) for pr in views.values()], stages)
     return out
 
 
@@ -674,16 +697,12 @@ def _plane_closure(plane: int, s: int, n: int) -> int:
 def _first_points(rows: Sequence[int]):
     """(i, x) for each position i flagged in some ``rows[x]``, ascending,
     with x the lowest such point."""
-    flagged = 0
-    for row in rows:
-        flagged |= row
-    for i in iter_points(flagged):
+    for i in iter_points(reduce(operator.or_, rows, 0)):
         yield i, next(x for x, row in enumerate(rows) if row >> i & 1)
 
 
 def _one(bad: bool, *fields) -> Sequence[tuple]:
-    """The record of a statement's first text with ``fields``, if
-    ``bad``."""
+    """The record of a statement's first text with ``fields``, if bad."""
     return [(0, *fields)] if bad else ()
 
 
@@ -771,10 +790,13 @@ def _kuratowski(ctx, run):
 
 
 def _enlargement_base(ctx, run):
+    # hypothesis a: stable images; b, c, d: a pair-open base with nested
+    # families or a dominating enlarger, or stable images and dominance
     base = run.base
-    if base.hypothesis_a and not base.base_in_pair_and_selector:
+    if base.image_stable and not base.base_in_pair_and_selector:
         yield 0, "base"
-    if (base.hypothesis_b or base.hypothesis_c or base.hypothesis_d) and not base.is_base:
+    if (base.base_pair_open and (run.nested or run.dominates) or run.dominates and base.image_stable) \
+            and not base.is_base:
         yield 1, "base"
 
 
@@ -857,11 +879,7 @@ def _accumulation(ctx, run):
                 if not meet or meet & ~cores[i] or meet & ~env[x]:
                     unrefined[x] |= 1 << i
         rows.append((3, unrefined))
-    flagged = 0
-    for _, by_point in rows:
-        for row in by_point:
-            flagged |= row
-    for i in iter_points(flagged):
+    for i in iter_points(reduce(operator.or_, (row for _, by_point in rows for row in by_point), 0)):
         for x in range(n):
             for text, by_point in rows:
                 if by_point[x] >> i & 1:
@@ -927,7 +945,7 @@ def _convergence_closure(ctx, run):
         fam = pair_open_family(p)
         if tuple(u for u in subsets if ccl[full ^ u] & ~(full ^ u) == 0) != fam:
             yield 1, "cl*"
-        if ctx.inside[(run.a, run.b)] and tuple(
+        if run.nested and tuple(
                 u for u in subsets if ccl[full ^ u] == full ^ u) != fam:
             yield 2, "cl*"
 
@@ -948,7 +966,7 @@ def _ambients(ctx):
             derived.add(canonical_family(enlargement_base(p) + (full,)))
         ambients = sorted(derived)
     sweep_cap = 10
-    rng = random.Random(derive_seed(ctx.seed, "oracle", ctx.label))
+    rng = random.Random(derive_seed(ctx.universe.seed, "oracle", ctx.label))
     for fam in ambients:
         if ctx.n > EXHAUSTIVE_POINTS and len(fam) > sweep_cap:
             trimmed = rng.sample([m for m in fam if m != full], sweep_cap - 1)
@@ -975,9 +993,7 @@ def _oracle_agrees(ctx, nm, fam, row):
             yield 0, braced(s), str(list(fam))
         if not verdict.compact:
             cover, point = verdict.witness_cover, verdict.witness_point
-            union = 0
-            for u in cover:
-                union |= u
+            union = reduce(operator.or_, cover, 0)
             if s & ~union or not s >> point & 1 or any(enl[u] >> point & 1 for u in cover):
                 yield 1, braced(s), str(list(cover))
 
@@ -988,7 +1004,7 @@ def _kinds_agree(ctx, run):
     cover = failing_plane(p)
     faces = quantified & ((cover ^ failing_plane(p, "ultra")) | (cover ^ failing_plane(p, "closed")))
     kinds = additive = 0
-    if run.base.hypothesis_d:
+    if run.dominates and run.base.image_stable:
         kinds = quantified & (cover | failing_plane(p, "base") | failing_plane(p, "pair_open"))
     if additive_hypothesis(p):
         additive = quantified & (cover ^ failing_plane(p, "restricted"))
@@ -1035,30 +1051,30 @@ def _named_classes(ctx):
 #: functions are read through module globals at call time.
 STATEMENTS = (
     Statement("operations", ("double dual returns the operation", "catalog dual identity"), SPACE,
-              _duals, len(BUILTIN_NAMES) + len(_DUALS)),
+              _duals, size=len(BUILTIN_NAMES) + len(_DUALS)),
     Statement("operations", ("catalog order chain",), SPACE,
-              lambda ctx: [(0, f"{a},{b}", a) for a, b in _CHAIN if not ctx.order[(a, b)]], len(_CHAIN)),
+              lambda ctx: [(0, f"{a},{b}", a) for a, b in _CHAIN if not ctx.order[(a, b)]], size=len(_CHAIN)),
     Statement("operations", ("order is reflexive", "order is antisymmetric", "order is transitive"),
-              SPACE, _partial_order, len(BUILTIN_NAMES)),
+              SPACE, _partial_order, size=len(BUILTIN_NAMES)),
     Statement("operations", ("open family contains the opens and the ends",
                              "catalog operations are monotone",
                              "monotone operation yields a supratopology"),
-              SPACE, _open_families, 2 * len(BUILTIN_NAMES)),
+              SPACE, _open_families, size=2 * len(BUILTIN_NAMES)),
     Statement("operations", ("order forces open-family inclusion",), SPACE,
               lambda ctx: [(0, f"{a},{b}", a) for a, b in product(BUILTIN_NAMES, BUILTIN_NAMES)
-                           if ctx.dominates(a, b) and not ctx.inside[(a, b)]], len(BUILTIN_NAMES) ** 2),
+                           if ctx.dominates(a, b) and not ctx.inside[(a, b)]], size=len(BUILTIN_NAMES) ** 2),
+    # over the int-open family, the opens, whose size the gate reads
     Statement("operations", ("catalog operation regular over the opens",), SPACE,
-              lambda ctx, nm: _one(not is_regular_wrt(ctx.ops[nm], ctx.top.opens), nm, nm),
-              lambda ctx, nm: None if ctx.regularity_gated(ctx.top.opens) else 1, "regularity_scan_skipped",
-              over=lambda ctx: [(nm,) for nm in ("cloint", "cl", "scl", "identity", "introcl")]),
+              lambda ctx, a, nm: _one(not is_regular_wrt(ctx.ops[nm], ctx.top.opens), nm, nm),
+              gate="regularity_scan_skipped",
+              over=lambda ctx: [("int", nm) for nm in ("cloint", "cl", "scl", "identity", "introcl")]),
     # the kernel's scan, not enlarger_is_regular, whose fast path is this
     # statement
     Statement("operations", ("monotone enlarger regular over a selector topology",), SPACE,
               lambda ctx, a, b: _one(not regular_scan(ctx.pairs.get((a, b)) or OpPair(ctx.ops[a], ctx.ops[b])),
                                      f"{a},{b}", b),
-              lambda ctx, a, b: None if ctx.regularity_gated(ctx.open_sets[a]) else 1,
-              "regularity_scan_skipped", over=lambda ctx: [(a, b) for a in BUILTIN_NAMES if all(ctx.props[a])
-                                                           for b in BUILTIN_NAMES if ctx.monotone[b]]),
+              gate="regularity_scan_skipped", over=lambda ctx: [(a, b) for a in BUILTIN_NAMES if all(ctx.props[a])
+                                                                for b in BUILTIN_NAMES if ctx.monotone[b]]),
     # on the requested pair where there is one, so its rows stay on the
     # kernel the later suites read
     Statement("operations", ("identity enlarger keeps the selector family",), SPACE,
@@ -1075,20 +1091,18 @@ STATEMENTS = (
     # one statement of each suite that reads regularity notes where the
     # gate hides it, so regularity_unknown counts each pair once per suite
     Statement("structure", ("regular enlarger makes the family a topology",), PAIR,
-              lambda ctx, run: _one(not run.structure.is_topology, "X"),
-              lambda ctx, run: None if run.regular is None else int(run.regular), "regularity_unknown"),
+              lambda ctx, run: _one(not run.structure.is_topology, "X"), hyp=("regular",),
+              gate="regularity_unknown"),
     Statement("structure", ("dominating enlarger upgrades closed sets to fixed points",), PAIR,
-              lambda ctx, run: _one(not run.structure.closed_iff_cl_equal, "X"),
-              lambda ctx, run: int(bool(run.regular) and ctx.dominates(run.a, run.b)),
-              key=("kernel", "dominates")),
+              lambda ctx, run: _one(not run.structure.closed_iff_cl_equal, "X"), hyp=("regular", "dominates")),
     Statement("structure", ("closure operator induces the pair topology",), PAIR, _closure_induces_topology,
-              lambda ctx, run: int(bool(run.regular) and run.base.family_nested)),
+              hyp=("regular", "nested")),
     Statement("structure", ("pair closure is a Kuratowski operator",
                             "pair closure equals closure in the pair topology"), PAIR, _kuratowski,
-              lambda ctx, run: int(bool(run.regular) and run.base.family_nested and run.structure.is_topology
-                                   and run.base.base_pair_open)),
+              hyp=("regular", "nested", "topology", "base_pair_open")),
     Statement("structure", ("stable images land in both open families",
-                            "enlargement base generates the pair-open family"), PAIR, _enlargement_base),
+                            "enlargement base generates the pair-open family"), PAIR, _enlargement_base,
+              given=("nested", "dominates")),
 
     Statement("families", ("pair family equals the named family",), SPACE,
               lambda ctx, a, b, fam: _one(ctx.top.family_plane(named_family(ctx.top, fam))
@@ -1098,15 +1112,15 @@ STATEMENTS = (
               lambda ctx: _one(ctx.open_planes["int"] != ctx.top.family_plane(ctx.top.opens), "int", "tau")),
     Statement("families", ("operation-open family equals the named family",), SPACE,
               lambda ctx: [(0, nm, fam) for nm, fam in (("cloint", "SO"), ("introcl", "PO"))
-                           if ctx.open_planes[nm] != ctx.top.family_plane(named_family(ctx.top, fam))], 2),
+                           if ctx.open_planes[nm] != ctx.top.family_plane(named_family(ctx.top, fam))], size=2),
     Statement("families", ("operation-open family is the whole power set",), SPACE,
               lambda ctx: [(0, nm, "P(X)") for nm in ("cl", "identity", "scl")
-                           if ctx.open_planes[nm] != (1 << (1 << ctx.n)) - 1], 3),
+                           if ctx.open_planes[nm] != (1 << (1 << ctx.n)) - 1], size=3),
     Statement("families", ("closed family complements the open one",), SPACE,
               lambda ctx: [(0, "", closed) for opened, closed in (
                   ("SO", "SC"), ("PO", "PC"), ("SthetaO", "SthetaC"), ("thetaSO", "thetaSC"))
                            if named_family(ctx.top, closed)
-                           != canonical_family(ctx.full ^ m for m in named_family(ctx.top, opened))], 4),
+                           != canonical_family(ctx.full ^ m for m in named_family(ctx.top, opened))], size=4),
     Statement("families", ("enlargement base equals the named family",), SPACE,
               lambda ctx, a, b, fam: _one(enlargement_base(ctx.pairs[(a, b)]) != named_family(ctx.top, fam),
                                           f"{a},{b}", fam),
@@ -1120,69 +1134,57 @@ STATEMENTS = (
               lambda ctx, run, other: _one(pair_open_plane(run.p) != pair_open_plane(other.p)),
               key=("agreement",), over=lambda ctx, a, b: ctx.agreeing(a, b)),
 
-    Statement("filters", ("base and generated filter agree",), PAIR, _bases_agree,
-              lambda ctx, run: len(ctx.universe.bases)),
-    # each up-set is one pass over all subsets, so the variant is gated on
-    # bigger carriers
-    Statement("filters", ("neighbourhood variant agrees",), PAIR, _variant_agrees,
-              lambda ctx, run: 0 if not ctx.monotone[run.b] else len(ctx.universe.core_list)
-              if (1 << ctx.n) * max(len(ctx.open_sets[run.a]), 1) <= 10**7 else None,
-              "neighbourhood_variant_skipped"),
+    Statement("filters", ("base and generated filter agree",), PAIR, _bases_agree, size="bases"),
+    Statement("filters", ("neighbourhood variant agrees",), PAIR, _variant_agrees, hyp=("monotone_enlarger",),
+              size="cores", gate="neighbourhood_variant_skipped"),
     Statement("filters", ("limits are adherent", "convergence is enlarged-members containment"), PAIR,
-              _limits_contained, lambda ctx, run: len(ctx.universe.core_list)),
+              _limits_contained, size="cores"),
     Statement("filters", ("refinement moves limits up, adherence down",), PAIR,
-              lambda ctx, run: [(0, *map(ctx.top.ground.braced, run.refinement[1]))]
-              if run.refinement[1] else (),
-              lambda ctx, run: run.refinement[0]),
+              lambda ctx, run: [(0, *map(ctx.top.ground.braced, run.refined[1]))]
+              if run.refined[1] else (), size="refinement"),
     Statement("filters", ("singleton cores decide finer convergence", "convergent refinements accumulate",
                           "regular: accumulation iff finer convergence",
                           "refinement construction converges"),
-              PAIR, _accumulation, lambda ctx, run: len(ctx.universe.core_list)),
-    Statement("filters", ("maximal accumulation is convergence",), PAIR, _maximal_filters,
-              lambda ctx, run: ctx.n),
+              PAIR, _accumulation, size="cores", given=("regular",)),
+    Statement("filters", ("maximal accumulation is convergence",), PAIR, _maximal_filters, size="n"),
     Statement("filters", ("separated pairs give unique limits",), PAIR,
               lambda ctx, run: [(0, ctx.top.ground.braced(c)) for c, lim, adh
-                                in zip(ctx.universe.core_list, *run.cores)
-                                if lim and (adh != lim or lim.bit_count() > 1)],
-              lambda ctx, run: len(ctx.universe.core_list) if is_t2(run.p) else 0),
+                                in zip(ctx.universe.core_list, *run.core_rows)
+                                if lim and (adh != lim or lim.bit_count() > 1)], hyp=("t2",), size="cores"),
     Statement("filters", ("plain neighbourhood base converges",), PAIR,
-              lambda ctx, run: _neighbourhood_bases(ctx, run, "plain"),
-              lambda ctx, run: ctx.n if ctx.props[run.a][0] and ctx.inside[(run.a, run.b)] else 0),
+              lambda ctx, run: _neighbourhood_bases(ctx, run, "plain"), hyp=("meet_closed", "nested"), size="n"),
     Statement("filters", ("enlarged neighbourhood base converges",), PAIR,
-              lambda ctx, run: _neighbourhood_bases(ctx, run, "enlarged"),
-              lambda ctx, run: ctx.n if run.regular and ctx.inside[(run.a, run.b)] else 0),
+              lambda ctx, run: _neighbourhood_bases(ctx, run, "enlarged"), hyp=("regular", "nested"), size="n"),
     Statement("filters", ("accumulating filters land in the closure",
                           "regular: closure points are filter limits",
                           "regular: closed iff limits stay inside"),
-              PAIR, _filters_and_closure, lambda ctx, run: len(ctx.universe.subsets)),
+              PAIR, _filters_and_closure, size="subsets", given=("regular",)),
     # the convergence closure operator, by both routes in one pass
     Statement("filters", ("singleton scan equals the exhaustive scan",), PAIR,
               lambda ctx, run: _one(run.closures[0] != run.closures[1], "cl*")),
     Statement("filters", ("regular: convergence closure is the pair closure",
                           "shrinking-complement family matches the pair family",
                           "fixed-complement family matches the pair family"),
-              PAIR, _convergence_closure, lambda ctx, run: None if run.regular is None else int(run.regular),
-              "regularity_unknown"),
+              PAIR, _convergence_closure, hyp=("regular",), gate="regularity_unknown", given=("nested",)),
     # convergence and accumulation move up to the wider pair
     Statement("filters", ("transfer to a wider pair",), PAIRS,
               lambda ctx, run, wide: next(([(0, ctx.top.ground.braced(c))] for c, lim, adh, wide_lim, wide_adh
-                                           in zip(ctx.universe.core_list, *run.cores, *wide.cores)
+                                           in zip(ctx.universe.core_list, *run.core_rows, *wide.core_rows)
                                            if lim & ~wide_lim or adh & ~wide_adh), ()), over=_wider_pairs),
 
     Statement("compactness_oracle", ("fast criterion agrees with the literal oracle",
                                      "failing verdicts carry valid witnesses"),
-              AMBIENT, _oracle_agrees, lambda ctx, nm, fam, row: len(ctx.universe.subsets), key=("ambient",),
-              over=_ambients),
+              AMBIENT, _oracle_agrees, size="subsets", over=_ambients),
 
-    # the first statement reads the selector's table twice: through
-    # hypothesis_d of the base report and through the additive hypothesis
+    # the base hypothesis of both is stable images and dominance; the
+    # additive one reads the selector's monotonicity
     Statement("compactness", ("filter statements agree", "cover kinds agree under the base hypothesis",
                               "additive enlarger matches restricted accumulation"),
-              PAIR, _kinds_agree, lambda ctx, run: len(ctx.universe.subsets),
-              key=("kernel", "dominates", "monotone")),
+              PAIR, _kinds_agree, size="subsets", given=("dominates", "monotone")),
     Statement("compactness", ("space-level statements agree",), PAIR,
               lambda ctx, run: [(0, "X", str(f.statements())) for f in [space_compactness_flags(run.p)]
-                                if f.hypothesis and not f.agree()]),
+                                if run.dominates and run.base.image_stable and not f.agree()],
+              given=("dominates",)),
     # sets compact for the pair and failing for the wider pair
     Statement("compactness", ("compact sets transfer to wider pairs",), PAIRS,
               lambda ctx, run, wide: _lowest(ctx, ctx.universe.quantified & failing_plane(wide.p)
@@ -1192,8 +1194,7 @@ STATEMENTS = (
                   (failing_plane(run.p) ^ failing_plane(other.p))
                   | (failing_plane(run.p, "pair_open") ^ failing_plane(other.p, "pair_open")))),
               key=("agreement",), over=lambda ctx, a, b: [q for q in ctx.agreeing(a, b) if q != (a, b)]),
-    Statement("compactness", ("named class implications hold",), SPACE, _named_classes,
-              lambda ctx: len(ctx.universe.subsets)),
+    Statement("compactness", ("named class implications hold",), SPACE, _named_classes, size="subsets"),
 )
 
 _SUITES: dict[str, Callable[[_SpaceContext, SuiteConfig], SuiteResult]] = {
@@ -1240,85 +1241,73 @@ def run_suites(cfg: SuiteConfig, spaces: Optional[Sequence[tuple[str, Topology]]
 # counterexample mining
 
 
+def _inclusion_without_order(ctx):
+    """Open-family inclusion between two catalog operations with neither
+    order hypothesis."""
+    for a, b in product(BUILTIN_NAMES, BUILTIN_NAMES):
+        if a != b and ctx.inside[(a, b)] and not ctx.dominates(a, b):
+            yield {"first": a, "second": b}
+
+
+def _nonregular_pair(ctx):
+    """An operation failing regularity against a three-member family
+    {U, V, X} of incomparable intersecting U, V."""
+    full, labels = ctx.full, ctx.top.ground.labels_of_mask
+    proper = range(1, full)
+    for i, u in enumerate(proper):
+        for v in proper[i + 1:]:
+            if u & v and u & ~v and v & ~u:
+                fam = canonical_family((u, v, full))
+                for nm in BUILTIN_NAMES:
+                    if not is_regular_wrt(ctx.ops[nm], fam):
+                        yield {"operation": nm, "family": [labels(m) for m in fam]}
+
+
+def _transfer_strictness(ctx):
+    """Compact classes strictly growing along a valid transfer of pairs."""
+    for a, b in ctx.pair_names:
+        failing = failing_plane(ctx.pairs[(a, b)])
+        for c, d in ctx.wider(a, b):
+            # sets compact in the wider pair and not in this one
+            gained = failing & ~failing_plane(ctx.pairs[(c, d)])
+            if gained:
+                yield {"from_pair": f"{a},{b}", "to_pair": f"{c},{d}",
+                       "subset": ctx.top.ground.labels_of_mask((gained & -gained).bit_length() - 1)}
+
+
+def _nonadditive_enlarger(ctx):
+    """An enlarger that is not union-additive on its selector-open family,
+    with the first such (u, v)."""
+    labels = ctx.top.ground.labels_of_mask
+    for a, b in product(BUILTIN_NAMES, BUILTIN_NAMES):
+        sel, enl = ctx.open_sets[a], ctx.ops[b].table
+        for u, v in ((u, v) for u in sel for v in sel if enl[u | v] != enl[u] | enl[v]):
+            yield {"pair": f"{a},{b}", "u": labels(u), "v": labels(v)}
+            break
+
+
+#: the witnesses of each phenomenon on one space's context, by target
+_MINERS = {
+    "inclusion_without_order": _inclusion_without_order,
+    "nonregular_pair": _nonregular_pair,
+    "transfer_strictness": _transfer_strictness,
+    "nonadditive_enlarger": _nonadditive_enlarger,
+}
+MINE_TARGETS = tuple(_MINERS)
+
+
 def mine_counterexamples(target: str, n_max: int = 2) -> list[dict]:
-    """Search the enumerated spaces for witnesses of a named phenomenon.
-
-    inclusion_without_order   open-family inclusion between two catalog
-                              operations with neither order hypothesis
-    nonregular_pair           an operation failing regularity against a
-                              three-member family {U, V, X} of
-                              incomparable intersecting U, V
-    transfer_strictness       compact classes strictly growing along a
-                              valid transfer of pairs
-    nonadditive_enlarger      an enlarger that is not union-additive on
-                              its selector-open family
-
-    Scans the spaces a sweep of every space up to ``n_max`` points
-    enumerates (:func:`sweep_spaces`, at most
+    """Search the enumerated spaces for witnesses of a named phenomenon,
+    one of :data:`MINE_TARGETS`, as its miner describes it.  Scans the
+    spaces a sweep of every space up to ``n_max`` points enumerates
+    (:func:`sweep_spaces`, at most
     :data:`~topolab.space.EXHAUSTIVE_POINTS`) and reads each through the
     sweep's context: its catalog, open families, order, wider pairs and
-    the compactness planes kept on the pair kernels.
-
-    Deterministic: spaces, operations and families are scanned in
-    canonical order, and the full witness list is returned.
-    """
+    the compactness planes kept on the pair kernels.  Deterministic:
+    spaces, operations and families are scanned in canonical order, and
+    the full witness list is returned."""
     if target not in MINE_TARGETS:
         raise SchemaError(f"unknown mine target {target!r}; choose from {MINE_TARGETS}")
     cfg = SuiteConfig(n_exhaustive=max(0, min(n_max, EXHAUSTIVE_POINTS)))
-    witnesses: list[dict] = []
-    for label, top in sweep_spaces(cfg):
-        ctx = _SpaceContext(label, top, cfg)
-        opens_labels = [top.ground.labels_of_mask(m) for m in top.opens]
-        if target == "inclusion_without_order":
-            for a in BUILTIN_NAMES:
-                for b in BUILTIN_NAMES:
-                    if a != b and ctx.inside[(a, b)] and not ctx.dominates(a, b):
-                        witnesses.append({
-                            "space": label, "opens": opens_labels,
-                            "first": a, "second": b,
-                        })
-        elif target == "nonregular_pair":
-            n, full = top.n, top.full
-            proper = [m for m in range(1, full) if m]
-            for i, u in enumerate(proper):
-                for v in proper[i + 1:]:
-                    if u & v == 0 or u & ~v == 0 or v & ~u == 0:
-                        continue
-                    fam = canonical_family((u, v, full))
-                    for nm in BUILTIN_NAMES:
-                        if not is_regular_wrt(ctx.ops[nm], fam):
-                            witnesses.append({
-                                "space": label, "opens": opens_labels,
-                                "operation": nm,
-                                "family": [top.ground.labels_of_mask(m) for m in fam],
-                            })
-        elif target == "transfer_strictness":
-            for a, b in ctx.pair_names:
-                failing = failing_plane(ctx.pairs[(a, b)])
-                for c, d in ctx.wider(a, b):
-                    # sets compact in the wider pair and not in this one
-                    gained = failing & ~failing_plane(ctx.pairs[(c, d)])
-                    if gained:
-                        witnesses.append({
-                            "space": label, "opens": opens_labels,
-                            "from_pair": f"{a},{b}", "to_pair": f"{c},{d}",
-                            "subset": top.ground.labels_of_mask((gained & -gained).bit_length() - 1),
-                        })
-        elif target == "nonadditive_enlarger":
-            for a in BUILTIN_NAMES:
-                sel = ctx.open_sets[a]
-                for b in BUILTIN_NAMES:
-                    enl = ctx.ops[b].table
-                    found = next(
-                        ((u, v) for u in sel for v in sel
-                         if enl[u | v] != enl[u] | enl[v]),
-                        None,
-                    )
-                    if found is not None:
-                        witnesses.append({
-                            "space": label, "opens": opens_labels,
-                            "pair": f"{a},{b}",
-                            "u": top.ground.labels_of_mask(found[0]),
-                            "v": top.ground.labels_of_mask(found[1]),
-                        })
-    return witnesses
+    return [{"space": label, "opens": [top.ground.labels_of_mask(m) for m in top.opens], **found}
+            for label, top in sweep_spaces(cfg) for found in _MINERS[target](_SpaceContext(label, top, cfg))]

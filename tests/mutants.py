@@ -72,6 +72,10 @@ MUTANTS = (
     Mutant("_residue_row drops the largest residue", "compact.py",
            "for t, _ in image_groups(k)) if r]", "for t, _ in image_groups(k))[:-1] if r]",
            ("complement_statements", "space_flags")),
+    Mutant("a cover kind's row reads the neighbouring lane", "compact.py",
+           "(inner[full ^ (1 << x)],)", "(inner[(full ^ (1 << x)) - 1],)", ("cover_kinds",)),
+    Mutant("a cover kind's row keeps the low byte of each lane", "compact.py",
+           "(inner[full ^ (1 << x)],)", "(inner[full ^ (1 << x)] & 255,)", ("cover_kinds",)),
     Mutant("_minimal_cover forgets the kept prefix", "compact.py",
            "if a & ~(below[i] | above):", "if a & ~above:", ("minimal_cover", "witness_covers")),
     Mutant("zero_lanes skips the byte fold", "bits.py",
@@ -141,12 +145,15 @@ MUTANTS = (
            'key=("agreement",), over=lambda ctx, a, b: ctx.agreeing(a, b)),',
            'key=("kernel",), over=lambda ctx, a, b: ctx.agreeing(a, b)),',
            ("tests/test_harness.py::test_sharing_changes_no_report",)),
+    Mutant("the dominating-enlarger statement drops its dominance hypothesis", "harness.py",
+           'hyp=("regular", "dominates")', 'hyp=("regular",)',
+           ("tests/test_harness.py::test_four_point_report_matches_pinned_digest",)),
     Mutant("the oracle's verdicts are kept past their universe, for the process", "harness.py",
            'literal = ctx.universe.runs.setdefault("literal", {})',
            'literal = _oracle_agrees.__dict__.setdefault("literal", {})',
            ("tests/test_harness.py::test_oracle_runs_are_not_shared_across_quantified_subsets",)),
     Mutant("the shared-universe kernel key drops the enlarger table", "harness.py",
-           "return self.open_planes[a], self.ops[b].table", "return self.open_planes[a]",
+           "(ctx.open_planes[run.a], ctx.ops[run.b].table)", "ctx.open_planes[run.a]",
            ("tests/test_harness.py::test_sharing_changes_no_report",)),
     Mutant("a space above EXHAUSTIVE_POINTS reads the sweep's universe", "harness.py",
            "for n in range(EXHAUSTIVE_POINTS + 1)}", "for n in range(17)}",

@@ -578,13 +578,14 @@ def per_core_filter_records(ctx, a: str, b: str, rows, mask_str) -> list[tuple]:
     enlarged neighbourhoods, the envelopes, separation, the pair closure
     and the refinement construction are read literally."""
     from topolab import Filter
+    from topolab.harness import _PairRun
     from topolab.ops import leq
 
     p = ctx.pairs[(a, b)]
     n, full = ctx.n, ctx.full
     fam = scan_open_family(p.selector)
     enl = p.enlarger.table
-    regular = ctx.regularity(a, b)  # gated reads None
+    regular = _PairRun(ctx, a, b).regular  # gated reads None
     lim, adh = rows(p)
     env = [scan_envelope(p, x) for x in range(n)]
     cores = ctx.universe.core_list
@@ -1537,7 +1538,7 @@ UNIVERSES = {
     "kernels3+23": _kernels(3, (23, (4, 5, 6), _subsets(4)), (23, (5,) * 8, None, None, 4)),
     "pairs3+23": _kernels(3, (23, (4, 5, 6), _subsets(4)), every_pair=True),
     "kernels3+29": _kernels(3, (29, (4, 5, 6), _bases(12, low=1))),
-    "kernels3+41": _kernels(3, (41, UP8, _subsets(6))),
+    "kernels3+41": _kernels(3, (41, (*UP8, 9), _subsets(6))),
     "kernels3+41x2": _kernels(3, (41, (5, 5, 6, 6, 7, 7, 8, 8), _sets(14))),
     "pairs3+53": _kernels(3, (53, (4, 4, 5, 5, 6, 6, 7, 7), _subsets(4, low=1), 59), every_pair=True,
                           extra=lambda: special_pairs() + catalog_pairs(blunt3())),

@@ -234,11 +234,11 @@ def test_library_value_error_propagates(monkeypatch, s2_file):
 C3 = str(Path(__file__).parent / "data" / "c3.json")
 USAGE = "usage: topolab [-h] {enumerate,check,families,filter,compact,mine} ...\n"
 
-#: (argv, exit code, stdout, stderr), as the two-pass argparse parse gave
-#: them on Python 3.11
-DISPATCH = [
-    ([], 2, "", USAGE + "topolab: error: the following arguments are required: command\n"),
-    (["-h"], 0, (
+#: case id -> (argv, exit code, stdout, stderr), as the two-pass argparse
+#: parse gave them on Python 3.11; the ids name the cases, not the text
+DISPATCH = {
+    "no-command": ([], 2, "", USAGE + "topolab: error: the following arguments are required: command\n"),
+    "help": (["-h"], 0, (
         USAGE
         + "\n"
         "finite-space operator calculus and property checker\n"
@@ -255,17 +255,17 @@ DISPATCH = [
         "options:\n"
         "  -h, --help            show this help message and exit\n"
     ), ""),
-    (["bogus"], 2, "", USAGE + (
+    "invalid-choice": (["bogus"], 2, "", USAGE + (
         "topolab: error: argument command: invalid choice: 'bogus' (choose from"
         " 'enumerate', 'check', 'families', 'filter', 'compact', 'mine')\n"
     )),
-    (["families", "--space", C3, "--pair", "int,cl", "--bogus"], 2, "",
+    "unrecognized-argument": (["families", "--space", C3, "--pair", "int,cl", "--bogus"], 2, "",
      USAGE + "topolab: error: unrecognized arguments: --bogus\n"),
-    (["compact", "--space", C3, "--pair", "int,cl"], 2, "", (
+    "missing-required-option": (["compact", "--space", C3, "--pair", "int,cl"], 2, "", (
         "usage: topolab compact [-h] --space SPACE --pair PAIR --set SET [--oracle]\n"
         "topolab compact: error: the following arguments are required: --set\n"
     )),
-    (["families", "-h"], 0, (
+    "subcommand-help": (["families", "-h"], 0, (
         "usage: topolab families [-h] --space SPACE --pair PAIR\n"
         "\n"
         "options:\n"
@@ -273,7 +273,7 @@ DISPATCH = [
         "  --space SPACE\n"
         "  --pair PAIR    <first>,<second>; builtin name or custom:<file>\n"
     ), ""),
-    (["families", "--spa", C3, "--pair", "int,cl"], 0, (
+    "abbreviated-option": (["families", "--spa", C3, "--pair", "int,cl"], 0, (
         "space: 4 opens on 3 points\n"
         "selector-open (int): {} {a} {a,b} {a,b,c}\n"
         "enlarger-open (cl): {} {a} {b} {a,b} {c} {a,c} {b,c} {a,b,c}\n"
@@ -283,7 +283,7 @@ DISPATCH = [
         "structure: supratopology=true topology=true closed_iff_cl_subset=true"
         " closed_iff_cl_equal=true kuratowski=true\n"
     ), ""),
-]
+}
 
 
 def run_main(argv, capsys):
@@ -295,7 +295,7 @@ def run_main(argv, capsys):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv, code, out, err", DISPATCH)
+@pytest.mark.parametrize("argv, code, out, err", DISPATCH.values(), ids=DISPATCH)
 def test_dispatch_keeps_the_two_pass_output(argv, code, out, err, capsys, monkeypatch):
     # the one-pass dispatch prints what the two-pass parse prints in the
     # same interpreter: help, usage errors, leftover arguments, abbreviated

@@ -1192,11 +1192,12 @@ class _Reads:
 def test_pair_checks_read_the_space_only_through_what_their_key_fixes():
     # a clean run of a suite's PAIR statements is shared with its key
     # across the spaces that read one universe, which is sound only while
-    # their counts and checks read the context through n, the universe,
-    # the pair and the per-name readings the key fixes; the labels serve
-    # record text alone, and maximal_filters reads n of the space
-    allowed = {"n", "full", "universe", "pairs", "open_sets", "props", "monotone", "inside", "regularity",
-               "dominates", "top.n", "top.ground.braced"}
+    # their hypotheses, sizes, gates and checks read the context through
+    # n, the universe, the pair and the per-name readings the key fixes;
+    # the labels serve record text alone, and maximal_filters reads n of
+    # the space
+    allowed = {"n", "full", "universe", "pairs", "open_planes", "props", "monotone", "inside", "dominates",
+               "top.n", "top.ground.braced"}
     cfg = SuiteConfig()
     spaces = sweep_spaces(SuiteConfig(n_exhaustive=2)) + [("c", random_topology(3, 5, 3)),
                                                          ("d", random_topology(5, 3, 5))]
@@ -1211,7 +1212,37 @@ def test_pair_checks_read_the_space_only_through_what_their_key_fixes():
             for st in statements:
                 harness._apply(out, recorder, st, (run,), (f"{a},{b}",))
         assert out.instances_checked and not out.failures
-    assert {"n", "universe", "pairs", "regularity", "top.ground.braced"} <= read <= allowed
+    assert {"n", "universe", "pairs", "monotone", "props", "top.ground.braced"} <= read <= allowed
+
+
+def test_pair_checks_read_only_the_readings_their_statements_name(monkeypatch):
+    # a check reads a hypothesis by its name off the pair's run; each name
+    # a PAIR statement reads so, on a fresh run, is one it declares, so no
+    # reading the kernel does not fix escapes its stage's key
+    read = collections.defaultdict(set)
+    current = []
+
+    class Logged(dict):
+        def __getitem__(self, name):
+            read[current[-1]].add(name)
+            return super().__getitem__(name)
+
+    monkeypatch.setattr(harness, "_READINGS", Logged(harness._READINGS))
+    cfg = SuiteConfig()
+    spaces = sweep_spaces(SuiteConfig(n_exhaustive=2)) + [("c", random_topology(3, 5, 3)),
+                                                         ("d", random_topology(5, 3, 5))]
+    statements = [st for st in harness.STATEMENTS if st.reads == harness.PAIR]
+    for label, top in spaces:
+        ctx = _SpaceContext(label, top, cfg)
+        for st in statements:
+            current.append(st)
+            for a, b in ctx.pair_names:
+                harness._apply(harness.SuiteResult(), ctx, st, (harness._PairRun(ctx, a, b),), (f"{a},{b}",))
+    assert all(names <= set(st.names) for st, names in read.items())
+    named = {st.texts[0]: names for st, names in read.items()}
+    assert named["filter statements agree"] == {"dominates"}
+    assert named["stable images land in both open families"] == {"nested", "dominates"}
+    assert named["singleton cores decide finer convergence"] == {"regular"}
 
 
 def test_pair_statements_are_declared_before_the_two_pair_statements():
@@ -1246,8 +1277,8 @@ def test_shared_clean_runs_count_their_instances_and_notes_once_per_item():
             yield 0, "X", ""
 
     items = [("x", "k", 0), ("y", "bad", 0), ("z", "k", 0), ("w", "bad", 0), ("v", "k", 0)]
-    st = harness.Statement("compactness_oracle", ("fails at bad",), harness.AMBIENT, check, 2,
-                           key=("ambient",), over=lambda ctx: items)
+    st = harness.Statement("compactness_oracle", ("fails at bad",), harness.AMBIENT, check, size=2,
+                           over=lambda ctx: items)
     cfg = SuiteConfig()
     ctx = _SpaceContext("s", sierpinski(), cfg)
     out = harness._run([st], ctx, cfg)

@@ -217,6 +217,32 @@ def test_each_statement_text_is_declared_once():
         "merge", "_apply", "_keyed", "_compared"}
 
 
+def test_each_statement_names_table_readings_and_its_stage_key_covers_them():
+    # every hypothesis, size, gate and key a declaration names is a reading
+    # of harness._READINGS, each declared once with whether a pair's kernel
+    # fixes it; a suite's PAIR statements run as one stage, keyed by the
+    # kernel and every reading they name that the kernel does not fix, and
+    # only the two agreement statements declare a key of their own
+    from topolab import harness
+
+    table = harness._READINGS
+    for st in harness.STATEMENTS:
+        assert set(st.names) <= set(table), st.texts
+        assert all(type(name) is str and name for name in (*st.hyp, st.gate or "-", *st.given, *st.key))
+        assert type(st.size) is int or st.size in table
+    keys = {}
+    for suite in harness.SUITE_NAMES:
+        pair = [st for st in harness.STATEMENTS if st.suite == suite and st.reads == harness.PAIR]
+        if pair:
+            keys[suite] = harness._stage_key(pair)
+            unfixed = {name for st in pair for name in st.names if not table[name].fixed}
+            assert keys[suite][0] == "kernel" and unfixed <= set(keys[suite]), suite
+    assert keys == {"structure": ("kernel", "dominates"), "filters": ("kernel",),
+                    "compactness": ("kernel", "dominates", "monotone")}
+    assert [st.texts[0] for st in harness.STATEMENTS if st.key] == [
+        "agreeing enlargers induce one family", "agreeing enlargers give one verdict"]
+
+
 def pinned_digests(source: str) -> dict[tuple[str, str], str]:
     """(config, spaces) -> the sha256 a test function of ``source`` pins
     for its one ``_report_digest(config, spaces)`` call, both as
