@@ -82,7 +82,6 @@ from .pairs import (
     image_planes,
     int_table,
     pair_closure,
-    selector_plane,
 )
 from .space import Topology, memoized
 
@@ -429,11 +428,11 @@ def nbhd_plane(k: PairKernel, point: int, variant: str) -> int:
     nested = _kernel_report(k).family_nested
     n = k.topology.n
     if variant == "plain":
-        if not k.topology.plane_props(selector_plane(k))[0]:
+        if not k.topology.plane_props(k.key[0])[0]:
             raise ValueError("selector-open family is not intersection-closed")
         if not nested:
             raise ValueError("selector-open family does not sit inside the enlarger-open family")
-        plane = members_holding(selector_plane(k), n, point)
+        plane = members_holding(k.key[0], n, point)
     elif variant == "enlarged":
         if not enlarger_is_regular(k):
             raise ValueError("enlarger is not regular w.r.t. the selector-open family")

@@ -29,9 +29,8 @@ from .bits import canonical_family, derive_seed, down_plane, family_plane, iter_
 from .compact import (
     NAMED_CLASSES,
     CoverSystem,
-    additive_hypothesis,
+    _additive_scan,
     brute_force_compact_images,
-    compactness_kind,
     failing_plane,
     is_compact,
     space_compactness_flags,
@@ -68,7 +67,7 @@ from .ops import (
 )
 from .pairs import (
     OpPair,
-    base_report,
+    _kernel_report,
     classify_structure,
     enlargement_base,
     enlarger_is_regular,
@@ -276,8 +275,6 @@ class _SpaceContext:
             seen: dict = {}
             for b in BUILTIN_NAMES:
                 self.agreement[(a, b)] = seen.setdefault(images(self.ops[b].table), len(seen))
-        #: (over, a, b) -> a PAIRS statement's other pairs and the first of each kernel
-        self.others: dict = {}
 
     @cached_property
     def pairs(self) -> dict[tuple[str, str], OpPair]:
@@ -312,10 +309,10 @@ class _Universe:
     every universe is complete, a function of n alone, and
     :func:`run_suites` keeps one per n for its whole sweep; above, the
     seed and a space's label draw it, for that space alone.  So two
-    spaces share a run exactly when they read one universe.  A sweep's
-    universes hold ints, tuples, counts and verdicts only; a space's own
-    also keys its pair runs by kernel (the ``kernel`` reading) and dies
-    with the space."""
+    spaces share a run exactly when they read one universe.  Every
+    universe keys its pair runs by the kernel's contents at every size
+    (the ``kernel`` reading, :attr:`~topolab.pairs.PairKernel.key`), so
+    it holds ints, tuples, counts and verdicts only."""
 
     def __init__(self, n: int, seed: int, label: Optional[str]):
         self.n, self.full, self.seed, self.label = n, (1 << n) - 1, seed, label
@@ -409,7 +406,7 @@ class _PairRun:
         return value
 
     structure = cached_property(lambda self: classify_structure(self.p))
-    base = cached_property(lambda self: base_report(self.p))
+    base = cached_property(lambda self: _kernel_report(self.p))
     closures = cached_property(lambda self: convergence_closures(self.p, self.ctx.universe.subsets))
 
     @cached_property
@@ -456,11 +453,9 @@ class _Reading(NamedTuple):
 #: every reading a declaration names, each once; those of a pair take
 #: its :class:`_PairRun`, which also reads them by name
 _READINGS = {
-    # run keys.  The kernel is what it is made of where a sweep's spaces
-    # of n points read one universe (the a-open plane and b's table), and
-    # above the kernel itself; the agreement class holds the pairs (a, d)
-    "kernel": _Reading(lambda ctx, run: (ctx.open_planes[run.a], ctx.ops[run.b].table)
-                       if ctx.n <= EXHAUSTIVE_POINTS else run.p.kernel),
+    # run keys.  The kernel is what it is made of (its key); the
+    # agreement class holds the pairs (a, d)
+    "kernel": _Reading(lambda ctx, run: run.p.kernel.key),
     "dominates": _Reading(lambda ctx, run: ctx.dominates(run.a, run.b), False),
     "monotone": _Reading(lambda ctx, run: ctx.monotone[run.a], False),
     "agreement": _Reading(lambda ctx, run: (run.a, ctx.agreement[(run.a, run.b)]), False),
@@ -622,14 +617,11 @@ def _keyed(out: SuiteResult, ctx: _SpaceContext, items: Sequence[tuple],
 
 def _compared(ctx: _SpaceContext, st: Statement, out: SuiteResult, run: _PairRun, views: dict) -> None:
     """A PAIRS statement between ``run``'s pair (a, b) and each other
-    pair of ``views``: against the first of each kernel and, if one
-    fails, against every one, so each record names its own."""
+    pair ``over`` lists: against the first of each kernel key and, if
+    one fails, against every one, so each record names its own."""
     a, b = run.a, run.b
-    entry = ctx.others.get((st.over, a, b))
-    if entry is None:
-        others = st.over(ctx, a, b)
-        entry = ctx.others[st.over, a, b] = others, {ctx.pairs[q].kernel: q for q in reversed(others)}.values()
-    others, firsts = entry
+    others = st.over(ctx, a, b)
+    firsts = {ctx.pairs[q].kernel.key: q for q in reversed(others)}.values()
     out.instances_checked += len(others)
     if any(st.check(ctx, run, views[q]) for q in firsts):
         for c, d in others:
@@ -710,11 +702,6 @@ def _lowest(ctx: _SpaceContext, plane: int) -> Sequence[tuple]:
     """The record of a statement's first text naming the lowest subset
     in ``plane``, if any."""
     return [(0, ctx.top.ground.braced((plane & -plane).bit_length() - 1))] if plane else ()
-
-
-def _wider_pairs(ctx: _SpaceContext, a: str, b: str) -> list[tuple[str, str]]:
-    """:meth:`_SpaceContext.wider`, one ``over`` for both transfer statements."""
-    return ctx.wider(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +993,7 @@ def _kinds_agree(ctx, run):
     kinds = additive = 0
     if run.dominates and run.base.image_stable:
         kinds = quantified & (cover | failing_plane(p, "base") | failing_plane(p, "pair_open"))
-    if additive_hypothesis(p):
+    if run.monotone and _additive_scan(p):
         additive = quantified & (cover ^ failing_plane(p, "restricted"))
 
     def verdicts(s: int, kinds: tuple[str, ...]) -> str:
@@ -1036,12 +1023,12 @@ def _duals(ctx):
 
 
 def _named_classes(ctx):
-    # on pairs that die with the run
-    named = [OpPair(ctx.ops[sel], ctx.ops[enl]) for sel, enl in map(NAMED_CLASSES.get, "NHsS")]
-    for s in ctx.universe.subsets:
-        n_cls, h_cls, s_cls, big_s = (compactness_kind(p, s) for p in named)
-        if (n_cls and not h_cls) or (s_cls and not big_s) or (big_s and not h_cls):
-            yield 0, "", ctx.top.ground.braced(s)
+    # N => H, s => S and S => H on the classes' failing planes, read on
+    # the requested pairs where there are some
+    n, h, s, big_s = (failing_plane(ctx.pairs.get(q) or OpPair(*map(ctx.ops.get, q)))
+                      for q in map(NAMED_CLASSES.get, "NHsS"))
+    for a in iter_points(ctx.universe.quantified & (h & ~n | big_s & ~s | h & ~big_s)):
+        yield 0, "", ctx.top.ground.braced(a)
 
 
 # ---------------------------------------------------------------------------
@@ -1170,7 +1157,8 @@ STATEMENTS = (
     Statement("filters", ("transfer to a wider pair",), PAIRS,
               lambda ctx, run, wide: next(([(0, ctx.top.ground.braced(c))] for c, lim, adh, wide_lim, wide_adh
                                            in zip(ctx.universe.core_list, *run.core_rows, *wide.core_rows)
-                                           if lim & ~wide_lim or adh & ~wide_adh), ()), over=_wider_pairs),
+                                           if lim & ~wide_lim or adh & ~wide_adh), ()),
+              over=lambda ctx, a, b: ctx.wider(a, b)),
 
     Statement("compactness_oracle", ("fast criterion agrees with the literal oracle",
                                      "failing verdicts carry valid witnesses"),
@@ -1188,7 +1176,8 @@ STATEMENTS = (
     # sets compact for the pair and failing for the wider pair
     Statement("compactness", ("compact sets transfer to wider pairs",), PAIRS,
               lambda ctx, run, wide: _lowest(ctx, ctx.universe.quantified & failing_plane(wide.p)
-                                             & ~failing_plane(run.p)), over=_wider_pairs),
+                                             & ~failing_plane(run.p)),
+              over=lambda ctx, a, b: ctx.wider(a, b)),
     Statement("compactness", ("agreeing enlargers give one verdict",), PAIRS,
               lambda ctx, run, other: _lowest(ctx, ctx.universe.quantified & (
                   (failing_plane(run.p) ^ failing_plane(other.p))

@@ -12,16 +12,17 @@ closed form off the pair-interior table.
 Every row derived from a pair, bar two readings of the selector's
 table, depends on the selector-open family and the enlarger alone, so
 it is built once per :class:`PairKernel`, shared by the pairs with that
-family and enlarger table (identity, cl and scl all select P(X)).
+family and enlarger table (identity, cl and scl all select P(X)).  The
+kernel is named by its contents, ``key``: the selector-open plane and
+the enlarger's packed table.
 
 One walk of the selector-open family per kernel: :func:`image_groups`
 pairs each distinct enlargement t with the union of the selector-open
 sets enlarged to t, and every other row reads those groups, or the
-family's plane (:meth:`~topolab.space.Topology.family_plane`, one per
-family), never the members one by one.  The pair-interior transform
-seeds entry enl[u] with u for every member u and ORs equal keys, so
-seeding t with its group's union gives the same table
-(:func:`int_lanes`).  The same groups give the base (their images), the
+family's plane (``key[0]``), never the members one by one.  The
+pair-interior transform seeds entry enl[u] with u for every member u
+and ORs equal keys, so seeding t with its group's union gives the same
+table (:func:`int_lanes`).  The same groups give the base (their images), the
 envelopes, the pointwise closure rule, regularity and the filters'
 limit sets.  Whole-family questions (inclusion, both ends, closure
 under unions and meets, size) are asked of 2**n-bit planes, the zero
@@ -46,7 +47,7 @@ from .bits import (
     point_meets, row_planes, unpack_lanes, zero_lanes, zero_plane,
 )
 from .ops import (
-    Operation, group_by_image, is_monotone, leq, op_open_family, op_open_plane, op_shrink_plane,
+    Operation, group_by_image, is_monotone, leq, op_lanes, op_open_family, op_open_plane, op_shrink_plane,
 )
 from .space import Topology, build_topology, memoized
 
@@ -61,34 +62,40 @@ class PairKernel:
     """A selector-open family and an enlarger, with the rows built from
     them alone in ``_memo`` (:func:`memoized`).  It serves every pair of
     its space with that family and enlarger table, and lives as long as
-    the last of them."""
+    the last of them.  ``key`` is what it is made of: the selector-open
+    family's 2**n-bit plane (:func:`~topolab.ops.op_open_plane`) and the
+    enlarger's table as lanes (:func:`~topolab.ops.op_lanes`), so two
+    kernels on n points have one key exactly when they hold one family
+    and one enlarger table."""
 
-    __slots__ = ("topology", "family", "enlarger", "_memo", "__weakref__")
+    __slots__ = ("topology", "family", "enlarger", "key", "_memo", "__weakref__")
 
-    def __init__(self, topology: Topology, family: Family, enlarger: Operation):
+    def __init__(self, topology: Topology, family: Family, enlarger: Operation, key: tuple[int, int]):
         self.topology = topology
         self.family = family
         self.enlarger = enlarger
+        self.key = key
         self._memo = {}
 
 
 @memoized
 def _kernels(top: Topology) -> WeakValueDictionary:
-    """(selector-open family, enlarger) -> kernel, held weakly."""
+    """:attr:`PairKernel.key` -> kernel, held weakly."""
     return WeakValueDictionary()
 
 
 class OpPair:
     """An ordered pair (selector, enlarger) of operations over one space.
 
-    Its rows live on its :class:`PairKernel`, keyed by the enlarger's
-    whole table: ``image_stable`` reads it outside the selector-open
-    family, and enlargers that only agree on the family stay apart for
-    the statements that compare them.  The pair's ``_memo`` is the
-    kernel's, so a row read through the pair is the kernel's row.  Only
-    two readings use the selector's table, and both are computed on the
-    pair on each call: ``order_dominates`` of :func:`base_report` and the
-    monotone-selector half of :func:`~topolab.compact.additive_hypothesis`.
+    Its rows live on its :class:`PairKernel`, keyed by the selector-open
+    plane and the enlarger's whole table: ``image_stable`` reads the
+    table outside the selector-open family, and enlargers that only
+    agree on the family stay apart for the statements that compare
+    them.  The pair's ``_memo`` is the kernel's, so a row read through
+    the pair is the kernel's row.  Only two readings use the selector's
+    table, and both are computed on the pair on each call:
+    ``order_dominates`` of :func:`base_report` and the monotone-selector
+    half of :func:`~topolab.compact.additive_hypothesis`.
     """
 
     __slots__ = ("topology", "selector", "enlarger", "kernel", "_memo")
@@ -100,10 +107,10 @@ class OpPair:
         object.__setattr__(self, "selector", selector)
         object.__setattr__(self, "enlarger", enlarger)
         kernels = _kernels(selector.topology)
-        key = (op_open_family(selector), enlarger)
+        key = (op_open_plane(selector), op_lanes(enlarger)[0])
         kernel = kernels.get(key)
         if kernel is None:
-            kernel = kernels[key] = PairKernel(selector.topology, *key)
+            kernel = kernels[key] = PairKernel(selector.topology, op_open_family(selector), enlarger, key)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "_memo", kernel._memo)
 
@@ -129,18 +136,10 @@ class OpPair:
 
 
 @memoized
-def selector_plane(k: PairKernel) -> int:
-    """The 2**n-bit plane of the selector-open family: the space's plane
-    of it (:meth:`~topolab.space.Topology.family_plane`), looked up once
-    per kernel, as the lookup hashes the whole family."""
-    return k.topology.family_plane(k.family)
-
-
-@memoized
 def _selector_at(k: PairKernel, point: int) -> Family:
     """The selector-open sets holding ``point``, read off the family's
     plane (:func:`~topolab.bits.members_holding`)."""
-    return plane_members(members_holding(selector_plane(k), k.topology.n, point))
+    return plane_members(members_holding(k.key[0], k.topology.n, point))
 
 
 @memoized
@@ -235,7 +234,7 @@ def enlarger_is_regular(k: PairKernel) -> bool:
     the kernel's scan (:func:`regular_scan`) decides.
     """
     return (
-        is_monotone(k.enlarger) and k.topology.plane_props(selector_plane(k))[0]
+        is_monotone(k.enlarger) and k.topology.plane_props(k.key[0])[0]
     ) or regular_scan(k)
 
 
@@ -498,7 +497,7 @@ def _kernel_report(k: PairKernel) -> BaseReport:
     Every flag is one AND-NOT, bit test or bit count of 2**n-bit planes.
     The base is :func:`enlargement_base`, read as a plane, and each
     membership flag is an AND-NOT against the selector-open family's
-    plane (:func:`selector_plane`) or the pair-open family's
+    plane (``key[0]``) or the pair-open family's
     (:func:`pair_open_plane`).  ``family_nested`` says every
     selector-open u sits inside enl[u], that is the selector-open family
     sits inside the enlarger-open one (:func:`~topolab.ops.op_open_plane`).
@@ -508,14 +507,14 @@ def _kernel_report(k: PairKernel) -> BaseReport:
     ``is_base`` compares the pair-open plane against the base's union
     closure.
     """
-    n, enl = k.topology.n, k.enlarger
+    n, enl, (selector_plane, _) = k.topology.n, k.enlarger, k.key
     base_plane = family_plane(enlargement_base(k), n)
     pair_plane = pair_open_plane(k)
-    base_selector_open = base_plane & ~selector_plane(k) == 0
+    base_selector_open = base_plane & ~selector_plane == 0
     base_pair_open = base_plane & ~pair_plane == 0
     return BaseReport(
         image_stable=base_selector_open and base_plane & ~op_shrink_plane(enl) == 0,
-        family_nested=selector_plane(k) & ~op_open_plane(enl) == 0,
+        family_nested=selector_plane & ~op_open_plane(enl) == 0,
         base_pair_open=base_pair_open,
         order_dominates=op_open_plane(enl).bit_count() == 1 << n,
         base_in_pair_and_selector=base_pair_open and base_selector_open,

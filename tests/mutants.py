@@ -2,14 +2,15 @@
 
     python3 tests/mutants.py
 
-Each mutant is copied with ``src/``, ``tests/`` and ``pyproject.toml``
-to a fresh temporary directory (whose ``pythonpath = ["src"]`` then
-loads the mutated ``src``); its old text must occur exactly once in its
-file and is replaced by the new text, and each check it names, a row of
+Each mutant is copied with ``src/``, ``tests/``, ``pyproject.toml`` and
+the report pins ``bench/expected.json`` (read-only) to a fresh temporary
+directory (whose ``pythonpath = ["src"]`` then loads the mutated
+``src``); its old text must occur exactly once in its file and is
+replaced by the new text, and each check it names, a row of
 ``oracles.ROUTES`` (run by the test whose ``route_check`` names it) or a
-pytest node id, must fail there.  The unmutated
-copy must pass them all first.  Exits non-zero on any survivor.
-Standard library only; tier 1 does not collect this file.
+pytest node id, must fail there.  The unmutated copy must pass them all
+first, or the ids of the tests it fails are printed.  Exits non-zero on
+any survivor.  Standard library only; tier 1 does not collect this file.
 """
 
 import os
@@ -119,8 +120,14 @@ MUTANTS = (
            "equal_ok = fixed.bit_count() == plane.bit_count()", "equal_ok = fixed.bit_count() >= plane.bit_count() - 1",
            ("pair_open_family", "structure")),
     Mutant("family_nested reads the planes the wrong way round", "pairs.py",
-           "family_nested=selector_plane(k) & ~op_open_plane(enl) == 0",
-           "family_nested=op_open_plane(enl) & ~selector_plane(k) == 0", ("kernel_flags",)),
+           "family_nested=selector_plane & ~op_open_plane(enl) == 0",
+           "family_nested=op_open_plane(enl) & ~selector_plane == 0", ("kernel_flags",)),
+    Mutant("the kernel key drops the enlarger table", "pairs.py",
+           "key = (op_open_plane(selector), op_lanes(enlarger)[0])", "key = (op_open_plane(selector), 0)",
+           ("tests/test_harness.py::test_sharing_changes_no_report",)),
+    Mutant("the kernel key drops the selector plane", "pairs.py",
+           "key = (op_open_plane(selector), op_lanes(enlarger)[0])", "key = (0, op_lanes(enlarger)[0])",
+           ("tests/test_harness.py::test_exhaustive_report_matches_pinned_digest",)),
     Mutant("a principal row forgets the cores it computed", "filters.py",
            "got = self[core] = self._of(core)", "got = self._of(core)", ("principal_sets",)),
     Mutant("refined_core leaves out the envelope", "filters.py",
@@ -152,9 +159,6 @@ MUTANTS = (
            'literal = ctx.universe.runs.setdefault("literal", {})',
            'literal = _oracle_agrees.__dict__.setdefault("literal", {})',
            ("tests/test_harness.py::test_oracle_runs_are_not_shared_across_quantified_subsets",)),
-    Mutant("the shared-universe kernel key drops the enlarger table", "harness.py",
-           "(ctx.open_planes[run.a], ctx.ops[run.b].table)", "ctx.open_planes[run.a]",
-           ("tests/test_harness.py::test_sharing_changes_no_report",)),
     Mutant("a space above EXHAUSTIVE_POINTS reads the sweep's universe", "harness.py",
            "for n in range(EXHAUSTIVE_POINTS + 1)}", "for n in range(17)}",
            ("tests/test_harness.py::test_equal_kernels_under_different_universes_are_not_shared",)),
@@ -173,6 +177,10 @@ def copy_tree(dest: Path) -> None:
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    pins = dest / "bench" / "expected.json"
+    pins.parent.mkdir()
+    shutil.copy2(ROOT / "bench" / "expected.json", pins)
+    pins.chmod(0o444)
 
 
 def node_id(check: str) -> str:
@@ -184,13 +192,16 @@ def node_id(check: str) -> str:
     return check
 
 
-def run_checks(tree: Path, checks) -> int:
-    """pytest's exit code for the checks in ``tree``: 0 if all pass, 1 if one fails."""
+def run_checks(tree: Path, checks, first: bool = True) -> tuple[int, list[str]]:
+    """pytest's exit code for the checks in ``tree`` (0 if all pass, 1 if
+    one fails) and the ids of the tests that failed, stopping at the first
+    if ``first``."""
     ids = sorted(set(map(node_id, checks)))
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *ids]
-    done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return done.returncode
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *["-x"] * first, *ids]
+    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
+    return done.returncode, failed
 
 
 def outcome(m: Mutant) -> str:
@@ -202,16 +213,17 @@ def outcome(m: Mutant) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         copy_tree(Path(tmp))
         (Path(tmp) / path).write_text(text.replace(m.old, m.new), encoding="utf-8")
-        missed = [check for check in dict.fromkeys(map(node_id, m.checks)) if run_checks(Path(tmp), (check,)) != 1]
+        missed = [check for check in dict.fromkeys(map(node_id, m.checks))
+                  if run_checks(Path(tmp), (check,))[0] != 1]
     return f"SURVIVED {', '.join(missed)}" if missed else "killed"
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy_tree(Path(tmp))
-        code = run_checks(Path(tmp), sorted({c for m in MUTANTS for c in m.checks}))
+        code, failed = run_checks(Path(tmp), {c for m in MUTANTS for c in m.checks}, first=False)
     if code != 0:
-        print(f"the unmutated tree fails the checks (pytest exit {code})")
+        print(f"the unmutated tree fails the checks (pytest exit {code}):", *failed, sep="\n  ")
         return 1
     bad = 0
     for m in MUTANTS:

@@ -1485,6 +1485,25 @@ def _memo_cases() -> list:
                                  for _ in range(6)]) for top in exhaustive_spaces(3)]
 
 
+def _closure_draws() -> list:
+    """(n, family) twice per trial of 200 on 5-8 points, from one
+    ``random.Random(23)``: a family of 1-6 drawn sets, then a seeded
+    topology's opens less one member other than the ends, so closed or
+    not."""
+    from topolab import random_topology
+    from topolab.bits import canonical_family
+
+    rng, out = random.Random(23), []
+    for _ in range(200):
+        n = rng.randrange(5, 9)
+        out.append((n, canonical_family(rng.randrange(1 << n) for _ in range(rng.randrange(1, 7)))))
+        opens = list(random_topology(n, rng.randrange(10**6), n).opens)
+        if len(opens) > 2:
+            del opens[rng.randrange(1, len(opens) - 1)]
+        out.append((n, tuple(opens)))
+    return out
+
+
 def _subbases() -> list:
     """(n, subbasis): every family up to 3 points, then 200 seeded ones on 5-8 points."""
     rng = random.Random(29)
@@ -1562,6 +1581,7 @@ UNIVERSES = {
     "families+101": _props_cases,
     "families+17": _memo_cases,
     "families+43": lambda: _drawn_families(43, range(5, 13), 0),
+    "families+23": _closure_draws,
     "families+71": lambda: _drawn_families(71, range(13), 1),
     "subbases+29": _subbases,
     "families+89": lambda: _violation_cases(wide=False),
@@ -1976,12 +1996,15 @@ def _routes() -> tuple:
         Route("plane_props", lambda t: plane_props(family_plane(t[1], t[0]), t[0]),
               lambda t: closed(*t)[::-1], "families4"),
         Route("family_props_memo", lambda t: tuple(map(t[0].family_props, t[1] * 2)), memo_rules, "families+17"),
-        Route("closure_kernel", lambda t: (union_closure(t[1], t[0]) == t[1], intersection_closure(t[1], t[0]) == t[1],
-                                           is_topology(default_ground(t[0]), t[1])),
-              lambda t: (*closed(*t), all(closed(*t))), "families4"),
-        Route("closures", lambda t: (union_closure(t[1], t[0]), intersection_closure(t[1], t[0]), upward_closure(
+        # the seeded rows read the draws of the closure check they replaced
+        *(Route(name, lambda t: (union_closure(t[1], t[0]) == t[1], intersection_closure(t[1], t[0]) == t[1],
+                                 is_topology(default_ground(t[0]), t[1])),
+                lambda t: (*closed(*t), all(closed(*t))), families)
+          for name, families in (("closure_kernel", "families4"), ("closure_kernel_seeded", "families+23"))),
+        *(Route(name, lambda t: (union_closure(t[1], t[0]), intersection_closure(t[1], t[0]), upward_closure(
             t[1], t[0])), lambda t: (*fixpoints(*t), tuple(a for a in range(1 << t[0]) if any(
-                m & ~a == 0 for m in t[1]))), "families+43"),
+                m & ~a == 0 for m in t[1]))), families)
+          for name, families in (("closures", "families+43"), ("closures_seeded", "families+23"))),
         Route("plane_closures", lambda t: planes(*t), lambda t: plane_rules(*t), "families+71"),
         Route("zero_plane", lambda t: (zero_plane(*pack_lanes(t[0]), t[1]), zero_lanes(*pack_lanes(t[0]), t[1])),
               lambda t: (walked_plane(a for a, v in enumerate(t[0]) if v == 0),

@@ -1116,8 +1116,8 @@ def test_pair_runs_are_shared_across_the_spaces_of_a_sweep(monkeypatch):
 
 def test_sweep_store_keeps_no_space_alive(monkeypatch):
     # the spaces of at most 3 points keep their pair runs on the sweep's
-    # universe of their n, keyed by what the kernels are made of, and a
-    # 5-point space keys its own by kernel on a universe of its own: once
+    # universe of their n, and a 5-point space keeps its own on a universe
+    # of its own, each keyed by what the kernels are made of: once
     # the sweep returns, with the sweep's universes still held, every space
     # and pair kernel of it is gone, and every run key they keep is ints
     # and tuples
@@ -1218,7 +1218,14 @@ def test_pair_checks_read_the_space_only_through_what_their_key_fixes():
 def test_pair_checks_read_only_the_readings_their_statements_name(monkeypatch):
     # a check reads a hypothesis by its name off the pair's run; each name
     # a PAIR statement reads so, on a fresh run, is one it declares, so no
-    # reading the kernel does not fix escapes its stage's key
+    # reading the kernel does not fix escapes its stage's key.  No pair or
+    # two-pair check reads the selector but through the dominates and
+    # monotone readings, which the context measures: each pair holds a
+    # recorder in its place, noted as "selector".  So a run depends only on
+    # its kernel key, the readings it names and its universe.  One read
+    # stays: the space-level flags fill their hypothesis field through
+    # base_report, whose order reading may ask leq of the selector; the
+    # statement reads only the flags' agreement
     read = collections.defaultdict(set)
     current = []
 
@@ -1227,20 +1234,35 @@ def test_pair_checks_read_only_the_readings_their_statements_name(monkeypatch):
             read[current[-1]].add(name)
             return super().__getitem__(name)
 
+    class Selector:
+        def __init__(self, op):
+            self.op = op
+
+        def __getattr__(self, name):
+            read[current[-1]].add("selector")
+            return getattr(self.op, name)
+
     monkeypatch.setattr(harness, "_READINGS", Logged(harness._READINGS))
     cfg = SuiteConfig()
     spaces = sweep_spaces(SuiteConfig(n_exhaustive=2)) + [("c", random_topology(3, 5, 3)),
                                                          ("d", random_topology(5, 3, 5))]
-    statements = [st for st in harness.STATEMENTS if st.reads == harness.PAIR]
+    statements = [st for st in harness.STATEMENTS if st.reads in (harness.PAIR, harness.PAIRS)]
     for label, top in spaces:
         ctx = _SpaceContext(label, top, cfg)
+        for p in ctx.pairs.values():
+            object.__setattr__(p, "selector", Selector(p.selector))
         for st in statements:
             current.append(st)
             for a, b in ctx.pair_names:
-                harness._apply(harness.SuiteResult(), ctx, st, (harness._PairRun(ctx, a, b),), (f"{a},{b}",))
-    assert all(names <= set(st.names) for st, names in read.items())
+                run = harness._PairRun(ctx, a, b)
+                if st.reads == harness.PAIR:
+                    harness._apply(harness.SuiteResult(), ctx, st, (run,), (f"{a},{b}",))
+                for q in st.over(ctx, a, b) if st.over else ():
+                    list(st.check(ctx, run, harness._PairRun(ctx, *q)))
+    assert all(names - {"selector"} <= set(st.names) for st, names in read.items())
     named = {st.texts[0]: names for st, names in read.items()}
-    assert named["filter statements agree"] == {"dominates"}
+    assert {text for text, names in named.items() if "selector" in names} == {"space-level statements agree"}
+    assert named["filter statements agree"] == {"dominates", "monotone"}
     assert named["stable images land in both open families"] == {"nested", "dominates"}
     assert named["singleton cores decide finer convergence"] == {"regular"}
 

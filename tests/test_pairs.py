@@ -34,7 +34,7 @@ from topolab.pairs import (
     int_table, regular_scan,
 )
 from topolab.bits import LanePairs, canonical_family
-from topolab.ops import group_by_image
+from topolab.ops import group_by_image, op_lanes, op_open_plane
 from topolab.space import indiscrete
 
 from oracles import catalog_pairs, custom_pairs, exhaustive_spaces, naive_pair_interior, route_check, seeded_spaces
@@ -324,6 +324,24 @@ def test_selector_readings_stay_off_the_kernel():
             }
             assert got == expected, (sel, enl, first)
         assert expected["custom"] != expected["catalog"], (sel, enl)
+
+
+def test_a_kernel_is_keyed_by_its_contents():
+    # a pair's kernel key is the selector-open plane and the enlarger's
+    # lanes, and two pairs of a space share a kernel exactly when their
+    # keys are equal, that is when they hold one selector-open family and
+    # one enlarger table: every catalog pair of the spaces of at most 3
+    # points, and of a seeded 10-point space, whose lanes are 2 bytes wide
+    spaces = small_spaces() + list(seeded_spaces(241, (10,)))
+    assert op_lanes(catalog(spaces[-1])["int"])[1] == 16
+    for top in spaces:
+        pairs = all_pairs(top)
+        for p in pairs:
+            assert p.kernel.key == (op_open_plane(p.selector), op_lanes(p.enlarger)[0]), (top, p)
+        for p in pairs:
+            for q in pairs:
+                same = op_open_family(p.selector) == op_open_family(q.selector) and p.enlarger == q.enlarger
+                assert (p.kernel is q.kernel) == (p.kernel.key == q.kernel.key) == same, (top, p, q)
 
 
 # Checks that became rows of oracles.ROUTES, kept under their names.

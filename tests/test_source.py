@@ -78,9 +78,9 @@ def test_no_unbounded_process_wide_caches():
 
 
 #: what a kernel row may read of its space: n, the whole set, and the
-#: plane, closure verdicts and identity lanes, functions of n and of
-#: the family or plane they are given
-SPACE_READS = {"n", "full", "family_plane", "plane_props", "identity_lanes"}
+#: closure verdicts and identity lanes, functions of n and of the plane
+#: they are given
+SPACE_READS = {"n", "full", "plane_props", "identity_lanes"}
 
 
 def space_reads(source: str) -> list[str]:
@@ -126,7 +126,7 @@ def test_the_scan_finds_wider_space_reads():
     )
     assert sorted(space_reads(source)) == [
         "3: top = p.topology", "4: g(k.topology, k.topology.family_plane(k.family), op.topology)",
-        "5: k.topology.closure", "9: space.opens"]
+        "4: k.topology.family_plane", "5: k.topology.closure", "9: space.opens"]
 
 
 def test_kernel_rows_read_the_space_only_through_n_and_its_planes():

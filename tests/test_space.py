@@ -1,4 +1,3 @@
-import operator
 import pickle
 import random
 
@@ -15,17 +14,11 @@ from topolab import (
     sierpinski,
 )
 from topolab import space as space_module
-from topolab.bits import canonical_family, intersection_closure, point_meets, union_closure
+from topolab.bits import point_meets
 from topolab.jsonio import dumps_space, loads_space
 from topolab.space import family_violation
 
-from oracles import (
-    count_preorders,
-    pairwise_fixpoint,
-    pairwise_intersection_closed,
-    pairwise_union_closed,
-    route_check,
-)
+from oracles import count_preorders, route_check
 
 
 def test_ground_set_validation():
@@ -97,23 +90,6 @@ def test_family_violation_messages():
     assert family_violation(default_ground(5), (0, 1, 2, 31)) == (
         "not closed under union: {a,b} is a union of members but is missing"
     )
-
-
-def test_closure_kernel_matches_pairwise_fixpoint_on_seeded_families():
-    rng = random.Random(23)
-    for trial in range(200):
-        n = rng.randrange(5, 9)
-        full = (1 << n) - 1
-        fam = canonical_family(rng.randrange(1 << n) for _ in range(rng.randrange(1, 7)))
-        assert union_closure(fam, n) == pairwise_fixpoint({0, *fam}, operator.or_)
-        assert intersection_closure(fam, n) == pairwise_fixpoint({full, *fam}, operator.and_)
-        # a topology less one member other than the ends: closed or not,
-        # both routes agree
-        opens = list(random_topology(n, rng.randrange(10**6), n).opens)
-        if len(opens) > 2:
-            del opens[rng.randrange(1, len(opens) - 1)]
-        expect = pairwise_union_closed(opens) and pairwise_intersection_closed(opens)
-        assert is_topology(default_ground(n), opens) == expect
 
 
 def test_interior_closure_examples(s2, c3):
@@ -284,6 +260,7 @@ def test_braced_matches_the_literal_label_join():
 # Checks that became rows of oracles.ROUTES, kept under their names.
 test_interior_matches_naive_scan = route_check("interior")
 test_closure_kernel_matches_pairwise_scans_on_every_small_family = route_check("closure_kernel")
+test_closure_kernel_matches_pairwise_fixpoint_on_seeded_families = route_check("closures_seeded", "closure_kernel_seeded")
 test_family_props_memo_matches_fresh_closures = route_check("family_props_memo")
 test_build_topology_matches_pairwise_fixpoint = route_check("build_topology")
 test_alexandroff_acceptance_matches_the_pairwise_verdicts = route_check("family_violation")
