@@ -68,7 +68,6 @@ from .ops import Operation, builtin, dual_table, is_monotone
 from .pairs import (
     OpPair,
     PairKernel,
-    base_report,
     enlargement_base,
     image_groups,
     int_table,
@@ -395,7 +394,6 @@ class SpaceCompactnessFlags:
     subset compact.
     """
 
-    hypothesis: bool
     space_cover: bool
     space_base_cover: bool
     space_pair_open_cover: bool
@@ -441,7 +439,6 @@ def space_compactness_flags(p: OpPair) -> SpaceCompactnessFlags:
     closed = complement_plane(pair_open_plane(p), n)
     pair, pair_open, base = (failing_plane(p, k) for k in ("pair", "pair_open", "base"))
     return SpaceCompactnessFlags(
-        hypothesis=base_report(p).hypothesis_d,
         space_cover=not pair >> full & 1,
         space_base_cover=not base >> full & 1,
         space_pair_open_cover=not pair_open >> full & 1,

@@ -66,13 +66,14 @@ from .ops import (
     op_open_plane,
 )
 from .pairs import (
-    OpPair,
+    PairKernel,
     _kernel_report,
     classify_structure,
     enlargement_base,
     enlarger_is_regular,
     envelopes,
     image_groups,
+    kernel_of,
     named_family,
     pair_closure,
     pair_closure_by_points,
@@ -233,14 +234,14 @@ def emit_report(report: Report, path: str) -> None:
 
 class _SpaceContext:
     """Per-space inputs shared by all suites and the miner: the catalog,
-    the requested pairs, and the catalog's readings made once per space
-    (open families and their planes and closure verdicts, monotonicity,
-    order, which open families sit inside which, which enlargers agree on
-    each).  The pairs are built on first read.  Every row built from a
-    pair lives on its kernel (:class:`~topolab.pairs.PairKernel`) and dies
-    with the context's pairs.  ``universe`` is what the statements
-    quantify over: the sweep's :class:`_Universe` of n points if given,
-    else the space's own."""
+    the kernel (:class:`~topolab.pairs.PairKernel`) of each requested
+    pair, on which its rows and runs live and which dies with the
+    context, and the catalog's readings made once per space (open
+    families and their planes, monotonicity, order, which open families
+    sit inside which, which enlargers agree on each).  A sweep reads a
+    selector only through ``order`` and ``monotone``.  ``universe`` is
+    what the statements quantify over: the sweep's :class:`_Universe` of
+    n points if given, else the space's own."""
 
     def __init__(self, label: str, top: Topology, cfg: SuiteConfig,
                  universe: Optional[_Universe] = None):
@@ -255,8 +256,6 @@ class _SpaceContext:
         self.enlargers = {a: [d for c, d in self.pair_names if c == a] for a in BUILTIN_NAMES}
         self.open_sets = {name: op_open_family(op) for name, op in self.ops.items()}
         self.open_planes = {name: op_open_plane(op) for name, op in self.ops.items()}
-        #: props[name]: (intersection-closed, union-closed) for the open family
-        self.props = {name: top.plane_props(plane) for name, plane in self.open_planes.items()}
         self.monotone = {name: is_monotone(op) for name, op in self.ops.items()}
         #: order[(a, b)] is leq(ops[a], ops[b]), measured once per space
         self.order = {
@@ -267,6 +266,8 @@ class _SpaceContext:
             (a, b): self.open_planes[a] & ~self.open_planes[b] == 0
             for a in BUILTIN_NAMES for b in BUILTIN_NAMES
         }
+        #: kernels[(a, b)]: the kernel of each requested pair, in request order
+        self.kernels = {(a, b): kernel_of(self.ops[a], self.ops[b]) for a, b in self.pair_names}
         #: agreement[(a, b)] numbers enlarger b by its images of the a-open
         #: family, so two enlargers agree there iff their numbers are equal
         self.agreement = {}
@@ -276,10 +277,9 @@ class _SpaceContext:
             for b in BUILTIN_NAMES:
                 self.agreement[(a, b)] = seen.setdefault(images(self.ops[b].table), len(seen))
 
-    @cached_property
-    def pairs(self) -> dict[tuple[str, str], OpPair]:
-        """One :class:`OpPair` per requested name, in request order."""
-        return {(a, b): OpPair(self.ops[a], self.ops[b]) for a, b in self.pair_names}
+    def kernel(self, a: str, b: str) -> PairKernel:
+        """The kernel of (a, b), requested or not, from the registry."""
+        return kernel_of(self.ops[a], self.ops[b])
 
     def dominates(self, a: str, b: str) -> bool:
         """Whether enlarger b sits above the identity or above selector a,
@@ -392,12 +392,12 @@ class _Universe:
 
 class _PairRun:
     """A requested pair (a, b) as a suite's pair statements read it: its
-    names, its pair and the rows several statements share, each made
-    once per run, and by any other attribute the reading of that name
-    (:data:`_READINGS`), made on first read."""
+    names, its kernel ``k`` and the rows several statements share, each
+    made once per run, and by any other attribute the reading of that
+    name (:data:`_READINGS`), made on first read."""
 
     def __init__(self, ctx: _SpaceContext, a: str, b: str):
-        self.ctx, self.a, self.b, self.p = ctx, a, b, ctx.pairs[(a, b)]
+        self.ctx, self.a, self.b, self.k = ctx, a, b, ctx.kernels[(a, b)]
 
     def __getattr__(self, name: str):
         if name not in _READINGS:
@@ -405,16 +405,16 @@ class _PairRun:
         value = self.__dict__[name] = _READINGS[name].of(self.ctx, self)
         return value
 
-    structure = cached_property(lambda self: classify_structure(self.p))
-    base = cached_property(lambda self: _kernel_report(self.p))
-    closures = cached_property(lambda self: convergence_closures(self.p, self.ctx.universe.subsets))
+    structure = cached_property(lambda self: classify_structure(self.k))
+    base = cached_property(lambda self: _kernel_report(self.k))
+    closures = cached_property(lambda self: convergence_closures(self.k, self.ctx.universe.subsets))
 
     @cached_property
     def refined(self) -> tuple[int, Optional[tuple[int, int]]]:
         """(cores scanned, the first (core, finer core) where refinement
         moves a limit down or adherence up, else None).  Single-point
         drops suffice: any refinement is a chain of them."""
-        lim, adh = principal_rows(self.p)
+        lim, adh = principal_rows(self.k)
         lims, adhs = self.core_rows
         scanned = 0
         for c1, lim1, adh1 in zip(self.ctx.universe.core_list, lims, adhs):
@@ -430,7 +430,7 @@ class _PairRun:
     @cached_property
     def core_rows(self) -> tuple[list[int], list[int]]:
         """The quantified cores' limit and adherence sets, by position."""
-        lim, adh = principal_rows(self.p)
+        lim, adh = principal_rows(self.k)
         cores = self.ctx.universe.core_list
         return [lim[c] for c in cores], [adh[c] for c in cores]
 
@@ -447,7 +447,7 @@ SPACE, PAIR, PAIRS, AMBIENT = "space", "pair", "pairs", "ambient"
 
 class _Reading(NamedTuple):
     of: Callable  # of(ctx, *args), on a statement's args
-    fixed: bool = True  # whether a pair's kernel, on its universe, fixes it
+    fixed: bool = True  # fixed by a pair's kernel and universe: reads n, full, universe, kernels only
 
 
 #: every reading a declaration names, each once; those of a pair take
@@ -455,7 +455,7 @@ class _Reading(NamedTuple):
 _READINGS = {
     # run keys.  The kernel is what it is made of (its key); the
     # agreement class holds the pairs (a, d)
-    "kernel": _Reading(lambda ctx, run: run.p.kernel.key),
+    "kernel": _Reading(lambda ctx, run: run.k.key),
     "dominates": _Reading(lambda ctx, run: ctx.dominates(run.a, run.b), False),
     "monotone": _Reading(lambda ctx, run: ctx.monotone[run.a], False),
     "agreement": _Reading(lambda ctx, run: (run.a, ctx.agreement[(run.a, run.b)]), False),
@@ -463,14 +463,15 @@ _READINGS = {
     # hypotheses.  regular is None past its gate, but for a monotone
     # enlarger on a meet_closed (intersection-closed) selector-open family,
     # which nested puts inside the enlarger-open family
-    "regular": _Reading(lambda ctx, run: enlarger_is_regular(run.p) if ctx.monotone[run.b] and ctx.props[run.a][0]
-                        or not _READINGS["regularity_scan_skipped"].of(ctx, run.a) else None),
-    "nested": _Reading(lambda ctx, run: ctx.inside[(run.a, run.b)]),
-    "meet_closed": _Reading(lambda ctx, run: ctx.props[run.a][0]),
-    "monotone_enlarger": _Reading(lambda ctx, run: ctx.monotone[run.b]),
+    "regular": _Reading(lambda ctx, run: enlarger_is_regular(run.k) if is_monotone(run.k.enlarger)
+                        and run.k.topology.plane_props(run.k.key[0])[0] or not _scan_skipped(ctx, run.k.key[0])
+                        else None),
+    "nested": _Reading(lambda ctx, run: run.k.key[0] & ~op_open_plane(run.k.enlarger) == 0),
+    "meet_closed": _Reading(lambda ctx, run: run.k.topology.plane_props(run.k.key[0])[0]),
+    "monotone_enlarger": _Reading(lambda ctx, run: is_monotone(run.k.enlarger)),
     "topology": _Reading(lambda ctx, run: run.structure.is_topology),
     "base_pair_open": _Reading(lambda ctx, run: run.base.base_pair_open),
-    "t2": _Reading(lambda ctx, run: is_t2(run.p)),
+    "t2": _Reading(lambda ctx, run: is_t2(run.k)),
     # sizes
     "n": _Reading(lambda ctx, *args: ctx.n),
     "subsets": _Reading(lambda ctx, *args: len(ctx.universe.subsets)),
@@ -480,12 +481,16 @@ _READINGS = {
     # gates: regularity over the a-open family, whose closed form is
     # linear, so it only keeps the notes bench/expected.json pins; the
     # neighbourhood variant, one pass over all subsets per up-set
-    "regularity_scan_skipped": _Reading(
-        lambda ctx, a, *names: ctx.open_planes[a].bit_count() ** 3 * max(ctx.n, 1) > 2 * 10**8),
+    "regularity_scan_skipped": _Reading(lambda ctx, a, *names: _scan_skipped(ctx, ctx.open_planes[a])),
     "regularity_unknown": _Reading(lambda ctx, run: run.regular is None),
     "neighbourhood_variant_skipped": _Reading(
-        lambda ctx, run: (1 << ctx.n) * max(ctx.open_planes[run.a].bit_count(), 1) > 10**7),
+        lambda ctx, run: (1 << ctx.n) * max(run.k.key[0].bit_count(), 1) > 10**7),
 }
+
+
+def _scan_skipped(ctx: _SpaceContext, plane: int) -> bool:
+    """The regularity gate over the family the 2**n-bit ``plane`` flags."""
+    return plane.bit_count() ** 3 * max(ctx.n, 1) > 2 * 10**8
 
 
 @dataclass(frozen=True, eq=False)
@@ -621,7 +626,7 @@ def _compared(ctx: _SpaceContext, st: Statement, out: SuiteResult, run: _PairRun
     one fails, against every one, so each record names its own."""
     a, b = run.a, run.b
     others = st.over(ctx, a, b)
-    firsts = {ctx.pairs[q].kernel.key: q for q in reversed(others)}.values()
+    firsts = {ctx.kernels[q].key: q for q in reversed(others)}.values()
     out.instances_checked += len(others)
     if any(st.check(ctx, run, views[q]) for q in firsts):
         for c, d in others:
@@ -636,9 +641,9 @@ def _run(statements: Sequence[Statement], ctx: _SpaceContext, cfg: SuiteConfig) 
     the whole catalog through ``over`` and so is kept within the space.
     The PAIR and AMBIENT runs are kept on the universe for every space
     that reads it, so a PAIR statement reads the context only through n,
-    ``full``, the universe, the pair and the readings its key fixes; of
-    ``top``, n and the labels, which only a failing run, never shared,
-    writes."""
+    ``full``, the universe, the kernels and the readings its key names;
+    of ``top``, n and the labels, which only a failing run, never
+    shared, writes."""
     out = SuiteResult()
     paired = [st for st in statements if st.reads in (PAIR, PAIRS)]
     pair = [st for st in paired if st.reads == PAIR]
@@ -729,24 +734,24 @@ def _open_families(ctx):
             yield 0, nm, nm
         if not ctx.monotone[nm]:
             yield 1, nm, nm
-        elif not ctx.props[nm][1]:
+        elif not ctx.top.plane_props(plane)[1]:
             yield 2, nm, nm
 
 
 def _pair_axioms(ctx, run):
-    p, braced = run.p, ctx.top.ground.braced
+    k, braced = run.k, ctx.top.ground.braced
     if not run.structure.is_supratopology:
         yield 0, "X"
     # complement duality and monotonicity of the pair operators
     subsets = ctx.universe.subsets
-    for s, by_points in zip(subsets, pair_closure_by_points(p, subsets)):
-        if pair_closure(p, s) != by_points:
+    for s, by_points in zip(subsets, pair_closure_by_points(k, subsets)):
+        if pair_closure(k, s) != by_points:
             yield 1, braced(s)
             break
     for s in subsets:
-        inner = pair_interior(p, s)
+        inner = pair_interior(k, s)
         for i in range(ctx.n):
-            if not s >> i & 1 and inner & ~pair_interior(p, s | 1 << i):
+            if not s >> i & 1 and inner & ~pair_interior(k, s | 1 << i):
                 yield 2, braced(s)
                 return
 
@@ -758,10 +763,10 @@ def _closure_induces_topology(ctx, run):
         # reported by the statement above; the readings presuppose it
         yield 0, "X"
         return
-    p = run.p
-    plane = pair_open_plane(p)
+    k = run.k
+    plane = pair_open_plane(k)
     for s in ctx.universe.subsets:
-        pc = pair_closure(p, s)
+        pc = pair_closure(k, s)
         if s & ~pc or pc & ~_plane_closure(plane, s, ctx.n):
             yield 0, "X"
             break
@@ -771,8 +776,8 @@ def _closure_induces_topology(ctx, run):
 def _kuratowski(ctx, run):
     if not run.structure.is_kuratowski:
         yield 0, "X"
-    p, plane = run.p, pair_open_plane(run.p)
-    if any(pair_closure(p, s) != _plane_closure(plane, s, ctx.n) for s in ctx.universe.subsets):
+    k, plane = run.k, pair_open_plane(run.k)
+    if any(pair_closure(k, s) != _plane_closure(plane, s, ctx.n) for s in ctx.universe.subsets):
         yield 1, "X"
 
 
@@ -792,9 +797,9 @@ def _bases_agree(ctx, run):
     # point: the bases' from the groups and the member table, the
     # generated filters' from the envelopes and the pair interior; the
     # witness is the lowest point where either set differs
-    p, n, u = run.p, ctx.n, ctx.universe
-    lim, adh = principal_rows(p)
-    base_lim_at, base_adh_at = base_rows(p, u.bases, u.base_table)
+    k, n, u = run.k, ctx.n, ctx.universe
+    lim, adh = principal_rows(k)
+    base_lim_at, base_adh_at = base_rows(k, u.bases, u.base_table)
     core_lim_at = spread_rows(((lim[c], js) for c, js in u.base_cores.items()), n)
     core_adh_at = spread_rows(((adh[c], js) for c, js in u.base_cores.items()), n)
     bad = [(base_lim_at[x] ^ core_lim_at[x]) | (base_adh_at[x] ^ core_adh_at[x]) for x in range(n)]
@@ -807,7 +812,7 @@ def _variant_agrees(ctx, run):
     # enlarger): the cores are tested literally against the distinct
     # enlargements of the up-set around each point, kept on the kernel
     lim_at, adh_at = run.at_points
-    images = neighbourhood_images(run.p)
+    images = neighbourhood_images(run.k)
     cores, inside = ctx.universe.core_list, ctx.universe.core_table
     everyone = (1 << len(cores)) - 1
     within = rows_within(inside, images, everyone)
@@ -822,7 +827,7 @@ def _limits_contained(ctx, run):
     # enlargements of the selector-open sets around each point
     n, cores = ctx.n, ctx.universe.core_list
     lim_at, adh_at = run.at_points
-    groups = tuple(image_groups(run.p))  # read n times: unpacked once
+    groups = tuple(image_groups(run.k))  # read n times: unpacked once
     images_at = [[t for t, union in groups if union >> x & 1] for x in range(n)]
     within = rows_within(ctx.universe.core_table, images_at, (1 << len(cores)) - 1)
     unadherent = 0
@@ -845,7 +850,7 @@ def _accumulation(ctx, run):
     # rows, is kept on small carriers to check exactly that
     n, full, cores, inside = ctx.n, ctx.full, ctx.universe.core_list, ctx.universe.core_table
     lim_at, adh_at = run.at_points
-    env = envelopes(run.p)
+    env = envelopes(run.k)
     everyone = (1 << len(cores)) - 1
     finer_at = [everyone & ~inside[full ^ e] for e in env]
     rows = []
@@ -860,7 +865,7 @@ def _accumulation(ctx, run):
         for x in range(n):
             for i in iter_points(adh_at[x]):
                 try:
-                    meet = refined_core(run.p, cores[i], x)
+                    meet = refined_core(run.k, cores[i], x)
                 except RuntimeError:
                     meet = 0
                 if not meet or meet & ~cores[i] or meet & ~env[x]:
@@ -875,7 +880,7 @@ def _accumulation(ctx, run):
 
 def _maximal_filters(ctx, run):
     # one maximal filter per point: accumulation already is convergence
-    lim, adh = principal_rows(run.p)
+    lim, adh = principal_rows(run.k)
     for F in maximal_filters(ctx.top):
         if adh[F.core] & ~lim[F.core]:
             yield 0, ctx.top.ground.braced(F.core)
@@ -885,7 +890,7 @@ def _neighbourhood_bases(ctx, run, variant):
     # neighbourhood filterbases converge by construction
     for x in range(ctx.n):
         try:
-            nbhd_plane(run.p, x, variant)
+            nbhd_plane(run.k, x, variant)
         except RuntimeError:
             yield 0, str(x)
 
@@ -897,13 +902,13 @@ def _filters_and_closure(ctx, run):
     # refinement (singletons decide it) and accumulation survives
     # coarsening (the core s decides it).  Above 4 points s need not be a
     # quantified core, so its rows are read directly
-    p, braced, regular, u = run.p, ctx.top.ground.braced, run.regular, ctx.universe
+    k, braced, regular, u = run.k, ctx.top.ground.braced, run.regular, ctx.universe
     exhaustive = ctx.n <= EXHAUSTIVE_POINTS
-    lim, adh = principal_rows(p)
+    lim, adh = principal_rows(k)
     lim_at, adh_at = run.at_points
     singletons = mask_of(i for i, c in enumerate(u.core_list) if c.bit_count() == 1)
     for s in u.subsets:
-        pc = pair_closure(p, s)
+        pc = pair_closure(k, s)
         # points where some filter containing s accumulates / converges
         within = u.core_table[s] if exhaustive else u.core_table[s] & singletons
         acc_exists = points_reached(within, adh_at)
@@ -923,13 +928,13 @@ def _filters_and_closure(ctx, run):
 
 
 def _convergence_closure(ctx, run):
-    p, full, subsets = run.p, ctx.full, ctx.universe.subsets
+    k, full, subsets = run.k, ctx.full, ctx.universe.subsets
     ccl = dict(zip(subsets, run.closures[0]))
-    if any(ccl[s] != pair_closure(p, s) for s in subsets):
+    if any(ccl[s] != pair_closure(k, s) for s in subsets):
         yield 0, "cl*"
     if ctx.n <= EXHAUSTIVE_POINTS:
         # every subset is quantified here, so ccl holds every complement
-        fam = pair_open_family(p)
+        fam = pair_open_family(k)
         if tuple(u for u in subsets if ccl[full ^ u] & ~(full ^ u) == 0) != fam:
             yield 1, "cl*"
         if run.nested and tuple(
@@ -948,9 +953,9 @@ def _ambients(ctx):
         ambients = [fam + (full,) for fam in _subfamilies(range(full))]
     else:
         derived = set(ctx.open_sets.values())
-        for p in ctx.pairs.values():
-            derived.add(pair_open_family(p))
-            derived.add(canonical_family(enlargement_base(p) + (full,)))
+        for k in ctx.kernels.values():
+            derived.add(pair_open_family(k))
+            derived.add(canonical_family(enlargement_base(k) + (full,)))
         ambients = sorted(derived)
     sweep_cap = 10
     rng = random.Random(derive_seed(ctx.universe.seed, "oracle", ctx.label))
@@ -987,17 +992,17 @@ def _oracle_agrees(ctx, nm, fam, row):
 
 def _kinds_agree(ctx, run):
     # the quantified subsets each check flags, one plane per check
-    p, braced, quantified = run.p, ctx.top.ground.braced, ctx.universe.quantified
-    cover = failing_plane(p)
-    faces = quantified & ((cover ^ failing_plane(p, "ultra")) | (cover ^ failing_plane(p, "closed")))
+    k, braced, quantified = run.k, ctx.top.ground.braced, ctx.universe.quantified
+    cover = failing_plane(k)
+    faces = quantified & ((cover ^ failing_plane(k, "ultra")) | (cover ^ failing_plane(k, "closed")))
     kinds = additive = 0
     if run.dominates and run.base.image_stable:
-        kinds = quantified & (cover | failing_plane(p, "base") | failing_plane(p, "pair_open"))
-    if run.monotone and _additive_scan(p):
-        additive = quantified & (cover ^ failing_plane(p, "restricted"))
+        kinds = quantified & (cover | failing_plane(k, "base") | failing_plane(k, "pair_open"))
+    if run.monotone and _additive_scan(k):
+        additive = quantified & (cover ^ failing_plane(k, "restricted"))
 
     def verdicts(s: int, kinds: tuple[str, ...]) -> str:
-        return str({k: not failing_plane(p, k) >> s & 1 for k in kinds})
+        return str({kind: not failing_plane(k, kind) >> s & 1 for kind in kinds})
 
     for s in ctx.universe.subsets:
         if faces >> s & 1:
@@ -1024,9 +1029,8 @@ def _duals(ctx):
 
 def _named_classes(ctx):
     # N => H, s => S and S => H on the classes' failing planes, read on
-    # the requested pairs where there are some
-    n, h, s, big_s = (failing_plane(ctx.pairs.get(q) or OpPair(*map(ctx.ops.get, q)))
-                      for q in map(NAMED_CLASSES.get, "NHsS"))
+    # the requested pairs' kernels where there are some
+    n, h, s, big_s = (failing_plane(ctx.kernel(*q)) for q in map(NAMED_CLASSES.get, "NHsS"))
     for a in iter_points(ctx.universe.quantified & (h & ~n | big_s & ~s | h & ~big_s)):
         yield 0, "", ctx.top.ground.braced(a)
 
@@ -1058,15 +1062,13 @@ STATEMENTS = (
     # the kernel's scan, not enlarger_is_regular, whose fast path is this
     # statement
     Statement("operations", ("monotone enlarger regular over a selector topology",), SPACE,
-              lambda ctx, a, b: _one(not regular_scan(ctx.pairs.get((a, b)) or OpPair(ctx.ops[a], ctx.ops[b])),
-                                     f"{a},{b}", b),
-              gate="regularity_scan_skipped", over=lambda ctx: [(a, b) for a in BUILTIN_NAMES if all(ctx.props[a])
-                                                                for b in BUILTIN_NAMES if ctx.monotone[b]]),
-    # on the requested pair where there is one, so its rows stay on the
-    # kernel the later suites read
+              lambda ctx, a, b: _one(not regular_scan(ctx.kernel(a, b)), f"{a},{b}", b),
+              gate="regularity_scan_skipped", over=lambda ctx: [
+                  (a, b) for a in BUILTIN_NAMES if all(ctx.top.plane_props(ctx.open_planes[a]))
+                  for b in BUILTIN_NAMES if ctx.monotone[b]]),
     Statement("operations", ("identity enlarger keeps the selector family",), SPACE,
-              lambda ctx, a: _one(pair_open_plane(ctx.pairs.get((a, "identity")) or OpPair(
-                  ctx.ops[a], ctx.ops["identity"])) != ctx.open_planes[a], f"{a},identity", a),
+              lambda ctx, a: _one(pair_open_plane(ctx.kernel(a, "identity")) != ctx.open_planes[a],
+                                  f"{a},identity", a),
               over=lambda ctx: [(a,) for a in BUILTIN_NAMES if ctx.monotone[a]]),
     Statement("operations", ("semi-closure idempotent on semi-open sets",), SPACE,
               lambda ctx: _one(any(ctx.ops["scl"].table[v] != v for v in map(
@@ -1093,8 +1095,8 @@ STATEMENTS = (
 
     Statement("families", ("pair family equals the named family",), SPACE,
               lambda ctx, a, b, fam: _one(ctx.top.family_plane(named_family(ctx.top, fam))
-                                          != pair_open_plane(ctx.pairs[(a, b)]), f"{a},{b}", fam),
-              over=lambda ctx: [t for t in FAMILY_IDENTITIES if t[:2] in ctx.pairs]),
+                                          != pair_open_plane(ctx.kernels[(a, b)]), f"{a},{b}", fam),
+              over=lambda ctx: [t for t in FAMILY_IDENTITIES if t[:2] in ctx.kernels]),
     Statement("families", ("interior-open sets are the opens",), SPACE,
               lambda ctx: _one(ctx.open_planes["int"] != ctx.top.family_plane(ctx.top.opens), "int", "tau")),
     Statement("families", ("operation-open family equals the named family",), SPACE,
@@ -1109,16 +1111,16 @@ STATEMENTS = (
                            if named_family(ctx.top, closed)
                            != canonical_family(ctx.full ^ m for m in named_family(ctx.top, opened))], size=4),
     Statement("families", ("enlargement base equals the named family",), SPACE,
-              lambda ctx, a, b, fam: _one(enlargement_base(ctx.pairs[(a, b)]) != named_family(ctx.top, fam),
+              lambda ctx, a, b, fam: _one(enlargement_base(ctx.kernels[(a, b)]) != named_family(ctx.top, fam),
                                           f"{a},{b}", fam),
               over=lambda ctx: [t for t in (("int", "introcl", "RO"), ("cloint", "cl", "RC"))
-                                if t[:2] in ctx.pairs]),
+                                if t[:2] in ctx.kernels]),
     Statement("families", ("identity enlarger bases the selector family",), SPACE,
-              lambda ctx, a: _one(enlargement_base(ctx.pairs[(a, "identity")]) != ctx.open_sets[a],
+              lambda ctx, a: _one(enlargement_base(ctx.kernels[(a, "identity")]) != ctx.open_sets[a],
                                   f"{a},identity", a),
-              over=lambda ctx: [(a,) for a in BUILTIN_NAMES if (a, "identity") in ctx.pairs]),
+              over=lambda ctx: [(a,) for a in BUILTIN_NAMES if (a, "identity") in ctx.kernels]),
     Statement("families", ("agreeing enlargers induce one family",), PAIRS,
-              lambda ctx, run, other: _one(pair_open_plane(run.p) != pair_open_plane(other.p)),
+              lambda ctx, run, other: _one(pair_open_plane(run.k) != pair_open_plane(other.k)),
               key=("agreement",), over=lambda ctx, a, b: ctx.agreeing(a, b)),
 
     Statement("filters", ("base and generated filter agree",), PAIR, _bases_agree, size="bases"),
@@ -1170,18 +1172,18 @@ STATEMENTS = (
                               "additive enlarger matches restricted accumulation"),
               PAIR, _kinds_agree, size="subsets", given=("dominates", "monotone")),
     Statement("compactness", ("space-level statements agree",), PAIR,
-              lambda ctx, run: [(0, "X", str(f.statements())) for f in [space_compactness_flags(run.p)]
+              lambda ctx, run: [(0, "X", str(f.statements())) for f in [space_compactness_flags(run.k)]
                                 if run.dominates and run.base.image_stable and not f.agree()],
               given=("dominates",)),
     # sets compact for the pair and failing for the wider pair
     Statement("compactness", ("compact sets transfer to wider pairs",), PAIRS,
-              lambda ctx, run, wide: _lowest(ctx, ctx.universe.quantified & failing_plane(wide.p)
-                                             & ~failing_plane(run.p)),
+              lambda ctx, run, wide: _lowest(ctx, ctx.universe.quantified & failing_plane(wide.k)
+                                             & ~failing_plane(run.k)),
               over=lambda ctx, a, b: ctx.wider(a, b)),
     Statement("compactness", ("agreeing enlargers give one verdict",), PAIRS,
               lambda ctx, run, other: _lowest(ctx, ctx.universe.quantified & (
-                  (failing_plane(run.p) ^ failing_plane(other.p))
-                  | (failing_plane(run.p, "pair_open") ^ failing_plane(other.p, "pair_open")))),
+                  (failing_plane(run.k) ^ failing_plane(other.k))
+                  | (failing_plane(run.k, "pair_open") ^ failing_plane(other.k, "pair_open")))),
               key=("agreement",), over=lambda ctx, a, b: [q for q in ctx.agreeing(a, b) if q != (a, b)]),
     Statement("compactness", ("named class implications hold",), SPACE, _named_classes, size="subsets"),
 )
@@ -1255,10 +1257,10 @@ def _nonregular_pair(ctx):
 def _transfer_strictness(ctx):
     """Compact classes strictly growing along a valid transfer of pairs."""
     for a, b in ctx.pair_names:
-        failing = failing_plane(ctx.pairs[(a, b)])
+        failing = failing_plane(ctx.kernels[(a, b)])
         for c, d in ctx.wider(a, b):
             # sets compact in the wider pair and not in this one
-            gained = failing & ~failing_plane(ctx.pairs[(c, d)])
+            gained = failing & ~failing_plane(ctx.kernels[(c, d)])
             if gained:
                 yield {"from_pair": f"{a},{b}", "to_pair": f"{c},{d}",
                        "subset": ctx.top.ground.labels_of_mask((gained & -gained).bit_length() - 1)}

@@ -84,33 +84,41 @@ def _kernels(top: Topology) -> WeakValueDictionary:
     return WeakValueDictionary()
 
 
+def kernel_of(selector: Operation, enlarger: Operation) -> PairKernel:
+    """The kernel of the pair (selector, enlarger): the live one of its
+    space with that :attr:`~PairKernel.key`, else a new one."""
+    if selector.topology != enlarger.topology:
+        raise ValueError("pair members live over different topologies")
+    kernels = _kernels(selector.topology)
+    key = (op_open_plane(selector), op_lanes(enlarger)[0])
+    kernel = kernels.get(key)
+    if kernel is None:
+        kernel = kernels[key] = PairKernel(selector.topology, op_open_family(selector), enlarger, key)
+    return kernel
+
+
 class OpPair:
     """An ordered pair (selector, enlarger) of operations over one space.
 
-    Its rows live on its :class:`PairKernel`, keyed by the selector-open
-    plane and the enlarger's whole table: ``image_stable`` reads the
-    table outside the selector-open family, and enlargers that only
-    agree on the family stay apart for the statements that compare
-    them.  The pair's ``_memo`` is the kernel's, so a row read through
-    the pair is the kernel's row.  Only two readings use the selector's
-    table, and both are computed on the pair on each call:
-    ``order_dominates`` of :func:`base_report` and the monotone-selector
-    half of :func:`~topolab.compact.additive_hypothesis`.
+    Its rows live on its :class:`PairKernel` (:func:`kernel_of`), keyed
+    by the selector-open plane and the enlarger's whole table:
+    ``image_stable`` reads the table outside the selector-open family,
+    and enlargers that only agree on the family stay apart for the
+    statements that compare them.  The pair's ``_memo`` is the kernel's,
+    so a row read through the pair is the kernel's row.  Two readings
+    use the selector's table, computed on the pair on each call for the
+    library and the CLI: ``order_dominates`` of :func:`base_report` and
+    the monotone-selector half of :func:`~topolab.compact.additive_hypothesis`.
+    The sweep builds no pair: it reads both off its catalog tables.
     """
 
     __slots__ = ("topology", "selector", "enlarger", "kernel", "_memo")
 
     def __init__(self, selector: Operation, enlarger: Operation):
-        if selector.topology != enlarger.topology:
-            raise ValueError("pair members live over different topologies")
+        kernel = kernel_of(selector, enlarger)
         object.__setattr__(self, "topology", selector.topology)
         object.__setattr__(self, "selector", selector)
         object.__setattr__(self, "enlarger", enlarger)
-        kernels = _kernels(selector.topology)
-        key = (op_open_plane(selector), op_lanes(enlarger)[0])
-        kernel = kernels.get(key)
-        if kernel is None:
-            kernel = kernels[key] = PairKernel(selector.topology, op_open_family(selector), enlarger, key)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "_memo", kernel._memo)
 

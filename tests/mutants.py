@@ -155,6 +155,13 @@ MUTANTS = (
     Mutant("the dominating-enlarger statement drops its dominance hypothesis", "harness.py",
            'hyp=("regular", "dominates")', 'hyp=("regular",)',
            ("tests/test_harness.py::test_four_point_report_matches_pinned_digest",)),
+    Mutant("the additive check reads the selector's monotonicity off the catalog table", "harness.py",
+           "    if run.monotone and _additive_scan(k):\n", "    if ctx.monotone[run.a] and _additive_scan(k):\n",
+           ("tests/test_harness.py::test_pair_checks_read_only_the_readings_their_statements_name",)),
+    Mutant("nested reads the catalog's inclusion table", "harness.py",
+           '"nested": _Reading(lambda ctx, run: run.k.key[0] & ~op_open_plane(run.k.enlarger) == 0),',
+           '"nested": _Reading(lambda ctx, run: ctx.inside[(run.a, run.b)]),',
+           ("tests/test_harness.py::test_pair_checks_read_the_space_only_through_what_their_key_fixes",)),
     Mutant("the oracle's verdicts are kept past their universe, for the process", "harness.py",
            'literal = ctx.universe.runs.setdefault("literal", {})',
            'literal = _oracle_agrees.__dict__.setdefault("literal", {})',

@@ -569,24 +569,34 @@ def scan_base_flags(p) -> tuple[bool, bool, bool, bool]:
     return nested, base_pair_open, in_both, is_base
 
 
+def context_pairs(ctx) -> dict:
+    """An :class:`~topolab.pairs.OpPair` per requested name of a sweep
+    context, in request order.  The sweep keeps only their kernels
+    (``ctx.kernels``), which these pairs share while the context lives."""
+    from topolab import OpPair
+
+    return {(a, b): OpPair(ctx.ops[a], ctx.ops[b]) for a, b in ctx.pair_names}
+
+
 def per_core_filter_records(ctx, a: str, b: str, rows, mask_str) -> list[tuple]:
     """The filters suite's per-core statements for the named pair (a, b),
     one core and one point at a time: the loops the suite ran before its
     rows were indexed by core position.  Records are (pair, statement,
     subject, witness) in the suite's order.  The limit and adherence rows
-    come from ``rows(pair)`` (core -> set); the neighbourhoods, the
-    enlarged neighbourhoods, the envelopes, separation, the pair closure
-    and the refinement construction are read literally."""
-    from topolab import Filter
+    come from ``rows(kernel)`` (core -> set), on the context's kernels;
+    the neighbourhoods, the enlarged neighbourhoods, the envelopes,
+    separation, the pair closure and the refinement construction are
+    read literally."""
+    from topolab import Filter, OpPair
     from topolab.harness import _PairRun
     from topolab.ops import leq
 
-    p = ctx.pairs[(a, b)]
+    p = OpPair(ctx.ops[a], ctx.ops[b])
     n, full = ctx.n, ctx.full
     fam = scan_open_family(p.selector)
     enl = p.enlarger.table
     regular = _PairRun(ctx, a, b).regular  # gated reads None
-    lim, adh = rows(p)
+    lim, adh = rows(ctx.kernels[(a, b)])
     env = [scan_envelope(p, x) for x in range(n)]
     cores = ctx.universe.core_list
     out = []
@@ -658,7 +668,7 @@ def per_core_filter_records(ctx, a: str, b: str, rows, mask_str) -> list[tuple]:
     for c, d in ctx.pair_names:
         if not (set(ctx.open_sets[c]) <= set(ctx.open_sets[a]) and leq(ctx.ops[b], ctx.ops[d])):
             continue
-        wide_lim, wide_adh = rows(ctx.pairs[(c, d)])
+        wide_lim, wide_adh = rows(ctx.kernels[(c, d)])
         for core in cores:
             if lim[core] & ~wide_lim[core] or adh[core] & ~wide_adh[core]:
                 fail(f"{c},{d}", "transfer to a wider pair", mask_str(core))
@@ -674,7 +684,8 @@ def per_name_pair_records(ctx, statement: str, rows) -> tuple[int, list[tuple]]:
     Partners (same selector, enlargers agreeing on the selector-open
     family) and wider pairs (smaller selector-open family, enlarger
     above) are read off the tables; ``rows`` is ``pair_open_plane`` for
-    the families statement and ``failing_plane`` for the others."""
+    the families statement and ``failing_plane`` for the others, read on
+    the context's kernels."""
     from topolab.ops import leq
 
     names = ctx.pair_names
@@ -685,12 +696,12 @@ def per_name_pair_records(ctx, statement: str, rows) -> tuple[int, list[tuple]]:
         return ctx.top.ground.braced((plane & -plane).bit_length() - 1)
 
     for a, b in names:
-        p = ctx.pairs[(a, b)]
+        k = ctx.kernels[(a, b)]
         if statement == "compact sets transfer to wider pairs":
             for c, d in names:
                 if set(ctx.open_sets[c]) <= set(ctx.open_sets[a]) and leq(ctx.ops[b], ctx.ops[d]):
                     count += 1
-                    strict = rows(ctx.pairs[(c, d)]) & ~rows(p) & quantified
+                    strict = rows(ctx.kernels[(c, d)]) & ~rows(k) & quantified
                     if strict:
                         out.append((f"{a},{b}", statement, f"{c},{d}", first(strict)))
             continue
@@ -698,14 +709,14 @@ def per_name_pair_records(ctx, statement: str, rows) -> tuple[int, list[tuple]]:
         for s, d in names:
             if s != a or any(ctx.ops[d].table[u] != enl[u] for u in ctx.open_sets[a]):
                 continue
-            q = ctx.pairs[(a, d)]
+            q = ctx.kernels[(a, d)]
             if statement == "agreeing enlargers induce one family":
                 count += 1
-                if rows(p) != rows(q):
+                if rows(k) != rows(q):
                     out.append((f"{a},{b}", statement, f"{a},{d}", ""))
             elif d != b:
                 count += 1
-                diff = quantified & ((rows(p) ^ rows(q)) | (rows(p, "pair_open") ^ rows(q, "pair_open")))
+                diff = quantified & ((rows(k) ^ rows(q)) | (rows(k, "pair_open") ^ rows(q, "pair_open")))
                 if diff:
                     out.append((f"{a},{b}", statement, f"{a},{d}", first(diff)))
     return count, out

@@ -294,12 +294,12 @@ def test_cover_kind_hypothesis_examples(s2):
 
 
 def test_space_flags_examples(s2):
-    flags = space_compactness_flags(pair(s2, "int", "introcl"))
-    assert flags.hypothesis and flags.agree()
+    p = pair(s2, "int", "introcl")
+    assert base_report(p).hypothesis_d and space_compactness_flags(p).agree()
     for top in small_spaces():
-        flags = space_compactness_flags(pair(top, "cloint", "cl"))
-        if flags.hypothesis:
-            assert flags.agree()
+        p = pair(top, "cloint", "cl")
+        if base_report(p).hypothesis_d:
+            assert space_compactness_flags(p).agree()
 
 
 def test_additive_hypothesis_examples(s2):

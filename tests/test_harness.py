@@ -12,6 +12,7 @@ import pytest
 from topolab import (
     BUILTIN_NAMES,
     Filter,
+    OpPair,
     SchemaError,
     SuiteConfig,
     additive_hypothesis,
@@ -49,6 +50,7 @@ from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES, _SpaceCont
 
 import oracles
 from oracles import (
+    context_pairs,
     family_accumulates,
     family_converges,
     maximal_bases_converge,
@@ -219,8 +221,7 @@ def test_flipped_base_limit_bit_fails_like_the_per_base_scan(monkeypatch):
     expected = []
     for label, top in sweep_spaces(cfg):
         ctx = _SpaceContext(label, top, cfg)
-        for a, b in ctx.pair_names:
-            p = ctx.pairs[(a, b)]
+        for (a, b), p in context_pairs(ctx).items():
             for j, base in enumerate(ctx.universe.bases):
                 f = Filter(top.n, intersect_all(base, top.full))
                 scan = scan_limit_set(base, p) ^ (j == flip_base) << flip_point
@@ -252,8 +253,7 @@ def test_flipped_base_adherence_bit_fails_like_the_member_walk(monkeypatch):
     expected = []
     for label, top in sweep_spaces(cfg):
         ctx = _SpaceContext(label, top, cfg)
-        for a, b in ctx.pair_names:
-            p = ctx.pairs[(a, b)]
+        for (a, b), p in context_pairs(ctx).items():
             for j, base in enumerate(ctx.universe.bases):
                 f = Filter(top.n, intersect_all(base, top.full))
                 walk = oracles.literal_base_adherence(base, p) ^ (j == flip_base) << flip_point
@@ -285,10 +285,7 @@ def test_base_rows_match_the_per_base_sets_and_the_literal_rules():
         by_core = {}
         for j, core in enumerate(cores):
             by_core[core] = by_core.get(core, 0) | 1 << j
-        kernels = {}
-        for p in ctx.pairs.values():
-            kernels.setdefault(p.kernel, p)
-        for p in kernels.values():
+        for p in {p.kernel: p for p in context_pairs(ctx).values()}.values():
             lim_at, adh_at = filters.base_rows(p, bases, has)
             assert (lim_at, adh_at) == filters.base_rows(p, bases), p
             limits, adherences = oracles.base_limit_sets(p, bases, has), oracles.base_adherence_sets(p, bases, has)
@@ -374,16 +371,16 @@ def test_emptied_limit_row_fails_transfer_per_name(monkeypatch):
     # one kernel's limit row reads empty: every named pair that transfers
     # to a pair of that kernel fails at its first core with a limit,
     # rebuilt here name by name and core by core from the same rows.  The
-    # context below holds the kernels, so the sweep's pairs share them
+    # context below holds the kernels, so the sweep shares them
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=5, samples=1, seed=3, suites=("filters",))
     [(label, top)] = sweep_spaces(cfg)
     ctx = _SpaceContext(label, top, cfg)
-    target = ctx.pairs[("int", "cl")].kernel
+    target = ctx.kernels[("int", "cl")]
     real = harness.principal_rows
 
-    def emptied(p):
-        lim, adh = real(p)
-        if p.kernel is target:
+    def emptied(k):
+        lim, adh = real(k)
+        if k is target:
             return collections.defaultdict(int), adh
         return lim, adh
 
@@ -392,11 +389,11 @@ def test_emptied_limit_row_fails_transfer_per_name(monkeypatch):
     got = [r for r in _records(run_suites(cfg, [(label, top)]).suites["filters"]) if r[1] == statement]
     expected = []
     for a, b in ctx.pair_names:
-        lim, adh = emptied(ctx.pairs[(a, b)])
+        lim, adh = emptied(ctx.kernels[(a, b)])
         for c, d in ctx.pair_names:
             if not (set(ctx.open_sets[c]) <= set(ctx.open_sets[a]) and leq(ctx.ops[b], ctx.ops[d])):
                 continue
-            wide_lim, wide_adh = emptied(ctx.pairs[(c, d)])
+            wide_lim, wide_adh = emptied(ctx.kernels[(c, d)])
             for core in ctx.universe.core_list:
                 if lim[core] & ~wide_lim[core] or adh[core] & ~wide_adh[core]:
                     expected.append((f"{a},{b}", statement, f"{c},{d}", ctx.top.ground.braced(core)))
@@ -434,7 +431,7 @@ def test_position_rows_match_the_per_core_predicates():
         def flags(test):
             return [mask_of(j for j, c in enumerate(cores) if test(c, x)) for x in range(n)]
 
-        for p in {p.kernel: p for p in ctx.pairs.values()}.values():
+        for p in {p.kernel: p for p in context_pairs(ctx).values()}.values():
             lim, adh = principal_rows(p)
             lim_at = point_rows([lim[c] for c in cores], n)
             adh_at = point_rows([adh[c] for c in cores], n)
@@ -467,9 +464,9 @@ def test_position_rows_match_the_per_core_predicates():
 ])
 def test_flipped_row_bit_fails_like_the_per_core_loop(monkeypatch, row, pair, core, points):
     # wrong bits in the limit (row 0) or adherence (row 1) row of every
-    # kernel made of what one space's kernel of the pair is made of (n,
-    # selector-open family, enlarger table), as the sweep shares a clean
-    # run among those across spaces, at the core {0} or the whole set,
+    # kernel made of what one space's kernel of the pair is made of (n and
+    # its key: selector-open plane, enlarger table), as the sweep shares a
+    # clean run among those across spaces, at the core {0} or the whole set,
     # flipped at the top point or at every point: the per-core statements
     # report what the per-core loop over the same rows reports, pair by
     # pair, with every other input read literally.  The three cases
@@ -478,15 +475,15 @@ def test_flipped_row_bit_fails_like_the_per_core_loop(monkeypatch, row, pair, co
     cfg = SuiteConfig(n_exhaustive=2, n_sampled=5, samples=1, seed=7, suites=("filters",))
     spaces = sweep_spaces(cfg)
     contexts = [_SpaceContext(label, top, cfg) for label, top in spaces]
-    made_of = lambda k: (k.topology.n, k.family, k.enlarger.table)
-    targets = {made_of(ctx.pairs[tuple(pair.split(","))].kernel) for ctx in contexts}
+    made_of = lambda k: (k.topology.n, k.key)
+    targets = {made_of(ctx.kernels[tuple(pair.split(","))]) for ctx in contexts}
     real = harness.principal_rows
 
-    def flipped(p):
-        got = real(p)
-        if made_of(p.kernel) not in targets:
+    def flipped(k):
+        got = real(k)
+        if made_of(k) not in targets:
             return got
-        top = p.topology
+        top = k.topology
         rows = [{c: r[c] for c in range(1, 1 << top.n)} for r in got]
         rows[row][1 if core == "point" else top.full] ^= top.full if points == "all" else 1 << (top.n - 1)
         return tuple(rows)
@@ -530,7 +527,7 @@ def test_padded_neighbourhoods_fail_like_the_per_core_predicates(monkeypatch):
         for a, b in ctx.pair_names:
             if not ctx.monotone[b]:
                 continue
-            p = ctx.pairs[(a, b)]
+            p = OpPair(ctx.ops[a], ctx.ops[b])
             lim, adh = principal_rows(p)
             for core in ctx.universe.core_list:
                 for x in range(top.n):
@@ -545,26 +542,27 @@ def test_padded_neighbourhoods_fail_like_the_per_core_predicates(monkeypatch):
 
 
 def test_flipped_failing_plane_bit_fails_like_the_per_set_scan(monkeypatch):
-    # one wrong bit in one failing plane: the compactness suite reports
-    # the same records as with the plane assembled set by set from the
-    # avoidance scan, with the same bit flipped; the transfer and
+    # one wrong bit in one kernel's failing plane: the compactness suite
+    # reports the same records as with the plane assembled set by set from
+    # the avoidance scan, with the same bit flipped; the transfer and
     # agreeing-enlarger records are also rebuilt name by name and set by
-    # set from the flipped verdicts
+    # set from the flipped verdicts.  The context below holds the kernels,
+    # so the sweep shares them
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=4, samples=1, seed=5, suites=("compactness",))
     [(label, top)] = sweep_spaces(cfg)
     ctx = _SpaceContext(label, top, cfg)
-    target, flip_set = (ctx.ops["int"], ctx.ops["cl"]), 0b0001
+    target, flip_set = ctx.kernels[("int", "cl")], 0b0001
     real = compact.failing_plane
 
-    def hit(p, kind):
-        return kind == "pair" and (p.selector, p.enlarger) == target
+    def hit(k, kind):
+        return kind == "pair" and k is target
 
-    def batched(p, kind="pair"):
-        return real(p, kind) ^ hit(p, kind) << flip_set
+    def batched(k, kind="pair"):
+        return real(k, kind) ^ hit(k, kind) << flip_set
 
-    def per_set(p, kind="pair"):
-        plane = sum(1 << s for s in p.topology.subsets() if not compactness_kind(p, s, kind))
-        return plane ^ hit(p, kind) << flip_set
+    def per_set(k, kind="pair"):
+        plane = sum(1 << s for s in k.topology.subsets() if not compactness_kind(k, s, kind))
+        return plane ^ hit(k, kind) << flip_set
 
     records = {}
     for name, fn in (("batched", batched), ("per_set", per_set)):
@@ -576,8 +574,8 @@ def test_flipped_failing_plane_bit_fails_like_the_per_set_scan(monkeypatch):
     assert ("int,cl", "filter statements agree", subject) in {r[:3] for r in records["batched"]}
 
     def compact_at(a, b, s, kind="pair"):
-        p = ctx.pairs[(a, b)]
-        return compactness_kind(p, s, kind) != (hit(p, kind) and s == flip_set)
+        k = ctx.kernels[(a, b)]
+        return compactness_kind(k, s, kind) != (hit(k, kind) and s == flip_set)
 
     blocks = ("compact sets transfer to wider pairs", "agreeing enlargers give one verdict")
     expected = []
@@ -600,31 +598,30 @@ def test_flipped_failing_plane_bit_fails_like_the_per_set_scan(monkeypatch):
 
 
 def test_flipped_filter_and_restricted_bits_fail_like_the_per_set_statements(monkeypatch):
-    # wrong bits in the ultra, closed and restricted planes of one
-    # operation pair (restricted both ways: once where the set is compact,
-    # once where it is not): the compactness suite reports the records
-    # that the statements read set by set give with the same bits flipped,
-    # in the same order and with the same witnesses
+    # wrong bits in the ultra, closed and restricted planes of one pair
+    # kernel (restricted both ways: once where the set is compact, once
+    # where it is not): the compactness suite reports the records that the
+    # statements read set by set give with the same bits flipped, in the
+    # same order and with the same witnesses, for every pair of the kernel
     cfg = SuiteConfig(n_exhaustive=0, n_sampled=4, samples=1, seed=5, suites=("compactness",))
     [(label, top)] = sweep_spaces(cfg)
     ctx = _SpaceContext(label, top, cfg)
-    target = (ctx.ops["identity"], ctx.ops["introcl"])
+    target = ctx.kernels[("identity", "introcl")]
     flips = {("ultra", 0b0011), ("closed", 0b1001), ("restricted", 0b0010), ("restricted", 0b0110)}
     real = compact.failing_plane
 
-    def flip(p, kind, s):
-        return (kind, s) in flips and (p.selector, p.enlarger) == target
+    def flip(k, kind, s):
+        return (kind, s) in flips and k is target
 
-    def flipped(p, kind="pair"):
-        return real(p, kind) ^ sum(flip(p, kind, s) << s for _, s in flips)
+    def flipped(k, kind="pair"):
+        return real(k, kind) ^ sum(flip(k, kind, s) << s for _, s in flips)
 
     monkeypatch.setattr(compact, "failing_plane", flipped)
     monkeypatch.setattr(harness, "failing_plane", flipped)
     got = _records(run_suites(cfg, [(label, top)]).suites["compactness"])
 
     expected = []
-    for a, b in ctx.pair_names:
-        p = ctx.pairs[(a, b)]
+    for (a, b), p in context_pairs(ctx).items():
         enl = p.enlarger.table
         residues = {top.full ^ enl[u] for u in p.kernel.family} - {0}
         for s in ctx.universe.subsets:
@@ -632,7 +629,7 @@ def test_flipped_filter_and_restricted_bits_fail_like_the_per_set_statements(mon
             v["ultra"] = maximal_bases_converge(p, s)
             v["restricted"] = all(pointwise_pair_closure(p, r) & s for r in residues if r & s)
             for k in ("ultra", "closed", "restricted"):
-                v[k] ^= flip(p, k, s)
+                v[k] ^= flip(p.kernel, k, s)
             subject = ctx.top.ground.braced(s)
             faces = {k: v[k] for k in ("pair", "ultra", "closed")}
             if len(set(faces.values())) > 1:
@@ -682,14 +679,14 @@ def test_separation_and_neighbourhood_bases_run_on_twelve_points(monkeypatch):
 def test_swept_space_is_collectable(monkeypatch):
     # nothing process-wide may keep a swept space alive: the named-class
     # pairs, the filter rows and every other table die with the space.
-    # Every pair kernel of the sweep dies with the sweep's pairs, while
-    # its space lives on: the sweep keeps no pair on the space
+    # Every pair kernel of the sweep dies with the sweep's contexts, while
+    # its space lives on: the sweep keeps no kernel on the space
     kernels = []
     real = _SpaceContext.__init__
 
     def spied(self, label, top, cfg, *rest):
         real(self, label, top, cfg, *rest)
-        kernels.extend((label, weakref.ref(p.kernel)) for p in self.pairs.values())
+        kernels.extend((label, weakref.ref(k)) for k in self.kernels.values())
 
     monkeypatch.setattr(_SpaceContext, "__init__", spied)
     spaces = [("s", random_topology(3, 7, 3)), ("t", random_topology(4, 8, 4))]
@@ -725,8 +722,9 @@ def test_each_run_key_runs_once(monkeypatch):
     assert report.ok
 
     ctx = _SpaceContext("n=6~0", top, cfg)
+    pairs = context_pairs(ctx).values()
     distinct_ops = set(ctx.ops.values())
-    distinct_pairs = {(p.selector, p.enlarger) for p in ctx.pairs.values()}
+    distinct_pairs = {(p.selector, p.enlarger) for p in pairs}
     assert len(distinct_ops) == 4 and len(distinct_pairs) == 16
     run_keys = {
         "classify_structure": lambda p: (p.kernel, base_report(p).order_dominates),
@@ -734,11 +732,11 @@ def test_each_run_key_runs_once(monkeypatch):
             p.kernel, base_report(p).order_dominates, is_monotone(p.selector)),
     }
     for name, key in run_keys.items():
-        keys = {key(p) for (p,) in seen[name]}
-        expected = {key(p) for p in ctx.pairs.values()}
+        # the checks see kernels only: the ones seen are the ones keyed
+        expected = {key(p) for p in pairs}
         assert len(seen[name]) == len(expected), name
-        assert keys == expected, name
-    assert len({run_keys["classify_structure"](p) for p in ctx.pairs.values()}) == 9
+        assert {k for (k,) in seen[name]} == {k for k, *_ in expected}, name
+    assert len({run_keys["classify_structure"](p) for p in pairs}) == 9
     # one literal walk per ambient family, answering each distinct image
     # tuple of the seven enlargers on it once; above 4 points the bigger
     # ambient families are cut to seeded draws of 10
@@ -759,6 +757,29 @@ def test_each_run_key_runs_once(monkeypatch):
     runs = collections.Counter((cs.ambient, tuple(cs.enlarger.table[u] for u in cs.ambient))
                                for cs, _ in seen["is_compact"])
     assert runs == dict.fromkeys(keys, len(ctx.universe.subsets))
+
+
+def test_sweeps_and_the_miner_build_no_operation_pair(monkeypatch):
+    # a pair run is its kernel and two readings of the context's tables,
+    # so no sweep builds an OpPair: not over every space of at most 3
+    # points, not on the benchmark's sampled space n=6~0, and not in the
+    # miner
+    built = []
+    real = OpPair.__init__
+
+    def spied(self, *ops):
+        built.append(ops)
+        real(self, *ops)
+
+    monkeypatch.setattr(OpPair, "__init__", spied)
+    assert run_suites(SuiteConfig(n_exhaustive=3)).ok
+    cfg = SuiteConfig(n_exhaustive=2, n_sampled=6, samples=2, seed=31)
+    assert run_suites(cfg, spaces=[("n=6~0", dict(sweep_spaces(cfg))["n=6~0"])]).ok
+    assert all(mine_counterexamples(target, n_max=3) for target in MINE_TARGETS)
+    assert built == []
+    ops = catalog(sierpinski())
+    OpPair(ops["int"], ops["cl"])
+    assert built == [(ops["int"], ops["cl"])]
 
 
 def test_oracle_walks_every_ambient_family_whole_up_to_four_points(monkeypatch):
@@ -826,36 +847,39 @@ def test_failing_runs_are_not_shared(monkeypatch):
             if mine is None:
                 continue
             for c, d in ctx.pair_names:
-                if (c, d) != (a, b) and ctx.pairs[(c, d)].kernel is ctx.pairs[(a, b)].kernel:
+                if (c, d) != (a, b) and ctx.kernels[(c, d)] is ctx.kernels[(a, b)]:
                     assert records.get((label, f"{c},{d}")) == mine, (label, a, b, c, d)
                     twins += 1
     assert twins
 
 
 def test_fault_in_one_pair_of_a_shared_kernel_names_only_that_pair(monkeypatch):
-    # identity,cl and cl,cl are different operation pairs sharing one
-    # kernel (both selectors select P(X)) and one compactness run key;
-    # a wrong ultra plane for the first, which runs first, is reported
-    # under its name, never under the other's
-    cfg = SuiteConfig(n_exhaustive=0, n_sampled=4, samples=1, seed=5,
-                      pairs=("identity,cl", "cl,cl"), suites=("compactness",))
-    [(label, top)] = sweep_spaces(cfg)
-    ctx = _SpaceContext(label, top, cfg)
-    faulty, clean = ctx.pairs[("identity", "cl")], ctx.pairs[("cl", "cl")]
-    assert faulty.kernel is clean.kernel and faulty.selector != clean.selector
-    assert base_report(faulty).order_dominates and base_report(clean).order_dominates
-    assert is_monotone(faulty.selector) and is_monotone(clean.selector)
+    # cloint,int and int,int on the space {{}, {a}, {a,b}} are different
+    # operation pairs sharing one kernel, and only the second has a
+    # dominating enlarger, so the two read different compactness run keys;
+    # a wrong base plane on the kernel, seen only under the base
+    # hypothesis, is reported under the dominating pair's name alone,
+    # whichever pair runs first
+    label = "n=2#1"
+    top = dict(sweep_spaces(SuiteConfig(n_exhaustive=2)))[label]
+    names = ("cloint,int", "int,int")
+    cfg = SuiteConfig(n_exhaustive=0, pairs=names, suites=("compactness",))
+    loose, dominating = context_pairs(_SpaceContext(label, top, cfg)).values()
+    assert loose.kernel is dominating.kernel and loose.selector != dominating.selector
+    assert not base_report(loose).order_dominates and base_report(dominating).order_dominates
     real = compact.failing_plane
 
-    def flipped(p, kind="pair"):
-        hit = kind == "ultra" and (p.selector, p.enlarger) == (faulty.selector, faulty.enlarger)
-        return real(p, kind) ^ hit << 0b0011
+    def flipped(k, kind="pair"):
+        return real(k, kind) | (kind == "base" and k is dominating.kernel) << top.full
 
     monkeypatch.setattr(compact, "failing_plane", flipped)
     monkeypatch.setattr(harness, "failing_plane", flipped)
-    got = _records(run_suites(cfg, [(label, top)]).suites["compactness"])
-    assert got == [("identity,cl", "filter statements agree", ctx.top.ground.braced(0b0011),
-                    str({"pair": True, "ultra": False, "closed": True}))]
+    flags = (True, False, True, True, True, False, True, True, False)
+    expected = [("int,int", "cover kinds agree under the base hypothesis", top.ground.braced(top.full),
+                 str({"pair": True, "base": False, "pair_open": True})),
+                ("int,int", "space-level statements agree", "X", str(flags))]
+    for order in (names, names[::-1]):
+        assert _records(run_suites(replace(cfg, pairs=order), [(label, top)]).suites["compactness"]) == expected
 
 
 def test_report_does_not_depend_on_pair_order(monkeypatch):
@@ -881,7 +905,7 @@ def kernels_split_by_dominance(cfg):
     which one has a dominating enlarger and the other not."""
     for label, top in sweep_spaces(cfg):
         dominance = collections.defaultdict(set)
-        for p in _SpaceContext(label, top, cfg).pairs.values():
+        for p in context_pairs(_SpaceContext(label, top, cfg)).values():
             dominance[p.kernel].add(base_report(p).order_dominates)
         if any(len(v) > 1 for v in dominance.values()):
             return True
@@ -932,21 +956,21 @@ def test_faulted_kernel_in_an_agreement_class_fails_like_the_per_name_loop(monke
     spaces = sweep_spaces(cfg)
     [(label, top)] = spaces
     ctx = _SpaceContext(label, top, cfg)
-    kernels = list(dict.fromkeys(ctx.pairs[q].kernel for q in ctx.agreeing("int", "cl")))
+    kernels = list(dict.fromkeys(ctx.kernels[q] for q in ctx.agreeing("int", "cl")))
     assert len(kernels) == 3
     target = kernels[1]
     if kind == "family":
         suite, statement, name = "families", "agreeing enlargers induce one family", "pair_open_plane"
         real = harness.pair_open_plane
 
-        def faulty(p):
-            return real(p) & ~(1 << top.full) if p.kernel is target else real(p)
+        def faulty(k):
+            return real(k) & ~(1 << top.full) if k is target else real(k)
     else:
         suite, statement, name = "compactness", "agreeing enlargers give one verdict", "failing_plane"
         real = harness.failing_plane
 
-        def faulty(p, k="pair"):
-            return real(p, k) ^ (p.kernel is target and k == kind) << top.full
+        def faulty(k, of="pair"):
+            return real(k, of) ^ (k is target and of == kind) << top.full
 
     cfg = replace(cfg, suites=(suite,))
     clean = run_suites(cfg, spaces).suites[suite]
@@ -972,15 +996,15 @@ def test_faulted_wider_kernel_shared_by_several_names_fails_like_the_per_name_lo
     spaces = sweep_spaces(cfg)
     [(label, top)] = spaces
     ctx = _SpaceContext(label, top, cfg)
-    target = ctx.pairs[("int", "cl")].kernel
-    sharing = {f"{c},{d}" for (c, d), p in ctx.pairs.items() if p.kernel is target}
+    target = ctx.kernels[("int", "cl")]
+    sharing = {f"{c},{d}" for (c, d), k in ctx.kernels.items() if k is target}
     assert len(sharing) == 6
     real = harness.failing_plane
-    plane = real(ctx.pairs[("int", "cl")])
+    plane = real(target)
     flip_set = next(s for s in ctx.universe.subsets if s and not plane >> s & 1)
 
-    def faulty(p, kind="pair"):
-        return real(p, kind) | (p.kernel is target and kind == "pair") << flip_set
+    def faulty(k, kind="pair"):
+        return real(k, kind) | (k is target and kind == "pair") << flip_set
 
     clean = run_suites(cfg, spaces).suites["compactness"]
     monkeypatch.setattr(harness, "failing_plane", faulty)
@@ -1094,7 +1118,8 @@ def test_oracle_runs_are_not_shared_across_quantified_subsets(monkeypatch):
 
 def test_pair_runs_are_shared_across_the_spaces_of_a_sweep(monkeypatch):
     # the 34 spaces of at most 3 points hold 391 pair kernels made of 294
-    # distinct (n, selector-open family, enlarger table): the filters
+    # distinct (n, key), the key being the selector-open plane and the
+    # enlarger table: the filters
     # statements run once per such content in the whole sweep, the
     # structure and compactness statements once per content and the
     # selector readings they are keyed by
@@ -1107,9 +1132,8 @@ def test_pair_runs_are_shared_across_the_spaces_of_a_sweep(monkeypatch):
             return real(*args)
         monkeypatch.setattr(harness, name, counted)
     assert run_suites(cfg).ok
-    kernels = [p.kernel for label, top in sweep_spaces(cfg)
-               for p in set(_SpaceContext(label, top, cfg).pairs.values())]
-    made_of = {(k.topology.n, k.family, k.enlarger.table) for k in kernels}
+    kernels = [k for label, top in sweep_spaces(cfg) for k in set(_SpaceContext(label, top, cfg).kernels.values())]
+    made_of = {(k.topology.n, k.key) for k in kernels}
     assert (len(set(kernels)), len(made_of)) == (391, 294)
     assert runs == {"structure": 317, "filters": 294, "compactness": 317}
 
@@ -1129,7 +1153,7 @@ def test_sweep_store_keeps_no_space_alive(monkeypatch):
         if universe:
             universes[self.n] = universe
         refs.append(weakref.ref(top))
-        refs.extend(weakref.ref(p.kernel) for p in self.pairs.values())
+        refs.extend(weakref.ref(k) for k in self.kernels.values())
 
     monkeypatch.setattr(_SpaceContext, "__init__", spied)
     assert run_suites(SuiteConfig(n_exhaustive=3, n_sampled=5, samples=1, seed=3)).ok
@@ -1169,7 +1193,7 @@ def test_equal_kernels_under_different_universes_are_not_shared(monkeypatch):
     assert run_suites(cfg, spaces).ok
     contexts = [_SpaceContext(label, t, cfg) for label, t in spaces]
     draws = [tuple(ctx.universe.bases) for ctx in contexts]
-    kernels = len({p.kernel for p in contexts[0].pairs.values()})
+    kernels = len(set(contexts[0].kernels.values()))
     assert draws[0] != draws[1] and seen == {draw: kernels for draw in draws}
 
 
@@ -1193,16 +1217,23 @@ def test_pair_checks_read_the_space_only_through_what_their_key_fixes():
     # a clean run of a suite's PAIR statements is shared with its key
     # across the spaces that read one universe, which is sound only while
     # their hypotheses, sizes, gates and checks read the context through
-    # n, the universe, the pair and the per-name readings the key fixes;
-    # the labels serve record text alone, and maximal_filters reads n of
-    # the space
-    allowed = {"n", "full", "universe", "pairs", "open_planes", "props", "monotone", "inside", "dominates",
-               "top.n", "top.ground.braced"}
+    # n, the universe, the kernels and the readings the key names; the
+    # labels serve record text alone, and maximal_filters reads n of the
+    # space.  Each reading declared fixed that such a run reads, its
+    # kernel key among them, reads no per-name table at all: on a fresh
+    # run, n, the universe and the kernels alone
+    allowed = {"n", "full", "universe", "kernels", "monotone", "dominates", "top.n", "top.ground.braced"}
     cfg = SuiteConfig()
     spaces = sweep_spaces(SuiteConfig(n_exhaustive=2)) + [("c", random_topology(3, 5, 3)),
                                                          ("d", random_topology(5, 3, 5))]
     statements = [st for st in harness.STATEMENTS if st.reads == harness.PAIR]
-    read = set()
+    stages = [[st for st in statements if st.suite == suite] for suite in SUITE_NAMES]
+    fixed = {name for stage in stages if stage
+             for name in (*harness._stage_key(stage), *(r for st in stage for r in st.names))
+             if harness._READINGS[name].fixed}
+    assert {"kernel", "regular", "nested", "meet_closed", "monotone_enlarger",
+            "neighbourhood_variant_skipped"} <= fixed
+    read, fixed_read = set(), collections.defaultdict(set)
     for label, top in spaces:
         ctx = _SpaceContext(label, top, cfg)
         recorder = _Reads(ctx, read, {"top", "top.ground"})
@@ -1211,21 +1242,23 @@ def test_pair_checks_read_the_space_only_through_what_their_key_fixes():
             run = harness._PairRun(recorder, a, b)
             for st in statements:
                 harness._apply(out, recorder, st, (run,), (f"{a},{b}",))
+            for name in fixed:
+                alone = _Reads(ctx, fixed_read[name], {"top", "top.ground"})
+                harness._READINGS[name].of(alone, harness._PairRun(alone, a, b))
         assert out.instances_checked and not out.failures
-    assert {"n", "universe", "pairs", "monotone", "props", "top.ground.braced"} <= read <= allowed
+    assert {"n", "universe", "kernels", "monotone", "dominates", "top.ground.braced"} <= read <= allowed
+    assert {name: names for name, names in fixed_read.items()
+            if not names <= {"n", "full", "universe", "kernels", "top.n"}} == {}
 
 
 def test_pair_checks_read_only_the_readings_their_statements_name(monkeypatch):
     # a check reads a hypothesis by its name off the pair's run; each name
     # a PAIR statement reads so, on a fresh run, is one it declares, so no
-    # reading the kernel does not fix escapes its stage's key.  No pair or
-    # two-pair check reads the selector but through the dominates and
-    # monotone readings, which the context measures: each pair holds a
-    # recorder in its place, noted as "selector".  So a run depends only on
-    # its kernel key, the readings it names and its universe.  One read
-    # stays: the space-level flags fill their hypothesis field through
-    # base_report, whose order reading may ask leq of the selector; the
-    # statement reads only the flags' agreement
+    # reading the kernel does not fix escapes its stage's key.  A run
+    # holds a kernel, which has no selector: the selector enters only
+    # through the dominates and monotone readings of the context's tables.
+    # So a run depends only on its kernel key, the readings it names and
+    # its universe
     read = collections.defaultdict(set)
     current = []
 
@@ -1234,14 +1267,6 @@ def test_pair_checks_read_only_the_readings_their_statements_name(monkeypatch):
             read[current[-1]].add(name)
             return super().__getitem__(name)
 
-    class Selector:
-        def __init__(self, op):
-            self.op = op
-
-        def __getattr__(self, name):
-            read[current[-1]].add("selector")
-            return getattr(self.op, name)
-
     monkeypatch.setattr(harness, "_READINGS", Logged(harness._READINGS))
     cfg = SuiteConfig()
     spaces = sweep_spaces(SuiteConfig(n_exhaustive=2)) + [("c", random_topology(3, 5, 3)),
@@ -1249,8 +1274,6 @@ def test_pair_checks_read_only_the_readings_their_statements_name(monkeypatch):
     statements = [st for st in harness.STATEMENTS if st.reads in (harness.PAIR, harness.PAIRS)]
     for label, top in spaces:
         ctx = _SpaceContext(label, top, cfg)
-        for p in ctx.pairs.values():
-            object.__setattr__(p, "selector", Selector(p.selector))
         for st in statements:
             current.append(st)
             for a, b in ctx.pair_names:
@@ -1259,10 +1282,10 @@ def test_pair_checks_read_only_the_readings_their_statements_name(monkeypatch):
                     harness._apply(harness.SuiteResult(), ctx, st, (run,), (f"{a},{b}",))
                 for q in st.over(ctx, a, b) if st.over else ():
                     list(st.check(ctx, run, harness._PairRun(ctx, *q)))
-    assert all(names - {"selector"} <= set(st.names) for st, names in read.items())
+    assert all(names <= set(st.names) for st, names in read.items())
     named = {st.texts[0]: names for st, names in read.items()}
-    assert {text for text, names in named.items() if "selector" in names} == {"space-level statements agree"}
     assert named["filter statements agree"] == {"dominates", "monotone"}
+    assert named["space-level statements agree"] == {"dominates"}
     assert named["stable images land in both open families"] == {"nested", "dominates"}
     assert named["singleton cores decide finer convergence"] == {"regular"}
 
