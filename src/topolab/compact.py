@@ -41,7 +41,7 @@ members only; the proof is at :func:`additive_hypothesis`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import accumulate
 from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
@@ -405,11 +405,7 @@ class SpaceCompactnessFlags:
     closed_base_cover: bool
 
     def statements(self) -> tuple[bool, ...]:
-        return (
-            self.space_cover, self.space_base_cover, self.space_pair_open_cover,
-            self.residual_cover, self.residual_pair_open_cover, self.residual_base_cover,
-            self.closed_cover, self.closed_pair_open_cover, self.closed_base_cover,
-        )
+        return astuple(self)
 
     def agree(self) -> bool:
         return len(set(self.statements())) == 1

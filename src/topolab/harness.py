@@ -66,7 +66,6 @@ from .ops import (
     op_open_plane,
 )
 from .pairs import (
-    PairKernel,
     _kernel_report,
     classify_structure,
     enlargement_base,
@@ -74,6 +73,7 @@ from .pairs import (
     envelopes,
     image_groups,
     kernel_of,
+    meet_closed,
     named_family,
     pair_closure,
     pair_closure_by_points,
@@ -277,10 +277,6 @@ class _SpaceContext:
             for b in BUILTIN_NAMES:
                 self.agreement[(a, b)] = seen.setdefault(images(self.ops[b].table), len(seen))
 
-    def kernel(self, a: str, b: str) -> PairKernel:
-        """The kernel of (a, b), requested or not, from the registry."""
-        return kernel_of(self.ops[a], self.ops[b])
-
     def dominates(self, a: str, b: str) -> bool:
         """Whether enlarger b sits above the identity or above selector a,
         as ``order_dominates`` of :func:`~topolab.pairs.base_report` says."""
@@ -464,10 +460,9 @@ _READINGS = {
     # enlarger on a meet_closed (intersection-closed) selector-open family,
     # which nested puts inside the enlarger-open family
     "regular": _Reading(lambda ctx, run: enlarger_is_regular(run.k) if is_monotone(run.k.enlarger)
-                        and run.k.topology.plane_props(run.k.key[0])[0] or not _scan_skipped(ctx, run.k.key[0])
-                        else None),
+                        and meet_closed(run.k) or not _scan_skipped(ctx, run.k.key[0]) else None),
     "nested": _Reading(lambda ctx, run: run.k.key[0] & ~op_open_plane(run.k.enlarger) == 0),
-    "meet_closed": _Reading(lambda ctx, run: run.k.topology.plane_props(run.k.key[0])[0]),
+    "meet_closed": _Reading(lambda ctx, run: meet_closed(run.k)),
     "monotone_enlarger": _Reading(lambda ctx, run: is_monotone(run.k.enlarger)),
     "topology": _Reading(lambda ctx, run: run.structure.is_topology),
     "base_pair_open": _Reading(lambda ctx, run: run.base.base_pair_open),
@@ -1029,8 +1024,8 @@ def _duals(ctx):
 
 def _named_classes(ctx):
     # N => H, s => S and S => H on the classes' failing planes, read on
-    # the requested pairs' kernels where there are some
-    n, h, s, big_s = (failing_plane(ctx.kernel(*q)) for q in map(NAMED_CLASSES.get, "NHsS"))
+    # the live kernels, which are the requested pairs' where there are some
+    n, h, s, big_s = (failing_plane(kernel_of(*map(ctx.ops.get, q))) for q in map(NAMED_CLASSES.get, "NHsS"))
     for a in iter_points(ctx.universe.quantified & (h & ~n | big_s & ~s | h & ~big_s)):
         yield 0, "", ctx.top.ground.braced(a)
 
@@ -1062,13 +1057,13 @@ STATEMENTS = (
     # the kernel's scan, not enlarger_is_regular, whose fast path is this
     # statement
     Statement("operations", ("monotone enlarger regular over a selector topology",), SPACE,
-              lambda ctx, a, b: _one(not regular_scan(ctx.kernel(a, b)), f"{a},{b}", b),
+              lambda ctx, a, b: _one(not regular_scan(kernel_of(ctx.ops[a], ctx.ops[b])), f"{a},{b}", b),
               gate="regularity_scan_skipped", over=lambda ctx: [
                   (a, b) for a in BUILTIN_NAMES if all(ctx.top.plane_props(ctx.open_planes[a]))
                   for b in BUILTIN_NAMES if ctx.monotone[b]]),
     Statement("operations", ("identity enlarger keeps the selector family",), SPACE,
-              lambda ctx, a: _one(pair_open_plane(ctx.kernel(a, "identity")) != ctx.open_planes[a],
-                                  f"{a},identity", a),
+              lambda ctx, a: _one(pair_open_plane(kernel_of(ctx.ops[a], ctx.ops["identity"]))
+                                  != ctx.open_planes[a], f"{a},identity", a),
               over=lambda ctx: [(a,) for a in BUILTIN_NAMES if ctx.monotone[a]]),
     Statement("operations", ("semi-closure idempotent on semi-open sets",), SPACE,
               lambda ctx: _one(any(ctx.ops["scl"].table[v] != v for v in map(

@@ -116,11 +116,9 @@ class OpPair:
 
     def __init__(self, selector: Operation, enlarger: Operation):
         kernel = kernel_of(selector, enlarger)
-        object.__setattr__(self, "topology", selector.topology)
-        object.__setattr__(self, "selector", selector)
-        object.__setattr__(self, "enlarger", enlarger)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "_memo", kernel._memo)
+        for name, value in (("topology", selector.topology), ("selector", selector), ("enlarger", enlarger),
+                            ("kernel", kernel), ("_memo", kernel._memo)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("OpPair is immutable")
@@ -220,6 +218,11 @@ def pair_closure_by_points(p: OpPair, sets: Iterable[int]) -> list[int]:
     return out
 
 
+def meet_closed(k: PairKernel) -> bool:
+    """Whether the selector-open family is closed under meets."""
+    return k.topology.plane_props(k.key[0])[0]
+
+
 @memoized
 def regular_scan(k: PairKernel) -> bool:
     """:func:`~topolab.ops.is_regular_wrt` of the enlarger over the
@@ -241,9 +244,7 @@ def enlarger_is_regular(k: PairKernel) -> bool:
     point is a third whose image squeezes under both images.  Otherwise
     the kernel's scan (:func:`regular_scan`) decides.
     """
-    return (
-        is_monotone(k.enlarger) and k.topology.plane_props(k.key[0])[0]
-    ) or regular_scan(k)
+    return is_monotone(k.enlarger) and meet_closed(k) or regular_scan(k)
 
 
 @memoized

@@ -44,7 +44,7 @@ from topolab.filters import (
     rows_meeting,
     rows_within,
 )
-from topolab.pairs import envelopes, image_groups
+from topolab.pairs import PairKernel, envelopes, image_groups
 from topolab.ops import Operation
 from topolab.harness import CATALOG_PAIRS, MINE_TARGETS, SUITE_NAMES, _SpaceContext
 
@@ -58,6 +58,7 @@ from oracles import (
     route_check,
     scan_limit_set,
 )
+from test_source import SPACE_READS
 
 PINS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "expected.json"
 
@@ -732,10 +733,10 @@ def test_each_run_key_runs_once(monkeypatch):
             p.kernel, base_report(p).order_dominates, is_monotone(p.selector)),
     }
     for name, key in run_keys.items():
-        # the checks see kernels only: the ones seen are the ones keyed
+        # the checks see kernels only: each kernel is seen once per key
+        # it is keyed under
         expected = {key(p) for p in pairs}
-        assert len(seen[name]) == len(expected), name
-        assert {k for (k,) in seen[name]} == {k for k, *_ in expected}, name
+        assert collections.Counter(k for (k,) in seen[name]) == collections.Counter(k for k, *_ in expected), name
     assert len({run_keys["classify_structure"](p) for p in pairs}) == 9
     # one literal walk per ambient family, answering each distinct image
     # tuple of the seven enlargers on it once; above 4 points the bigger
@@ -1221,7 +1222,8 @@ def test_pair_checks_read_the_space_only_through_what_their_key_fixes():
     # labels serve record text alone, and maximal_filters reads n of the
     # space.  Each reading declared fixed that such a run reads, its
     # kernel key among them, reads no per-name table at all: on a fresh
-    # run, n, the universe and the kernels alone
+    # run, n, the universe and the kernels alone, and of a kernel's space
+    # only what its rows may read (test_source.SPACE_READS)
     allowed = {"n", "full", "universe", "kernels", "monotone", "dominates", "top.n", "top.ground.braced"}
     cfg = SuiteConfig()
     spaces = sweep_spaces(SuiteConfig(n_exhaustive=2)) + [("c", random_topology(3, 5, 3)),
@@ -1244,11 +1246,19 @@ def test_pair_checks_read_the_space_only_through_what_their_key_fixes():
                 harness._apply(out, recorder, st, (run,), (f"{a},{b}",))
             for name in fixed:
                 alone = _Reads(ctx, fixed_read[name], {"top", "top.ground"})
-                harness._READINGS[name].of(alone, harness._PairRun(alone, a, b))
+                run = harness._PairRun(alone, a, b)
+                # a fresh kernel of the same contents, its rows unbuilt,
+                # whose space is read through the recorder too
+                k = run.k
+                run.k = PairKernel(_Reads(k.topology, fixed_read[name], (), "k.topology."),
+                                   k.family, k.enlarger, k.key)
+                harness._READINGS[name].of(alone, run)
         assert out.instances_checked and not out.failures
     assert {"n", "universe", "kernels", "monotone", "dominates", "top.ground.braced"} <= read <= allowed
+    kernel_reads = {f"k.topology.{name}" for name in SPACE_READS}
     assert {name: names for name, names in fixed_read.items()
-            if not names <= {"n", "full", "universe", "kernels", "top.n"}} == {}
+            if not names <= {"n", "full", "universe", "kernels", "top.n", *kernel_reads}} == {}
+    assert "k.topology.plane_props" in fixed_read["meet_closed"] & fixed_read["regular"]
 
 
 def test_pair_checks_read_only_the_readings_their_statements_name(monkeypatch):
